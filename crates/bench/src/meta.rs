@@ -1,16 +1,15 @@
 //! Shared `bench_meta` block stamped into every `BENCH_*.json` artifact.
 //!
-//! Regression diffing (`bench_diff`) keys its tolerance decisions off
-//! this block: a `degraded` run (fewer hardware threads than the
-//! bench's maximum worker count) downgrades its regressions to
-//! warnings, a `hardware_threads` mismatch between baseline and
-//! current means the wall clocks came from different machines, and a
-//! `schema_version` bump tells a diff it is comparing different
-//! layouts. Keeping the emitter here — rather than copy-pasted into
-//! each bench — is what keeps the four artifacts' blocks identical.
+//! The block says how far a reader may trust the artifact's wall
+//! clocks: a `degraded` run had fewer hardware threads than the bench's
+//! maximum worker count, a `hardware_threads` mismatch between two
+//! artifacts means their wall clocks came from different machines, and
+//! a `schema_version` bump means they have different layouts. Keeping
+//! the emitter here — rather than copy-pasted into each bench — is what
+//! keeps the artifacts' blocks identical.
 
 /// Version of the `BENCH_*.json` layout. Bump when a row field is
-/// renamed or its meaning changes; `bench_diff` warns on mismatch.
+/// renamed or its meaning changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Hardware threads visible to this process (1 when undetectable).

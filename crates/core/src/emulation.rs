@@ -386,29 +386,25 @@ impl MockupOptionsBuilder {
     /// tick would never advance virtual time) or a zero trace capacity
     /// (telemetry on but nowhere to put trace records).
     pub fn try_build(self) -> Result<MockupOptions, EmulationError> {
+        // What every packet-walk plane needs: a period that advances
+        // virtual time and a TTL a walk can spend.
+        let walk_knobs = |what: &str, period: SimDuration, ttl: u8| {
+            let bad = if period == SimDuration::ZERO {
+                "period"
+            } else if ttl == 0 {
+                "ttl"
+            } else {
+                return Ok(());
+            };
+            Err(EmulationError::InvalidOption(format!(
+                "{what} {bad} must be nonzero"
+            )))
+        };
         if let Some(cfg) = &self.options.health_probes {
-            if cfg.period == SimDuration::ZERO {
-                return Err(EmulationError::InvalidOption(
-                    "health probe period must be nonzero".to_string(),
-                ));
-            }
-            if cfg.ttl == 0 {
-                return Err(EmulationError::InvalidOption(
-                    "health probe ttl must be nonzero".to_string(),
-                ));
-            }
+            walk_knobs("health probe", cfg.period, cfg.ttl)?;
         }
         if let Some(cfg) = &self.options.traffic {
-            if cfg.period == SimDuration::ZERO {
-                return Err(EmulationError::InvalidOption(
-                    "traffic period must be nonzero".to_string(),
-                ));
-            }
-            if cfg.ttl == 0 {
-                return Err(EmulationError::InvalidOption(
-                    "traffic flow ttl must be nonzero".to_string(),
-                ));
-            }
+            walk_knobs("traffic flow", cfg.period, cfg.ttl)?;
             if cfg.flows_per_round == 0 {
                 return Err(EmulationError::InvalidOption(
                     "traffic flows_per_round must be nonzero".to_string(),
@@ -805,41 +801,28 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
 
     sim.boot_all(network_ready_at);
 
-    // Continuous health plane: the probe mesh spans the emulated BGP
-    // routers (speakers announce, they do not carry traffic) and starts
-    // one period after network-ready, so early rounds observe the boot
-    // transient — deterministically, since probe events are non-causal
-    // and never perturb convergence.
-    if let Some(cfg) = &options.health_probes {
-        let mut cfg = cfg.clone();
+    // Packet-walk planes (probe mesh, flow load): both span the emulated
+    // BGP routers (speakers announce, they do not carry traffic) and
+    // start one period after network-ready, so early rounds observe the
+    // boot transient — deterministically, since plane events are
+    // non-causal and never perturb convergence. A plane seed of 0 means
+    // "derive from the run seed".
+    let population: Vec<(DeviceId, Ipv4Addr)> = prep
+        .configs
+        .iter()
+        .map(|(dev, _)| (*dev, topo.device(*dev).loopback))
+        .collect();
+    if let Some(mut cfg) = options.health_probes.clone() {
         if cfg.seed == 0 {
             cfg.seed = options.seed;
         }
-        let mut population: Vec<(DeviceId, Ipv4Addr)> = prep
-            .configs
-            .iter()
-            .map(|(dev, _)| (*dev, topo.device(*dev).loopback))
-            .collect();
-        population.sort_by_key(|(d, _)| d.0);
         let first_tick = network_ready_at + cfg.period;
-        sim.enable_health(cfg, population, first_tick);
+        sim.enable_health(cfg, population.clone(), first_tick);
     }
-
-    // Traffic plane: seeded flow generation over the same router
-    // population. Like the probe mesh, flow events are non-causal and
-    // never perturb convergence; the first round fires one period after
-    // network-ready so flows exercise the boot transient too.
-    if let Some(cfg) = &options.traffic {
-        let mut cfg = cfg.clone();
+    if let Some(mut cfg) = options.traffic.clone() {
         if cfg.seed == 0 {
             cfg.seed = options.seed;
         }
-        let mut population: Vec<(DeviceId, Ipv4Addr)> = prep
-            .configs
-            .iter()
-            .map(|(dev, _)| (*dev, topo.device(*dev).loopback))
-            .collect();
-        population.sort_by_key(|(d, _)| d.0);
         let first_tick = network_ready_at + cfg.period;
         sim.enable_traffic(cfg, population, first_tick);
     }
@@ -1279,10 +1262,11 @@ impl Emulation {
         self.sim.run_until(until);
     }
 
-    /// The health plane's gauges as a canonical [`HealthReport`]
-    /// (see [`crate::health`]). When the health plane is off
+    /// The health plane's gauges as a canonical
+    /// [`HealthReport`](crate::health::HealthReport) (see
+    /// [`crate::health`]). When the health plane is off
     /// ([`MockupOptionsBuilder::health`] not called), returns
-    /// [`HealthReport::disabled`].
+    /// [`HealthReport::disabled`](crate::health::HealthReport::disabled).
     #[must_use]
     pub fn pull_health(&self) -> crate::health::HealthReport {
         match self.sim.health() {
@@ -1317,25 +1301,19 @@ impl Emulation {
     /// [`crate::health::CORRELATION_WINDOW`].
     #[must_use]
     pub fn incidents(&self) -> Vec<crate::health::CorrelatedIncident> {
-        let health = self
-            .sim
-            .health()
-            .map(|h| h.incidents.as_slice())
-            .unwrap_or(&[]);
-        let traffic = self
-            .sim
-            .traffic()
-            .map(|t| t.incidents.as_slice())
-            .unwrap_or(&[]);
-        let resolve = |d| self.topo.device(d).name.clone();
-        if traffic.is_empty() {
-            // Traffic off (or quiet): identical path — and bytes — to a
-            // health-only build.
-            return crate::health::correlate(health, &self.journal, &self.change_log, resolve);
-        }
-        let mut merged: Vec<_> = health.iter().chain(traffic).cloned().collect();
-        merged.sort_by_key(crystalnet_routing::Incident::sort_key);
-        crate::health::correlate(&merged, &self.journal, &self.change_log, resolve)
+        // Each plane keeps its log in timeline order, so the shared
+        // timeline is a two-way merge by reference.
+        let health = self.sim.health().map_or(&[][..], |h| &h.incidents);
+        let traffic = self.sim.traffic().map_or(&[][..], |t| &t.incidents);
+        let (mut health, mut traffic) = (health.iter().peekable(), traffic.iter().peekable());
+        let merged = std::iter::from_fn(|| match (health.peek(), traffic.peek()) {
+            (Some(h), Some(t)) if t.sort_key() < h.sort_key() => traffic.next(),
+            (Some(_), _) => health.next(),
+            (None, _) => traffic.next(),
+        });
+        crate::health::correlate(merged, &self.journal, &self.change_log, |d| {
+            self.topo.device(d).name.clone()
+        })
     }
 
     /// [`Self::incidents`] as JSONL — one canonical object per line,

@@ -12,42 +12,73 @@
 
 use crate::metrics::{JournalKind, RecoveryJournal};
 use crystalnet_net::DeviceId;
-use crystalnet_routing::health::{HealthState, Incident, IncidentKind};
+use crystalnet_routing::health::{HealthState, Incident, IncidentKind, PairStats};
 use crystalnet_sim::{SimDuration, SimTime};
 use serde::{Serialize, Value};
+use std::collections::BTreeMap;
 
-/// One probe pair's gauges: reachability, latency, and the rolling SLO
-/// window. All fields are integers so the canonical export is
-/// byte-stable across worker counts and platforms.
+/// One `(src, dst)` pair's gauges as either packet-walk plane keeps
+/// them — probes for the health report, flows for the traffic report:
+/// reachability, latency, and the rolling SLO window. All fields are
+/// integers so the canonical export is byte-stable across worker counts
+/// and platforms.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairHealth {
-    /// Probing device.
+pub struct PairGauges {
+    /// Launching device.
     pub src: DeviceId,
-    /// Probing device's hostname.
+    /// Launching device's hostname.
     pub src_host: String,
-    /// Probed device.
+    /// Target device.
     pub dst: DeviceId,
-    /// Probed device's hostname.
+    /// Target device's hostname.
     pub dst_host: String,
-    /// Probes completed (delivered + lost).
+    /// Walks completed (delivered + lost).
     pub sent: u64,
-    /// Probes that reached `dst`.
+    /// Walks that reached `dst`.
     pub delivered: u64,
-    /// Probes that died en route.
+    /// Walks that died en route.
     pub lost: u64,
-    /// Sum of delivered probes' one-way latencies (ns).
+    /// Sum of delivered walks' one-way latencies (ns).
     pub latency_ns_sum: u64,
     /// Worst delivered one-way latency (ns).
     pub latency_ns_max: u64,
     /// Losses inside the current SLO window.
     pub window_lost: u64,
-    /// Probes inside the current SLO window.
+    /// Walks inside the current SLO window.
     pub window_len: u64,
     /// Whether the pair is currently in SLO breach.
     pub breached: bool,
 }
 
-impl Serialize for PairHealth {
+impl PairGauges {
+    /// Renders a plane's pair gauges, sorted by `(src, dst)`; `resolve`
+    /// maps device ids to hostnames.
+    #[must_use]
+    pub fn from_pairs(
+        pairs: &BTreeMap<(DeviceId, DeviceId), PairStats>,
+        resolve: impl Fn(DeviceId) -> String,
+    ) -> Vec<Self> {
+        pairs
+            .iter()
+            .map(|(&(src, dst), p)| PairGauges {
+                src,
+                src_host: resolve(src),
+                dst,
+                dst_host: resolve(dst),
+                sent: p.sent,
+                delivered: p.delivered,
+                lost: p.lost,
+                latency_ns_sum: p.latency_ns_sum,
+                latency_ns_max: p.latency_ns_max,
+                window_lost: p.window_lost(),
+                window_len: p.window.len() as u64,
+                breached: p.breached,
+            })
+            .collect()
+    }
+}
+
+impl Serialize for PairGauges {
     fn to_value(&self) -> Value {
         Value::Object(vec![
             ("src".to_string(), Value::Uint(u64::from(self.src.0))),
@@ -90,7 +121,7 @@ pub struct HealthReport {
     /// Incidents on the timeline.
     pub incident_count: u64,
     /// Per-pair gauges, sorted by `(src, dst)`.
-    pub pairs: Vec<PairHealth>,
+    pub pairs: Vec<PairGauges>,
 }
 
 impl HealthReport {
@@ -112,24 +143,6 @@ impl HealthReport {
     /// hostnames.
     #[must_use]
     pub fn from_state(state: &HealthState, resolve: impl Fn(DeviceId) -> String) -> Self {
-        let pairs = state
-            .pairs
-            .iter()
-            .map(|(&(src, dst), p)| PairHealth {
-                src,
-                src_host: resolve(src),
-                dst,
-                dst_host: resolve(dst),
-                sent: p.sent,
-                delivered: p.delivered,
-                lost: p.lost,
-                latency_ns_sum: p.latency_ns_sum,
-                latency_ns_max: p.latency_ns_max,
-                window_lost: p.window_lost(),
-                window_len: p.window.len() as u64,
-                breached: p.breached,
-            })
-            .collect();
         HealthReport {
             enabled: true,
             period: state.cfg.period,
@@ -137,7 +150,7 @@ impl HealthReport {
             probes_delivered: state.probes_delivered,
             probes_lost: state.probes_lost,
             incident_count: state.incidents.len() as u64,
-            pairs,
+            pairs: PairGauges::from_pairs(&state.pairs, resolve),
         }
     }
 
@@ -309,15 +322,15 @@ fn journal_cause(at: SimTime, kind: &JournalKind) -> IncidentCause {
 /// log (an operator action is the more specific explanation than the
 /// monitor noise around it).
 #[must_use]
-pub fn correlate(
-    incidents: &[Incident],
+pub fn correlate<'a>(
+    incidents: impl IntoIterator<Item = &'a Incident>,
     journal: &RecoveryJournal,
     change_log: &[(SimTime, String)],
     resolve: impl Fn(DeviceId) -> String,
 ) -> Vec<CorrelatedIncident> {
     let journal = journal.sorted();
     incidents
-        .iter()
+        .into_iter()
         .map(|inc| {
             let mut best: Option<IncidentCause> = None;
             let mut consider = |cause: IncidentCause| {

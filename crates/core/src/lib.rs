@@ -48,7 +48,7 @@ pub use emulation::{
 pub use explain::{ExplainHop, RouteExplanation};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultReport, HealthPolicy, RetryPolicy};
 pub use health::{
-    correlate, incidents_jsonl, CorrelatedIncident, HealthReport, IncidentCause, PairHealth,
+    correlate, incidents_jsonl, CorrelatedIncident, HealthReport, IncidentCause, PairGauges,
     CORRELATION_WINDOW,
 };
 pub use metrics::{JournalEvent, JournalKind, MockupMetrics, RecoveryJournal};
@@ -59,7 +59,7 @@ pub use rehearse::{
 };
 pub use scenarios::{run_all as run_all_scenarios, RootCause, ScenarioResult};
 pub use session::{EmulationFork, Snapshot};
-pub use traffic::{LinkUtilisation, PairTraffic, TrafficReport};
+pub use traffic::{LinkUtilisation, TrafficReport};
 pub use workflow::{StepOutcome, UpdateStep, ValidationLoop, ValidationReport};
 
 /// One-stop imports for driving an emulation.
@@ -82,14 +82,14 @@ pub mod prelude {
     pub use crate::faults::{
         FaultEvent, FaultKind, FaultPlan, FaultReport, HealthPolicy, RetryPolicy,
     };
-    pub use crate::health::{CorrelatedIncident, HealthReport, IncidentCause, PairHealth};
+    pub use crate::health::{CorrelatedIncident, HealthReport, IncidentCause, PairGauges};
     pub use crate::metrics::{JournalEvent, JournalKind, MockupMetrics, RecoveryJournal};
     pub use crate::prepare::{prepare, BoundaryMode, PrepareOutput, SpeakerSource};
     pub use crate::rehearse::{
         AppliedChange, ConvergenceDelta, FibChange, FibChangeKind, RehearsalReport, RehearsalStep,
     };
     pub use crate::session::{EmulationFork, Snapshot};
-    pub use crate::traffic::{LinkUtilisation, PairTraffic, TrafficReport};
+    pub use crate::traffic::{LinkUtilisation, TrafficReport};
     pub use crate::workflow::{StepOutcome, UpdateStep, ValidationLoop, ValidationReport};
     pub use crystalnet_config::{classify_diff, Change, ChangeImpact, ChangeSet, SpeakerRoute};
     pub use crystalnet_dataplane::ForwardDecision;

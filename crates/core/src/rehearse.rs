@@ -3,7 +3,7 @@
 //! The Fig. 3 validation loop re-runs "apply change → inspect" many times
 //! against one mockup. Rebuilding the emulation for every step would pay
 //! the full route-ready cost each time (§8.2: minutes to hours at L-DC
-//! scale), so [`Emulation::apply_change`] instead:
+//! scale), so [`EmulationFork::apply`](crate::EmulationFork::apply) instead:
 //!
 //! 1. classifies each change ([`classify_diff`]) — a no-op diff touches
 //!    nothing, a policy edit soft-refreshes the live session (RFC 2918
@@ -44,7 +44,8 @@ use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::FieldValue;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How one prefix's FIB entry changed across an [`Emulation::apply_change`].
+/// How one prefix's FIB entry changed across an
+/// [`EmulationFork::apply`](crate::EmulationFork::apply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FibChangeKind {
     /// The prefix was not installed before and is now.
@@ -247,9 +248,38 @@ enum Planned {
     },
 }
 
+/// The packet-walk planes' running totals at one instant (zeros for a
+/// plane that is off); a step's impact is the difference of two.
+#[derive(Default)]
+struct PlaneTotals {
+    probes_sent: u64,
+    probes_lost: u64,
+    flows_sent: u64,
+    flows_lost: u64,
+    flows_rerouted: u64,
+    incidents: u64,
+}
+
 impl Emulation {
+    fn plane_totals(&self) -> PlaneTotals {
+        let mut t = PlaneTotals::default();
+        if let Some(h) = self.sim.health() {
+            (t.probes_sent, t.probes_lost) = (h.probes_sent, h.probes_lost);
+            t.incidents += h.incidents.len() as u64;
+        }
+        if let Some(f) = self.sim.traffic() {
+            (t.flows_sent, t.flows_lost, t.flows_rerouted) =
+                (f.flows_sent, f.flows_lost, f.flows_rerouted);
+            t.incidents += f.incidents.len() as u64;
+        }
+        t
+    }
+
     /// Applies a parsed change set to the *running* emulation and
-    /// re-converges only the devices the change can affect.
+    /// re-converges only the devices the change can affect — the
+    /// in-place step behind [`EmulationFork::apply`](crate::EmulationFork::apply)
+    /// (a fork applies changes to its *child* through this, then swaps
+    /// the child in on commit).
     ///
     /// Mechanisms by classification:
     ///
@@ -268,57 +298,6 @@ impl Emulation {
     /// with a bumped incarnation epoch so peers flush and resync.
     ///
     /// Nothing is mutated until the whole set validates.
-    ///
-    /// # Migration
-    ///
-    /// Deprecated in favour of the session API: mutating the baseline in
-    /// place cannot be rolled back, so a failed or unwanted rehearsal
-    /// poisons the warm emulation. Fork instead — the child is free to
-    /// fail, and dropping it *is* the rollback:
-    ///
-    /// ```
-    /// # use crystalnet::prelude::*;
-    /// # use crystalnet::PlanOptions;
-    /// # use crystalnet_net::fixtures::fig7;
-    /// # let f = fig7();
-    /// # let prep = prepare(&f.topo, &[], BoundaryMode::WholeNetwork,
-    /// #     SpeakerSource::OriginatedOnly, &PlanOptions::default());
-    /// let mut emu = mockup(Arc::new(prep), MockupOptions::builder().build());
-    ///
-    /// // Rehearse a link drain on a fork and inspect exactly what moved.
-    /// let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
-    /// let mut fork = emu.fork();
-    /// let delta = fork.apply(&ChangeSet::new().link_down(lid))?;
-    /// assert!(!delta.dirty.is_empty());
-    /// assert!(delta.total_fib_changes() > 0);
-    /// fork.commit(&mut emu); // or drop `fork` to roll back
-    /// # Ok::<(), EmulationError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`EmulationError::UnknownDevice`] / [`EmulationError::UnknownLink`]
-    /// for targets outside the emulation, the `guard`
-    /// reachability errors for unreachable devices, and
-    /// [`EmulationError::NotConverged`] if re-convergence misses the
-    /// deadline.
-    #[deprecated(
-        since = "0.7.0",
-        note = "mutating the baseline in place cannot be rolled back; \
-                use `Emulation::fork()` + `EmulationFork::apply` and then \
-                `commit` (or drop the fork to roll back)"
-    )]
-    pub fn apply_change(
-        &mut self,
-        changes: &ChangeSet,
-    ) -> Result<ConvergenceDelta, EmulationError> {
-        self.apply_change_inner(changes)
-    }
-
-    /// The in-place change application behind both the deprecated
-    /// [`Emulation::apply_change`] and the session API (a fork applies
-    /// changes to its *child* through this, then swaps the child in on
-    /// commit).
     pub(crate) fn apply_change_inner(
         &mut self,
         changes: &ChangeSet,
@@ -326,27 +305,9 @@ impl Emulation {
         let wall_start = std::time::Instant::now();
         let start = self.now();
         let mark = self.sim.engine.checkpoint();
-        // Health-plane totals before the step: the diff after settle is
-        // the step's own SLO impact (zeros when the plane is off).
-        let health_before = self
-            .sim
-            .health()
-            .map(|h| (h.probes_sent, h.probes_lost, h.incidents.len() as u64))
-            .unwrap_or_default();
-        // Same trick for the traffic plane: the step's own flow losses
-        // and reroutes are the totals' diff across the settle.
-        let traffic_before = self
-            .sim
-            .traffic()
-            .map(|t| {
-                (
-                    t.flows_sent,
-                    t.flows_lost,
-                    t.flows_rerouted,
-                    t.incidents.len() as u64,
-                )
-            })
-            .unwrap_or_default();
+        // Plane totals before the step: the diff after settle is the
+        // step's own SLO and traffic impact (zeros when a plane is off).
+        let totals_before = self.plane_totals();
 
         // ---- Validate everything before mutating anything. ----
         let mut planned = Vec::new();
@@ -539,23 +500,7 @@ impl Emulation {
             "incremental boundary memo diverged from fresh classification"
         );
 
-        let health_after = self
-            .sim
-            .health()
-            .map(|h| (h.probes_sent, h.probes_lost, h.incidents.len() as u64))
-            .unwrap_or_default();
-        let traffic_after = self
-            .sim
-            .traffic()
-            .map(|t| {
-                (
-                    t.flows_sent,
-                    t.flows_lost,
-                    t.flows_rerouted,
-                    t.incidents.len() as u64,
-                )
-            })
-            .unwrap_or_default();
+        let totals_after = self.plane_totals();
         let delta = ConvergenceDelta {
             applied,
             dirty: dirty.iter().copied().collect(),
@@ -564,12 +509,12 @@ impl Emulation {
             events_executed,
             wall: wall_start.elapsed(),
             fib_changes,
-            probes_sent: health_after.0 - health_before.0,
-            probes_lost: health_after.1 - health_before.1,
-            incidents: (health_after.2 - health_before.2) + (traffic_after.3 - traffic_before.3),
-            flows_sent: traffic_after.0 - traffic_before.0,
-            flows_lost: traffic_after.1 - traffic_before.1,
-            flows_rerouted: traffic_after.2 - traffic_before.2,
+            probes_sent: totals_after.probes_sent - totals_before.probes_sent,
+            probes_lost: totals_after.probes_lost - totals_before.probes_lost,
+            incidents: totals_after.incidents - totals_before.incidents,
+            flows_sent: totals_after.flows_sent - totals_before.flows_sent,
+            flows_lost: totals_after.flows_lost - totals_before.flows_lost,
+            flows_rerouted: totals_after.flows_rerouted - totals_before.flows_rerouted,
         };
 
         // Incident correlation reads this log: the change lands at its

@@ -11,6 +11,7 @@
 //! returned by `Emulation::incidents()` so operators read one ordered
 //! story, not two.
 
+use crate::health::PairGauges;
 use crystalnet_net::{DeviceId, LinkId};
 use crystalnet_routing::traffic::TrafficState;
 use crystalnet_sim::SimDuration;
@@ -58,61 +59,6 @@ impl Serialize for LinkUtilisation {
     }
 }
 
-/// One source/destination pair's flow gauges: delivery, latency, and
-/// the rolling flow-SLO window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairTraffic {
-    /// Flow source device.
-    pub src: DeviceId,
-    /// Flow source hostname.
-    pub src_host: String,
-    /// Flow destination device.
-    pub dst: DeviceId,
-    /// Flow destination hostname.
-    pub dst_host: String,
-    /// Flows completed (delivered + lost).
-    pub sent: u64,
-    /// Flows that reached `dst`.
-    pub delivered: u64,
-    /// Flows that died en route.
-    pub lost: u64,
-    /// Sum of delivered flows' path latencies (ns).
-    pub latency_ns_sum: u64,
-    /// Worst delivered path latency (ns).
-    pub latency_ns_max: u64,
-    /// Losses inside the current flow-SLO window.
-    pub window_lost: u64,
-    /// Flows inside the current flow-SLO window.
-    pub window_len: u64,
-    /// Whether the pair is currently in flow-SLO breach.
-    pub breached: bool,
-}
-
-impl Serialize for PairTraffic {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("src".to_string(), Value::Uint(u64::from(self.src.0))),
-            ("src_host".to_string(), Value::Str(self.src_host.clone())),
-            ("dst".to_string(), Value::Uint(u64::from(self.dst.0))),
-            ("dst_host".to_string(), Value::Str(self.dst_host.clone())),
-            ("sent".to_string(), Value::Uint(self.sent)),
-            ("delivered".to_string(), Value::Uint(self.delivered)),
-            ("lost".to_string(), Value::Uint(self.lost)),
-            (
-                "latency_ns_sum".to_string(),
-                Value::Uint(self.latency_ns_sum),
-            ),
-            (
-                "latency_ns_max".to_string(),
-                Value::Uint(self.latency_ns_max),
-            ),
-            ("window_lost".to_string(), Value::Uint(self.window_lost)),
-            ("window_len".to_string(), Value::Uint(self.window_len)),
-            ("breached".to_string(), Value::Bool(self.breached)),
-        ])
-    }
-}
-
 /// The traffic plane's state, rendered for export. Canonical:
 /// byte-stable across reps, worker counts, and `profiling(true)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,7 +89,7 @@ pub struct TrafficReport {
     /// Per-directed-link utilisation, sorted by `(device, link)`.
     pub links: Vec<LinkUtilisation>,
     /// Per-pair gauges, sorted by `(src, dst)`.
-    pub pairs: Vec<PairTraffic>,
+    pub pairs: Vec<PairGauges>,
 }
 
 impl TrafficReport {
@@ -190,24 +136,6 @@ impl TrafficReport {
                 }
             })
             .collect();
-        let pairs = state
-            .pairs
-            .iter()
-            .map(|(&(src, dst), p)| PairTraffic {
-                src,
-                src_host: resolve(src),
-                dst,
-                dst_host: resolve(dst),
-                sent: p.sent,
-                delivered: p.delivered,
-                lost: p.lost,
-                latency_ns_sum: p.latency_ns_sum,
-                latency_ns_max: p.latency_ns_max,
-                window_lost: p.window_lost(),
-                window_len: p.window.len() as u64,
-                breached: p.breached,
-            })
-            .collect();
         TrafficReport {
             enabled: true,
             period: state.cfg.period,
@@ -220,7 +148,7 @@ impl TrafficReport {
             bytes_lost: state.bytes_lost,
             incident_count: state.incidents.len() as u64,
             links,
-            pairs,
+            pairs: PairGauges::from_pairs(&state.pairs, resolve),
         }
     }
 

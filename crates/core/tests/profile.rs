@@ -151,7 +151,7 @@ fn profiling_off_leaves_fibs_and_canonical_bytes_unchanged() {
 }
 
 #[test]
-fn shard_diagnostics_are_arrays_with_legacy_expansion() {
+fn shard_diagnostics_are_arrays() {
     let topo = ClosParams::s_dc().build();
     let emu = build(
         &topo,
@@ -179,17 +179,6 @@ fn shard_diagnostics_are_arrays_with_legacy_expansion() {
         executed.iter().sum::<u64>() > 0,
         "shards must have executed events"
     );
-
-    // Compatibility: the flat `shard{{i}}` keys older tooling consumed
-    // expand from the arrays with identical data.
-    let legacy = report.legacy_shard_diagnostics();
-    for (i, v) in executed.iter().enumerate() {
-        assert_eq!(
-            legacy.get(&format!("sim.parallel.shard{i}.events_executed")),
-            Some(v),
-            "legacy expansion must match the array entry for shard {i}"
-        );
-    }
 }
 
 #[test]

@@ -1,0 +1,164 @@
+//! The simulated world the harness engine runs over: OS instances, the
+//! wiring between them, and the bookkeeping convergence detection and
+//! the parallel executor read.
+
+use super::{HarnessEvent, WorkModel};
+use crate::bgp::LOCAL_IFACE;
+use crate::os::{DeviceOs, MgmtResponse};
+use crate::plane::Planes;
+use crystalnet_net::{DeviceId, LinkId};
+use crystalnet_sim::parallel::ParallelWorld;
+use crystalnet_sim::{Engine, SimTime};
+use crystalnet_telemetry::Recorder;
+use std::collections::{BTreeSet, HashMap};
+
+#[derive(Clone, Copy)]
+pub(crate) struct Adjacency {
+    pub(crate) remote_dev: DeviceId,
+    pub(crate) remote_iface: u32,
+    pub(crate) link: LinkId,
+}
+
+/// Where a packet a device forwards out an interface ends up — the
+/// forward arm every packet walker shares.
+pub(crate) enum Egress {
+    /// A locally attached subnet: delivered here.
+    Local,
+    /// The interface is not wired to anything.
+    Unwired,
+    /// The interface's link is down right now.
+    LinkDown,
+    /// Across an up link to the neighbour.
+    Next(Adjacency),
+}
+
+/// Parallel-mode wiring: which shard owns each device, which shard this
+/// world is, and the outbox of cross-shard events (drained at window
+/// barriers). `None` in serial mode.
+pub(crate) struct ShardRoute {
+    pub(crate) self_shard: usize,
+    pub(crate) shard_of: Vec<usize>,
+    pub(crate) outbox: Vec<(usize, SimTime, HarnessEvent)>,
+}
+
+/// The simulated world: OS instances plus wiring.
+pub struct ControlPlaneWorld {
+    pub(crate) oses: Vec<Option<Box<dyn DeviceOs>>>,
+    pub(crate) booted: Vec<bool>,
+    /// adjacency[device][iface] (None when unwired).
+    pub(crate) adjacency: Vec<Vec<Option<Adjacency>>>,
+    pub(crate) link_up: HashMap<LinkId, bool>,
+    pub(crate) work: Box<dyn WorkModel>,
+    /// Completion time of the last event that changed routes.
+    pub last_route_activity: SimTime,
+    /// Total route operations performed across all devices.
+    pub route_ops_total: u64,
+    /// Per-device route-operation counters (diagnostics).
+    pub route_ops_by_dev: HashMap<DeviceId, u64>,
+    /// Devices that crashed while handling events (health-monitor feed).
+    pub crashes: Vec<(SimTime, DeviceId)>,
+    /// Responses to asynchronously delivered management commands.
+    pub mgmt_responses: Vec<(DeviceId, MgmtResponse)>,
+    /// Scheduled events that can still cause route activity (frames in
+    /// flight, pending boots, link changes). Pure timers are excluded.
+    /// `run_until_quiet` only declares convergence when this hits zero.
+    pub(crate) causal_pending: u64,
+    /// Per-device key counters (see [`HarnessEvent`]).
+    pub(crate) dev_key_seq: Vec<u32>,
+    /// Key counter for control-plane-script events.
+    pub(crate) control_key_seq: u32,
+    /// Set while this world is a shard of a parallel run.
+    pub(crate) shard_route: Option<ShardRoute>,
+    /// The packet-walk planes (probe mesh, flow load); a plane that is
+    /// off keeps every one of its code paths dormant at zero cost.
+    pub(crate) planes: Planes,
+    /// Devices whose *dataplane* forwarding is silently dead while their
+    /// control plane keeps running (gray-failure injection). Only plane
+    /// walks consult this — sessions stay up, FIBs stay "correct".
+    pub(crate) fwd_disabled: BTreeSet<DeviceId>,
+    /// Observability sink. Defaults to the zero-cost
+    /// [`NoopRecorder`](crystalnet_telemetry::NoopRecorder);
+    /// orchestration layers install a `MemRecorder` to collect a run
+    /// report. Shards fork it and the join merges them back, so canonical
+    /// counters are identical whichever shard recorded them.
+    pub recorder: Box<dyn Recorder>,
+}
+
+impl ControlPlaneWorld {
+    /// Mutable access to the work model (orchestrator hook).
+    pub fn work_mut(&mut self) -> &mut dyn WorkModel {
+        &mut *self.work
+    }
+
+    /// Shared access to the work model (fork hook).
+    pub fn work_ref(&self) -> &dyn WorkModel {
+        &*self.work
+    }
+
+    /// The next tie-break key for an event emitted by `dev`.
+    pub(crate) fn device_key(&mut self, dev: DeviceId) -> u64 {
+        let seq = &mut self.dev_key_seq[dev.index()];
+        *seq += 1;
+        ((u64::from(dev.0) + 1) << 32) | u64::from(*seq)
+    }
+
+    /// The next tie-break key for a control-plane-script event.
+    pub(crate) fn control_key(&mut self) -> u64 {
+        self.control_key_seq += 1;
+        u64::from(self.control_key_seq)
+    }
+
+    /// The OS on `dev`, when the device booted and is still up.
+    pub(crate) fn live_os(&self, dev: DeviceId) -> Option<&dyn DeviceOs> {
+        self.oses[dev.index()]
+            .as_deref()
+            .filter(|os| self.booted[dev.index()] && !os.is_down())
+    }
+
+    /// Whether `link` is up right now.
+    pub(crate) fn link_is_up(&self, link: LinkId) -> bool {
+        self.link_up.get(&link).copied().unwrap_or(false)
+    }
+
+    /// Where a packet `dev` forwards out `iface` ends up.
+    pub(crate) fn egress(&self, dev: DeviceId, iface: u32) -> Egress {
+        if iface == LOCAL_IFACE {
+            return Egress::Local;
+        }
+        match self.adjacency[dev.index()].get(iface as usize) {
+            Some(Some(adj)) if self.link_is_up(adj.link) => Egress::Next(*adj),
+            Some(Some(_)) => Egress::LinkDown,
+            _ => Egress::Unwired,
+        }
+    }
+}
+
+impl ParallelWorld for ControlPlaneWorld {
+    type Ev = HarnessEvent;
+
+    fn take_outbox(&mut self) -> Vec<(usize, SimTime, HarnessEvent)> {
+        self.shard_route
+            .as_mut()
+            .map(|r| std::mem::take(&mut r.outbox))
+            .unwrap_or_default()
+    }
+
+    fn accept_remote(&mut self, ev: &HarnessEvent) {
+        self.causal_pending += u64::from(ev.is_causal());
+    }
+
+    fn is_causal(ev: &HarnessEvent) -> bool {
+        ev.is_causal()
+    }
+
+    fn causal_pending(&self) -> u64 {
+        self.causal_pending
+    }
+
+    fn last_activity(&self) -> SimTime {
+        self.last_route_activity
+    }
+}
+
+/// The engine type the harness runs on: typed events over the world.
+pub type ControlPlaneEngine = Engine<ControlPlaneWorld, HarnessEvent>;

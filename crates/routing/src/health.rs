@@ -1,17 +1,17 @@
 //! The deterministic in-run health plane: a Pingmesh-style probe mesh
-//! scheduled as first-class engine events, per-pair SLO gauges with
-//! rolling windows, and streaming gray-failure watchdogs.
+//! walked through the live FIBs, per-pair SLO gauges with rolling
+//! windows, and streaming gray-failure watchdogs.
 //!
-//! Everything here runs *inside* virtual time and is a pure function of
-//! `(seed, round)` — which pairs probe in a round, which ECMP member a
-//! probe hashes onto, when a hop arrives — so the probe matrix, the SLO
-//! gauges, and the incident timeline are byte-identical across
-//! repetitions and `workers` values. Probe events are **non-causal**
-//! (like timers): they never count against route quiescence, so probing
-//! a network does not change when it is declared converged, and a
-//! probes-off run is byte-identical to a build without the health plane.
+//! The tick / hop / report machinery — non-causal events, key ranges,
+//! shard fork and absorb — is [`crate::plane`]'s, shared with the
+//! traffic plane. What is the probe mesh's own:
 //!
-//! The watchdog catalogue (each firing lands an [`Incident`]):
+//! **Sampling.** Each round probes [`ProbeConfig::pairs_per_round`]
+//! ordered pairs drawn with replacement over the device population, a
+//! pure function of `(seed, round)` ([`HealthState::sample_pairs`]).
+//! Probes are UDP, so ECMP hashes them independently of the flows.
+//!
+//! **Watchdogs** (each firing lands an [`Incident`]):
 //!
 //! * **Blackhole** — the device's FIB holds a route for the probe's
 //!   destination, but the probe dies there anyway (forwarding silently
@@ -33,11 +33,13 @@
 
 #![warn(missing_docs)]
 
+use crate::plane::{split_owned, WalkCore};
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use crystalnet_telemetry::Recorder;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 
 /// Probe-mesh configuration (the `MockupOptions::builder().health(...)`
 /// knob lands here).
@@ -123,18 +125,10 @@ impl PairStats {
         (self.lost * 100).checked_div(self.sent).unwrap_or(0)
     }
 
-    /// Records one probe outcome and reports whether the pair just
+    /// Records one walk's outcome and reports whether the pair just
     /// *transitioned* into SLO breach (the watchdog fires exactly once
-    /// per excursion).
-    pub fn record(&mut self, delivered: bool, latency_ns: u64, cfg: &ProbeConfig) -> bool {
-        self.record_windowed(delivered, latency_ns, cfg.slo_window, cfg.slo_loss_pct)
-    }
-
-    /// [`Self::record`] with the window parameters spelled out — the
-    /// shared implementation behind probe gauges and the traffic
-    /// plane's flow gauges (`crate::traffic`), which carry their own
-    /// window configuration.
-    pub fn record_windowed(
+    /// per excursion). The window parameters are the recording plane's.
+    pub fn record(
         &mut self,
         delivered: bool,
         latency_ns: u64,
@@ -332,6 +326,24 @@ pub struct Incident {
 }
 
 impl Incident {
+    /// A firing at `at`; a device-scoped watchdog names its device as
+    /// both `src` and `dst`.
+    pub(crate) fn new(
+        at: SimTime,
+        src: DeviceId,
+        dst: DeviceId,
+        seq: u64,
+        kind: IncidentKind,
+    ) -> Self {
+        Incident {
+            at,
+            src,
+            dst,
+            seq,
+            kind,
+        }
+    }
+
     /// The deterministic timeline sort key.
     #[must_use]
     pub fn sort_key(&self) -> (u64, u64, u8) {
@@ -339,23 +351,17 @@ impl Incident {
     }
 }
 
-/// Live probe-mesh state inside a [`ControlPlaneWorld`]
-/// (`crate::harness::ControlPlaneWorld`): gauges, the incident log, and
-/// the churn-watchdog accounting. Cloned wholesale on fork; split and
-/// re-merged around a parallel run (pair stats travel with the shard
-/// that owns the pair's source, so rolling windows stay continuous).
-#[derive(Debug, Clone)]
+/// Live probe-mesh state inside a
+/// [`ControlPlaneWorld`](crate::harness::ControlPlaneWorld): the shared walk state
+/// (population, pair gauges, incident log — reached through `Deref`),
+/// the probe totals, and the churn-watchdog accounting. Cloned wholesale
+/// on fork; split and re-merged around a parallel run.
+#[derive(Debug, Clone, Default)]
 pub struct HealthState {
     /// The active configuration (seed already resolved).
     pub cfg: ProbeConfig,
-    /// Probe targets: every device with an OS at enable time, with its
-    /// loopback address, sorted by device id. Replicated on every shard
-    /// so pair sampling is a shard-independent pure function.
-    pub population: Vec<(DeviceId, Ipv4Addr)>,
-    /// Per-pair gauges, keyed `(src, dst)`.
-    pub pairs: BTreeMap<(DeviceId, DeviceId), PairStats>,
-    /// The incident timeline, in deterministic order.
-    pub incidents: Vec<Incident>,
+    /// What every packet-walk plane keeps.
+    pub core: WalkCore,
     /// Total probes launched.
     pub probes_sent: u64,
     /// Total probes delivered.
@@ -368,42 +374,45 @@ pub struct HealthState {
     /// Whether a tick has fired yet: the first tick only primes the
     /// churn baseline (boot-time convergence churn is not an anomaly).
     pub churn_primed: bool,
-    /// Per-round sampling seed base, derived once from
-    /// [`ProbeConfig::seed`] at enable time.
-    pub derived_seed: u64,
+}
+
+impl Deref for HealthState {
+    type Target = WalkCore;
+
+    fn deref(&self) -> &WalkCore {
+        &self.core
+    }
 }
 
 impl HealthState {
     /// Fresh state over `population` (sorted by device id internally).
     #[must_use]
-    pub fn new(cfg: ProbeConfig, mut population: Vec<(DeviceId, Ipv4Addr)>) -> Self {
-        population.sort_by_key(|(d, _)| d.0);
+    pub fn new(cfg: ProbeConfig, population: Vec<(DeviceId, Ipv4Addr)>) -> Self {
         let derived_seed = SimRng::for_component(cfg.seed, "health-probe").next_u64();
         HealthState {
+            core: WalkCore::new(
+                population,
+                derived_seed,
+                cfg.period,
+                cfg.ttl,
+                cfg.slo_window,
+                cfg.slo_loss_pct,
+            ),
             cfg,
-            population,
-            pairs: BTreeMap::new(),
-            incidents: Vec::new(),
-            probes_sent: 0,
-            probes_delivered: 0,
-            probes_lost: 0,
-            ops_since_tick: BTreeMap::new(),
-            churn_primed: false,
-            derived_seed,
+            ..HealthState::default()
         }
     }
 
-    /// The pairs round `round` probes: a pure function of
-    /// `(derived_seed, round)`, independent of shard layout and of every
-    /// other round. Self-pairs are skipped by construction.
+    /// The pairs round `round` probes, as population indices: a pure
+    /// function of `(derived_seed, round)`. Self-pairs are skipped by
+    /// construction.
     #[must_use]
     pub fn sample_pairs(&self, round: u64) -> Vec<(usize, usize)> {
         let n = self.population.len();
         if n < 2 {
             return Vec::new();
         }
-        let mut rng =
-            SimRng::from_seed(self.derived_seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut rng = self.round_rng(round);
         (0..self.cfg.pairs_per_round)
             .map(|_| {
                 let src = rng.below(n as u64) as usize;
@@ -416,60 +425,77 @@ impl HealthState {
             .collect()
     }
 
-    /// Splits off the state a parallel shard carries: full config and
-    /// population (sampling must replay identically everywhere), the
-    /// live pair stats whose *source* the shard owns (rolling windows
-    /// must stay continuous across the fork boundary), the churn
-    /// residue for owned devices, and zeroed totals/incidents (merged
-    /// back additively at the join).
-    #[must_use]
-    pub fn fork_for_shard(&self, owns: impl Fn(DeviceId) -> bool) -> HealthState {
-        HealthState {
-            cfg: self.cfg.clone(),
-            population: self.population.clone(),
-            pairs: self
-                .pairs
-                .iter()
-                .filter(|((src, _), _)| owns(*src))
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            incidents: Vec::new(),
-            probes_sent: 0,
-            probes_delivered: 0,
-            probes_lost: 0,
-            ops_since_tick: self
-                .ops_since_tick
-                .iter()
-                .filter(|(d, _)| owns(**d))
-                .map(|(d, n)| (*d, *n))
-                .collect(),
-            churn_primed: self.churn_primed,
-            derived_seed: self.derived_seed,
+    /// The churn watchdog, run at every probe tick: route operations per
+    /// device since the previous tick against the threshold. The first
+    /// tick only primes the baseline — boot-time convergence churn is
+    /// expected, not an anomaly. The residue holds only locally owned
+    /// devices, so every verdict is computed on exactly one world.
+    pub(crate) fn churn_watchdog(&mut self, now: SimTime, round: u64) -> Vec<Incident> {
+        let residue = std::mem::take(&mut self.ops_since_tick);
+        if !std::mem::replace(&mut self.churn_primed, true) {
+            return Vec::new();
+        }
+        let threshold = self.cfg.churn_threshold;
+        residue
+            .into_iter()
+            .filter(|&(_, ops)| ops > threshold)
+            .map(|(device, ops)| {
+                let seq = (1 << 63) | (round << 22) | u64::from(device.0);
+                let kind = IncidentKind::FibChurnAnomaly {
+                    device,
+                    ops,
+                    threshold,
+                };
+                Incident::new(now, device, device, seq, kind)
+            })
+            .collect()
+    }
+
+    /// Counts one launched probe.
+    pub(crate) fn count_sent(&mut self, rec: &mut dyn Recorder) {
+        self.probes_sent += 1;
+        if rec.enabled() {
+            rec.counter_add("health.probes_sent", 1);
         }
     }
 
-    /// Folds a shard's state back in after a parallel run: pair stats
-    /// replace the serial entries (the shard carried the live
-    /// continuation), totals add, incidents accumulate for a single
-    /// deterministic sort by the caller.
+    /// Counts one probe's fate.
+    pub(crate) fn count_report(&mut self, delivered: bool, rec: &mut dyn Recorder) {
+        let (total, counter) = if delivered {
+            (&mut self.probes_delivered, "health.probes_delivered")
+        } else {
+            (&mut self.probes_lost, "health.probes_lost")
+        };
+        *total += 1;
+        if rec.enabled() {
+            rec.counter_add(counter, 1);
+        }
+    }
+
+    /// Splits off the state a parallel shard carries: the shared walk
+    /// state ([`WalkCore::fork_for_shard`]), the churn residue of owned
+    /// devices (moved), and zeroed totals (merged back additively at
+    /// the join).
+    #[must_use]
+    pub fn fork_for_shard(&mut self, owns: impl Fn(DeviceId) -> bool) -> HealthState {
+        HealthState {
+            cfg: self.cfg.clone(),
+            core: self.core.fork_for_shard(&owns),
+            ops_since_tick: split_owned(&mut self.ops_since_tick, |d| owns(*d)),
+            churn_primed: self.churn_primed,
+            ..HealthState::default()
+        }
+    }
+
+    /// Folds a shard's state back in after a parallel run: keyed
+    /// entries return to the map they left, totals add.
     pub fn absorb_shard(&mut self, shard: HealthState) {
-        for (k, v) in shard.pairs {
-            self.pairs.insert(k, v);
-        }
-        for (d, n) in shard.ops_since_tick {
-            self.ops_since_tick.insert(d, n);
-        }
+        self.core.absorb_shard(shard.core);
+        self.ops_since_tick.extend(shard.ops_since_tick);
         self.probes_sent += shard.probes_sent;
         self.probes_delivered += shard.probes_delivered;
         self.probes_lost += shard.probes_lost;
         self.churn_primed |= shard.churn_primed;
-        self.incidents.extend(shard.incidents);
-    }
-
-    /// Restores the deterministic timeline order after shard incident
-    /// lists were concatenated.
-    pub fn sort_incidents(&mut self) {
-        self.incidents.sort_by_key(Incident::sort_key);
     }
 }
 
@@ -511,27 +537,22 @@ mod tests {
 
     #[test]
     fn window_breach_fires_on_transition_and_rearms() {
-        let cfg = ProbeConfig {
-            slo_window: 4,
-            slo_loss_pct: 25,
-            ..ProbeConfig::default()
-        };
         let mut p = PairStats::default();
         // Fill the window with deliveries: no breach.
         for _ in 0..4 {
-            assert!(!p.record(true, 1_000, &cfg));
+            assert!(!p.record(true, 1_000, 4, 25));
         }
         // Two losses in a window of 4 = 50% > 25%: fires exactly once.
-        assert!(!p.record(false, 0, &cfg), "1/4 lost is 25%, not > 25%");
-        assert!(p.record(false, 0, &cfg), "2/4 lost crosses the threshold");
-        assert!(!p.record(false, 0, &cfg), "still breached: no re-fire");
+        assert!(!p.record(false, 0, 4, 25), "1/4 lost is 25%, not > 25%");
+        assert!(p.record(false, 0, 4, 25), "2/4 lost crosses the threshold");
+        assert!(!p.record(false, 0, 4, 25), "still breached: no re-fire");
         // Recover the window, then breach again: re-fires.
         for _ in 0..4 {
-            assert!(!p.record(true, 1_000, &cfg));
+            assert!(!p.record(true, 1_000, 4, 25));
         }
         assert!(!p.breached, "window recovered");
-        p.record(false, 0, &cfg);
-        assert!(p.record(false, 0, &cfg), "a fresh excursion re-fires");
+        p.record(false, 0, 4, 25);
+        assert!(p.record(false, 0, 4, 25), "a fresh excursion re-fires");
         assert_eq!(p.sent, 13);
         assert_eq!(p.lost, 5);
         assert_eq!(p.latency_ns_max, 1_000);
@@ -543,9 +564,9 @@ mod tests {
             slo_window: 3,
             ..ProbeConfig::default()
         };
-        let mut h = HealthState::new(cfg.clone(), pop(4));
+        let mut h = HealthState::new(cfg, pop(4));
         let key = (DeviceId(1), DeviceId(2));
-        h.pairs.entry(key).or_default().record(true, 10, &cfg);
+        h.core.pairs.entry(key).or_default().record(true, 10, 3, 25);
         h.ops_since_tick.insert(DeviceId(1), 5);
         h.ops_since_tick.insert(DeviceId(3), 7);
 
@@ -553,11 +574,22 @@ mod tests {
         assert_eq!(shard.pairs[&key].window.len(), 1, "window travels");
         assert_eq!(shard.ops_since_tick.get(&DeviceId(1)), Some(&5));
         assert_eq!(shard.ops_since_tick.get(&DeviceId(3)), None);
+        assert_eq!(h.ops_since_tick.len(), 1, "owned residue moves out");
 
-        shard.pairs.get_mut(&key).unwrap().record(false, 0, &cfg);
+        shard
+            .core
+            .pairs
+            .get_mut(&key)
+            .unwrap()
+            .record(false, 0, 3, 25);
         shard.probes_sent = 1;
+        // A tick on the shard consumes its residue; the join must not
+        // bring the pre-fork copy back.
+        assert!(shard.churn_watchdog(SimTime::ZERO, 0).is_empty());
         h.absorb_shard(shard);
-        assert_eq!(h.pairs[&key].window.len(), 2, "continuation replaces");
+        assert_eq!(h.pairs[&key].window.len(), 2, "continuation returns");
         assert_eq!(h.probes_sent, 1);
+        assert_eq!(h.ops_since_tick.get(&DeviceId(1)), None);
+        assert_eq!(h.ops_since_tick.get(&DeviceId(3)), Some(&7));
     }
 }

@@ -19,6 +19,7 @@ pub mod health;
 pub mod msg;
 pub mod os;
 pub mod ospf;
+pub mod plane;
 pub mod provenance;
 pub mod speaker;
 pub mod traffic;

@@ -1,30 +1,29 @@
 //! The deterministic flow-level traffic plane: seeded per-device
-//! server/user profiles generating flow arrivals as first-class engine
-//! events, ECMP hash-spread over the dataplane's [`decide`]
-//! (`crystalnet_dataplane::decide`) path, per-link utilisation gauges
-//! accumulated in virtual time, and streaming congestion watchdogs.
+//! server/user profiles generating flow arrivals, ECMP hash-spread over
+//! the dataplane's [`decide`](crystalnet_dataplane::decide) path,
+//! per-link utilisation gauges accumulated in virtual time, and
+//! streaming congestion watchdogs.
 //!
-//! Everything here is a pure function of `(seed, round)` — which flows
-//! launch in a round, which ECMP member each flow hashes onto, when a
-//! hop arrives — so the utilisation gauges, the flow SLO windows, and
-//! the congestion incidents are byte-identical across repetitions and
-//! `workers` values. Flow events are **non-causal** (like probes and
-//! timers): they never count against route quiescence, so driving load
-//! through a network does not change when it is declared converged, and
-//! a traffic-off run is byte-identical to a build without the traffic
-//! plane.
+//! The tick / hop / report machinery — non-causal events, key ranges,
+//! shard fork and absorb — is [`crate::plane`]'s, shared with the probe
+//! mesh. What is the flow load's own:
 //!
-//! Determinism under sharding follows the health plane's discipline:
-//! every piece of mutable accounting is keyed by a single owning device
-//! (per-pair flow gauges travel with the flow's *source* shard; link
-//! and ECMP residues with the *transmitting* device's shard — link
-//! accounting is directional on purpose, a cut link's two directions
-//! are charged on different shards), so each shard's broadcast-tick
-//! watchdog evaluation is complete for the keys it owns and the union
-//! across shards equals the serial run.
+//! **Sampling.** The population is split once, by seed, into *servers*
+//! and *users*; each round launches [`TrafficConfig::flows_per_round`]
+//! flows, even-indexed ones user→server requests and odd-indexed ones
+//! server→user responses ([`TrafficState::sample_flows`]). One walk
+//! stands in for the whole flow: its bytes are charged to every
+//! traversed link. Flows are TCP, with the flow sequence number as the
+//! packet `identification`, so ECMP spreads concurrent flows over group
+//! members.
 //!
-//! The congestion watchdog catalogue (each firing lands an
-//! [`Incident`] on the shared timeline, alongside the health plane's):
+//! **Charging.** Link accounting is directional on purpose — keyed by
+//! the *transmitting* device, so a cut link's two directions are charged
+//! on different shards and each shard's tick-time watchdog evaluation is
+//! complete for the keys it owns.
+//!
+//! **Watchdogs** (each firing lands an [`Incident`] on the shared
+//! timeline, alongside the health plane's):
 //!
 //! * **LinkOversubscribed** — a directional link carried more bytes
 //!   between two traffic ticks than the configured fraction of its
@@ -34,16 +33,21 @@
 //!   classic hash-polarisation pathology).
 //! * **FlowSloBreach** — a `(src, dst)` pair's rolling flow-loss
 //!   window crossed the threshold (fires on the transition, re-arms
-//!   when the window recovers).
+//!   when the window recovers). A lost flow is never double-reported as
+//!   a blackhole: the *witness*-producing gray-failure watchdogs stay
+//!   the probe mesh's job.
 
 #![warn(missing_docs)]
 
-use crate::health::{Incident, PairStats};
+use crate::health::{Incident, IncidentKind};
+use crate::plane::{split_owned, Walk, WalkCore};
 use crystalnet_dataplane::FibEntry;
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
-use crystalnet_sim::SimDuration;
+use crystalnet_sim::{SimDuration, SimTime};
+use crystalnet_telemetry::Recorder;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 /// Traffic-plane configuration (the `MockupOptions::builder()
 /// .traffic(...)` knob lands here).
@@ -130,9 +134,9 @@ impl TrafficConfig {
 /// the flow size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
-    /// Source index into [`TrafficState::population`].
+    /// Source index into [`WalkCore::population`].
     pub src: usize,
-    /// Destination index into [`TrafficState::population`].
+    /// Destination index into [`WalkCore::population`].
     pub dst: usize,
     /// Flow size in bytes.
     pub bytes: u64,
@@ -164,24 +168,21 @@ pub fn entry_sig(entry: &FibEntry) -> u64 {
 }
 
 /// Live traffic-plane state inside a `ControlPlaneWorld`
-/// (`crate::harness::ControlPlaneWorld`): utilisation gauges, flow SLO
-/// windows, the congestion incident log, and the per-tick residues the
-/// watchdogs evaluate. Cloned wholesale on fork; split and re-merged
-/// around a parallel run (every keyed entry travels with the shard
-/// owning its device, so gauges stay continuous and byte-identical).
-#[derive(Debug, Clone)]
+/// (`crate::harness::ControlPlaneWorld`): the shared walk state
+/// (population, per-pair flow gauges, congestion incident log — reached
+/// through `Deref`), utilisation gauges, flow totals, and the per-tick
+/// residues the watchdogs evaluate. Cloned wholesale on fork; split and
+/// re-merged around a parallel run (every keyed entry travels with the
+/// shard owning its device, so gauges stay continuous and
+/// byte-identical).
+#[derive(Debug, Clone, Default)]
 pub struct TrafficState {
     /// The active configuration (seed already resolved).
     pub cfg: TrafficConfig,
-    /// Flow endpoints: every device with an OS at enable time, with its
-    /// loopback address, sorted by device id. Replicated on every shard
-    /// so flow sampling is a shard-independent pure function.
-    pub population: Vec<(DeviceId, Ipv4Addr)>,
+    /// What every packet-walk plane keeps.
+    pub core: WalkCore,
     /// Seeded profile split, parallel to `population`: `true` = server.
     pub servers: Vec<bool>,
-    /// Per-pair flow gauges (reusing the health plane's rolling-window
-    /// [`PairStats`]), keyed `(src, dst)`.
-    pub pairs: BTreeMap<(DeviceId, DeviceId), PairStats>,
     /// Bytes transmitted per directional link since the last tick,
     /// keyed `(transmitting device, link)` — the over-subscription
     /// watchdog's residue, reset every tick.
@@ -196,8 +197,6 @@ pub struct TrafficState {
     /// Last observed next-hop-set digest per `(device, prefix)` — the
     /// reroute detector's memory.
     pub route_sig: BTreeMap<(DeviceId, Ipv4Prefix), u64>,
-    /// The congestion incident timeline, in deterministic order.
-    pub incidents: Vec<Incident>,
     /// Total flows launched.
     pub flows_sent: u64,
     /// Total flows whose last byte reached the destination.
@@ -213,9 +212,14 @@ pub struct TrafficState {
     pub bytes_delivered: u64,
     /// Bytes of lost flows.
     pub bytes_lost: u64,
-    /// Per-round sampling seed base, derived once from
-    /// [`TrafficConfig::seed`] at enable time.
-    pub derived_seed: u64,
+}
+
+impl Deref for TrafficState {
+    type Target = WalkCore;
+
+    fn deref(&self) -> &WalkCore {
+        &self.core
+    }
 }
 
 impl TrafficState {
@@ -224,8 +228,7 @@ impl TrafficState {
     /// population has at least two devices, at least one server and one
     /// user are forced so every round can sample flows.
     #[must_use]
-    pub fn new(cfg: TrafficConfig, mut population: Vec<(DeviceId, Ipv4Addr)>) -> Self {
-        population.sort_by_key(|(d, _)| d.0);
+    pub fn new(cfg: TrafficConfig, population: Vec<(DeviceId, Ipv4Addr)>) -> Self {
         let derived_seed = SimRng::for_component(cfg.seed, "traffic-flow").next_u64();
         let mut profile_rng = SimRng::for_component(cfg.seed, "traffic-profile");
         let mut servers: Vec<bool> = population
@@ -242,24 +245,17 @@ impl TrafficState {
             }
         }
         TrafficState {
+            core: WalkCore::new(
+                population,
+                derived_seed,
+                cfg.period,
+                cfg.ttl,
+                cfg.slo_window,
+                cfg.slo_loss_pct,
+            ),
             cfg,
-            population,
             servers,
-            pairs: BTreeMap::new(),
-            tx_since_tick: BTreeMap::new(),
-            link_bytes: BTreeMap::new(),
-            link_peak: BTreeMap::new(),
-            ecmp_since_tick: BTreeMap::new(),
-            route_sig: BTreeMap::new(),
-            incidents: Vec::new(),
-            flows_sent: 0,
-            flows_delivered: 0,
-            flows_lost: 0,
-            flows_rerouted: 0,
-            bytes_offered: 0,
-            bytes_delivered: 0,
-            bytes_lost: 0,
-            derived_seed,
+            ..TrafficState::default()
         }
     }
 
@@ -279,8 +275,7 @@ impl TrafficState {
         if servers.is_empty() || users.is_empty() {
             return Vec::new();
         }
-        let mut rng =
-            SimRng::from_seed(self.derived_seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut rng = self.round_rng(round);
         (0..self.cfg.flows_per_round)
             .map(|i| {
                 let s = servers[rng.below(servers.len() as u64) as usize];
@@ -313,75 +308,143 @@ impl TrafficState {
         }
     }
 
-    /// Splits off the state a parallel shard carries: full config,
-    /// population, and profile split (flow sampling must replay
-    /// identically everywhere), the live pair stats whose *source* the
-    /// shard owns, every device-keyed gauge and residue for owned
-    /// devices, and zeroed totals/incidents (merged back additively at
-    /// the join).
+    /// Charges `bytes` transmitted by `dev` out `iface` over `link` to
+    /// the utilisation gauges and, when the route was an ECMP group of
+    /// `members` ≥ 2, to the device's spread residue.
+    pub(crate) fn charge_tx(
+        &mut self,
+        dev: DeviceId,
+        link: LinkId,
+        iface: u32,
+        members: usize,
+        bytes: u64,
+    ) {
+        *self.tx_since_tick.entry((dev, link)).or_insert(0) += bytes;
+        *self.link_bytes.entry((dev, link)).or_insert(0) += bytes;
+        if members >= 2 {
+            let res = self.ecmp_since_tick.entry(dev).or_default();
+            *res.by_iface.entry(iface).or_insert(0) += bytes;
+            res.members_max = res.members_max.max(members as u64);
+        }
+    }
+
+    /// The congestion watchdogs, run at every traffic tick over the
+    /// residues accumulated since the previous one (which they reset).
+    /// The residue maps hold only locally owned transmitting devices, so
+    /// every verdict is computed on exactly one world.
+    pub(crate) fn congestion_watchdogs(&mut self, now: SimTime) -> Vec<Incident> {
+        let capacity_bytes = self.cfg.capacity_bytes_per_period();
+        let mut fired = Vec::new();
+        // Over-subscription: bytes per directional link against the
+        // capacity threshold.
+        for ((dev, link), bytes) in std::mem::take(&mut self.tx_since_tick) {
+            let peak = self.link_peak.entry((dev, link)).or_insert(0);
+            *peak = (*peak).max(bytes);
+            if bytes * 100 > u64::from(self.cfg.oversub_pct) * capacity_bytes {
+                let seq = (0b101 << 61) | (u64::from(dev.0) << 24) | u64::from(link.0 & 0xff_ffff);
+                let kind = IncidentKind::LinkOversubscribed {
+                    link,
+                    device: dev,
+                    bytes,
+                    capacity_bytes,
+                };
+                fired.push(Incident::new(now, dev, dev, seq, kind));
+            }
+        }
+        // Polarisation: one member of a ≥2-member ECMP group absorbing
+        // more than the threshold share of the device's hashed bytes
+        // over a non-trivial sample.
+        for (dev, res) in std::mem::take(&mut self.ecmp_since_tick) {
+            let total: u64 = res.by_iface.values().sum();
+            if res.members_max < 2 || total < self.cfg.polarisation_min_bytes {
+                continue;
+            }
+            let (hot_iface, hot_bytes) = res
+                .by_iface
+                .iter()
+                .map(|(i, b)| (*i, *b))
+                .max_by_key(|&(i, b)| (b, std::cmp::Reverse(i)))
+                .expect("residue entries are non-empty");
+            if hot_bytes * 100 > u64::from(self.cfg.polarisation_pct) * total {
+                let seq = (0b110 << 61) | (u64::from(dev.0) << 8) | u64::from(hot_iface & 0xff);
+                let kind = IncidentKind::EcmpPolarisation {
+                    device: dev,
+                    iface: hot_iface,
+                    share_pct: hot_bytes * 100 / total,
+                    members: res.members_max,
+                };
+                fired.push(Incident::new(now, dev, dev, seq, kind));
+            }
+        }
+        fired
+    }
+
+    /// Counts one launched flow.
+    pub(crate) fn count_sent(&mut self, bytes: u64, rec: &mut dyn Recorder) {
+        self.flows_sent += 1;
+        self.bytes_offered += bytes;
+        if rec.enabled() {
+            rec.counter_add("traffic.flows_sent", 1);
+            rec.counter_add("traffic.bytes_offered", bytes);
+        }
+    }
+
+    /// Counts one flow's fate: flow and byte totals, and the
+    /// rerouted-during-transient counter.
+    pub(crate) fn count_report(&mut self, delivered: bool, walk: &Walk, rec: &mut dyn Recorder) {
+        let (flows, bytes, counters) = if delivered {
+            let counters = ["traffic.flows_delivered", "traffic.bytes_delivered"];
+            (
+                &mut self.flows_delivered,
+                &mut self.bytes_delivered,
+                counters,
+            )
+        } else {
+            let counters = ["traffic.flows_lost", "traffic.bytes_lost"];
+            (&mut self.flows_lost, &mut self.bytes_lost, counters)
+        };
+        *flows += 1;
+        *bytes += walk.bytes;
+        self.flows_rerouted += u64::from(walk.rerouted);
+        if rec.enabled() {
+            rec.counter_add(counters[0], 1);
+            rec.counter_add(counters[1], walk.bytes);
+            if walk.rerouted {
+                rec.counter_add("traffic.flows_rerouted", 1);
+            }
+        }
+    }
+
+    /// Splits off the state a parallel shard carries: the shared walk
+    /// state ([`WalkCore::fork_for_shard`]), the replicated profile
+    /// split, every device-keyed gauge and residue of owned devices
+    /// (moved), and zeroed totals (merged back additively at the join).
     #[must_use]
-    pub fn fork_for_shard(&self, owns: impl Fn(DeviceId) -> bool) -> TrafficState {
+    pub fn fork_for_shard(&mut self, owns: impl Fn(DeviceId) -> bool) -> TrafficState {
         TrafficState {
             cfg: self.cfg.clone(),
-            population: self.population.clone(),
+            core: self.core.fork_for_shard(&owns),
             servers: self.servers.clone(),
-            pairs: self
-                .pairs
-                .iter()
-                .filter(|((src, _), _)| owns(*src))
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            tx_since_tick: filter_keyed(&self.tx_since_tick, &owns),
-            link_bytes: filter_keyed(&self.link_bytes, &owns),
-            link_peak: filter_keyed(&self.link_peak, &owns),
-            ecmp_since_tick: self
-                .ecmp_since_tick
-                .iter()
-                .filter(|(d, _)| owns(**d))
-                .map(|(d, r)| (*d, r.clone()))
-                .collect(),
-            route_sig: self
-                .route_sig
-                .iter()
-                .filter(|((d, _), _)| owns(*d))
-                .map(|(k, v)| (*k, *v))
-                .collect(),
-            incidents: Vec::new(),
-            flows_sent: 0,
-            flows_delivered: 0,
-            flows_lost: 0,
-            flows_rerouted: 0,
-            bytes_offered: 0,
-            bytes_delivered: 0,
-            bytes_lost: 0,
-            derived_seed: self.derived_seed,
+            tx_since_tick: split_owned(&mut self.tx_since_tick, |(d, _)| owns(*d)),
+            link_bytes: split_owned(&mut self.link_bytes, |(d, _)| owns(*d)),
+            link_peak: split_owned(&mut self.link_peak, |(d, _)| owns(*d)),
+            ecmp_since_tick: split_owned(&mut self.ecmp_since_tick, |d| owns(*d)),
+            route_sig: split_owned(&mut self.route_sig, |(d, _)| owns(*d)),
+            ..TrafficState::default()
         }
     }
 
     /// Folds a shard's state back in after a parallel run: keyed
-    /// entries replace the serial ones (each key is exclusively owned
-    /// by one shard, which carried the live continuation), totals add,
-    /// incidents accumulate for a single deterministic sort by the
-    /// caller.
+    /// entries return to the maps they left (each key is exclusively
+    /// owned by one shard, which carried the live continuation), totals
+    /// add.
     pub fn absorb_shard(&mut self, shard: TrafficState) {
-        for (k, v) in shard.pairs {
-            self.pairs.insert(k, v);
-        }
-        for (k, v) in shard.tx_since_tick {
-            self.tx_since_tick.insert(k, v);
-        }
-        for (k, v) in shard.link_bytes {
-            self.link_bytes.insert(k, v);
-        }
-        for (k, v) in shard.link_peak {
-            self.link_peak.insert(k, v);
-        }
-        for (k, v) in shard.ecmp_since_tick {
-            self.ecmp_since_tick.insert(k, v);
-        }
-        for (k, v) in shard.route_sig {
-            self.route_sig.insert(k, v);
-        }
+        self.core.absorb_shard(shard.core);
+        self.tx_since_tick.extend(shard.tx_since_tick);
+        self.link_bytes.extend(shard.link_bytes);
+        self.link_peak.extend(shard.link_peak);
+        self.ecmp_since_tick.extend(shard.ecmp_since_tick);
+        self.route_sig.extend(shard.route_sig);
         self.flows_sent += shard.flows_sent;
         self.flows_delivered += shard.flows_delivered;
         self.flows_lost += shard.flows_lost;
@@ -389,26 +452,7 @@ impl TrafficState {
         self.bytes_offered += shard.bytes_offered;
         self.bytes_delivered += shard.bytes_delivered;
         self.bytes_lost += shard.bytes_lost;
-        self.incidents.extend(shard.incidents);
     }
-
-    /// Restores the deterministic timeline order after shard incident
-    /// lists were concatenated.
-    pub fn sort_incidents(&mut self) {
-        self.incidents.sort_by_key(Incident::sort_key);
-    }
-}
-
-/// Filters a `(device, link)`-keyed map down to the entries whose
-/// device `owns` claims.
-fn filter_keyed<V: Clone>(
-    map: &BTreeMap<(DeviceId, LinkId), V>,
-    owns: impl Fn(DeviceId) -> bool,
-) -> BTreeMap<(DeviceId, LinkId), V> {
-    map.iter()
-        .filter(|((d, _), _)| owns(*d))
-        .map(|(k, v)| (*k, v.clone()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -508,14 +552,23 @@ mod tests {
         t.link_peak.insert((DeviceId(1), l), 500);
         t.route_sig
             .insert((DeviceId(1), Ipv4Prefix::new(Ipv4Addr(0), 0)), 42);
-        t.pairs.entry((DeviceId(1), DeviceId(2))).or_default().sent = 3;
+        t.core
+            .pairs
+            .entry((DeviceId(1), DeviceId(2)))
+            .or_default()
+            .sent = 3;
 
         let mut shard = t.fork_for_shard(|d| d.0 < 2);
         assert_eq!(shard.tx_since_tick.get(&(DeviceId(1), l)), Some(&500));
         assert_eq!(shard.tx_since_tick.get(&(DeviceId(3), l)), None);
         assert_eq!(shard.pairs.len(), 1, "pair travels with its source");
         assert_eq!(shard.route_sig.len(), 1);
+        assert_eq!(t.tx_since_tick.len(), 1, "owned residue moves out");
 
+        // A tick on the shard consumes the residue it was handed; what
+        // it accumulates afterwards is all that comes back.
+        shard.congestion_watchdogs(SimTime::ZERO);
+        assert_eq!(shard.link_peak[&(DeviceId(1), l)], 500);
         shard.flows_sent = 2;
         shard.tx_since_tick.insert((DeviceId(1), l), 900);
         t.absorb_shard(shard);
@@ -523,7 +576,7 @@ mod tests {
         assert_eq!(
             t.tx_since_tick.get(&(DeviceId(1), l)),
             Some(&900),
-            "owned keys replace"
+            "owned keys return"
         );
         assert_eq!(
             t.tx_since_tick.get(&(DeviceId(3), l)),

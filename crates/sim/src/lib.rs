@@ -30,8 +30,7 @@ pub use engine::{ClosureEvent, Engine, EngineCheckpoint, Event, EventFire, Event
 pub use heartbeat::{Backoff, HeartbeatSchedule};
 pub use metrics::{LatencySummary, Series};
 pub use parallel::{
-    run_shards_until_quiet, run_shards_until_quiet_matrix, LookaheadMatrix, ParallelOutcome,
-    ParallelWorld, WindowHist,
+    run_shards_until_quiet_matrix, LookaheadMatrix, ParallelOutcome, ParallelWorld, WindowHist,
 };
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

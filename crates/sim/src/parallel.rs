@@ -445,19 +445,6 @@ enum BusyKind {
     Step,
 }
 
-/// Runs sharded engines until global quiescence under the legacy uniform
-/// lookahead scalar — see [`run_shards_until_quiet_matrix`] for the
-/// per-pair variant this wraps.
-pub fn run_shards_until_quiet<W: ParallelWorld>(
-    shards: Vec<Engine<W, W::Ev>>,
-    lookahead: SimDuration,
-    quiet: SimDuration,
-    deadline: SimTime,
-) -> ParallelOutcome<W> {
-    let m = LookaheadMatrix::uniform(shards.len(), lookahead);
-    run_shards_until_quiet_matrix(shards, &m, quiet, deadline)
-}
-
 /// Coordinator bookkeeping, folded into a struct so the integrate step
 /// (worker reply → coordinator state) updates it as one unit and the
 /// profiling capture can ride along without widening every call site.
@@ -998,9 +985,9 @@ mod tests {
                 hops_left: 100,
             },
         );
-        let out = run_shards_until_quiet(
+        let out = run_shards_until_quiet_matrix(
             vec![a, b],
-            HOP,
+            &LookaheadMatrix::uniform(2, HOP),
             SimDuration::from_millis(1),
             SimTime::ZERO + SimDuration::from_secs(10),
         );
@@ -1035,9 +1022,9 @@ mod tests {
                 hops_left: 1_000,
             },
         );
-        let out = run_shards_until_quiet(
+        let out = run_shards_until_quiet_matrix(
             vec![a, b],
-            HOP,
+            &LookaheadMatrix::uniform(2, HOP),
             SimDuration::from_millis(1),
             SimTime::ZERO + HOP * 10,
         );
@@ -1074,9 +1061,9 @@ mod tests {
                 hops_left: 2,
             },
         );
-        let out = run_shards_until_quiet(
+        let out = run_shards_until_quiet_matrix(
             vec![a, b],
-            HOP,
+            &LookaheadMatrix::uniform(2, HOP),
             SimDuration::from_millis(1),
             SimTime::ZERO + SimDuration::from_secs(10),
         );
@@ -1100,9 +1087,9 @@ mod tests {
                 hops_left: 5,
             },
         );
-        let out = run_shards_until_quiet(
+        let out = run_shards_until_quiet_matrix(
             vec![a],
-            HOP,
+            &LookaheadMatrix::uniform(1, HOP),
             SimDuration::from_millis(1),
             SimTime::ZERO + SimDuration::from_secs(1),
         );
@@ -1112,9 +1099,9 @@ mod tests {
 
     #[test]
     fn empty_shards_quiesce_at_zero() {
-        let out = run_shards_until_quiet::<Relay>(
+        let out = run_shards_until_quiet_matrix::<Relay>(
             vec![relay(0), relay(1)],
-            HOP,
+            &LookaheadMatrix::uniform(2, HOP),
             SimDuration::from_millis(1),
             SimTime::ZERO + SimDuration::from_secs(1),
         );
@@ -1146,9 +1133,9 @@ mod tests {
                 hops_left: 0,
             },
         );
-        let out = run_shards_until_quiet(
+        let out = run_shards_until_quiet_matrix(
             vec![a, b],
-            HOP,
+            &LookaheadMatrix::uniform(2, HOP),
             SimDuration::from_millis(1),
             SimTime::ZERO + SimDuration::from_secs(1),
         );

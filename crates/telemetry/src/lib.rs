@@ -1150,27 +1150,6 @@ impl RunReport {
         s
     }
 
-    /// Expands array-valued per-shard diagnostics back into the flat
-    /// per-shard keys older tooling consumed: an array entry
-    /// `sim.parallel.shard.idle_ns = [a, b]` yields
-    /// `sim.parallel.shard0.idle_ns = a` and
-    /// `sim.parallel.shard1.idle_ns = b`. The data is identical to what
-    /// the pre-array reports carried; only the representation moved.
-    #[must_use]
-    pub fn legacy_shard_diagnostics(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (key, values) in &self.diagnostic_arrays {
-            let Some(pos) = key.find(".shard.") else {
-                continue;
-            };
-            let (prefix, field) = (&key[..pos], &key[pos + ".shard.".len()..]);
-            for (shard, &v) in values.iter().enumerate() {
-                out.insert(format!("{prefix}.shard{shard}.{field}"), v);
-            }
-        }
-        out
-    }
-
     /// Compact JSON of just the canonical counter section — what the
     /// benches splice into their `BENCH_*.json` rows.
     #[must_use]
@@ -1465,11 +1444,6 @@ mod tests {
         assert!(!report.to_json().contains("shard.idle_ns"));
         let full = report.to_json_full();
         assert!(full.contains("\"sim.parallel.shard.idle_ns\": [\n"));
-        // Arrays and scalars share one sorted diagnostics object.
-        let legacy = report.legacy_shard_diagnostics();
-        assert_eq!(legacy["sim.parallel.shard0.idle_ns"], 5);
-        assert_eq!(legacy["sim.parallel.shard1.idle_ns"], 9);
-        assert_eq!(legacy.len(), 2);
     }
 
     #[test]
