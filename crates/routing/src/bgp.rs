@@ -1325,8 +1325,8 @@ impl DeviceOs for BgpRouterOs {
         &self.hostname
     }
 
-    fn local_addrs(&self) -> Vec<Ipv4Addr> {
-        self.local_addrs.clone()
+    fn local_addrs(&self) -> &[Ipv4Addr] {
+        &self.local_addrs
     }
 
     fn filter_permits(&self, ingress: Option<u32>, src: Ipv4Addr, dst: Ipv4Addr) -> bool {

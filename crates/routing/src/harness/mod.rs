@@ -467,8 +467,7 @@ impl ControlPlaneSim {
             let Some(os) = world.live_os(current) else {
                 return (path, ForwardDecision::DropNoRoute);
             };
-            let locals = os.local_addrs();
-            let decision = decide(os.fib(), &locals, &pkt, |src, dst| {
+            let decision = decide(os.fib(), os.local_addrs(), &pkt, |src, dst| {
                 os.filter_permits(ingress, src, dst)
             });
             last = decision;

@@ -157,8 +157,8 @@ pub trait DeviceOs: Send {
 
     /// Addresses this device answers for (loopback + interface
     /// addresses). Default: none.
-    fn local_addrs(&self) -> Vec<Ipv4Addr> {
-        Vec::new()
+    fn local_addrs(&self) -> &[Ipv4Addr] {
+        &[]
     }
 
     /// Evaluates the device's inbound packet filter for a packet arriving

@@ -418,9 +418,8 @@ fn resolve_hop<'w>(
         None => HopStep::End(ProbeOutcome::DeviceDown),
         Some(_) if !decided => died,
         Some(os) => {
-            let locals = os.local_addrs();
             let permits = |s, d| os.filter_permits(ingress, s, d);
-            match decide(os.fib(), &locals, pkt, permits) {
+            match decide(os.fib(), os.local_addrs(), pkt, permits) {
                 ForwardDecision::Deliver => HopStep::End(ProbeOutcome::Delivered),
                 ForwardDecision::DropTtlExpired => HopStep::End(ProbeOutcome::TtlExpired),
                 ForwardDecision::DropNoRoute => HopStep::End(ProbeOutcome::NoRoute),

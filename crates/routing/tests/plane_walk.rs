@@ -49,8 +49,8 @@ impl DeviceOs for Frozen {
     fn hostname(&self) -> &str {
         &self.host
     }
-    fn local_addrs(&self) -> Vec<Ipv4Addr> {
-        self.locals.clone()
+    fn local_addrs(&self) -> &[Ipv4Addr] {
+        &self.locals
     }
     fn filter_permits(&self, _ingress: Option<u32>, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         self.deny != Some((src, dst))
@@ -117,7 +117,7 @@ impl Net {
             let os = sim.os(dev).expect("every device runs firmware");
             let ice = Frozen {
                 fib: os.fib().clone(),
-                locals: os.local_addrs(),
+                locals: os.local_addrs().to_vec(),
                 host: d.name.clone(),
                 deny: None,
             };
