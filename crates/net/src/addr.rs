@@ -262,6 +262,41 @@ impl FromStr for Ipv4Prefix {
     }
 }
 
+/// A `HashMap` keyed by [`Ipv4Prefix`] with [`PrefixHasher`] instead of
+/// SipHash — for the routing tables, whose keys come from inside the
+/// emulation and whose hashing sits on the hot path. Iteration order is
+/// as arbitrary as any `HashMap`'s: emitters must sort.
+pub type PrefixMap<V> =
+    std::collections::HashMap<Ipv4Prefix, V, core::hash::BuildHasherDefault<PrefixHasher>>;
+
+/// Deterministic multiply-rotate hasher for the two integers of an
+/// [`Ipv4Prefix`] (`write_u32` network, `write_u8` length).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PrefixHasher(u64);
+
+impl core::hash::Hasher for PrefixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u32(u32::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// Folds the high half into the low one. A multiply only carries
+    /// entropy upwards, and canonical prefixes have all-zero host bits:
+    /// without the fold a table of /24s would share its low (bucket) bits.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// An interface address: a host address *plus* its subnet length, without
 /// canonicalization (unlike [`Ipv4Prefix`], the host bits are preserved).
 ///
@@ -452,6 +487,56 @@ mod tests {
         }
         assert_eq!(steps, 32);
         assert!(pfx.is_default());
+    }
+
+    fn prefix_hash(pfx: Ipv4Prefix) -> u64 {
+        use core::hash::BuildHasher;
+        PrefixMap::<()>::default().hasher().hash_one(pfx)
+    }
+
+    #[test]
+    fn prefix_hash_sees_the_length() {
+        let hashes =
+            [8, 16, 24].map(|len| prefix_hash(Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), len)));
+        assert_ne!(hashes[0], hashes[1]);
+        assert_ne!(hashes[1], hashes[2]);
+        assert_ne!(hashes[0], hashes[2]);
+    }
+
+    /// The zero-host-bits guard: hashbrown indexes buckets with the low
+    /// bits, and every /24 and /31 of the M-DC plan ends in zeros.
+    #[test]
+    fn prefix_hash_spreads_low_bits_over_the_m_dc_plan() {
+        use std::collections::BTreeSet;
+        let dc = crate::clos::ClosParams::m_dc().build();
+        let mut plan = BTreeSet::new();
+        for (_, dev) in dc.topo.devices() {
+            plan.insert(Ipv4Prefix::host(dev.loopback));
+            plan.extend(dev.originated.iter().copied());
+            plan.extend(
+                dev.ifaces
+                    .iter()
+                    .filter_map(|i| i.addr)
+                    .map(Ipv4Cidr::network),
+            );
+        }
+        // Per length class as well as overall: the /24s are few beside
+        // the /31s and /32s, and they are the ones with eight zero bits.
+        for len in [None, Some(24), Some(31), Some(32)] {
+            let class: Vec<_> = plan
+                .iter()
+                .filter(|p| len.is_none_or(|l| p.len() == l))
+                .collect();
+            assert!(!class.is_empty(), "plan has no {len:?}");
+            let buckets: BTreeSet<u64> = class.iter().map(|p| prefix_hash(**p) & 0xfff).collect();
+            let possible = class.len().min(1 << 12);
+            assert!(
+                buckets.len() * 2 >= possible,
+                "{len:?}: {} prefixes fall into {} of {possible} low-12-bit values",
+                class.len(),
+                buckets.len()
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! messages; the exporter skips peers whose AS already appears in the
 //! path (sender-side loop check), which is what makes Clos fabrics with
 //! shared layer ASes converge in O(links) messages instead of O(links^2).
+//! A changed prefix's export is built and interned once per event
+//! (`export_base`) and only filtered per peer (`export_to`), so a decision
+//! costs one allocation however many sessions it fans out to; the
+//! per-prefix tables are [`PrefixMap`]s.
 
 use crate::attrs::{Origin, PathAttrs};
 use crate::msg::{BgpMsg, Frame};
@@ -21,11 +25,12 @@ use crate::provenance::{
     DecisionReason, MutationKind, OriginKind, Provenance, RouteDetail, RouteMutation,
 };
 use crate::vendor::{AggregateMode, FibOverflow, VendorProfile};
-use crystalnet_config::{Action, DeviceConfig, RouteMap, RouteMatch, RouteSet};
+use crystalnet_config::{Action, AggregateConfig, DeviceConfig, RouteMap, RouteMatch, RouteSet};
 use crystalnet_dataplane::{Fib, FibEntry, NextHop};
-use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix, PrefixMap};
 use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -95,11 +100,11 @@ struct Peer {
     link_up: bool,
     /// Session token of the peer's current incarnation.
     remote_token: Option<u64>,
-    adj_in: HashMap<Ipv4Prefix, RibAttrs>,
+    adj_in: PrefixMap<RibAttrs>,
     /// Last flushed Adj-RIB-Out.
-    advertised: HashMap<Ipv4Prefix, RibAttrs>,
+    advertised: PrefixMap<RibAttrs>,
     /// Pending (MRAI-batched) changes; `None` = withdraw.
-    pending: HashMap<Ipv4Prefix, Option<RibAttrs>>,
+    pending: PrefixMap<Option<RibAttrs>>,
 }
 
 impl Peer {
@@ -125,7 +130,7 @@ pub struct BgpRouterOs {
     peers: Vec<Peer>,
     peer_by_iface: HashMap<u32, usize>,
     networks: BTreeSet<Ipv4Prefix>,
-    loc_rib: HashMap<Ipv4Prefix, LocEntry>,
+    loc_rib: PrefixMap<LocEntry>,
     fib: Fib,
     /// The ASIC view for images with an external forwarding emulator
     /// (CTNR-B + BMv2, §6.2); `None` for single-FIB vendors.
@@ -167,7 +172,7 @@ impl BgpRouterOs {
             peers: vec![],
             peer_by_iface: HashMap::new(),
             networks: BTreeSet::new(),
-            loc_rib: HashMap::new(),
+            loc_rib: PrefixMap::default(),
             fib: Fib::new(config.fib_capacity),
             asic_fib: has_asic.then(|| Fib::new(config.fib_capacity)),
             dirty: BTreeSet::new(),
@@ -306,9 +311,9 @@ impl BgpRouterOs {
                     state: SessionState::Idle,
                     link_up: !iface_down,
                     remote_token: None,
-                    adj_in: HashMap::new(),
-                    advertised: HashMap::new(),
-                    pending: HashMap::new(),
+                    adj_in: PrefixMap::default(),
+                    advertised: PrefixMap::default(),
+                    pending: PrefixMap::default(),
                 })
             })
             .collect();
@@ -381,13 +386,8 @@ impl BgpRouterOs {
         }
         self.peers[idx].state = SessionState::Established;
         // Full-table advertisement toward the new peer.
-        let prefixes: Vec<(Ipv4Prefix, Arc<PathAttrs>, RouteSource, Arc<Provenance>)> = self
-            .loc_rib
-            .iter()
-            .map(|(p, e)| (*p, e.attrs.clone(), e.source, e.prov.clone()))
-            .collect();
-        for (prefix, attrs, source, prov) in prefixes {
-            if let Some(exported) = self.export_for(idx, prefix, &attrs, source, &prov) {
+        for (&prefix, entry) in &self.loc_rib {
+            if let Some(exported) = self.export_to(idx, prefix, entry, &mut None) {
                 self.peers[idx].pending.insert(prefix, Some(exported));
                 actions.route_ops += 1;
             }
@@ -492,68 +492,76 @@ impl BgpRouterOs {
         None
     }
 
-    /// Computes what (if anything) `prefix` looks like when exported to
-    /// peer `idx`: the rewritten attributes plus the causal chain,
-    /// extended by this router's re-announcement hop for learned routes
+    /// The peer-independent half of an export: what `prefix` looks like
+    /// once this router re-announces it — the rewritten attributes plus
+    /// the causal chain, extended by this router's hop for learned routes
     /// (self-originated routes keep their origin-only chain, matching the
-    /// speaker convention). The extension interns once per (route, event)
-    /// and hits the table for every further peer in the same fan-out.
-    fn export_for(
-        &self,
-        idx: usize,
-        prefix: Ipv4Prefix,
-        attrs: &Arc<PathAttrs>,
-        source: RouteSource,
-        prov: &Arc<Provenance>,
-    ) -> Option<RibAttrs> {
-        let peer = &self.peers[idx];
+    /// speaker convention). `None` when nobody may hear of the route. The
+    /// hop carries the *current* event, so the result is good for the
+    /// event being handled and must not be kept beyond it.
+    fn export_base(&self, prefix: Ipv4Prefix, entry: &LocEntry) -> Option<RibAttrs> {
         // Firmware bug: stop announcing locally originated networks.
-        if self.profile.quirks.stop_announcing_networks && source == RouteSource::Local {
+        if self.profile.quirks.stop_announcing_networks && entry.source == RouteSource::Local {
             return None;
         }
         // summary-only aggregates suppress their contributors.
-        if self.suppressed_by_aggregate(prefix, source) {
+        if self.suppressed_by_aggregate(prefix, entry.source) {
             return None;
         }
+        let prov = match entry.source {
+            RouteSource::Peer(_) => entry.prov.extended(self.router_id, self.cur_event),
+            RouteSource::Local | RouteSource::Aggregate => entry.prov.clone(),
+        };
+        let announced = entry.attrs.announced_by(self.asn, self.loopback);
+        Some((announced.intern(), prov))
+    }
+
+    /// The per-peer half: whether peer `idx` is sent `prefix` at all, and
+    /// with which attributes. `base` caches [`Self::export_base`] across
+    /// the peers of one fan-out; it is filled by the first peer that gets
+    /// past the two checks that need no export, so a route that goes to
+    /// nobody (a ToR's view of its pod's other leaves) allocates nothing,
+    /// and every peer without an outbound map shares the one interned pair.
+    fn export_to(
+        &self,
+        idx: usize,
+        prefix: Ipv4Prefix,
+        entry: &LocEntry,
+        base: &mut Option<Option<RibAttrs>>,
+    ) -> Option<RibAttrs> {
+        let peer = &self.peers[idx];
         // Split horizon: never export back to the (best) source peer.
-        if let RouteSource::Peer(src) = source {
-            if src == idx {
-                return None;
-            }
-        }
-        let exported = attrs.announced_by(self.asn, self.loopback);
-        // Sender-side loop check: pointless to send a path the peer will
-        // reject (its AS is already in it).
-        if exported.contains_as(peer.remote_as) {
+        if entry.source == RouteSource::Peer(idx) {
             return None;
         }
-        let exported = match &peer.route_map_out {
-            Some(name) => {
-                let map = self.config.route_maps.get(name)?;
-                match self.apply_route_map(map, prefix, &exported)? {
-                    Cow::Borrowed(_) => exported,
-                    Cow::Owned(modified) => modified,
-                }
-            }
-            None => exported,
+        // Sender-side loop check: pointless to send a path the peer will
+        // reject (its AS is already in it — ours will be, once announced).
+        if peer.remote_as == self.asn || entry.attrs.contains_as(peer.remote_as) {
+            return None;
+        }
+        let base = base
+            .get_or_insert_with(|| self.export_base(prefix, entry))
+            .as_ref()?;
+        let Some(name) = &peer.route_map_out else {
+            return Some(base.clone());
         };
-        let out_prov = match source {
-            RouteSource::Peer(_) => prov.extended(self.router_id, self.cur_event),
-            RouteSource::Local | RouteSource::Aggregate => prov.clone(),
-        };
-        Some((exported.intern(), out_prov))
+        let map = self.config.route_maps.get(name)?;
+        match self.apply_route_map(map, prefix, &base.0)? {
+            Cow::Borrowed(_) => Some(base.clone()),
+            Cow::Owned(modified) => Some((modified.intern(), base.1.clone())),
+        }
+    }
+
+    fn aggregates(&self) -> &[AggregateConfig] {
+        self.config.bgp.as_ref().map_or(&[], |b| &b.aggregates)
     }
 
     fn suppressed_by_aggregate(&self, prefix: Ipv4Prefix, source: RouteSource) -> bool {
-        if source == RouteSource::Aggregate {
-            return false;
-        }
-        let Some(bgp) = &self.config.bgp else {
-            return false;
-        };
-        bgp.aggregates
-            .iter()
-            .any(|a| a.summary_only && a.prefix.covers(prefix) && a.prefix != prefix)
+        source != RouteSource::Aggregate
+            && self
+                .aggregates()
+                .iter()
+                .any(|a| a.summary_only && a.prefix.covers(prefix) && a.prefix != prefix)
     }
 
     // ------------------------------------------------------------------
@@ -562,28 +570,20 @@ impl BgpRouterOs {
 
     /// Total preference order, higher wins: local-pref, then shorter AS
     /// path, then origin, then lower MED, then lower peer address.
-    fn candidate_key(
-        attrs: &PathAttrs,
-    ) -> (
-        u32,
-        std::cmp::Reverse<usize>,
-        std::cmp::Reverse<Origin>,
-        std::cmp::Reverse<u32>,
-    ) {
+    fn candidate_key(attrs: &PathAttrs) -> (u32, Reverse<usize>, Reverse<Origin>, Reverse<u32>) {
         (
             attrs.local_pref,
-            std::cmp::Reverse(attrs.as_path.len()),
-            std::cmp::Reverse(attrs.origin),
-            std::cmp::Reverse(attrs.med),
+            Reverse(attrs.as_path.len()),
+            Reverse(attrs.origin),
+            Reverse(attrs.med),
         )
     }
 
     fn run_decision(&mut self, actions: &mut OsActions) {
-        let dirty: Vec<Ipv4Prefix> = std::mem::take(&mut self.dirty).into_iter().collect();
-        if dirty.is_empty() {
+        if self.dirty.is_empty() {
             return;
         }
-        for prefix in dirty {
+        for prefix in std::mem::take(&mut self.dirty) {
             self.decide_prefix(prefix, actions);
         }
         self.refresh_aggregates(actions);
@@ -606,53 +606,29 @@ impl BgpRouterOs {
                 reason: DecisionReason::LocalOrigination,
             })
         } else {
-            let mut best: Option<(usize, &Arc<PathAttrs>, &Arc<Provenance>)> = None;
-            for (idx, peer) in self.peers.iter().enumerate() {
-                if peer.state != SessionState::Established {
-                    continue;
-                }
-                let Some((attrs, prov)) = peer.adj_in.get(&prefix) else {
-                    continue;
-                };
-                let better = match best {
-                    None => true,
-                    Some((bidx, battrs, _)) => {
-                        let ka = Self::candidate_key(attrs);
-                        let kb = Self::candidate_key(battrs);
-                        ka > kb || (ka == kb && peer.addr < self.peers[bidx].addr)
-                    }
-                };
-                if better {
-                    best = Some((idx, attrs, prov));
-                }
-            }
-            best.map(|(bidx, battrs, bprov)| {
-                let key = Self::candidate_key(battrs);
-                let battrs = battrs.clone();
-                let bprov = bprov.clone();
-                // One pass collects the ECMP set and the runner-up key —
-                // the best key among losing candidates, which names the
-                // decision step that eliminated them.
-                let mut ecmp: Vec<usize> = Vec::new();
-                let mut runner: Option<_> = None;
-                for (i, p) in self.peers.iter().enumerate() {
-                    if p.state != SessionState::Established {
-                        continue;
-                    }
-                    let Some((a, _)) = p.adj_in.get(&prefix) else {
-                        continue;
-                    };
-                    let k = Self::candidate_key(a);
-                    if k == key {
-                        ecmp.push(i);
-                    } else if runner.as_ref().is_none_or(|r| k > *r) {
-                        runner = Some(k);
-                    }
-                }
-                let equal_count = ecmp.len();
-                ecmp.sort_by_key(|&i| self.peers[i].addr);
-                ecmp.truncate(self.max_paths());
-                let reason = match runner {
+            // One walk over the sessions gathers the candidates; best
+            // first, ties in peer-address order (stably, so configuration
+            // order among equal addresses).
+            let mut cands: Vec<_> = self
+                .peers
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.state == SessionState::Established)
+                .filter_map(|(i, p)| {
+                    let (attrs, prov) = p.adj_in.get(&prefix)?;
+                    Some((Self::candidate_key(attrs), p.addr, i, attrs, prov))
+                })
+                .collect();
+            cands.sort_by_key(|&(key, addr, ..)| (Reverse(key), addr));
+            cands.first().map(|&(key, _, bidx, battrs, bprov)| {
+                let equal_count = cands.iter().take_while(|&&(k, ..)| k == key).count();
+                let ecmp: Vec<usize> = cands[..equal_count.min(self.max_paths())]
+                    .iter()
+                    .map(|&(_, _, i, ..)| i)
+                    .collect();
+                // The runner-up key — the best among the losing candidates
+                // — names the decision step that eliminated them.
+                let reason = match cands.get(equal_count).map(|&(k, ..)| k) {
                     Some(rk) => {
                         if key.0 > rk.0 {
                             DecisionReason::HigherLocalPref
@@ -670,11 +646,11 @@ impl BgpRouterOs {
                     None => DecisionReason::OnlyCandidate,
                 };
                 LocEntry {
-                    attrs: battrs,
+                    attrs: battrs.clone(),
                     source: RouteSource::Peer(bidx),
                     ecmp,
                     changed_tick: self.change_tick,
-                    prov: bprov,
+                    prov: bprov.clone(),
                     reason,
                 }
             })
@@ -700,27 +676,22 @@ impl BgpRouterOs {
                 let keep_in_rib =
                     installed || matches!(self.profile.fib_overflow, FibOverflow::SilentDrop);
                 if keep_in_rib {
-                    let attrs = entry.attrs.clone();
-                    let source = entry.source;
-                    let prov = entry.prov.clone();
                     self.journal(prefix, MutationKind::Install, Some(&entry));
                     self.loc_rib.insert(prefix, entry);
-                    self.enqueue_export(prefix, Some((attrs, source, prov)), actions);
                 } else {
                     // RejectRoute overflow: drop entirely and withdraw.
                     self.journal(prefix, MutationKind::Remove, None);
                     self.loc_rib.remove(&prefix);
                     self.remove_fib(prefix);
-                    self.enqueue_export(prefix, None, actions);
                 }
             }
             None => {
                 self.journal(prefix, MutationKind::Remove, None);
                 self.loc_rib.remove(&prefix);
                 self.remove_fib(prefix);
-                self.enqueue_export(prefix, None, actions);
             }
         }
+        self.enqueue_export(prefix, actions);
     }
 
     /// Journals one RIB/FIB mutation when tracing is on (no-op otherwise,
@@ -784,19 +755,17 @@ impl BgpRouterOs {
         }
     }
 
-    fn enqueue_export(
-        &mut self,
-        prefix: Ipv4Prefix,
-        new: Option<(Arc<PathAttrs>, RouteSource, Arc<Provenance>)>,
-        actions: &mut OsActions,
-    ) {
+    /// Queues, toward every established peer, what the Loc-RIB now holds
+    /// for `prefix` — a withdrawal where it holds nothing or the peer may
+    /// not hear of it.
+    fn enqueue_export(&mut self, prefix: Ipv4Prefix, actions: &mut OsActions) {
+        let entry = self.loc_rib.get(&prefix);
+        let mut base = None;
         for idx in 0..self.peers.len() {
             if self.peers[idx].state != SessionState::Established {
                 continue;
             }
-            let exported = new.as_ref().and_then(|(attrs, source, prov)| {
-                self.export_for(idx, prefix, attrs, *source, prov)
-            });
+            let exported = entry.and_then(|e| self.export_to(idx, prefix, e, &mut base));
             let peer = &mut self.peers[idx];
             let current = peer.effective_advertised(prefix);
             match (&exported, current) {
@@ -814,11 +783,8 @@ impl BgpRouterOs {
     }
 
     fn refresh_aggregates(&mut self, actions: &mut OsActions) {
-        let aggregates = match &self.config.bgp {
-            Some(bgp) if !bgp.aggregates.is_empty() => bgp.aggregates.clone(),
-            _ => return,
-        };
-        for agg in &aggregates {
+        for i in 0..self.aggregates().len() {
+            let agg = self.aggregates()[i];
             // Contributors: more-specific Loc-RIB prefixes under the
             // aggregate.
             let contributor = self
@@ -860,7 +826,7 @@ impl BgpRouterOs {
                     if changed {
                         self.change_tick += 1;
                         let entry = LocEntry {
-                            attrs: attrs.clone(),
+                            attrs,
                             source: RouteSource::Aggregate,
                             ecmp: vec![],
                             changed_tick: self.change_tick,
@@ -871,15 +837,10 @@ impl BgpRouterOs {
                             ),
                             reason: DecisionReason::AggregateSynthesis,
                         };
-                        let prov = entry.prov.clone();
                         self.install_fib(agg.prefix, &entry);
                         self.journal(agg.prefix, MutationKind::Install, Some(&entry));
                         self.loc_rib.insert(agg.prefix, entry);
-                        self.enqueue_export(
-                            agg.prefix,
-                            Some((attrs, RouteSource::Aggregate, prov)),
-                            actions,
-                        );
+                        self.enqueue_export(agg.prefix, actions);
                     }
                 }
                 None => {
@@ -892,7 +853,7 @@ impl BgpRouterOs {
                         self.journal(agg.prefix, MutationKind::Remove, None);
                         self.loc_rib.remove(&agg.prefix);
                         self.remove_fib(agg.prefix);
-                        self.enqueue_export(agg.prefix, None, actions);
+                        self.enqueue_export(agg.prefix, actions);
                     }
                 }
             }
@@ -1183,8 +1144,8 @@ impl BgpRouterOs {
         // Re-decide everything so aggregate/network edits take effect;
         // unchanged prefixes hit the decision process's no-op path.
         let installed: Vec<Ipv4Prefix> = self.loc_rib.keys().copied().collect();
+        self.refresh_exports(&installed, actions);
         self.dirty.extend(installed);
-        self.refresh_exports(actions);
         for peer in &self.peers {
             if peer.state == SessionState::Established {
                 actions
@@ -1200,14 +1161,9 @@ impl BgpRouterOs {
     /// changed attributes, withdrawals of now-denied routes) into the
     /// MRAI batch. Needed after an outbound-policy change: the decision
     /// process only re-exports prefixes whose *best path* changed.
-    fn refresh_exports(&mut self, actions: &mut OsActions) {
-        let entries: Vec<(Ipv4Prefix, Arc<PathAttrs>, RouteSource, Arc<Provenance>)> = self
-            .loc_rib
-            .iter()
-            .map(|(p, e)| (*p, e.attrs.clone(), e.source, e.prov.clone()))
-            .collect();
-        for (prefix, attrs, source, prov) in entries {
-            self.enqueue_export(prefix, Some((attrs, source, prov)), actions);
+    fn refresh_exports(&mut self, installed: &[Ipv4Prefix], actions: &mut OsActions) {
+        for &prefix in installed {
+            self.enqueue_export(prefix, actions);
         }
         self.arm_mrai(actions);
     }
