@@ -36,7 +36,7 @@ use crystalnet_dataplane::{
 use crystalnet_net::{partition_grouped, DeviceId, Ipv4Addr, Ipv4Prefix, LinkId, Topology};
 use crystalnet_routing::harness::{WorkKind, WorkModel};
 use crystalnet_routing::{
-    BgpRouterOs, ControlPlaneSim, MgmtCommand, MgmtResponse, ProbeConfig, TrafficConfig,
+    BgpRouterOs, ControlPlaneSim, DeviceOs, MgmtCommand, MgmtResponse, ProbeConfig, TrafficConfig,
     VendorProfile,
 };
 use crystalnet_sim::{EventId, SimDuration, SimRng, SimTime};
@@ -564,8 +564,9 @@ pub struct Sandbox {
 
 /// A running emulation.
 pub struct Emulation {
-    /// The production topology being emulated.
-    pub topo: Topology,
+    /// The production topology being emulated (the prepare artifact's
+    /// copy, shared).
+    pub topo: Arc<Topology>,
     /// The control-plane simulation (devices, links, virtual time).
     pub sim: ControlPlaneSim,
     /// The cloud fleet.
@@ -633,7 +634,7 @@ pub struct Emulation {
 #[must_use]
 pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
     let t_mockup = options.profiling.then(Instant::now);
-    let topo = prep.topo.clone();
+    let topo = Arc::clone(&prep.topo);
     let plan = &prep.vm_plan;
 
     // VMs were spawned during Prepare; they are running at t = 0.
@@ -993,6 +994,38 @@ fn decision_label(d: ForwardDecision) -> &'static str {
     }
 }
 
+/// Adds one device's RIB/FIB footprint to `totals` and returns it:
+/// entry counts × struct-size estimates, the unit of the memory section
+/// and of a fork's sharing statistics alike.
+pub(crate) fn add_device_mem(
+    totals: &mut DeviceMemTotals,
+    dev: DeviceId,
+    os: &dyn DeviceOs,
+) -> DeviceMem {
+    use std::mem::size_of;
+    // A RIB entry holds a prefix plus an interned-attrs handle and
+    // per-peer bookkeeping: a flat per-entry estimate.
+    const RIB_ENTRY_BYTES: u64 = 48;
+    let rib_entries = os.rib_size() as u64;
+    let fib = os.fib();
+    let prefixes = fib.len() as u64;
+    let routes = fib.route_entry_count() as u64;
+    let fib_bytes = prefixes * size_of::<(Ipv4Prefix, FibEntry)>() as u64
+        + routes * size_of::<NextHop>() as u64;
+    let rib_bytes = rib_entries * RIB_ENTRY_BYTES;
+    totals.devices += 1;
+    totals.rib_entries += rib_entries;
+    totals.rib_bytes += rib_bytes;
+    totals.fib_prefixes += prefixes;
+    totals.fib_route_entries += routes;
+    totals.fib_bytes += fib_bytes;
+    DeviceMem {
+        device: dev.0,
+        rib_bytes,
+        fib_bytes,
+    }
+}
+
 /// Replaces the device-cost table inside the sim's boxed work model.
 fn install_costs(
     sim: &mut ControlPlaneSim,
@@ -1154,39 +1187,17 @@ impl Emulation {
     /// estimates, not allocator measurements — deterministic for a seed
     /// on a given platform, which is what a regression baseline needs.
     pub(crate) fn memory_section(&self, fork_cow: Option<CowStats>) -> MemorySection {
-        use std::mem::size_of;
-        // RIB entries hold a prefix plus an interned-attrs handle and
-        // per-peer bookkeeping; interned attrs records amortize an AS
-        // path and hash-table slot. Both are flat per-entry estimates.
-        const RIB_ENTRY_BYTES: u64 = 48;
+        // An interned attrs record amortizes an AS path and a hash-table
+        // slot; a queued event is its envelope. Flat per-entry estimates.
         const ATTRS_BYTES: u64 = 96;
         const QUEUE_EVENT_BYTES: u64 = 128;
 
         let mut totals = DeviceMemTotals::default();
-        let mut per_dev: Vec<DeviceMem> = Vec::new();
-        let mut devs: Vec<DeviceId> = self.sandboxes.keys().copied().collect();
-        devs.sort_by_key(|d| d.0);
-        for dev in devs {
-            let Some(os) = self.sim.os(dev) else { continue };
-            let rib_entries = os.rib_size() as u64;
-            let fib = os.fib();
-            let prefixes = fib.len() as u64;
-            let routes = fib.route_entry_count() as u64;
-            let fib_bytes = prefixes * size_of::<(Ipv4Prefix, FibEntry)>() as u64
-                + routes * size_of::<NextHop>() as u64;
-            let rib_bytes = rib_entries * RIB_ENTRY_BYTES;
-            totals.devices += 1;
-            totals.rib_entries += rib_entries;
-            totals.rib_bytes += rib_bytes;
-            totals.fib_prefixes += prefixes;
-            totals.fib_route_entries += routes;
-            totals.fib_bytes += fib_bytes;
-            per_dev.push(DeviceMem {
-                device: dev.0,
-                rib_bytes,
-                fib_bytes,
-            });
-        }
+        let mut per_dev: Vec<DeviceMem> = self
+            .sandboxes
+            .keys()
+            .filter_map(|&dev| Some(add_device_mem(&mut totals, dev, self.sim.os(dev)?)))
+            .collect();
         per_dev.sort_by_key(|d| (std::cmp::Reverse(d.rib_bytes + d.fib_bytes), d.device));
         per_dev.truncate(8);
 
@@ -1904,26 +1915,26 @@ impl Emulation {
 }
 
 impl Emulation {
-    /// Deep-copies the running emulation: the full copy-on-write fork
-    /// substrate behind [`Emulation::fork`](crate::session).
+    /// Forks the running emulation: the substrate behind
+    /// [`Emulation::fork`](crate::session).
     ///
     /// Ownership rules, layer by layer:
     ///
-    /// * **Control plane** — every OS is duplicated via
-    ///   [`crystalnet_routing::DeviceOs::clone_boxed`]; interned
-    ///   `Arc<PathAttrs>`/`Arc<Provenance>` route state is shared
-    ///   structurally (the global interner is process-wide, so parent
-    ///   and child intern into the same pool). The engine's clock,
-    ///   scheduling sequence, and pending-event residue are replicated
-    ///   exactly, which is what keeps a fork's subsequent convergence
-    ///   bit-identical to the same steps applied in place.
+    /// * **Control plane** — every device OS is *shared* with the child
+    ///   behind its `Arc` and copied
+    ///   ([`crystalnet_routing::DeviceOs::clone_boxed`]) by whichever
+    ///   side first writes to it, so a fork costs what it later touches.
+    ///   The engine's clock, scheduling sequence, and pending-event
+    ///   residue are replicated exactly, which is what keeps a fork's
+    ///   subsequent convergence bit-identical to the same steps applied
+    ///   in place.
     /// * **Cloud** — deep-copied behind a *fresh* `Arc<Mutex<_>>`: CPU
     ///   server positions and the provisioning RNG resume from the fork
     ///   point, but child work accounting can never reach the parent.
     /// * **Telemetry** — the recorder is deep-copied
     ///   ([`crystalnet_telemetry::Recorder::snapshot`]), so a committed
     ///   fork's report reads "baseline + fork activity".
-    /// * **Immutable spine** — `prep` is shared by `Arc`.
+    /// * **Immutable spine** — `prep` and `topo` are shared by `Arc`.
     pub(crate) fn fork_emulation(&self) -> Emulation {
         let t_fork = self.options.profiling.then(Instant::now);
         let cloud = Arc::new(Mutex::new(
@@ -1944,7 +1955,7 @@ impl Emulation {
         };
         let recorder = self.sim.engine.world.recorder.snapshot();
         let mut child = Emulation {
-            topo: self.topo.clone(),
+            topo: Arc::clone(&self.topo),
             sim: self.sim.fork_with(work, recorder),
             cloud,
             vm_ids: self.vm_ids.clone(),

@@ -37,8 +37,10 @@ pub enum SpeakerSource<'a> {
 
 /// Everything `Mockup` consumes.
 pub struct PrepareOutput {
-    /// The production topology snapshot.
-    pub topo: Topology,
+    /// The production topology snapshot. Nothing mutates it after
+    /// `Prepare`, so every mockup and fork of this artifact holds this
+    /// one copy.
+    pub topo: Arc<Topology>,
     /// Devices that will run real firmware.
     pub emulated: BTreeSet<DeviceId>,
     /// The operator's original must-have list.
@@ -101,7 +103,7 @@ pub fn prepare(
     let vm_plan = plan_vms(topo, &emulated_vec, &speakers, plan_opts);
 
     PrepareOutput {
-        topo: topo.clone(),
+        topo: Arc::new(topo.clone()),
         emulated,
         must_have: must_have.to_vec(),
         configs,

@@ -14,17 +14,28 @@
 //!    [`RippleScope`] bound
 //!    ([`dirty_region_scoped`](crystalnet_net::dirty_region_scoped())) —
 //!    static speakers never react (§5), so a ripple legally stops
-//!    there, and structurally bounded changes (an ACL-only refresh, a
-//!    single link drain) stay inside their pod instead of flooding the
-//!    fabric. The FIB diff is computed over the *full* emulated scope,
-//!    so the prediction is audited, not trusted: any mutation landing
-//!    outside it is counted in
+//!    there, and an ACL-only refresh is predicted to stay one hop from
+//!    its device. The prediction is a reporting aid and it does miss: a
+//!    single leaf→spine link drain is *predicted* to stay inside its
+//!    pod plus the spine tier, yet the spine's withdrawals also reach
+//!    the leaves of its group in every other pod: on the 504-device
+//!    M-DC 46 of the 66 devices whose FIB moves are such leaves,
+//!    outside the 44 predicted. The FIB
+//!    diff therefore covers the *full* emulated scope, so the
+//!    prediction is audited, not trusted: every device it missed is in
+//!    [`ConvergenceDelta::outside_dirty`] and counted in
 //!    `core.apply_change.fib_changes_outside_dirty`;
 //! 3. re-converges the existing sim on the same sharded executor while
-//!    untouched devices keep their interned RIB/FIB state; and
+//!    untouched devices stay the very OS instances the parent holds; and
 //! 4. returns a typed [`ConvergenceDelta`]: per-device FIB
 //!    adds/removes/modifies with provenance digests, the dirty-set size,
 //!    and the virtual/wall cost of the step.
+//!
+//! The diff (`diff_devices`) costs what the step touched: it holds the
+//! pre-step OS handles, skips every device whose handle is still the
+//! same `Arc` afterwards (nothing wrote to it — identity, never the
+//! predicted dirty set, decides), and for the rest walks the old and new
+//! FIB side by side, digesting provenance only for entries that differ.
 //!
 //! The warm-start result is **bit-identical** to a cold full re-settle
 //! from the same seed (`crates/core/tests/incremental.rs` proves it per
@@ -37,12 +48,15 @@ use crate::metrics::JournalKind;
 use crystalnet_config::{
     classify_diff, classify_ripple, config_diff, Change, ChangeImpact, ChangeSet, DeviceConfig,
 };
-use crystalnet_dataplane::{FibEntry, NextHop};
+use crystalnet_dataplane::NextHop;
 use crystalnet_net::{dirty_region_scoped, DeviceId, Ipv4Prefix, LinkId, RippleScope};
-use crystalnet_routing::{MgmtCommand, PathAttrs, SpeakerOs, SpeakerScript};
+use crystalnet_routing::{
+    ControlPlaneSim, DeviceOs, MgmtCommand, PathAttrs, SpeakerOs, SpeakerScript,
+};
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::FieldValue;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How one prefix's FIB entry changed across an
 /// [`EmulationFork::apply`](crate::EmulationFork::apply).
@@ -121,8 +135,8 @@ pub struct ConvergenceDelta {
     /// Per-device FIB mutations over the full emulated scope,
     /// prefix-sorted. Authoritative: computed independently of the
     /// predicted dirty set, so a too-narrow prediction can never hide a
-    /// mutation (misses are counted in
-    /// `core.apply_change.fib_changes_outside_dirty`).
+    /// mutation (misses are listed by [`Self::outside_dirty`] and counted
+    /// in `core.apply_change.fib_changes_outside_dirty`).
     pub fib_changes: BTreeMap<DeviceId, Vec<FibChange>>,
     /// Health-plane probes launched while the step converged (zero when
     /// the health plane is off). With the probe mesh on, a rehearsed
@@ -158,6 +172,17 @@ impl ConvergenceDelta {
         self.dirty.is_empty()
     }
 
+    /// Devices whose FIB changed although the prediction left them out
+    /// of [`Self::dirty`], in id order — the prediction's misses.
+    #[must_use]
+    pub fn outside_dirty(&self) -> Vec<DeviceId> {
+        self.fib_changes
+            .keys()
+            .filter(|d| self.dirty.binary_search(d).is_err())
+            .copied()
+            .collect()
+    }
+
     /// One-line human summary for rehearsal logs.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -168,6 +193,12 @@ impl ConvergenceDelta {
             self.total_fib_changes(),
             self.virtual_cost,
         );
+        let missed = self.outside_dirty().len();
+        if missed > 0 {
+            s.push_str(&format!(
+                "; {missed} changed device(s) outside the predicted dirty set"
+            ));
+        }
         if self.probes_sent > 0 {
             s.push_str(&format!(
                 "; SLO impact: {}/{} probe(s) lost, {} incident(s)",
@@ -428,10 +459,11 @@ impl Emulation {
         let barriers: BTreeSet<DeviceId> = self.classification.speakers().into_iter().collect();
         let dirty = dirty_region_scoped(&self.topo, &scope, &seeds, &barriers);
 
-        // ---- Snapshot FIBs before injecting. The snapshot covers the
-        // full emulated scope, not just the predicted dirty set, so the
-        // reported diff is authoritative even if the prediction is short.
-        let before = self.fib_snapshot(&scope);
+        // ---- Hold every OS as it is before injecting. The handles cover
+        // the full emulated scope, not just the predicted dirty set, so
+        // the reported diff is authoritative even if the prediction is
+        // short.
+        let before = self.os_handles();
 
         // ---- Inject. ----
         let now = self.now();
@@ -485,9 +517,7 @@ impl Emulation {
         };
 
         // ---- Diff the full scope's FIBs (authoritative). ----
-        let after = self.fib_snapshot(&scope);
-        let fib_changes = diff_snapshots(&before, &after);
-        let outside_dirty = fib_changes.keys().filter(|d| !dirty.contains(d)).count() as u64;
+        let fib_changes = diff_devices(&before, &self.sim);
         let (virtual_cost, events_executed) = self.sim.engine.cost_since(&mark);
 
         // The boundary memo must still agree with a fresh classification
@@ -540,7 +570,10 @@ impl Emulation {
             rec.counter_add("core.apply_change.fib_changes", total);
             // Prediction misses: devices whose FIB moved outside the
             // predicted dirty set. Zero when the scope bound is honest.
-            rec.counter_add("core.apply_change.fib_changes_outside_dirty", outside_dirty);
+            rec.counter_add(
+                "core.apply_change.fib_changes_outside_dirty",
+                delta.outside_dirty().len() as u64,
+            );
             rec.event(
                 settled_at,
                 "apply_change",
@@ -656,65 +689,70 @@ impl Emulation {
         self.speaker_overrides.insert(dev, scripts);
     }
 
-    /// FIB + provenance-digest snapshot for a set of devices. Devices
-    /// with no OS (removed) contribute an empty map.
-    pub(crate) fn fib_snapshot(
-        &self,
-        devs: &BTreeSet<DeviceId>,
-    ) -> BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>> {
-        let mut out = BTreeMap::new();
-        for &dev in devs {
-            let mut table = BTreeMap::new();
-            if let Some(os) = self.sim.os(dev) {
-                for (prefix, entry) in os.fib().iter() {
-                    let digest = os.route_detail(prefix).map(|rd| rd.prov.digest());
-                    table.insert(prefix, (entry.clone(), digest));
-                }
-            }
-            out.insert(dev, table);
-        }
-        out
+    /// The OS instance of every emulated device as of now — what a later
+    /// [`diff_devices`] compares against, by identity first. Holding the
+    /// handles keeps these instances alive and unchanged: the sim copies
+    /// an OS before writing to it while anyone else holds it.
+    pub(crate) fn os_handles(&self) -> OsHandles {
+        self.sandboxes
+            .keys()
+            .filter_map(|&dev| Some((dev, Arc::clone(self.sim.os_handle(dev)?))))
+            .collect()
     }
 }
 
-/// Per-device diff of two FIB snapshots; devices with no mutations are
-/// omitted.
-pub(crate) fn diff_snapshots(
-    before: &BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>,
-    after: &BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>,
+/// Per-device OS handles at one instant (a device with no OS has no FIB
+/// to diff and is left out).
+pub(crate) type OsHandles = BTreeMap<DeviceId, Arc<dyn DeviceOs>>;
+
+/// Per-device FIB diff between the OSes held in `before` and the ones
+/// `now` runs, prefix-sorted; devices with no mutations are omitted, a
+/// device `now` no longer has reports every entry removed.
+///
+/// A device whose handle is still the same `Arc` was not written to and
+/// is skipped without looking at its tables; the others are compared
+/// entry by entry in place, and provenance is digested only for the
+/// entries that differ (the old route's for removes, the new one's
+/// otherwise).
+pub(crate) fn diff_devices(
+    before: &OsHandles,
+    now: &ControlPlaneSim,
 ) -> BTreeMap<DeviceId, Vec<FibChange>> {
-    let empty = BTreeMap::new();
+    let digest = |os: &dyn DeviceOs, prefix| os.route_detail(prefix).map(|rd| rd.prov.digest());
     let mut out = BTreeMap::new();
     for (&dev, old) in before {
-        let new = after.get(&dev).unwrap_or(&empty);
+        let new = now.os_handle(dev);
+        if new.is_some_and(|new| Arc::ptr_eq(old, new)) {
+            continue;
+        }
         let mut changes = Vec::new();
-        for (prefix, (entry, digest)) in old {
-            match new.get(prefix) {
+        for (prefix, entry) in old.fib().iter() {
+            match new.and_then(|os| os.fib().get(prefix)) {
                 None => changes.push(FibChange {
-                    prefix: *prefix,
+                    prefix,
                     kind: FibChangeKind::Removed,
                     next_hops: Vec::new(),
-                    prov_digest: *digest,
+                    prov_digest: digest(&**old, prefix),
                 }),
-                Some((new_entry, new_digest)) if new_entry != entry => {
-                    changes.push(FibChange {
-                        prefix: *prefix,
-                        kind: FibChangeKind::Modified,
-                        next_hops: new_entry.next_hops.clone(),
-                        prov_digest: *new_digest,
-                    });
-                }
+                Some(new_entry) if new_entry != entry => changes.push(FibChange {
+                    prefix,
+                    kind: FibChangeKind::Modified,
+                    next_hops: new_entry.next_hops.clone(),
+                    prov_digest: new.and_then(|os| digest(&**os, prefix)),
+                }),
                 Some(_) => {}
             }
         }
-        for (prefix, (entry, digest)) in new {
-            if !old.contains_key(prefix) {
-                changes.push(FibChange {
-                    prefix: *prefix,
-                    kind: FibChangeKind::Added,
-                    next_hops: entry.next_hops.clone(),
-                    prov_digest: *digest,
-                });
+        if let Some(os) = new {
+            for (prefix, entry) in os.fib().iter() {
+                if old.fib().get(prefix).is_none() {
+                    changes.push(FibChange {
+                        prefix,
+                        kind: FibChangeKind::Added,
+                        next_hops: entry.next_hops.clone(),
+                        prov_digest: digest(&**os, prefix),
+                    });
+                }
             }
         }
         changes.sort_by_key(|c| c.prefix);

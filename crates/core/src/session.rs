@@ -14,14 +14,27 @@
 //! fork.commit(&mut emu);          // adopt — or just drop the fork to roll back
 //! ```
 //!
-//! A fork is **independent**: it owns every mutable layer (OS instances,
-//! event-queue residue, cloud CPU accounting, telemetry) and shares only
-//! the immutable or interned state — the `Arc<PrepareOutput>` spine and
-//! the hash-consed `Arc<PathAttrs>`/`Arc<Provenance>` route entries —
-//! structurally. That makes a fork's memory cost proportional to the
-//! *mutable* state (FIB indexes, sessions, queues), not to the interned
-//! route universe, and makes forks `Send`: N rehearsals can run on N
-//! worker threads off one warm baseline.
+//! A fork is **independent**: whatever either side does next, the other
+//! never sees it. The small mutable layers (event-queue residue, cloud
+//! CPU accounting, telemetry, wiring) are copied at the fork. The large
+//! one is not: every device OS stays *one instance*, held by parent and
+//! child behind an `Arc`, until one side is about to write to it — then
+//! that side, and only that side, copies it first. The `Arc<PrepareOutput>`
+//! spine, the topology and the hash-consed
+//! `Arc<PathAttrs>`/`Arc<Provenance>` route entries are shared for good.
+//! So a fork costs a few milliseconds whatever the fabric's size, a
+//! rehearsal's time and memory follow the devices the change *touches*
+//! (one for an ACL edit, ~70 of 504 for a leaf uplink drain on M-DC,
+//! nearly all for a new prefix), and forks stay `Send`: N rehearsals can
+//! run on N worker threads off one warm baseline.
+//!
+//! Sharing is also what makes the diff cheap. The session keeps the
+//! fork-point OS handles as its base; a device whose handle is still
+//! the same `Arc` has provably not been written to, so
+//! [`EmulationFork::diff_against_parent`] skips it and compares tables
+//! only where something happened. The base keeps the fork-point
+//! instances alive, so the parent may move on (commit a sibling,
+//! `disconnect`, `settle`) without disturbing a live fork or its diff.
 //!
 //! A fork is **exact**: the engine's clock, scheduling sequence, and
 //! every queued event's `(time, key, seq)` rank are replicated, so a
@@ -33,28 +46,26 @@
 //! Dropping a fork *is* the rollback — there is no undo log to replay,
 //! which subsumes the old plan-rollback item.
 
-use crate::emulation::{Emulation, EmulationError};
+use crate::emulation::{add_device_mem, Emulation, EmulationError};
 use crate::faults::{FaultPlan, FaultReport};
-use crate::rehearse::{diff_snapshots, ConvergenceDelta, FibChange};
+use crate::rehearse::{diff_devices, ConvergenceDelta, FibChange, OsHandles};
 use crystalnet_config::ChangeSet;
-use crystalnet_dataplane::FibEntry;
-use crystalnet_net::{DeviceId, Ipv4Prefix};
+use crystalnet_net::DeviceId;
 use crystalnet_sim::SimTime;
-use crystalnet_telemetry::CowStats;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Internal alias for the per-device FIB + provenance-digest tables a
-/// snapshot anchors diffs against.
-type FibTables = BTreeMap<DeviceId, BTreeMap<Ipv4Prefix, (FibEntry, Option<u64>)>>;
+use crystalnet_telemetry::{CowStats, DeviceMemTotals};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What a fork captured from its parent, summarized.
 ///
 /// The snapshot records the fork point — virtual time, queue residue,
-/// RNG/epoch state — and keeps the parent's full FIB tables as the
-/// anchor for [`EmulationFork::diff_against_parent`]. The *live* state
-/// (OS instances, sessions, cloud) lives in the forked child itself;
-/// this struct is the stable, inspectable description of where the
-/// fork branched.
+/// RNG/epoch state — and holds the parent's OS instances of that
+/// instant as the anchor for [`EmulationFork::diff_against_parent`]:
+/// handles, not copies, which keep those instances alive and unchanged
+/// however parent and child move on. The *live* state (sessions, cloud,
+/// the OSes either side has since written to) lives in the emulations
+/// themselves; this struct is the stable, inspectable description of
+/// where the fork branched.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Virtual time at the fork point.
@@ -75,8 +86,8 @@ pub struct Snapshot {
     pub speaker_epochs: BTreeMap<DeviceId, u64>,
     /// The run seed (boot/provisioning jitter derive from it).
     pub seed: u64,
-    /// Per-device FIB + provenance digests — the diff anchor.
-    pub(crate) fibs: FibTables,
+    /// Per-device OS instances at the fork point — the diff anchor.
+    pub(crate) oses: OsHandles,
 }
 
 impl Snapshot {
@@ -91,41 +102,39 @@ impl Snapshot {
 }
 
 impl Emulation {
-    /// Captures a [`Snapshot`] of the converged state: the FIB/RIB
-    /// tables, queue residue, and epoch/RNG position a fork would
-    /// branch from.
+    /// Captures a [`Snapshot`] of the converged state: every device's
+    /// OS instance (by handle), the queue residue, and the epoch/RNG
+    /// position a fork would branch from.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let scope: BTreeSet<DeviceId> = self.sandboxes.keys().copied().collect();
-        let fibs = self.fib_snapshot(&scope);
+        let oses = self.os_handles();
         let (mut rib_entries, mut fib_entries) = (0, 0);
-        for &dev in &scope {
-            if let Some(os) = self.sim.os(dev) {
-                rib_entries += os.rib_size();
-                fib_entries += os.fib().len();
-            }
+        for os in oses.values() {
+            rib_entries += os.rib_size();
+            fib_entries += os.fib().len();
         }
         Snapshot {
             at: self.now(),
-            devices: scope.len(),
+            devices: self.sandboxes.len(),
             fib_entries,
             rib_entries,
             pending_events: self.sim.engine.events_pending(),
             events_executed: self.sim.engine.events_executed(),
             speaker_epochs: self.speaker_epochs.iter().map(|(&d, &e)| (d, e)).collect(),
             seed: self.options.seed,
-            fibs,
+            oses,
         }
     }
 
     /// Forks the emulation: an independent child branched from the
     /// current converged state, wrapped in a rehearsal session.
     ///
-    /// The child shares unchanged route state structurally (interned
-    /// `Arc` attributes/provenance, the `Arc<PrepareOutput>` spine) and
-    /// owns everything mutable, so changes and faults applied to it
-    /// never perturb `self`. Take as many forks as you like — each is
-    /// `Send` and can rehearse on its own worker thread.
+    /// The child shares every device OS with `self` until one of the two
+    /// writes to it (the writer copies first), plus the
+    /// `Arc<PrepareOutput>` spine and the interned route state for good,
+    /// so changes and faults applied to it never perturb `self` and the
+    /// fork itself costs milliseconds. Take as many forks as you like —
+    /// each is `Send` and can rehearse on its own worker thread.
     ///
     /// # Examples
     ///
@@ -204,11 +213,11 @@ impl EmulationFork {
 
     /// Diffs the child's *current* FIBs against the parent's at the fork
     /// point: the cumulative blast radius of every step applied so far,
-    /// per device, prefix-sorted. Devices with no mutations are omitted.
+    /// per device, prefix-sorted. Devices with no mutations are omitted;
+    /// devices the child never wrote to are not even looked at.
     #[must_use]
     pub fn diff_against_parent(&self) -> BTreeMap<DeviceId, Vec<FibChange>> {
-        let scope: BTreeSet<DeviceId> = self.child.sandboxes.keys().copied().collect();
-        diff_snapshots(&self.base.fibs, &self.child.fib_snapshot(&scope))
+        diff_devices(&self.base.oses, &self.child.sim)
     }
 
     /// The snapshot this session branched from.
@@ -237,26 +246,28 @@ impl EmulationFork {
         &mut self.child
     }
 
-    /// Estimates the fork's copy-on-write sharing: bytes shared with
-    /// the parent (the `Arc<PrepareOutput>` spine, the process-wide
-    /// interned path-attribute pool) versus bytes deep-copied for the
-    /// child (RIB/FIB tables, event-queue residue). Entry counts ×
-    /// struct-size estimates, not allocator measurements — computed on
-    /// demand, so an unused fork costs nothing extra.
+    /// The fork's copy-on-write sharing as it stands now: estimated
+    /// RIB + FIB bytes of the devices the child still shares with its
+    /// base (the same OS instance) versus those of the devices it has
+    /// copied since. All shared right after [`Emulation::fork`]; the
+    /// copied side grows as steps touch devices. The split is by
+    /// identity; the bytes are the memory section's entry counts ×
+    /// struct-size estimates. Computed on demand, so an unused fork
+    /// costs nothing extra.
     #[must_use]
     pub fn cow_stats(&self) -> CowStats {
-        let mem = self.child.memory_section(None);
-        // The immutable prepare spine: configs, topology tables, VM
-        // plan. Flat per-record estimates, like the memory section's.
-        let prep = &self.child.prep;
-        let prep_bytes = prep.configs.len() as u64 * 256
-            + prep.topo.device_count() as u64 * 128
-            + prep.topo.link_count() as u64 * 64;
+        let (mut shared, mut copied) = (DeviceMemTotals::default(), DeviceMemTotals::default());
+        for &dev in self.child.sandboxes.keys() {
+            let Some(os) = self.child.sim.os_handle(dev) else {
+                continue;
+            };
+            let is_shared = self.base.oses.get(&dev).is_some_and(|b| Arc::ptr_eq(b, os));
+            let side = if is_shared { &mut shared } else { &mut copied };
+            add_device_mem(side, dev, &**os);
+        }
         CowStats {
-            shared_bytes: prep_bytes + mem.interner.table_bytes,
-            copied_bytes: mem.devices.rib_bytes
-                + mem.devices.fib_bytes
-                + mem.event_queue.residue_bytes,
+            shared_bytes: shared.rib_bytes + shared.fib_bytes,
+            copied_bytes: copied.rib_bytes + copied.fib_bytes,
         }
     }
 
@@ -303,5 +314,7 @@ mod tests {
         assert_send::<Emulation>();
         assert_send::<EmulationFork>();
         assert_send::<Snapshot>();
+        // What parent and forks share has to cross threads with them.
+        assert_send::<Arc<dyn crystalnet_routing::DeviceOs>>();
     }
 }

@@ -1316,6 +1316,10 @@ impl DeviceOs for BgpRouterOs {
         }
     }
 
+    fn tracing(&self) -> bool {
+        self.tracing
+    }
+
     fn take_route_mutations(&mut self) -> Vec<RouteMutation> {
         std::mem::take(&mut self.mutations)
     }

@@ -248,14 +248,14 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
     let cur = e.current_event().unwrap_or(EventId::ZERO);
     let actions: OsActions = {
         let world = &mut e.world;
-        let Some(os) = world.oses[idx].as_mut() else {
-            return;
-        };
         // Frames reach only booted devices; timers/mgmt likewise.
         let is_boot = matches!(event, OsEvent::Boot);
         if !is_boot && !world.booted[idx] {
             return;
         }
+        let Some(os) = world.os_mut(dev) else {
+            return;
+        };
         // Stamp the event id first: provenance chains the OS builds while
         // handling must point at this event.
         os.begin_event(cur);
@@ -264,8 +264,9 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
     // Journaled RIB/FIB mutations become trace records naming the causal
     // chain and decision reason of the installed path.
     if e.world.recorder.trace_enabled() {
-        let muts = e.world.oses[idx]
-            .as_mut()
+        let muts = e
+            .world
+            .os_mut(dev)
             .map(|os| os.take_route_mutations())
             .unwrap_or_default();
         for m in muts {

@@ -16,6 +16,7 @@ mod world;
 
 pub use events::HarnessEvent;
 pub(crate) use events::{trace_here, HarnessEventKind};
+use world::unshared;
 pub(crate) use world::{Adjacency, Egress};
 pub use world::{ControlPlaneEngine, ControlPlaneWorld};
 
@@ -30,6 +31,7 @@ use crystalnet_telemetry::profile::keys;
 use crystalnet_telemetry::{NoopRecorder, Recorder};
 use events::dispatch;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Work classes a device performs (costed by the [`WorkModel`]).
@@ -157,17 +159,20 @@ impl ControlPlaneSim {
         }
     }
 
-    /// Deep-copies the whole simulation — every OS (via
-    /// [`DeviceOs::clone_boxed`]), the wiring, the key counters, and the
-    /// engine's clock/queue/sequence position — over a caller-supplied
-    /// work model and recorder.
+    /// Forks the whole simulation — the wiring, the key counters, and the
+    /// engine's clock/queue/sequence position are copied; the OS
+    /// instances are *shared* — over a caller-supplied work model and
+    /// recorder.
     ///
     /// This is the control-plane half of an emulation fork. The copy is
     /// *positionally exact*: queued events keep their `(time, key, seq)`
     /// ranks and per-device key counters resume where the parent's
     /// stand, so identical inputs produce bit-identical behavior on
-    /// parent and child. Interned route state (`Arc<PathAttrs>`,
-    /// `Arc<Provenance>`) is shared structurally rather than duplicated.
+    /// parent and child. Each device's OS stays one instance behind an
+    /// `Arc` until either side is about to write to it, and only that
+    /// side copies it then ([`DeviceOs::clone_boxed`]); a fork therefore
+    /// costs what it later touches, and `Arc::ptr_eq` on two sims' slots
+    /// proves a device untouched since the fork.
     ///
     /// The caller supplies `work` and `recorder` because both typically
     /// need their own treatment on fork: the work model must stop
@@ -183,11 +188,7 @@ impl ControlPlaneSim {
             "fork_with on a shard of a parallel run"
         );
         let world = ControlPlaneWorld {
-            oses: w
-                .oses
-                .iter()
-                .map(|slot| slot.as_ref().map(|os| os.clone_boxed()))
-                .collect(),
+            oses: w.oses.clone(),
             booted: w.booted.clone(),
             adjacency: w.adjacency.clone(),
             link_up: w.link_up.clone(),
@@ -213,16 +214,20 @@ impl ControlPlaneSim {
     /// Installs a firmware instance on `dev` (not yet booted).
     pub fn add_os(&mut self, dev: DeviceId, mut os: Box<dyn DeviceOs>) {
         os.set_tracing(self.engine.world.recorder.trace_enabled());
-        self.engine.world.oses[dev.index()] = Some(os);
+        self.engine.world.oses[dev.index()] = Some(Arc::from(os));
     }
 
     /// Pushes the recorder's tracing flag into every installed OS. Call
     /// after swapping the recorder on an already-populated sim (OSes
-    /// installed later pick the flag up in [`Self::add_os`]).
+    /// installed later pick the flag up in [`Self::add_os`]). An OS whose
+    /// flag already matches is left alone, so one shared with a fork
+    /// stays shared.
     pub fn sync_tracing(&mut self) {
         let on = self.engine.world.recorder.trace_enabled();
-        for os in self.engine.world.oses.iter_mut().flatten() {
-            os.set_tracing(on);
+        for slot in self.engine.world.oses.iter_mut().flatten() {
+            if slot.tracing() != on {
+                unshared(slot).set_tracing(on);
+            }
         }
     }
 
@@ -399,9 +404,19 @@ impl ControlPlaneSim {
         self.engine.world.oses[dev.index()].as_deref()
     }
 
-    /// Mutable OS access (test instrumentation).
-    pub fn os_mut(&mut self, dev: DeviceId) -> Option<&mut Box<dyn DeviceOs>> {
-        self.engine.world.oses[dev.index()].as_mut()
+    /// The shared handle of the OS instance on `dev`. Two sims hold the
+    /// same handle (`Arc::ptr_eq`) exactly when one was forked from the
+    /// other and neither has written to the device since; a clone of it
+    /// keeps that instance alive, and unchanged, whatever either does
+    /// next.
+    #[must_use]
+    pub fn os_handle(&self, dev: DeviceId) -> Option<&Arc<dyn DeviceOs>> {
+        self.engine.world.oses[dev.index()].as_ref()
+    }
+
+    /// Mutable OS access (test instrumentation); unshares the OS first.
+    pub fn os_mut(&mut self, dev: DeviceId) -> Option<&mut dyn DeviceOs> {
+        self.engine.world.os_mut(dev)
     }
 
     /// Powers a device's sandbox off instantly (VM failure, kill):
@@ -415,7 +430,7 @@ impl ControlPlaneSim {
     pub fn replace_os(&mut self, dev: DeviceId, mut os: Box<dyn DeviceOs>) {
         os.set_tracing(self.engine.world.recorder.trace_enabled());
         self.engine.world.booted[dev.index()] = false;
-        self.engine.world.oses[dev.index()] = Some(os);
+        self.engine.world.oses[dev.index()] = Some(Arc::from(os));
     }
 
     /// Decommissions `dev` permanently: drops its OS instance and removes

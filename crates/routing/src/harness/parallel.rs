@@ -130,7 +130,9 @@ impl ControlPlaneSim {
                 })
             })
             .collect();
-        // OS instances move to their owning shard's worker thread.
+        // OS instances move to their owning shard's worker thread: the
+        // handle travels, so an OS a fork still shares comes back the
+        // same instance unless its shard wrote to it.
         for dev in 0..n {
             if let Some(os) = world.oses[dev].take() {
                 engines[partition.shard_of[dev]].world.oses[dev] = Some(os);

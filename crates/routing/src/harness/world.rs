@@ -11,6 +11,7 @@ use crystalnet_sim::parallel::ParallelWorld;
 use crystalnet_sim::{Engine, SimTime};
 use crystalnet_telemetry::Recorder;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 #[derive(Clone, Copy)]
 pub(crate) struct Adjacency {
@@ -43,7 +44,10 @@ pub(crate) struct ShardRoute {
 
 /// The simulated world: OS instances plus wiring.
 pub struct ControlPlaneWorld {
-    pub(crate) oses: Vec<Option<Box<dyn DeviceOs>>>,
+    /// One slot per device. A fork clones the handles, not the OSes: a
+    /// slot stays shared with every fork taken since its last write, and
+    /// [`unshared`] is the only way to write to one.
+    pub(crate) oses: Vec<Option<Arc<dyn DeviceOs>>>,
     pub(crate) booted: Vec<bool>,
     /// adjacency[device][iface] (None when unwired).
     pub(crate) adjacency: Vec<Vec<Option<Adjacency>>>,
@@ -108,6 +112,11 @@ impl ControlPlaneWorld {
         u64::from(self.control_key_seq)
     }
 
+    /// Exclusive access to `dev`'s OS, unshared first (see [`unshared`]).
+    pub(crate) fn os_mut(&mut self, dev: DeviceId) -> Option<&mut dyn DeviceOs> {
+        self.oses[dev.index()].as_mut().map(unshared)
+    }
+
     /// The OS on `dev`, when the device booted and is still up.
     pub(crate) fn live_os(&self, dev: DeviceId) -> Option<&dyn DeviceOs> {
         self.oses[dev.index()]
@@ -131,6 +140,17 @@ impl ControlPlaneWorld {
             _ => Egress::Unwired,
         }
     }
+}
+
+/// Exclusive access to the OS in `slot` — the one way to write to a
+/// device. An OS still shared with a fork (or with the emulation this
+/// one was forked from) is copied first, so a write never shows on the
+/// other side; an unshared one pays a reference-count check.
+pub(crate) fn unshared(slot: &mut Arc<dyn DeviceOs>) -> &mut dyn DeviceOs {
+    if Arc::get_mut(slot).is_none() {
+        *slot = Arc::from(slot.clone_boxed());
+    }
+    Arc::get_mut(slot).expect("a handle just checked or just made has one owner")
 }
 
 impl ParallelWorld for ControlPlaneWorld {

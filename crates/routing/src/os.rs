@@ -136,9 +136,11 @@ impl OsActions {
 /// A bootable firmware image instance.
 ///
 /// `Send` so the parallel executor can move a device's OS (with its shard)
-/// onto a worker thread; implementations hold only owned state and
-/// `Arc`-shared immutable data.
-pub trait DeviceOs: Send {
+/// onto a worker thread, `Sync` so an emulation and its forks can share
+/// one instance behind an `Arc` until either side writes to it;
+/// implementations hold only owned state and `Arc`-shared immutable
+/// data, no interior mutability.
+pub trait DeviceOs: Send + Sync {
     /// Handles one event, returning the side effects.
     fn handle(&mut self, now: SimTime, event: OsEvent) -> OsActions;
 
@@ -194,6 +196,13 @@ pub trait DeviceOs: Send {
         let _ = on;
     }
 
+    /// The flag last given to [`DeviceOs::set_tracing`], so the harness
+    /// can leave an OS it shares with a fork alone when the flag already
+    /// matches. Default: off (an OS that keeps no journal never traces).
+    fn tracing(&self) -> bool {
+        false
+    }
+
     /// Drains the RIB/FIB mutations performed since the last call. Only
     /// populated while tracing is on. Default: empty.
     fn take_route_mutations(&mut self) -> Vec<RouteMutation> {
@@ -213,13 +222,23 @@ pub trait DeviceOs: Send {
         Vec::new()
     }
 
-    /// Deep-copies this OS instance, boxed — the per-device half of an
-    /// emulation fork. RIB/FIB attribute and provenance entries are
-    /// interned `Arc`s, so the copy shares unchanged route state
-    /// structurally (two refcount bumps per entry) instead of
+    /// Deep-copies this OS instance, boxed — how the harness unshares
+    /// an OS an emulation and its forks still hold together, right
+    /// before the first write to it. RIB/FIB attribute and provenance
+    /// entries are interned `Arc`s, so the copy shares unchanged route
+    /// state structurally (two refcount bumps per entry) instead of
     /// duplicating it; everything mutable (session state, timers, FIB
     /// indexes) is owned by the copy.
     fn clone_boxed(&self) -> Box<dyn DeviceOs>;
+}
+
+impl std::fmt::Debug for dyn DeviceOs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeviceOs")
+            .field("hostname", &self.hostname())
+            .field("fib_prefixes", &self.fib().len())
+            .finish()
+    }
 }
 
 #[cfg(test)]

@@ -77,6 +77,16 @@ struct Net {
     tick: SimTime,
 }
 
+/// Boots `devs` and waits the boot out: a replaced OS starts powered
+/// off, and walks only cross devices that are up.
+fn reboot(sim: &mut ControlPlaneSim, devs: impl IntoIterator<Item = DeviceId>) {
+    let now = sim.engine.now();
+    for dev in devs {
+        sim.boot_device(dev, now);
+    }
+    sim.run_until(now + SimDuration::from_secs(2));
+}
+
 /// An address no FIB in the fabric covers.
 const UNROUTED: Ipv4Addr = Ipv4Addr(0xcb00_7109);
 const TTL: u8 = 16;
@@ -121,9 +131,10 @@ impl Net {
                 host: d.name.clone(),
                 deny: None,
             };
-            *sim.os_mut(dev).expect("checked above") = Box::new(ice.clone());
+            sim.replace_os(dev, Box::new(ice.clone()));
             frozen.insert(dev, ice);
         }
+        reboot(&mut sim, clos.topo.devices().map(|(dev, _)| dev));
         let (a, b) = (clos.pods[0].tors[0], clos.pods[1].tors[0]);
         Net {
             b_addr: clos.topo.device(b).loopback,
@@ -146,7 +157,9 @@ impl Net {
     fn refreeze(&mut self, dev: DeviceId, edit: impl FnOnce(&mut Frozen)) {
         let ice = self.frozen.get_mut(&dev).expect("a fabric device");
         edit(ice);
-        *self.sim.os_mut(dev).expect("a fabric device") = Box::new(ice.clone());
+        self.sim.replace_os(dev, Box::new(ice.clone()));
+        reboot(&mut self.sim, [dev]);
+        self.tick = self.sim.engine.now() + SimDuration::from_secs(1);
     }
 
     /// Runs one round of both planes at `self.tick` between `a` and `b`.

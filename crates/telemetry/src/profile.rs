@@ -501,14 +501,14 @@ impl Serialize for QueueMem {
 }
 
 /// Copy-on-write sharing breakdown for one emulation fork: what the child
-/// shares with its parent versus what was deep-copied.
+/// still shares with its fork point versus what it has copied since.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
-    /// Estimated bytes shared with the parent (prepare output, interned
-    /// path attributes).
+    /// Estimated RIB + FIB bytes of the devices whose OS instance is
+    /// still the one the fork point holds.
     pub shared_bytes: u64,
-    /// Estimated bytes deep-copied for the child (RIB/FIB clones, queued
-    /// events, fleet state).
+    /// Estimated RIB + FIB bytes of the devices the child copied (or
+    /// replaced) because a step wrote to them.
     pub copied_bytes: u64,
 }
 
