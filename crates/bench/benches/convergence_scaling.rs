@@ -1,8 +1,8 @@
 //! Convergence-scaling bench: serial vs sharded parallel executor on
 //! Clos fabrics of ~64/128/256 devices × 1/2/4/8 workers.
 //!
-//! Prints a table and writes `BENCH_convergence.json` at the workspace
-//! root. Every parallel run is checked bit-identical to the serial
+//! Prints a table and writes `target/BENCH_convergence.json`. Every
+//! parallel run is checked bit-identical to the serial
 //! baseline (converged instant, route-op totals, and every FIB) before
 //! its timing is accepted — a wrong answer fast is not a result.
 //!
@@ -126,11 +126,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let samples: usize = std::env::var("CRYSTALNET_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(2);
+    let samples = crystalnet_bench::config::reps_or(3).max(2) as usize;
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -204,7 +200,6 @@ fn main() {
         rows.join(",\n    "),
         counter_rows.join(",\n    ")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_convergence.json");
-    std::fs::write(path, json).expect("write BENCH_convergence.json");
-    println!("wrote {path}");
+    let path = crystalnet_bench::meta::write_result("BENCH_convergence.json", &json);
+    println!("wrote {}", path.display());
 }

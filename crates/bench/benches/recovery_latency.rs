@@ -6,8 +6,7 @@
 //! and reads the resulting recovery latency out of the structured
 //! journal. Virtual-time latencies are deterministic per seed; the
 //! wall-clock column (median over `CRYSTALNET_REPS` runs) measures the
-//! orchestrator's own overhead. Writes `BENCH_recovery.json` at the
-//! workspace root.
+//! orchestrator's own overhead. Writes `target/BENCH_recovery.json`.
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
@@ -124,11 +123,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let samples: usize = std::env::var("CRYSTALNET_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let samples = crystalnet_bench::config::reps_or(3).max(1) as usize;
     println!("recovery_latency: {samples} sample(s)/scenario, seed {SEED}");
 
     let mut rows = Vec::new();
@@ -176,7 +171,6 @@ fn main() {
         crystalnet_bench::meta::bench_meta_json(1),
         rows.join(",\n    ")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(path, json).expect("write BENCH_recovery.json");
-    println!("wrote {path}");
+    let path = crystalnet_bench::meta::write_result("BENCH_recovery.json", &json);
+    println!("wrote {}", path.display());
 }

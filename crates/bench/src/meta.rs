@@ -1,4 +1,5 @@
-//! Shared `bench_meta` block stamped into every `BENCH_*.json` artifact.
+//! Shared `bench_meta` block stamped into every `target/BENCH_*.json`
+//! artifact, and the one place those artifacts are written.
 //!
 //! The block says how far a reader may trust the artifact's wall
 //! clocks: a `degraded` run had fewer hardware threads than the bench's
@@ -32,6 +33,21 @@ pub fn bench_meta_json(workers: usize) -> String {
          \"workers\": {workers}, \"degraded\": {}}}",
         hw < workers
     )
+}
+
+/// Writes a bench's JSON artifact to the workspace's `target/`
+/// directory — generated results are never tracked in git — and returns
+/// the path written.
+///
+/// # Panics
+///
+/// Panics when `target/` cannot be created or written.
+pub fn write_result(file_name: &str, json: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"));
+    std::fs::create_dir_all(dir).expect("create target/");
+    let path = dir.join(file_name);
+    std::fs::write(&path, json).expect("write bench artifact");
+    path
 }
 
 #[cfg(test)]

@@ -299,7 +299,9 @@ impl MockupOptionsBuilder {
         self
     }
 
-    /// Health-monitor heartbeat interval.
+    /// Health-monitor heartbeat interval. Must be nonzero —
+    /// [`Self::try_build`] rejects zero with
+    /// [`EmulationError::InvalidOption`].
     #[must_use]
     pub fn heartbeat(mut self, interval: SimDuration) -> Self {
         self.options.health.heartbeat = interval;
@@ -419,6 +421,14 @@ impl MockupOptionsBuilder {
         if self.options.trace_capacity == 0 {
             return Err(EmulationError::InvalidOption(
                 "trace_capacity must be nonzero; disable telemetry instead".to_string(),
+            ));
+        }
+        // A VM or speaker crash builds a `HeartbeatSchedule` from this
+        // interval after the devices are already powered off; a zero
+        // interval would panic there, mid-fault.
+        if self.options.health.heartbeat == SimDuration::ZERO {
+            return Err(EmulationError::InvalidOption(
+                "health heartbeat must be nonzero".to_string(),
             ));
         }
         Ok(self.options)

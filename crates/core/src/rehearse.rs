@@ -29,7 +29,7 @@
 //!    untouched devices stay the very OS instances the parent holds; and
 //! 4. returns a typed [`ConvergenceDelta`]: per-device FIB
 //!    adds/removes/modifies with provenance digests, the dirty-set size,
-//!    and the virtual/wall cost of the step.
+//!    and the virtual cost of the step.
 //!
 //! The diff (`diff_devices`) costs what the step touched: it holds the
 //! pre-step OS handles, skips every device whose handle is still the
@@ -111,9 +111,10 @@ pub struct AppliedChange {
 
 /// The typed result of one incremental re-convergence step.
 ///
-/// Everything except [`ConvergenceDelta::wall`] is a deterministic
-/// world fact: identical across repetitions and `workers` values for the
-/// same seed and change history.
+/// Every field is a deterministic world fact: identical across
+/// repetitions and `workers` values for the same seed and change
+/// history. The struct carries no wall-clock reading; what a step costs
+/// in host time is the `core.apply` profile span's business.
 #[derive(Debug, Clone)]
 pub struct ConvergenceDelta {
     /// What was applied, in change-set order.
@@ -129,9 +130,6 @@ pub struct ConvergenceDelta {
     pub virtual_cost: SimDuration,
     /// Simulation events executed by the step.
     pub events_executed: u64,
-    /// Wall-clock cost of the step (the number `BENCH_incremental.json`
-    /// compares against a full re-settle).
-    pub wall: std::time::Duration,
     /// Per-device FIB mutations over the full emulated scope,
     /// prefix-sorted. Authoritative: computed independently of the
     /// predicted dirty set, so a too-narrow prediction can never hide a
@@ -537,7 +535,6 @@ impl Emulation {
             settled_at,
             virtual_cost,
             events_executed,
-            wall: wall_start.elapsed(),
             fib_changes,
             probes_sent: totals_after.probes_sent - totals_before.probes_sent,
             probes_lost: totals_after.probes_lost - totals_before.probes_lost,

@@ -217,8 +217,8 @@ fn incident_jsonl_schema_is_stable_and_written_as_an_artifact() {
     assert!(!jsonl.is_empty());
 
     // Every line parses, carries the envelope keys, and lines of the
-    // same incident kind share one deep structure (the schema the CI
-    // smoke job validates).
+    // same incident kind share one deep structure (the schema CI's
+    // JSONL check validates).
     let mut by_kind: BTreeMap<String, Value> = BTreeMap::new();
     for line in jsonl.lines() {
         let mut v: Value = serde_json::from_str(line).expect("incident line parses");
@@ -274,7 +274,7 @@ fn incident_jsonl_schema_is_stable_and_written_as_an_artifact() {
         }
     }
 
-    // Drop the artifact where the CI health-smoke job picks it up.
+    // Drop the artifact where CI's JSONL schema check picks it up.
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
     std::fs::create_dir_all(dir).unwrap();
     std::fs::write(format!("{dir}/health_incidents.jsonl"), &jsonl).unwrap();
@@ -336,6 +336,22 @@ fn invalid_health_and_trace_knobs_fail_eagerly() {
         zero_cap,
         Err(EmulationError::InvalidOption(ref what)) if what.contains("trace_capacity")
     ));
+
+    // A zero heartbeat would panic inside the first VM or speaker crash,
+    // after the devices are already off; both setters reach the check.
+    let zero_heartbeat = [
+        MockupOptions::builder().heartbeat(SimDuration::ZERO),
+        MockupOptions::builder().health_policy(HealthPolicy {
+            heartbeat: SimDuration::ZERO,
+            ..HealthPolicy::default()
+        }),
+    ];
+    for builder in zero_heartbeat {
+        assert!(matches!(
+            builder.try_build(),
+            Err(EmulationError::InvalidOption(ref what)) if what.contains("heartbeat")
+        ));
+    }
 
     // Valid knobs still build.
     assert!(MockupOptions::builder()

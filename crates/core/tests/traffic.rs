@@ -205,7 +205,7 @@ fn saturated_link_yields_a_congestion_witness_correlated_to_the_fault() {
         "utilisation gauges must show the saturation"
     );
 
-    // Drop the artifact where the CI traffic-smoke job picks it up.
+    // Drop the artifact where CI's JSONL schema check picks it up.
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
     std::fs::create_dir_all(dir).unwrap();
     std::fs::write(

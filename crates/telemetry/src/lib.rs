@@ -1151,7 +1151,8 @@ impl RunReport {
     }
 
     /// Compact JSON of just the canonical counter section — what the
-    /// benches splice into their `BENCH_*.json` rows.
+    /// `recovery_latency` and `convergence_scaling` benches splice into
+    /// their result rows.
     #[must_use]
     pub fn counters_json(&self) -> String {
         serde_json::to_string(&Value::Object(
