@@ -20,7 +20,6 @@ use crate::workflow::{StepOutcome, UpdateStep, ValidationLoop};
 use crystalnet_dataplane::ForwardDecision;
 use crystalnet_net::{DeviceId, RegionParams, RegionTopology, Role};
 use crystalnet_routing::{DeviceOs, Frame, MgmtCommand, OsEvent, VendorProfile};
-use crystalnet_sim::SimTime;
 use crystalnet_telemetry::RunReport;
 use std::sync::Arc;
 
@@ -152,18 +151,7 @@ pub fn run_case1_with(options: &MockupOptions) -> Case1Report {
             )
             .with_revert(move |emu| {
                 // Reload(original) brings the router back.
-                if let Some((_, cfg)) = emu.prep.configs.iter().find(|(d, _)| *d == border0) {
-                    let cfg = cfg.clone();
-                    let profile = VendorProfile::for_vendor(emu.topo.device(border0).vendor);
-                    let os = crystalnet_routing::BgpRouterOs::new(
-                        profile,
-                        cfg,
-                        emu.topo.device(border0).loopback,
-                    );
-                    emu.sim.replace_os(border0, Box::new(os));
-                    let at = emu.now();
-                    emu.sim.boot_device(border0, at);
-                }
+                emu.restore_devices(&[border0], emu.now());
             }),
         )
         .run(&mut emu);
@@ -346,19 +334,4 @@ fn pipeline(options: &MockupOptions, build: VendorProfile) -> (Vec<String>, RunR
     }
 
     (bugs, emu.pull_report())
-}
-
-/// Internal scheduling helpers used by the pipeline.
-impl Emulation {
-    /// Disconnects a link at an explicit future instant.
-    pub fn disconnect_at(&mut self, lid: crystalnet_net::LinkId, at: SimTime) {
-        let ep = crystalnet_routing::ControlPlaneSim::link_endpoints(&self.topo, lid);
-        self.sim.link_down(ep, at);
-    }
-
-    /// Connects a link at an explicit future instant.
-    pub fn connect_at(&mut self, lid: crystalnet_net::LinkId, at: SimTime) {
-        let ep = crystalnet_routing::ControlPlaneSim::link_endpoints(&self.topo, lid);
-        self.sim.link_up(ep, at);
-    }
 }

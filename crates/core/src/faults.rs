@@ -16,13 +16,12 @@
 //! benches can assert recovery latency and that post-recovery FIBs are
 //! bit-identical to a fault-free run without scraping logs.
 
-use crate::emulation::{Emulation, EmulationError, Sandbox};
+use crate::emulation::{Emulation, EmulationError};
 use crate::metrics::JournalKind;
-use crate::plan::sandbox_kind;
 use crystalnet_net::{best_spare, DeviceId, LinkId};
-use crystalnet_routing::ControlPlaneSim;
 use crystalnet_sim::{Backoff, HeartbeatSchedule, SimDuration, SimRng, SimTime};
-use crystalnet_vnet::{ContainerEngine, ContainerKind, LinkSpan, VirtualLink, VmSku};
+use crystalnet_vnet::{ContainerEngine, ContainerKind, VmSku};
+use std::sync::Arc;
 
 /// One kind of infrastructure fault the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,30 +284,18 @@ impl Emulation {
                     }
                 }
                 FaultKind::SpeakerCrash { device } => {
-                    if !self
-                        .prep
-                        .speaker_plan
-                        .scripts
-                        .iter()
-                        .any(|(d, _)| *d == device)
-                    {
-                        return Err(EmulationError::UnknownDevice(format!(
-                            "speaker#{}",
-                            device.0
-                        )));
+                    if self.prep.speaker_scripts(device).is_none() {
+                        return Err(self.unknown_device(device));
                     }
                 }
                 FaultKind::LinkFlapBurst { link, .. } => {
-                    if !self.vlinks.iter().any(|vl| vl.link == link) {
+                    if !self.link_emulated(link) {
                         return Err(EmulationError::UnknownLink(link.0));
                     }
                 }
                 FaultKind::SilentBlackhole { device } => {
                     if !self.sandboxes.contains_key(&device) {
-                        return Err(EmulationError::UnknownDevice(format!(
-                            "device#{}",
-                            device.0
-                        )));
+                        return Err(self.unknown_device(device));
                     }
                 }
             }
@@ -353,11 +340,10 @@ impl Emulation {
                 flaps,
                 period,
             } => {
-                let ep = ControlPlaneSim::link_endpoints(&self.topo, link);
                 for i in 0..u64::from(flaps) {
                     let down_at = t + period * (2 * i);
                     let up_at = t + period * (2 * i + 1);
-                    self.sim.link_down(ep, down_at);
+                    self.disconnect_at(link, down_at);
                     self.journal_event(
                         down_at,
                         JournalKind::LinkFlap {
@@ -365,7 +351,7 @@ impl Emulation {
                             up: false,
                         },
                     );
-                    self.sim.link_up(ep, up_at);
+                    self.connect_at(link, up_at);
                     self.journal_event(
                         up_at,
                         JournalKind::LinkFlap {
@@ -435,7 +421,6 @@ impl Emulation {
         failed_attempts: u32,
         victims: &[DeviceId],
     ) {
-        let vm_id = self.vm_ids[vm];
         let mut backoff = self.options.health.retry.backoff();
         let mut when = detected_at;
         loop {
@@ -456,24 +441,7 @@ impl Emulation {
             if attempt <= failed_attempts {
                 continue; // this reboot attempt fails
             }
-            let reboot_done = {
-                let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
-                let done = cloud.reboot(vm_id, when);
-                cloud.mark_running(vm_id, done);
-                cloud.reset_cpu(vm_id, done);
-                done
-            };
-            let restored_at = reboot_done + self.vm_recovery_cost(victims);
-            self.restore_devices(victims, restored_at);
-            self.vm_down[vm] = false;
-            self.journal_event(
-                restored_at,
-                JournalKind::RecoveryComplete {
-                    vm,
-                    latency: restored_at.since(fault_at),
-                    devices: victims.len(),
-                },
-            );
+            self.reboot_and_restore(fault_at, when, vm, victims);
             return;
         }
     }
@@ -494,7 +462,7 @@ impl Emulation {
     ) {
         let needed: u32 = victims
             .iter()
-            .map(|&dev| self.victim_kind(dev).ram_mb() + ContainerKind::PhyNet.ram_mb())
+            .map(|&dev| self.prep.container_kind(dev).ram_mb() + ContainerKind::PhyNet.ram_mb())
             .sum();
 
         // Candidate spares: running VMs with room, ranked by adjacency.
@@ -510,19 +478,8 @@ impl Emulation {
                 }
             }
         }
-        let cand_devs: Vec<Vec<DeviceId>> = cand_idx
-            .iter()
-            .map(|&idx| {
-                let mut devs: Vec<DeviceId> = self
-                    .sandboxes
-                    .iter()
-                    .filter(|(_, sb)| sb.vm == idx)
-                    .map(|(&d, _)| d)
-                    .collect();
-                devs.sort_unstable_by_key(|d| d.0);
-                devs
-            })
-            .collect();
+        let cand_devs: Vec<Vec<DeviceId>> =
+            cand_idx.iter().map(|&idx| self.devices_on(idx)).collect();
         let cand_refs: Vec<&[DeviceId]> = cand_devs.iter().map(Vec::as_slice).collect();
 
         let (spare, setup_from) = match best_spare(&self.topo, victims, &cand_refs) {
@@ -544,124 +501,42 @@ impl Emulation {
         };
         self.journal_event(when, JournalKind::VmQuarantined { vm: dead_vm, spare });
 
-        // Rebuild the sandboxes on the spare.
-        let spare_id = self.vm_ids[spare];
+        // Re-place the sandboxes on the spare, then re-provision the
+        // victims' links: endpoints moved VMs, so spans (and VXLAN
+        // tunnels) must be re-derived.
+        let topo = Arc::clone(&self.topo);
+        let cloud = Arc::clone(&self.cloud);
+        let mut cloud = cloud.lock().expect("cloud lock poisoned");
         for &dev in victims {
-            let iface_count = self.topo.device(dev).ifaces.len() as u32;
-            let kind = self.victim_kind(dev);
-            let engine = &mut self.engines[spare];
-            let phynet = engine.create(ContainerKind::PhyNet, None);
-            let sandbox = engine.create(kind, Some(phynet));
-            engine.add_ifaces(phynet, iface_count);
-            engine.start(phynet);
-            engine.start(sandbox);
-            {
-                let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
-                let vm = cloud.vm_mut(spare_id);
-                vm.cpu.submit(setup_from, ContainerKind::PhyNet.start_cpu());
-                for _ in 0..iface_count {
-                    vm.cpu.submit(setup_from, self.options.bridge.setup_cpu());
-                }
-                vm.ram_used_mb += kind.ram_mb() + ContainerKind::PhyNet.ram_mb();
-            }
-            self.sandboxes.insert(
-                dev,
-                Sandbox {
-                    vm: spare,
-                    phynet,
-                    device: sandbox,
-                },
-            );
-            if let Some(model) = self.work_model() {
-                model.rehome_device(dev, spare_id);
-            }
+            self.place(&mut cloud, dev, spare, setup_from);
         }
-
-        // Re-provision the victims' links: endpoints moved VMs, so spans
-        // (and VXLAN tunnels) must be re-derived.
-        let touched: Vec<(LinkId, DeviceId, DeviceId)> = self
-            .topo
-            .links()
-            .filter(|(_, l)| victims.contains(&l.a.device) || victims.contains(&l.b.device))
-            .map(|(lid, l)| (lid, l.a.device, l.b.device))
-            .collect();
-        for (lid, a, b) in touched {
-            let (Some(sa), Some(sb)) = (self.sandboxes.get(&a), self.sandboxes.get(&b)) else {
+        for (lid, l) in topo.links() {
+            if !victims.contains(&l.a.device) && !victims.contains(&l.b.device) {
+                continue;
+            }
+            let Some(vl) = self.wire(&mut cloud, lid, setup_from) else {
                 continue; // one end outside the emulation
             };
-            let (vm_a, vm_b) = (self.vm_ids[sa.vm], self.vm_ids[sb.vm]);
-            let vl = VirtualLink::provision(lid, vm_a, vm_b, false, &mut self.vnis);
-            let span = vl.span;
-            if span != LinkSpan::IntraVm {
-                let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
-                cloud
-                    .vm_mut(vm_a)
-                    .cpu
-                    .submit(setup_from, self.options.bridge.setup_cpu());
-                cloud
-                    .vm_mut(vm_b)
-                    .cpu
-                    .submit(setup_from, self.options.bridge.setup_cpu());
-            }
-            if let Some(slot) = self.vlinks.iter_mut().find(|v| v.link == lid) {
-                *slot = vl;
-            } else {
-                self.vlinks.push(vl);
-            }
-            if let Some(model) = self.work_model() {
-                model.set_link_span(lid, span);
+            match self.vlinks.iter_mut().find(|v| v.link == lid) {
+                Some(slot) => *slot = vl,
+                None => self.vlinks.push(vl),
             }
         }
+        drop(cloud);
 
         let restored_at = setup_from + self.vm_recovery_cost(victims);
-        self.restore_devices(victims, restored_at);
-        self.journal_event(
-            restored_at,
-            JournalKind::RecoveryComplete {
-                vm: spare,
-                latency: restored_at.since(fault_at),
-                devices: victims.len(),
-            },
-        );
-    }
-
-    /// The container kind a displaced device needs on its new VM.
-    fn victim_kind(&self, dev: DeviceId) -> ContainerKind {
-        if self
-            .prep
-            .speaker_plan
-            .scripts
-            .iter()
-            .any(|(d, _)| *d == dev)
-        {
-            ContainerKind::Speaker
-        } else {
-            sandbox_kind(self.topo.device(dev).vendor)
-        }
+        self.recover(fault_at, restored_at, spare, victims);
     }
 
     /// A speaker agent crashes at `t`: its links drop, the monitor
     /// notices on the next heartbeat tick and restarts the agent with a
     /// bumped incarnation epoch, forcing peers to flush and resync.
     fn speaker_fault(&mut self, t: SimTime, device: DeviceId) {
-        self.sim.power_off(device);
-        for (lid, _, _) in self.topo.neighbors(device).collect::<Vec<_>>() {
-            let ep = ControlPlaneSim::link_endpoints(&self.topo, lid);
-            self.sim.link_down(ep, t);
-        }
+        self.isolate(device, t);
         let hb = HeartbeatSchedule::new(SimTime::ZERO, self.options.health.heartbeat);
         // Agent restart is cheap: no namespace rebuild, just the process.
         let restored_at = hb.next_after(t) + SimDuration::from_secs(3);
-        self.restore_devices(&[device], restored_at);
-        let vm = self.sandboxes[&device].vm;
-        self.journal_event(
-            restored_at,
-            JournalKind::RecoveryComplete {
-                vm,
-                latency: restored_at.since(t),
-                devices: 1,
-            },
-        );
+        self.recover(t, restored_at, self.sandboxes[&device].vm, &[device]);
     }
 }
 

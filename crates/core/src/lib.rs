@@ -28,13 +28,17 @@ pub mod emulation;
 pub mod explain;
 pub mod faults;
 pub mod health;
+mod inspect;
+mod lifecycle;
 pub mod metrics;
+mod options;
 pub mod plan;
 pub mod prepare;
 pub mod rehearse;
 pub mod scenarios;
 pub mod session;
 pub mod traffic;
+mod work;
 pub mod workflow;
 
 pub use cases::{

@@ -5,11 +5,12 @@
 //! configurations (injecting unified SSH credentials) and boundary route
 //! snapshots, and plans the VM fleet.
 
-use crate::plan::{plan_vms, PlanOptions, VmPlan};
+use crate::plan::{plan_vms, sandbox_kind, PlanOptions, VmPlan};
 use crystalnet_boundary::{synthesize_speakers, Classification, SpeakerPlan};
 use crystalnet_config::{generate_device, DeviceConfig};
 use crystalnet_net::{DeviceId, Role, Topology};
 use crystalnet_routing::{ControlPlaneSim, PathAttrs, SpeakerScript};
+use crystalnet_vnet::ContainerKind;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -58,6 +59,31 @@ impl PrepareOutput {
     #[must_use]
     pub fn speakers(&self) -> Vec<DeviceId> {
         self.speaker_plan.scripts.iter().map(|(d, _)| *d).collect()
+    }
+
+    /// The prepared configuration of `dev`; `None` for speakers and
+    /// devices outside the emulation.
+    #[must_use]
+    pub fn config(&self, dev: DeviceId) -> Option<&DeviceConfig> {
+        self.configs.iter().find(|(d, _)| *d == dev).map(|(_, c)| c)
+    }
+
+    /// The per-interface scripts of speaker `dev`; `None` if `dev` is
+    /// not a planned speaker.
+    #[must_use]
+    pub fn speaker_scripts(&self, dev: DeviceId) -> Option<&[(u32, SpeakerScript)]> {
+        let (_, scripts) = self.speaker_plan.scripts.iter().find(|(d, _)| *d == dev)?;
+        Some(scripts)
+    }
+
+    /// The container kind `dev`'s sandbox runs as: the speaker agent for
+    /// a planned speaker, the vendor's image otherwise.
+    pub(crate) fn container_kind(&self, dev: DeviceId) -> ContainerKind {
+        if self.speaker_scripts(dev).is_some() {
+            ContainerKind::Speaker
+        } else {
+            sandbox_kind(self.topo.device(dev).vendor)
+        }
     }
 
     /// The boundary classification (recomputed on demand).

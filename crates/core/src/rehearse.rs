@@ -44,15 +44,12 @@
 //! equivalent to replaying history.
 
 use crate::emulation::{converge, Emulation, EmulationError};
-use crate::metrics::JournalKind;
 use crystalnet_config::{
     classify_diff, classify_ripple, config_diff, Change, ChangeImpact, ChangeSet, DeviceConfig,
 };
 use crystalnet_dataplane::NextHop;
 use crystalnet_net::{dirty_region_scoped, DeviceId, Ipv4Prefix, LinkId, RippleScope};
-use crystalnet_routing::{
-    ControlPlaneSim, DeviceOs, MgmtCommand, PathAttrs, SpeakerOs, SpeakerScript,
-};
+use crystalnet_routing::{ControlPlaneSim, DeviceOs, MgmtCommand, PathAttrs, SpeakerScript};
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::FieldValue;
 use std::collections::{BTreeMap, BTreeSet};
@@ -347,9 +344,9 @@ impl Emulation {
                 Change::ConfigUpdate { device, config } => {
                     let dev = *device;
                     self.guard(dev)?;
-                    let old = self.effective_config(dev).ok_or_else(|| {
-                        EmulationError::UnknownDevice(self.topo.device(dev).name.clone())
-                    })?;
+                    let old = self
+                        .effective_config(dev)
+                        .ok_or_else(|| self.unknown_device(dev))?;
                     let diff = config_diff(old, config);
                     let impact = classify_diff(&diff);
                     if impact != ChangeImpact::NoOp {
@@ -367,19 +364,15 @@ impl Emulation {
                     });
                 }
                 Change::LinkDown(lid) | Change::LinkUp(lid) => {
-                    if (lid.0 as usize) >= self.topo.link_count() {
-                        return Err(EmulationError::UnknownLink(lid.0));
-                    }
-                    let (a, _, b, _, _) =
-                        crystalnet_routing::ControlPlaneSim::link_endpoints(&self.topo, *lid);
-                    if !self.sandboxes.contains_key(&a) || !self.sandboxes.contains_key(&b) {
+                    if !self.link_emulated(*lid) {
                         return Err(EmulationError::UnknownLink(lid.0));
                     }
                     // A link flap changes reachability, but Clos ECMP
                     // redundancy keeps the blast radius inside the
                     // affected pod(s) plus the shared spine/border tier.
-                    seeds.push((a, RippleScope::PodAndCore));
-                    seeds.push((b, RippleScope::PodAndCore));
+                    let link = self.topo.link(*lid);
+                    seeds.push((link.a.device, RippleScope::PodAndCore));
+                    seeds.push((link.b.device, RippleScope::PodAndCore));
                     applied.push(AppliedChange {
                         kind: change.kind(),
                         device: None,
@@ -410,15 +403,10 @@ impl Emulation {
                 Change::SpeakerRouteSwap { device, routes } => {
                     let dev = *device;
                     self.guard(dev)?;
-                    let plan_entry = self
+                    let planned_scripts = self
                         .prep
-                        .speaker_plan
-                        .scripts
-                        .iter()
-                        .find(|(d, _)| *d == dev)
-                        .ok_or_else(|| {
-                            EmulationError::UnknownDevice(self.topo.device(dev).name.clone())
-                        })?;
+                        .speaker_scripts(dev)
+                        .ok_or_else(|| self.unknown_device(dev))?;
                     let loopback = self.topo.device(dev).loopback;
                     let script = SpeakerScript {
                         routes: routes
@@ -436,8 +424,7 @@ impl Emulation {
                             })
                             .collect(),
                     };
-                    let scripts: Vec<(u32, SpeakerScript)> = plan_entry
-                        .1
+                    let scripts: Vec<(u32, SpeakerScript)> = planned_scripts
                         .iter()
                         .map(|(iface, _)| (*iface, script.clone()))
                         .collect();
@@ -493,7 +480,12 @@ impl Emulation {
                     did_work = true;
                 }
                 Planned::SpeakerSwap { dev, scripts } => {
-                    self.swap_speaker(dev, scripts, now);
+                    // The old incarnation goes dark (peers flush); the
+                    // revived one announces the recorded override under a
+                    // bumped epoch, and peers resync against it.
+                    self.speaker_overrides.insert(dev, scripts);
+                    self.isolate(dev, now);
+                    self.restore_devices(&[dev], now);
                     did_work = true;
                 }
             }
@@ -619,15 +611,11 @@ impl Emulation {
         Ok(report)
     }
 
-    /// Decommissions one device mid-run: links drop, its pending events
-    /// are discarded, its sandbox stops, and the boundary memo is patched
-    /// in place.
+    /// Decommissions one device mid-run: it is isolated, its pending
+    /// events are discarded, its sandbox stops, and the boundary memo is
+    /// patched in place.
     fn remove_device(&mut self, dev: DeviceId, at: SimTime) {
-        for (lid, _, _) in self.topo.neighbors(dev).collect::<Vec<_>>() {
-            let ep = crystalnet_routing::ControlPlaneSim::link_endpoints(&self.topo, lid);
-            self.sim.link_down(ep, at);
-        }
-        self.sim.power_off(dev);
+        self.isolate(dev, at);
         self.sim.remove_device(dev);
         if let Some(sb) = self.sandboxes.remove(&dev) {
             self.engines[sb.vm].stop(sb.device);
@@ -646,44 +634,6 @@ impl Emulation {
                 vec![("device", FieldValue::U64(u64::from(dev.0)))],
             );
         }
-    }
-
-    /// Replaces a speaker's static announcement program: the old
-    /// incarnation powers off (peers see link-down and flush), a fresh
-    /// [`SpeakerOs`] with a bumped epoch boots, and peers resync against
-    /// the new script.
-    fn swap_speaker(&mut self, dev: DeviceId, scripts: Vec<(u32, SpeakerScript)>, at: SimTime) {
-        self.sim.power_off(dev);
-        let neighbor_links: Vec<_> = self.topo.neighbors(dev).map(|(lid, _, _)| lid).collect();
-        for &lid in &neighbor_links {
-            let ep = crystalnet_routing::ControlPlaneSim::link_endpoints(&self.topo, lid);
-            self.sim.link_down(ep, at);
-        }
-        let info = self.topo.device(dev);
-        let mut os = SpeakerOs::new(info.name.clone(), info.asn, info.loopback);
-        for (iface, script) in &scripts {
-            os.set_script(*iface, script.clone());
-        }
-        let epoch = *self
-            .speaker_epochs
-            .entry(dev)
-            .and_modify(|e| *e += 1)
-            .or_insert(1);
-        os.set_epoch(epoch);
-        self.journal_event(
-            at,
-            JournalKind::SpeakerRestarted {
-                device: dev.0,
-                epoch,
-            },
-        );
-        self.sim.replace_os(dev, Box::new(os));
-        self.sim.boot_device(dev, at);
-        for &lid in &neighbor_links {
-            let ep = crystalnet_routing::ControlPlaneSim::link_endpoints(&self.topo, lid);
-            self.sim.link_up(ep, at);
-        }
-        self.speaker_overrides.insert(dev, scripts);
     }
 
     /// The OS instance of every emulated device as of now — what a later

@@ -46,8 +46,9 @@
 //! Dropping a fork *is* the rollback — there is no undo log to replay,
 //! which subsumes the old plan-rollback item.
 
-use crate::emulation::{add_device_mem, Emulation, EmulationError};
+use crate::emulation::{Emulation, EmulationError};
 use crate::faults::{FaultPlan, FaultReport};
+use crate::inspect::add_device_mem;
 use crate::rehearse::{diff_devices, ConvergenceDelta, FibChange, OsHandles};
 use crystalnet_config::ChangeSet;
 use crystalnet_net::DeviceId;

@@ -138,7 +138,13 @@ fn exhausted_retries_quarantine_to_a_spare_and_the_dead_vm_stays_dead() {
         let st = emu.pull_states(*d).expect("displaced device reachable");
         assert!(st.up);
         assert!(st.fib_prefixes > 100);
+        // Fig. 6 follows the sandbox: the management edge hangs off the
+        // spare's bridge, two hops from the jumpbox.
+        let name = &emu.topo.device(*d).name;
+        assert_eq!(emu.mgmt.vm_of(name), Some(emu.vm_ids[sb.vm]), "{name}");
+        assert_eq!(emu.mgmt.hops_to(name), Some(2), "{name}");
     }
+    assert!(emu.mgmt.is_tree());
 
     // A quarantined VM cannot fail again: it is already dead.
     assert_eq!(

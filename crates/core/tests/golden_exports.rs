@@ -93,3 +93,112 @@ fn sdc_exports_match_the_recorded_digests_serial_and_sharded() {
         }
     }
 }
+
+/// The device-lifecycle scenario: every way a sandbox is placed,
+/// isolated, revived and recovered, in one run. A fault plan crashes a
+/// VM, exhausts another VM's reboot budget (quarantine to a spare) and
+/// crashes a speaker agent; a VM then fails by direct injection; a fork
+/// swaps a speaker's routes, removes a ToR and commits. Digested: the
+/// sorted journal, the run report, the causal trace, where every device
+/// ended up (VM and container ids) and the virtual-link list.
+fn lifecycle_exports(workers: usize) -> Vec<(&'static str, String)> {
+    let clos = ClosParams::s_dc().build();
+    let prep = prepare(
+        &clos.topo,
+        &[],
+        BoundaryMode::WholeNetwork,
+        SpeakerSource::OriginatedOnly,
+        &PlanOptions {
+            target_vms: Some(5),
+            ..PlanOptions::default()
+        },
+    );
+    let speakers = prep.speakers();
+    let mut emu = mockup(
+        Arc::new(prep),
+        MockupOptions::builder()
+            .seed(2017)
+            .workers(workers)
+            .trace_capacity(1 << 20)
+            .build(),
+    );
+    let plan = FaultPlan::default()
+        .then(SimDuration::from_secs(5), FaultKind::VmCrash { vm: 1 })
+        .then(
+            SimDuration::from_secs(20),
+            FaultKind::VmSlowRestart {
+                vm: 0,
+                failed_attempts: 4,
+            },
+        )
+        .then(
+            SimDuration::from_secs(30),
+            FaultKind::SpeakerCrash {
+                device: speakers[0],
+            },
+        );
+    emu.run_fault_plan(&plan).expect("the drill recovers");
+    assert!(
+        emu.journal
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, JournalKind::VmQuarantined { vm: 0, .. })),
+        "four failed reboots must quarantine VM 0"
+    );
+    emu.fail_and_recover_vm(2)
+        .expect("direct injection recovers");
+    emu.settle()
+        .expect("re-converges after the direct injection");
+
+    let speaker = *speakers.last().expect("an S-DC has external peers");
+    let doomed = clos.pods[1].tors[0];
+    let mut fork = emu.fork();
+    fork.apply(
+        &ChangeSet::new()
+            .speaker_route_swap(
+                speaker,
+                vec![SpeakerRoute {
+                    prefix: "10.99.0.0/24".parse().unwrap(),
+                    as_path: vec![clos.topo.device(speaker).asn],
+                    med: 0,
+                }],
+            )
+            .device_remove(doomed),
+    )
+    .expect("the change set applies");
+    fork.commit(&mut emu);
+    assert!(!emu.sandboxes.contains_key(&doomed));
+
+    let mut placement: Vec<_> = emu.sandboxes.iter().collect();
+    placement.sort_unstable_by_key(|(d, _)| d.0);
+    vec![
+        ("journal", format!("{:?}", emu.journal.sorted().events)),
+        ("pull_report", emu.pull_report().to_json()),
+        ("trace_jsonl", emu.trace_jsonl()),
+        ("placement", format!("{placement:?}")),
+        ("vlinks", format!("{:?}", emu.vlinks)),
+    ]
+}
+
+#[test]
+fn lifecycle_exports_match_the_recorded_digests_serial_and_sharded() {
+    const GOLDEN: [(&str, u64); 5] = [
+        ("journal", 0x6d8d_d3e4_1139_802f),
+        ("pull_report", 0x1a75_6518_d32c_4432),
+        ("trace_jsonl", 0xd53c_d433_6f4d_7339),
+        ("placement", 0x6df2_19e6_4529_84d4),
+        ("vlinks", 0x9578_ad06_9e71_7114),
+    ];
+    for workers in [1, 4] {
+        let got = lifecycle_exports(workers);
+        for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
+            assert_eq!(*name, golden_name);
+            assert_eq!(
+                digest(export),
+                golden,
+                "workers={workers}: {name} moved ({} bytes)",
+                export.len()
+            );
+        }
+    }
+}

@@ -74,7 +74,7 @@ pub mod keys {
 }
 
 /// Aggregated wall-clock time under one profile key.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ProfileEntry {
     /// Total wall nanoseconds recorded under this key.
     pub wall_ns: u64,
@@ -155,22 +155,9 @@ fn nearest_ancestor(name: &str, names: &[String]) -> Option<String> {
 }
 
 impl Serialize for Profile {
+    /// The entries themselves, keyed by profile key: no wrapper object.
     fn to_value(&self) -> Value {
-        Value::Object(
-            self.entries
-                .iter()
-                .map(|(k, e)| {
-                    (
-                        k.clone(),
-                        Value::Object(vec![
-                            ("wall_ns".to_string(), Value::Uint(e.wall_ns)),
-                            ("self_ns".to_string(), Value::Uint(e.self_ns)),
-                            ("count".to_string(), Value::Uint(e.count)),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
+        self.entries.to_value()
     }
 }
 
@@ -200,7 +187,7 @@ impl BlameKind {
 }
 
 /// Wall time attributed to each blame class across the critical path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BlameBreakdown {
     /// Intervals where cross-shard lookahead bounded progress.
     pub lookahead_starved_ns: u64,
@@ -210,24 +197,8 @@ pub struct BlameBreakdown {
     pub merge_bound_ns: u64,
 }
 
-impl Serialize for BlameBreakdown {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "lookahead_starved_ns".to_string(),
-                Value::Uint(self.lookahead_starved_ns),
-            ),
-            ("work_bound_ns".to_string(), Value::Uint(self.work_bound_ns)),
-            (
-                "merge_bound_ns".to_string(),
-                Value::Uint(self.merge_bound_ns),
-            ),
-        ])
-    }
-}
-
 /// One link in the chain of grants that bounded run completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CriticalLink {
     /// Shard the grant ran on.
     pub shard: u32,
@@ -246,22 +217,8 @@ pub struct CriticalLink {
     pub blame: String,
 }
 
-impl Serialize for CriticalLink {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("shard".to_string(), Value::Uint(u64::from(self.shard))),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            ("limiter".to_string(), Value::Str(self.limiter.clone())),
-            ("start_ns".to_string(), Value::Uint(self.start_ns)),
-            ("end_ns".to_string(), Value::Uint(self.end_ns)),
-            ("executed".to_string(), Value::Uint(self.executed)),
-            ("blame".to_string(), Value::Str(self.blame.clone())),
-        ])
-    }
-}
-
 /// Per-shard load summary over the whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardLoad {
     /// Shard index.
     pub shard: u32,
@@ -276,18 +233,6 @@ pub struct ShardLoad {
     pub idle_ns: u64,
 }
 
-impl Serialize for ShardLoad {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("shard".to_string(), Value::Uint(u64::from(self.shard))),
-            ("grants".to_string(), Value::Uint(self.grants)),
-            ("executed".to_string(), Value::Uint(self.executed)),
-            ("busy_ns".to_string(), Value::Uint(self.busy_ns)),
-            ("idle_ns".to_string(), Value::Uint(self.idle_ns)),
-        ])
-    }
-}
-
 /// Critical-path and blame attribution for one parallel (or serial) run.
 ///
 /// Reconstructed from the coordinator's grant timeline: the chain of
@@ -295,7 +240,7 @@ impl Serialize for ShardLoad {
 /// lookahead-starved / work-bound / merge-bound. A serial run reports the
 /// same object shape with `shards == 1` and empty arrays, so the key
 /// structure of the export never depends on the worker count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ScalingDiagnosis {
     /// Number of shards (1 for a serial run).
     pub shards: u32,
@@ -376,30 +321,8 @@ impl ScalingDiagnosis {
     }
 }
 
-impl Serialize for ScalingDiagnosis {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("shards".to_string(), Value::Uint(u64::from(self.shards))),
-            ("run_wall_ns".to_string(), Value::Uint(self.run_wall_ns)),
-            ("compute_ns".to_string(), Value::Uint(self.compute_ns)),
-            ("merge_ns".to_string(), Value::Uint(self.merge_ns)),
-            ("idle_ns".to_string(), Value::Uint(self.idle_ns)),
-            ("grants".to_string(), Value::Uint(self.grants)),
-            ("blame".to_string(), self.blame.to_value()),
-            (
-                "critical_path".to_string(),
-                Value::Array(self.critical_path.iter().map(Serialize::to_value).collect()),
-            ),
-            (
-                "per_shard".to_string(),
-                Value::Array(self.per_shard.iter().map(Serialize::to_value).collect()),
-            ),
-        ])
-    }
-}
-
 /// Byte totals across every emulated device's routing tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeviceMemTotals {
     /// Devices accounted.
     pub devices: u64,
@@ -415,24 +338,8 @@ pub struct DeviceMemTotals {
     pub fib_bytes: u64,
 }
 
-impl Serialize for DeviceMemTotals {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("devices".to_string(), Value::Uint(self.devices)),
-            ("rib_entries".to_string(), Value::Uint(self.rib_entries)),
-            ("rib_bytes".to_string(), Value::Uint(self.rib_bytes)),
-            ("fib_prefixes".to_string(), Value::Uint(self.fib_prefixes)),
-            (
-                "fib_route_entries".to_string(),
-                Value::Uint(self.fib_route_entries),
-            ),
-            ("fib_bytes".to_string(), Value::Uint(self.fib_bytes)),
-        ])
-    }
-}
-
 /// One device's memory estimate (only the heaviest devices are exported).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeviceMem {
     /// Device id.
     pub device: u32,
@@ -442,18 +349,8 @@ pub struct DeviceMem {
     pub fib_bytes: u64,
 }
 
-impl Serialize for DeviceMem {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("device".to_string(), Value::Uint(u64::from(self.device))),
-            ("rib_bytes".to_string(), Value::Uint(self.rib_bytes)),
-            ("fib_bytes".to_string(), Value::Uint(self.fib_bytes)),
-        ])
-    }
-}
-
 /// The process-wide `PathAttrs` interner's footprint and payoff.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct InternerMem {
     /// Live interned entries.
     pub entries: u64,
@@ -465,39 +362,13 @@ pub struct InternerMem {
     pub hit_bytes_saved: u64,
 }
 
-impl Serialize for InternerMem {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("entries".to_string(), Value::Uint(self.entries)),
-            ("table_bytes".to_string(), Value::Uint(self.table_bytes)),
-            ("hits".to_string(), Value::Uint(self.hits)),
-            (
-                "hit_bytes_saved".to_string(),
-                Value::Uint(self.hit_bytes_saved),
-            ),
-        ])
-    }
-}
-
 /// Residual engine event-queue footprint at report time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueueMem {
     /// Events still pending in the queue.
     pub pending_events: u64,
     /// Estimated bytes those pending events hold.
     pub residue_bytes: u64,
-}
-
-impl Serialize for QueueMem {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "pending_events".to_string(),
-                Value::Uint(self.pending_events),
-            ),
-            ("residue_bytes".to_string(), Value::Uint(self.residue_bytes)),
-        ])
-    }
 }
 
 /// Copy-on-write sharing breakdown for one emulation fork: what the child
@@ -545,7 +416,7 @@ impl Serialize for CowStats {
 /// All byte figures are *estimates* — entry counts multiplied by struct
 /// sizes — not allocator measurements: they are deterministic for a seed
 /// on a given platform, which is what a regression baseline needs.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MemorySection {
     /// Totals across devices.
     pub devices: DeviceMemTotals,
@@ -557,27 +428,6 @@ pub struct MemorySection {
     pub event_queue: QueueMem,
     /// COW sharing for forked emulations; `None` on a root emulation.
     pub fork_cow: Option<CowStats>,
-}
-
-impl Serialize for MemorySection {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("devices".to_string(), self.devices.to_value()),
-            (
-                "top_devices".to_string(),
-                Value::Array(self.top_devices.iter().map(Serialize::to_value).collect()),
-            ),
-            ("interner".to_string(), self.interner.to_value()),
-            ("event_queue".to_string(), self.event_queue.to_value()),
-            (
-                "fork_cow".to_string(),
-                match &self.fork_cow {
-                    Some(c) => c.to_value(),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
 }
 
 pub use crate::testutil::json_key_structure;

@@ -102,6 +102,31 @@ impl ManagementOverlay {
         Ok(())
     }
 
+    /// The VM whose management bridge `name` hangs off.
+    #[must_use]
+    pub fn vm_of(&self, name: &str) -> Option<VmId> {
+        self.edges.iter().find_map(|edge| match edge {
+            (MgmtNode::VmBridge(vm), MgmtNode::Device(n)) if n == name => Some(*vm),
+            _ => None,
+        })
+    }
+
+    /// Moves a registered device's edge onto `vm`'s bridge (its sandbox
+    /// was re-placed); its name and address stay as they are. Returns
+    /// whether the device was registered.
+    pub fn move_device(&mut self, name: &str, vm: VmId) -> bool {
+        if !self.dns.contains_key(name) {
+            return false; // the common miss costs no scan
+        }
+        let edge = self
+            .edges
+            .iter_mut()
+            .find(|edge| matches!(&edge.1, MgmtNode::Device(n) if n == name))
+            .expect("a registered device has an edge");
+        edge.0 = MgmtNode::VmBridge(vm);
+        true
+    }
+
     /// DNS lookup: device name → management IP.
     #[must_use]
     pub fn resolve(&self, name: &str) -> Option<Ipv4Addr> {
@@ -214,6 +239,14 @@ mod tests {
         assert_eq!(m.reverse(ip(307)), Some("dev-3-7"));
         assert_eq!(m.resolve("nope"), None);
         // Jumpbox -> VM bridge -> device.
+        assert_eq!(m.hops_to("dev-3-7"), Some(2));
+        // A re-placed device changes bridge and nothing else.
+        assert_eq!(m.vm_of("dev-3-7"), Some(VmId(3)));
+        assert!(m.move_device("dev-3-7", VmId(1)));
+        assert!(!m.move_device("nope", VmId(1)));
+        assert_eq!(m.vm_of("dev-3-7"), Some(VmId(1)));
+        assert_eq!(m.resolve("dev-3-7"), Some(ip(307)));
+        assert!(m.is_tree());
         assert_eq!(m.hops_to("dev-3-7"), Some(2));
     }
 
