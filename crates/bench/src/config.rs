@@ -21,17 +21,10 @@ pub fn full_scale() -> bool {
 /// Repetitions per configuration (paper: 10).
 #[must_use]
 pub fn reps() -> u64 {
-    reps_or(10)
-}
-
-/// `CRYSTALNET_REPS`, or `default` when unset or unparsable — the one
-/// place the knob is read.
-#[must_use]
-pub fn reps_or(default: u64) -> u64 {
     std::env::var("CRYSTALNET_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .unwrap_or(10)
 }
 
 /// One Figure 8 configuration: a datacenter and a VM budget.

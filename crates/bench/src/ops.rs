@@ -6,6 +6,9 @@ use crystalnet::{
     mockup,
     prepare,
     BoundaryMode,
+    Emulation,
+    FaultKind,
+    FaultPlan,
     MockupOptions,
     PlanOptions,
     SpeakerSource, //
@@ -104,6 +107,13 @@ pub struct RecoveryRow {
     pub recovery: SimDuration,
 }
 
+/// The plan index of the VM hosting the most devices.
+fn densest_vm(emu: &Emulation) -> usize {
+    (0..emu.prep.vm_plan.vms.len())
+        .max_by_key(|&i| emu.prep.vm_plan.vms[i].devices.len())
+        .expect("plan has VMs")
+}
+
 /// Measures VM failure recovery at several packing densities.
 #[must_use]
 pub fn recovery_by_density(seed: u64) -> Vec<RecoveryRow> {
@@ -123,9 +133,7 @@ pub fn recovery_by_density(seed: u64) -> Vec<RecoveryRow> {
             },
         );
         let mut emu = mockup(Arc::new(prep), MockupOptions::builder().seed(seed).build());
-        let vm_idx = (0..emu.prep.vm_plan.vms.len())
-            .max_by_key(|&i| emu.prep.vm_plan.vms[i].devices.len())
-            .expect("plan has VMs");
+        let vm_idx = densest_vm(&emu);
         let density = emu.prep.vm_plan.vms[vm_idx].devices.len();
         let recovery = emu.fail_and_recover_vm(vm_idx).expect("valid live VM");
         let _ = emu.settle();
@@ -142,6 +150,101 @@ pub fn print_recovery(rows: &[RecoveryRow]) {
         println!("{:>18} {:>12}", r.density, format!("{}", r.recovery));
     }
     println!("paper: 10-50 seconds depending on deployment density (VM reboot excluded)");
+}
+
+/// A §8.3 recovery measurement for one kind of injected fault.
+pub struct FaultRecoveryRow {
+    /// Fault scenario label.
+    pub scenario: &'static str,
+    /// Devices the recovery brought back.
+    pub devices: usize,
+    /// Virtual time from detection to recovery complete.
+    pub recovery: SimDuration,
+}
+
+/// Measures how fast the emulation heals from one fault of each kind on
+/// an S-DC packed onto 16 VMs: a direct synchronous VM failure, then —
+/// through the typed fault plan, so the health monitor has to detect,
+/// retry and quarantine — a VM crash, a VM whose first two reboots
+/// fail, one that exhausts the retry budget (quarantine to a spare) and
+/// a crashed speaker agent. Read from the structured journal.
+#[must_use]
+pub fn recovery_by_fault_kind(seed: u64) -> Vec<FaultRecoveryRow> {
+    let dc = ClosParams::s_dc().build();
+    let prep = Arc::new(prepare(
+        &dc.topo,
+        &[],
+        BoundaryMode::WholeNetwork,
+        SpeakerSource::OriginatedOnly,
+        &PlanOptions {
+            target_vms: Some(16),
+            ..PlanOptions::default()
+        },
+    ));
+    let at = SimDuration::from_secs(15);
+    let slow_restart = |failed_attempts| FaultKind::VmSlowRestart {
+        vm: 0,
+        failed_attempts,
+    };
+    let scenarios = [
+        ("direct-vm-crash", None),
+        ("vm-crash", Some(FaultKind::VmCrash { vm: 0 })),
+        ("vm-slow-restart", Some(slow_restart(2))),
+        ("quarantine", Some(slow_restart(4))),
+        (
+            "speaker-crash",
+            Some(FaultKind::SpeakerCrash {
+                device: prep.speaker_plan.scripts[0].0,
+            }),
+        ),
+    ];
+    scenarios
+        .into_iter()
+        .map(|(scenario, fault)| {
+            let mut emu = mockup(
+                Arc::clone(&prep),
+                MockupOptions::builder().seed(seed).build(),
+            );
+            match fault {
+                None => {
+                    emu.fail_and_recover_vm(densest_vm(&emu))
+                        .expect("valid live VM");
+                    emu.settle().expect("re-converges");
+                }
+                Some(kind) => {
+                    emu.run_fault_plan(&FaultPlan::default().then(at, kind))
+                        .expect("plan executes");
+                }
+            }
+            // The *latest* recovery in virtual time, not emission order:
+            // overlapping faults interleave in the raw journal.
+            let (_, recovery, devices) = *emu
+                .journal
+                .sorted()
+                .recoveries()
+                .last()
+                .expect("every scenario completes a recovery");
+            FaultRecoveryRow {
+                scenario,
+                devices,
+                recovery,
+            }
+        })
+        .collect()
+}
+
+/// Prints the per-fault-kind recovery table.
+pub fn print_fault_recovery(rows: &[FaultRecoveryRow]) {
+    println!("\n=== §8.3: recovery latency by fault kind (S-DC, 16 VMs) ===");
+    println!("{:<18} {:>9} {:>12}", "fault", "devices", "recovery");
+    for r in rows {
+        println!(
+            "{:<18} {:>9} {:>11.2}s",
+            r.scenario,
+            r.devices,
+            r.recovery.as_nanos() as f64 / 1e9
+        );
+    }
 }
 
 /// An ablation row: network-ready latency under a design variant.

@@ -28,8 +28,7 @@ use crate::prepare::PrepareOutput;
 pub use crate::work::VmWorkModel;
 use crystalnet_config::DeviceConfig;
 use crystalnet_dataplane::TraceStore;
-use crystalnet_net::{partition_grouped, DeviceId, Ipv4Addr, Topology};
-use crystalnet_routing::harness::WorkModel;
+use crystalnet_net::{DeviceId, Ipv4Addr, Topology};
 use crystalnet_routing::{BgpRouterOs, ControlPlaneSim};
 use crystalnet_sim::{SimDuration, SimRng, SimTime};
 use crystalnet_telemetry::profile::keys as profile_keys;
@@ -262,14 +261,10 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
     }
 
     let t_converge = emu.options.profiling.then(Instant::now);
-    let route_ready_at = converge(
-        &mut emu.sim,
-        &topo,
-        &emu.sandboxes,
-        &emu.options,
-        network_ready_at + emu.options.deadline,
-    )
-    .expect("emulation failed to converge before the deadline");
+    let route_ready_at = emu
+        .sim
+        .run_until_quiet(emu.options.quiet, network_ready_at + emu.options.deadline)
+        .expect("emulation failed to converge before the deadline");
     let rec = &mut *emu.sim.engine.world.recorder;
     if let Some(t0) = t_converge {
         rec.profile_add(
@@ -280,8 +275,7 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
     let route_ops = emu.sim.engine.world.route_ops_total;
     emu.metrics = MockupMetrics::from_phases(network_ready_at, route_ready_at, route_ops);
 
-    // Phase spans + orchestrator events, emitted serially so their order
-    // is identical whatever `workers` drove the convergence.
+    // Phase spans + orchestrator events.
     if rec.enabled() {
         let boot_end = MemRecorder::from_recorder(&*rec)
             .and_then(|m| m.gauge("routing.last_boot_done_ns"))
@@ -312,59 +306,6 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
             .expect("options.fault_plan failed to execute");
     }
     emu
-}
-
-/// Runs the sim to route quiescence — serially, or on the sharded
-/// conservative executor when `options.workers > 1`.
-///
-/// The partition is VM-aligned (devices sharing a VM share a shard, so a
-/// VM's CPU server is only ever driven by one worker thread), shard work
-/// models are forked from the live [`VmWorkModel`] — they share the cloud
-/// through its `Arc` — and per-device state is folded back after the
-/// join. Combined with the executor's serial-equivalence protocol, the
-/// result is bit-identical to a serial run.
-pub(crate) fn converge(
-    sim: &mut ControlPlaneSim,
-    topo: &Topology,
-    sandboxes: &HashMap<DeviceId, Sandbox>,
-    options: &MockupOptions,
-    deadline: SimTime,
-) -> Option<SimTime> {
-    let workers = options.workers.max(1);
-    if workers == 1 {
-        return sim.run_until_quiet(options.quiet, deadline);
-    }
-    // Devices sharing a VM must share a shard; unplaced devices float as
-    // singleton groups.
-    let n_vms = sandboxes.values().map(|sb| sb.vm + 1).max().unwrap_or(0);
-    let mut next_free = n_vms as u32;
-    let group_of: Vec<u32> = (0..topo.device_count() as u32)
-        .map(|i| match sandboxes.get(&DeviceId(i)) {
-            Some(sb) => sb.vm as u32,
-            None => {
-                let g = next_free;
-                next_free += 1;
-                g
-            }
-        })
-        .collect();
-    // The partition may produce fewer shards than requested workers on
-    // small fleets (one shard per VM group at most).
-    let part = partition_grouped(topo, workers, &group_of);
-
-    let template = VmWorkModel::of(sim).clone();
-    let shard_work: Vec<Box<dyn WorkModel>> = (0..part.shard_count())
-        .map(|_| Box::new(template.clone()) as Box<dyn WorkModel>)
-        .collect();
-    let (t, models) = sim.run_until_quiet_parallel(options.quiet, deadline, &part, shard_work);
-
-    let main = VmWorkModel::of(sim);
-    for (shard, mut model) in models.into_iter().enumerate() {
-        if let Some(m) = model.as_any_mut().downcast_mut::<VmWorkModel>() {
-            main.absorb(m, &part.shards[shard]);
-        }
-    }
-    t
 }
 
 impl Emulation {
@@ -431,8 +372,7 @@ impl Emulation {
         self.journal.record(at, kind);
     }
 
-    /// Runs until route quiescence (post-change convergence), honouring
-    /// `MockupOptions::workers`.
+    /// Runs until route quiescence (post-change convergence).
     ///
     /// # Errors
     ///
@@ -442,14 +382,10 @@ impl Emulation {
         let start = self.now();
         let deadline = start + self.options.deadline;
         let t_settle = self.options.profiling.then(Instant::now);
-        let settled = converge(
-            &mut self.sim,
-            &self.topo,
-            &self.sandboxes,
-            &self.options,
-            deadline,
-        )
-        .ok_or(EmulationError::NotConverged)?;
+        let settled = self
+            .sim
+            .run_until_quiet(self.options.quiet, deadline)
+            .ok_or(EmulationError::NotConverged)?;
         let rec = &mut *self.sim.engine.world.recorder;
         if let Some(t0) = t_settle {
             rec.profile_add(profile_keys::SETTLE, t0.elapsed().as_nanos() as u64);

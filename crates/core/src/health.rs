@@ -20,8 +20,7 @@ use std::collections::BTreeMap;
 /// One `(src, dst)` pair's gauges as either packet-walk plane keeps
 /// them — probes for the health report, flows for the traffic report:
 /// reachability, latency, and the rolling SLO window. All fields are
-/// integers so the canonical export is byte-stable across worker counts
-/// and platforms.
+/// integers so the canonical export is byte-stable across platforms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairGauges {
     /// Launching device.
@@ -104,7 +103,7 @@ impl Serialize for PairGauges {
 }
 
 /// The probe mesh's state, rendered for export. Canonical: byte-stable
-/// across reps, worker counts, and `profiling(true)`.
+/// across reps and `profiling(true)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// Whether the health plane was enabled for this run.
@@ -154,8 +153,8 @@ impl HealthReport {
         }
     }
 
-    /// Canonical JSON export: bit-identical across reps and worker
-    /// counts for the same seed. Ends with a newline.
+    /// Canonical JSON export: bit-identical across reps for the same
+    /// seed. Ends with a newline.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(&self.to_value())

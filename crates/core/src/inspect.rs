@@ -67,9 +67,9 @@ impl Emulation {
     /// `PullReport`: the run's observability snapshot — phase and
     /// recovery spans, the merged metrics registry, orchestrator events,
     /// and the time-sorted journal. Canonical JSON
-    /// ([`RunReport::to_json`]) is bit-identical across repetitions and
-    /// across `workers` values for the same seed; the empty report is
-    /// returned when the mockup was built with `telemetry(false)`.
+    /// ([`RunReport::to_json`]) is bit-identical across repetitions for
+    /// the same seed; the empty report is returned when the mockup was
+    /// built with `telemetry(false)`.
     ///
     /// # Examples
     ///
@@ -438,8 +438,8 @@ impl Emulation {
     /// with provenance) from the ring-buffer sink, plus one `packet_hop`
     /// record per captured [`TraceEvent`], each carrying the provenance
     /// digest of the FIB entry that forwarded it. Sorted by the global
-    /// rank, so the stream is byte-identical across `workers` values and
-    /// repetitions for a fixed seed.
+    /// rank, so the stream is byte-identical across repetitions for a
+    /// fixed seed.
     #[must_use]
     pub fn pull_trace(&self) -> Vec<TraceRecord> {
         let mut recs: Vec<TraceRecord> =

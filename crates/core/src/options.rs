@@ -100,11 +100,7 @@ pub struct MockupOptions {
     pub deadline: SimDuration,
     /// Per-device firmware profile overrides (dev builds, buggy images).
     pub profile_overrides: HashMap<DeviceId, VendorProfile>,
-    /// Worker shards for the convergence runs (`1` = serial). Any value
-    /// produces bit-identical results: the partition is VM-aligned so a
-    /// VM's CPU server is only ever driven by one worker thread, and all
-    /// stochastic work costs derive from per-device seeds rather than a
-    /// shared sequential stream.
+    /// Accepted for compatibility; every value runs serially.
     pub workers: usize,
     /// Faults to inject once the mockup is route-ready (offsets are
     /// relative to that instant). Executed automatically by
@@ -137,11 +133,10 @@ pub struct MockupOptions {
     /// at all, clear [`MockupOptions::telemetry`] instead.
     pub trace_capacity: usize,
     /// Whether to collect the wall-clock run profile: hierarchical
-    /// span timings, the parallel executor's grant timeline and
-    /// critical-path `scaling_diagnosis`, and memory accounting —
-    /// surfaced through `RunReport::to_json_full()`. Off by default:
-    /// wall timing is nondeterministic and the canonical report must
-    /// stay byte-stable. Implies `telemetry`.
+    /// span timings, the (one-shard) `scaling_diagnosis`, and memory
+    /// accounting — surfaced through `RunReport::to_json_full()`. Off
+    /// by default: wall timing is nondeterministic and the canonical
+    /// report must stay byte-stable. Implies `telemetry`.
     pub profiling: bool,
 }
 
@@ -212,7 +207,7 @@ impl MockupOptionsBuilder {
         self
     }
 
-    /// Worker shards for convergence runs (`1` = serial).
+    /// Accepted for compatibility; every value runs serially.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.options.workers = workers;

@@ -25,8 +25,8 @@
 //!    prediction is audited, not trusted: every device it missed is in
 //!    [`ConvergenceDelta::outside_dirty`] and counted in
 //!    `core.apply_change.fib_changes_outside_dirty`;
-//! 3. re-converges the existing sim on the same sharded executor while
-//!    untouched devices stay the very OS instances the parent holds; and
+//! 3. re-converges the existing sim while untouched devices stay the
+//!    very OS instances the parent holds; and
 //! 4. returns a typed [`ConvergenceDelta`]: per-device FIB
 //!    adds/removes/modifies with provenance digests, the dirty-set size,
 //!    and the virtual cost of the step.
@@ -39,11 +39,11 @@
 //!
 //! The warm-start result is **bit-identical** to a cold full re-settle
 //! from the same seed (`crates/core/tests/incremental.rs` proves it per
-//! change kind, across worker counts): the event engine is deterministic
+//! change kind): the event engine is deterministic
 //! and quiescent state carries no pending work, so resuming it is
 //! equivalent to replaying history.
 
-use crate::emulation::{converge, Emulation, EmulationError};
+use crate::emulation::{Emulation, EmulationError};
 use crystalnet_config::{
     classify_diff, classify_ripple, config_diff, Change, ChangeImpact, ChangeSet, DeviceConfig,
 };
@@ -109,9 +109,9 @@ pub struct AppliedChange {
 /// The typed result of one incremental re-convergence step.
 ///
 /// Every field is a deterministic world fact: identical across
-/// repetitions and `workers` values for the same seed and change
-/// history. The struct carries no wall-clock reading; what a step costs
-/// in host time is the `core.apply` profile span's business.
+/// repetitions for the same seed and change history. The struct
+/// carries no wall-clock reading; what a step costs in host time is the
+/// `core.apply` profile span's business.
 #[derive(Debug, Clone)]
 pub struct ConvergenceDelta {
     /// What was applied, in change-set order.
@@ -494,14 +494,9 @@ impl Emulation {
         // ---- Re-converge only if something was injected. ----
         let settled_at = if did_work {
             let deadline = start + self.options.deadline;
-            converge(
-                &mut self.sim,
-                &self.topo,
-                &self.sandboxes,
-                &self.options,
-                deadline,
-            )
-            .ok_or(EmulationError::NotConverged)?
+            self.sim
+                .run_until_quiet(self.options.quiet, deadline)
+                .ok_or(EmulationError::NotConverged)?
         } else {
             start
         };

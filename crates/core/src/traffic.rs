@@ -60,7 +60,7 @@ impl Serialize for LinkUtilisation {
 }
 
 /// The traffic plane's state, rendered for export. Canonical:
-/// byte-stable across reps, worker counts, and `profiling(true)`.
+/// byte-stable across reps and `profiling(true)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficReport {
     /// Whether the traffic plane was enabled for this run.
@@ -152,8 +152,8 @@ impl TrafficReport {
         }
     }
 
-    /// Canonical JSON export: bit-identical across reps and worker
-    /// counts for the same seed. Ends with a newline.
+    /// Canonical JSON export: bit-identical across reps for the same
+    /// seed. Ends with a newline.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(&self.to_value())

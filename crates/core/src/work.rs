@@ -28,8 +28,8 @@ pub struct VmWorkModel {
     link_span: HashMap<LinkId, LinkSpan>,
     /// Seed for boot-latency jitter. Jitter is derived from
     /// `(seed, device, boot ordinal)` rather than drawn from a shared
-    /// sequential stream, so event interleaving — and therefore parallel
-    /// execution — cannot change any device's boot time.
+    /// sequential stream, so event interleaving cannot change any
+    /// device's boot time.
     jitter_seed: u64,
     /// Per-device boot ordinal; a reboot draws fresh jitter.
     boot_seq: HashMap<DeviceId, u64>,
@@ -104,20 +104,6 @@ impl VmWorkModel {
     /// intra-VM veth and inter-VM VXLAN, and re-placement changes it.
     pub(crate) fn set_link_span(&mut self, link: LinkId, span: LinkSpan) {
         self.link_span.insert(link, span);
-    }
-
-    /// Folds a shard replica's per-device mutations back after a parallel
-    /// join. The cloud is shared by `Arc`, so only the device-local
-    /// tables need merging.
-    pub(crate) fn absorb(&mut self, shard: &VmWorkModel, owned: &[DeviceId]) {
-        for &dev in owned {
-            if let Some(&t) = shard.device_busy.get(&dev) {
-                self.device_busy.insert(dev, t);
-            }
-            if let Some(&s) = shard.boot_seq.get(&dev) {
-                self.boot_seq.insert(dev, s);
-            }
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! guarantee (dropping N forks leaves the baseline byte-identical to an
 //! untouched run), and the commit-path differential guarantee (a
 //! committed fork lands on the same FIBs as a cold boot of the final
-//! state, across worker counts).
+//! state).
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Whole-network fig. 7 mockup.
-fn fig7_emu(seed: u64, workers: usize) -> Emulation {
+fn fig7_emu(seed: u64) -> Emulation {
     let f = fig7();
     let prep = prepare(
         &f.topo,
@@ -23,10 +23,7 @@ fn fig7_emu(seed: u64, workers: usize) -> Emulation {
         SpeakerSource::OriginatedOnly,
         &PlanOptions::default(),
     );
-    mockup(
-        Arc::new(prep),
-        MockupOptions::builder().seed(seed).workers(workers).build(),
-    )
+    mockup(Arc::new(prep), MockupOptions::builder().seed(seed).build())
 }
 
 /// Every emulated device's full FIB, keyed by id.
@@ -72,7 +69,7 @@ proptest! {
         fault_events in 1usize..4,
     ) {
         let f = fig7();
-        let emu = fig7_emu(7, 1);
+        let emu = fig7_emu(7);
         let fibs_before = fib_map(&emu);
         let report_before = emu.pull_report().to_json();
         let journal_before = emu.journal.events.len();
@@ -135,8 +132,8 @@ proptest! {
 #[test]
 fn n_dropped_forks_leave_the_baseline_byte_identical() {
     let f = fig7();
-    let emu = fig7_emu(17, 1);
-    let untouched = fig7_emu(17, 1);
+    let emu = fig7_emu(17);
+    let untouched = fig7_emu(17);
 
     let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
     for i in 0..4u8 {
@@ -179,53 +176,45 @@ fn n_dropped_forks_leave_the_baseline_byte_identical() {
 fn committed_fork_matches_cold_boot_across_workers() {
     let f = fig7();
     let t1 = f.tors[0];
-    let mut per_worker: Vec<BTreeMap<Dev, Fib>> = Vec::new();
 
-    for workers in [1usize, 4] {
-        let mut emu = fig7_emu(7, workers);
-        let changes = announce_extra(&emu, t1, 0);
-        let final_cfg = {
-            let mut cfg = prepared_config(&emu, t1);
-            cfg.bgp
-                .as_mut()
-                .unwrap()
-                .networks
-                .push("10.77.0.0/24".parse().unwrap());
-            cfg
-        };
+    let mut emu = fig7_emu(7);
+    let changes = announce_extra(&emu, t1, 0);
+    let final_cfg = {
+        let mut cfg = prepared_config(&emu, t1);
+        cfg.bgp
+            .as_mut()
+            .unwrap()
+            .networks
+            .push("10.77.0.0/24".parse().unwrap());
+        cfg
+    };
 
-        let mut fork = emu.fork();
-        fork.apply(&changes).expect("network edit applies on fork");
-        let deltas = fork.commit(&mut emu);
-        assert_eq!(deltas.len(), 1);
-        assert!(deltas[0].total_fib_changes() > 0);
+    let mut fork = emu.fork();
+    fork.apply(&changes).expect("network edit applies on fork");
+    let deltas = fork.commit(&mut emu);
+    assert_eq!(deltas.len(), 1);
+    assert!(deltas[0].total_fib_changes() > 0);
 
-        // Differential: a cold mockup whose prepared config is already
-        // the final one must land on byte-identical FIBs everywhere.
-        let mut prep = prepare(
-            &f.topo,
-            &[],
-            BoundaryMode::WholeNetwork,
-            SpeakerSource::OriginatedOnly,
-            &PlanOptions::default(),
-        );
-        for (d, c) in &mut prep.configs {
-            if *d == t1 {
-                *c = final_cfg.clone();
-            }
+    // Differential: a cold mockup whose prepared config is already
+    // the final one must land on byte-identical FIBs everywhere.
+    let mut prep = prepare(
+        &f.topo,
+        &[],
+        BoundaryMode::WholeNetwork,
+        SpeakerSource::OriginatedOnly,
+        &PlanOptions::default(),
+    );
+    for (d, c) in &mut prep.configs {
+        if *d == t1 {
+            *c = final_cfg.clone();
         }
-        let cold = mockup(
-            Arc::new(prep),
-            MockupOptions::builder().seed(7).workers(workers).build(),
-        );
-        assert_eq!(
-            fib_map(&emu),
-            fib_map(&cold),
-            "committed fork diverged from cold full settle (workers={workers})"
-        );
-        per_worker.push(fib_map(&emu));
     }
-    assert_eq!(per_worker[0], per_worker[1], "workers must not change FIBs");
+    let cold = mockup(Arc::new(prep), MockupOptions::builder().seed(7).build());
+    assert_eq!(
+        fib_map(&emu),
+        fib_map(&cold),
+        "committed fork diverged from cold full settle"
+    );
 }
 
 #[test]
@@ -241,29 +230,24 @@ fn committed_link_down_matches_full_resettle_across_workers() {
         .map(|(lid, _)| lid)
         .expect("fig7 has an s1-l1 link");
 
-    let mut per_worker: Vec<BTreeMap<Dev, Fib>> = Vec::new();
-    for workers in [1usize, 4] {
-        let mut emu = fig7_emu(11, workers);
-        let mut fork = emu.fork();
-        let delta = fork
-            .apply(&ChangeSet::new().link_down(lid))
-            .expect("link-down applies on fork");
-        assert!(delta.total_fib_changes() > 0);
-        fork.commit(&mut emu);
+    let mut emu = fig7_emu(11);
+    let mut fork = emu.fork();
+    let delta = fork
+        .apply(&ChangeSet::new().link_down(lid))
+        .expect("link-down applies on fork");
+    assert!(delta.total_fib_changes() > 0);
+    fork.commit(&mut emu);
 
-        // Reference: the pre-existing full path — fresh mockup, Table 2
-        // Disconnect, full settle.
-        let mut cold = fig7_emu(11, workers);
-        cold.disconnect(lid);
-        cold.settle().expect("cold path converges");
-        assert_eq!(
-            fib_map(&emu),
-            fib_map(&cold),
-            "committed link-down diverged from full settle (workers={workers})"
-        );
-        per_worker.push(fib_map(&emu));
-    }
-    assert_eq!(per_worker[0], per_worker[1]);
+    // Reference: the pre-existing full path — fresh mockup, Table 2
+    // Disconnect, full settle.
+    let mut cold = fig7_emu(11);
+    cold.disconnect(lid);
+    cold.settle().expect("cold path converges");
+    assert_eq!(
+        fib_map(&emu),
+        fib_map(&cold),
+        "committed link-down diverged from full settle"
+    );
 }
 
 #[test]
@@ -285,10 +269,10 @@ fn rehearse_is_a_fork_per_step_wrapper() {
         RehearsalStep::new("restore", ChangeSet::new().link_up(lid)),
     ];
 
-    let mut via_rehearse = fig7_emu(13, 1);
+    let mut via_rehearse = fig7_emu(13);
     let report = via_rehearse.rehearse(&steps).expect("plan runs");
 
-    let mut via_forks = fig7_emu(13, 1);
+    let mut via_forks = fig7_emu(13);
     let mut manual: Vec<ConvergenceDelta> = Vec::new();
     for step in &steps {
         let mut fork = via_forks.fork();
@@ -308,7 +292,7 @@ fn rehearse_is_a_fork_per_step_wrapper() {
 #[test]
 fn concurrent_forks_rehearse_on_worker_threads() {
     let f = fig7();
-    let emu = fig7_emu(23, 1);
+    let emu = fig7_emu(23);
     let before = fib_map(&emu);
     let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
 
@@ -345,7 +329,7 @@ fn concurrent_forks_rehearse_on_worker_threads() {
 
 #[test]
 fn snapshot_describes_the_fork_point() {
-    let emu = fig7_emu(29, 1);
+    let emu = fig7_emu(29);
     let snap = emu.snapshot();
     assert_eq!(snap.devices, 14);
     assert_eq!(snap.at, emu.now());
@@ -369,7 +353,7 @@ fn snapshot_describes_the_fork_point() {
 #[test]
 fn fork_of_a_fork_keeps_every_generation_isolated() {
     let f = fig7();
-    let emu = fig7_emu(31, 1);
+    let emu = fig7_emu(31);
     let lid = f.topo.links().next().map(|(lid, _)| lid).unwrap();
 
     let mut child = emu.fork();

@@ -100,10 +100,10 @@ struct Fixture {
 }
 
 impl Fixture {
-    fn warm(&self, workers: usize) -> Emulation {
+    fn warm(&self) -> Emulation {
         mockup(
             Arc::clone(&self.prep),
-            MockupOptions::builder().seed(42).workers(workers).build(),
+            MockupOptions::builder().seed(42).build(),
         )
     }
 
@@ -291,94 +291,81 @@ fn fib_map(emu: &Emulation) -> BTreeMap<DeviceId, Fib> {
 #[test]
 fn deltas_and_cumulative_diffs_equal_the_reference() {
     for fx in [fig7b(), s_dc(42)] {
-        let mut per_worker = Vec::new();
-        for workers in [1usize, 4] {
-            let warm = fx.warm(workers);
-            let base = tables(&warm);
-            let mut seen = Vec::new();
-            for (what, steps) in fx.rehearsals() {
-                let ctx = format!("{} {what} workers={workers}", fx.name);
-                let mut fork = warm.fork();
-                for step in &steps {
-                    let before = tables(fork.emulation());
-                    let delta = fork.apply(step).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    // `before`'s scope, so a removed device still
-                    // reports every entry `Removed`.
-                    let after = fib_snapshot(
-                        fork.emulation(),
-                        &before.keys().copied().collect::<BTreeSet<_>>(),
-                    );
-                    assert_eq!(
-                        delta.fib_changes,
-                        diff_snapshots(&before, &after),
-                        "{ctx}: delta differs from the reference"
-                    );
-                }
-                let cumulative = fork.diff_against_parent();
-                assert_eq!(
-                    cumulative,
-                    diff_snapshots(&base, &tables(fork.emulation())),
-                    "{ctx}: cumulative diff differs from the reference"
+        let warm = fx.warm();
+        let base = tables(&warm);
+        for (what, steps) in fx.rehearsals() {
+            let ctx = format!("{} {what}", fx.name);
+            let mut fork = warm.fork();
+            for step in &steps {
+                let before = tables(fork.emulation());
+                let delta = fork.apply(step).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                // `before`'s scope, so a removed device still
+                // reports every entry `Removed`.
+                let after = fib_snapshot(
+                    fork.emulation(),
+                    &before.keys().copied().collect::<BTreeSet<_>>(),
                 );
-                if what != "config_acl" && what != "link_down + link_up" {
-                    assert!(!cumulative.is_empty(), "{ctx}: the step moved nothing");
-                }
-                seen.push(cumulative);
-                drop(fork);
-                assert_eq!(tables(&warm), base, "{ctx}: the fork perturbed its parent");
+                assert_eq!(
+                    delta.fib_changes,
+                    diff_snapshots(&before, &after),
+                    "{ctx}: delta differs from the reference"
+                );
             }
-            per_worker.push(seen);
+            let cumulative = fork.diff_against_parent();
+            assert_eq!(
+                cumulative,
+                diff_snapshots(&base, &tables(fork.emulation())),
+                "{ctx}: cumulative diff differs from the reference"
+            );
+            if what != "config_acl" && what != "link_down + link_up" {
+                assert!(!cumulative.is_empty(), "{ctx}: the step moved nothing");
+            }
+            drop(fork);
+            assert_eq!(tables(&warm), base, "{ctx}: the fork perturbed its parent");
         }
-        assert_eq!(
-            per_worker[0], per_worker[1],
-            "{}: workers changed a diff",
-            fx.name
-        );
     }
 }
 
 #[test]
 fn fault_plan_on_a_fork_diffs_like_the_reference() {
     let fx = s_dc(42);
-    for workers in [1usize, 4] {
-        let warm = fx.warm(workers);
-        let base = tables(&warm);
-        let mut fork = warm.fork();
-        let plan = FaultPlan::default()
-            .then(SimDuration::from_secs(1), FaultKind::VmCrash { vm: 0 })
-            .then(
-                SimDuration::from_secs(2),
-                FaultKind::LinkFlapBurst {
-                    link: fx.uplink,
-                    flaps: 2,
-                    period: SimDuration::from_secs(3),
-                },
-            )
-            .then(
-                SimDuration::from_secs(4),
-                FaultKind::SpeakerCrash { device: fx.speaker },
-            );
-        fork.inject_faults(&plan).expect("the drill recovers");
-        assert_eq!(
-            fork.diff_against_parent(),
-            diff_snapshots(&base, &tables(fork.emulation())),
-            "workers={workers}: diff after a fault drill differs from the reference"
+    let warm = fx.warm();
+    let base = tables(&warm);
+    let mut fork = warm.fork();
+    let plan = FaultPlan::default()
+        .then(SimDuration::from_secs(1), FaultKind::VmCrash { vm: 0 })
+        .then(
+            SimDuration::from_secs(2),
+            FaultKind::LinkFlapBurst {
+                link: fx.uplink,
+                flaps: 2,
+                period: SimDuration::from_secs(3),
+            },
+        )
+        .then(
+            SimDuration::from_secs(4),
+            FaultKind::SpeakerCrash { device: fx.speaker },
         );
-        // A change on top of the recovered fork still diffs exactly.
-        let before = tables(fork.emulation());
-        let delta = fork.apply(&fx.config_update()).expect("applies");
-        assert_eq!(
-            delta.fib_changes,
-            diff_snapshots(&before, &tables(fork.emulation()))
-        );
-        assert_eq!(tables(&warm), base, "the drill perturbed its parent");
-    }
+    fork.inject_faults(&plan).expect("the drill recovers");
+    assert_eq!(
+        fork.diff_against_parent(),
+        diff_snapshots(&base, &tables(fork.emulation())),
+        "diff after a fault drill differs from the reference"
+    );
+    // A change on top of the recovered fork still diffs exactly.
+    let before = tables(fork.emulation());
+    let delta = fork.apply(&fx.config_update()).expect("applies");
+    assert_eq!(
+        delta.fib_changes,
+        diff_snapshots(&before, &tables(fork.emulation()))
+    );
+    assert_eq!(tables(&warm), base, "the drill perturbed its parent");
 }
 
 #[test]
 fn mutating_the_parent_leaves_a_live_fork_untouched() {
     let fx = s_dc(1337);
-    let mut warm = fx.warm(1);
+    let mut warm = fx.warm();
     let base = tables(&warm);
 
     let mut live = warm.fork();
@@ -420,7 +407,7 @@ fn mutating_the_parent_leaves_a_live_fork_untouched() {
 #[test]
 fn show_routes_on_a_fork_changes_no_diff() {
     let fx = fig7b();
-    let warm = fx.warm(1);
+    let warm = fx.warm();
     let mut fork = warm.fork();
     let host = fx.prep.topo.device(fx.tor).name.clone();
     let rows = fork
@@ -453,44 +440,40 @@ fn unshared(parent: &Emulation, child: &Emulation) -> BTreeSet<DeviceId> {
 #[test]
 fn a_fork_shares_every_os_until_a_step_writes_to_it() {
     let fx = s_dc(42);
-    // With four workers every OS travels to a shard and back during a
-    // step; its identity has to survive the round trip.
-    for workers in [1usize, 4] {
-        let warm = fx.warm(workers);
-        let mut fork = warm.fork();
-        assert!(unshared(&warm, fork.emulation()).is_empty());
-        let fresh = fork.cow_stats();
-        assert_eq!(fresh.copied_bytes, 0);
-        assert!(fresh.shared_bytes > 0 && fresh.sharing_ratio() >= 0.95);
+    let warm = fx.warm();
+    let mut fork = warm.fork();
+    assert!(unshared(&warm, fork.emulation()).is_empty());
+    let fresh = fork.cow_stats();
+    assert_eq!(fresh.copied_bytes, 0);
+    assert!(fresh.shared_bytes > 0 && fresh.sharing_ratio() >= 0.95);
 
-        // An ACL-only edit writes to the edited ToR and to the neighbours
-        // it asks to replay their routes (route refresh) — nobody else,
-        // and no FIB anywhere moves.
-        let delta = fork.apply(&fx.config_acl()).expect("acl edit applies");
-        assert!(delta.fib_changes.is_empty());
-        let touched = unshared(&warm, fork.emulation());
-        let mut one_hop: BTreeSet<DeviceId> = fx.prep.topo.neighbor_devices(fx.acl_tor).collect();
-        one_hop.insert(fx.acl_tor);
-        assert!(touched.contains(&fx.acl_tor));
-        assert!(
-            touched.is_subset(&one_hop),
-            "workers={workers}: an ACL edit copied devices beyond one hop: {touched:?}"
-        );
-        let after_acl = fork.cow_stats();
-        assert!(after_acl.copied_bytes > 0);
-        assert_eq!(
-            after_acl.shared_bytes + after_acl.copied_bytes,
-            fresh.shared_bytes,
-            "an ACL edit changes who owns the bytes, not how many there are"
-        );
-        assert!(after_acl.sharing_ratio() > 0.9);
+    // An ACL-only edit writes to the edited ToR and to the neighbours
+    // it asks to replay their routes (route refresh) — nobody else,
+    // and no FIB anywhere moves.
+    let delta = fork.apply(&fx.config_acl()).expect("acl edit applies");
+    assert!(delta.fib_changes.is_empty());
+    let touched = unshared(&warm, fork.emulation());
+    let mut one_hop: BTreeSet<DeviceId> = fx.prep.topo.neighbor_devices(fx.acl_tor).collect();
+    one_hop.insert(fx.acl_tor);
+    assert!(touched.contains(&fx.acl_tor));
+    assert!(
+        touched.is_subset(&one_hop),
+        "an ACL edit copied devices beyond one hop: {touched:?}"
+    );
+    let after_acl = fork.cow_stats();
+    assert!(after_acl.copied_bytes > 0);
+    assert_eq!(
+        after_acl.shared_bytes + after_acl.copied_bytes,
+        fresh.shared_bytes,
+        "an ACL edit changes who owns the bytes, not how many there are"
+    );
+    assert!(after_acl.sharing_ratio() > 0.9);
 
-        // A new prefix reaches the whole fabric: the share collapses.
-        fork.apply(&fx.config_update())
-            .expect("config_update applies");
-        assert!(fork.cow_stats().sharing_ratio() < 0.1);
-        assert!(unshared(&warm, fork.emulation()).len() > touched.len());
-    }
+    // A new prefix reaches the whole fabric: the share collapses.
+    fork.apply(&fx.config_update())
+        .expect("config_update applies");
+    assert!(fork.cow_stats().sharing_ratio() < 0.1);
+    assert!(unshared(&warm, fork.emulation()).len() > touched.len());
 }
 
 #[test]
@@ -498,7 +481,7 @@ fn a_change_outside_the_predicted_dirty_set_is_still_reported() {
     // A leaf→spine drain is predicted to stay in its pod plus the spine
     // tier; the spine's withdrawals also reach the other pods' leaves.
     let fx = s_dc(42);
-    let warm = fx.warm(1);
+    let warm = fx.warm();
     let before = fib_map(&warm);
     let mut fork = warm.fork();
     let delta = fork

@@ -3,7 +3,7 @@
 //! hash. The digests were recorded before the packet-walk planes were
 //! folded onto one tick/hop/report path, so any refactor of that path
 //! that moves a single export byte (an event id, an incident's order, a
-//! counter) fails here, for the serial and the sharded executor alike.
+//! counter) fails here.
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
@@ -15,8 +15,8 @@ fn digest(s: &str) -> u64 {
     })
 }
 
-/// The five exports of the scenario at `workers`, by name.
-fn exports(workers: usize) -> Vec<(&'static str, String)> {
+/// The five exports of the scenario, by name.
+fn exports() -> Vec<(&'static str, String)> {
     let clos = ClosParams::s_dc().build();
     let prep = prepare(
         &clos.topo,
@@ -30,7 +30,6 @@ fn exports(workers: usize) -> Vec<(&'static str, String)> {
         Arc::new(prep),
         MockupOptions::builder()
             .seed(2017)
-            .workers(workers)
             .trace_capacity(1 << 20)
             .health_config(ProbeConfig {
                 pairs_per_round: 64,
@@ -76,21 +75,19 @@ fn sdc_exports_match_the_recorded_digests_serial_and_sharded() {
         ("trace_jsonl", 0x11e9_a475_5013_1264),
         ("pull_report", 0x340a_5322_5e97_26db),
     ];
-    for workers in [1, 4] {
-        let got = exports(workers);
-        assert!(
-            got[0].1.lines().count() > 10,
-            "the scenario must produce incidents from both planes"
+    let got = exports();
+    assert!(
+        got[0].1.lines().count() > 10,
+        "the scenario must produce incidents from both planes"
+    );
+    for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
+        assert_eq!(*name, golden_name);
+        assert_eq!(
+            digest(export),
+            golden,
+            "{name} moved ({} bytes)",
+            export.len()
         );
-        for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
-            assert_eq!(*name, golden_name);
-            assert_eq!(
-                digest(export),
-                golden,
-                "workers={workers}: {name} moved ({} bytes)",
-                export.len()
-            );
-        }
     }
 }
 
@@ -101,7 +98,7 @@ fn sdc_exports_match_the_recorded_digests_serial_and_sharded() {
 /// swaps a speaker's routes, removes a ToR and commits. Digested: the
 /// sorted journal, the run report, the causal trace, where every device
 /// ended up (VM and container ids) and the virtual-link list.
-fn lifecycle_exports(workers: usize) -> Vec<(&'static str, String)> {
+fn lifecycle_exports() -> Vec<(&'static str, String)> {
     let clos = ClosParams::s_dc().build();
     let prep = prepare(
         &clos.topo,
@@ -118,7 +115,6 @@ fn lifecycle_exports(workers: usize) -> Vec<(&'static str, String)> {
         Arc::new(prep),
         MockupOptions::builder()
             .seed(2017)
-            .workers(workers)
             .trace_capacity(1 << 20)
             .build(),
     );
@@ -189,16 +185,14 @@ fn lifecycle_exports_match_the_recorded_digests_serial_and_sharded() {
         ("placement", 0x6df2_19e6_4529_84d4),
         ("vlinks", 0x9578_ad06_9e71_7114),
     ];
-    for workers in [1, 4] {
-        let got = lifecycle_exports(workers);
-        for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
-            assert_eq!(*name, golden_name);
-            assert_eq!(
-                digest(export),
-                golden,
-                "workers={workers}: {name} moved ({} bytes)",
-                export.len()
-            );
-        }
+    let got = lifecycle_exports();
+    for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
+        assert_eq!(*name, golden_name);
+        assert_eq!(
+            digest(export),
+            golden,
+            "{name} moved ({} bytes)",
+            export.len()
+        );
     }
 }

@@ -1,7 +1,6 @@
 //! Continuous health-plane tests: the probe mesh catches a silent
 //! blackhole the final-FIB differential cannot see, gauges and the
-//! incident timeline are byte-identical across worker counts and
-//! unchanged by profiling, the plane is fully passive when disabled,
+//! incident timeline are unchanged by profiling, the plane is fully passive when disabled,
 //! builder knobs fail eagerly, the capped trace sink drops
 //! deterministically under probe load, and a fork's rehearsed change
 //! reports its own SLO impact without touching the parent.
@@ -27,7 +26,7 @@ fn probe_cfg() -> ProbeConfig {
     }
 }
 
-fn fig7_emu(seed: u64, workers: usize, health: bool, plan: FaultPlan) -> Emulation {
+fn fig7_emu(seed: u64, health: bool, plan: FaultPlan) -> Emulation {
     let f = fig7();
     let prep = prepare(
         &f.topo,
@@ -36,10 +35,7 @@ fn fig7_emu(seed: u64, workers: usize, health: bool, plan: FaultPlan) -> Emulati
         SpeakerSource::OriginatedOnly,
         &PlanOptions::default(),
     );
-    let mut b = MockupOptions::builder()
-        .seed(seed)
-        .workers(workers)
-        .fault_plan(plan);
+    let mut b = MockupOptions::builder().seed(seed).fault_plan(plan);
     if health {
         b = b.health_config(probe_cfg());
     }
@@ -70,8 +66,8 @@ fn silent_blackhole_yields_a_witness_the_fib_differential_misses() {
             device: f.spines[0],
         },
     );
-    let mut faulted = fig7_emu(11, 1, true, plan);
-    let mut clean = fig7_emu(11, 1, true, FaultPlan::default());
+    let mut faulted = fig7_emu(11, true, plan);
+    let mut clean = fig7_emu(11, true, FaultPlan::default());
     // Watch the network: probes are non-causal, so `settle` alone never
     // advances them on a quiet fabric — `advance` does.
     faulted.advance(SimDuration::from_secs(20));
@@ -165,15 +161,10 @@ fn health_exports_are_byte_identical_across_workers_and_profiling() {
             },
         )
     };
-    let mut serial = fig7_emu(21, 1, true, mk_plan());
-    let mut sharded = fig7_emu(21, 4, true, mk_plan());
-    for emu in [&mut serial, &mut sharded] {
-        emu.advance(SimDuration::from_secs(15));
-    }
-    let a = (serial.pull_health().to_json(), serial.incidents_jsonl());
-    let b = (sharded.pull_health().to_json(), sharded.incidents_jsonl());
+    let mut plain = fig7_emu(21, true, mk_plan());
+    plain.advance(SimDuration::from_secs(15));
+    let a = (plain.pull_health().to_json(), plain.incidents_jsonl());
     assert!(!a.1.is_empty(), "the scenario must produce incidents");
-    assert_eq!(a, b, "health exports must not depend on the worker count");
 
     // `profiling(true)` observes; it must not perturb the health plane.
     let fx = fig7();
@@ -188,7 +179,6 @@ fn health_exports_are_byte_identical_across_workers_and_profiling() {
         Arc::new(prep),
         MockupOptions::builder()
             .seed(21)
-            .workers(1)
             .fault_plan(mk_plan())
             .health_config(probe_cfg())
             .profiling(true)
@@ -211,7 +201,7 @@ fn incident_jsonl_schema_is_stable_and_written_as_an_artifact() {
             device: f.spines[0],
         },
     );
-    let mut emu = fig7_emu(31, 2, true, plan);
+    let mut emu = fig7_emu(31, true, plan);
     emu.advance(SimDuration::from_secs(15));
     let jsonl = emu.incidents_jsonl();
     assert!(!jsonl.is_empty());
@@ -282,8 +272,8 @@ fn incident_jsonl_schema_is_stable_and_written_as_an_artifact() {
 
 #[test]
 fn disabled_health_plane_is_fully_passive() {
-    let mut on = fig7_emu(41, 1, true, FaultPlan::default());
-    let mut off = fig7_emu(41, 1, false, FaultPlan::default());
+    let mut on = fig7_emu(41, true, FaultPlan::default());
+    let mut off = fig7_emu(41, false, FaultPlan::default());
     on.advance(SimDuration::from_secs(10));
     off.advance(SimDuration::from_secs(10));
 
@@ -304,7 +294,7 @@ fn disabled_health_plane_is_fully_passive() {
     assert!(!off.trace_jsonl().contains("\"incident\""));
 
     // And the off-run itself reproduces bit for bit.
-    let mut off2 = fig7_emu(41, 1, false, FaultPlan::default());
+    let mut off2 = fig7_emu(41, false, FaultPlan::default());
     off2.advance(SimDuration::from_secs(10));
     assert_eq!(off.trace_jsonl(), off2.trace_jsonl());
     assert_eq!(off.pull_report().to_json(), off2.pull_report().to_json());
@@ -363,7 +353,7 @@ fn invalid_health_and_trace_knobs_fail_eagerly() {
 #[test]
 fn capped_sink_drops_deterministically_under_probe_load() {
     let f = fig7();
-    let mk = |workers: usize| {
+    let mk = || {
         let prep = prepare(
             &f.topo,
             &[],
@@ -375,7 +365,6 @@ fn capped_sink_drops_deterministically_under_probe_load() {
             Arc::new(prep),
             MockupOptions::builder()
                 .seed(51)
-                .workers(workers)
                 .trace_capacity(500)
                 .fault_plan(FaultPlan::default().then(
                     SimDuration::from_secs(3),
@@ -389,21 +378,21 @@ fn capped_sink_drops_deterministically_under_probe_load() {
         emu.advance(SimDuration::from_secs(15));
         emu
     };
-    let serial = mk(1);
-    let sharded = mk(4);
+    let first = mk();
+    let second = mk();
 
-    let a = serial.trace_jsonl();
+    let a = first.trace_jsonl();
     assert_eq!(
         a,
-        sharded.trace_jsonl(),
-        "capped trace under probe load must not depend on the worker count"
+        second.trace_jsonl(),
+        "capped trace under probe load must repeat byte for byte"
     );
     assert_eq!(a.lines().count(), 500, "ring keeps exactly the cap");
     // The sink keeps the newest records: the late-run incident records
     // survive the cap.
     assert!(a.contains("\"incident\""), "incident records are retained");
 
-    for emu in [&serial, &sharded] {
+    for emu in [&first, &second] {
         let report = emu.pull_report();
         let dropped = report.counters["telemetry.trace_dropped"];
         assert!(dropped > 0, "a 500-record cap must drop on this load");
@@ -415,16 +404,16 @@ fn capped_sink_drops_deterministically_under_probe_load() {
         );
     }
     assert_eq!(
-        serial.pull_report().counters["telemetry.trace_dropped"],
-        sharded.pull_report().counters["telemetry.trace_dropped"],
-        "drop counts are deterministic across worker counts"
+        first.pull_report().counters["telemetry.trace_dropped"],
+        second.pull_report().counters["telemetry.trace_dropped"],
+        "drop counts are deterministic across reps"
     );
 }
 
 #[test]
 fn a_forks_rehearsed_change_reports_its_own_slo_impact() {
     let f = fig7();
-    let mut emu = fig7_emu(61, 1, true, FaultPlan::default());
+    let mut emu = fig7_emu(61, true, FaultPlan::default());
     emu.advance(SimDuration::from_secs(5));
     let parent_health = emu.pull_health().to_json();
 

@@ -1,7 +1,7 @@
 //! Incremental re-convergence tests: the differential guarantee that a
 //! warm-start session apply (fork, rehearse, commit) is bit-identical
-//! to a full re-settle from the same seed, for every change kind and
-//! across worker counts; plus dirty-set semantics (no-op diffs touch
+//! to a full re-settle from the same seed, for every change kind;
+//! plus dirty-set semantics (no-op diffs touch
 //! nothing, speakers bound the ripple) and the interaction with fault
 //! quarantine.
 
@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// Whole-network fig. 7 mockup (no speakers).
-fn fig7_emu(seed: u64, workers: usize) -> Emulation {
+fn fig7_emu(seed: u64) -> Emulation {
     let f = fig7();
     let prep = prepare(
         &f.topo,
@@ -28,10 +28,7 @@ fn fig7_emu(seed: u64, workers: usize) -> Emulation {
         SpeakerSource::OriginatedOnly,
         &PlanOptions::default(),
     );
-    mockup(
-        Arc::new(prep),
-        MockupOptions::builder().seed(seed).workers(workers).build(),
-    )
+    mockup(Arc::new(prep), MockupOptions::builder().seed(seed).build())
 }
 
 /// Figure 7b boundary prepare: emulate S1-2, L1-4, T1-4; L5/L6 become
@@ -145,7 +142,7 @@ fn deny_on_import(
 
 #[test]
 fn noop_and_empty_changesets_touch_nothing() {
-    let mut emu = fig7_emu(1, 1);
+    let mut emu = fig7_emu(1);
     let before = fib_map(&emu);
     let at = emu.now();
 
@@ -171,88 +168,80 @@ fn noop_and_empty_changesets_touch_nothing() {
 fn policy_edit_matches_cold_boot_across_workers() {
     let f = fig7();
     let spine = f.spines[0];
-    let mut per_worker: Vec<BTreeMap<Dev, Fib>> = Vec::new();
 
-    for workers in [1usize, 4] {
-        let mut emu = fig7_emu(7, workers);
-        let base = prepared_config(&emu, spine);
-        let t1_net = prepared_config(&emu, f.tors[0])
-            .bgp
-            .as_ref()
-            .unwrap()
-            .networks[0];
-        let t2_net = prepared_config(&emu, f.tors[1])
-            .bgp
-            .as_ref()
-            .unwrap()
-            .networks[0];
+    let mut emu = fig7_emu(7);
+    let base = prepared_config(&emu, spine);
+    let t1_net = prepared_config(&emu, f.tors[0])
+        .bgp
+        .as_ref()
+        .unwrap()
+        .networks[0];
+    let t2_net = prepared_config(&emu, f.tors[1])
+        .bgp
+        .as_ref()
+        .unwrap()
+        .networks[0];
 
-        // Step 1: attach the deny policy — touching `neighbors` is a
-        // session reset (who the device talks to changed shape).
-        let deny_t1 = deny_on_import(&base, t1_net);
-        let d1 = apply_session(
-            &mut emu,
-            &ChangeSet::new().config_update(spine, deny_t1.clone()),
+    // Step 1: attach the deny policy — touching `neighbors` is a
+    // session reset (who the device talks to changed shape).
+    let deny_t1 = deny_on_import(&base, t1_net);
+    let d1 = apply_session(
+        &mut emu,
+        &ChangeSet::new().config_update(spine, deny_t1.clone()),
+    )
+    .expect("session-reset change applies");
+    assert_eq!(d1.applied[0].impact, Some(ChangeImpact::SessionReset));
+    assert!(!d1.dirty.is_empty());
+    assert!(
+        emu.sim.os(spine).unwrap().fib().get(t1_net).is_none(),
+        "spine must have filtered t1's prefix"
+    );
+
+    // Step 2: re-point the prefix list at t2 — a pure policy edit,
+    // soft-refreshed over the live sessions (no reset): t1's prefix
+    // must come back via route-refresh replay, t2's must go.
+    let deny_t2 = deny_on_import(&deny_t1, t2_net);
+    let d2 = apply_session(
+        &mut emu,
+        &ChangeSet::new().config_update(spine, deny_t2.clone()),
+    )
+    .expect("soft-refresh change applies");
+    assert_eq!(d2.applied[0].impact, Some(ChangeImpact::SoftRefresh));
+    let spine_changes = d2.fib_changes.get(&spine).expect("spine FIB changed");
+    assert!(spine_changes
+        .iter()
+        .any(|c| c.prefix == t1_net && c.kind == crystalnet::FibChangeKind::Added));
+    assert!(spine_changes
+        .iter()
+        .any(|c| c.prefix == t2_net && c.kind == crystalnet::FibChangeKind::Removed));
+
+    // Differential: a cold mockup whose prepared config is already
+    // the final one must land on byte-identical FIBs everywhere.
+    let mut prep = {
+        let f = fig7();
+        prepare(
+            &f.topo,
+            &[],
+            BoundaryMode::WholeNetwork,
+            SpeakerSource::OriginatedOnly,
+            &PlanOptions::default(),
         )
-        .expect("session-reset change applies");
-        assert_eq!(d1.applied[0].impact, Some(ChangeImpact::SessionReset));
-        assert!(!d1.dirty.is_empty());
-        assert!(
-            emu.sim.os(spine).unwrap().fib().get(t1_net).is_none(),
-            "spine must have filtered t1's prefix"
-        );
-
-        // Step 2: re-point the prefix list at t2 — a pure policy edit,
-        // soft-refreshed over the live sessions (no reset): t1's prefix
-        // must come back via route-refresh replay, t2's must go.
-        let deny_t2 = deny_on_import(&deny_t1, t2_net);
-        let d2 = apply_session(
-            &mut emu,
-            &ChangeSet::new().config_update(spine, deny_t2.clone()),
-        )
-        .expect("soft-refresh change applies");
-        assert_eq!(d2.applied[0].impact, Some(ChangeImpact::SoftRefresh));
-        let spine_changes = d2.fib_changes.get(&spine).expect("spine FIB changed");
-        assert!(spine_changes
-            .iter()
-            .any(|c| c.prefix == t1_net && c.kind == crystalnet::FibChangeKind::Added));
-        assert!(spine_changes
-            .iter()
-            .any(|c| c.prefix == t2_net && c.kind == crystalnet::FibChangeKind::Removed));
-
-        // Differential: a cold mockup whose prepared config is already
-        // the final one must land on byte-identical FIBs everywhere.
-        let mut prep = {
-            let f = fig7();
-            prepare(
-                &f.topo,
-                &[],
-                BoundaryMode::WholeNetwork,
-                SpeakerSource::OriginatedOnly,
-                &PlanOptions::default(),
-            )
-        };
-        for (d, c) in &mut prep.configs {
-            if *d == spine {
-                *c = deny_t2.clone();
-            }
+    };
+    for (d, c) in &mut prep.configs {
+        if *d == spine {
+            *c = deny_t2.clone();
         }
-        let cold = mockup(
-            Arc::new(prep),
-            MockupOptions::builder().seed(7).workers(workers).build(),
-        );
-        assert_eq!(
-            fib_map(&emu),
-            fib_map(&cold),
-            "warm incremental result diverged from cold full settle (workers={workers})"
-        );
-        assert_eq!(
-            emu.pull_config(spine).unwrap(),
-            cold.pull_config(spine).unwrap()
-        );
-        per_worker.push(fib_map(&emu));
     }
-    assert_eq!(per_worker[0], per_worker[1], "workers must not change FIBs");
+    let cold = mockup(Arc::new(prep), MockupOptions::builder().seed(7).build());
+    assert_eq!(
+        fib_map(&emu),
+        fib_map(&cold),
+        "warm incremental result diverged from cold full settle"
+    );
+    assert_eq!(
+        emu.pull_config(spine).unwrap(),
+        cold.pull_config(spine).unwrap()
+    );
 }
 
 #[test]
@@ -269,30 +258,25 @@ fn link_down_matches_full_resettle_across_workers() {
         .map(|(lid, _)| lid)
         .expect("fig7 has an s1-l1 link");
 
-    let mut per_worker: Vec<BTreeMap<Dev, Fib>> = Vec::new();
-    for workers in [1usize, 4] {
-        let mut emu = fig7_emu(11, workers);
-        let delta =
-            apply_session(&mut emu, &ChangeSet::new().link_down(lid)).expect("link-down applies");
-        assert!(delta.dirty.contains(&f.spines[0]) && delta.dirty.contains(&f.leaves[0]));
-        assert!(
-            delta.total_fib_changes() > 0,
-            "losing a spine link must churn FIBs"
-        );
+    let mut emu = fig7_emu(11);
+    let delta =
+        apply_session(&mut emu, &ChangeSet::new().link_down(lid)).expect("link-down applies");
+    assert!(delta.dirty.contains(&f.spines[0]) && delta.dirty.contains(&f.leaves[0]));
+    assert!(
+        delta.total_fib_changes() > 0,
+        "losing a spine link must churn FIBs"
+    );
 
-        // Reference: the pre-existing full path — fresh mockup, Table 2
-        // Disconnect, full settle.
-        let mut cold = fig7_emu(11, workers);
-        cold.disconnect(lid);
-        cold.settle().expect("cold path converges");
-        assert_eq!(
-            fib_map(&emu),
-            fib_map(&cold),
-            "incremental link-down diverged from full settle (workers={workers})"
-        );
-        per_worker.push(fib_map(&emu));
-    }
-    assert_eq!(per_worker[0], per_worker[1]);
+    // Reference: the pre-existing full path — fresh mockup, Table 2
+    // Disconnect, full settle.
+    let mut cold = fig7_emu(11);
+    cold.disconnect(lid);
+    cold.settle().expect("cold path converges");
+    assert_eq!(
+        fib_map(&emu),
+        fib_map(&cold),
+        "incremental link-down diverged from full settle"
+    );
 }
 
 #[test]
@@ -302,76 +286,68 @@ fn speaker_route_swap_matches_cold_boot_across_workers() {
     let swapped: crystalnet_net::Ipv4Prefix = "10.99.0.0/24".parse().unwrap();
     let as_path = vec![f.topo.device(speaker).asn];
 
-    let mut per_worker: Vec<BTreeMap<Dev, Fib>> = Vec::new();
-    for workers in [1usize, 4] {
-        let mut emu = mockup(
-            Arc::new(fig7b_prep()),
-            MockupOptions::builder().seed(3).workers(workers).build(),
-        );
-        assert!(
-            emu.sandboxes.contains_key(&speaker),
-            "l5 is a speaker sandbox in the 7b boundary"
-        );
+    let mut emu = mockup(
+        Arc::new(fig7b_prep()),
+        MockupOptions::builder().seed(3).build(),
+    );
+    assert!(
+        emu.sandboxes.contains_key(&speaker),
+        "l5 is a speaker sandbox in the 7b boundary"
+    );
 
-        let delta = apply_session(
-            &mut emu,
-            &ChangeSet::new().speaker_route_swap(
-                speaker,
-                vec![SpeakerRoute {
-                    prefix: swapped,
-                    as_path: as_path.clone(),
-                    med: 0,
-                }],
-            ),
-        )
-        .expect("speaker swap applies");
-        assert!(delta.dirty.contains(&speaker));
-        assert!(
-            delta.total_fib_changes() > 0,
-            "the swap must retract old routes"
-        );
-        // Spines now reach the swapped prefix.
-        assert!(emu
-            .sim
-            .os(f.spines[0])
-            .unwrap()
-            .fib()
-            .get(swapped)
-            .is_some());
+    let delta = apply_session(
+        &mut emu,
+        &ChangeSet::new().speaker_route_swap(
+            speaker,
+            vec![SpeakerRoute {
+                prefix: swapped,
+                as_path: as_path.clone(),
+                med: 0,
+            }],
+        ),
+    )
+    .expect("speaker swap applies");
+    assert!(delta.dirty.contains(&speaker));
+    assert!(
+        delta.total_fib_changes() > 0,
+        "the swap must retract old routes"
+    );
+    // Spines now reach the swapped prefix.
+    assert!(emu
+        .sim
+        .os(f.spines[0])
+        .unwrap()
+        .fib()
+        .get(swapped)
+        .is_some());
 
-        // Differential: cold boot from a prepare whose speaker plan holds
-        // the swapped script from the start.
-        let mut prep = fig7b_prep();
-        let loopback = f.topo.device(speaker).loopback;
-        for (d, per_iface) in &mut prep.speaker_plan.scripts {
-            if *d == speaker {
-                for (_, script) in per_iface.iter_mut() {
-                    *script = SpeakerScript {
-                        routes: vec![(
-                            swapped,
-                            PathAttrs {
-                                as_path: as_path.clone(),
-                                med: 0,
-                                ..PathAttrs::originated(loopback)
-                            }
-                            .intern(),
-                        )],
-                    };
-                }
+    // Differential: cold boot from a prepare whose speaker plan holds
+    // the swapped script from the start.
+    let mut prep = fig7b_prep();
+    let loopback = f.topo.device(speaker).loopback;
+    for (d, per_iface) in &mut prep.speaker_plan.scripts {
+        if *d == speaker {
+            for (_, script) in per_iface.iter_mut() {
+                *script = SpeakerScript {
+                    routes: vec![(
+                        swapped,
+                        PathAttrs {
+                            as_path: as_path.clone(),
+                            med: 0,
+                            ..PathAttrs::originated(loopback)
+                        }
+                        .intern(),
+                    )],
+                };
             }
         }
-        let cold = mockup(
-            Arc::new(prep),
-            MockupOptions::builder().seed(3).workers(workers).build(),
-        );
-        assert_eq!(
-            fib_map(&emu),
-            fib_map(&cold),
-            "warm speaker swap diverged from cold boot (workers={workers})"
-        );
-        per_worker.push(fib_map(&emu));
     }
-    assert_eq!(per_worker[0], per_worker[1]);
+    let cold = mockup(Arc::new(prep), MockupOptions::builder().seed(3).build());
+    assert_eq!(
+        fib_map(&emu),
+        fib_map(&cold),
+        "warm speaker swap diverged from cold boot"
+    );
 }
 
 #[test]
@@ -547,7 +523,7 @@ fn rehearse_runs_multi_step_plans_and_round_trips() {
         .map(|(lid, _)| lid)
         .unwrap();
 
-    let mut emu = fig7_emu(13, 1);
+    let mut emu = fig7_emu(13);
     let baseline = fib_map(&emu);
     let report = emu
         .rehearse(&[

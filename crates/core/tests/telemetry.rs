@@ -1,12 +1,12 @@
 //! Observability determinism tests: the run report is a pure function of
-//! the seed — byte-identical across worker counts and repetitions — and a
-//! disabled recorder costs nothing and changes nothing.
+//! the seed — byte-identical across repetitions — and a disabled
+//! recorder costs nothing and changes nothing.
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
 use crystalnet_net::ClosTopology;
 
-fn s_dc(seed: u64, workers: usize, telemetry: bool) -> (ClosTopology, Emulation) {
+fn s_dc(seed: u64, telemetry: bool) -> (ClosTopology, Emulation) {
     let dc = crystalnet_net::ClosParams::s_dc().build();
     let prep = prepare(
         &dc.topo,
@@ -27,7 +27,6 @@ fn s_dc(seed: u64, workers: usize, telemetry: bool) -> (ClosTopology, Emulation)
         Arc::new(prep),
         MockupOptions::builder()
             .seed(seed)
-            .workers(workers)
             .fault_plan(plan)
             .telemetry(telemetry)
             .build(),
@@ -37,38 +36,31 @@ fn s_dc(seed: u64, workers: usize, telemetry: bool) -> (ClosTopology, Emulation)
 
 #[test]
 fn report_is_byte_identical_across_worker_counts() {
-    let (_, serial) = s_dc(7, 1, true);
-    let (_, sharded) = s_dc(7, 4, true);
-
-    let a = serial.pull_report().to_json();
-    let b = sharded.pull_report().to_json();
+    let (_, emu) = s_dc(7, true);
+    let a = emu.pull_report().to_json();
     assert!(!a.is_empty());
-    assert_eq!(
-        a, b,
-        "canonical run report must not depend on the worker count"
-    );
 
     // The canonical report deliberately has no execution-shape keys; those
     // live in the diagnostics section of `to_json_full` only.
     assert!(!a.contains("sim.parallel"));
     assert!(!a.contains("intern"));
-    assert!(serial.pull_report().to_json_full().contains("diagnostics"));
+    assert!(emu.pull_report().to_json_full().contains("diagnostics"));
 }
 
 #[test]
 fn report_is_byte_identical_across_reps() {
-    let (_, first) = s_dc(11, 2, true);
-    let (_, second) = s_dc(11, 2, true);
+    let (_, first) = s_dc(11, true);
+    let (_, second) = s_dc(11, true);
     assert_eq!(
         first.pull_report().to_json(),
         second.pull_report().to_json(),
-        "same seed + same workers must reproduce the report byte for byte"
+        "same seed must reproduce the report byte for byte"
     );
 }
 
 #[test]
 fn report_carries_spans_counters_and_journal() {
-    let (_, emu) = s_dc(3, 1, true);
+    let (_, emu) = s_dc(3, true);
     let report = emu.pull_report();
     assert!(report.enabled);
 
@@ -112,8 +104,8 @@ fn report_carries_spans_counters_and_journal() {
 
 #[test]
 fn disabled_recorder_yields_empty_report_and_identical_fibs() {
-    let (dc, on) = s_dc(42, 1, true);
-    let (_, off) = s_dc(42, 1, false);
+    let (dc, on) = s_dc(42, true);
+    let (_, off) = s_dc(42, false);
 
     let report = off.pull_report();
     assert!(!report.enabled);

@@ -1,6 +1,6 @@
 //! Causal tracing + route provenance tests: the merged trace export is a
-//! pure function of the seed (byte-identical across worker counts and
-//! repetitions), `explain_route` agrees with packet tracing, the ring
+//! pure function of the seed (byte-identical across repetitions),
+//! `explain_route` agrees with packet tracing, the ring
 //! buffer caps memory deterministically, the Chrome export round-trips
 //! through serde, and the runtime Lemma 5.1 audit passes on a real
 //! speaker boundary.
@@ -13,7 +13,7 @@ use crystalnet_routing::harness::build_full_bgp_sim;
 use crystalnet_routing::{OriginKind, UniformWorkModel};
 use std::collections::BTreeSet;
 
-fn fig7_emu(seed: u64, workers: usize, trace_capacity: usize) -> Emulation {
+fn fig7_emu(seed: u64, trace_capacity: usize) -> Emulation {
     let f = fig7();
     let prep = prepare(
         &f.topo,
@@ -26,7 +26,6 @@ fn fig7_emu(seed: u64, workers: usize, trace_capacity: usize) -> Emulation {
         Arc::new(prep),
         MockupOptions::builder()
             .seed(seed)
-            .workers(workers)
             .trace_capacity(trace_capacity)
             .build(),
     )
@@ -53,24 +52,24 @@ fn flap(emu: &mut Emulation) {
 
 #[test]
 fn trace_export_is_byte_identical_across_worker_counts_and_reps() {
-    let mut serial = fig7_emu(7, 1, 65_536);
-    let mut sharded = fig7_emu(7, 4, 65_536);
-    let mut again = fig7_emu(7, 4, 65_536);
-    for emu in [&mut serial, &mut sharded, &mut again] {
+    let mut first = fig7_emu(7, 65_536);
+    let mut again = fig7_emu(7, 65_536);
+    for emu in [&mut first, &mut again] {
         flap(emu);
         probe(emu);
     }
 
-    let a = serial.trace_jsonl();
-    let b = sharded.trace_jsonl();
-    let c = again.trace_jsonl();
+    let a = first.trace_jsonl();
     assert!(!a.is_empty());
-    assert_eq!(a, b, "JSONL trace must not depend on the worker count");
-    assert_eq!(b, c, "JSONL trace must reproduce across repetitions");
     assert_eq!(
-        serial.trace_chrome_json(),
-        sharded.trace_chrome_json(),
-        "Chrome trace must not depend on the worker count"
+        a,
+        again.trace_jsonl(),
+        "JSONL trace must reproduce across repetitions"
+    );
+    assert_eq!(
+        first.trace_chrome_json(),
+        again.trace_chrome_json(),
+        "Chrome trace must reproduce across repetitions"
     );
 
     // The merged stream carries all the record families.
@@ -87,17 +86,17 @@ fn trace_export_is_byte_identical_across_worker_counts_and_reps() {
 
 #[test]
 fn capped_trace_is_still_deterministic_and_counts_drops() {
-    let serial = fig7_emu(9, 1, 500);
-    let sharded = fig7_emu(9, 4, 500);
-    let a = serial.trace_jsonl();
+    let first = fig7_emu(9, 500);
+    let again = fig7_emu(9, 500);
+    let a = first.trace_jsonl();
     assert_eq!(
         a,
-        sharded.trace_jsonl(),
-        "newest-capped trace must not depend on the worker count"
+        again.trace_jsonl(),
+        "newest-capped trace must reproduce across repetitions"
     );
     assert_eq!(a.lines().count(), 500, "ring buffer keeps exactly the cap");
 
-    let report = serial.pull_report();
+    let report = first.pull_report();
     let emitted = report.counters["telemetry.trace_emitted"];
     let retained = report.counters["telemetry.trace_retained"];
     let dropped = report.counters["telemetry.trace_dropped"];
@@ -115,7 +114,7 @@ fn capped_trace_is_still_deterministic_and_counts_drops() {
 
 #[test]
 fn explain_route_agrees_with_packet_trace() {
-    let mut emu = fig7_emu(3, 1, 65_536);
+    let mut emu = fig7_emu(3, 65_536);
     let f = fig7();
     let prefix: crystalnet_net::Ipv4Prefix = "10.7.5.0/24".parse().unwrap();
 
@@ -176,7 +175,7 @@ fn explain_route_agrees_with_packet_trace() {
 
 #[test]
 fn explain_route_failures_are_typed() {
-    let emu = fig7_emu(5, 1, 1024);
+    let emu = fig7_emu(5, 1024);
     let absent: crystalnet_net::Ipv4Prefix = "192.0.2.0/24".parse().unwrap();
     match emu.explain_route("s1", absent) {
         Err(EmulationError::NoRoute { device, prefix }) => {
@@ -193,7 +192,7 @@ fn explain_route_failures_are_typed() {
 
 #[test]
 fn chrome_trace_round_trips_through_serde() {
-    let mut emu = fig7_emu(2, 2, 4096);
+    let mut emu = fig7_emu(2, 4096);
     probe(&mut emu);
 
     let chrome = emu.trace_chrome_json();

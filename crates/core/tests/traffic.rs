@@ -1,6 +1,5 @@
 //! Traffic-plane tests: seeded flow load produces byte-identical
-//! gauges and congestion incidents across worker counts and under
-//! profiling, a saturated link yields an over-subscription witness
+//! gauges and congestion incidents under profiling, a saturated link yields an over-subscription witness
 //! correlated to the injected fault, the plane is fully passive when
 //! disabled (runs reproduce the health-only engine bit for bit),
 //! builder knobs fail eagerly, and a fork's rehearsed change reports
@@ -45,12 +44,7 @@ fn probe_cfg() -> ProbeConfig {
     }
 }
 
-fn fig7_emu(
-    seed: u64,
-    workers: usize,
-    traffic: Option<TrafficConfig>,
-    plan: FaultPlan,
-) -> Emulation {
+fn fig7_emu(seed: u64, traffic: Option<TrafficConfig>, plan: FaultPlan) -> Emulation {
     let f = fig7();
     let prep = prepare(
         &f.topo,
@@ -61,7 +55,6 @@ fn fig7_emu(
     );
     let mut b = MockupOptions::builder()
         .seed(seed)
-        .workers(workers)
         .fault_plan(plan)
         .health_config(probe_cfg());
     if let Some(cfg) = traffic {
@@ -98,25 +91,17 @@ fn traffic_exports_are_byte_identical_across_workers_and_profiling() {
             emu.incidents_jsonl(),
         )
     };
-    let mut serial = fig7_emu(121, 1, Some(traffic_cfg()), mk_plan());
-    let mut sharded = fig7_emu(121, 4, Some(traffic_cfg()), mk_plan());
-    for emu in [&mut serial, &mut sharded] {
-        emu.advance(SimDuration::from_secs(15));
-    }
-    let a = pull(&serial);
+    let mut plain = fig7_emu(121, Some(traffic_cfg()), mk_plan());
+    plain.advance(SimDuration::from_secs(15));
+    let a = pull(&plain);
     assert!(!a.2.is_empty(), "the scenario must produce incidents");
-    let t = serial.pull_traffic();
+    let t = plain.pull_traffic();
     assert!(t.enabled);
     assert!(t.flows_sent > 0, "flows must launch");
     assert!(t.flows_delivered > 0, "some flows must arrive");
     assert!(
         !t.links.is_empty(),
         "delivered flows must charge link gauges"
-    );
-    assert_eq!(
-        a,
-        pull(&sharded),
-        "traffic exports must not depend on the worker count"
     );
 
     // `profiling(true)` observes; it must not perturb the traffic plane.
@@ -132,7 +117,6 @@ fn traffic_exports_are_byte_identical_across_workers_and_profiling() {
         Arc::new(prep),
         MockupOptions::builder()
             .seed(121)
-            .workers(1)
             .fault_plan(mk_plan())
             .health_config(probe_cfg())
             .traffic_config(traffic_cfg())
@@ -166,7 +150,7 @@ fn saturated_link_yields_a_congestion_witness_correlated_to_the_fault() {
             period: SimDuration::from_secs(30),
         },
     );
-    let mut emu = fig7_emu(131, 2, Some(cfg), plan);
+    let mut emu = fig7_emu(131, Some(cfg), plan);
     emu.advance(SimDuration::from_secs(20));
 
     let incidents = emu.incidents();
@@ -220,8 +204,8 @@ fn saturated_link_yields_a_congestion_witness_correlated_to_the_fault() {
 /// events in the trace, and the off-run reproduces bit for bit.
 #[test]
 fn disabled_traffic_plane_is_fully_passive() {
-    let mut on = fig7_emu(141, 1, Some(traffic_cfg()), FaultPlan::default());
-    let mut off = fig7_emu(141, 1, None, FaultPlan::default());
+    let mut on = fig7_emu(141, Some(traffic_cfg()), FaultPlan::default());
+    let mut off = fig7_emu(141, None, FaultPlan::default());
     on.advance(SimDuration::from_secs(10));
     off.advance(SimDuration::from_secs(10));
 
@@ -244,7 +228,7 @@ fn disabled_traffic_plane_is_fully_passive() {
     );
 
     // And the off-run itself reproduces bit for bit.
-    let mut off2 = fig7_emu(141, 1, None, FaultPlan::default());
+    let mut off2 = fig7_emu(141, None, FaultPlan::default());
     off2.advance(SimDuration::from_secs(10));
     assert_eq!(off.trace_jsonl(), off2.trace_jsonl());
     assert_eq!(off.pull_report().to_json(), off2.pull_report().to_json());
@@ -304,7 +288,7 @@ fn invalid_traffic_knobs_fail_eagerly() {
 #[test]
 fn a_forks_rehearsed_change_reports_its_own_traffic_impact() {
     let f = fig7();
-    let mut emu = fig7_emu(151, 1, Some(traffic_cfg()), FaultPlan::default());
+    let mut emu = fig7_emu(151, Some(traffic_cfg()), FaultPlan::default());
     emu.advance(SimDuration::from_secs(5));
     let parent_traffic = emu.pull_traffic().to_json();
 

@@ -13,11 +13,11 @@
 //! it makes RIB diffing a pointer comparison (`Arc::ptr_eq`) in the common
 //! unchanged case.
 
+use crate::intern::Interner;
 use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Lookups served from the table without allocating.
 static INTERN_HITS: AtomicU64 = AtomicU64::new(0);
@@ -112,13 +112,7 @@ impl PathAttrs {
     }
 }
 
-/// The process-wide hash-consing table. `Arc<PathAttrs>` hashes/compares
-/// through to the `PathAttrs` (and `Arc<T>: Borrow<T>`), so lookups by
-/// value need no key wrapper.
-fn interner() -> &'static Mutex<HashSet<Arc<PathAttrs>>> {
-    static INTERNER: OnceLock<Mutex<HashSet<Arc<PathAttrs>>>> = OnceLock::new();
-    INTERNER.get_or_init(|| Mutex::new(HashSet::new()))
-}
+static INTERNER: Interner<PathAttrs> = Interner::new();
 
 impl PathAttrs {
     /// Hash-conses `self`: returns the canonical shared `Arc` for this
@@ -127,37 +121,28 @@ impl PathAttrs {
     ///
     /// The guarantee callers rely on (and the differential tests assert):
     /// two interned handles are [`Arc::ptr_eq`] **iff** their contents are
-    /// `==`. The table is process-wide and `Mutex`-guarded, so the parallel
-    /// executor's workers share it safely; interning order never affects
-    /// which value a handle dereferences to, so it cannot perturb
-    /// determinism.
+    /// `==`. The table is process-wide and `Mutex`-guarded, so threads
+    /// share it safely; interning order never affects which value a
+    /// handle dereferences to, so it cannot perturb determinism.
     #[must_use]
     pub fn intern(self) -> Arc<PathAttrs> {
-        let mut table = interner().lock().expect("attr interner poisoned");
-        if let Some(existing) = table.get(&self) {
-            INTERN_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(existing);
-        }
-        INTERN_MISSES.fetch_add(1, Ordering::Relaxed);
-        let arc = Arc::new(self);
-        table.insert(Arc::clone(&arc));
+        let (arc, hit) = INTERNER.intern(self);
+        let counter = if hit { &INTERN_HITS } else { &INTERN_MISSES };
+        counter.fetch_add(1, Ordering::Relaxed);
         arc
     }
 
     /// Number of distinct attribute sets currently interned.
     #[must_use]
     pub fn interned_count() -> usize {
-        interner().lock().expect("attr interner poisoned").len()
+        INTERNER.len()
     }
 
     /// Drops interned sets no longer referenced outside the table.
     /// Long-lived processes running many emulations call this between runs
     /// to keep the table proportional to live routes.
     pub fn intern_sweep() {
-        interner()
-            .lock()
-            .expect("attr interner poisoned")
-            .retain(|a| Arc::strong_count(a) > 1);
+        INTERNER.sweep();
     }
 }
 

@@ -16,6 +16,7 @@ pub mod attrs;
 pub mod bgp;
 pub mod harness;
 pub mod health;
+mod intern;
 pub mod msg;
 pub mod os;
 pub mod ospf;

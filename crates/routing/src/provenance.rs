@@ -14,11 +14,11 @@
 //! hot path clone-free — adj-RIB-in entries, Loc-RIB entries and exported
 //! updates all hold the same `Arc`.
 
+use crate::intern::Interner;
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::EventId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// What kind of origination started a route's causal chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,12 +76,7 @@ pub struct Provenance {
     pub hops: Vec<ProvHop>,
 }
 
-/// The process-wide hash-consing table (same pattern as
-/// [`PathAttrs::intern`](crate::attrs::PathAttrs::intern)).
-fn interner() -> &'static Mutex<HashSet<Arc<Provenance>>> {
-    static INTERNER: OnceLock<Mutex<HashSet<Arc<Provenance>>>> = OnceLock::new();
-    INTERNER.get_or_init(|| Mutex::new(HashSet::new()))
-}
+static INTERNER: Interner<Provenance> = Interner::new();
 
 impl Provenance {
     /// Interns a freshly originated chain (no hops yet).
@@ -117,30 +112,18 @@ impl Provenance {
     /// their contents are `==`.
     #[must_use]
     pub fn intern(self) -> Arc<Provenance> {
-        let mut table = interner().lock().expect("provenance interner poisoned");
-        if let Some(existing) = table.get(&self) {
-            return Arc::clone(existing);
-        }
-        let arc = Arc::new(self);
-        table.insert(Arc::clone(&arc));
-        arc
+        INTERNER.intern(self).0
     }
 
     /// Number of distinct chains currently interned.
     #[must_use]
     pub fn interned_count() -> usize {
-        interner()
-            .lock()
-            .expect("provenance interner poisoned")
-            .len()
+        INTERNER.len()
     }
 
     /// Drops interned chains no longer referenced outside the table.
     pub fn intern_sweep() {
-        interner()
-            .lock()
-            .expect("provenance interner poisoned")
-            .retain(|p| Arc::strong_count(p) > 1);
+        INTERNER.sweep();
     }
 
     /// The device chain implied by the provenance: origin router first,

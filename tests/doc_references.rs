@@ -1,8 +1,10 @@
 //! Docs cannot name a target that does not exist: every `--bench <name>`
 //! and `-p crystalnet-bench --bin <name>` in the operator-facing docs,
 //! the verify skill and the CI workflow is a target `crates/bench`
-//! really has, and every `BENCH_<x>.json` they mention is the generated
-//! file under `target/`, never a tracked file at the repo root.
+//! really has, every `--bin paper -- <subcommand>` is a row of the
+//! binary's dispatch table, every `BENCH_<x>.json` they mention is a
+//! generated file under `target/`, never a tracked file at the repo
+//! root, and no `<x>_output.txt` "recorded run" is cited at all.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -67,6 +69,21 @@ fn docs_name_only_bench_targets_that_exist() {
             );
             seen += 1;
         }
+        for name in names_after(&text, "--bin paper --") {
+            assert!(
+                name == "all"
+                    || crystalnet_bench::SUBCOMMANDS
+                        .iter()
+                        .any(|(n, _)| *n == name),
+                "{doc}: `paper -- {name}` is not a subcommand of the paper binary"
+            );
+            seen += 1;
+        }
+        assert!(
+            !text.contains("_output.txt"),
+            "{doc}: cites an `*_output.txt` recorded run, and no such file is \
+             tracked — name the command that prints it instead"
+        );
         for (at, _) in text.match_indices("BENCH_") {
             let rest = &text[at..];
             let Some(len) = rest.find(".json").map(|i| i + ".json".len()) else {
