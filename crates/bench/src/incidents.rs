@@ -1,20 +1,10 @@
 //! Table 1 (incident coverage) and Figure 1 (aggregation imbalance)
 //! regenerators.
 
-use crystalnet::{
-    mockup,
-    prepare,
-    run_all_scenarios,
-    BoundaryMode,
-    MockupOptions,
-    PlanOptions,
-    RootCause,
-    ScenarioResult,
-    SpeakerSource, //
-};
-use crystalnet_config::AggregateConfig;
+use crystalnet::scenarios::{fig1_emulation, fig1_split};
+use crystalnet::{run_all_scenarios, MockupOptions, RootCause, ScenarioResult};
 use crystalnet_net::fixtures::fig1;
-use std::sync::Arc;
+use crystalnet_net::Ipv4Addr;
 
 /// Runs the incident suite and prints the Table 1 coverage matrix.
 pub fn print_table1(seed: u64) -> Vec<ScenarioResult> {
@@ -73,22 +63,7 @@ pub struct Fig1Result {
 #[must_use]
 pub fn run_fig1(seed: u64, flows: u32) -> Fig1Result {
     let f = fig1();
-    let mut prep = prepare(
-        &f.topo,
-        &[],
-        BoundaryMode::WholeNetwork,
-        SpeakerSource::OriginatedOnly,
-        &PlanOptions::default(),
-    );
-    for (dev, cfg) in &mut prep.configs {
-        if *dev == f.routers[5] || *dev == f.routers[6] {
-            cfg.bgp.as_mut().unwrap().aggregates.push(AggregateConfig {
-                prefix: f.p3,
-                summary_only: true,
-            });
-        }
-    }
-    let mut emu = mockup(Arc::new(prep), MockupOptions::builder().seed(seed).build());
+    let mut emu = fig1_emulation(&f, MockupOptions::builder().seed(seed).build());
 
     // Pull R8's route for P3 via the management plane.
     let winning_path_len = match emu
@@ -103,18 +78,11 @@ pub fn run_fig1(seed: u64, flows: u32) -> Fig1Result {
         _ => 0,
     };
 
-    let (mut via_r6, mut via_r7) = (0, 0);
-    for flow in 0..flows {
-        let src = crystalnet_net::Ipv4Addr::new(203, 0, (flow >> 8) as u8, flow as u8);
-        let sig = emu.inject_packet(f.routers[7], src, f.p3.nth(flow * 13 + 1));
-        let (path, _) = emu.pull_packets(sig).expect("probe traced");
-        if path.contains(&f.routers[5]) {
-            via_r6 += 1;
-        }
-        if path.contains(&f.routers[6]) {
-            via_r7 += 1;
-        }
-    }
+    let flows = (0..flows).map(|flow| {
+        let src = Ipv4Addr::new(203, 0, (flow >> 8) as u8, flow as u8);
+        (src, f.p3.nth(flow * 13 + 1))
+    });
+    let (via_r6, via_r7) = fig1_split(&mut emu, &f, flows);
     Fig1Result {
         via_r6,
         via_r7,

@@ -89,16 +89,6 @@ impl RouteExplanation {
         }
     }
 
-    /// The chain as display names, origin first — hostnames where the
-    /// loopback maps to an emulated device, dotted-quad otherwise.
-    #[must_use]
-    pub fn device_chain(&self) -> Vec<String> {
-        self.chain
-            .iter()
-            .map(|h| h.hostname.clone().unwrap_or_else(|| h.router.to_string()))
-            .collect()
-    }
-
     /// A multi-line human-readable rendering, in the spirit of a vendor
     /// `show ip route <prefix>` that actually explains itself.
     #[must_use]

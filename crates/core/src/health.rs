@@ -262,15 +262,6 @@ pub struct CorrelatedIncident {
     pub cause: Option<IncidentCause>,
 }
 
-/// Version of the incident JSONL envelope emitted by
-/// [`incidents_jsonl`]. The envelope (the eight keys every line carries:
-/// `at_ns`, `kind`, `src`, `src_host`, `dst`, `dst_host`, `seq`,
-/// `cause`) is stable within a version; *new kinds* may appear without a
-/// bump because consumers dispatch on `kind` and unknown labels are
-/// skippable. A bump means an existing key changed meaning or shape —
-/// live-watch pipelines should pin this constant, not sniff fields.
-pub const INCIDENT_SCHEMA_VERSION: u32 = 1;
-
 /// How far back correlation looks for a plausible cause. Fault
 /// propagation through BGP withdrawal cascades takes tens of seconds of
 /// virtual time on large fabrics; two minutes bounds the search without

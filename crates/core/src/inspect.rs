@@ -326,6 +326,10 @@ impl Emulation {
 
     /// `InjectPackets`: sends a probe with a fresh telemetry signature
     /// from `from`, captures per-hop traces, and returns the signature.
+    ///
+    /// Signatures are 16 bits wide (the IPv4 identification field) and
+    /// wrap after 65,535 injections: a signature names the *latest*
+    /// packet injected under it, whose trace replaces the earlier one.
     pub fn inject_packet(&mut self, from: DeviceId, src: Ipv4Addr, dst: Ipv4Addr) -> Signature {
         let sig = Signature(self.next_signature);
         self.next_signature = self.next_signature.wrapping_add(1).max(1);
@@ -337,37 +341,29 @@ impl Emulation {
             identification: sig.0,
             payload: Bytes::new(),
         };
-        let (path, outcome) = self.sim.trace_packet(from, &pkt);
         let now = self.now().as_nanos();
-        for (hop, &dev) in path.iter().enumerate() {
-            let decision = if hop + 1 == path.len() {
-                outcome
-            } else {
-                // Mid-path devices forwarded; the exact hop is implied by
-                // the next path element.
-                ForwardDecision::Forward(NextHop {
-                    iface: 0,
-                    via: Ipv4Addr(0),
-                })
-            };
+        self.traces.clear(sig);
+        let mut hops = 0;
+        self.sim.walk_packet(from, &pkt, |hop| {
             // Join the packet hop to the control plane: the digest of the
             // provenance chain behind the FIB entry this device used.
-            let prov = self.sim.os(dev).and_then(|os| {
-                let (prefix, _) = os.fib().lookup(dst)?;
-                Some(os.route_detail(prefix)?.prov.digest())
-            });
+            let prov = hop
+                .os
+                .zip(hop.matched)
+                .and_then(|(os, prefix)| Some(os.route_detail(prefix)?.prov.digest()));
             self.traces.capture(
                 &pkt,
                 TraceEvent {
-                    at_nanos: now + hop as u64 * 1_000,
-                    device: dev,
-                    ingress: None,
-                    decision,
-                    hop: hop as u32,
+                    at_nanos: now + u64::from(hops) * 1_000,
+                    device: hop.device,
+                    ingress: hop.ingress,
+                    decision: hop.decision,
+                    hop: hops,
                     prov,
                 },
             );
-        }
+            hops += 1;
+        });
         sig
     }
 

@@ -16,10 +16,12 @@
 use crate::emulation::{mockup, Emulation, MockupOptions};
 use crate::plan::PlanOptions;
 use crate::prepare::{prepare, BoundaryMode, SpeakerSource};
-use crystalnet_config::{Acl, AclEntry, Action, AggregateConfig};
+use crystalnet_config::{Acl, AclEntry, Action, AggregateConfig, DeviceConfig};
 use crystalnet_dataplane::ForwardDecision;
-use crystalnet_net::fixtures::{fig1, fig7};
-use crystalnet_net::{Asn, Device, Ipv4Prefix, P2pAllocator, Role, Topology, Vendor};
+use crystalnet_net::fixtures::{fig1, fig7, Fig1};
+use crystalnet_net::{
+    Asn, Device, DeviceId, Ipv4Addr, Ipv4Prefix, P2pAllocator, Role, Topology, Vendor,
+};
 use crystalnet_routing::{MgmtCommand, MgmtResponse, VendorProfile};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -71,13 +73,26 @@ fn p(s: &str) -> Ipv4Prefix {
 }
 
 fn emulate(topo: &Topology, options: MockupOptions) -> Emulation {
-    let prep = prepare(
+    emulate_edited(topo, options, |_, _| {})
+}
+
+/// [`emulate`] with `edit` applied to every prepared configuration
+/// before the mockup.
+fn emulate_edited(
+    topo: &Topology,
+    options: MockupOptions,
+    mut edit: impl FnMut(DeviceId, &mut DeviceConfig),
+) -> Emulation {
+    let mut prep = prepare(
         topo,
         &[],
         BoundaryMode::WholeNetwork,
         SpeakerSource::OriginatedOnly,
         &PlanOptions::default(),
     );
+    for (dev, cfg) in &mut prep.configs {
+        edit(*dev, cfg);
+    }
     mockup(Arc::new(prep), options)
 }
 
@@ -149,44 +164,48 @@ pub fn firmware_stops_announcing(seed: u64) -> ScenarioResult {
     }
 }
 
-/// Figure 1: vendor-divergent aggregate AS paths pull all traffic to one
-/// device.
+/// Figure 1's network under emulation: [`fig1`] with
+/// `aggregate-address P3 summary-only` on both aggregation routers (R6
+/// and R7) — identical configuration, divergent firmware.
 #[must_use]
-pub fn aggregation_imbalance(seed: u64) -> ScenarioResult {
-    let f = fig1();
-    let mut prep = prepare(
-        &f.topo,
-        &[],
-        BoundaryMode::WholeNetwork,
-        SpeakerSource::OriginatedOnly,
-        &PlanOptions::default(),
-    );
-    // Both aggregation routers get `aggregate-address P3 summary-only`.
-    for (dev, cfg) in &mut prep.configs {
-        if *dev == f.routers[5] || *dev == f.routers[6] {
+pub fn fig1_emulation(f: &Fig1, options: MockupOptions) -> Emulation {
+    emulate_edited(&f.topo, options, |dev, cfg| {
+        if dev == f.routers[5] || dev == f.routers[6] {
             cfg.bgp.as_mut().unwrap().aggregates.push(AggregateConfig {
                 prefix: f.p3,
                 summary_only: true,
             });
         }
-    }
-    let mut emu = mockup(Arc::new(prep), MockupOptions::builder().seed(seed).build());
+    })
+}
 
-    // Telemetry: 64 flows from R8 toward P3; count which middle router
-    // carries them.
-    let (mut via_r6, mut via_r7) = (0u32, 0u32);
-    for flow in 0..64u32 {
-        let src = crystalnet_net::Ipv4Addr::new(203, 0, 113, flow as u8);
-        let dst = f.p3.nth(256 + flow);
+/// Figure 1's measurement: injects one telemetry packet at R8 per
+/// `(src, dst)` flow and counts how many crossed R6 and how many R7.
+pub fn fig1_split(
+    emu: &mut Emulation,
+    f: &Fig1,
+    flows: impl IntoIterator<Item = (Ipv4Addr, Ipv4Addr)>,
+) -> (u32, u32) {
+    let (mut via_r6, mut via_r7) = (0, 0);
+    for (src, dst) in flows {
         let sig = emu.inject_packet(f.routers[7], src, dst);
         let (path, _) = emu.pull_packets(sig).expect("probe traced");
-        if path.contains(&f.routers[5]) {
-            via_r6 += 1;
-        }
-        if path.contains(&f.routers[6]) {
-            via_r7 += 1;
-        }
+        via_r6 += u32::from(path.contains(&f.routers[5]));
+        via_r7 += u32::from(path.contains(&f.routers[6]));
     }
+    (via_r6, via_r7)
+}
+
+/// Figure 1: vendor-divergent aggregate AS paths pull all traffic to one
+/// device.
+#[must_use]
+pub fn aggregation_imbalance(seed: u64) -> ScenarioResult {
+    let f = fig1();
+    let mut emu = fig1_emulation(&f, MockupOptions::builder().seed(seed).build());
+    // 64 flows from R8 toward P3.
+    let flows =
+        (0..64u32).map(|flow| (Ipv4Addr::new(203, 0, 113, flow as u8), f.p3.nth(256 + flow)));
+    let (via_r6, via_r7) = fig1_split(&mut emu, &f, flows);
     let detected = via_r7 == 64 && via_r6 == 0;
     ScenarioResult {
         name: "vendor-divergent IP aggregation imbalances traffic (Fig. 1)".into(),
@@ -232,19 +251,12 @@ pub fn fib_overflow_blackhole(seed: u64) -> ScenarioResult {
         .unwrap();
     topo.connect_p2p(slb, router, &mut p2p).unwrap();
 
-    let mut prep = prepare(
-        &topo,
-        &[],
-        BoundaryMode::WholeNetwork,
-        SpeakerSource::OriginatedOnly,
-        &PlanOptions::default(),
-    );
-    for (dev, cfg) in &mut prep.configs {
-        if *dev == router {
+    let options = MockupOptions::builder().seed(seed).build();
+    let mut emu = emulate_edited(&topo, options, |dev, cfg| {
+        if dev == router {
             cfg.fib_capacity = Some(60);
         }
-    }
-    let mut emu = mockup(Arc::new(prep), MockupOptions::builder().seed(seed).build());
+    });
 
     // Probe every announced block from the router.
     let mut blackholed = 0;

@@ -174,6 +174,62 @@ fn explain_route_agrees_with_packet_trace() {
 }
 
 #[test]
+fn captured_hops_carry_the_real_ingress_next_hop_and_provenance() {
+    let mut emu = fig7_emu(3, 1024);
+    let f = fig7();
+    // T1 → T6 crosses the fabric: ToR, leaf, spine, leaf, ToR.
+    let (src, dst) = ("10.7.0.5".parse().unwrap(), "10.7.5.9".parse().unwrap());
+    let sig = emu.inject_packet(f.tors[0], src, dst);
+    let events = emu.traces.events(sig).to_vec();
+    let (path, outcome) = emu.pull_packets(sig).unwrap();
+    assert_eq!(outcome, ForwardDecision::Deliver);
+    assert_eq!(path.len(), 5, "a cross-fabric path: {path:?}");
+    assert_eq!(events.len(), path.len());
+
+    assert_eq!(events[0].ingress, None, "hop 0 is the injection");
+    for (here, next) in events.iter().zip(&events[1..]) {
+        // The captured decision names the interface the packet really
+        // left on and the neighbour address it was sent to; the next
+        // capture names the interface it really arrived on.
+        let ForwardDecision::Forward(hop) = here.decision else {
+            panic!("mid-path device did not forward: {here:?}");
+        };
+        let (_, _, remote) = (emu.topo.neighbors(here.device))
+            .find(|(_, local, _)| local.iface == hop.iface)
+            .expect("the egress interface is wired");
+        assert_eq!(remote.device, next.device);
+        assert_eq!(next.ingress, Some(remote.iface));
+        let entry = emu.sim.fib(here.device).unwrap().lookup(dst).unwrap().1;
+        assert!(entry.next_hops.contains(&hop), "{hop:?} not in {entry:?}");
+    }
+
+    // Hop 0 still joins to the control plane: its digest is the one
+    // `explain_route` gives for the prefix the ToR matched.
+    let (prefix, _) = emu.sim.fib(f.tors[0]).unwrap().lookup(dst).unwrap();
+    let ex = emu.explain_route("t1", prefix).unwrap();
+    assert_eq!(events[0].prov, Some(ex.prov_digest));
+}
+
+#[test]
+fn a_wrapped_signature_names_only_the_latest_packet() {
+    let mut emu = fig7_emu(3, 1024);
+    let f = fig7();
+    // An address nothing routes: every journey is one device long.
+    let (src, dst) = ("10.7.0.5".parse().unwrap(), "192.0.2.1".parse().unwrap());
+    let first = emu.inject_packet(f.spines[0], src, dst);
+    for _ in 0..u16::MAX - 1 {
+        emu.inject_packet(f.spines[0], src, dst);
+    }
+    // The 16-bit signature space is used up: the next injection reuses
+    // the first signature, from another device.
+    let again = emu.inject_packet(f.spines[1], src, dst);
+    assert_eq!(again, first);
+    let (path, _) = emu.pull_packets(again).unwrap();
+    assert_eq!(path, vec![f.spines[1]], "one journey, the latest");
+    assert_eq!(emu.traces.signatures().count(), usize::from(u16::MAX));
+}
+
+#[test]
 fn explain_route_failures_are_typed() {
     let emu = fig7_emu(5, 1024);
     let absent: crystalnet_net::Ipv4Prefix = "192.0.2.0/24".parse().unwrap();

@@ -6,7 +6,7 @@
 //! vendor-interpreted — including the §2 v1/v2 ACL misread — and vendor
 //! profiles live in the routing crate.
 
-use crate::fib::{ecmp_select, Fib, NextHop};
+use crate::fib::{ecmp_select, Fib, FibEntry, NextHop};
 use crate::packet::Ipv4Packet;
 use crystalnet_net::Ipv4Addr;
 use serde::{Deserialize, Serialize};
@@ -36,6 +36,20 @@ pub fn decide(
     packet: &Ipv4Packet,
     acl_permits: impl Fn(Ipv4Addr, Ipv4Addr) -> bool,
 ) -> ForwardDecision {
+    let entry = fib.lookup(packet.dst).map(|(_, entry)| entry);
+    verdict(entry, local_addrs, packet, acl_permits)
+}
+
+/// [`decide`] for a caller that has already run the longest-prefix match:
+/// `entry` is what the device's FIB holds for `packet.dst`. A packet
+/// walker needs the matched entry whatever the verdict is, so it looks
+/// up once and asks for the verdict on the result.
+pub fn verdict(
+    entry: Option<&FibEntry>,
+    local_addrs: &[Ipv4Addr],
+    packet: &Ipv4Packet,
+    acl_permits: impl Fn(Ipv4Addr, Ipv4Addr) -> bool,
+) -> ForwardDecision {
     if !acl_permits(packet.src, packet.dst) {
         return ForwardDecision::DropAcl;
     }
@@ -45,27 +59,22 @@ pub fn decide(
     if packet.ttl <= 1 {
         return ForwardDecision::DropTtlExpired;
     }
-    match fib.lookup(packet.dst) {
-        Some((_, entry)) => {
-            match ecmp_select(
+    entry
+        .and_then(|entry| {
+            ecmp_select(
                 entry,
                 packet.src,
                 packet.dst,
                 packet.protocol,
                 packet.identification,
-            ) {
-                Some(hop) => ForwardDecision::Forward(hop),
-                None => ForwardDecision::DropNoRoute,
-            }
-        }
-        None => ForwardDecision::DropNoRoute,
-    }
+            )
+        })
+        .map_or(ForwardDecision::DropNoRoute, ForwardDecision::Forward)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fib::FibEntry;
     use bytes::Bytes;
     use crystalnet_net::Ipv4Prefix;
 

@@ -22,7 +22,7 @@ pub mod telemetry;
 pub use arp::{ArpMessage, ArpTable};
 pub use compare::{compare_fibs, fibs_equal, CompareOptions, FibDifference};
 pub use fib::{ecmp_select, Fib, FibEntry, InstallOutcome, NextHop};
-pub use forward::{decide, ForwardDecision};
+pub use forward::{decide, verdict, ForwardDecision};
 pub use packet::{
     ethertype,
     ipproto,

@@ -17,9 +17,6 @@ pub mod ethertype {
     pub const IPV4: u16 = 0x0800;
     /// ARP.
     pub const ARP: u16 = 0x0806;
-    /// BGP control messages riding directly on Ethernet in the emulation's
-    /// shortcut control channel (a private ethertype).
-    pub const CONTROL: u16 = 0x88b5;
 }
 
 /// IP protocol numbers used by the emulation.

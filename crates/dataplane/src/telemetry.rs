@@ -112,18 +112,6 @@ impl TraceStore {
         }
         out
     }
-
-    /// Aggregate per-device counters across *all* signatures.
-    #[must_use]
-    pub fn counters_all(&self) -> BTreeMap<DeviceId, u64> {
-        let mut out = BTreeMap::new();
-        for events in self.traces.values() {
-            for e in events {
-                *out.entry(e.device).or_insert(0) += 1;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

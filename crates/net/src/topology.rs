@@ -300,13 +300,6 @@ impl Topology {
         self.devices.iter().map(|d| d.originated.len()).sum()
     }
 
-    /// Devices matching a role.
-    pub fn by_role(&self, role: Role) -> impl Iterator<Item = DeviceId> + '_ {
-        self.devices()
-            .filter(move |(_, d)| d.role == role)
-            .map(|(id, _)| id)
-    }
-
     /// Whether `a` and `b` are directly linked.
     #[must_use]
     pub fn adjacent(&self, a: DeviceId, b: DeviceId) -> bool {

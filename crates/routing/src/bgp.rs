@@ -219,12 +219,6 @@ impl BgpRouterOs {
             .collect()
     }
 
-    /// Total Adj-RIB-In entries across peers.
-    #[must_use]
-    pub fn adj_rib_in_size(&self) -> usize {
-        self.peers.iter().map(|p| p.adj_in.len()).sum()
-    }
-
     /// The Loc-RIB as `(prefix, attrs, ecmp-width)` rows.
     #[must_use]
     pub fn loc_rib(&self) -> Vec<(Ipv4Prefix, Arc<PathAttrs>, usize)> {
@@ -235,12 +229,6 @@ impl BgpRouterOs {
             .collect();
         rows.sort_by_key(|(p, _, _)| *p);
         rows
-    }
-
-    /// Session flap count (drives the Case-2 crash bug).
-    #[must_use]
-    pub fn flap_count(&self) -> u32 {
-        self.flaps
     }
 
     /// Evaluates this firmware's inbound ACL on `iface` the way this
@@ -1316,10 +1304,6 @@ impl DeviceOs for BgpRouterOs {
         }
     }
 
-    fn tracing(&self) -> bool {
-        self.tracing
-    }
-
     fn take_route_mutations(&mut self) -> Vec<RouteMutation> {
         std::mem::take(&mut self.mutations)
     }
@@ -1349,14 +1333,5 @@ impl DeviceOs for BgpRouterOs {
             .collect();
         rows.sort_by_key(|(p, _)| *p);
         rows
-    }
-}
-
-impl BgpRouterOs {
-    /// The kernel-side FIB (differs from [`DeviceOs::fib`] only on images
-    /// with a separate ASIC emulator).
-    #[must_use]
-    pub fn kernel_fib(&self) -> &Fib {
-        &self.fib
     }
 }

@@ -16,16 +16,16 @@ mod world;
 
 pub use events::HarnessEvent;
 pub(crate) use events::{trace_here, HarnessEventKind};
-use world::unshared;
-pub(crate) use world::{Adjacency, Egress};
+use world::Adjacency;
+pub(crate) use world::HopStep;
 pub use world::{ControlPlaneEngine, ControlPlaneWorld};
 
-use crate::health::{HealthState, ProbeConfig};
+use crate::health::{HealthState, ProbeConfig, ProbeOutcome};
 use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsEvent};
 use crate::plane::{tick_event, Plane, Planes};
 use crate::traffic::{TrafficConfig, TrafficState};
-use crystalnet_dataplane::{decide, Fib, ForwardDecision, Ipv4Packet};
-use crystalnet_net::{DeviceId, Ipv4Addr, LinkId, Topology};
+use crystalnet_dataplane::{Fib, ForwardDecision, Ipv4Packet};
+use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId, Topology};
 use crystalnet_sim::{Engine, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
 use crystalnet_telemetry::{NoopRecorder, Recorder};
@@ -103,6 +103,24 @@ impl WorkModel for UniformWorkModel {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+}
+
+/// One device's handling of a synchronously traced packet
+/// ([`ControlPlaneSim::walk_packet`]).
+pub struct PacketHop<'w> {
+    /// The device the packet is at.
+    pub device: DeviceId,
+    /// The interface it arrived on (`None` at the injecting device).
+    pub ingress: Option<u32>,
+    /// What the device did with it: `Forward` with the next hop it chose
+    /// everywhere but at the last device, whose decision is the packet's
+    /// fate.
+    pub decision: ForwardDecision,
+    /// The device's OS, when the device is up.
+    pub os: Option<&'w dyn DeviceOs>,
+    /// The FIB prefix the device matched for the destination, whatever
+    /// the decision on it was.
+    pub matched: Option<Ipv4Prefix>,
 }
 
 /// The control-plane simulation: an [`Engine`] over [`ControlPlaneWorld`].
@@ -215,20 +233,6 @@ impl ControlPlaneSim {
     pub fn add_os(&mut self, dev: DeviceId, mut os: Box<dyn DeviceOs>) {
         os.set_tracing(self.engine.world.recorder.trace_enabled());
         self.engine.world.oses[dev.index()] = Some(Arc::from(os));
-    }
-
-    /// Pushes the recorder's tracing flag into every installed OS. Call
-    /// after swapping the recorder on an already-populated sim (OSes
-    /// installed later pick the flag up in [`Self::add_os`]). An OS whose
-    /// flag already matches is left alone, so one shared with a fork
-    /// stays shared.
-    pub fn sync_tracing(&mut self) {
-        let on = self.engine.world.recorder.trace_enabled();
-        for slot in self.engine.world.oses.iter_mut().flatten() {
-            if slot.tracing() != on {
-                unshared(slot).set_tracing(on);
-            }
-        }
     }
 
     /// Schedules `dev` to boot at `at` (firmware boot latency is added by
@@ -471,41 +475,57 @@ impl ControlPlaneSim {
         from: DeviceId,
         packet: &Ipv4Packet,
     ) -> (Vec<DeviceId>, ForwardDecision) {
-        let mut path = vec![from];
-        let mut current = from;
-        let mut ingress: Option<u32> = None;
+        let (mut path, mut fate) = (Vec::new(), ForwardDecision::DropNoRoute);
+        self.walk_packet(from, packet, |hop| {
+            path.push(hop.device);
+            fate = hop.decision;
+        });
+        (path, fate)
+    }
+
+    /// [`Self::trace_packet`] hop by hop: `visit` sees every device the
+    /// packet reaches, in path order, with what that device did with it.
+    /// Like every synchronous trace it reads FIBs and link state as they
+    /// stand and does not see silently disabled forwarding
+    /// ([`Self::set_forwarding`]) — only the planes' live walks do.
+    pub fn walk_packet(
+        &self,
+        from: DeviceId,
+        packet: &Ipv4Packet,
+        mut visit: impl FnMut(PacketHop<'_>),
+    ) {
+        let world = &self.engine.world;
         let mut pkt = packet.clone();
-        let mut last = ForwardDecision::DropNoRoute;
-        // TTL bounds the walk, but guard against accidental loops anyway.
-        for _ in 0..512 {
-            let world = &self.engine.world;
-            let Some(os) = world.live_os(current) else {
-                return (path, ForwardDecision::DropNoRoute);
+        let (mut device, mut ingress) = (from, None);
+        loop {
+            let hop = world.hop(device, ingress, &pkt, false);
+            let (decision, next) = match hop.step {
+                HopStep::Forward(adj, next) => (ForwardDecision::Forward(next), Some(adj)),
+                HopStep::End(outcome) => (
+                    match outcome {
+                        ProbeOutcome::Delivered => ForwardDecision::Deliver,
+                        ProbeOutcome::TtlExpired => ForwardDecision::DropTtlExpired,
+                        ProbeOutcome::AclDrop => ForwardDecision::DropAcl,
+                        ProbeOutcome::NoRoute
+                        | ProbeOutcome::Blackhole
+                        | ProbeOutcome::DeviceDown => ForwardDecision::DropNoRoute,
+                    },
+                    None,
+                ),
             };
-            let decision = decide(os.fib(), os.local_addrs(), &pkt, |src, dst| {
-                os.filter_permits(ingress, src, dst)
+            visit(PacketHop {
+                device,
+                ingress,
+                decision,
+                os: hop.os,
+                matched: hop.matched.map(|(prefix, _)| prefix),
             });
-            last = decision;
-            match decision {
-                ForwardDecision::Forward(hop) => match world.egress(current, hop.iface) {
-                    Egress::Local => return (path, ForwardDecision::Deliver),
-                    Egress::Unwired | Egress::LinkDown => {
-                        return (path, ForwardDecision::DropNoRoute)
-                    }
-                    Egress::Next(adj) => {
-                        let Some(next_pkt) = pkt.forwarded() else {
-                            return (path, ForwardDecision::DropTtlExpired);
-                        };
-                        pkt = next_pkt;
-                        current = adj.remote_dev;
-                        ingress = Some(adj.remote_iface);
-                        path.push(current);
-                    }
-                },
-                _ => return (path, decision),
-            }
+            let Some(adj) = next else { return };
+            // The dataplane said `Forward`, so the TTL was at least 2: it
+            // strictly falls, which is what ends a forwarding loop.
+            pkt.ttl -= 1;
+            (device, ingress) = (adj.remote_dev, Some(adj.remote_iface));
         }
-        (path, last)
     }
 
     /// Turns the health plane on: installs the probe-mesh state over
@@ -564,12 +584,6 @@ impl ControlPlaneSim {
         } else {
             self.engine.world.fwd_disabled.insert(dev);
         }
-    }
-
-    /// Whether `dev`'s forwarding was silently disabled.
-    #[must_use]
-    pub fn forwarding_disabled(&self, dev: DeviceId) -> bool {
-        self.engine.world.fwd_disabled.contains(&dev)
     }
 }
 

@@ -4,9 +4,11 @@
 
 use super::{HarnessEvent, WorkModel};
 use crate::bgp::LOCAL_IFACE;
+use crate::health::ProbeOutcome;
 use crate::os::{DeviceOs, MgmtResponse};
 use crate::plane::Planes;
-use crystalnet_net::{DeviceId, LinkId};
+use crystalnet_dataplane::{verdict, FibEntry, ForwardDecision, Ipv4Packet, NextHop};
+use crystalnet_net::{DeviceId, Ipv4Prefix, LinkId};
 use crystalnet_sim::parallel::ParallelWorld;
 use crystalnet_sim::{Engine, SimTime};
 use crystalnet_telemetry::Recorder;
@@ -22,7 +24,7 @@ pub(crate) struct Adjacency {
 
 /// Where a packet a device forwards out an interface ends up — the
 /// forward arm every packet walker shares.
-pub(crate) enum Egress {
+enum Egress {
     /// A locally attached subnet: delivered here.
     Local,
     /// The interface is not wired to anything.
@@ -31,6 +33,29 @@ pub(crate) enum Egress {
     LinkDown,
     /// Across an up link to the neighbour.
     Next(Adjacency),
+}
+
+/// What one hop resolved to.
+#[derive(Clone, Copy)]
+pub(crate) enum HopStep {
+    /// The walk ends here, delivered or lost.
+    End(ProbeOutcome),
+    /// The walk leaves by next hop `.1` across the (up) adjacency `.0`.
+    Forward(Adjacency, NextHop),
+}
+
+/// A hop's step plus the facts its callers charge, witness and capture
+/// with.
+pub(crate) struct ResolvedHop<'w> {
+    pub(crate) step: HopStep,
+    /// The device's OS, when the device is up.
+    pub(crate) os: Option<&'w dyn DeviceOs>,
+    /// The FIB entry the device holds for the destination — whatever the
+    /// verdict on it was.
+    pub(crate) matched: Option<(Ipv4Prefix, &'w FibEntry)>,
+    /// Whether the dataplane actually ran its forwarding decision (the
+    /// device is up and its forwarding was not silently disabled).
+    pub(crate) decided: bool,
 }
 
 /// Parallel-mode wiring: which shard owns each device, which shard this
@@ -130,7 +155,7 @@ impl ControlPlaneWorld {
     }
 
     /// Where a packet `dev` forwards out `iface` ends up.
-    pub(crate) fn egress(&self, dev: DeviceId, iface: u32) -> Egress {
+    fn egress(&self, dev: DeviceId, iface: u32) -> Egress {
         if iface == LOCAL_IFACE {
             return Egress::Local;
         }
@@ -138,6 +163,64 @@ impl ControlPlaneWorld {
             Some(Some(adj)) if self.link_is_up(adj.link) => Egress::Next(*adj),
             Some(Some(_)) => Egress::LinkDown,
             _ => Egress::Unwired,
+        }
+    }
+
+    /// One packet at one device: the ladder every packet walker climbs —
+    /// device up, forwarding alive, **one** longest-prefix match, the
+    /// dataplane's [`verdict`] on the entry it found, then the forward
+    /// arm ([`Self::egress`]). The planes pass `gray = true`; the
+    /// synchronous trace passes `false` and so never sees silently
+    /// disabled forwarding ([`Self::fwd_disabled`]).
+    pub(crate) fn hop(
+        &self,
+        dev: DeviceId,
+        ingress: Option<u32>,
+        pkt: &Ipv4Packet,
+        gray: bool,
+    ) -> ResolvedHop<'_> {
+        let Some(os) = self.live_os(dev) else {
+            return ResolvedHop {
+                step: HopStep::End(ProbeOutcome::DeviceDown),
+                os: None,
+                matched: None,
+                decided: false,
+            };
+        };
+        let matched = os.fib().lookup(pkt.dst);
+        // Forwarding silently dead: sessions stay up, the FIB stays
+        // "correct" — only a live walk can see this.
+        let decided = !(gray && self.fwd_disabled.contains(&dev));
+        // Dying at a device that *holds* a route is the gray failure; with
+        // no route it is an ordinary miss.
+        let died = HopStep::End(if matched.is_some() {
+            ProbeOutcome::Blackhole
+        } else {
+            ProbeOutcome::NoRoute
+        });
+        let permits = |s, d| os.filter_permits(ingress, s, d);
+        let step = if !decided {
+            died
+        } else {
+            match verdict(matched.map(|(_, e)| e), os.local_addrs(), pkt, permits) {
+                ForwardDecision::Deliver => HopStep::End(ProbeOutcome::Delivered),
+                ForwardDecision::DropTtlExpired => HopStep::End(ProbeOutcome::TtlExpired),
+                ForwardDecision::DropNoRoute => HopStep::End(ProbeOutcome::NoRoute),
+                ForwardDecision::DropAcl => HopStep::End(ProbeOutcome::AclDrop),
+                ForwardDecision::Forward(next) => match self.egress(dev, next.iface) {
+                    Egress::Local => HopStep::End(ProbeOutcome::Delivered),
+                    Egress::Unwired => HopStep::End(ProbeOutcome::NoRoute),
+                    // The FIB still points at a dead link: stale state.
+                    Egress::LinkDown => died,
+                    Egress::Next(adj) => HopStep::Forward(adj, next),
+                },
+            }
+        };
+        ResolvedHop {
+            step,
+            os: Some(os),
+            matched,
+            decided,
         }
     }
 }

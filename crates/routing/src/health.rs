@@ -119,12 +119,6 @@ impl PairStats {
         self.window.iter().filter(|d| !**d).count() as u64
     }
 
-    /// Integer loss percentage over the lifetime of the pair.
-    #[must_use]
-    pub fn loss_pct(&self) -> u64 {
-        (self.lost * 100).checked_div(self.sent).unwrap_or(0)
-    }
-
     /// Records one walk's outcome and reports whether the pair just
     /// *transitioned* into SLO breach (the watchdog fires exactly once
     /// per excursion). The window parameters are the recording plane's.

@@ -196,13 +196,6 @@ pub trait DeviceOs: Send + Sync {
         let _ = on;
     }
 
-    /// The flag last given to [`DeviceOs::set_tracing`], so the harness
-    /// can leave an OS it shares with a fork alone when the flag already
-    /// matches. Default: off (an OS that keeps no journal never traces).
-    fn tracing(&self) -> bool {
-        false
-    }
-
     /// Drains the RIB/FIB mutations performed since the last call. Only
     /// populated while tracing is on. Default: empty.
     fn take_route_mutations(&mut self) -> Vec<RouteMutation> {

@@ -113,12 +113,6 @@ impl OspfRouterOs {
         self.priority
     }
 
-    /// Link-state database size (routers known).
-    #[must_use]
-    pub fn lsdb_size(&self) -> usize {
-        self.lsdb.len()
-    }
-
     /// Adjacent neighbor router ids.
     #[must_use]
     pub fn adjacencies(&self) -> Vec<Ipv4Addr> {

@@ -5,10 +5,12 @@
 //! Both planes are the paper's packet-level primitive (Table 2's
 //! `InjectPackets`/`PullPackets`: signature packets walked through the
 //! live FIBs) run continuously. A seeded **tick** launches the round's
-//! walks; each **hop** resolves one forwarding decision against one
-//! device's live FIB, so a walk experiences transient state (a link that
-//! is down *right now*, a FIB entry not yet withdrawn) where it is; the
-//! terminal hop sends a **report** back to the source's pair gauges.
+//! walks; each **hop** asks the world what one device does with the
+//! packet right now (`ControlPlaneWorld::hop`, the ladder the
+//! synchronous `trace_packet` climbs too), so a walk experiences
+//! transient state (a link that is down *right now*, a FIB entry not yet
+//! withdrawn) where it is; the terminal hop sends a **report** back to
+//! the source's pair gauges.
 //! What a plane samples, charges and watches is in its own module.
 //!
 //! **Non-causal.** Plane events never count against route quiescence
@@ -38,17 +40,13 @@
 //! fork and back at the join, while totals and incidents start at zero
 //! on a shard and merge back additively.
 
-use crate::harness::{
-    trace_here, Adjacency, ControlPlaneEngine, ControlPlaneWorld, Egress, HarnessEvent,
-    HarnessEventKind,
-};
+use crate::harness::{trace_here, ControlPlaneEngine, HarnessEvent, HarnessEventKind, HopStep};
 use crate::health::{
     GrayFailureWitness, HealthState, Incident, IncidentKind, PairStats, ProbeOutcome,
 };
-use crate::os::DeviceOs;
 use crate::traffic::{entry_sig, TrafficState};
-use crystalnet_dataplane::{decide, ipproto, FibEntry, ForwardDecision, Ipv4Packet};
-use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix};
+use crystalnet_dataplane::{ipproto, Ipv4Packet};
+use crystalnet_net::{DeviceId, Ipv4Addr};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::FieldValue;
@@ -370,78 +368,6 @@ pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
     e.schedule_event_at(now + period, tick_event(plane, round + 1));
 }
 
-/// What one hop resolved to.
-#[derive(Clone, Copy)]
-enum HopStep {
-    /// The walk ends here, delivered or lost.
-    End(ProbeOutcome),
-    /// The walk leaves on interface `.1` across the (up) adjacency `.0`.
-    Forward(Adjacency, u32),
-}
-
-/// A hop's step plus the facts the planes charge and witness with.
-struct ResolvedHop<'w> {
-    step: HopStep,
-    /// The device's OS, when the device is up.
-    os: Option<&'w dyn DeviceOs>,
-    /// The FIB entry the device holds for the destination.
-    matched: Option<(Ipv4Prefix, &'w FibEntry)>,
-    /// Whether the dataplane actually ran its forwarding decision (the
-    /// device is up and its forwarding was not silently disabled).
-    decided: bool,
-}
-
-/// Resolves `pkt` arriving at `dev` on `ingress`: the one ladder every
-/// in-virtual-time walk climbs — device up, forwarding alive, the
-/// dataplane's [`decide`] over the live FIB (the same forwarding logic
-/// `trace_packet` walks), then the forward arm: local, adjacency,
-/// link-up.
-fn resolve_hop<'w>(
-    world: &'w ControlPlaneWorld,
-    dev: DeviceId,
-    ingress: Option<u32>,
-    pkt: &Ipv4Packet,
-) -> ResolvedHop<'w> {
-    let os = world.live_os(dev);
-    let matched = os.and_then(|os| os.fib().lookup(pkt.dst));
-    // Forwarding silently dead: sessions stay up, the FIB stays
-    // "correct" — only a live walk can see this.
-    let decided = os.is_some() && !world.fwd_disabled.contains(&dev);
-    // Dying at a device that *holds* a route is the gray failure; with
-    // no route it is an ordinary miss.
-    let died = HopStep::End(if matched.is_some() {
-        ProbeOutcome::Blackhole
-    } else {
-        ProbeOutcome::NoRoute
-    });
-    let step = match os {
-        None => HopStep::End(ProbeOutcome::DeviceDown),
-        Some(_) if !decided => died,
-        Some(os) => {
-            let permits = |s, d| os.filter_permits(ingress, s, d);
-            match decide(os.fib(), os.local_addrs(), pkt, permits) {
-                ForwardDecision::Deliver => HopStep::End(ProbeOutcome::Delivered),
-                ForwardDecision::DropTtlExpired => HopStep::End(ProbeOutcome::TtlExpired),
-                ForwardDecision::DropNoRoute => HopStep::End(ProbeOutcome::NoRoute),
-                ForwardDecision::DropAcl => HopStep::End(ProbeOutcome::AclDrop),
-                ForwardDecision::Forward(hop) => match world.egress(dev, hop.iface) {
-                    Egress::Local => HopStep::End(ProbeOutcome::Delivered),
-                    Egress::Unwired => HopStep::End(ProbeOutcome::NoRoute),
-                    // The FIB still points at a dead link: stale state.
-                    Egress::LinkDown => died,
-                    Egress::Next(adj) => HopStep::Forward(adj, hop.iface),
-                },
-            }
-        }
-    };
-    ResolvedHop {
-        step,
-        os,
-        matched,
-        decided,
-    }
-}
-
 /// One walk at one device. The planes differ in the synthetic packet
 /// (UDP probes, TCP flows, the walk's sequence number as `identification`
 /// so ECMP spreads concurrent walks), in what a loss witnesses (only a
@@ -464,7 +390,7 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
     };
 
     let (step, witness, charge) = {
-        let hop = resolve_hop(&e.world, dev, walk.ingress, &pkt);
+        let hop = e.world.hop(dev, walk.ingress, &pkt, true);
         let witness = match (plane, hop.step, hop.os, hop.matched) {
             (Plane::Probe, HopStep::End(ProbeOutcome::Blackhole), Some(os), Some((prefix, _))) => {
                 // The FIB entry the device *would have used*, with its
@@ -491,8 +417,8 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
     if let Some((prefix, sig, members)) = charge {
         let t = e.world.planes.traffic.as_mut().expect("flows have a plane");
         walk.rerouted |= t.note_route(dev, prefix, sig);
-        if let HopStep::Forward(adj, iface) = step {
-            t.charge_tx(dev, adj.link, iface, members, walk.bytes);
+        if let HopStep::Forward(adj, next) = step {
+            t.charge_tx(dev, adj.link, next.iface, members, walk.bytes);
         }
     }
 

@@ -1,13 +1,10 @@
 //! The discrete-event engine.
 //!
 //! The engine owns a user-defined *world* (`W`) and a pending-event queue.
-//! Events are values implementing [`EventFire`]; firing an event hands it
-//! `&mut Engine` so handlers can both mutate the world and schedule
-//! follow-up events. The default event type, [`ClosureEvent`], wraps a
-//! one-shot boxed closure, so `Engine<W>` keeps the original
-//! closure-scheduling API. Performance-critical simulations (the routing
-//! harness) instead use a typed event enum, avoiding the per-event heap
-//! allocation and dynamic dispatch.
+//! Events are values of one type implementing [`EventFire`] (the routing
+//! harness uses an enum); firing an event hands it `&mut Engine` so
+//! handlers can both mutate the world and schedule follow-up events, with
+//! no per-event heap allocation or dynamic dispatch.
 //!
 //! # Queue
 //!
@@ -21,10 +18,9 @@
 //! # Determinism
 //!
 //! Events fire ordered by `(time, key, seq)`: virtual time first, then the
-//! event's own [`EventFire::key`], then scheduling order. `ClosureEvent`
-//! returns a constant key, so closure engines order ties purely by
-//! scheduling sequence — the original engine contract. Typed events can
-//! supply a *content-derived* key (e.g. source device and per-source
+//! event's own [`EventFire::key`], then scheduling order. With the default
+//! constant key, ties order purely by scheduling sequence. An event type
+//! can supply a *content-derived* key (e.g. source device and per-source
 //! counter), making tie order independent of scheduling interleave; this is
 //! what lets the parallel executor replay the serial order bit-for-bit.
 
@@ -32,9 +28,6 @@ use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// A one-shot boxed event handler (the default engine event payload).
-pub type Event<W> = Box<dyn FnOnce(&mut Engine<W>)>;
 
 /// A stable, content-derived identity for one fired event.
 ///
@@ -97,22 +90,6 @@ pub trait EventFire<W>: Sized {
     /// as a field survive all of that unchanged.
     fn cause(&self) -> Option<EventId> {
         None
-    }
-}
-
-/// The default event type: a boxed `FnOnce` closure.
-pub struct ClosureEvent<W>(Event<W>);
-
-impl<W> ClosureEvent<W> {
-    /// Wraps a closure as an event.
-    pub fn new(f: impl FnOnce(&mut Engine<W>) + 'static) -> Self {
-        ClosureEvent(Box::new(f))
-    }
-}
-
-impl<W> EventFire<W> for ClosureEvent<W> {
-    fn fire(self, engine: &mut Engine<W, Self>) {
-        (self.0)(engine)
     }
 }
 
@@ -285,16 +262,23 @@ impl<E> CalendarQueue<E> {
 /// # Examples
 ///
 /// ```
-/// use crystalnet_sim::{Engine, SimDuration};
+/// use crystalnet_sim::{Engine, EventFire, SimDuration};
+///
+/// struct Add(u32);
+/// impl EventFire<u32> for Add {
+///     fn fire(self, e: &mut Engine<u32, Add>) {
+///         e.world += self.0;
+///     }
+/// }
 ///
 /// let mut engine = Engine::new(0u32);
-/// engine.schedule_after(SimDuration::from_secs(1), |e| e.world += 1);
-/// engine.schedule_after(SimDuration::from_secs(2), |e| e.world += 10);
+/// engine.schedule_event_after(SimDuration::from_secs(1), Add(1));
+/// engine.schedule_event_after(SimDuration::from_secs(2), Add(10));
 /// engine.run();
 /// assert_eq!(engine.world, 11);
 /// assert_eq!(engine.now().as_secs_f64(), 2.0);
 /// ```
-pub struct Engine<W, E = ClosureEvent<W>> {
+pub struct Engine<W, E> {
     clock: SimTime,
     seq: u64,
     executed: u64,
@@ -523,35 +507,49 @@ impl<W, E> Engine<W, E> {
     }
 }
 
-impl<W> Engine<W, ClosureEvent<W>> {
-    /// Schedules a closure at absolute time `at`.
-    ///
-    /// Events scheduled in the past run at the current time (the clock never
-    /// moves backwards); ties run in scheduling order.
-    pub fn schedule_at(&mut self, at: SimTime, event: impl FnOnce(&mut Engine<W>) + 'static) {
-        self.schedule_event_at(at, ClosureEvent::new(event));
-    }
-
-    /// Schedules a closure after `delay` from the current time.
-    pub fn schedule_after(
-        &mut self,
-        delay: SimDuration,
-        event: impl FnOnce(&mut Engine<W>) + 'static,
-    ) {
-        self.schedule_event_after(delay, ClosureEvent::new(event));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tests' event over a `Vec<u64>` world. Its key is the default
+    /// constant, so ties fall back to scheduling order.
+    enum Op {
+        /// Push the value.
+        Push(u64),
+        /// Push the firing time, in nanoseconds.
+        Now,
+        /// Push, then go again a second later until five are in.
+        Tick,
+        /// Schedule a `Now` at time zero — in the past.
+        Rewind,
+    }
+
+    impl EventFire<Vec<u64>> for Op {
+        fn fire(self, e: &mut Engine<Vec<u64>, Op>) {
+            match self {
+                Op::Push(v) => e.world.push(v),
+                Op::Now => e.world.push(e.now().as_nanos()),
+                Op::Tick => {
+                    e.world.push(1);
+                    if e.world.len() < 5 {
+                        e.schedule_event_after(SimDuration::from_secs(1), Op::Tick);
+                    }
+                }
+                Op::Rewind => e.schedule_event_at(SimTime::ZERO, Op::Now),
+            }
+        }
+    }
+
+    fn engine() -> Engine<Vec<u64>, Op> {
+        Engine::new(Vec::new())
+    }
+
     #[test]
     fn events_run_in_time_order() {
-        let mut e = Engine::new(Vec::new());
-        e.schedule_after(SimDuration::from_secs(3), |e| e.world.push(3));
-        e.schedule_after(SimDuration::from_secs(1), |e| e.world.push(1));
-        e.schedule_after(SimDuration::from_secs(2), |e| e.world.push(2));
+        let mut e = engine();
+        e.schedule_event_after(SimDuration::from_secs(3), Op::Push(3));
+        e.schedule_event_after(SimDuration::from_secs(1), Op::Push(1));
+        e.schedule_event_after(SimDuration::from_secs(2), Op::Push(2));
         e.run();
         assert_eq!(e.world, vec![1, 2, 3]);
         assert_eq!(e.events_executed(), 3);
@@ -559,10 +557,10 @@ mod tests {
 
     #[test]
     fn ties_break_by_scheduling_order() {
-        let mut e = Engine::new(Vec::new());
+        let mut e = engine();
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         for i in 0..10 {
-            e.schedule_at(t, move |e| e.world.push(i));
+            e.schedule_event_at(t, Op::Push(i));
         }
         e.run();
         assert_eq!(e.world, (0..10).collect::<Vec<_>>());
@@ -570,61 +568,49 @@ mod tests {
 
     #[test]
     fn handlers_can_schedule_follow_ups() {
-        let mut e = Engine::new(0u64);
-        fn tick(e: &mut Engine<u64>) {
-            e.world += 1;
-            if e.world < 5 {
-                e.schedule_after(SimDuration::from_secs(1), tick);
-            }
-        }
-        e.schedule_after(SimDuration::from_secs(1), tick);
+        let mut e = engine();
+        e.schedule_event_after(SimDuration::from_secs(1), Op::Tick);
         e.run();
-        assert_eq!(e.world, 5);
+        assert_eq!(e.world.len(), 5);
         assert_eq!(e.now(), SimTime::ZERO + SimDuration::from_secs(5));
     }
 
     #[test]
     fn past_events_run_now_not_backwards() {
-        let mut e = Engine::new(Vec::new());
-        e.schedule_after(SimDuration::from_secs(5), |e| {
-            let now = e.now();
-            e.schedule_at(SimTime::ZERO, move |e| {
-                let t = e.now();
-                e.world.push(t >= now);
-            });
-        });
+        let mut e = engine();
+        e.schedule_event_after(SimDuration::from_secs(5), Op::Rewind);
         e.run();
-        assert_eq!(e.world, vec![true]);
+        assert_eq!(e.world, vec![SimDuration::from_secs(5).as_nanos()]);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut e = Engine::new(0u32);
-        e.schedule_after(SimDuration::from_secs(1), |e| e.world += 1);
-        e.schedule_after(SimDuration::from_secs(10), |e| e.world += 100);
+        let mut e = engine();
+        e.schedule_event_after(SimDuration::from_secs(1), Op::Push(1));
+        e.schedule_event_after(SimDuration::from_secs(10), Op::Push(100));
         e.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-        assert_eq!(e.world, 1);
+        assert_eq!(e.world, vec![1]);
         assert_eq!(e.now(), SimTime::ZERO + SimDuration::from_secs(5));
         assert_eq!(e.events_pending(), 1);
         e.run();
-        assert_eq!(e.world, 101);
+        assert_eq!(e.world, vec![1, 100]);
     }
 
     #[test]
     fn run_while_reports_predicate_outcome() {
-        let mut e = Engine::new(0u32);
+        let mut e = engine();
         for _ in 0..10 {
-            e.schedule_after(SimDuration::from_secs(1), |e| e.world += 1);
+            e.schedule_event_after(SimDuration::from_secs(1), Op::Push(1));
         }
-        assert!(e.run_while(|e| e.world >= 4));
-        assert_eq!(e.world, 4);
-        assert!(!e.run_while(|e| e.world >= 100));
-        assert_eq!(e.world, 10);
+        assert!(e.run_while(|e| e.world.len() >= 4));
+        assert_eq!(e.world.len(), 4);
+        assert!(!e.run_while(|e| e.world.len() >= 100));
+        assert_eq!(e.world.len(), 10);
     }
 
     #[test]
     fn empty_engine_is_idle() {
-        let mut e: Engine<()> = Engine::new(());
+        let mut e = engine();
         assert!(!e.step());
         assert_eq!(e.next_event_time(), None);
         assert_eq!(e.events_executed(), 0);
@@ -712,15 +698,13 @@ mod tests {
     fn calendar_queue_handles_ring_wrap_and_overflow() {
         // Spread events far past the ring horizon (64 µs × 1024 ≈ 65 ms)
         // and interleave near/far scheduling from inside handlers.
-        let mut e = Engine::new(Vec::new());
+        let mut e = engine();
         for i in (0..200u64).rev() {
-            let t = SimTime::ZERO + SimDuration::from_micros(i * 997);
-            e.schedule_at(t, move |e| e.world.push(t));
+            e.schedule_event_at(SimTime::ZERO + SimDuration::from_micros(i * 997), Op::Now);
         }
         // Far-future overflow events (seconds out).
         for i in 0..20u64 {
-            let t = SimTime::ZERO + SimDuration::from_secs(i + 1);
-            e.schedule_at(t, move |e| e.world.push(t));
+            e.schedule_event_at(SimTime::ZERO + SimDuration::from_secs(i + 1), Op::Now);
         }
         e.run();
         assert_eq!(e.world.len(), 220);
@@ -730,13 +714,13 @@ mod tests {
 
     #[test]
     fn next_event_time_sees_ring_and_overflow() {
-        let mut e: Engine<()> = Engine::new(());
-        e.schedule_at(SimTime::ZERO + SimDuration::from_secs(30), |_| {});
+        let mut e = engine();
+        e.schedule_event_at(SimTime::ZERO + SimDuration::from_secs(30), Op::Now);
         assert_eq!(
             e.next_event_time(),
             Some(SimTime::ZERO + SimDuration::from_secs(30))
         );
-        e.schedule_at(SimTime::ZERO + SimDuration::from_micros(100), |_| {});
+        e.schedule_event_at(SimTime::ZERO + SimDuration::from_micros(100), Op::Now);
         assert_eq!(
             e.next_event_time(),
             Some(SimTime::ZERO + SimDuration::from_micros(100))

@@ -26,7 +26,7 @@ pub mod rng;
 pub mod time;
 
 pub use cpu::{CpuServer, UtilizationTracker};
-pub use engine::{ClosureEvent, Engine, EngineCheckpoint, Event, EventFire, EventId};
+pub use engine::{Engine, EngineCheckpoint, EventFire, EventId};
 pub use heartbeat::{Backoff, HeartbeatSchedule};
 pub use metrics::{LatencySummary, Series};
 pub use parallel::{

@@ -1,7 +1,32 @@
 //! Property-based tests for the simulation engine's core invariants.
 
-use crystalnet_sim::{CpuServer, Engine, SimDuration, SimRng, SimTime};
+use crystalnet_sim::{CpuServer, Engine, EventFire, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+
+/// Records the time it fires at.
+struct Stamp;
+
+impl EventFire<Vec<SimTime>> for Stamp {
+    fn fire(self, e: &mut Engine<Vec<SimTime>, Stamp>) {
+        let now = e.now();
+        e.world.push(now);
+    }
+}
+
+/// A self-perpetuating event whose spacing comes from the world's
+/// seeded stream: fifty firings, each recording `now ^ jitter`.
+struct Tick;
+
+impl EventFire<(SimRng, Vec<u64>)> for Tick {
+    fn fire(self, e: &mut Engine<(SimRng, Vec<u64>), Tick>) {
+        let jitter = e.world.0.below(1_000_000);
+        let now = e.now();
+        e.world.1.push(now.as_nanos() ^ jitter);
+        if e.world.1.len() < 50 {
+            e.schedule_event_after(SimDuration::from_nanos(jitter + 1), Tick);
+        }
+    }
+}
 
 proptest! {
     /// The engine executes any schedule in non-decreasing time order and
@@ -11,10 +36,7 @@ proptest! {
         let n = delays.len();
         let mut engine = Engine::new(Vec::<SimTime>::new());
         for d in delays {
-            engine.schedule_after(SimDuration::from_micros(d), |e| {
-                let now = e.now();
-                e.world.push(now);
-            });
+            engine.schedule_event_after(SimDuration::from_micros(d), Stamp);
         }
         engine.run();
         prop_assert_eq!(engine.world.len(), n);
@@ -28,15 +50,7 @@ proptest! {
     fn engine_is_deterministic(seed in any::<u64>()) {
         let run = |seed: u64| {
             let mut engine = Engine::new((SimRng::from_seed(seed), Vec::new()));
-            fn tick(e: &mut Engine<(SimRng, Vec<u64>)>) {
-                let jitter = e.world.0.below(1_000_000);
-                let now = e.now();
-                e.world.1.push(now.as_nanos() ^ jitter);
-                if e.world.1.len() < 50 {
-                    e.schedule_after(SimDuration::from_nanos(jitter + 1), tick);
-                }
-            }
-            engine.schedule_after(SimDuration::from_nanos(1), tick);
+            engine.schedule_event_after(SimDuration::from_nanos(1), Tick);
             engine.run();
             engine.world.1
         };

@@ -1150,20 +1150,6 @@ impl RunReport {
         s
     }
 
-    /// Compact JSON of just the canonical counter section — what the
-    /// `recovery_latency` and `convergence_scaling` benches splice into
-    /// their result rows.
-    #[must_use]
-    pub fn counters_json(&self) -> String {
-        serde_json::to_string(&Value::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Uint(*v)))
-                .collect(),
-        ))
-        .expect("counter serialization is infallible")
-    }
-
     /// Human-readable table summary for terminals.
     #[must_use]
     pub fn summary(&self) -> String {

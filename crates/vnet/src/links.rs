@@ -68,17 +68,6 @@ impl LinkSpan {
             LinkSpan::CrossCloud => SimDuration::from_millis(30),
         }
     }
-
-    /// Host-CPU cost of pushing one frame through the link's stack
-    /// (bridge copy; plus VXLAN encap/decap when leaving the VM).
-    #[must_use]
-    pub fn frame_cpu(self) -> SimDuration {
-        match self {
-            LinkSpan::IntraVm => SimDuration::from_micros(4),
-            LinkSpan::InterVm => SimDuration::from_micros(9),
-            LinkSpan::CrossCloud => SimDuration::from_micros(9),
-        }
-    }
 }
 
 /// Allocates per-VM-unique VXLAN IDs ("Orchestrator ensures that there is

@@ -12,30 +12,14 @@
 //! ```
 
 use crystalnet::prelude::*;
-use crystalnet::PlanOptions;
-use crystalnet_config::AggregateConfig;
+use crystalnet::scenarios::{fig1_emulation, fig1_split};
 use crystalnet_net::fixtures::fig1;
 
 fn main() {
     let f = fig1();
-    let mut prep = prepare(
-        &f.topo,
-        &[],
-        BoundaryMode::WholeNetwork,
-        SpeakerSource::OriginatedOnly,
-        &PlanOptions::default(),
-    );
     // Operators configure `aggregate-address P3 summary-only` on both
     // aggregation routers — identical configuration, divergent firmware.
-    for (dev, cfg) in &mut prep.configs {
-        if *dev == f.routers[5] || *dev == f.routers[6] {
-            cfg.bgp.as_mut().unwrap().aggregates.push(AggregateConfig {
-                prefix: f.p3,
-                summary_only: true,
-            });
-        }
-    }
-    let mut emu = mockup(Arc::new(prep), MockupOptions::builder().build());
+    let mut emu = fig1_emulation(&f, MockupOptions::builder().build());
 
     // R8's view of P3, as an operator would pull it.
     if let Ok(MgmtResponse::Routes(rows)) = emu.login_and_run("r8", MgmtCommand::ShowRoutes) {
@@ -47,18 +31,11 @@ fn main() {
     }
 
     // Telemetry: 200 flows from R8 into P3.
-    let (mut via_r6, mut via_r7) = (0u32, 0u32);
-    for flow in 0..200u32 {
+    let flows = (0..200u32).map(|flow| {
         let src = crystalnet_net::Ipv4Addr::new(203, 0, (flow >> 8) as u8, flow as u8);
-        let sig = emu.inject_packet(f.routers[7], src, f.p3.nth(flow * 7 + 1));
-        let (path, _) = emu.pull_packets(sig).expect("probe traced");
-        if path.contains(&f.routers[5]) {
-            via_r6 += 1;
-        }
-        if path.contains(&f.routers[6]) {
-            via_r7 += 1;
-        }
-    }
+        (src, f.p3.nth(flow * 7 + 1))
+    });
+    let (via_r6, via_r7) = fig1_split(&mut emu, &f, flows);
     println!("traffic split for P3: R6 carried {via_r6}, R7 carried {via_r7}");
     println!(
         "imbalance {}: Vendor-C's empty-path aggregate wins every tie",
