@@ -14,24 +14,31 @@
 //! and testbed tests missed.
 
 use crate::emulation::{mockup, Emulation, MockupOptions};
+use crate::health::CorrelatedIncident;
 use crate::plan::PlanOptions;
 use crate::prepare::{prepare, BoundaryMode, SpeakerSource};
-use crate::workflow::{StepOutcome, UpdateStep, ValidationLoop};
+use crate::rehearse::diff_devices;
+use crate::workflow::{RehearsalReport, RehearsalStep};
 use crystalnet_dataplane::ForwardDecision;
-use crystalnet_net::{DeviceId, RegionParams, RegionTopology, Role};
+use crystalnet_net::{RegionParams, RegionTopology, Role};
 use crystalnet_routing::{DeviceOs, Frame, MgmtCommand, OsEvent, VendorProfile};
+use crystalnet_sim::SimDuration;
 use crystalnet_telemetry::RunReport;
 use std::sync::Arc;
 
 /// The report of the Case-1 rehearsal.
 #[derive(Debug)]
 pub struct Case1Report {
-    /// Step outcomes of the *first* rehearsal (with the buggy tool).
-    pub rehearsal: Vec<(String, StepOutcome)>,
+    /// The *first* rehearsal (with the buggy tool), step by step.
+    pub rehearsal: RehearsalReport,
     /// Bugs the rehearsal caught (would-be production incidents).
     pub bugs_caught: usize,
-    /// Step outcomes of the final, perfected plan.
-    pub final_run: Vec<(String, StepOutcome)>,
+    /// Whether the caught step's fork was dropped, never committed:
+    /// border0 still up, every FIB equal to its pre-rehearsal self.
+    pub baseline_untouched: bool,
+    /// The final, perfected plan, step by step (each step's delta has
+    /// its probe / flow / incident impact when the run is under load).
+    pub final_run: RehearsalReport,
     /// Whether the perfected plan completed without any disruption.
     pub no_disruption: bool,
     /// VM count of the emulation.
@@ -43,8 +50,9 @@ pub struct Case1Report {
     /// rehearsal ran under load — see [`run_case1_under_load`]).
     pub traffic: crate::traffic::TrafficReport,
     /// Correlated incidents observed during the final run (health and
-    /// congestion watchdogs; empty when both planes are off).
-    pub incidents: usize,
+    /// congestion watchdogs; empty when both planes are off). Those
+    /// that follow a committed step carry it as their `change` cause.
+    pub incidents: Vec<CorrelatedIncident>,
 }
 
 /// Builds the Case-1 emulation: both DCs fully emulated plus regional
@@ -86,6 +94,17 @@ fn cross_dc_ok(
     Ok(())
 }
 
+/// The plans' opening step: watch the untouched network for a while
+/// (under load, the loss baseline) and confirm traffic rides the WAN.
+fn baseline_step(name: &str, region: &RegionTopology) -> RehearsalStep {
+    let region = region.clone();
+    RehearsalStep::tools(name, |emu| {
+        emu.advance(SimDuration::from_secs(10));
+        Ok(())
+    })
+    .expect(move |emu| cross_dc_ok(emu, &region, Role::WanCore))
+}
+
 /// Runs the Case-1 migration rehearsal with the default options.
 #[must_use]
 pub fn run_case1(seed: u64) -> Case1Report {
@@ -95,16 +114,16 @@ pub fn run_case1(seed: u64) -> Case1Report {
 /// Runs the Case-1 migration rehearsal *under load*: the probe mesh and
 /// the traffic plane both run while the staged plan executes, so the
 /// report shows what the migration transient did to user flows (lost,
-/// rerouted) and whether any congestion watchdog fired — the paper's
-/// end goal, not just FIB equivalence. Deterministic for a given seed
-/// like every other run.
+/// rerouted — per step, in each step's delta) and whether any congestion
+/// watchdog fired — the paper's end goal, not just FIB equivalence.
+/// Deterministic for a given seed like every other run.
 #[must_use]
 pub fn run_case1_under_load(seed: u64) -> Case1Report {
     run_case1_with(
         &MockupOptions::builder()
             .seed(seed)
-            .health(crystalnet_sim::SimDuration::from_secs(5))
-            .traffic(crystalnet_sim::SimDuration::from_secs(5))
+            .health(SimDuration::from_secs(5))
+            .traffic(SimDuration::from_secs(5))
             .build(),
     )
 }
@@ -123,43 +142,30 @@ pub fn run_case1_with(options: &MockupOptions) -> Case1Report {
     // ------------------------------------------------------------------
     // Rehearsal 1: the operators' tools still contain a bug — the traffic
     // shift step shuts down a whole border router instead of its WAN
-    // sessions (the §2 tool-bug class).
+    // sessions (the §2 tool-bug class). Its fork is dropped.
     // ------------------------------------------------------------------
     let mut emu = case1_emulation(options, &region);
     let border0 = region.dcs[0].borders[0];
-    let r1 = region.clone();
+    let border0_name = region.topo.device(border0).name.clone();
+    let pre_rehearsal = emu.os_handles();
     let r2 = region.clone();
-    let rehearsal = ValidationLoop::new()
-        .step(UpdateStep::new(
-            "baseline: inter-DC traffic rides the legacy WAN",
-            |_| {},
-            move |emu: &mut Emulation| cross_dc_ok(emu, &r1, Role::WanCore),
-        ))
-        .step(
-            UpdateStep::new(
-                "shift DC0 border0 off the WAN (buggy tool)",
-                move |emu| {
-                    // BUG: the tool powers the router down entirely.
-                    emu.sim.mgmt_sync(border0, MgmtCommand::DeviceShutdown);
-                },
-                move |emu: &mut Emulation| {
-                    if !emu.sim.is_up(border0) {
-                        return Err("border0 is down — tool shut the router, not sessions".into());
-                    }
-                    cross_dc_ok(emu, &r2, Role::WanCore)
-                },
-            )
-            .with_revert(move |emu| {
-                // Reload(original) brings the router back.
-                emu.restore_devices(&[border0], emu.now());
-            }),
-        )
-        .run(&mut emu);
-    let bugs_caught = rehearsal
-        .steps
-        .iter()
-        .filter(|(_, o)| matches!(o, StepOutcome::Failed { .. }))
-        .count();
+    let rehearsal = emu.rehearse([
+        baseline_step("baseline: inter-DC traffic rides the legacy WAN", &region),
+        RehearsalStep::tools("shift DC0 border0 off the WAN (buggy tool)", move |emu| {
+            // BUG: the tool powers the router down entirely.
+            emu.login_and_run(&border0_name, MgmtCommand::DeviceShutdown)
+                .map(drop)
+        })
+        .expect(move |emu| {
+            if !emu.sim.is_up(border0) {
+                return Err("border0 is down — tool shut the router, not sessions".into());
+            }
+            cross_dc_ok(emu, &r2, Role::WanCore)
+        }),
+    ]);
+    let bugs_caught = rehearsal.failures().len();
+    let baseline_untouched =
+        emu.sim.is_up(border0) && diff_devices(&pre_rehearsal, &emu.sim).is_empty();
 
     // ------------------------------------------------------------------
     // Final run: the fixed tool shuts down individual WAN sessions, per
@@ -169,53 +175,42 @@ pub fn run_case1_with(options: &MockupOptions) -> Case1Report {
     let mut final_options = options.clone();
     final_options.seed += 1000;
     let mut emu = case1_emulation(&final_options, &region);
-    let mut wan_sessions: Vec<(DeviceId, crystalnet_net::Ipv4Addr)> = Vec::new();
+    let mut wan_sessions: Vec<(String, crystalnet_net::Ipv4Addr)> = Vec::new();
     for dc in &region.dcs {
         for &b in &dc.borders {
             for (_, _, remote) in region.topo.neighbors(b) {
                 let peer_dev = region.topo.device(remote.device);
                 if peer_dev.role == Role::WanCore {
                     let peer = peer_dev.ifaces[remote.iface as usize].addr.unwrap().addr;
-                    wan_sessions.push((b, peer));
+                    wan_sessions.push((region.topo.device(b).name.clone(), peer));
                 }
             }
         }
     }
-    let r3 = region.clone();
     let r4 = region.clone();
-    let final_run = ValidationLoop::new()
-        .step(UpdateStep::new(
-            "baseline reachability",
-            |_| {},
-            move |emu: &mut Emulation| cross_dc_ok(emu, &r3, Role::WanCore),
-        ))
-        .step(UpdateStep::new(
-            "drain all border→WAN sessions (fixed tool)",
-            move |emu| {
-                for (b, peer) in &wan_sessions {
-                    emu.sim.mgmt_sync(*b, MgmtCommand::NeighborShutdown(*peer));
-                }
-            },
-            move |emu: &mut Emulation| cross_dc_ok(emu, &r4, Role::Regional),
-        ))
-        .run(&mut emu);
-    let no_disruption = final_run
-        .steps
-        .iter()
-        .all(|(_, o)| *o == StepOutcome::Passed);
+    let final_run = emu.rehearse([
+        baseline_step("baseline reachability", &region),
+        RehearsalStep::tools("drain all border→WAN sessions (fixed tool)", move |emu| {
+            for (border, peer) in &wan_sessions {
+                emu.login_and_run(border, MgmtCommand::NeighborShutdown(*peer))?;
+            }
+            Ok(())
+        })
+        .expect(move |emu| cross_dc_ok(emu, &r4, Role::Regional)),
+    ]);
+    let no_disruption = final_run.all_passed();
     let vms_used = emu.prep.vm_plan.vm_count();
 
-    let traffic = emu.pull_traffic();
-    let incidents = emu.incidents().len();
     Case1Report {
-        rehearsal: rehearsal.steps,
+        rehearsal,
         bugs_caught,
-        final_run: final_run.steps,
+        baseline_untouched,
+        final_run,
         no_disruption,
         vms_used,
         report: emu.pull_report(),
-        traffic,
-        incidents,
+        traffic: emu.pull_traffic(),
+        incidents: emu.incidents(),
     }
 }
 
@@ -323,9 +318,9 @@ fn pipeline(options: &MockupOptions, build: VendorProfile) -> (Vec<String>, RunR
     let (lid, _, _) = f.topo.neighbors(dut).next().unwrap();
     let mut t = emu.now();
     for _ in 0..3 {
-        t += crystalnet_sim::SimDuration::from_secs(30);
+        t += SimDuration::from_secs(30);
         emu.disconnect_at(lid, t);
-        t += crystalnet_sim::SimDuration::from_secs(30);
+        t += SimDuration::from_secs(30);
         emu.connect_at(lid, t);
         let _ = emu.settle();
     }

@@ -108,8 +108,9 @@ pub struct Emulation {
     /// The *current* emulated set — `prep.emulated` minus devices removed
     /// by `apply_change`.
     pub(crate) emulated_now: BTreeSet<DeviceId>,
-    /// Change applications in virtual-time order, kept for incident
-    /// correlation (`(applied_at, summary)` per `apply_change`).
+    /// Staged steps in virtual-time order, kept for incident
+    /// correlation: `(applied_at, summary)` per measured step — a change
+    /// set or a tool run (`measure_step` is the only writer).
     pub(crate) change_log: Vec<(SimTime, String)>,
     pub(crate) next_signature: u16,
 }

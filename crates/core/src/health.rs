@@ -306,11 +306,20 @@ fn journal_cause(at: SimTime, kind: &JournalKind) -> IncidentCause {
     }
 }
 
+/// The last element of time-ordered `items` stamped at or before `at`.
+fn last_at_or_before<T>(items: &[T], at: SimTime, stamp: impl Fn(&T) -> SimTime) -> Option<&T> {
+    items[..items.partition_point(|i| stamp(i) <= at)].last()
+}
+
 /// Correlates each incident against the nearest preceding plausible
 /// cause — a journal entry or an applied change — within
 /// [`CORRELATION_WINDOW`]. Ties at the same instant prefer the change
 /// log (an operator action is the more specific explanation than the
-/// monitor noise around it).
+/// monitor noise around it), then the later entry.
+///
+/// `change_log` must be in time order, as an emulation's is. The winner
+/// is picked by time alone and only the winner is rendered, so the cost
+/// per incident is two binary searches and at most one description.
 #[must_use]
 pub fn correlate<'a>(
     incidents: impl IntoIterator<Item = &'a Incident>,
@@ -322,34 +331,25 @@ pub fn correlate<'a>(
     incidents
         .into_iter()
         .map(|inc| {
-            let mut best: Option<IncidentCause> = None;
-            let mut consider = |cause: IncidentCause| {
-                let at = cause.at();
-                if at > inc.at || inc.at.since(at) > CORRELATION_WINDOW {
-                    return;
+            let in_window = |at: SimTime| inc.at.since(at) <= CORRELATION_WINDOW;
+            let change = last_at_or_before(change_log, inc.at, |c| c.0);
+            let event = last_at_or_before(&journal.events, inc.at, |e| e.at)
+                .filter(|e| change.is_none_or(|c| e.at > c.0));
+            let cause = match (event, change) {
+                (Some(e), _) => in_window(e.at).then(|| journal_cause(e.at, &e.kind)),
+                (None, Some((at, description))) => {
+                    in_window(*at).then(|| IncidentCause::ChangeApplied {
+                        at: *at,
+                        description: description.clone(),
+                    })
                 }
-                let better = match &best {
-                    None => true,
-                    Some(b) => at >= b.at(),
-                };
-                if better {
-                    best = Some(cause);
-                }
+                (None, None) => None,
             };
-            for ev in &journal.events {
-                consider(journal_cause(ev.at, &ev.kind));
-            }
-            for (at, desc) in change_log {
-                consider(IncidentCause::ChangeApplied {
-                    at: *at,
-                    description: desc.clone(),
-                });
-            }
             CorrelatedIncident {
                 incident: inc.clone(),
                 src_host: resolve(inc.src),
                 dst_host: resolve(inc.dst),
-                cause: best,
+                cause,
             }
         })
         .collect()
@@ -504,6 +504,8 @@ mod tests {
             },
         );
         journal.record(t(40), JournalKind::VmDeclaredDead { vm: 0 });
+        // A tie at t=20 goes to the change log.
+        journal.record(t(20), JournalKind::LinkFlap { link: 3, up: false });
         let changes = vec![(t(20), "config replace".to_string())];
         let out = correlate(&[incident_at(25)], &journal, &changes, |d| {
             format!("dev{}", d.0)

@@ -58,13 +58,11 @@ pub use health::{
 pub use metrics::{JournalEvent, JournalKind, MockupMetrics, RecoveryJournal};
 pub use plan::{plan_vms, sandbox_kind, PlanOptions, PlannedVm, VmPlan};
 pub use prepare::{prepare, BoundaryMode, PrepareOutput, SpeakerSource};
-pub use rehearse::{
-    AppliedChange, ConvergenceDelta, FibChange, FibChangeKind, RehearsalReport, RehearsalStep,
-};
+pub use rehearse::{AppliedChange, ConvergenceDelta, FibChange, FibChangeKind};
 pub use scenarios::{run_all as run_all_scenarios, RootCause, ScenarioResult};
 pub use session::{EmulationFork, Snapshot};
 pub use traffic::{LinkUtilisation, TrafficReport};
-pub use workflow::{StepOutcome, UpdateStep, ValidationLoop, ValidationReport};
+pub use workflow::{RehearsalReport, RehearsalStep, StepOutcome, StepResult};
 
 /// One-stop imports for driving an emulation.
 ///
@@ -89,12 +87,10 @@ pub mod prelude {
     pub use crate::health::{CorrelatedIncident, HealthReport, IncidentCause, PairGauges};
     pub use crate::metrics::{JournalEvent, JournalKind, MockupMetrics, RecoveryJournal};
     pub use crate::prepare::{prepare, BoundaryMode, PrepareOutput, SpeakerSource};
-    pub use crate::rehearse::{
-        AppliedChange, ConvergenceDelta, FibChange, FibChangeKind, RehearsalReport, RehearsalStep,
-    };
+    pub use crate::rehearse::{AppliedChange, ConvergenceDelta, FibChange, FibChangeKind};
     pub use crate::session::{EmulationFork, Snapshot};
     pub use crate::traffic::{LinkUtilisation, TrafficReport};
-    pub use crate::workflow::{StepOutcome, UpdateStep, ValidationLoop, ValidationReport};
+    pub use crate::workflow::{RehearsalReport, RehearsalStep, StepOutcome, StepResult};
     pub use crystalnet_config::{classify_diff, Change, ChangeImpact, ChangeSet, SpeakerRoute};
     pub use crystalnet_dataplane::ForwardDecision;
     pub use crystalnet_net::{

@@ -37,6 +37,10 @@
 //! predicted dirty set, decides), and for the rest walks the old and new
 //! FIB side by side, digesting provenance only for entries that differ.
 //!
+//! Steps 3 and 4 are the *measure bracket* (`measure_step`), shared with
+//! [`EmulationFork::run_tools`](crate::EmulationFork::run_tools): a
+//! tool-driven step is settled, diffed and journalled by the same code.
+//!
 //! The warm-start result is **bit-identical** to a cold full re-settle
 //! from the same seed (`crates/core/tests/incremental.rs` proves it per
 //! change kind): the event engine is deterministic
@@ -65,18 +69,6 @@ pub enum FibChangeKind {
     Removed,
     /// The prefix stayed installed but its ECMP set changed.
     Modified,
-}
-
-impl FibChangeKind {
-    /// Stable lowercase label for reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FibChangeKind::Added => "added",
-            FibChangeKind::Removed => "removed",
-            FibChangeKind::Modified => "modified",
-        }
-    }
 }
 
 /// One FIB mutation observed on one device.
@@ -114,7 +106,9 @@ pub struct AppliedChange {
 /// `core.apply` profile span's business.
 #[derive(Debug, Clone)]
 pub struct ConvergenceDelta {
-    /// What was applied, in change-set order.
+    /// What was applied, in change-set order. Empty for a tool run
+    /// ([`EmulationFork::run_tools`](crate::EmulationFork::run_tools)),
+    /// which declares nothing and reports only what was measured.
     pub applied: Vec<AppliedChange>,
     /// The predicted dirty set: devices the change is structurally
     /// expected to reach (scoped ripple walk), in id order. A reporting
@@ -161,16 +155,14 @@ impl ConvergenceDelta {
         self.fib_changes.values().map(Vec::len).sum()
     }
 
-    /// Whether the step touched nothing (empty or no-op change set).
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.dirty.is_empty()
-    }
-
     /// Devices whose FIB changed although the prediction left them out
-    /// of [`Self::dirty`], in id order — the prediction's misses.
+    /// of [`Self::dirty`], in id order — the prediction's misses. A tool
+    /// run predicts nothing ([`Self::applied`] is empty), so it has none.
     #[must_use]
     pub fn outside_dirty(&self) -> Vec<DeviceId> {
+        if self.applied.is_empty() {
+            return Vec::new();
+        }
         self.fib_changes
             .keys()
             .filter(|d| self.dirty.binary_search(d).is_err())
@@ -182,12 +174,15 @@ impl ConvergenceDelta {
     #[must_use]
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "{} change(s) -> {} dirty device(s), {} FIB change(s), {:?} virtual",
-            self.applied.len(),
-            self.dirty.len(),
+            "{} FIB change(s), {} virtual",
             self.total_fib_changes(),
             self.virtual_cost,
         );
+        // A tool run (or an empty set) declares nothing, only measures.
+        if !self.applied.is_empty() {
+            let (n, dirty) = (self.applied.len(), self.dirty.len());
+            s = format!("{n} change(s) -> {dirty} dirty device(s), {s}");
+        }
         let missed = self.outside_dirty().len();
         if missed > 0 {
             s.push_str(&format!(
@@ -210,54 +205,6 @@ impl ConvergenceDelta {
     }
 }
 
-/// One named step of a multi-step rehearsal plan.
-#[derive(Debug, Clone)]
-pub struct RehearsalStep {
-    /// Operator-facing step name ("drain T1", "tighten import policy").
-    pub name: String,
-    /// The changes the step applies.
-    pub changes: ChangeSet,
-}
-
-impl RehearsalStep {
-    /// A named step.
-    #[must_use]
-    pub fn new(name: impl Into<String>, changes: ChangeSet) -> Self {
-        RehearsalStep {
-            name: name.into(),
-            changes,
-        }
-    }
-}
-
-/// The per-step results of [`Emulation::rehearse`].
-#[derive(Debug, Clone, Default)]
-pub struct RehearsalReport {
-    /// `(step name, delta)` in execution order.
-    pub steps: Vec<(String, ConvergenceDelta)>,
-}
-
-impl RehearsalReport {
-    /// Total FIB mutations across all steps.
-    #[must_use]
-    pub fn total_fib_changes(&self) -> usize {
-        self.steps.iter().map(|(_, d)| d.total_fib_changes()).sum()
-    }
-
-    /// Multi-line human summary, one line per step.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (name, delta) in &self.steps {
-            out.push_str(name);
-            out.push_str(": ");
-            out.push_str(&delta.summary());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// A validated, ready-to-inject plan for one [`Change`].
 enum Planned {
     Config {
@@ -265,13 +212,27 @@ enum Planned {
         cfg: Box<DeviceConfig>,
         impact: ChangeImpact,
     },
-    LinkDown(LinkId),
-    LinkUp(LinkId),
+    /// The link, and whether it comes up (else goes down).
+    Link(LinkId, bool),
     Remove(DeviceId),
     SpeakerSwap {
         dev: DeviceId,
         scripts: Vec<(u32, SpeakerScript)>,
     },
+}
+
+/// What an injection tells [`Emulation::measure_step`] about itself; the
+/// bracket measures everything else.
+#[derive(Default)]
+pub(crate) struct Injected {
+    /// The changes injected and the predicted dirty set (both empty for
+    /// a tool run — a closure declares nothing).
+    pub(crate) applied: Vec<AppliedChange>,
+    pub(crate) dirty: BTreeSet<DeviceId>,
+    /// The step's change-log line, when it is worth one.
+    pub(crate) log: Option<String>,
+    /// Whether anything was injected, i.e. whether to re-converge.
+    pub(crate) did_work: bool,
 }
 
 /// The packet-walk planes' running totals at one instant (zeros for a
@@ -301,32 +262,17 @@ impl Emulation {
         t
     }
 
-    /// Applies a parsed change set to the *running* emulation and
-    /// re-converges only the devices the change can affect — the
-    /// in-place step behind [`EmulationFork::apply`](crate::EmulationFork::apply)
-    /// (a fork applies changes to its *child* through this, then swaps
-    /// the child in on commit).
-    ///
-    /// Mechanisms by classification:
-    ///
-    /// * [`ChangeImpact::NoOp`] — nothing is injected; the change
-    ///   contributes nothing to the dirty set.
-    /// * [`ChangeImpact::SoftRefresh`] — the new config is soft-applied
-    ///   over the live session
-    ///   ([`MgmtCommand::UpdatePolicy`]): policies rebind, exports
-    ///   refresh, and peers replay their announcements (route refresh) so
-    ///   tightened import policy re-filters without a session reset.
-    /// * [`ChangeImpact::SessionReset`] — the device reloads
-    ///   ([`Emulation::reload`], two-layer mode) and pays real downtime.
-    ///
-    /// Link and topology changes map to their Table 2 operations;
-    /// [`Change::SpeakerRouteSwap`] rebuilds the speaker's static script
-    /// with a bumped incarnation epoch so peers flush and resync.
-    ///
-    /// Nothing is mutated until the whole set validates.
-    pub(crate) fn apply_change_inner(
+    /// The measure bracket: the one place a staged step — a
+    /// [`ChangeSet`] or a run of operator tools — is timed, settled,
+    /// diffed and journalled. Checkpoint the engine, the plane totals
+    /// and every OS handle; let `inject` mutate the emulation;
+    /// re-converge; diff FIBs by handle identity and plane totals by
+    /// subtraction; write the change-log entry, the `apply_change` span
+    /// and the `core.apply_change.*` counters. An `inject` error returns
+    /// before anything is settled or logged.
+    pub(crate) fn measure_step(
         &mut self,
-        changes: &ChangeSet,
+        inject: impl FnOnce(&mut Self) -> Result<Injected, EmulationError>,
     ) -> Result<ConvergenceDelta, EmulationError> {
         let wall_start = std::time::Instant::now();
         let start = self.now();
@@ -334,169 +280,21 @@ impl Emulation {
         // Plane totals before the step: the diff after settle is the
         // step's own SLO and traffic impact (zeros when a plane is off).
         let totals_before = self.plane_totals();
-
-        // ---- Validate everything before mutating anything. ----
-        let mut planned = Vec::new();
-        let mut applied = Vec::new();
-        let mut seeds: Vec<(DeviceId, RippleScope)> = Vec::new();
-        for change in &changes.changes {
-            match change {
-                Change::ConfigUpdate { device, config } => {
-                    let dev = *device;
-                    self.guard(dev)?;
-                    let old = self
-                        .effective_config(dev)
-                        .ok_or_else(|| self.unknown_device(dev))?;
-                    let diff = config_diff(old, config);
-                    let impact = classify_diff(&diff);
-                    if impact != ChangeImpact::NoOp {
-                        seeds.push((dev, classify_ripple(&diff)));
-                    }
-                    applied.push(AppliedChange {
-                        kind: change.kind(),
-                        device: Some(dev),
-                        impact: Some(impact),
-                    });
-                    planned.push(Planned::Config {
-                        dev,
-                        cfg: config.clone(),
-                        impact,
-                    });
-                }
-                Change::LinkDown(lid) | Change::LinkUp(lid) => {
-                    if !self.link_emulated(*lid) {
-                        return Err(EmulationError::UnknownLink(lid.0));
-                    }
-                    // A link flap changes reachability, but Clos ECMP
-                    // redundancy keeps the blast radius inside the
-                    // affected pod(s) plus the shared spine/border tier.
-                    let link = self.topo.link(*lid);
-                    seeds.push((link.a.device, RippleScope::PodAndCore));
-                    seeds.push((link.b.device, RippleScope::PodAndCore));
-                    applied.push(AppliedChange {
-                        kind: change.kind(),
-                        device: None,
-                        impact: None,
-                    });
-                    planned.push(if matches!(change, Change::LinkDown(_)) {
-                        Planned::LinkDown(*lid)
-                    } else {
-                        Planned::LinkUp(*lid)
-                    });
-                }
-                Change::DeviceRemove(dev) => {
-                    let dev = *dev;
-                    self.guard(dev)?;
-                    seeds.push((dev, RippleScope::Fabric));
-                    for n in self.topo.neighbor_devices(dev) {
-                        if self.sandboxes.contains_key(&n) {
-                            seeds.push((n, RippleScope::Fabric));
-                        }
-                    }
-                    applied.push(AppliedChange {
-                        kind: change.kind(),
-                        device: Some(dev),
-                        impact: None,
-                    });
-                    planned.push(Planned::Remove(dev));
-                }
-                Change::SpeakerRouteSwap { device, routes } => {
-                    let dev = *device;
-                    self.guard(dev)?;
-                    let planned_scripts = self
-                        .prep
-                        .speaker_scripts(dev)
-                        .ok_or_else(|| self.unknown_device(dev))?;
-                    let loopback = self.topo.device(dev).loopback;
-                    let script = SpeakerScript {
-                        routes: routes
-                            .iter()
-                            .map(|r| {
-                                (
-                                    r.prefix,
-                                    PathAttrs {
-                                        as_path: r.as_path.clone(),
-                                        med: r.med,
-                                        ..PathAttrs::originated(loopback)
-                                    }
-                                    .intern(),
-                                )
-                            })
-                            .collect(),
-                    };
-                    let scripts: Vec<(u32, SpeakerScript)> = planned_scripts
-                        .iter()
-                        .map(|(iface, _)| (*iface, script.clone()))
-                        .collect();
-                    seeds.push((dev, RippleScope::Fabric));
-                    applied.push(AppliedChange {
-                        kind: change.kind(),
-                        device: Some(dev),
-                        impact: None,
-                    });
-                    planned.push(Planned::SpeakerSwap { dev, scripts });
-                }
-            }
-        }
-
-        // ---- Dirty set: scoped adjacency walk, speakers as barriers. ----
-        let scope: BTreeSet<DeviceId> = self.sandboxes.keys().copied().collect();
-        let barriers: BTreeSet<DeviceId> = self.classification.speakers().into_iter().collect();
-        let dirty = dirty_region_scoped(&self.topo, &scope, &seeds, &barriers);
-
-        // ---- Hold every OS as it is before injecting. The handles cover
-        // the full emulated scope, not just the predicted dirty set, so
-        // the reported diff is authoritative even if the prediction is
-        // short.
+        // Hold every OS as it is before injecting. The handles cover the
+        // full emulated scope, not just the predicted dirty set, so the
+        // reported diff is authoritative even if the prediction is short.
         let before = self.os_handles();
-
-        // ---- Inject. ----
-        let now = self.now();
-        let mut did_work = false;
-        for plan in planned {
-            match plan {
-                Planned::Config { dev, cfg, impact } => match impact {
-                    ChangeImpact::NoOp => {}
-                    ChangeImpact::SoftRefresh => {
-                        self.config_overrides.insert(dev, (*cfg).clone());
-                        self.sim.mgmt(dev, MgmtCommand::UpdatePolicy(cfg), now);
-                        did_work = true;
-                    }
-                    ChangeImpact::SessionReset => {
-                        self.reload(dev, *cfg, false);
-                        did_work = true;
-                    }
-                },
-                Planned::LinkDown(lid) => {
-                    self.disconnect(lid);
-                    did_work = true;
-                }
-                Planned::LinkUp(lid) => {
-                    self.connect(lid);
-                    did_work = true;
-                }
-                Planned::Remove(dev) => {
-                    self.remove_device(dev, now);
-                    did_work = true;
-                }
-                Planned::SpeakerSwap { dev, scripts } => {
-                    // The old incarnation goes dark (peers flush); the
-                    // revived one announces the recorded override under a
-                    // bumped epoch, and peers resync against it.
-                    self.speaker_overrides.insert(dev, scripts);
-                    self.isolate(dev, now);
-                    self.restore_devices(&[dev], now);
-                    did_work = true;
-                }
-            }
-        }
+        let step = inject(self)?;
 
         // ---- Re-converge only if something was injected. ----
-        let settled_at = if did_work {
+        let settled_at = if step.did_work {
             let deadline = start + self.options.deadline;
+            // Route quiescence is stamped at the last route activity,
+            // which a step that moved no route leaves before `start`.
             self.sim
                 .run_until_quiet(self.options.quiet, deadline)
                 .ok_or(EmulationError::NotConverged)?
+                .max(start)
         } else {
             start
         };
@@ -510,15 +308,15 @@ impl Emulation {
         // re-running Algorithm 1 over the whole topology).
         debug_assert!(
             self.classification
-                .validate_region(&self.topo, &self.emulated_now, dirty.iter())
+                .validate_region(&self.topo, &self.emulated_now, step.dirty.iter())
                 .is_none(),
             "incremental boundary memo diverged from fresh classification"
         );
 
         let totals_after = self.plane_totals();
         let delta = ConvergenceDelta {
-            applied,
-            dirty: dirty.iter().copied().collect(),
+            applied: step.applied,
+            dirty: step.dirty.into_iter().collect(),
             settled_at,
             virtual_cost,
             events_executed,
@@ -531,12 +329,10 @@ impl Emulation {
             flows_rerouted: totals_after.flows_rerouted - totals_before.flows_rerouted,
         };
 
-        // Incident correlation reads this log: the change lands at its
-        // application instant, described by its change kinds.
-        if !delta.applied.is_empty() {
-            let kinds: Vec<&'static str> = delta.applied.iter().map(|a| a.kind).collect();
-            self.change_log
-                .push((start, format!("change applied: {}", kinds.join(", "))));
+        // Incident correlation reads this log: the step lands at its
+        // application instant.
+        if let Some(entry) = step.log {
+            self.change_log.push((start, entry));
         }
 
         let total = delta.total_fib_changes() as u64;
@@ -571,39 +367,183 @@ impl Emulation {
         Ok(delta)
     }
 
-    /// Runs a multi-step rehearsal plan — the Fig. 3 loop's "apply the
-    /// staged operation one step at a time, inspecting the blast radius
-    /// after each" — stopping at the first step that fails.
+    /// Validates a parsed change set against the running emulation and
+    /// injects it — what [`EmulationFork::apply`](crate::EmulationFork::apply)
+    /// hands [`Self::measure_step`].
     ///
-    /// Implemented as a thin fork-per-step wrapper over the session API:
-    /// each step runs on a fresh [`fork`](Emulation::fork) and is
-    /// committed back on success. Forking replicates the engine position
-    /// and every OS exactly, so the per-step deltas — and the final FIBs
-    /// — are bit-identical to the old in-place path (the warm≡cold
-    /// differential tests pin this).
+    /// A config update goes by its classification: [`ChangeImpact::NoOp`]
+    /// injects nothing, [`ChangeImpact::SoftRefresh`] soft-applies over
+    /// the live session ([`MgmtCommand::UpdatePolicy`]; peers replay
+    /// their announcements so tightened import policy re-filters),
+    /// [`ChangeImpact::SessionReset`] reloads the device (two-layer
+    /// [`Emulation::reload`]) and pays real downtime. Link and topology
+    /// changes map to their Table 2 operations;
+    /// [`Change::SpeakerRouteSwap`] rebuilds the speaker's static script
+    /// under a bumped incarnation epoch so peers flush and resync.
     ///
-    /// # Errors
-    ///
-    /// The first failing step's [`EmulationError`]; earlier steps remain
-    /// applied, and the failing step's fork is committed too (a
-    /// rehearsal that dies mid-plan leaves the mockup in the failed
-    /// state for inspection, exactly like production would).
-    pub fn rehearse(&mut self, plan: &[RehearsalStep]) -> Result<RehearsalReport, EmulationError> {
-        let mut report = RehearsalReport::default();
-        for step in plan {
-            let mut fork = self.fork();
-            match fork.apply(&step.changes) {
-                Ok(delta) => {
-                    report.steps.push((step.name.clone(), delta));
-                    fork.commit(self);
+    /// Nothing is mutated until the whole set validates — each change
+    /// against the emulation *and* against the set's own earlier
+    /// removals, so a change aimed at a device the set has already
+    /// decommissioned is a typed error, not a half-applied set.
+    pub(crate) fn inject_changes(
+        &mut self,
+        changes: &ChangeSet,
+    ) -> Result<Injected, EmulationError> {
+        // ---- Validate everything before mutating anything. ----
+        let mut planned = Vec::new();
+        let mut applied = Vec::new();
+        let mut seeds: Vec<(DeviceId, RippleScope)> = Vec::new();
+        let mut removed: BTreeSet<DeviceId> = BTreeSet::new();
+        for change in &changes.changes {
+            // A device the set has already removed is as unknown as one
+            // that was never emulated.
+            let guard = |dev: DeviceId| {
+                if removed.contains(&dev) {
+                    return Err(self.unknown_device(dev));
                 }
-                Err(e) => {
-                    fork.commit(self);
-                    return Err(e);
+                self.guard(dev)
+            };
+            // Each arm validates, seeds the ripple, and answers the
+            // targeted device, the config classification, and the plan.
+            let (device, impact, plan) = match change {
+                Change::ConfigUpdate { device, config } => {
+                    let dev = *device;
+                    guard(dev)?;
+                    let old = self
+                        .effective_config(dev)
+                        .ok_or_else(|| self.unknown_device(dev))?;
+                    let diff = config_diff(old, config);
+                    let impact = classify_diff(&diff);
+                    if impact != ChangeImpact::NoOp {
+                        seeds.push((dev, classify_ripple(&diff)));
+                    }
+                    let cfg = config.clone();
+                    (
+                        Some(dev),
+                        Some(impact),
+                        Planned::Config { dev, cfg, impact },
+                    )
+                }
+                Change::LinkDown(lid) | Change::LinkUp(lid) => {
+                    if !self.link_emulated(*lid) {
+                        return Err(EmulationError::UnknownLink(lid.0));
+                    }
+                    let link = self.topo.link(*lid);
+                    if removed.contains(&link.a.device) || removed.contains(&link.b.device) {
+                        return Err(EmulationError::UnknownLink(lid.0));
+                    }
+                    // A link flap changes reachability, but Clos ECMP
+                    // redundancy keeps the blast radius inside the
+                    // affected pod(s) plus the shared spine/border tier.
+                    seeds.push((link.a.device, RippleScope::PodAndCore));
+                    seeds.push((link.b.device, RippleScope::PodAndCore));
+                    let up = matches!(change, Change::LinkUp(_));
+                    (None, None, Planned::Link(*lid, up))
+                }
+                Change::DeviceRemove(dev) => {
+                    let dev = *dev;
+                    guard(dev)?;
+                    removed.insert(dev);
+                    seeds.push((dev, RippleScope::Fabric));
+                    for n in self.topo.neighbor_devices(dev) {
+                        if self.sandboxes.contains_key(&n) {
+                            seeds.push((n, RippleScope::Fabric));
+                        }
+                    }
+                    (Some(dev), None, Planned::Remove(dev))
+                }
+                Change::SpeakerRouteSwap { device, routes } => {
+                    let dev = *device;
+                    guard(dev)?;
+                    let planned_scripts = self
+                        .prep
+                        .speaker_scripts(dev)
+                        .ok_or_else(|| self.unknown_device(dev))?;
+                    let loopback = self.topo.device(dev).loopback;
+                    let script = SpeakerScript {
+                        routes: routes
+                            .iter()
+                            .map(|r| {
+                                (
+                                    r.prefix,
+                                    PathAttrs {
+                                        as_path: r.as_path.clone(),
+                                        med: r.med,
+                                        ..PathAttrs::originated(loopback)
+                                    }
+                                    .intern(),
+                                )
+                            })
+                            .collect(),
+                    };
+                    let scripts: Vec<(u32, SpeakerScript)> = planned_scripts
+                        .iter()
+                        .map(|(iface, _)| (*iface, script.clone()))
+                        .collect();
+                    seeds.push((dev, RippleScope::Fabric));
+                    (Some(dev), None, Planned::SpeakerSwap { dev, scripts })
+                }
+            };
+            let kind = change.kind();
+            applied.push(AppliedChange {
+                kind,
+                device,
+                impact,
+            });
+            planned.push(plan);
+        }
+
+        // ---- Dirty set: scoped adjacency walk, speakers as barriers. ----
+        let scope: BTreeSet<DeviceId> = self.sandboxes.keys().copied().collect();
+        let barriers: BTreeSet<DeviceId> = self.classification.speakers().into_iter().collect();
+        let dirty = dirty_region_scoped(&self.topo, &scope, &seeds, &barriers);
+
+        // ---- Inject. ----
+        let now = self.now();
+        // Everything but a no-op config edit injects something to settle.
+        let did_work = applied.iter().any(|a| a.impact != Some(ChangeImpact::NoOp));
+        for plan in planned {
+            match plan {
+                Planned::Config { dev, cfg, impact } => match impact {
+                    ChangeImpact::NoOp => {}
+                    ChangeImpact::SoftRefresh => {
+                        self.config_overrides.insert(dev, (*cfg).clone());
+                        self.sim.mgmt(dev, MgmtCommand::UpdatePolicy(cfg), now);
+                    }
+                    ChangeImpact::SessionReset => {
+                        self.reload(dev, *cfg, false);
+                    }
+                },
+                Planned::Link(lid, up) => {
+                    if up {
+                        self.connect(lid);
+                    } else {
+                        self.disconnect(lid);
+                    }
+                }
+                Planned::Remove(dev) => self.remove_device(dev, now),
+                Planned::SpeakerSwap { dev, scripts } => {
+                    // The old incarnation goes dark (peers flush); the
+                    // revived one announces the recorded override under a
+                    // bumped epoch, and peers resync against it.
+                    self.speaker_overrides.insert(dev, scripts);
+                    self.isolate(dev, now);
+                    self.restore_devices(&[dev], now);
                 }
             }
         }
-        Ok(report)
+
+        // The change lands in the log described by its change kinds.
+        let log = (!applied.is_empty()).then(|| {
+            let kinds: Vec<&'static str> = applied.iter().map(|a| a.kind).collect();
+            format!("change applied: {}", kinds.join(", "))
+        });
+        Ok(Injected {
+            applied,
+            dirty,
+            log,
+            did_work,
+        })
     }
 
     /// Decommissions one device mid-run: it is isolated, its pending

@@ -1,15 +1,16 @@
 //! Copy-on-write emulation forks: the session-oriented rehearsal API.
 //!
 //! The Fig. 3 validation loop wants *many* candidate operations checked
-//! against one faithfully emulated network. `apply_change` mutates the
-//! single warm [`Emulation`] in place, so concurrent what-if plans used
-//! to mean re-converging a fresh mockup per plan — exactly the §8.2
-//! cost the incremental-validation story exists to avoid. This module
-//! replaces that with sessions:
+//! against one faithfully emulated network. Mutating the single warm
+//! [`Emulation`] in place would mean a fresh mockup per what-if plan —
+//! the §8.2 cost incremental validation exists to avoid — and a
+//! hand-written undo per step. So a staged operation reaches an
+//! emulation through a session, and only through one:
 //!
 //! ```text
 //! let fork = emu.fork();          // cheap deep fork of the converged baseline
-//! fork.apply(&changes)?;          // rehearse on the child
+//! fork.apply(&changes)?;          // rehearse a ChangeSet on the child …
+//! fork.run_tools("drain", |e| …)?; // … or the operators' own tooling
 //! fork.diff_against_parent();     // what moved, relative to the baseline
 //! fork.commit(&mut emu);          // adopt — or just drop the fork to roll back
 //! ```
@@ -39,17 +40,17 @@
 //! A fork is **exact**: the engine's clock, scheduling sequence, and
 //! every queued event's `(time, key, seq)` rank are replicated, so a
 //! change set applied on the fork converges bit-identically to the same
-//! set applied in place. [`Emulation::rehearse`] is now a thin
-//! fork-per-step wrapper, and the pre-existing warm≡cold differential
-//! proofs hold unchanged.
+//! set applied in place. [`Emulation::rehearse`] (the Fig. 3 loop) is a
+//! fork per step — commit on pass, drop on fail — and the warm≡cold
+//! differential proofs hold unchanged.
 //!
-//! Dropping a fork *is* the rollback — there is no undo log to replay,
-//! which subsumes the old plan-rollback item.
+//! Dropping a fork *is* the rollback — there is no undo log to replay
+//! and no revert closure to write.
 
 use crate::emulation::{Emulation, EmulationError};
 use crate::faults::{FaultPlan, FaultReport};
 use crate::inspect::add_device_mem;
-use crate::rehearse::{diff_devices, ConvergenceDelta, FibChange, OsHandles};
+use crate::rehearse::{diff_devices, ConvergenceDelta, FibChange, Injected, OsHandles};
 use crystalnet_config::ChangeSet;
 use crystalnet_net::DeviceId;
 use crystalnet_sim::SimTime;
@@ -185,16 +186,52 @@ pub struct EmulationFork {
 
 impl EmulationFork {
     /// Applies a change set to the forked child and re-converges it
-    /// incrementally, exactly like the in-place path would have.
+    /// incrementally.
     ///
     /// # Errors
     ///
-    /// The same errors as the in-place path: unknown targets,
-    /// reachability guards, [`EmulationError::NotConverged`]. The fork
-    /// stays usable after a validation error (nothing was mutated), and
-    /// the parent is untouched in every case.
+    /// Unknown targets (including a device the set itself removed
+    /// earlier), reachability guards, [`EmulationError::NotConverged`].
+    /// The whole set validates before anything mutates, so the fork
+    /// stays usable after a validation error, and the parent is
+    /// untouched in every case.
     pub fn apply(&mut self, changes: &ChangeSet) -> Result<ConvergenceDelta, EmulationError> {
-        let delta = self.child.apply_change_inner(changes)?;
+        self.step(|child| child.inject_changes(changes))
+    }
+
+    /// Runs operator tooling against the forked child — `tools` drives
+    /// it through [`Emulation::login_and_run`], the paper's `Login` door
+    /// — and measures the step exactly like [`Self::apply`]: same
+    /// re-convergence, FIB diff, probe / flow / incident impact,
+    /// `apply_change` span, and a change-log entry `tools run: <label>`.
+    /// A closure declares nothing, so the delta's `applied` and `dirty`
+    /// are empty; `fib_changes` is authoritative as ever.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `tools` answers, or [`EmulationError::NotConverged`].
+    /// Tools may have run half-way by then: drop the fork.
+    pub fn run_tools(
+        &mut self,
+        label: &str,
+        tools: impl FnOnce(&mut Emulation) -> Result<(), EmulationError>,
+    ) -> Result<ConvergenceDelta, EmulationError> {
+        self.step(|child| {
+            tools(child)?;
+            Ok(Injected {
+                log: Some(format!("tools run: {label}")),
+                did_work: true,
+                ..Injected::default()
+            })
+        })
+    }
+
+    /// One measured step on the child, its delta kept for [`Self::deltas`].
+    fn step(
+        &mut self,
+        inject: impl FnOnce(&mut Emulation) -> Result<Injected, EmulationError>,
+    ) -> Result<ConvergenceDelta, EmulationError> {
+        let delta = self.child.measure_step(inject)?;
         self.deltas.push(delta.clone());
         Ok(delta)
     }
@@ -227,8 +264,8 @@ impl EmulationFork {
         &self.base
     }
 
-    /// The per-step deltas of every successful [`EmulationFork::apply`],
-    /// in application order.
+    /// The per-step deltas of every successful [`EmulationFork::apply`]
+    /// and [`EmulationFork::run_tools`], in application order.
     #[must_use]
     pub fn deltas(&self) -> &[ConvergenceDelta] {
         &self.deltas

@@ -264,29 +264,84 @@ fn rehearse_is_a_fork_per_step_wrapper() {
         })
         .map(|(lid, _)| lid)
         .unwrap();
-    let steps = [
-        RehearsalStep::new("drain", ChangeSet::new().link_down(lid)),
-        RehearsalStep::new("restore", ChangeSet::new().link_up(lid)),
+    let sets = [
+        ("drain", ChangeSet::new().link_down(lid)),
+        ("restore", ChangeSet::new().link_up(lid)),
     ];
 
     let mut via_rehearse = fig7_emu(13);
-    let report = via_rehearse.rehearse(&steps).expect("plan runs");
+    let report = via_rehearse.rehearse(
+        sets.iter()
+            .map(|(name, set)| RehearsalStep::new(*name, set.clone())),
+    );
+    assert!(report.all_passed(), "plan runs: {}", report.summary());
 
     let mut via_forks = fig7_emu(13);
     let mut manual: Vec<ConvergenceDelta> = Vec::new();
-    for step in &steps {
+    for (_, set) in &sets {
         let mut fork = via_forks.fork();
-        fork.apply(&step.changes).expect("step applies");
+        fork.apply(set).expect("step applies");
         manual.extend(fork.commit(&mut via_forks));
     }
 
     assert_eq!(report.steps.len(), manual.len());
-    for ((name, d), m) in report.steps.iter().zip(&manual) {
+    for (step, m) in report.steps.iter().zip(&manual) {
+        let (name, d) = (
+            &step.name,
+            step.delta.as_ref().expect("a passed step has a delta"),
+        );
         assert_eq!(d.fib_changes, m.fib_changes, "step {name} diverged");
         assert_eq!(d.settled_at, m.settled_at, "step {name} settled apart");
         assert_eq!(d.dirty, m.dirty);
     }
     assert_eq!(fib_map(&via_rehearse), fib_map(&via_forks));
+}
+
+#[test]
+fn a_tool_step_is_measured_like_a_manual_fork_running_the_same_tools() {
+    // The tool-step twin of the test above: `login_and_run` inside a
+    // rehearsal step and the same call on a hand-rolled fork must report
+    // the same FIB mutations, and the step must be journalled.
+    let f = fig7();
+    let tor = f.topo.device(f.tors[0]).name.clone();
+    let prefix: Ipv4Prefix = "10.99.0.0/24".parse().unwrap();
+
+    let mut manual = fig7_emu(13);
+    let before = fib_map(&manual);
+    let mut fork = manual.fork();
+    fork.emulation_mut()
+        .login_and_run(&tor, MgmtCommand::AddNetwork(prefix))
+        .expect("the ToR answers");
+    fork.emulation_mut().settle().expect("converges");
+    let expected = fork.diff_against_parent();
+    assert!(!expected.is_empty(), "a new network must move FIBs");
+    fork.commit(&mut manual);
+
+    let mut emu = fig7_emu(13);
+    let host = tor.clone();
+    let report = emu.rehearse([RehearsalStep::tools("announce 10.99/24", move |emu| {
+        emu.login_and_run(&host, MgmtCommand::AddNetwork(prefix))
+            .map(drop)
+    })]);
+    assert!(report.all_passed(), "{}", report.summary());
+    let delta = report.steps[0].delta.as_ref().expect("measured");
+    assert_eq!(delta.fib_changes, expected, "tool step ≠ manual fork");
+    assert!(delta.applied.is_empty() && delta.dirty.is_empty());
+    assert!(delta.outside_dirty().is_empty(), "no prediction, no misses");
+    assert_eq!(fib_map(&emu), fib_map(&manual));
+
+    // A tool step whose login fails is rejected with the typed error and
+    // never reaches the baseline.
+    let mut emu = fig7_emu(13);
+    let report = emu.rehearse([RehearsalStep::tools("typo'd host", |emu| {
+        emu.login_and_run("no-such-host", MgmtCommand::ShowRoutes)
+            .map(drop)
+    })]);
+    assert!(matches!(
+        report.steps[0].outcome,
+        StepOutcome::Rejected(EmulationError::UnknownDevice(_))
+    ));
+    assert_eq!(fib_map(&emu), before);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
 use crystalnet_config::{
-    Acl, AclEntry, PrefixList, PrefixListEntry, RouteMap, RouteMapEntry, RouteMatch,
+    config_diff, Acl, AclEntry, PrefixList, PrefixListEntry, RouteMap, RouteMapEntry, RouteMatch,
 };
 use crystalnet_dataplane::Fib;
 use crystalnet_net::fixtures::fig7;
@@ -147,7 +147,7 @@ fn noop_and_empty_changesets_touch_nothing() {
     let at = emu.now();
 
     let delta = apply_session(&mut emu, &ChangeSet::new()).expect("empty set ok");
-    assert!(delta.is_noop());
+    assert!(delta.dirty.is_empty() && delta.fib_changes.is_empty());
     assert!(delta.dirty.is_empty() && delta.fib_changes.is_empty());
     assert_eq!(delta.settled_at, at);
     assert_eq!(delta.events_executed, 0);
@@ -160,7 +160,7 @@ fn noop_and_empty_changesets_touch_nothing() {
         .expect("no-op config ok");
     assert_eq!(delta.applied.len(), 1);
     assert_eq!(delta.applied[0].impact, Some(ChangeImpact::NoOp));
-    assert!(delta.is_noop());
+    assert!(delta.dirty.is_empty() && delta.fib_changes.is_empty());
     assert_eq!(fib_map(&emu), before, "no-op must not perturb any FIB");
 }
 
@@ -525,25 +525,80 @@ fn rehearse_runs_multi_step_plans_and_round_trips() {
 
     let mut emu = fig7_emu(13);
     let baseline = fib_map(&emu);
-    let report = emu
-        .rehearse(&[
-            RehearsalStep::new("drain s1-l1", ChangeSet::new().link_down(lid)),
-            RehearsalStep::new("restore s1-l1", ChangeSet::new().link_up(lid)),
-        ])
-        .expect("plan runs");
+    let report = emu.rehearse([
+        RehearsalStep::new("drain s1-l1", ChangeSet::new().link_down(lid)),
+        RehearsalStep::new("restore s1-l1", ChangeSet::new().link_up(lid)),
+    ]);
+    assert!(report.all_passed());
     assert_eq!(report.steps.len(), 2);
-    assert!(report.total_fib_changes() > 0);
+    assert!(report.steps[0].delta.as_ref().unwrap().total_fib_changes() > 0);
     assert!(report.summary().contains("drain s1-l1"));
     // Down-then-up is a rehearsal no-op: the fabric returns to its
     // baseline forwarding state.
     assert_eq!(fib_map(&emu), baseline, "drain+restore must round-trip");
 
-    // A failing step surfaces its typed error and stops the plan.
-    let err = emu
-        .rehearse(&[RehearsalStep::new(
-            "remove ghost",
-            ChangeSet::new().device_remove(Dev(9999)),
-        )])
-        .unwrap_err();
-    assert!(matches!(err, EmulationError::UnknownDevice(_)));
+    // A failing step surfaces its typed error, stops the plan, and
+    // leaves the baseline where the last passing step left it.
+    let report = emu.rehearse([
+        RehearsalStep::new("drain s1-l1", ChangeSet::new().link_down(lid)),
+        RehearsalStep::new("remove ghost", ChangeSet::new().device_remove(Dev(9999))),
+        RehearsalStep::new("restore s1-l1", ChangeSet::new().link_up(lid)),
+    ]);
+    assert_eq!(report.steps[0].outcome, StepOutcome::Passed);
+    assert!(matches!(
+        report.steps[1].outcome,
+        StepOutcome::Rejected(EmulationError::UnknownDevice(_))
+    ));
+    assert_eq!(report.steps[2].outcome, StepOutcome::Skipped);
+    assert_eq!(report.failures(), vec!["remove ghost"]);
+    let mut drained = fig7_emu(13);
+    apply_session(&mut drained, &ChangeSet::new().link_down(lid)).expect("drain applies");
+    assert_eq!(
+        fib_map(&emu),
+        fib_map(&drained),
+        "the plan must stop after its last passing step"
+    );
+}
+
+#[test]
+fn a_change_aimed_at_a_device_the_set_already_removed_is_a_typed_error() {
+    // `device_remove(d)` then a session-resetting `config_update(d, …)`
+    // used to validate against the pre-set emulation, remove `d`, and
+    // then panic reloading it. The set must be rejected whole.
+    let f = fig7();
+    let emu = fig7_emu(13);
+    let tor = f.tors[0];
+    let mut cfg = prepared_config(&emu, tor);
+    cfg.bgp.as_mut().unwrap().neighbors[0].shutdown = true;
+    assert_eq!(
+        classify_diff(&config_diff(&prepared_config(&emu, tor), &cfg)),
+        ChangeImpact::SessionReset,
+        "the fixture must take the reload path"
+    );
+
+    let mut fork = emu.fork();
+    let (uplink, _, _) = f.topo.neighbors(tor).next().unwrap();
+    for set in [
+        ChangeSet::new().device_remove(tor).config_update(tor, cfg),
+        ChangeSet::new().device_remove(tor).device_remove(tor),
+        ChangeSet::new().device_remove(tor).link_down(uplink),
+    ] {
+        let err = fork.apply(&set).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EmulationError::UnknownDevice(_) | EmulationError::UnknownLink(_)
+            ),
+            "{err:?}"
+        );
+    }
+    // Nothing was mutated: the fork still equals its parent and still
+    // takes a valid set.
+    assert!(fork.diff_against_parent().is_empty());
+    assert!(fork.deltas().is_empty());
+    assert!(fork.emulation().sandboxes.contains_key(&tor));
+    let delta = fork
+        .apply(&ChangeSet::new().device_remove(tor))
+        .expect("the fork is still usable");
+    assert!(delta.total_fib_changes() > 0);
 }

@@ -5,8 +5,9 @@
 //! safe emulated set (pod + its spine groups + their border roots); the
 //! rest of the datacenter is replaced by static speakers synthesized from
 //! a production routing snapshot. The update plan is rehearsed step by
-//! step, with a deliberately broken first attempt to show the loop
-//! catching and reverting it.
+//! step, each step on its own fork, with a deliberately broken first
+//! attempt to show the loop catching it and dropping the fork; the
+//! corrected plan then runs against the untouched baseline.
 //!
 //! ```sh
 //! cargo run --release --example pod_upgrade
@@ -61,69 +62,60 @@ fn main() {
 
     // The update: move one ToR's server subnet to a new prefix. First
     // attempt uses a typo'd prefix (wrong /16); the expectation catches
-    // it, reverts, and the corrected step passes.
+    // it and the plan stops; the corrected plan then passes.
     let tor = pod.tors[0];
     let old_subnet = dc.topo.device(tor).originated[1];
     let intended: crystalnet_net::Ipv4Prefix = "10.200.0.0/24".parse().unwrap();
     let typo: crystalnet_net::Ipv4Prefix = "10.200.0.0/16".parse().unwrap();
     let spine = dc.spine_groups[pod.groups[0] as usize][0];
 
-    let check_spine_has = move |emu: &mut Emulation, pfx: crystalnet_net::Ipv4Prefix| {
-        emu.sim
-            .fib(spine)
-            .and_then(|fib| fib.get(pfx))
-            .map(|_| ())
-            .ok_or_else(|| format!("spine did not learn {pfx}"))
+    let tor_name = dc.topo.device(tor).name.clone();
+    // The operators' tool: log in to the ToR and run one command.
+    let on_tor = move |name: String, cmd: MgmtCommand| {
+        let host = tor_name.clone();
+        RehearsalStep::tools(name, move |emu| {
+            emu.login_and_run(&host, cmd.clone()).map(drop)
+        })
+    };
+    // The plan, announcing whichever prefix the operator typed.
+    let plan = |announced: crystalnet_net::Ipv4Prefix| {
+        [
+            on_tor(
+                format!("announce the new subnet ({announced})"),
+                MgmtCommand::AddNetwork(announced),
+            )
+            .expect(move |emu| {
+                match emu.sim.fib(spine).and_then(|fib| fib.get(intended)) {
+                    Some(_) => Ok(()),
+                    None => Err(format!("spine learned {announced}, not {intended}")),
+                }
+            }),
+            on_tor(
+                "retire the old subnet".into(),
+                MgmtCommand::RemoveNetwork(old_subnet),
+            )
+            .expect(move |emu| {
+                match emu.sim.fib(spine).and_then(|fib| fib.get(old_subnet)) {
+                    None => Ok(()),
+                    Some(_) => Err(format!("{old_subnet} still present upstream")),
+                }
+            }),
+        ]
     };
 
-    let mut plan = ValidationLoop::new();
-    // Keep validating after the caught bug so the corrected steps run in
-    // the same rehearsal.
-    plan.continue_on_failure = true;
-    let report = plan
-        .step(
-            UpdateStep::new(
-                "announce the new subnet (operator typo: /16)",
-                move |emu| {
-                    emu.sim.mgmt_sync(tor, MgmtCommand::AddNetwork(typo));
-                },
-                move |emu: &mut Emulation| {
-                    check_spine_has(emu, intended)
-                        .map_err(|_| format!("{typo} announced instead of {intended}"))
-                },
-            )
-            .with_revert(move |emu| {
-                emu.sim.mgmt_sync(tor, MgmtCommand::RemoveNetwork(typo));
-            }),
-        )
-        .step(UpdateStep::new(
-            "announce the new subnet (corrected)",
-            move |emu| {
-                emu.sim.mgmt_sync(tor, MgmtCommand::AddNetwork(intended));
-            },
-            move |emu: &mut Emulation| check_spine_has(emu, intended),
-        ))
-        .step(UpdateStep::new(
-            "retire the old subnet",
-            move |emu| {
-                emu.sim
-                    .mgmt_sync(tor, MgmtCommand::RemoveNetwork(old_subnet));
-            },
-            move |emu: &mut Emulation| match emu.sim.fib(spine).and_then(|fib| fib.get(old_subnet))
-            {
-                None => Ok(()),
-                Some(_) => Err(format!("{old_subnet} still present upstream")),
-            },
-        ))
-        .run(&mut emu);
+    // First attempt: the typo'd step fails its check, its fork is
+    // dropped (that is the revert) and the plan stops. Second attempt:
+    // the corrected plan, against the untouched baseline.
+    let first = emu.rehearse(plan(typo));
+    let second = emu.rehearse(plan(intended));
 
-    println!("\nvalidation report:");
-    for (name, outcome) in &report.steps {
-        println!("  [{outcome:?}] {name}");
+    for (title, report) in [("first attempt", &first), ("corrected plan", &second)] {
+        println!("\nvalidation report ({title}):");
+        print!("{}", report.summary());
     }
     println!(
         "\nplan ready for production: {}",
-        if report.failures().len() == 1 {
+        if first.failures().len() == 1 && second.all_passed() {
             "after fixing 1 caught bug"
         } else {
             "unexpected result"

@@ -18,15 +18,11 @@ fn main() {
     let report = run_case1_with(&options);
 
     println!("=== rehearsal (buggy tooling) ===");
-    for (name, outcome) in &report.rehearsal {
-        println!("  [{outcome:?}] {name}");
-    }
+    print!("{}", report.rehearsal.summary());
     println!("bugs caught before production: {}", report.bugs_caught);
 
     println!("\n=== final migration run (fixed tooling) ===");
-    for (name, outcome) in &report.final_run {
-        println!("  [{outcome:?}] {name}");
-    }
+    print!("{}", report.final_run.summary());
     println!(
         "\nmigration {} on {} VMs (the paper's run used 150)",
         if report.no_disruption {
