@@ -2,9 +2,9 @@
 //! gauges as a canonical [`HealthReport`], and the incident timeline
 //! with cause correlation.
 //!
-//! The runtime half — probe scheduling, watchdogs, shard fork/absorb —
-//! lives in `crystalnet_routing::health` because it runs inside the
-//! harness. This module renders what that runtime accumulated and adds
+//! The runtime half — probe scheduling, watchdogs — lives in
+//! `crystalnet_routing::health` because it runs inside the harness.
+//! This module renders what that runtime accumulated and adds
 //! the one piece only the orchestrator can: *correlation*. An incident
 //! by itself says "probe 4711 died at hop 2"; correlated against the
 //! recovery journal and the change log it says "…200ms after fault
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 /// them — probes for the health report, flows for the traffic report:
 /// reachability, latency, and the rolling SLO window. All fields are
 /// integers so the canonical export is byte-stable across platforms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PairGauges {
     /// Launching device.
     pub src: DeviceId,
@@ -74,31 +74,6 @@ impl PairGauges {
                 breached: p.breached,
             })
             .collect()
-    }
-}
-
-impl Serialize for PairGauges {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("src".to_string(), Value::Uint(u64::from(self.src.0))),
-            ("src_host".to_string(), Value::Str(self.src_host.clone())),
-            ("dst".to_string(), Value::Uint(u64::from(self.dst.0))),
-            ("dst_host".to_string(), Value::Str(self.dst_host.clone())),
-            ("sent".to_string(), Value::Uint(self.sent)),
-            ("delivered".to_string(), Value::Uint(self.delivered)),
-            ("lost".to_string(), Value::Uint(self.lost)),
-            (
-                "latency_ns_sum".to_string(),
-                Value::Uint(self.latency_ns_sum),
-            ),
-            (
-                "latency_ns_max".to_string(),
-                Value::Uint(self.latency_ns_max),
-            ),
-            ("window_lost".to_string(), Value::Uint(self.window_lost)),
-            ("window_len".to_string(), Value::Uint(self.window_len)),
-            ("breached".to_string(), Value::Bool(self.breached)),
-        ])
     }
 }
 

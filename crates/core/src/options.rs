@@ -133,10 +133,11 @@ pub struct MockupOptions {
     /// at all, clear [`MockupOptions::telemetry`] instead.
     pub trace_capacity: usize,
     /// Whether to collect the wall-clock run profile: hierarchical
-    /// span timings, the (one-shard) `scaling_diagnosis`, and memory
-    /// accounting — surfaced through `RunReport::to_json_full()`. Off
-    /// by default: wall timing is nondeterministic and the canonical
-    /// report must stay byte-stable. Implies `telemetry`.
+    /// span timings over the closed `telemetry::profile::keys` registry
+    /// and memory accounting — surfaced through
+    /// `RunReport::to_json_full()`. Off by default: wall timing is
+    /// nondeterministic and the canonical report must stay byte-stable.
+    /// Implies `telemetry`.
     pub profiling: bool,
 }
 

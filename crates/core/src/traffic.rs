@@ -2,8 +2,8 @@
 //! per-pair flow gauges as a canonical [`TrafficReport`].
 //!
 //! The runtime half — flow sampling, ECMP spreading, congestion
-//! watchdogs, shard fork/absorb — lives in `crystalnet_routing::traffic`
-//! because it runs inside the harness. This module renders what that
+//! watchdogs — lives in `crystalnet_routing::traffic` because it runs
+//! inside the harness. This module renders what that
 //! runtime accumulated: offered vs delivered load, which links ran hot
 //! (and how hot, against the configured capacity per period), and which
 //! source/destination pairs breached their flow SLO. Congestion
@@ -21,7 +21,7 @@ use serde::{Serialize, Value};
 /// transmitting device. Both directions of a physical link appear as
 /// separate rows (they are charged independently — a link can be hot
 /// one way and idle the other).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LinkUtilisation {
     /// Transmitting device.
     pub device: DeviceId,
@@ -40,23 +40,6 @@ pub struct LinkUtilisation {
     /// byte-stable across platforms). May exceed 100 when the link was
     /// over-subscribed.
     pub peak_util_pct: u64,
-}
-
-impl Serialize for LinkUtilisation {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("device".to_string(), Value::Uint(u64::from(self.device.0))),
-            ("host".to_string(), Value::Str(self.host.clone())),
-            ("link".to_string(), Value::Uint(u64::from(self.link.0))),
-            ("bytes".to_string(), Value::Uint(self.bytes)),
-            ("peak_bytes".to_string(), Value::Uint(self.peak_bytes)),
-            (
-                "capacity_bytes".to_string(),
-                Value::Uint(self.capacity_bytes),
-            ),
-            ("peak_util_pct".to_string(), Value::Uint(self.peak_util_pct)),
-        ])
-    }
 }
 
 /// The traffic plane's state, rendered for export. Canonical:

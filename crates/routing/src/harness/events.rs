@@ -60,8 +60,7 @@ pub(crate) enum HarnessEventKind {
         frame: Frame,
         link: LinkId,
     },
-    /// A round of `plane` begins (broadcast: every shard replays the
-    /// identical tick and launches walks for the sources it owns).
+    /// A round of `plane` begins.
     PlaneTick { plane: Plane, round: u64 },
     /// A walk's packet arrives at `walk.at` for a forwarding decision.
     WalkHop { plane: Plane, walk: Walk },
@@ -74,9 +73,10 @@ pub(crate) enum HarnessEventKind {
 }
 
 impl HarnessEvent {
-    /// The device whose shard must process this event; `None` for
-    /// broadcast events (link state, plane ticks), which every shard
-    /// replays.
+    /// The device this event is addressed to — the one whose removal
+    /// drops it, and whose shard runs it in a sharded settle; `None` for
+    /// link state and plane ticks, which belong to no one device (every
+    /// shard replays a link-state change).
     pub(crate) fn target_device(&self) -> Option<DeviceId> {
         match &self.kind {
             HarnessEventKind::BootStart(d)
@@ -159,10 +159,8 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 } else {
                     (OsEvent::LinkDown(ia), OsEvent::LinkDown(ib))
                 };
-                // The transition is recorded per *endpoint* (guarded by OS
-                // presence) so each record is emitted exactly once — on the
-                // shard owning that endpoint — even though every shard
-                // replays the wiring change itself.
+                // The transition is recorded per *endpoint* that has an
+                // OS.
                 for (dev, _iface) in [(a, ia), (b, ib)] {
                     if e.world.recorder.trace_enabled() && e.world.oses[dev.index()].is_some() {
                         trace_here(

@@ -2,9 +2,9 @@
 //! walked through the live FIBs, per-pair SLO gauges with rolling
 //! windows, and streaming gray-failure watchdogs.
 //!
-//! The tick / hop / report machinery — non-causal events, key ranges,
-//! shard fork and absorb — is [`crate::plane`]'s, shared with the
-//! traffic plane. What is the probe mesh's own:
+//! The tick / hop / report machinery — non-causal events, key ranges —
+//! is [`crate::plane`]'s, shared with the traffic plane. What is the
+//! probe mesh's own:
 //!
 //! **Sampling.** Each round probes [`ProbeConfig::pairs_per_round`]
 //! ordered pairs drawn with replacement over the device population, a
@@ -33,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-use crate::plane::{split_owned, WalkCore};
+use crate::plane::WalkCore;
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
@@ -349,7 +349,7 @@ impl Incident {
 /// [`ControlPlaneWorld`](crate::harness::ControlPlaneWorld): the shared walk state
 /// (population, pair gauges, incident log — reached through `Deref`),
 /// the probe totals, and the churn-watchdog accounting. Cloned wholesale
-/// on fork; split and re-merged around a parallel run.
+/// on fork.
 #[derive(Debug, Clone, Default)]
 pub struct HealthState {
     /// The active configuration (seed already resolved).
@@ -422,8 +422,7 @@ impl HealthState {
     /// The churn watchdog, run at every probe tick: route operations per
     /// device since the previous tick against the threshold. The first
     /// tick only primes the baseline — boot-time convergence churn is
-    /// expected, not an anomaly. The residue holds only locally owned
-    /// devices, so every verdict is computed on exactly one world.
+    /// expected, not an anomaly.
     pub(crate) fn churn_watchdog(&mut self, now: SimTime, round: u64) -> Vec<Incident> {
         let residue = std::mem::take(&mut self.ops_since_tick);
         if !std::mem::replace(&mut self.churn_primed, true) {
@@ -464,32 +463,6 @@ impl HealthState {
         if rec.enabled() {
             rec.counter_add(counter, 1);
         }
-    }
-
-    /// Splits off the state a parallel shard carries: the shared walk
-    /// state ([`WalkCore::fork_for_shard`]), the churn residue of owned
-    /// devices (moved), and zeroed totals (merged back additively at
-    /// the join).
-    #[must_use]
-    pub fn fork_for_shard(&mut self, owns: impl Fn(DeviceId) -> bool) -> HealthState {
-        HealthState {
-            cfg: self.cfg.clone(),
-            core: self.core.fork_for_shard(&owns),
-            ops_since_tick: split_owned(&mut self.ops_since_tick, |d| owns(*d)),
-            churn_primed: self.churn_primed,
-            ..HealthState::default()
-        }
-    }
-
-    /// Folds a shard's state back in after a parallel run: keyed
-    /// entries return to the map they left, totals add.
-    pub fn absorb_shard(&mut self, shard: HealthState) {
-        self.core.absorb_shard(shard.core);
-        self.ops_since_tick.extend(shard.ops_since_tick);
-        self.probes_sent += shard.probes_sent;
-        self.probes_delivered += shard.probes_delivered;
-        self.probes_lost += shard.probes_lost;
-        self.churn_primed |= shard.churn_primed;
     }
 }
 
@@ -550,40 +523,5 @@ mod tests {
         assert_eq!(p.sent, 13);
         assert_eq!(p.lost, 5);
         assert_eq!(p.latency_ns_max, 1_000);
-    }
-
-    #[test]
-    fn shard_split_keeps_windows_continuous() {
-        let cfg = ProbeConfig {
-            slo_window: 3,
-            ..ProbeConfig::default()
-        };
-        let mut h = HealthState::new(cfg, pop(4));
-        let key = (DeviceId(1), DeviceId(2));
-        h.core.pairs.entry(key).or_default().record(true, 10, 3, 25);
-        h.ops_since_tick.insert(DeviceId(1), 5);
-        h.ops_since_tick.insert(DeviceId(3), 7);
-
-        let mut shard = h.fork_for_shard(|d| d.0 < 2);
-        assert_eq!(shard.pairs[&key].window.len(), 1, "window travels");
-        assert_eq!(shard.ops_since_tick.get(&DeviceId(1)), Some(&5));
-        assert_eq!(shard.ops_since_tick.get(&DeviceId(3)), None);
-        assert_eq!(h.ops_since_tick.len(), 1, "owned residue moves out");
-
-        shard
-            .core
-            .pairs
-            .get_mut(&key)
-            .unwrap()
-            .record(false, 0, 3, 25);
-        shard.probes_sent = 1;
-        // A tick on the shard consumes its residue; the join must not
-        // bring the pre-fork copy back.
-        assert!(shard.churn_watchdog(SimTime::ZERO, 0).is_empty());
-        h.absorb_shard(shard);
-        assert_eq!(h.pairs[&key].window.len(), 2, "continuation returns");
-        assert_eq!(h.probes_sent, 1);
-        assert_eq!(h.ops_since_tick.get(&DeviceId(1)), None);
-        assert_eq!(h.ops_since_tick.get(&DeviceId(3)), Some(&7));
     }
 }

@@ -25,20 +25,8 @@
 //! `[1 << 61, 3 << 60)`, flow walks `[3 << 60, 1 << 62)`, probe walks
 //! `[1 << 62, 3 << 61)` and probe ticks `[3 << 61, 4 << 61)` — at one
 //! instant, in that order. All are content-derived, so `(time, key)`
-//! stays a total order with no coordination between shards. A walk owns
-//! 9 bits of slot under its sequence number: TTLs are 8-bit, plus one
-//! slot for the report.
-//!
-//! **Sharding.** A tick is a broadcast: every shard replays the identical
-//! event over the replicated population and launches exactly the walks
-//! whose source it owns — the union is the serial behaviour. Each shard
-//! schedules its own copy of the next tick (same time, same key); the
-//! join keeps shard 0's, like link-state broadcasts. All mutable
-//! accounting is keyed by one owning device (pair gauges by the walk's
-//! *source*, link/ECMP/reroute state by the *transmitting* device, churn
-//! residue by the device itself): it moves to the owner's shard at the
-//! fork and back at the join, while totals and incidents start at zero
-//! on a shard and merge back additively.
+//! stays a total order. A walk owns 9 bits of slot under its sequence
+//! number: TTLs are 8-bit, plus one slot for the report.
 
 use crate::harness::{trace_here, ControlPlaneEngine, HarnessEvent, HarnessEventKind, HopStep};
 use crate::health::{
@@ -48,7 +36,7 @@ use crate::traffic::{entry_sig, TrafficState};
 use crystalnet_dataplane::{ipproto, Ipv4Packet};
 use crystalnet_net::{DeviceId, Ipv4Addr};
 use crystalnet_sim::rng::SimRng;
-use crystalnet_sim::{SimDuration, SimTime};
+use crystalnet_sim::SimDuration;
 use crystalnet_telemetry::FieldValue;
 use std::collections::BTreeMap;
 
@@ -94,8 +82,7 @@ pub(crate) struct Walk {
 #[derive(Debug, Clone, Default)]
 pub struct WalkCore {
     /// Walk endpoints: every device with an OS at enable time, with its
-    /// loopback address, sorted by device id. Replicated on every shard
-    /// so sampling is a shard-independent pure function.
+    /// loopback address, sorted by device id.
     pub population: Vec<(DeviceId, Ipv4Addr)>,
     /// Per-pair gauges with their rolling SLO windows, keyed
     /// `(src, dst)`.
@@ -140,8 +127,7 @@ impl WalkCore {
     }
 
     /// The sampling stream of round `round`: a pure function of
-    /// `(derived_seed, round)`, independent of shard layout and of every
-    /// other round.
+    /// `(derived_seed, round)`, independent of every other round.
     #[must_use]
     pub fn round_rng(&self, round: u64) -> SimRng {
         SimRng::from_seed(self.derived_seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -177,30 +163,6 @@ impl WalkCore {
             .collect()
     }
 
-    /// Splits off what a parallel shard carries: the replicated
-    /// population and parameters, the live pair gauges whose *source*
-    /// the shard owns (moved, so rolling windows continue across the
-    /// fork), and an empty incident log.
-    #[must_use]
-    pub fn fork_for_shard(&mut self, owns: impl Fn(DeviceId) -> bool) -> WalkCore {
-        WalkCore {
-            population: self.population.clone(),
-            pairs: split_owned(&mut self.pairs, |(src, _)| owns(*src)),
-            incidents: Vec::new(),
-            ..*self
-        }
-    }
-
-    /// Folds a shard's state back in after a parallel run: the pair
-    /// gauges return, and the shard's incidents merge into the timeline
-    /// (shard streams interleave; the stable sort restores the
-    /// `(time, seq, kind)` order the serial run produces).
-    pub fn absorb_shard(&mut self, shard: WalkCore) {
-        self.pairs.extend(shard.pairs);
-        self.incidents.extend(shard.incidents);
-        self.incidents.sort_by_key(Incident::sort_key);
-    }
-
     /// Lands `inc` at its place in the timeline. Firing order is almost
     /// timeline order; the exception is a tick-time watchdog verdict,
     /// which fires before — but sorts after — the same instant's walks.
@@ -209,18 +171,6 @@ impl WalkCore {
         let at = self.incidents.partition_point(|i| i.sort_key() <= key);
         self.incidents.insert(at, inc);
     }
-}
-
-/// Moves the entries of `map` whose key `owned` claims into a new map —
-/// how device-keyed plane state travels to its owner's shard. The shard
-/// hands everything back through `extend` at the join.
-pub(crate) fn split_owned<K: Ord, V>(
-    map: &mut BTreeMap<K, V>,
-    owned: impl Fn(&K) -> bool,
-) -> BTreeMap<K, V> {
-    let (mine, rest) = std::mem::take(map).into_iter().partition(|(k, _)| owned(k));
-    *map = rest;
-    mine
 }
 
 /// The two planes of one world; `None` keeps every code path of that
@@ -236,24 +186,6 @@ impl Planes {
         match plane {
             Plane::Probe => self.health.as_mut().map(|h| &mut h.core),
             Plane::Flow => self.traffic.as_mut().map(|t| &mut t.core),
-        }
-    }
-
-    /// The state shard `owns` carries through a parallel run.
-    pub(crate) fn fork_for_shard(&mut self, owns: impl Fn(DeviceId) -> bool) -> Planes {
-        Planes {
-            health: self.health.as_mut().map(|h| h.fork_for_shard(&owns)),
-            traffic: self.traffic.as_mut().map(|t| t.fork_for_shard(&owns)),
-        }
-    }
-
-    /// Folds one shard's planes back in at the join.
-    pub(crate) fn absorb_shard(&mut self, shard: Planes) {
-        if let (Some(h), Some(sh)) = (self.health.as_mut(), shard.health) {
-            h.absorb_shard(sh);
-        }
-        if let (Some(t), Some(st)) = (self.traffic.as_mut(), shard.traffic) {
-            t.absorb_shard(st);
         }
     }
 }
@@ -296,24 +228,9 @@ pub(crate) fn tick_event(plane: Plane, round: u64) -> HarnessEvent {
     }
 }
 
-/// Schedules a plane event onto the shard that owns `target`, using the
-/// same outbox mechanism as cross-shard frame deliveries. Plane events
-/// are non-causal, so no `causal_pending` accounting is needed on either
-/// side.
-fn schedule_walk(e: &mut ControlPlaneEngine, at: SimTime, target: DeviceId, ev: HarnessEvent) {
-    if let Some(route) = &mut e.world.shard_route {
-        let dest = route.shard_of[target.index()];
-        if dest != route.self_shard {
-            route.outbox.push((dest, at, ev));
-            return;
-        }
-    }
-    e.schedule_event_at(at, ev);
-}
-
 /// One round of `plane`: run its tick-time watchdogs over the residue
 /// accumulated since the previous tick, launch this round's sampled
-/// walks from locally owned sources, and schedule the next tick.
+/// walks, and schedule the next tick.
 pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
     let now = e.now();
     let planes = &mut e.world.planes;
@@ -343,9 +260,7 @@ pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
         .period;
     let cause = e.current_event();
     for walk in walks {
-        // Only the world holding the source's OS launches: in a shard
-        // world that is the owner, serially it is everyone. Removed or
-        // never-emulated sources simply do not walk.
+        // Removed or never-emulated sources simply do not walk.
         if e.world.oses[walk.src.index()].is_none() {
             continue;
         }
@@ -374,7 +289,7 @@ pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
 /// probe raises a [`GrayFailureWitness`] or a `ForwardingLoop`; a flow
 /// loss is never double-reported), and in what the hop charges (only a
 /// flow: the reroute detector per decision, link/ECMP residues per
-/// transmission — all keyed by `dev`, whose shard runs this hop).
+/// transmission — all keyed by `dev`).
 pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk) {
     let (now, dev) = (e.now(), walk.at);
     let pkt = Ipv4Packet {
@@ -434,7 +349,7 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
                 cause,
                 kind: HarnessEventKind::WalkHop { plane, walk },
             };
-            schedule_walk(e, now + delay, walk.at, ev);
+            e.schedule_event_at(now + delay, ev);
             return;
         }
         HopStep::End(outcome) => outcome,
@@ -443,10 +358,8 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
         let inc = Incident::new(now, walk.src, walk.dst, walk.seq, kind);
         record_incident(e, plane, inc);
     }
-    // The report returns to the source's shard. Scheduling it `path_ns`
-    // out is lookahead-honest: the forward path's accumulated link
-    // delays bound the shard-pair distance the matrix derived from the
-    // same (time-invariant) link delays.
+    // The report returns to the source after the forward path's
+    // accumulated latency.
     let ev = HarnessEvent {
         key: plane_key(plane, KeySlot::Report(walk.seq)),
         cause,
@@ -456,7 +369,7 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
             outcome,
         },
     };
-    schedule_walk(e, now + SimDuration::from_nanos(walk.path_ns), walk.src, ev);
+    e.schedule_event_at(now + SimDuration::from_nanos(walk.path_ns), ev);
 }
 
 /// A walk's fate lands on its source's gauges: the per-pair counts and

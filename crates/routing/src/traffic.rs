@@ -4,9 +4,9 @@
 //! per-link utilisation gauges accumulated in virtual time, and
 //! streaming congestion watchdogs.
 //!
-//! The tick / hop / report machinery — non-causal events, key ranges,
-//! shard fork and absorb — is [`crate::plane`]'s, shared with the probe
-//! mesh. What is the flow load's own:
+//! The tick / hop / report machinery — non-causal events, key ranges —
+//! is [`crate::plane`]'s, shared with the probe mesh. What is the flow
+//! load's own:
 //!
 //! **Sampling.** The population is split once, by seed, into *servers*
 //! and *users*; each round launches [`TrafficConfig::flows_per_round`]
@@ -18,9 +18,8 @@
 //! members.
 //!
 //! **Charging.** Link accounting is directional on purpose — keyed by
-//! the *transmitting* device, so a cut link's two directions are charged
-//! on different shards and each shard's tick-time watchdog evaluation is
-//! complete for the keys it owns.
+//! `(transmitting device, link)`, so a link's two directions are
+//! charged, and judged by the tick-time watchdogs, separately.
 //!
 //! **Watchdogs** (each firing lands an [`Incident`] on the shared
 //! timeline, alongside the health plane's):
@@ -40,7 +39,7 @@
 #![warn(missing_docs)]
 
 use crate::health::{Incident, IncidentKind};
-use crate::plane::{split_owned, Walk, WalkCore};
+use crate::plane::{Walk, WalkCore};
 use crystalnet_dataplane::FibEntry;
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
@@ -156,7 +155,7 @@ pub struct EcmpResidue {
 /// A content digest of a FIB entry's next-hop set, used to detect that
 /// a device's route for a prefix *changed* between two packets of the
 /// same transient (the "rerouted" signal in rehearsal deltas). Pure
-/// function of the entry, so every shard computes the same digest.
+/// function of the entry.
 #[must_use]
 pub fn entry_sig(entry: &FibEntry) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -171,10 +170,7 @@ pub fn entry_sig(entry: &FibEntry) -> u64 {
 /// (`crate::harness::ControlPlaneWorld`): the shared walk state
 /// (population, per-pair flow gauges, congestion incident log — reached
 /// through `Deref`), utilisation gauges, flow totals, and the per-tick
-/// residues the watchdogs evaluate. Cloned wholesale on fork; split and
-/// re-merged around a parallel run (every keyed entry travels with the
-/// shard owning its device, so gauges stay continuous and
-/// byte-identical).
+/// residues the watchdogs evaluate. Cloned wholesale on fork.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficState {
     /// The active configuration (seed already resolved).
@@ -260,8 +256,7 @@ impl TrafficState {
     }
 
     /// The flows round `round` launches: a pure function of
-    /// `(derived_seed, round)`, independent of shard layout and of every
-    /// other round. Even-indexed flows are user→server requests,
+    /// `(derived_seed, round)`, independent of every other round. Even-indexed flows are user→server requests,
     /// odd-indexed flows server→user responses (Elvis-style paired
     /// request/response traffic at flow granularity).
     #[must_use]
@@ -330,8 +325,6 @@ impl TrafficState {
 
     /// The congestion watchdogs, run at every traffic tick over the
     /// residues accumulated since the previous one (which they reset).
-    /// The residue maps hold only locally owned transmitting devices, so
-    /// every verdict is computed on exactly one world.
     pub(crate) fn congestion_watchdogs(&mut self, now: SimTime) -> Vec<Incident> {
         let capacity_bytes = self.cfg.capacity_bytes_per_period();
         let mut fired = Vec::new();
@@ -413,45 +406,6 @@ impl TrafficState {
                 rec.counter_add("traffic.flows_rerouted", 1);
             }
         }
-    }
-
-    /// Splits off the state a parallel shard carries: the shared walk
-    /// state ([`WalkCore::fork_for_shard`]), the replicated profile
-    /// split, every device-keyed gauge and residue of owned devices
-    /// (moved), and zeroed totals (merged back additively at the join).
-    #[must_use]
-    pub fn fork_for_shard(&mut self, owns: impl Fn(DeviceId) -> bool) -> TrafficState {
-        TrafficState {
-            cfg: self.cfg.clone(),
-            core: self.core.fork_for_shard(&owns),
-            servers: self.servers.clone(),
-            tx_since_tick: split_owned(&mut self.tx_since_tick, |(d, _)| owns(*d)),
-            link_bytes: split_owned(&mut self.link_bytes, |(d, _)| owns(*d)),
-            link_peak: split_owned(&mut self.link_peak, |(d, _)| owns(*d)),
-            ecmp_since_tick: split_owned(&mut self.ecmp_since_tick, |d| owns(*d)),
-            route_sig: split_owned(&mut self.route_sig, |(d, _)| owns(*d)),
-            ..TrafficState::default()
-        }
-    }
-
-    /// Folds a shard's state back in after a parallel run: keyed
-    /// entries return to the maps they left (each key is exclusively
-    /// owned by one shard, which carried the live continuation), totals
-    /// add.
-    pub fn absorb_shard(&mut self, shard: TrafficState) {
-        self.core.absorb_shard(shard.core);
-        self.tx_since_tick.extend(shard.tx_since_tick);
-        self.link_bytes.extend(shard.link_bytes);
-        self.link_peak.extend(shard.link_peak);
-        self.ecmp_since_tick.extend(shard.ecmp_since_tick);
-        self.route_sig.extend(shard.route_sig);
-        self.flows_sent += shard.flows_sent;
-        self.flows_delivered += shard.flows_delivered;
-        self.flows_lost += shard.flows_lost;
-        self.flows_rerouted += shard.flows_rerouted;
-        self.bytes_offered += shard.bytes_offered;
-        self.bytes_delivered += shard.bytes_delivered;
-        self.bytes_lost += shard.bytes_lost;
     }
 }
 
@@ -541,48 +495,6 @@ mod tests {
         assert_eq!(entry_sig(&a), entry_sig(&a.clone()));
         assert_ne!(entry_sig(&a), entry_sig(&mk(&[(1, 10)])));
         assert_ne!(entry_sig(&a), entry_sig(&mk(&[(1, 10), (3, 20)])));
-    }
-
-    #[test]
-    fn shard_split_travels_device_keyed_state_and_merges_totals() {
-        let mut t = TrafficState::new(TrafficConfig::default(), pop(4));
-        let l = LinkId(9);
-        t.tx_since_tick.insert((DeviceId(1), l), 500);
-        t.tx_since_tick.insert((DeviceId(3), l), 700);
-        t.link_peak.insert((DeviceId(1), l), 500);
-        t.route_sig
-            .insert((DeviceId(1), Ipv4Prefix::new(Ipv4Addr(0), 0)), 42);
-        t.core
-            .pairs
-            .entry((DeviceId(1), DeviceId(2)))
-            .or_default()
-            .sent = 3;
-
-        let mut shard = t.fork_for_shard(|d| d.0 < 2);
-        assert_eq!(shard.tx_since_tick.get(&(DeviceId(1), l)), Some(&500));
-        assert_eq!(shard.tx_since_tick.get(&(DeviceId(3), l)), None);
-        assert_eq!(shard.pairs.len(), 1, "pair travels with its source");
-        assert_eq!(shard.route_sig.len(), 1);
-        assert_eq!(t.tx_since_tick.len(), 1, "owned residue moves out");
-
-        // A tick on the shard consumes the residue it was handed; what
-        // it accumulates afterwards is all that comes back.
-        shard.congestion_watchdogs(SimTime::ZERO);
-        assert_eq!(shard.link_peak[&(DeviceId(1), l)], 500);
-        shard.flows_sent = 2;
-        shard.tx_since_tick.insert((DeviceId(1), l), 900);
-        t.absorb_shard(shard);
-        assert_eq!(t.flows_sent, 2);
-        assert_eq!(
-            t.tx_since_tick.get(&(DeviceId(1), l)),
-            Some(&900),
-            "owned keys return"
-        );
-        assert_eq!(
-            t.tx_since_tick.get(&(DeviceId(3), l)),
-            Some(&700),
-            "unowned keys survive"
-        );
     }
 
     #[test]

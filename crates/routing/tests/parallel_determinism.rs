@@ -13,8 +13,11 @@
 use crystalnet_net::fixtures::{fig1, fig7};
 use crystalnet_net::{partition, ClosParams, DeviceId, LinkId, Topology};
 use crystalnet_routing::harness::build_full_bgp_sim;
+use crystalnet_routing::ProbeConfig;
 use crystalnet_routing::{ControlPlaneSim, MgmtCommand, UniformWorkModel, WorkModel};
 use crystalnet_sim::{SimDuration, SimTime};
+use crystalnet_telemetry::profile::keys;
+use crystalnet_telemetry::MemRecorder;
 
 fn work() -> Box<UniformWorkModel> {
     Box::new(UniformWorkModel {
@@ -180,4 +183,70 @@ fn s_dc_clos_matches_serial_and_continues_serially() {
             .expect("flap settles serially");
     }
     assert_identical(&serial, &par, &dc.topo, "s-dc/continuation");
+}
+
+/// The benchmark's `sim.parallel.*` probe in miniature: a bare two-shard
+/// settle of a two-spine-group fabric under a profiling recorder must
+/// reach the serial run's FIBs and report worker compute time.
+#[test]
+fn profiled_two_shard_settle_matches_serial_and_reports_compute() {
+    let clos = ClosParams {
+        name: "clos-probe".into(),
+        borders: 4,
+        spine_groups: 2,
+        spines_per_group: 4,
+        pods: 4,
+        leaves_per_pod: 2,
+        tors_per_pod: 6,
+        groups_per_pod: 2,
+        ext_peers_per_border: 1,
+        ext_prefixes_per_peer: 8,
+    }
+    .build();
+    let mut serial = build_full_bgp_sim(&clos.topo, work());
+    serial.boot_all(SimTime::ZERO);
+    let t_serial = serial.run_until_quiet(QUIET, deadline());
+
+    let mut sharded = build_full_bgp_sim(&clos.topo, work());
+    sharded.engine.world.recorder = Box::new(MemRecorder::new().with_profiling());
+    sharded.boot_all(SimTime::ZERO);
+    let p = partition(&clos.topo, 2);
+    let (t_sharded, _) = sharded.run_until_quiet_parallel(QUIET, deadline(), &p, shard_models(2));
+
+    assert!(t_serial.is_some(), "the fabric converges");
+    assert_eq!(t_serial, t_sharded, "route-ready instant");
+    for (id, dev) in clos.topo.devices() {
+        assert_eq!(serial.fib(id), sharded.fib(id), "FIB of {}", dev.name);
+    }
+    let report = MemRecorder::from_recorder(&*sharded.engine.world.recorder)
+        .expect("the recorder installed above")
+        .report();
+    let profile = report.profile.expect("profiling was on");
+    assert!(profile.wall_ns(keys::PARALLEL_COMPUTE) > 0);
+}
+
+/// The sharded settle carries no packet-walk plane, so a world with one
+/// enabled is refused at entry rather than silently losing its walks.
+#[test]
+#[should_panic(expected = "without packet-walk planes")]
+fn sharded_settle_refuses_an_enabled_health_plane() {
+    let f = fig7();
+    let mut sim = build_full_bgp_sim(&f.topo, work());
+    let population = f.topo.devices().map(|(id, d)| (id, d.loopback)).collect();
+    sim.enable_health(ProbeConfig::default(), population, SimTime::ZERO);
+    sim.boot_all(SimTime::ZERO);
+    let p = partition(&f.topo, 2);
+    let _ = sim.run_until_quiet_parallel(QUIET, deadline(), &p, shard_models(2));
+}
+
+/// Nor does it carry a causal-trace sink.
+#[test]
+#[should_panic(expected = "without a causal-trace sink")]
+fn sharded_settle_refuses_a_trace_sink() {
+    let f = fig7();
+    let mut sim = build_full_bgp_sim(&f.topo, work());
+    sim.engine.world.recorder = Box::new(MemRecorder::with_trace_capacity(64));
+    sim.boot_all(SimTime::ZERO);
+    let p = partition(&f.topo, 2);
+    let _ = sim.run_until_quiet_parallel(QUIET, deadline(), &p, shard_models(2));
 }

@@ -30,7 +30,7 @@ pub use engine::{Engine, EngineCheckpoint, EventFire, EventId};
 pub use heartbeat::{Backoff, HeartbeatSchedule};
 pub use metrics::{LatencySummary, Series};
 pub use parallel::{
-    run_shards_until_quiet_matrix, LookaheadMatrix, ParallelOutcome, ParallelWorld, WindowHist,
+    run_shards_until_quiet_matrix, LookaheadMatrix, ParallelOutcome, ParallelWorld,
 };
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -82,8 +82,8 @@
 //!
 //! Worker threads communicate over `crossbeam` channels: the coordinator
 //! sends per-shard `Run` grants carrying pre-sorted inboxes, workers
-//! reply with a status (queue head, quiescence counters, events executed,
-//! idle wall-time) plus their outbox of cross-shard envelopes.
+//! reply with a status (queue head, quiescence counters, busy and idle
+//! wall-time) plus their outbox of cross-shard envelopes.
 
 use crate::engine::{Engine, EventFire};
 use crate::time::{SimDuration, SimTime};
@@ -221,113 +221,6 @@ pub trait ParallelWorld: Send + Sized {
     fn last_activity(&self) -> SimTime;
 }
 
-/// Events-per-grant distribution in power-of-two buckets: bucket 0
-/// counts empty grants, bucket `b > 0` counts grants that executed
-/// `[2^(b-1), 2^b)` events, the last bucket absorbs the tail.
-pub const WINDOW_HIST_BUCKETS: usize = 17;
-
-/// Compact histogram of events executed per window grant.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowHist {
-    /// Grants recorded.
-    pub count: u64,
-    /// Total events across recorded grants.
-    pub sum: u64,
-    /// Largest single grant.
-    pub max: u64,
-    /// Power-of-two buckets; see [`WINDOW_HIST_BUCKETS`].
-    pub buckets: [u64; WINDOW_HIST_BUCKETS],
-}
-
-impl WindowHist {
-    /// Records one grant that executed `events` events. `sum`
-    /// saturates rather than wraps on pathological totals.
-    pub fn record(&mut self, events: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(events);
-        self.max = self.max.max(events);
-        let b = if events == 0 {
-            0
-        } else {
-            ((64 - events.leading_zeros()) as usize).min(WINDOW_HIST_BUCKETS - 1)
-        };
-        self.buckets[b] += 1;
-    }
-
-    /// Folds another histogram into this one. Associative and
-    /// commutative, so shard-local histograms merge in any order.
-    pub fn absorb(&mut self, other: &Self) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-        for (b, v) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += v;
-        }
-    }
-
-    /// Mean events per grant (0.0 when nothing was recorded).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// The binding term of the horizon rule when a command was issued —
-/// *why* the grant's window ended where it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Limiter {
-    /// The shard's own echo bound `lb_i + echo_i` was the minimum.
-    Echo,
-    /// Peer `j`'s bound `lb_j + dist[j][i]` was the minimum — the
-    /// shard is starved for lookahead from that peer.
-    Peer(usize),
-    /// The window was clipped at the quiet horizon `last + quiet`.
-    QuietClip,
-    /// The window was clipped at `deadline`.
-    DeadlineClip,
-    /// A lock-step single-event round past the quiet horizon.
-    Lockstep,
-    /// An envelope-delivery grant that fires nothing.
-    Deliver,
-}
-
-/// One coordinator command with wall-clock bounds, captured only on
-/// profiling runs. Timestamps are nanoseconds since coordinator start;
-/// wall-clock, hence nondeterministic — route to diagnostics, never
-/// the canonical report.
-#[derive(Debug, Clone)]
-pub struct GrantRecord {
-    /// Destination shard.
-    pub shard: usize,
-    /// Why the window ended where it did.
-    pub limiter: Limiter,
-    /// When the coordinator sent the command.
-    pub issue_ns: u64,
-    /// When the coordinator folded the reply back in.
-    pub done_ns: u64,
-    /// Events the command executed.
-    pub executed: u64,
-}
-
-/// Wall-clock profile of one parallel run (profiling runs only).
-#[derive(Debug, Clone, Default)]
-pub struct ParallelProfile {
-    /// Every command issued, in completion order.
-    pub grants: Vec<GrantRecord>,
-    /// Coordinator wall-clock spent merging worker replies (outbox
-    /// sort/merge plus status bookkeeping).
-    pub merge_ns: u64,
-    /// Cumulative wall-clock each worker spent executing commands, in
-    /// shard order.
-    pub busy_ns: Vec<u64>,
-    /// Wall-clock from coordinator start to verdict.
-    pub run_wall_ns: u64,
-}
-
 /// Result of a parallel run: the verdict plus the shard engines for the
 /// caller to merge back into its serial representation.
 pub struct ParallelOutcome<W: ParallelWorld> {
@@ -339,23 +232,12 @@ pub struct ParallelOutcome<W: ParallelWorld> {
     /// The shard engines, in input order, with undelivered envelopes
     /// already re-enqueued on their destination shard.
     pub shards: Vec<Engine<W, W::Ev>>,
-    /// Window grants issued (per-shard, not barrier rounds). Execution-
-    /// shape diagnostic: varies with the shard count.
-    pub windows: u64,
-    /// Lock-step single-event rounds past the quiet/deadline horizons.
-    /// Execution-shape diagnostic.
-    pub lockstep_rounds: u64,
-    /// Times a shard's computed safe horizon strictly advanced.
-    pub horizon_advances: u64,
+    /// Wall-clock nanoseconds each worker spent executing commands, in
+    /// shard order. Wall-clock, hence nondeterministic.
+    pub busy_ns: Vec<u64>,
     /// Wall-clock nanoseconds each worker spent blocked waiting for a
-    /// grant, in shard order. Wall-clock, hence nondeterministic: route
-    /// to diagnostics, never the canonical report.
+    /// grant, in shard order. Wall-clock, hence nondeterministic.
     pub idle_ns: Vec<u64>,
-    /// Events executed per window grant.
-    pub window_hist: WindowHist,
-    /// Grant timeline and coordinator timings; `Some` only when the
-    /// run was started with profiling enabled.
-    pub profile: Option<ParallelProfile>,
 }
 
 /// Coordinator → worker commands.
@@ -380,8 +262,6 @@ struct Status<E> {
     causal: u64,
     last: SimTime,
     clock: SimTime,
-    /// Events executed by the command this status answers.
-    executed_delta: u64,
     /// Cumulative wall-clock nanoseconds spent blocked on the grant
     /// channel.
     idle_ns: u64,
@@ -393,7 +273,6 @@ struct Status<E> {
 fn status_of<W: ParallelWorld>(
     shard: usize,
     eng: &Engine<W, W::Ev>,
-    executed_delta: u64,
     idle_ns: u64,
     busy_ns: u64,
     outbox: Vec<(usize, SimTime, W::Ev)>,
@@ -404,7 +283,6 @@ fn status_of<W: ParallelWorld>(
         causal: eng.world.causal_pending(),
         last: eng.world.last_activity(),
         clock: eng.now(),
-        executed_delta,
         idle_ns,
         busy_ns,
         outbox,
@@ -433,46 +311,25 @@ fn enqueue<W: ParallelWorld>(eng: &mut Engine<W, W::Ev>, inbox: Vec<(SimTime, W:
     }
 }
 
-/// What a busy worker was last told to do (drives telemetry attribution
-/// when its status comes back).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BusyKind {
-    /// A real window grant.
-    Window,
-    /// An envelope delivery that fires nothing (`end` = global min).
-    Deliver,
-    /// A lock-step single event.
-    Step,
-}
-
 /// Coordinator bookkeeping, folded into a struct so the integrate step
-/// (worker reply → coordinator state) updates it as one unit and the
-/// profiling capture can ride along without widening every call site.
+/// (worker reply → coordinator state) updates it as one unit.
 struct Coord<W: ParallelWorld> {
     k: usize,
     /// Latest report per shard.
     stats: Vec<Option<Status<W::Ev>>>,
-    /// Set while a command is outstanding, with the virtual-time lower
+    /// Set while a command is outstanding, to the virtual-time lower
     /// bound recorded at grant time (no event the worker fires, and no
     /// envelope it emits, can precede it).
-    busy: Vec<Option<(BusyKind, SimTime)>>,
+    busy: Vec<Option<SimTime>>,
     /// Cross-shard envelopes awaiting delivery, per destination,
     /// sorted by `(time, key)`.
     inflight: Vec<Vec<(SimTime, W::Ev)>>,
     idle_ns: Vec<u64>,
     busy_ns: Vec<u64>,
-    window_hist: WindowHist,
-    /// Limiter + issue timestamp of the outstanding command; recorded
-    /// only when profiling.
-    pending: Vec<Option<(Limiter, u64)>>,
-    grants: Vec<GrantRecord>,
-    merge_ns: u64,
-    profile: bool,
-    started: Instant,
 }
 
 impl<W: ParallelWorld> Coord<W> {
-    fn new(k: usize, profile: bool) -> Self {
+    fn new(k: usize) -> Self {
         Self {
             k,
             stats: (0..k).map(|_| None).collect(),
@@ -480,35 +337,11 @@ impl<W: ParallelWorld> Coord<W> {
             inflight: (0..k).map(|_| Vec::new()).collect(),
             idle_ns: vec![0; k],
             busy_ns: vec![0; k],
-            window_hist: WindowHist::default(),
-            pending: vec![None; k],
-            grants: Vec::new(),
-            merge_ns: 0,
-            profile,
-            started: Instant::now(),
-        }
-    }
-
-    fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    /// Marks `shard` busy on a just-sent command; captures the grant's
-    /// limiter and issue time when profiling.
-    fn issue(&mut self, shard: usize, kind: BusyKind, bound: SimTime, limiter: Limiter) {
-        self.busy[shard] = Some((kind, bound));
-        if self.profile {
-            self.pending[shard] = Some((limiter, self.elapsed_ns()));
         }
     }
 
     /// Folds one worker report into coordinator state.
     fn integrate(&mut self, st: Status<W::Ev>) {
-        let merge_started = if self.profile {
-            Some(Instant::now())
-        } else {
-            None
-        };
         let mut st = st;
         let shard = st.shard;
         let mut batches: Vec<Vec<(SimTime, W::Ev)>> = (0..self.k).map(|_| Vec::new()).collect();
@@ -541,36 +374,8 @@ impl<W: ParallelWorld> Coord<W> {
         }
         self.idle_ns[shard] = st.idle_ns;
         self.busy_ns[shard] = st.busy_ns;
-        if let Some((BusyKind::Window, _)) = self.busy[shard] {
-            self.window_hist.record(st.executed_delta);
-        }
-        if let Some((limiter, issue_ns)) = self.pending[shard].take() {
-            self.grants.push(GrantRecord {
-                shard,
-                limiter,
-                issue_ns,
-                done_ns: self.elapsed_ns(),
-                executed: st.executed_delta,
-            });
-        }
         self.busy[shard] = None;
         self.stats[shard] = Some(st);
-        if let Some(t0) = merge_started {
-            self.merge_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Extracts the profile section (consumes the captured grants).
-    fn take_profile(&mut self) -> Option<ParallelProfile> {
-        if !self.profile {
-            return None;
-        }
-        Some(ParallelProfile {
-            grants: std::mem::take(&mut self.grants),
-            merge_ns: self.merge_ns,
-            busy_ns: self.busy_ns.clone(),
-            run_wall_ns: self.elapsed_ns(),
-        })
     }
 }
 
@@ -593,29 +398,6 @@ pub fn run_shards_until_quiet_matrix<W: ParallelWorld>(
     quiet: SimDuration,
     deadline: SimTime,
 ) -> ParallelOutcome<W> {
-    run_shards_until_quiet_matrix_profiled(shards, matrix, quiet, deadline, false)
-}
-
-/// [`run_shards_until_quiet_matrix`] with an explicit profiling switch.
-///
-/// When `profile` is true the coordinator additionally captures the
-/// full grant timeline ([`GrantRecord`] per command, with the horizon
-/// term that bounded each window), per-worker busy time, and its own
-/// merge time, returned as [`ParallelOutcome::profile`]. Profiling
-/// touches only wall-clock bookkeeping — the virtual event execution
-/// is bit-identical either way.
-///
-/// # Panics
-///
-/// Panics if `shards` is empty, `matrix.shard_count() != shards.len()`,
-/// or a worker thread panics (e.g. an event handler panicked).
-pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
-    shards: Vec<Engine<W, W::Ev>>,
-    matrix: &LookaheadMatrix,
-    quiet: SimDuration,
-    deadline: SimTime,
-    profile: bool,
-) -> ParallelOutcome<W> {
     let k = shards.len();
     assert!(k > 0, "at least one shard required");
     assert_eq!(matrix.shard_count(), k, "matrix must match shard count");
@@ -631,7 +413,7 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
             handles.push(scope.spawn(move || {
                 // Initial status so the coordinator sees the starting
                 // queue before the first grant.
-                stx.send(status_of(i, &eng, 0, 0, 0, Vec::new())).ok();
+                stx.send(status_of(i, &eng, 0, 0, Vec::new())).ok();
                 let mut idle_ns: u64 = 0;
                 let mut busy_ns: u64 = 0;
                 loop {
@@ -642,26 +424,22 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
                         Cmd::Run { end, inbox } => {
                             let started = Instant::now();
                             enqueue(&mut eng, inbox);
-                            let before = eng.events_executed();
                             while let Some(t) = eng.next_event_time() {
                                 if t >= end {
                                     break;
                                 }
                                 eng.step();
                             }
-                            let delta = eng.events_executed() - before;
                             let outbox = eng.world.take_outbox();
                             busy_ns += started.elapsed().as_nanos() as u64;
-                            stx.send(status_of(i, &eng, delta, idle_ns, busy_ns, outbox))
-                                .ok();
+                            stx.send(status_of(i, &eng, idle_ns, busy_ns, outbox)).ok();
                         }
                         Cmd::StepOne => {
                             let started = Instant::now();
                             eng.step();
                             let outbox = eng.world.take_outbox();
                             busy_ns += started.elapsed().as_nanos() as u64;
-                            stx.send(status_of(i, &eng, 1, idle_ns, busy_ns, outbox))
-                                .ok();
+                            stx.send(status_of(i, &eng, idle_ns, busy_ns, outbox)).ok();
                         }
                         Cmd::Finish { inbox } => {
                             enqueue(&mut eng, inbox);
@@ -673,11 +451,7 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
         }
         drop(stx);
 
-        let mut co = Coord::<W>::new(k, profile);
-        let mut windows: u64 = 0;
-        let mut lockstep_rounds: u64 = 0;
-        let mut horizon_advances: u64 = 0;
-        let mut horizon_seen: Vec<u64> = vec![0; k];
+        let mut co = Coord::<W>::new(k);
 
         // The first status from every worker (its starting queue).
         for _ in 0..k {
@@ -704,7 +478,7 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
             for (i, lb_slot) in lb_ns.iter_mut().enumerate().take(k) {
                 let st = co.stats[i].as_ref().expect("status seen for every shard");
                 let mut lb = match co.busy[i] {
-                    Some((_, bound)) => bound.as_nanos(),
+                    Some(bound) => bound.as_nanos(),
                     None => st.next.map_or(u64::MAX, |(t, _)| t.as_nanos()),
                 };
                 if co.busy[i].is_none() {
@@ -758,7 +532,7 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
                                 if co.inflight[i].is_empty() {
                                     continue;
                                 }
-                                co.issue(i, BusyKind::Deliver, t, Limiter::Deliver);
+                                co.busy[i] = Some(t);
                                 let inbox = std::mem::take(&mut co.inflight[i]);
                                 tx.send(Cmd::Run { end: t, inbox }).expect("worker died");
                                 sent += 1;
@@ -776,9 +550,8 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
                             .filter(|st| st.next == Some((t, key)))
                             .map(|st| st.shard)
                             .collect();
-                        lockstep_rounds += 1;
                         for &i in &holders {
-                            co.issue(i, BusyKind::Step, t, Limiter::Lockstep);
+                            co.busy[i] = Some(t);
                             txs[i].send(Cmd::StepOne).expect("worker died");
                         }
                         for _ in 0..holders.len() {
@@ -814,38 +587,17 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
                     continue;
                 }
                 let mut horizon = lb_ns[i].saturating_add(matrix.echo(i));
-                let mut limiter = Limiter::Echo;
                 for (j, &lb) in lb_ns.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
                     let d = matrix.dist(j, i);
-                    if d == NO_PATH {
-                        continue;
+                    if j != i && d != NO_PATH {
+                        horizon = horizon.min(lb.saturating_add(d));
                     }
-                    let bound = lb.saturating_add(d);
-                    if bound < horizon {
-                        horizon = bound;
-                        limiter = Limiter::Peer(j);
-                    }
-                }
-                if horizon > horizon_seen[i] {
-                    horizon_seen[i] = horizon;
-                    horizon_advances += 1;
                 }
                 let end_ns = horizon.min(clip_ns);
-                if clip_ns < horizon {
-                    limiter = if deadline_ns < quiet_ns {
-                        Limiter::DeadlineClip
-                    } else {
-                        Limiter::QuietClip
-                    };
-                }
                 if eff_next >= end_ns {
                     continue;
                 }
-                co.issue(i, BusyKind::Window, at(eff_next), limiter);
-                windows += 1;
+                co.busy[i] = Some(at(eff_next));
                 granted += 1;
                 let inbox = std::mem::take(&mut co.inflight[i]);
                 txs[i]
@@ -886,17 +638,12 @@ pub fn run_shards_until_quiet_matrix_profiled<W: ParallelWorld>(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect();
-        let profile = co.take_profile();
         ParallelOutcome {
             converged_at,
             clock,
             shards,
-            windows,
-            lockstep_rounds,
-            horizon_advances,
+            busy_ns: co.busy_ns,
             idle_ns: co.idle_ns,
-            window_hist: co.window_hist,
-            profile,
         }
     })
 }
@@ -1003,10 +750,8 @@ mod tests {
             assert!(s.world.hops_seen.windows(2).all(|w| w[0] > w[1]));
             assert_eq!(s.world.causal_pending(), 0);
         }
-        // Telemetry is populated and consistent.
-        assert!(out.windows > 0);
-        assert_eq!(out.window_hist.count, out.windows);
-        assert_eq!(out.window_hist.sum, 101);
+        // Worker wall-clock accounting covers every shard.
+        assert_eq!(out.busy_ns.len(), 2);
         assert_eq!(out.idle_ns.len(), 2);
     }
 
@@ -1072,7 +817,6 @@ mod tests {
         assert_eq!(out.converged_at, Some(resume + HOP * 2));
         let total: usize = out.shards.iter().map(|s| s.world.hops_seen.len()).sum();
         assert_eq!(total, 6);
-        assert!(out.lockstep_rounds > 0);
     }
 
     #[test]
@@ -1201,115 +945,5 @@ mod tests {
         let m = LookaheadMatrix::uniform(1, SimDuration::from_micros(1));
         assert_eq!(m.shard_count(), 1);
         assert_eq!(m.echo(0), NO_PATH);
-    }
-
-    #[test]
-    fn window_hist_empty() {
-        let h = WindowHist::default();
-        assert_eq!(h.count, 0);
-        assert_eq!(h.sum, 0);
-        assert_eq!(h.max, 0);
-        assert_eq!(h.mean(), 0.0);
-        assert!(h.buckets.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn window_hist_single_bucket() {
-        // Bucket b > 0 covers [2^(b-1), 2^b): 2 and 3 both land in
-        // bucket 2, empty grants in bucket 0, single events in bucket 1.
-        let mut h = WindowHist::default();
-        h.record(2);
-        h.record(3);
-        assert_eq!(h.buckets[2], 2);
-        assert_eq!((h.count, h.sum, h.max), (2, 5, 3));
-        h.record(0);
-        h.record(1);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.mean(), 6.0 / 4.0);
-    }
-
-    #[test]
-    fn window_hist_overflow_bucket() {
-        // Anything ≥ 2^15 collapses into the final absorbing bucket.
-        let mut h = WindowHist::default();
-        h.record(1 << 15);
-        h.record(1 << 40);
-        h.record(u64::MAX);
-        assert_eq!(h.buckets[WINDOW_HIST_BUCKETS - 1], 3);
-        assert_eq!(h.max, u64::MAX);
-        // The last representable non-overflow value stays out of it.
-        h.record((1 << 15) - 1);
-        assert_eq!(h.buckets[WINDOW_HIST_BUCKETS - 1], 3);
-        assert_eq!(h.buckets[WINDOW_HIST_BUCKETS - 2], 1);
-    }
-
-    #[test]
-    fn window_hist_merge_associative() {
-        let hist_of = |events: &[u64]| {
-            let mut h = WindowHist::default();
-            for &e in events {
-                h.record(e);
-            }
-            h
-        };
-        let a = hist_of(&[0, 1, 7]);
-        let b = hist_of(&[2, 1 << 20]);
-        let c = hist_of(&[3, 3, u64::MAX]);
-
-        let mut ab_c = a.clone();
-        ab_c.absorb(&b);
-        ab_c.absorb(&c);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        let mut a_bc = a.clone();
-        a_bc.absorb(&bc);
-        assert_eq!(ab_c, a_bc);
-        // Merging shard-local histograms equals recording every grant
-        // into one histogram.
-        assert_eq!(ab_c, hist_of(&[0, 1, 7, 2, 1 << 20, 3, 3, u64::MAX]));
-        // Identity element.
-        let mut with_empty = ab_c.clone();
-        with_empty.absorb(&WindowHist::default());
-        assert_eq!(with_empty, ab_c);
-    }
-
-    #[test]
-    fn profiled_run_captures_grant_timeline() {
-        let mk = || {
-            let mut a = relay(0);
-            let b = relay(1);
-            a.world.causal += 1;
-            a.schedule_event_at(
-                SimTime::ZERO + HOP,
-                Ping {
-                    key: 1,
-                    hops_left: 100,
-                },
-            );
-            vec![a, b]
-        };
-        let m = LookaheadMatrix::uniform(2, HOP);
-        let quiet = SimDuration::from_millis(1);
-        let deadline = SimTime::ZERO + SimDuration::from_secs(10);
-
-        let off = run_shards_until_quiet_matrix_profiled(mk(), &m, quiet, deadline, false);
-        assert!(off.profile.is_none());
-
-        let out = run_shards_until_quiet_matrix_profiled(mk(), &m, quiet, deadline, true);
-        // Profiling must not change virtual execution.
-        assert_eq!(out.converged_at, off.converged_at);
-        assert_eq!(out.clock, off.clock);
-        let p = out.profile.expect("profiling on");
-        assert!(!p.grants.is_empty());
-        assert_eq!(p.busy_ns.len(), 2);
-        for g in &p.grants {
-            assert!(g.done_ns >= g.issue_ns, "grant closed before it opened");
-            assert!(g.shard < 2);
-        }
-        // Every executed event is attributed to exactly one grant.
-        let executed: u64 = p.grants.iter().map(|g| g.executed).sum();
-        assert_eq!(executed, 101);
-        assert!(p.run_wall_ns >= p.grants.iter().map(|g| g.done_ns).max().unwrap());
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic, virtual-time observability for CrystalNet runs.
 //!
 //! CrystalNet's value proposition is *visibility*: operators must be able to
-//! ask "what did the engine, the shards, and each BGP speaker actually do
-//! during this run?" without perturbing the run itself. This crate provides
-//! the three pieces the Emulation API builds `pull_report()` on:
+//! ask "what did the engine and each BGP speaker actually do during this
+//! run?" without perturbing the run itself. This crate provides the three
+//! pieces the Emulation API builds `pull_report()` on:
 //!
 //! 1. a [`Recorder`] trait instrumented code emits through — spans and
 //!    events stamped with [`SimTime`], plus named counters, gauges, and
@@ -17,25 +17,19 @@
 //! # Determinism contract
 //!
 //! The canonical report ([`RunReport::to_json`]) must be **byte-identical**
-//! across repetitions and across `workers` values for the same seed. Two
-//! rules make that hold:
+//! across repetitions for the same seed. The engine runs every event on
+//! one thread in `(time, key)` order, so emission order is already a
+//! function of the seed; two rules keep the export one too:
 //!
 //! - *canonical* metrics record facts about the emulated world (frames
-//!   sent, BGP updates received, faults injected, per-device route churn).
-//!   The parallel executor replays the exact serial schedule, so these
-//!   merge to identical values whichever shard recorded them. Shard
-//!   recorders are created with [`Recorder::fork`] and merged back with
-//!   [`Recorder::absorb`]: counters add, gauges max, histograms append and
-//!   are sorted before summarizing — all order-independent operations;
+//!   sent, BGP updates received, faults injected, per-device route churn)
+//!   and live in `BTreeMap`s, so their export order depends on the keys
+//!   alone; histograms are sorted before summarizing;
 //! - *diagnostic* metrics record facts about the execution itself
-//!   (events executed per shard, conservative windows, lock-step rounds,
-//!   interner hit rate). These legitimately differ run-to-run, so they are
-//!   excluded from the canonical export and only appear in
-//!   [`RunReport::to_json_full`].
-//!
-//! Spans and events are only emitted from serial orchestrator code (the
-//! mockup/settle/fault paths), never from inside shard workers, so their
-//! emission order is deterministic by construction.
+//!   (events executed, queue high-water, interner hit rate). The report's
+//!   caller fills [`RunReport::diagnostics`]; they are excluded from the
+//!   canonical export and only appear in [`RunReport::to_json_full`],
+//!   beside the wall-clock [`Profile`].
 
 use crystalnet_sim::metrics::percentile_f64;
 use crystalnet_sim::{EventId, SimDuration, SimTime};
@@ -47,8 +41,8 @@ pub mod profile;
 pub mod testutil;
 
 pub use profile::{
-    BlameBreakdown, BlameKind, CowStats, CriticalLink, DeviceMem, DeviceMemTotals, InternerMem,
-    MemorySection, Profile, ProfileEntry, QueueMem, ScalingDiagnosis, ShardLoad,
+    CowStats, DeviceMem, DeviceMemTotals, InternerMem, MemorySection, Profile, ProfileEntry,
+    QueueMem,
 };
 pub use testutil::{assert_same_key_structure, json_deep_structure, json_key_structure};
 
@@ -247,9 +241,7 @@ impl Serialize for HistogramSummary {
 /// that caused that one.
 ///
 /// Records are device-scoped world facts (a frame delivered, a FIB entry
-/// installed, a link transition observed by an endpoint), so the sharded
-/// executor emits each exactly once — on the shard owning the device —
-/// and the merged, sorted stream is byte-identical to a serial run's.
+/// installed, a link transition observed by an endpoint).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Virtual time of the record.
@@ -258,10 +250,8 @@ pub struct TraceRecord {
     pub id: EventId,
     /// Ordinal among records emitted under the same `(event id, device)`
     /// pair. Assigned by the sink at push time (one device's records for
-    /// one event are pushed consecutively on the single shard owning that
-    /// device, so the numbering is deterministic even when an event —
-    /// e.g. a link transition — touches devices on different shards);
-    /// used only as a sort tiebreak and never exported.
+    /// one event are pushed consecutively); used only as a sort tiebreak
+    /// and never exported.
     pub sub: u32,
     /// Id of the causal parent event, if known.
     pub cause: Option<EventId>,
@@ -405,13 +395,8 @@ pub fn trace_chrome_json(records: &[TraceRecord]) -> String {
 /// A bounded ring buffer of [`TraceRecord`]s.
 ///
 /// Keeps the **newest** `capacity` records; older records are dropped and
-/// counted. Because the global record stream is totally ordered by
-/// [`TraceRecord::rank`] and each shard holds a contiguous-by-device
-/// subset, "newest `capacity` per shard, then merge-sort and keep the
-/// newest `capacity` overall" retains exactly the same set a serial run
-/// would — any record in the global newest-`capacity` set is necessarily
-/// within its own shard's newest `capacity`. Dropped counts therefore
-/// merge deterministically too (`emitted − retained`).
+/// counted (`emitted − retained`). Exports sort the retained records by
+/// [`TraceRecord::rank`].
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     capacity: usize,
@@ -495,22 +480,6 @@ impl TraceSink {
         out
     }
 
-    /// Merges a shard sink back: records interleave by rank, the newest
-    /// `capacity` survive, and emit counts add.
-    pub fn absorb(&mut self, child: TraceSink) {
-        self.emitted += child.emitted;
-        self.records.extend(child.records);
-        let mut all: Vec<TraceRecord> = std::mem::take(&mut self.records).into();
-        all.sort_by_key(TraceRecord::rank);
-        let drop = all.len().saturating_sub(self.capacity);
-        self.records = all.into_iter().skip(drop).collect();
-        if let Some(last) = self.records.back() {
-            self.last_id = last.id;
-            self.last_dev = last.device;
-            self.last_sub = last.sub;
-        }
-    }
-
     /// JSONL export of the retained records.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
@@ -528,11 +497,10 @@ impl TraceSink {
 ///
 /// Every method has a no-op default body, so [`NoopRecorder`] is an empty
 /// impl and hot paths can guard bulk work with a single
-/// `if recorder.enabled()` branch. Canonical emissions (`counter_add`,
-/// `gauge_max`, the per-device variants, `histogram_record`) must describe
-/// the emulated world and merge order-independently; execution-dependent
-/// facts go through `diagnostic_add`/`diagnostic_max` and never reach the
-/// canonical report.
+/// `if recorder.enabled()` branch. Emissions (`counter_add`, `gauge_max`,
+/// the per-device variants, `histogram_record`) must describe the
+/// emulated world; wall-clock time goes through `profile_add` and never
+/// reaches the canonical report.
 pub trait Recorder: Send {
     /// Whether emissions are stored. Callers may skip preparing emission
     /// arguments when this is `false`.
@@ -555,17 +523,6 @@ pub trait Recorder: Send {
     /// Records one sample into the named histogram.
     fn histogram_record(&mut self, _name: &'static str, _v: f64) {}
 
-    /// Adds `v` to a diagnostic (execution-dependent) counter.
-    fn diagnostic_add(&mut self, _name: String, _v: u64) {}
-
-    /// Raises a diagnostic gauge to at least `v`.
-    fn diagnostic_max(&mut self, _name: String, _v: u64) {}
-
-    /// Sets an array-valued diagnostic (e.g. one value per shard). Last
-    /// write wins; like scalar diagnostics, arrays never reach the
-    /// canonical export.
-    fn diagnostic_array(&mut self, _name: String, _values: Vec<u64>) {}
-
     /// Whether wall-clock profiling is on. Instrumentation sites gate
     /// every `Instant::now()` pair behind this so a profiling-off run
     /// pays nothing but the branch.
@@ -576,10 +533,6 @@ pub trait Recorder: Send {
     /// Adds `wall_ns` of wall-clock time under a [`profile::keys`] key.
     /// Only meaningful when [`Recorder::profiling_enabled`] is true.
     fn profile_add(&mut self, _key: &'static str, _wall_ns: u64) {}
-
-    /// Stores the parallel executor's scaling diagnosis for this run.
-    /// Last write wins (each converge replaces the previous diagnosis).
-    fn scaling_diagnosis(&mut self, _d: ScalingDiagnosis) {}
 
     /// Records a completed span. Only call from serial orchestrator code.
     fn span(&mut self, _name: &'static str, _device: Option<u32>, _start: SimTime, _end: SimTime) {}
@@ -603,7 +556,9 @@ pub trait Recorder: Send {
     /// Appends one causal trace record to the bounded sink.
     fn trace(&mut self, _rec: TraceRecord) {}
 
-    /// Creates an empty recorder of the same kind for a shard worker.
+    /// Creates an empty recorder of the same kind for a shard of
+    /// `routing`'s sharded settle: counters, gauges, histograms and
+    /// profile keys, never a trace sink (that settle runs without one).
     fn fork(&self) -> Box<dyn Recorder>;
 
     /// Deep-copies this recorder, history included — the telemetry fork
@@ -616,7 +571,8 @@ pub trait Recorder: Send {
     fn snapshot(&self) -> Box<dyn Recorder>;
 
     /// Merges a forked recorder back: counters add, gauges max, histograms
-    /// append. Shard merge order must not affect the canonical report.
+    /// append, profile keys add — all order-independent, so the merged
+    /// counters equal a serial run's.
     fn absorb(&mut self, _child: Box<dyn Recorder>) {}
 
     /// Downcast support for readers ([`MemRecorder::from_recorder`]).
@@ -658,15 +614,11 @@ pub struct MemRecorder {
     dev_counters: BTreeMap<&'static str, BTreeMap<u32, u64>>,
     dev_gauges: BTreeMap<&'static str, BTreeMap<u32, u64>>,
     histograms: BTreeMap<&'static str, Vec<f64>>,
-    diag_counters: BTreeMap<String, u64>,
-    diag_gauges: BTreeMap<String, u64>,
-    diag_arrays: BTreeMap<String, Vec<u64>>,
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
     trace: Option<TraceSink>,
     profiling: bool,
     profile: BTreeMap<&'static str, (u64, u64)>,
-    scaling: Option<ScalingDiagnosis>,
 }
 
 impl MemRecorder {
@@ -687,7 +639,7 @@ impl MemRecorder {
     }
 
     /// Turns wall-clock profiling on (builder-style). Profiled runs emit
-    /// a [`Profile`] and [`ScalingDiagnosis`] section in the full export.
+    /// a [`Profile`] section in the full export.
     #[must_use]
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
@@ -769,36 +721,23 @@ impl MemRecorder {
         }
         if let Some(sink) = &self.trace {
             // Emit/retain/drop counts are world facts (each record is
-            // emitted exactly once whatever the worker count), so they
-            // belong in the canonical section.
+            // emitted exactly once), so they belong in the canonical
+            // section.
             counters.insert("telemetry.trace_emitted".to_string(), sink.emitted());
             counters.insert("telemetry.trace_retained".to_string(), sink.len() as u64);
             counters.insert("telemetry.trace_dropped".to_string(), sink.dropped());
         }
-        let mut diagnostics = self.diag_counters.clone();
-        for (name, v) in &self.diag_gauges {
-            diagnostics.insert(name.clone(), *v);
-        }
         RunReport {
             enabled: true,
-            meta: Vec::new(),
             spans: self.spans.clone(),
             counters,
             per_device,
             histograms,
             events: self.events.clone(),
-            journal: Vec::new(),
-            diagnostics,
-            diagnostic_arrays: self.diag_arrays.clone(),
             profile: self
                 .profiling
                 .then(|| Profile::from_recorded(&self.profile)),
-            scaling: self.profiling.then(|| {
-                self.scaling
-                    .clone()
-                    .unwrap_or_else(ScalingDiagnosis::serial)
-            }),
-            memory: None,
+            ..RunReport::default()
         }
     }
 }
@@ -840,19 +779,6 @@ impl Recorder for MemRecorder {
         self.histograms.entry(name).or_default().push(v);
     }
 
-    fn diagnostic_add(&mut self, name: String, v: u64) {
-        *self.diag_counters.entry(name).or_insert(0) += v;
-    }
-
-    fn diagnostic_max(&mut self, name: String, v: u64) {
-        let g = self.diag_gauges.entry(name).or_insert(0);
-        *g = (*g).max(v);
-    }
-
-    fn diagnostic_array(&mut self, name: String, values: Vec<u64>) {
-        self.diag_arrays.insert(name, values);
-    }
-
     fn profiling_enabled(&self) -> bool {
         self.profiling
     }
@@ -861,10 +787,6 @@ impl Recorder for MemRecorder {
         let e = self.profile.entry(key).or_insert((0, 0));
         e.0 += wall_ns;
         e.1 += 1;
-    }
-
-    fn scaling_diagnosis(&mut self, d: ScalingDiagnosis) {
-        self.scaling = Some(d);
     }
 
     fn span(&mut self, name: &'static str, device: Option<u32>, start: SimTime, end: SimTime) {
@@ -891,14 +813,10 @@ impl Recorder for MemRecorder {
     }
 
     fn fork(&self) -> Box<dyn Recorder> {
-        // Shard sinks share the parent's bound so the post-merge
-        // newest-`capacity` set matches a serial run's (see [`TraceSink`]).
-        let mut child = match &self.trace {
-            Some(sink) => MemRecorder::with_trace_capacity(sink.capacity()),
-            None => MemRecorder::new(),
-        };
-        child.profiling = self.profiling;
-        Box::new(child)
+        Box::new(MemRecorder {
+            profiling: self.profiling,
+            ..MemRecorder::default()
+        })
     }
 
     fn snapshot(&self) -> Box<dyn Recorder> {
@@ -933,29 +851,13 @@ impl Recorder for MemRecorder {
         for (name, samples) in child.histograms {
             self.histograms.entry(name).or_default().extend(samples);
         }
-        for (name, v) in child.diag_counters {
-            *self.diag_counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in child.diag_gauges {
-            let g = self.diag_gauges.entry(name).or_insert(0);
-            *g = (*g).max(v);
-        }
-        for (name, values) in child.diag_arrays {
-            self.diag_arrays.insert(name, values);
-        }
         for (key, (wall, count)) in child.profile {
             let e = self.profile.entry(key).or_insert((0, 0));
             e.0 += wall;
             e.1 += count;
         }
-        if let Some(scaling) = child.scaling {
-            self.scaling = Some(scaling);
-        }
         self.spans.extend(child.spans);
         self.events.extend(child.events);
-        if let (Some(mine), Some(theirs)) = (self.trace.as_mut(), child.trace) {
-            mine.absorb(theirs);
-        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -970,9 +872,9 @@ impl Recorder for MemRecorder {
 /// The exportable snapshot of everything observed during a run.
 ///
 /// Returned by the Emulation API's `pull_report()`. The canonical export
-/// ([`RunReport::to_json`]) is bit-identical across repetitions and across
-/// `workers` values for the same seed; [`RunReport::to_json_full`] appends
-/// the execution-dependent `diagnostics` section on top.
+/// ([`RunReport::to_json`]) is bit-identical across repetitions for the
+/// same seed; [`RunReport::to_json_full`] appends the
+/// execution-dependent sections on top.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Whether telemetry was enabled for this run. Disabled runs export an
@@ -996,16 +898,9 @@ pub struct RunReport {
     pub journal: Vec<EventRecord>,
     /// Execution-dependent metrics — excluded from the canonical export.
     pub diagnostics: BTreeMap<String, u64>,
-    /// Array-valued execution-dependent metrics (e.g. one value per
-    /// shard), merged into the `diagnostics` object of the full export.
-    pub diagnostic_arrays: BTreeMap<String, Vec<u64>>,
     /// Wall-clock profile; `Some` when the run had profiling enabled.
     /// Exported only by [`RunReport::to_json_full`].
     pub profile: Option<Profile>,
-    /// Parallel-executor scaling diagnosis; `Some` when profiling was
-    /// enabled (a serial run reports [`ScalingDiagnosis::serial`]).
-    /// Exported only by [`RunReport::to_json_full`].
-    pub scaling: Option<ScalingDiagnosis>,
     /// Memory accounting; `Some` when profiling was enabled. Exported
     /// only by [`RunReport::to_json_full`].
     pub memory: Option<MemorySection>,
@@ -1099,8 +994,8 @@ impl RunReport {
         ])
     }
 
-    /// Canonical JSON export: bit-identical across reps and worker counts
-    /// for the same seed. Ends with a newline (artifact-friendly).
+    /// Canonical JSON export: bit-identical across reps for the same
+    /// seed. Ends with a newline (artifact-friendly).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(&self.canonical_value())
@@ -1110,36 +1005,17 @@ impl RunReport {
     }
 
     /// Full JSON export: the canonical sections plus the
-    /// execution-dependent `diagnostics` section (scalar and array-valued
-    /// keys interleaved in one sorted object) and — when profiling was on
-    /// — the `profile`, `scaling_diagnosis`, and `memory` sections. Not
-    /// stable across worker counts — for humans and perf investigations,
-    /// never for diffing.
+    /// execution-dependent `diagnostics` section and — when profiling was
+    /// on — the `profile` and `memory` sections. Not stable run to run —
+    /// for humans and perf investigations, never for diffing.
     #[must_use]
     pub fn to_json_full(&self) -> String {
         let Value::Object(mut obj) = self.canonical_value() else {
             unreachable!("canonical report is always an object");
         };
-        let mut diag: BTreeMap<String, Value> = self
-            .diagnostics
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Uint(*v)))
-            .collect();
-        for (k, values) in &self.diagnostic_arrays {
-            diag.insert(
-                k.clone(),
-                Value::Array(values.iter().map(|&v| Value::Uint(v)).collect()),
-            );
-        }
-        obj.push((
-            "diagnostics".to_string(),
-            Value::Object(diag.into_iter().collect()),
-        ));
+        obj.push(("diagnostics".to_string(), self.diagnostics.to_value()));
         if let Some(profile) = &self.profile {
             obj.push(("profile".to_string(), profile.to_value()));
-        }
-        if let Some(scaling) = &self.scaling {
-            obj.push(("scaling_diagnosis".to_string(), scaling.to_value()));
         }
         if let Some(memory) = &self.memory {
             obj.push(("memory".to_string(), memory.to_value()));
@@ -1207,9 +1083,6 @@ impl RunReport {
             for (name, v) in &self.diagnostics {
                 let _ = writeln!(out, "    {name:<40} {v}");
             }
-            for (name, values) in &self.diagnostic_arrays {
-                let _ = writeln!(out, "    {name:<40} {values:?}");
-            }
         }
         if let Some(profile) = &self.profile {
             out.push_str("  profile (wall-clock, non-canonical):\n");
@@ -1224,18 +1097,6 @@ impl RunReport {
                     );
                 }
             }
-        }
-        if let Some(scaling) = &self.scaling {
-            let _ = writeln!(
-                out,
-                "  scaling: {} shard(s), {} grant(s), blame \
-                 lookahead {:.3}ms / work {:.3}ms / merge {:.3}ms",
-                scaling.shards,
-                scaling.grants,
-                scaling.blame.lookahead_starved_ns as f64 / 1e6,
-                scaling.blame.work_bound_ns as f64 / 1e6,
-                scaling.blame.merge_bound_ns as f64 / 1e6,
-            );
         }
         if let Some(memory) = &self.memory {
             let d = &memory.devices;
@@ -1367,10 +1228,14 @@ mod tests {
     fn diagnostics_excluded_from_canonical_json() {
         let mut r = MemRecorder::new();
         r.counter_add("visible", 1);
-        r.diagnostic_add("sim.parallel.windows".to_string(), 9);
-        let report = r.report();
-        assert!(!report.to_json().contains("sim.parallel.windows"));
-        assert!(report.to_json_full().contains("sim.parallel.windows"));
+        let mut report = r.report();
+        report
+            .diagnostics
+            .insert("sim.engine.events_executed".to_string(), 9);
+        assert!(!report.to_json().contains("sim.engine.events_executed"));
+        assert!(report
+            .to_json_full()
+            .contains("\"sim.engine.events_executed\": 9"));
         assert!(report.to_json().contains("visible"));
     }
 
@@ -1380,24 +1245,17 @@ mod tests {
         assert!(r.profiling_enabled());
         r.counter_add("visible", 1);
         r.profile_add(profile::keys::MOCKUP, 1234);
-        r.scaling_diagnosis(ScalingDiagnosis {
-            shards: 2,
-            grants: 5,
-            ..ScalingDiagnosis::default()
-        });
         let report = r.report();
-        let canonical = report.to_json();
-        assert!(!canonical.contains("profile"));
-        assert!(!canonical.contains("scaling_diagnosis"));
+        assert!(!report.to_json().contains("profile"));
         let full = report.to_json_full();
         assert!(full.contains("\"profile\""));
-        assert!(full.contains("\"scaling_diagnosis\""));
         assert!(full.contains(profile::keys::MOCKUP));
+        // A one-thread run has no scaling to describe, in either export.
+        assert!(!full.contains("scaling"));
         assert_eq!(
             report.profile.as_ref().unwrap().wall_ns("core.mockup"),
             1234
         );
-        assert_eq!(report.scaling.as_ref().unwrap().shards, 2);
     }
 
     #[test]
@@ -1406,38 +1264,16 @@ mod tests {
         assert!(!r.profiling_enabled());
         r.counter_add("visible", 1);
         let report = r.report();
-        assert!(report.profile.is_none() && report.scaling.is_none());
-        assert!(!report.to_json_full().contains("scaling_diagnosis"));
-    }
-
-    #[test]
-    fn serial_profiled_report_defaults_to_a_serial_diagnosis() {
-        let r = MemRecorder::new().with_profiling();
-        let report = r.report();
-        let scaling = report.scaling.as_ref().expect("diagnosis present");
-        assert_eq!(scaling.shards, 1);
-        assert!(scaling.critical_path.is_empty());
-        // Every registry key is present even though none was recorded.
-        let profile = report.profile.as_ref().expect("profile present");
-        assert_eq!(profile.entries.len(), profile::keys::ALL.len());
-    }
-
-    #[test]
-    fn diagnostic_arrays_export_in_full_json_only() {
-        let mut r = MemRecorder::new();
-        r.diagnostic_array("sim.parallel.shard.idle_ns".to_string(), vec![5, 9]);
-        r.diagnostic_add("sim.parallel.windows".to_string(), 3);
-        let report = r.report();
-        assert!(!report.to_json().contains("shard.idle_ns"));
-        let full = report.to_json_full();
-        assert!(full.contains("\"sim.parallel.shard.idle_ns\": [\n"));
+        assert!(report.profile.is_none() && report.memory.is_none());
+        assert!(!report.to_json_full().contains("\"profile\""));
     }
 
     #[test]
     fn shard_fork_inherits_profiling_and_absorb_merges_profile() {
-        let mut root = MemRecorder::new().with_profiling();
+        let mut root = MemRecorder::with_trace_capacity(8).with_profiling();
         let mut shard = root.fork();
         assert!(shard.profiling_enabled());
+        assert!(!shard.trace_enabled(), "a shard never carries a trace sink");
         shard.profile_add(profile::keys::PARALLEL_COMPUTE, 40);
         root.profile_add(profile::keys::PARALLEL_COMPUTE, 2);
         root.absorb(shard);
@@ -1499,29 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_absorb_matches_serial_retention() {
-        // Serial: one sink sees everything in rank order.
-        let mut serial = TraceSink::new(4);
-        for (t, key) in [(10u64, 1u64), (20, 2), (30, 3), (40, 4), (50, 5), (60, 6)] {
-            serial.push(rec(t, key, "x"));
-        }
-        // Sharded: the same records split across two sinks, merged back.
-        let mut a = TraceSink::new(4);
-        let mut b = TraceSink::new(4);
-        for (t, key) in [(10u64, 1u64), (30, 3), (50, 5)] {
-            a.push(rec(t, key, "x"));
-        }
-        for (t, key) in [(20u64, 2u64), (40, 4), (60, 6)] {
-            b.push(rec(t, key, "x"));
-        }
-        let mut merged = TraceSink::new(4);
-        merged.absorb(a);
-        merged.absorb(b);
-        assert_eq!(merged.to_jsonl(), serial.to_jsonl());
-        assert_eq!(merged.dropped(), serial.dropped());
-    }
-
-    #[test]
     fn trace_exports_are_valid_json() {
         let mut sink = TraceSink::new(16);
         sink.push(TraceRecord::new(
@@ -1544,27 +1357,6 @@ mod tests {
             panic!("chrome trace must be an object")
         };
         assert!(obj.iter().any(|(k, _)| k == "traceEvents"));
-    }
-
-    #[test]
-    fn mem_recorder_trace_plumbs_through_fork_and_absorb() {
-        let mut root = MemRecorder::with_trace_capacity(8);
-        assert!(root.trace_enabled());
-        assert!(!MemRecorder::new().trace_enabled());
-        let mut shard = root.fork();
-        assert!(shard.trace_enabled());
-        shard.trace(rec(10, 1, "shard"));
-        root.trace(rec(20, 2, "root"));
-        root.absorb(shard);
-        let sink = root.trace_sink().expect("sink present");
-        assert_eq!(sink.len(), 2);
-        assert_eq!(
-            sink.records().iter().map(|r| r.name).collect::<Vec<_>>(),
-            vec!["shard", "root"]
-        );
-        let report = root.report();
-        assert_eq!(report.counters["telemetry.trace_emitted"], 2);
-        assert_eq!(report.counters["telemetry.trace_dropped"], 0);
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Wall-clock profiling: hierarchical self/child span accounting, the
-//! parallel executor's scaling diagnosis, and memory accounting.
+//! Wall-clock profiling: hierarchical self/child span accounting and
+//! memory accounting.
 //!
 //! Everything in this module describes the **execution**, not the emulated
-//! world: wall-clock nanoseconds vary run to run, grant timelines depend on
-//! OS scheduling, byte estimates depend on the platform. None of it may
-//! reach the canonical report ([`crate::RunReport::to_json`]); it is
-//! exported only by [`crate::RunReport::to_json_full`].
+//! world: wall-clock nanoseconds vary run to run, byte estimates depend on
+//! the platform. None of it may reach the canonical report
+//! ([`crate::RunReport::to_json`]); it is exported only by
+//! [`crate::RunReport::to_json_full`].
 //!
 //! What *is* guaranteed deterministic is the **shape**: the profile key set
 //! is the fixed [`keys::ALL`] registry (every key present every run, zero
-//! when unused) and [`ScalingDiagnosis`] serializes the same object keys
-//! whether the run was serial or sharded. That makes "did the structure
-//! change?" a byte-comparison even though the values never are.
+//! when unused). That makes "did the structure change?" a byte-comparison
+//! even though the values never are.
 
 use crate::Serialize;
 use serde::Value;
@@ -22,13 +21,13 @@ use std::collections::BTreeMap;
 /// Keys form a hierarchy by dot-prefix: `core.mockup.converge` is a child
 /// of `core.mockup`, and a parent's *self* time is its wall minus the sum
 /// of its children's walls. The registry is closed on purpose: a
-/// conditional key (emitted on some worker counts but not others) would
-/// break the profile's structural determinism, so instrumentation sites
-/// must use these constants and the report always emits all of them.
+/// conditional key (emitted on some runs but not others) would break the
+/// profile's structural determinism, so instrumentation sites must use
+/// these constants and the report always emits all of them.
 pub mod keys {
     /// Whole `mockup()` call: prepare sandboxes, boot, converge.
     pub const MOCKUP: &str = "core.mockup";
-    /// Convergence inside `mockup()` (serial engine or parallel executor).
+    /// Convergence inside `mockup()`.
     pub const MOCKUP_CONVERGE: &str = "core.mockup.converge";
     /// `settle()` re-convergence calls.
     pub const SETTLE: &str = "core.settle";
@@ -36,22 +35,13 @@ pub mod keys {
     pub const FORK: &str = "core.fork";
     /// Warm `apply_change` (validate, inject, re-converge, diff).
     pub const APPLY: &str = "core.apply";
-    /// Serial engine event loop (`run_until_quiet` on one shard).
+    /// Engine event loop (`run_until_quiet`).
     pub const ENGINE_RUN: &str = "sim.engine.run";
-    /// Whole parallel executor call, fork to join.
-    pub const PARALLEL: &str = "routing.parallel";
-    /// Splitting the world into per-shard worlds.
-    pub const PARALLEL_FORK: &str = "routing.parallel.fork_worlds";
-    /// The coordinator grant loop (between fork and join).
-    pub const PARALLEL_RUN: &str = "routing.parallel.run";
-    /// Merging shard worlds, envelopes, and recorders back.
-    pub const PARALLEL_JOIN: &str = "routing.parallel.join";
-    /// Worker compute time, summed across shards (overlaps wall time, so
-    /// this legitimately exceeds `routing.parallel.run` on real cores).
+    /// Worker compute time of a sharded settle, summed across shards
+    /// (`routing`'s `run_until_quiet_parallel` only).
     pub const PARALLEL_COMPUTE: &str = "sim.parallel.compute";
-    /// Coordinator time merging shard outboxes into inboxes.
-    pub const PARALLEL_MERGE: &str = "sim.parallel.merge";
-    /// Worker idle time blocked on the grant channel, summed across shards.
+    /// Worker idle time of a sharded settle, blocked on the grant
+    /// channel, summed across shards.
     pub const PARALLEL_IDLE: &str = "sim.parallel.idle";
 
     /// Every profile key, in report order. The profile section always
@@ -63,12 +53,7 @@ pub mod keys {
         FORK,
         APPLY,
         ENGINE_RUN,
-        PARALLEL,
-        PARALLEL_FORK,
-        PARALLEL_RUN,
-        PARALLEL_JOIN,
         PARALLEL_COMPUTE,
-        PARALLEL_MERGE,
         PARALLEL_IDLE,
     ];
 }
@@ -158,166 +143,6 @@ impl Serialize for Profile {
     /// The entries themselves, keyed by profile key: no wrapper object.
     fn to_value(&self) -> Value {
         self.entries.to_value()
-    }
-}
-
-/// Why one straggler interval on the critical path was slow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlameKind {
-    /// The shard's grant window was clipped by a peer's lower bound: the
-    /// lookahead matrix would not let it run further ahead.
-    LookaheadStarved,
-    /// The shard had all the window it could use and spent the interval
-    /// computing (or the run was in lock-step / delivery mode).
-    WorkBound,
-    /// The interval was coordinator-side envelope merging.
-    MergeBound,
-}
-
-impl BlameKind {
-    /// Stable lowercase label used in exports.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            BlameKind::LookaheadStarved => "lookahead-starved",
-            BlameKind::WorkBound => "work-bound",
-            BlameKind::MergeBound => "merge-bound",
-        }
-    }
-}
-
-/// Wall time attributed to each blame class across the critical path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct BlameBreakdown {
-    /// Intervals where cross-shard lookahead bounded progress.
-    pub lookahead_starved_ns: u64,
-    /// Intervals where shard compute bounded progress.
-    pub work_bound_ns: u64,
-    /// Intervals where coordinator-side merging bounded progress.
-    pub merge_bound_ns: u64,
-}
-
-/// One link in the chain of grants that bounded run completion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct CriticalLink {
-    /// Shard the grant ran on.
-    pub shard: u32,
-    /// Grant kind label (`window`, `deliver`, `step`).
-    pub kind: String,
-    /// What bounded the grant's horizon (`echo`, `peer:<j>`, `quiet-clip`,
-    /// `deadline-clip`, `lockstep`, `deliver`).
-    pub limiter: String,
-    /// Wall nanoseconds from run start when the grant was issued.
-    pub start_ns: u64,
-    /// Wall nanoseconds from run start when the status came back.
-    pub end_ns: u64,
-    /// Events the grant executed.
-    pub executed: u64,
-    /// Blame classification label for this interval.
-    pub blame: String,
-}
-
-/// Per-shard load summary over the whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ShardLoad {
-    /// Shard index.
-    pub shard: u32,
-    /// Grants issued to this shard.
-    pub grants: u64,
-    /// Events the shard executed.
-    pub executed: u64,
-    /// Wall nanoseconds the shard's worker spent computing.
-    pub busy_ns: u64,
-    /// Wall nanoseconds the shard's worker spent blocked on the grant
-    /// channel.
-    pub idle_ns: u64,
-}
-
-/// Critical-path and blame attribution for one parallel (or serial) run.
-///
-/// Reconstructed from the coordinator's grant timeline: the chain of
-/// grants that bounded completion, each interval classified as
-/// lookahead-starved / work-bound / merge-bound. A serial run reports the
-/// same object shape with `shards == 1` and empty arrays, so the key
-/// structure of the export never depends on the worker count.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct ScalingDiagnosis {
-    /// Number of shards (1 for a serial run).
-    pub shards: u32,
-    /// Wall nanoseconds of the whole executor run.
-    pub run_wall_ns: u64,
-    /// Worker compute nanoseconds summed across shards.
-    pub compute_ns: u64,
-    /// Coordinator merge nanoseconds.
-    pub merge_ns: u64,
-    /// Worker idle nanoseconds summed across shards.
-    pub idle_ns: u64,
-    /// Total grants issued.
-    pub grants: u64,
-    /// Blame totals along the critical path.
-    pub blame: BlameBreakdown,
-    /// The chain of grants that bounded completion, newest last. Bounded
-    /// to the last [`ScalingDiagnosis::CRITICAL_PATH_CAP`] links.
-    pub critical_path: Vec<CriticalLink>,
-    /// Per-shard load summary.
-    pub per_shard: Vec<ShardLoad>,
-}
-
-impl ScalingDiagnosis {
-    /// Maximum critical-path links kept in the export.
-    pub const CRITICAL_PATH_CAP: usize = 64;
-
-    /// The trivial diagnosis a serial (one-shard) run reports: same key
-    /// structure, no grant timeline.
-    #[must_use]
-    pub fn serial() -> Self {
-        ScalingDiagnosis {
-            shards: 1,
-            ..ScalingDiagnosis::default()
-        }
-    }
-
-    /// Renders the critical path as Chrome trace-event JSON (complete
-    /// `"ph": "X"` events, one per link, `tid` = shard), loadable in
-    /// Perfetto / `chrome://tracing` next to the causal trace export.
-    #[must_use]
-    pub fn chrome_trace_json(&self) -> String {
-        let events: Vec<Value> = self
-            .critical_path
-            .iter()
-            .map(|l| {
-                Value::Object(vec![
-                    (
-                        "name".to_string(),
-                        Value::Str(format!("{} ({})", l.kind, l.blame)),
-                    ),
-                    ("ph".to_string(), Value::Str("X".to_string())),
-                    ("pid".to_string(), Value::Uint(0)),
-                    ("tid".to_string(), Value::Uint(u64::from(l.shard))),
-                    ("ts".to_string(), Value::Uint(l.start_ns / 1_000)),
-                    (
-                        "dur".to_string(),
-                        Value::Uint(l.end_ns.saturating_sub(l.start_ns).max(1) / 1_000),
-                    ),
-                    (
-                        "args".to_string(),
-                        Value::Object(vec![
-                            ("limiter".to_string(), Value::Str(l.limiter.clone())),
-                            ("executed".to_string(), Value::Uint(l.executed)),
-                            ("start_ns".to_string(), Value::Uint(l.start_ns)),
-                            ("end_ns".to_string(), Value::Uint(l.end_ns)),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Value::Object(vec![
-            ("traceEvents".to_string(), Value::Array(events)),
-            ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-        ]);
-        let mut s = serde_json::to_string_pretty(&doc).expect("trace serialization");
-        s.push('\n');
-        s
     }
 }
 
@@ -454,87 +279,30 @@ mod tests {
         assert_eq!(p.entries[keys::MOCKUP].wall_ns, 100);
         assert_eq!(p.entries[keys::MOCKUP].self_ns, 30);
         assert_eq!(p.entries[keys::MOCKUP_CONVERGE].self_ns, 70);
-        // Overlapping concurrent children saturate instead of underflowing.
+        // Children summing past their parent saturate instead of
+        // underflowing.
         let mut rec = BTreeMap::new();
-        rec.insert(keys::PARALLEL, (10, 1));
-        rec.insert(keys::PARALLEL_RUN, (8, 1));
-        rec.insert(keys::PARALLEL_JOIN, (5, 1));
+        rec.insert(keys::MOCKUP, (10, 1));
+        rec.insert(keys::MOCKUP_CONVERGE, (8, 1));
+        rec.insert("core.mockup.boot", (5, 1));
         let p = Profile::from_recorded(&rec);
-        assert_eq!(p.entries[keys::PARALLEL].self_ns, 0);
+        assert_eq!(p.entries[keys::MOCKUP].self_ns, 0);
     }
 
     #[test]
     fn nearest_ancestor_prefers_longest_prefix() {
         let names = vec![
-            "routing.parallel".to_string(),
-            "routing.parallel.run".to_string(),
-            "routing.parallel.run.inner".to_string(),
+            "core.mockup".to_string(),
+            "core.mockup.converge".to_string(),
+            "core.mockup.converge.inner".to_string(),
         ];
         assert_eq!(
-            nearest_ancestor("routing.parallel.run.inner", &names),
-            Some("routing.parallel.run".to_string())
+            nearest_ancestor("core.mockup.converge.inner", &names),
+            Some("core.mockup.converge".to_string())
         );
-        assert_eq!(nearest_ancestor("routing.parallel", &names), None);
-        // "routing.parallelx" must not match "routing.parallel".
-        assert_eq!(nearest_ancestor("routing.parallelx", &names), None);
-    }
-
-    #[test]
-    fn serial_diagnosis_has_same_structure_as_sharded() {
-        let serial = ScalingDiagnosis::serial();
-        let sharded = ScalingDiagnosis {
-            shards: 4,
-            run_wall_ns: 1000,
-            grants: 12,
-            critical_path: vec![CriticalLink {
-                shard: 2,
-                kind: "window".to_string(),
-                limiter: "peer:0".to_string(),
-                start_ns: 10,
-                end_ns: 40,
-                executed: 3,
-                blame: "lookahead-starved".to_string(),
-            }],
-            per_shard: vec![ShardLoad::default(); 4],
-            ..ScalingDiagnosis::default()
-        };
-        assert_eq!(
-            json_key_structure(&serial.to_value()),
-            json_key_structure(&sharded.to_value())
-        );
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_complete_events() {
-        let d = ScalingDiagnosis {
-            shards: 2,
-            critical_path: vec![CriticalLink {
-                shard: 1,
-                kind: "window".to_string(),
-                limiter: "echo".to_string(),
-                start_ns: 5_000,
-                end_ns: 9_000,
-                executed: 7,
-                blame: "work-bound".to_string(),
-            }],
-            ..ScalingDiagnosis::default()
-        };
-        let json = d.chrome_trace_json();
-        let parsed = serde_json::from_str(&json).expect("valid JSON");
-        let Value::Object(obj) = parsed else {
-            panic!("chrome trace must be an object")
-        };
-        let events = obj
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .and_then(|(_, v)| v.as_array())
-            .expect("traceEvents array");
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].get("ph").and_then(Value::as_str),
-            Some("X"),
-            "critical-path links are complete events"
-        );
+        assert_eq!(nearest_ancestor("core.mockup", &names), None);
+        // "core.mockupx" must not match "core.mockup".
+        assert_eq!(nearest_ancestor("core.mockupx", &names), None);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! generated file under `target/`, never a tracked file at the repo
 //! root, and no `<x>_output.txt` "recorded run" is cited at all.
 //!
-//! Nor an item that does not exist: every `crystalnet::<Name>`,
-//! `core::<module>::<Name>` and `<CoreType>::<member>` cited in backticks
-//! in EXPERIMENTS.md and in DESIGN.md's paper-to-code index (§4) is
-//! declared `pub` under `crates/core/src`.
+//! Nor an item that does not exist: every `crystalnet::<Name>` and
+//! `core::<module>::<Name>` cited in backticks in EXPERIMENTS.md, in
+//! DESIGN.md's observability section (§3.7) and in its paper-to-code
+//! index (§4) is declared `pub` under `crates/core/src`, and every
+//! `<Type>::<member>` there names a member declared `pub` under
+//! `crates/core/src` or `crates/telemetry/src` when the type is one of
+//! theirs, and a type some crate under `crates/` declares otherwise.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -156,76 +159,117 @@ fn declares_member(src: &str, name: &str) -> bool {
     declares(src, "pub fn ", name) || declares(src, &format!("pub {name}"), ":")
 }
 
-/// What `doc` cites from `core` that `core` (module file name → source)
-/// does not declare `pub`, one message per stale citation.
-fn stale_core_citations(doc: &str, core: &[(String, String)]) -> Vec<String> {
-    let all: String = core.iter().map(|(_, src)| src.as_str()).collect();
+/// The sources the citation check reads: `core`'s modules by file name
+/// (for `core::<module>` paths), the concatenated `core` and `telemetry`
+/// sources (for items and members), and everything under `crates/` (for
+/// types the other crates declare).
+struct Sources {
+    core: Vec<(String, String)>,
+    core_and_telemetry: String,
+    workspace: String,
+}
+
+/// Every `.rs` file under `dir`, recursively, as (file stem, source).
+fn rust_files(dir: &Path) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+            out.push((stem, std::fs::read_to_string(&path).expect("rust source")));
+        }
+    }
+    out
+}
+
+fn sources() -> Sources {
+    let concat = |files: &[(String, String)]| -> String {
+        files.iter().map(|(_, src)| src.as_str()).collect()
+    };
+    let core = rust_files(&root().join("crates/core/src"));
+    let telemetry = rust_files(&root().join("crates/telemetry/src"));
+    Sources {
+        core_and_telemetry: concat(&core) + &concat(&telemetry),
+        core,
+        workspace: concat(&rust_files(&root().join("crates"))),
+    }
+}
+
+/// What `doc` cites that the sources do not declare, one message per
+/// stale citation.
+fn stale_citations(doc: &str, src: &Sources) -> Vec<String> {
+    let ours = src.core_and_telemetry.as_str();
     let lowercase = |s: &str| s.starts_with(|c: char| c.is_ascii_lowercase());
     let mut stale = Vec::new();
     for path in cited_paths(doc) {
         let cited = path.join("::");
         let ok = match path.as_slice() {
-            ["core", module, rest @ ..] => match core.iter().find(|(name, _)| name == module) {
+            ["core", module, rest @ ..] => match src.core.iter().find(|(name, _)| name == module) {
                 None => false,
                 Some((_, src)) => rest.first().is_none_or(|item| declares_item(src, item)),
             },
             ["crystalnet", item, rest @ ..] => {
-                declares_item(&all, item)
+                declares_item(ours, item)
                     && rest.first().is_none_or(|m| {
-                        !lowercase(m) || declares_item(&all, m) || declares_member(&all, m)
+                        !lowercase(m) || declares_item(ours, m) || declares_member(ours, m)
                     })
             }
-            [ty, member, ..] if declares_kind(&all, &TYPE_KINDS, ty) && lowercase(member) => {
-                declares_member(&all, member)
+            [ty, member, ..] if !lowercase(ty) && lowercase(member) => {
+                if declares_kind(ours, &TYPE_KINDS, ty) {
+                    declares_member(ours, member)
+                } else {
+                    declares_kind(&src.workspace, &TYPE_KINDS, ty)
+                }
             }
             _ => true,
         };
         if !ok {
             stale.push(format!(
-                "`{cited}` is not declared `pub` under crates/core/src"
+                "`{cited}` is not declared `pub` under crates/core/src or crates/telemetry/src"
             ));
         }
     }
     stale
 }
 
-#[test]
-fn docs_cite_only_core_items_that_exist() {
-    let core: Vec<(String, String)> = std::fs::read_dir(root().join("crates/core/src"))
-        .expect("crates/core/src")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .map(|p| {
-            let module = p.file_stem().unwrap().to_string_lossy().into_owned();
-            (module, std::fs::read_to_string(&p).expect("core source"))
-        })
-        .collect();
-
-    let design = read("DESIGN.md");
-    let index = design
-        .split("\n## 4. ")
+/// The body of the DESIGN.md section whose heading starts `heading`.
+fn section<'a>(doc: &'a str, heading: &str) -> &'a str {
+    doc.split(heading)
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
-        .expect("DESIGN.md has a §4 paper-to-code index");
+        .and_then(|rest| rest.split("\n### ").next())
+        .unwrap_or_else(|| panic!("DESIGN.md has a `{}` section", heading.trim()))
+}
+
+#[test]
+fn docs_cite_only_core_items_that_exist() {
+    let src = sources();
+    let design = read("DESIGN.md");
     for (doc, text) in [
         ("EXPERIMENTS.md", read("EXPERIMENTS.md").as_str()),
-        ("DESIGN.md §4", index),
+        ("DESIGN.md §3.7", section(&design, "\n### 3.7 ")),
+        ("DESIGN.md §4", section(&design, "\n## 4. ")),
     ] {
         assert!(
             !cited_paths(text).is_empty(),
             "{doc}: the scan found no path at all — it is broken"
         );
-        let stale = stale_core_citations(text, &core);
+        let stale = stale_citations(text, &src);
         assert!(stale.is_empty(), "{doc}: {}", stale.join("; "));
     }
 
     // The check must see a deleted item that is still cited, in each of
-    // the three spellings, and must leave other crates' paths alone.
+    // the three spellings and for a deleted member of a telemetry type as
+    // for a deleted type, and must leave other crates' items alone.
     let planted = "`crystalnet::ValidationLoop` runs `core::workflow::ValidationLoop`, \
                    see `core::nowhere` and `Emulation::no_such_call(x)`; \
+                   `RunReport::scaling` and `ScalingDiagnosis::serial()` are gone; \
                    `Emulation::rehearse`, `crystalnet::run_case1(seed)`, \
-                   `core::workflow::RehearsalStep`, `StepResult::at` and \
+                   `core::workflow::RehearsalStep`, `StepResult::at`, \
+                   `RunReport::to_json_full()`, `ControlPlaneSim::run_until_quiet` and \
                    `routing::plane::walk` are fine";
-    let stale = stale_core_citations(planted, &core);
-    assert_eq!(stale.len(), 4, "{stale:?}");
+    let stale = stale_citations(planted, &src);
+    assert_eq!(stale.len(), 6, "{stale:?}");
 }
