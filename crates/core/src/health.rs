@@ -11,11 +11,10 @@
 //! `link-flap #17` fired", which is what an operator acts on.
 
 use crate::metrics::{JournalKind, RecoveryJournal};
-use crystalnet_net::DeviceId;
+use crystalnet_net::{DeviceId, IdMap};
 use crystalnet_routing::health::{HealthState, Incident, IncidentKind, PairStats};
 use crystalnet_sim::{SimDuration, SimTime};
 use serde::{Serialize, Value};
-use std::collections::BTreeMap;
 
 /// One `(src, dst)` pair's gauges as either packet-walk plane keeps
 /// them — probes for the health report, flows for the traffic report:
@@ -54,11 +53,13 @@ impl PairGauges {
     /// maps device ids to hostnames.
     #[must_use]
     pub fn from_pairs(
-        pairs: &BTreeMap<(DeviceId, DeviceId), PairStats>,
+        pairs: &IdMap<(DeviceId, DeviceId), PairStats>,
         resolve: impl Fn(DeviceId) -> String,
     ) -> Vec<Self> {
-        pairs
-            .iter()
+        let mut sorted: Vec<_> = pairs.iter().collect();
+        sorted.sort_unstable_by_key(|&(k, _)| k);
+        sorted
+            .into_iter()
             .map(|(&(src, dst), p)| PairGauges {
                 src,
                 src_host: resolve(src),

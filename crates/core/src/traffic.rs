@@ -100,9 +100,10 @@ impl TrafficReport {
     #[must_use]
     pub fn from_state(state: &TrafficState, resolve: impl Fn(DeviceId) -> String) -> Self {
         let capacity_bytes = state.cfg.capacity_bytes_per_period();
-        let links = state
-            .link_bytes
-            .iter()
+        let mut link_bytes: Vec<_> = state.link_bytes.iter().collect();
+        link_bytes.sort_unstable_by_key(|&(k, _)| k);
+        let links = link_bytes
+            .into_iter()
             .map(|(&(device, link), &bytes)| {
                 let peak_bytes = state.link_peak.get(&(device, link)).copied().unwrap_or(0);
                 LinkUtilisation {

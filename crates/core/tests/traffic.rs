@@ -318,3 +318,58 @@ fn a_forks_rehearsed_change_reports_its_own_traffic_impact() {
         "a fork's rehearsal must not leak into the parent's traffic plane"
     );
 }
+
+/// Removing a device while a round is in flight strands no walk: a hop
+/// that reaches the removed device ends there, a report bound for it
+/// still lands, so once the next round has reported every probe and flow
+/// sent is counted delivered or lost.
+#[test]
+fn a_device_removed_mid_round_strands_no_walk() {
+    let f = fig7();
+    let mut emu = fig7_emu(161, Some(traffic_cfg()), FaultPlan::default());
+    let period = traffic_cfg().period;
+    let step = SimDuration::from_micros(10);
+    // Walks launched and not yet reported, per plane.
+    let in_flight = |emu: &Emulation| {
+        let (h, t) = (emu.sim.health().unwrap(), emu.sim.traffic().unwrap());
+        (
+            h.probes_sent - h.probes_delivered - h.probes_lost,
+            t.flows_sent - t.flows_delivered - t.flows_lost,
+        )
+    };
+    // Both planes tick together, every `period`; find one tick to within
+    // `step`.
+    let sent = |emu: &Emulation| emu.sim.health().unwrap().probes_sent;
+    let before = sent(&emu);
+    while sent(&emu) == before {
+        emu.advance(step);
+    }
+    let tick = emu.now() - step;
+    // The first tick after `now`, plus `offset`.
+    let next_tick = |now: SimTime, offset: SimDuration| {
+        let rounds = now.since(tick).as_nanos() / period.as_nanos() + 1;
+        tick + period * rounds + offset
+    };
+
+    for victim in [f.spines[0], f.leaves[2], f.tors[4]] {
+        let mid_round = next_tick(emu.now(), SimDuration::from_micros(40));
+        emu.advance(mid_round.since(emu.now()));
+        let (probes, flows) = in_flight(&emu);
+        assert!(
+            probes > 0 && flows > 0,
+            "walks must be in flight at the removal: {probes} probes, {flows} flows"
+        );
+        let mut fork = emu.fork();
+        fork.apply(&ChangeSet::new().device_remove(victim))
+            .expect("the removal applies");
+        fork.commit(&mut emu);
+    }
+    // Just before a tick, after the previous round has reported.
+    let quiet = next_tick(emu.now() + period, SimDuration::ZERO) - step;
+    emu.advance(quiet.since(emu.now()));
+    assert_eq!(
+        in_flight(&emu),
+        (0, 0),
+        "every walk sent must be counted delivered or lost"
+    );
+}

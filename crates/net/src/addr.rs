@@ -266,11 +266,18 @@ impl FromStr for Ipv4Prefix {
 /// SipHash — for the routing tables, whose keys come from inside the
 /// emulation and whose hashing sits on the hot path. Iteration order is
 /// as arbitrary as any `HashMap`'s: emitters must sort.
-pub type PrefixMap<V> =
-    std::collections::HashMap<Ipv4Prefix, V, core::hash::BuildHasherDefault<PrefixHasher>>;
+pub type PrefixMap<V> = IdMap<Ipv4Prefix, V>;
 
-/// Deterministic multiply-rotate hasher for the two integers of an
-/// [`Ipv4Prefix`] (`write_u32` network, `write_u8` length).
+/// A `HashMap` with [`PrefixHasher`] for any key made of a few 32-bit
+/// ids and prefixes (`DeviceId`, `(DeviceId, LinkId)`,
+/// `(DeviceId, Ipv4Prefix)`, …) — the packet-walk planes' per-hop state.
+/// Same contract as [`PrefixMap`]: readers that iterate must sort.
+pub type IdMap<K, V> =
+    std::collections::HashMap<K, V, core::hash::BuildHasherDefault<PrefixHasher>>;
+
+/// Deterministic multiply-rotate hasher for a few small integers: the two
+/// of an [`Ipv4Prefix`] (`write_u32` network, `write_u8` length), or the
+/// `u32`s of the ids an [`IdMap`] is keyed by.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PrefixHasher(u64);
 

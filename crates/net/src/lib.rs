@@ -16,7 +16,9 @@ pub mod region;
 pub mod topology;
 pub mod types;
 
-pub use addr::{AddrParseError, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr, PrefixHasher, PrefixMap};
+pub use addr::{
+    AddrParseError, IdMap, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr, PrefixHasher, PrefixMap,
+};
 pub use clos::{ClosParams, ClosTopology, LayerCounts, Pod};
 pub use partition::{
     best_spare, dirty_region, dirty_region_scoped, partition, partition_grouped,

@@ -75,8 +75,11 @@ pub(crate) enum HarnessEventKind {
 impl HarnessEvent {
     /// The device this event is addressed to — the one whose removal
     /// drops it, and whose shard runs it in a sharded settle; `None` for
-    /// link state and plane ticks, which belong to no one device (every
-    /// shard replays a link-state change).
+    /// link state and plane events. Link state belongs to no one device
+    /// (every shard replays a link-state change); a walk belongs to its
+    /// plane, and outlives any device on its path: a hop that reaches a
+    /// removed device ends there `DeviceDown`, and a report to a removed
+    /// source still lands, so every walk is counted delivered or lost.
     pub(crate) fn target_device(&self) -> Option<DeviceId> {
         match &self.kind {
             HarnessEventKind::BootStart(d)
@@ -84,9 +87,10 @@ impl HarnessEvent {
             | HarnessEventKind::Mgmt(d, _)
             | HarnessEventKind::Timer(d, _) => Some(*d),
             HarnessEventKind::Deliver { dev, .. } => Some(*dev),
-            HarnessEventKind::WalkHop { walk, .. } => Some(walk.at),
-            HarnessEventKind::WalkReport { walk, .. } => Some(walk.src),
-            HarnessEventKind::LinkState { .. } | HarnessEventKind::PlaneTick { .. } => None,
+            HarnessEventKind::LinkState { .. }
+            | HarnessEventKind::PlaneTick { .. }
+            | HarnessEventKind::WalkHop { .. }
+            | HarnessEventKind::WalkReport { .. } => None,
         }
     }
 
@@ -114,6 +118,15 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
 
     fn cause(&self) -> Option<EventId> {
         self.cause
+    }
+
+    /// A walk's hops and report: the plane events `walk_hop` may run
+    /// inline (`crate::plane`, **Inline hops**).
+    fn is_walk(&self) -> bool {
+        matches!(
+            self.kind,
+            HarnessEventKind::WalkHop { .. } | HarnessEventKind::WalkReport { .. }
+        )
     }
 
     fn fire(self, e: &mut ControlPlaneEngine) {

@@ -51,8 +51,13 @@ pub enum WorkKind {
 pub trait WorkModel: Send {
     /// When work of `kind` submitted by `dev` at `now` completes.
     fn completion(&mut self, dev: DeviceId, kind: WorkKind, now: SimTime) -> SimTime;
-    /// One-way delay of a frame sent on `link` at `now`. Implementations
-    /// may charge encap/decap CPU to the hosting VMs here.
+    /// One-way delay of a frame sent on `link` at `now`.
+    ///
+    /// Must be a pure function of `(link, now)`, as both models in this
+    /// workspace are: the packet-walk planes ask it for a hop they run
+    /// inline at that hop's own virtual time, in an order that differs
+    /// from an event-per-hop run's, and the sharded settle probes it for
+    /// its lookahead.
     fn link_delay(&mut self, link: LinkId, now: SimTime) -> SimDuration;
     /// Downcasting hook so orchestration layers can reach their concrete
     /// model (e.g. to install per-device cost tables after construction).
@@ -360,6 +365,11 @@ impl ControlPlaneSim {
     ///
     /// Returns the route-ready instant (the completion time of the last
     /// route-changing work) on convergence; `None` on deadline overrun.
+    ///
+    /// Each step's horizon is the instant past which the loop could
+    /// stop: `last + quiet` (capped at `deadline`) while nothing causal
+    /// is pending, `deadline` otherwise. The clock ends where it would
+    /// had every walk hop run as an event of its own.
     pub fn run_until_quiet(&mut self, quiet: SimDuration, deadline: SimTime) -> Option<SimTime> {
         let profiled = self
             .engine
@@ -372,19 +382,24 @@ impl ControlPlaneSim {
                 break None;
             }
             let last = self.engine.world.last_route_activity;
+            let idle = self.engine.world.causal_pending == 0;
             match self.engine.next_event_time() {
                 // Nothing left to happen: converged.
                 None => break Some(last),
                 // Only pure timers remain and the next one lies beyond
                 // the quiet horizon: every causal chain has played out.
-                Some(t) if self.engine.world.causal_pending == 0 && t > last + quiet => {
-                    break Some(last)
-                }
+                Some(t) if idle && t > last + quiet => break Some(last),
                 Some(_) => {
-                    self.engine.step();
+                    let horizon = if idle {
+                        (last + quiet).min(deadline)
+                    } else {
+                        deadline
+                    };
+                    self.engine.step_within(horizon);
                 }
             }
         };
+        self.engine.catch_up_inline();
         if let Some(t0) = profiled {
             self.engine
                 .world
@@ -440,7 +455,9 @@ impl ControlPlaneSim {
     /// Decommissions `dev` permanently: drops its OS instance and removes
     /// every queued event addressed to it (in-flight frames, timers,
     /// pending management commands), fixing up the causal-quiescence
-    /// accounting so convergence detection stays exact. The caller is
+    /// accounting so convergence detection stays exact. In-flight packet
+    /// walks are kept: one that reaches `dev` ends there `DeviceDown`, and
+    /// a report bound for `dev` still lands on its gauges. The caller is
     /// responsible for taking the device's links down first so neighbors
     /// observe the loss; after removal the device can not be re-booted
     /// (unlike [`Self::power_off`], which keeps the OS around).

@@ -34,11 +34,11 @@
 #![warn(missing_docs)]
 
 use crate::plane::WalkCore;
-use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId};
+use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::Recorder;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Deref;
 
 /// Probe-mesh configuration (the `MockupOptions::builder().health(...)`
@@ -364,7 +364,7 @@ pub struct HealthState {
     pub probes_lost: u64,
     /// Route operations per device since the last probe tick (the churn
     /// watchdog's accounting; reset every tick).
-    pub ops_since_tick: BTreeMap<DeviceId, u64>,
+    pub ops_since_tick: IdMap<DeviceId, u64>,
     /// Whether a tick has fired yet: the first tick only primes the
     /// churn baseline (boot-time convergence churn is not an anomaly).
     pub churn_primed: bool,
@@ -424,14 +424,16 @@ impl HealthState {
     /// tick only primes the baseline — boot-time convergence churn is
     /// expected, not an anomaly.
     pub(crate) fn churn_watchdog(&mut self, now: SimTime, round: u64) -> Vec<Incident> {
-        let residue = std::mem::take(&mut self.ops_since_tick);
+        let residue = self.ops_since_tick.drain();
         if !std::mem::replace(&mut self.churn_primed, true) {
             return Vec::new();
         }
         let threshold = self.cfg.churn_threshold;
-        residue
-            .into_iter()
-            .filter(|&(_, ops)| ops > threshold)
+        // The residue is hashed; firings go in device order, which numbers
+        // their trace records.
+        let mut over: Vec<_> = residue.filter(|&(_, ops)| ops > threshold).collect();
+        over.sort_unstable_by_key(|&(device, _)| device);
+        over.into_iter()
             .map(|(device, ops)| {
                 let seq = (1 << 63) | (round << 22) | u64::from(device.0);
                 let kind = IncidentKind::FibChurnAnomaly {

@@ -27,18 +27,41 @@
 //! instant, in that order. All are content-derived, so `(time, key)`
 //! stays a total order. A walk owns 9 bits of slot under its sequence
 //! number: TTLs are 8-bit, plus one slot for the report.
+//!
+//! **Inline hops.** `walk_hop` is one loop: after a forward it takes
+//! the next hop inside the same event when all three of these hold, and
+//! otherwise schedules it as its own `WalkHop` at its own `(time, key)`:
+//!
+//! * (a) the hop's `(arrival, key)` sorts before the engine's next pending
+//!   non-walk event — the next thing that can change a FIB, a link, a
+//!   device or a tick-time residue;
+//! * (b) its arrival lies within the running loop's horizon
+//!   (`Engine::can_run_inline`; outside a run loop nothing runs inline);
+//! * (c) the hop is order-insensitive: it raises no incident, and for a
+//!   flow, `route_sig` holds nothing or the same signature for its
+//!   `(device, prefix)`.
+//!
+//! This is exact. Every non-walk event and every order-sensitive walk step
+//! keeps its global rank, and the remaining walk steps commute: they add
+//! to sums, prime a signature every walk at that device would prime the
+//! same way (no FIB changes before the next non-walk event), and count.
+//! An inlined hop asks `link_delay` at its own virtual time, and whatever
+//! it schedules names as its cause the id its own event would have had,
+//! `(arrival, plane_key(Hop(seq, hop)))`, so trace ids and causes are
+//! unchanged; only the engine's event count is.
 
-use crate::harness::{trace_here, ControlPlaneEngine, HarnessEvent, HarnessEventKind, HopStep};
+use crate::harness::{
+    trace_here, ControlPlaneEngine, ControlPlaneWorld, HarnessEvent, HarnessEventKind, HopStep,
+};
 use crate::health::{
     GrayFailureWitness, HealthState, Incident, IncidentKind, PairStats, ProbeOutcome,
 };
 use crate::traffic::{entry_sig, TrafficState};
 use crystalnet_dataplane::{ipproto, Ipv4Packet};
-use crystalnet_net::{DeviceId, Ipv4Addr};
+use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::rng::SimRng;
-use crystalnet_sim::SimDuration;
+use crystalnet_sim::{EventId, SimDuration};
 use crystalnet_telemetry::FieldValue;
-use std::collections::BTreeMap;
 
 /// Which packet-walk plane an event, gauge or incident belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,8 +108,8 @@ pub struct WalkCore {
     /// loopback address, sorted by device id.
     pub population: Vec<(DeviceId, Ipv4Addr)>,
     /// Per-pair gauges with their rolling SLO windows, keyed
-    /// `(src, dst)`.
-    pub pairs: BTreeMap<(DeviceId, DeviceId), PairStats>,
+    /// `(src, dst)`; hashed, so readers sort.
+    pub pairs: IdMap<(DeviceId, DeviceId), PairStats>,
     /// The plane's incident timeline, kept in [`Incident::sort_key`]
     /// order.
     pub incidents: Vec<Incident>,
@@ -283,15 +306,24 @@ pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
     e.schedule_event_at(now + period, tick_event(plane, round + 1));
 }
 
-/// One walk at one device. The planes differ in the synthetic packet
-/// (UDP probes, TCP flows, the walk's sequence number as `identification`
-/// so ECMP spreads concurrent walks), in what a loss witnesses (only a
-/// probe raises a [`GrayFailureWitness`] or a `ForwardingLoop`; a flow
-/// loss is never double-reported), and in what the hop charges (only a
-/// flow: the reroute detector per decision, link/ECMP residues per
-/// transmission — all keyed by `dev`).
-pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk) {
-    let (now, dev) = (e.now(), walk.at);
+/// What one device does with a walk's packet, owned: the step, the
+/// incident a probe's loss there witnesses, and a flow's charge
+/// `(prefix, next-hop-set digest, group size)`.
+struct Resolved {
+    step: HopStep,
+    witness: Option<IncidentKind>,
+    charge: Option<(Ipv4Prefix, u64, usize)>,
+}
+
+/// One walk at its current device. The planes differ in the synthetic
+/// packet (UDP probes, TCP flows, the walk's sequence number as
+/// `identification` so ECMP spreads concurrent walks), in what a loss
+/// witnesses (only a probe raises a [`GrayFailureWitness`] or a
+/// `ForwardingLoop`; a flow loss is never double-reported), and in what
+/// the hop charges (only a flow: the reroute detector per decision,
+/// link/ECMP residues per transmission — all keyed by the device).
+fn resolve(world: &ControlPlaneWorld, plane: Plane, walk: &Walk) -> Resolved {
+    let dev = walk.at;
     let pkt = Ipv4Packet {
         src: walk.src_addr,
         dst: walk.dst_addr,
@@ -303,73 +335,114 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
         identification: walk.seq as u16,
         payload: bytes::Bytes::new(),
     };
+    let hop = world.hop(dev, walk.ingress, &pkt, true);
+    let witness = match (plane, hop.step, hop.os, hop.matched) {
+        (Plane::Probe, HopStep::End(ProbeOutcome::Blackhole), Some(os), Some((prefix, _))) => {
+            // The FIB entry the device *would have used*, with its
+            // provenance digest.
+            Some(IncidentKind::Blackhole(GrayFailureWitness {
+                device: dev,
+                hop: walk.hop,
+                prefix: Some(prefix),
+                prov_digest: os.route_detail(prefix).map(|d| d.prov.digest()),
+            }))
+        }
+        (Plane::Probe, HopStep::End(ProbeOutcome::TtlExpired), ..) => {
+            Some(IncidentKind::ForwardingLoop {
+                device: dev,
+                hop: walk.hop,
+            })
+        }
+        _ => None,
+    };
+    let charged = hop.matched.filter(|_| plane == Plane::Flow && hop.decided);
+    Resolved {
+        step: hop.step,
+        witness,
+        charge: charged.map(|(p, entry)| (p, entry_sig(entry), entry.next_hops.len())),
+    }
+}
 
-    let (step, witness, charge) = {
-        let hop = e.world.hop(dev, walk.ingress, &pkt, true);
-        let witness = match (plane, hop.step, hop.os, hop.matched) {
-            (Plane::Probe, HopStep::End(ProbeOutcome::Blackhole), Some(os), Some((prefix, _))) => {
-                // The FIB entry the device *would have used*, with its
-                // provenance digest.
-                Some(IncidentKind::Blackhole(GrayFailureWitness {
-                    device: dev,
-                    hop: walk.hop,
-                    prefix: Some(prefix),
-                    prov_digest: os.route_detail(prefix).map(|d| d.prov.digest()),
-                }))
+/// Condition (c) of **Inline hops**: taking `hop` at `dev` ahead of its
+/// rank changes nothing — it raises no incident, and a flow finds
+/// `route_sig` empty or unchanged for what it matched.
+fn commutes(world: &ControlPlaneWorld, dev: DeviceId, hop: &Resolved) -> bool {
+    hop.witness.is_none()
+        && hop.charge.is_none_or(|(prefix, sig, _)| {
+            let t = world.planes.traffic.as_ref().expect("flows have a plane");
+            !t.would_reroute(dev, prefix, sig)
+        })
+}
+
+/// Runs a walk from the device its event is addressed to: each hop
+/// charges what it [`resolve`]s to and either forwards — inline when the
+/// next hop may run inline (module docs: **Inline hops**), as its own
+/// event otherwise — or ends the walk, raising its witness and
+/// scheduling the report.
+pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk) {
+    // The hop being taken: when, and under which id — the firing event's,
+    // then each inlined hop's, named as its own event would have been.
+    let (mut at, mut id) = (e.now(), e.current_event());
+    let mut hop = resolve(&e.world, plane, &walk);
+    loop {
+        if let Some((prefix, sig, members)) = hop.charge {
+            let t = e.world.planes.traffic.as_mut().expect("flows have a plane");
+            walk.rerouted |= t.note_route(walk.at, prefix, sig);
+            if let HopStep::Forward(adj, next) = hop.step {
+                t.charge_tx(walk.at, adj.link, next.iface, members, walk.bytes);
             }
-            (Plane::Probe, HopStep::End(ProbeOutcome::TtlExpired), ..) => {
-                Some(IncidentKind::ForwardingLoop {
-                    device: dev,
-                    hop: walk.hop,
-                })
+        }
+        let adj = match hop.step {
+            HopStep::Forward(adj, _) => adj,
+            HopStep::End(outcome) => {
+                if let Some(kind) = hop.witness {
+                    let inc = Incident::new(at, walk.src, walk.dst, walk.seq, kind);
+                    record_incident(e, plane, inc);
+                }
+                // The report returns to the source after the forward
+                // path's accumulated latency.
+                let ev = HarnessEvent {
+                    key: plane_key(plane, KeySlot::Report(walk.seq)),
+                    cause: id,
+                    kind: HarnessEventKind::WalkReport {
+                        plane,
+                        walk,
+                        outcome,
+                    },
+                };
+                e.schedule_event_at(at + SimDuration::from_nanos(walk.path_ns), ev);
+                return;
             }
-            _ => None,
         };
-        let charged = hop.matched.filter(|_| plane == Plane::Flow && hop.decided);
-        let charge = charged.map(|(p, entry)| (p, entry_sig(entry), entry.next_hops.len()));
-        (hop.step, witness, charge)
-    };
-    if let Some((prefix, sig, members)) = charge {
-        let t = e.world.planes.traffic.as_mut().expect("flows have a plane");
-        walk.rerouted |= t.note_route(dev, prefix, sig);
-        if let HopStep::Forward(adj, next) = step {
-            t.charge_tx(dev, adj.link, next.iface, members, walk.bytes);
-        }
-    }
-
-    let cause = e.current_event();
-    let outcome = match step {
-        HopStep::Forward(adj, _) => {
-            let delay = e.world.work.link_delay(adj.link, now);
-            walk.path_ns += delay.as_nanos();
-            (walk.at, walk.ingress) = (adj.remote_dev, Some(adj.remote_iface));
-            (walk.hop, walk.ttl) = (walk.hop + 1, walk.ttl - 1);
-            let ev = HarnessEvent {
-                key: plane_key(plane, KeySlot::Hop(walk.seq, walk.hop)),
-                cause,
-                kind: HarnessEventKind::WalkHop { plane, walk },
-            };
-            e.schedule_event_at(now + delay, ev);
+        let delay = e.world.work.link_delay(adj.link, at);
+        walk.path_ns += delay.as_nanos();
+        (walk.at, walk.ingress) = (adj.remote_dev, Some(adj.remote_iface));
+        (walk.hop, walk.ttl) = (walk.hop + 1, walk.ttl - 1);
+        at += delay;
+        let key = plane_key(plane, KeySlot::Hop(walk.seq, walk.hop));
+        // (a) and (b), then (c) on the hop resolved ahead.
+        let next = (e.can_run_inline(at, key))
+            .then(|| resolve(&e.world, plane, &walk))
+            .filter(|hop| commutes(&e.world, walk.at, hop));
+        let Some(next) = next else {
+            let kind = HarnessEventKind::WalkHop { plane, walk };
+            e.schedule_event_at(
+                at,
+                HarnessEvent {
+                    key,
+                    cause: id,
+                    kind,
+                },
+            );
             return;
-        }
-        HopStep::End(outcome) => outcome,
-    };
-    if let Some(kind) = witness {
-        let inc = Incident::new(now, walk.src, walk.dst, walk.seq, kind);
-        record_incident(e, plane, inc);
+        };
+        e.ran_inline(at);
+        hop = next;
+        id = Some(EventId {
+            time_ns: at.as_nanos(),
+            key,
+        });
     }
-    // The report returns to the source after the forward path's
-    // accumulated latency.
-    let ev = HarnessEvent {
-        key: plane_key(plane, KeySlot::Report(walk.seq)),
-        cause,
-        kind: HarnessEventKind::WalkReport {
-            plane,
-            walk,
-            outcome,
-        },
-    };
-    e.schedule_event_at(now + SimDuration::from_nanos(walk.path_ns), ev);
 }
 
 /// A walk's fate lands on its source's gauges: the per-pair counts and

@@ -41,7 +41,7 @@
 use crate::health::{Incident, IncidentKind};
 use crate::plane::{Walk, WalkCore};
 use crystalnet_dataplane::FibEntry;
-use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId};
+use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_telemetry::Recorder;
@@ -170,7 +170,8 @@ pub fn entry_sig(entry: &FibEntry) -> u64 {
 /// (`crate::harness::ControlPlaneWorld`): the shared walk state
 /// (population, per-pair flow gauges, congestion incident log — reached
 /// through `Deref`), utilisation gauges, flow totals, and the per-tick
-/// residues the watchdogs evaluate. Cloned wholesale on fork.
+/// residues the watchdogs evaluate. Cloned wholesale on fork. Every map a
+/// hop charges is an [`IdMap`]: whoever iterates one sorts it first.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficState {
     /// The active configuration (seed already resolved).
@@ -182,17 +183,17 @@ pub struct TrafficState {
     /// Bytes transmitted per directional link since the last tick,
     /// keyed `(transmitting device, link)` — the over-subscription
     /// watchdog's residue, reset every tick.
-    pub tx_since_tick: BTreeMap<(DeviceId, LinkId), u64>,
+    pub tx_since_tick: IdMap<(DeviceId, LinkId), u64>,
     /// Cumulative bytes transmitted per directional link.
-    pub link_bytes: BTreeMap<(DeviceId, LinkId), u64>,
+    pub link_bytes: IdMap<(DeviceId, LinkId), u64>,
     /// Worst per-period byte count seen per directional link (the peak
     /// the utilisation report renders against capacity-per-period).
-    pub link_peak: BTreeMap<(DeviceId, LinkId), u64>,
+    pub link_peak: IdMap<(DeviceId, LinkId), u64>,
     /// Per-device ECMP spread residue, reset every tick.
-    pub ecmp_since_tick: BTreeMap<DeviceId, EcmpResidue>,
+    pub ecmp_since_tick: IdMap<DeviceId, EcmpResidue>,
     /// Last observed next-hop-set digest per `(device, prefix)` — the
     /// reroute detector's memory.
-    pub route_sig: BTreeMap<(DeviceId, Ipv4Prefix), u64>,
+    pub route_sig: IdMap<(DeviceId, Ipv4Prefix), u64>,
     /// Total flows launched.
     pub flows_sent: u64,
     /// Total flows whose last byte reached the destination.
@@ -303,6 +304,14 @@ impl TrafficState {
         }
     }
 
+    /// Whether [`Self::note_route`] would flag `sig` right now: the one
+    /// observation whose outcome depends on which walk makes it first.
+    pub(crate) fn would_reroute(&self, dev: DeviceId, prefix: Ipv4Prefix, sig: u64) -> bool {
+        self.route_sig
+            .get(&(dev, prefix))
+            .is_some_and(|&prev| prev != sig)
+    }
+
     /// Charges `bytes` transmitted by `dev` out `iface` over `link` to
     /// the utilisation gauges and, when the route was an ECMP group of
     /// `members` ≥ 2, to the device's spread residue.
@@ -328,9 +337,15 @@ impl TrafficState {
     pub(crate) fn congestion_watchdogs(&mut self, now: SimTime) -> Vec<Incident> {
         let capacity_bytes = self.cfg.capacity_bytes_per_period();
         let mut fired = Vec::new();
+        // Both residues are hashed; the firing order, which numbers the
+        // trace records, is `(device, link)` and then device order.
+        let mut tx: Vec<_> = self.tx_since_tick.drain().collect();
+        tx.sort_unstable_by_key(|&(k, _)| k);
+        let mut ecmp: Vec<_> = self.ecmp_since_tick.drain().collect();
+        ecmp.sort_unstable_by_key(|(dev, _)| *dev);
         // Over-subscription: bytes per directional link against the
         // capacity threshold.
-        for ((dev, link), bytes) in std::mem::take(&mut self.tx_since_tick) {
+        for ((dev, link), bytes) in tx {
             let peak = self.link_peak.entry((dev, link)).or_insert(0);
             *peak = (*peak).max(bytes);
             if bytes * 100 > u64::from(self.cfg.oversub_pct) * capacity_bytes {
@@ -347,7 +362,7 @@ impl TrafficState {
         // Polarisation: one member of a ≥2-member ECMP group absorbing
         // more than the threshold share of the device's hashed bytes
         // over a non-trivial sample.
-        for (dev, res) in std::mem::take(&mut self.ecmp_since_tick) {
+        for (dev, res) in ecmp {
             let total: u64 = res.by_iface.values().sum();
             if res.members_max < 2 || total < self.cfg.polarisation_min_bytes {
                 continue;

@@ -14,7 +14,7 @@
 //! routed around, a forced loop is not withdrawn).
 
 use crystalnet_dataplane::{ipproto, Fib, FibEntry, ForwardDecision, Ipv4Packet, NextHop};
-use crystalnet_net::{ClosParams, DeviceId, Ipv4Addr, Topology};
+use crystalnet_net::{ClosParams, DeviceId, IdMap, Ipv4Addr, Topology};
 use crystalnet_routing::harness::build_full_bgp_sim;
 use crystalnet_routing::{
     ControlPlaneSim, DeviceOs, IncidentKind, OsActions, OsEvent, PairStats, ProbeConfig,
@@ -206,7 +206,7 @@ impl Net {
 /// A pair's verdict: `Some(delivered)` when every walk agreed, `None`
 /// when the pair was not sampled.
 fn verdict(
-    pairs: &BTreeMap<(DeviceId, DeviceId), PairStats>,
+    pairs: &IdMap<(DeviceId, DeviceId), PairStats>,
     pair: (DeviceId, DeviceId),
 ) -> Option<bool> {
     let p = pairs.get(&pair)?;
@@ -385,4 +385,244 @@ fn probe_flow_and_trace_agree_on_every_terminal_class() {
             "{name}: a flow loss must not be double-reported"
         );
     }
+}
+
+/// The slice-invariance fabric: live BGP firmware (not frozen), ECMP at
+/// every tier, both planes on over every device, a causal-trace sink, one
+/// leaf–spine link whose flap reroutes flows, and one spine to fail
+/// silently.
+struct Live {
+    topo: Topology,
+    sim: ControlPlaneSim,
+    flap: (DeviceId, u32, DeviceId, u32, crystalnet_net::LinkId),
+    gray: DeviceId,
+    /// When the planes start ticking.
+    t0: SimTime,
+}
+
+/// The fixture's one link delay; a slice shorter than this makes every
+/// hop an event of its own.
+const LINK_DELAY: SimDuration = SimDuration::from_micros(50);
+
+impl Live {
+    fn converged() -> Live {
+        let clos = ClosParams {
+            name: "slice".into(),
+            borders: 1,
+            spine_groups: 2,
+            spines_per_group: 2,
+            pods: 3,
+            leaves_per_pod: 2,
+            tors_per_pod: 2,
+            groups_per_pod: 2,
+            ext_peers_per_border: 0,
+            ext_prefixes_per_peer: 0,
+        }
+        .build();
+        let mut sim = build_full_bgp_sim(
+            &clos.topo,
+            Box::new(UniformWorkModel {
+                boot: SimDuration::from_secs(1),
+                latency: LINK_DELAY,
+                ..UniformWorkModel::default()
+            }),
+        );
+        sim.engine.world.recorder = Box::new(
+            crystalnet_telemetry::MemRecorder::with_trace_capacity(1 << 20),
+        );
+        sim.boot_all(SimTime::ZERO);
+        sim.run_until_quiet(
+            SimDuration::from_secs(5),
+            SimTime::ZERO + SimDuration::from_mins(60),
+        )
+        .expect("the fabric converges");
+        let t0 = sim.engine.now() + SimDuration::from_millis(10);
+        let population: Vec<_> = (clos.topo.devices())
+            .map(|(dev, d)| (dev, d.loopback))
+            .collect();
+        // Thresholds low enough that every watchdog fires: same-AS
+        // siblings breach their SLO, the flap churns FIBs, and the
+        // modelled links are thin.
+        let period = SimDuration::from_millis(50);
+        sim.enable_health(
+            ProbeConfig {
+                pairs_per_round: 256,
+                slo_window: 3,
+                churn_threshold: 2,
+                seed: 11,
+                ..ProbeConfig::with_period(period)
+            },
+            population.clone(),
+            // Out of phase with the flows, so a round's first hops are
+            // not pinned behind the other plane's same-instant tick.
+            t0 + period / 2,
+        );
+        sim.enable_traffic(
+            TrafficConfig {
+                flows_per_round: 256,
+                slo_window: 3,
+                link_capacity_bps: 100_000_000,
+                server_share_pct: 50,
+                polarisation_min_bytes: 1,
+                seed: 11,
+                ..TrafficConfig::with_period(period)
+            },
+            population,
+            t0,
+        );
+        let leaf = clos.pods[0].leaves[0];
+        let spines: Vec<DeviceId> = clos.spine_groups.iter().flatten().copied().collect();
+        let (lid, _, _) = (clos.topo.neighbors(leaf))
+            .find(|(_, _, remote)| spines.contains(&remote.device))
+            .expect("a leaf has spine uplinks");
+        Live {
+            flap: ControlPlaneSim::link_endpoints(&clos.topo, lid),
+            gray: *spines.last().expect("the fabric has spines"),
+            topo: clos.topo,
+            sim,
+            t0,
+        }
+    }
+
+    /// Reaches `until` in slices shorter than any link delay.
+    fn slice_to(&mut self, until: SimTime) {
+        let slice = SimDuration::from_nanos(LINK_DELAY.as_nanos() * 4 / 5);
+        while self.sim.engine.now() < until {
+            let next = (self.sim.engine.now() + slice).min(until);
+            self.sim.run_until(next);
+        }
+    }
+
+    fn seen(&self) -> Seen {
+        let (h, t) = (self.sim.health().unwrap(), self.sim.traffic().unwrap());
+        Seen {
+            probes: (h.probes_sent, h.probes_delivered, h.probes_lost),
+            flows: (t.flows_sent, t.flows_delivered, t.flows_lost),
+            bytes: (t.bytes_offered, t.bytes_delivered, t.bytes_lost),
+            flows_rerouted: t.flows_rerouted,
+            probe_pairs: h.pairs.clone(),
+            flow_pairs: t.pairs.clone(),
+            incidents: (h.incidents.clone(), t.incidents.clone()),
+            link_bytes: t.link_bytes.clone(),
+            fibs: (self.topo.devices())
+                .map(|(dev, _)| self.sim.fib(dev).cloned())
+                .collect(),
+            trace: crystalnet_telemetry::MemRecorder::from_recorder(
+                &*self.sim.engine.world.recorder,
+            )
+            .and_then(|rec| rec.trace_sink())
+            .expect("the fixture traces")
+            .records(),
+        }
+    }
+}
+
+/// Everything the way a run is sliced must not change.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    probes: (u64, u64, u64),
+    flows: (u64, u64, u64),
+    bytes: (u64, u64, u64),
+    flows_rerouted: u64,
+    probe_pairs: IdMap<(DeviceId, DeviceId), PairStats>,
+    flow_pairs: IdMap<(DeviceId, DeviceId), PairStats>,
+    incidents: (
+        Vec<crystalnet_routing::Incident>,
+        Vec<crystalnet_routing::Incident>,
+    ),
+    link_bytes: IdMap<(DeviceId, crystalnet_net::LinkId), u64>,
+    fibs: Vec<Option<Fib>>,
+    /// Every trace record, with its event id and cause.
+    trace: Vec<crystalnet_telemetry::TraceRecord>,
+}
+
+/// Inline hops are exact: a run that reaches each checkpoint in one
+/// `run_until` (hops inline) and one sliced finer than any link delay
+/// (every hop its own event) agree on every plane gauge, incident, FIB
+/// and trace record at every checkpoint, across a link flap that
+/// reroutes flows and a spine that silently stops forwarding.
+#[test]
+fn planes_are_invariant_under_run_slicing() {
+    let (mut a, mut b) = (Live::converged(), Live::converged());
+    let at = |t0: SimTime, ms: u64| t0 + SimDuration::from_millis(ms);
+    for live in [&mut a, &mut b] {
+        let (t0, flap) = (live.t0, live.flap);
+        // Each change lands while a round is mid-flight: a flow round's
+        // going down, a probe round's coming back.
+        let mid = SimDuration::from_micros(75);
+        live.sim.link_down(flap, at(t0, 250) + mid);
+        live.sim.link_up(flap, at(t0, 525) + mid);
+    }
+    // Coarse checkpoints, and fine ones while each round's reports land:
+    // a reroute credited to the wrong walk shows there.
+    let mut checkpoints: Vec<SimDuration> =
+        [150, 300, 560, 800].map(SimDuration::from_millis).to_vec();
+    for round in 0..16 {
+        checkpoints.extend(
+            [150, 250, 350]
+                .map(|us| SimDuration::from_millis(50 * round) + SimDuration::from_micros(us)),
+        );
+    }
+    checkpoints.sort_unstable();
+    for since in checkpoints {
+        a.sim.run_until(a.t0 + since);
+        b.slice_to(b.t0 + since);
+        assert_eq!(a.seen(), b.seen(), "diverged by checkpoint +{since:?}");
+        // Probes die at the gray spine mid-path: witnesses at hops the
+        // inline run would otherwise have taken inside one event.
+        let toggle = [(300, false), (560, true)]
+            .into_iter()
+            .find(|&(ms, _)| since == SimDuration::from_millis(ms));
+        if let Some((_, forwarding)) = toggle {
+            for live in [&mut a, &mut b] {
+                live.sim.set_forwarding(live.gray, forwarding);
+            }
+        }
+    }
+    let seen = a.seen();
+    assert!(seen.flows_rerouted > 0, "the flap must reroute flows");
+    assert!(
+        !seen.incidents.0.is_empty() && !seen.incidents.1.is_empty(),
+        "both planes' watchdogs must fire"
+    );
+    assert!(
+        (seen.incidents.0.iter())
+            .any(|i| matches!(&i.kind, IncidentKind::Blackhole(w) if w.hop > 0)),
+        "the gray spine must witness blackholes mid-path"
+    );
+    let (ea, eb) = (
+        a.sim.engine.events_executed(),
+        b.sim.engine.events_executed(),
+    );
+    assert!(ea < eb, "hops must run inline: {ea} events vs {eb} sliced");
+
+    // Settling after a link change ends with the clock where an
+    // event-per-hop run's would stand: slicing up to it sees the same. A
+    // first settle finds the route-ready instant; the second one's quiet
+    // window then ends while a flow round is mid-flight, where a horizon
+    // or clock mistake shows.
+    let mut lives = [Live::converged(), Live::converged(), Live::converged()];
+    for live in &mut lives {
+        live.slice_to(at(live.t0, 120));
+        let now = live.sim.engine.now();
+        live.sim.link_down(live.flap, now);
+    }
+    let [mut first, mut a, mut b] = lives;
+    let deadline = at(a.t0, 60_000);
+    let ready = (first.sim)
+        .run_until_quiet(SimDuration::from_millis(300), deadline)
+        .expect("the fabric re-converges");
+    // 170 µs into the first flow round at least 100 ms after route-ready:
+    // a round's third hops are inlined, its first reports have landed.
+    let round = SimDuration::from_millis(50);
+    let rounds = (ready + SimDuration::from_millis(100))
+        .since(a.t0)
+        .as_nanos()
+        / round.as_nanos();
+    let mid_flight = a.t0 + round * (rounds + 1) + SimDuration::from_micros(170);
+    let settled = (a.sim).run_until_quiet(mid_flight.since(ready), deadline);
+    assert_eq!(settled, Some(ready));
+    b.slice_to(a.sim.engine.now());
+    assert_eq!(a.sim.engine.now(), b.sim.engine.now());
+    assert_eq!(a.seen(), b.seen(), "diverged by the end of the settle");
 }

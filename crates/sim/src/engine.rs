@@ -23,6 +23,21 @@
 //! can supply a *content-derived* key (e.g. source device and per-source
 //! counter), making tie order independent of scheduling interleave; this is
 //! what lets the parallel executor replay the serial order bit-for-bit.
+//!
+//! # Inline window
+//!
+//! Beside the queue the engine keeps a min-heap of the `(time, key, seq)`
+//! ranks of its pending *non-walk* events ([`EventFire::is_walk`]):
+//! pushed by every schedule, popped by every step, cleared by
+//! [`Engine::drain_pending`] and cloned by [`Engine::replicate_with`].
+//! Its head is the next event that can change what a walk sees. A
+//! walk handler may run a follow-up inline, without a queue round trip,
+//! when [`Engine::can_run_inline`] says the follow-up sorts before that
+//! head and lies within the running loop's *horizon* — the instant past
+//! which the loop would stop — so the run fires nothing it would not
+//! have fired, in an order no non-walk event can tell apart. Outside a
+//! run loop ([`Engine::step`] on its own, [`Engine::run`],
+//! [`Engine::run_while`]) there is no horizon and nothing runs inline.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -90,6 +105,16 @@ pub trait EventFire<W>: Sized {
     /// as a field survive all of that unchanged.
     fn cause(&self) -> Option<EventId> {
         None
+    }
+
+    /// Whether this is a *walk* event: one whose handler may run the
+    /// follow-ups it would schedule inline instead, within the bounds
+    /// [`Engine::can_run_inline`] sets. Only non-walk events bound that
+    /// window, so a walk event must neither change what another walk
+    /// event's handler sees in an order-sensitive way nor be one that
+    /// anything else waits on.
+    fn is_walk(&self) -> bool {
+        false
     }
 }
 
@@ -288,6 +313,13 @@ pub struct Engine<W, E> {
     /// follow-up events with a causal parent.
     firing: Option<(EventId, Option<EventId>)>,
     queue: CalendarQueue<E>,
+    /// `(time, key, seq)` ranks of the pending non-walk events (module
+    /// docs: **Inline window**).
+    non_walk: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// The running loop's horizon; `None` outside a run loop.
+    horizon: Option<SimTime>,
+    /// The latest instant a follow-up ran inline at.
+    inline_clock: SimTime,
     /// The simulated world mutated by events.
     pub world: W,
 }
@@ -302,6 +334,9 @@ impl<W, E: EventFire<W>> Engine<W, E> {
             high_water: 0,
             firing: None,
             queue: CalendarQueue::new(),
+            non_walk: BinaryHeap::new(),
+            horizon: None,
+            inline_clock: SimTime::ZERO,
             world,
         }
     }
@@ -361,9 +396,13 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         let time = at.max(self.clock);
         let seq = self.seq;
         self.seq += 1;
+        let key = event.key();
+        if !event.is_walk() {
+            self.non_walk.push(Reverse((time, key, seq)));
+        }
         self.queue.push(Scheduled {
             time,
-            key: event.key(),
+            key,
             seq,
             event,
         });
@@ -381,6 +420,10 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         match self.queue.pop() {
             Some(s) => {
                 debug_assert!(s.time >= self.clock, "event queue went backwards");
+                if !s.event.is_walk() {
+                    let head = self.non_walk.pop();
+                    debug_assert_eq!(head, Some(Reverse(s.rank())), "non-walk heap out of step");
+                }
                 self.clock = s.time;
                 self.executed += 1;
                 let id = EventId {
@@ -416,14 +459,57 @@ impl<W, E: EventFire<W>> Engine<W, E> {
 
     /// Runs events with `time <= deadline`; then advances the clock to
     /// `deadline` (even if idle earlier), leaving later events queued.
+    /// `deadline` is the horizon of every step it takes.
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
             }
-            self.step();
+            self.step_within(deadline);
         }
         self.clock = self.clock.max(deadline);
+    }
+
+    /// [`Self::step`] inside a run loop that would fire nothing due after
+    /// `horizon`: the one way a horizon is set (module docs: **Inline
+    /// window**).
+    pub fn step_within(&mut self, horizon: SimTime) -> bool {
+        self.horizon = Some(horizon);
+        let ran = self.step();
+        self.horizon = None;
+        ran
+    }
+
+    /// Whether the firing walk event may run a follow-up due at
+    /// `(at, key)` inline, rather than schedule it: `at` lies within the
+    /// running loop's horizon, and `(at, key)` sorts before every pending
+    /// non-walk event.
+    #[must_use]
+    pub fn can_run_inline(&self, at: SimTime, key: u64) -> bool {
+        self.horizon.is_some_and(|h| at <= h)
+            && self
+                .next_non_walk_rank()
+                .is_none_or(|rank| (at, key) < rank)
+    }
+
+    /// Records that the firing event ran a follow-up due at `at` inline,
+    /// for [`Self::catch_up_inline`].
+    pub fn ran_inline(&mut self, at: SimTime) {
+        self.inline_clock = self.inline_clock.max(at);
+    }
+
+    /// Advances the clock to the latest instant a follow-up ran inline
+    /// at, if that is later — where the clock would stand had every
+    /// follow-up been an event of its own. A run loop that can end
+    /// before its horizon calls this when it ends.
+    pub fn catch_up_inline(&mut self) {
+        self.advance_clock_to(self.inline_clock);
+    }
+
+    /// `(time, key)` of the next pending non-walk event, if any.
+    #[must_use]
+    pub fn next_non_walk_rank(&self) -> Option<(SimTime, u64)> {
+        self.non_walk.peek().map(|Reverse((t, k, _))| (*t, *k))
     }
 
     /// Runs until `predicate` returns true (checked after every event) or
@@ -463,6 +549,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         while let Some(s) = self.queue.pop() {
             out.push((s.time, s.event));
         }
+        self.non_walk.clear();
         out
     }
 
@@ -502,6 +589,9 @@ impl<W, E> Engine<W, E> {
             high_water: self.high_water,
             firing: None,
             queue: self.queue.clone(),
+            non_walk: self.non_walk.clone(),
+            horizon: None,
+            inline_clock: self.inline_clock,
             world,
         }
     }
@@ -727,5 +817,100 @@ mod tests {
         );
         e.run();
         assert_eq!(e.next_event_time(), None);
+    }
+
+    /// A walk or non-walk event; firing one asks whether a follow-up due
+    /// at `ask` may run inline, records the answer, and runs it when it
+    /// may.
+    #[derive(Clone)]
+    struct Inline {
+        key: u64,
+        walk: bool,
+        ask: Option<(u64, u64)>,
+    }
+    impl EventFire<Vec<bool>> for Inline {
+        fn fire(self, e: &mut Engine<Vec<bool>, Inline>) {
+            if let Some((at, key)) = self.ask {
+                let ok = e.can_run_inline(SimTime(at), key);
+                if ok {
+                    e.ran_inline(SimTime(at));
+                }
+                e.world.push(ok);
+            }
+        }
+        fn key(&self) -> u64 {
+            self.key
+        }
+        fn is_walk(&self) -> bool {
+            self.walk
+        }
+    }
+
+    fn inline(key: u64, walk: bool, ask: Option<(u64, u64)>) -> Inline {
+        Inline { key, walk, ask }
+    }
+
+    /// The next non-walk event's `(time, key)`, by scanning a replica's
+    /// whole queue.
+    fn scan_non_walk(e: &Engine<Vec<bool>, Inline>) -> Option<(SimTime, u64)> {
+        let mut all = e.replicate_with(Vec::new()).drain_pending().into_iter();
+        all.find(|(_, ev)| !ev.walk).map(|(t, ev)| (t, ev.key))
+    }
+
+    #[test]
+    fn non_walk_rank_follows_schedules_steps_drains_and_replicas() {
+        let mut e = Engine::new(Vec::new());
+        assert_eq!(e.next_non_walk_rank(), None);
+        e.schedule_event_at(SimTime(30), inline(4, false, None));
+        e.schedule_event_at(SimTime(10), inline(9, true, None));
+        e.schedule_event_at(SimTime(30), inline(2, false, None));
+        e.schedule_event_at(SimTime(90_000_000), inline(1, false, None));
+        assert_eq!(e.next_non_walk_rank(), Some((SimTime(30), 2)));
+        // A walk event leaves the rank alone; a non-walk one pops it.
+        assert!(e.step());
+        assert_eq!(e.next_non_walk_rank(), Some((SimTime(30), 2)));
+        assert!(e.step());
+        assert_eq!(e.next_non_walk_rank(), Some((SimTime(30), 4)));
+        // A replica carries the ranks; drain + requeue rebuilds them.
+        let mut r = e.replicate_with(Vec::new());
+        assert_eq!(r.next_non_walk_rank(), scan_non_walk(&e));
+        let pending = r.drain_pending();
+        assert_eq!(r.next_non_walk_rank(), None);
+        for (t, ev) in pending.into_iter().filter(|(_, ev)| ev.key != 4) {
+            r.schedule_event_at(t, ev);
+        }
+        assert_eq!(r.next_non_walk_rank(), Some((SimTime(90_000_000), 1)));
+        assert_eq!(r.next_non_walk_rank(), scan_non_walk(&r));
+        r.run();
+        assert_eq!(r.next_non_walk_rank(), None);
+    }
+
+    #[test]
+    fn inlining_needs_a_horizon_and_the_next_non_walk_event_after_it() {
+        let mut e = Engine::new(Vec::new());
+        e.schedule_event_at(SimTime(100), inline(5, false, None));
+        // Before the non-walk event's rank; at it, on a later key; past
+        // the horizon.
+        e.schedule_event_at(SimTime(10), inline(1 << 40, true, Some((50, 1))));
+        e.schedule_event_at(SimTime(20), inline(1 << 40, true, Some((100, 4))));
+        e.schedule_event_at(SimTime(30), inline(1 << 40, true, Some((100, 6))));
+        e.schedule_event_at(SimTime(200), inline(1 << 40, true, Some((300, 0))));
+        e.run_until(SimTime(250));
+        assert_eq!(e.world, vec![true, true, false, false]);
+
+        // Outside a run loop there is no horizon.
+        let mut e = Engine::new(Vec::new());
+        e.schedule_event_at(SimTime(10), inline(1, true, Some((20, 1))));
+        assert!(e.step());
+        assert_eq!(e.world, vec![false]);
+
+        // Inside one, the clock catches up to the last inlined instant
+        // only when asked, and never past a pending event.
+        let mut e = Engine::new(Vec::new());
+        e.schedule_event_at(SimTime(10), inline(1, true, Some((70, 1))));
+        assert!(e.step_within(SimTime(1_000)));
+        assert_eq!((e.world.clone(), e.now()), (vec![true], SimTime(10)));
+        e.catch_up_inline();
+        assert_eq!(e.now(), SimTime(70));
     }
 }

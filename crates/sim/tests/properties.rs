@@ -28,7 +28,86 @@ impl EventFire<(SimRng, Vec<u64>)> for Tick {
     }
 }
 
+/// A walk or non-walk event over a unit world; firing one may schedule a
+/// follow-up of the other sort, so handlers schedule too.
+#[derive(Clone)]
+struct Mix {
+    key: u64,
+    walk: bool,
+    child: Option<u64>,
+}
+
+impl EventFire<()> for Mix {
+    fn fire(self, e: &mut Engine<(), Mix>) {
+        if let Some(delay) = self.child {
+            let child = Mix {
+                key: self.key ^ 1,
+                walk: !self.walk,
+                child: None,
+            };
+            e.schedule_event_after(SimDuration::from_nanos(delay), child);
+        }
+    }
+    fn key(&self) -> u64 {
+        self.key
+    }
+    fn is_walk(&self) -> bool {
+        self.walk
+    }
+}
+
+/// The next non-walk event's `(time, key)`, by brute force: drain a
+/// replica's whole queue in order and take the first non-walk event.
+fn scan_non_walk(e: &Engine<(), Mix>) -> Option<(SimTime, u64)> {
+    let mut all = e.replicate_with(()).drain_pending().into_iter();
+    all.find(|(_, ev)| !ev.walk).map(|(t, ev)| (t, ev.key))
+}
+
 proptest! {
+    /// The engine's next non-walk rank — the bound on running walk steps
+    /// inline — equals a scan of the pending events after every schedule,
+    /// step (plain or under a horizon), drain-and-requeue (dropping one
+    /// key, as a device removal does) and replica.
+    #[test]
+    fn next_non_walk_rank_matches_a_scan_of_the_queue(
+        ops in prop::collection::vec(
+            (0u8..7, 0u64..200_000, 0u64..16, any::<bool>(), any::<bool>()),
+            1..200,
+        ),
+    ) {
+        let mut e: Engine<(), Mix> = Engine::new(());
+        for (op, delay, key, walk, spawn) in ops {
+            match op {
+                // Near (ring) and far (overflow heap) schedules.
+                0..=2 => {
+                    let delay = if op == 2 { delay * 1_000 } else { delay };
+                    let ev = Mix { key, walk, child: spawn.then_some(delay / 2) };
+                    e.schedule_event_after(SimDuration::from_nanos(delay), ev);
+                }
+                3 => {
+                    e.step();
+                }
+                4 => {
+                    let horizon = e.now() + SimDuration::from_nanos(delay);
+                    e.step_within(horizon);
+                }
+                5 => {
+                    for (t, ev) in e.drain_pending() {
+                        if ev.key != key {
+                            e.schedule_event_at(t, ev);
+                        }
+                    }
+                }
+                _ => e = e.replicate_with(()),
+            }
+            prop_assert_eq!(e.next_non_walk_rank(), scan_non_walk(&e));
+        }
+        while e.step() {
+            prop_assert_eq!(e.next_non_walk_rank(), scan_non_walk(&e));
+        }
+        prop_assert_eq!(e.next_non_walk_rank(), None);
+    }
+
     /// The engine executes any schedule in non-decreasing time order and
     /// runs every event exactly once.
     #[test]
