@@ -278,8 +278,8 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
 
     // Phase spans + orchestrator events.
     if rec.enabled() {
-        let boot_end = MemRecorder::from_recorder(&*rec)
-            .and_then(|m| m.gauge("routing.last_boot_done_ns"))
+        let boot_end = rec
+            .gauge("routing.last_boot_done_ns")
             .map_or(network_ready_at, SimTime);
         rec.span("mockup", None, SimTime::ZERO, route_ready_at);
         rec.span("boot", None, network_ready_at, boot_end);
@@ -391,9 +391,7 @@ impl Emulation {
         if let Some(t0) = t_settle {
             rec.profile_add(profile_keys::SETTLE, t0.elapsed().as_nanos() as u64);
         }
-        if rec.enabled() {
-            rec.span("settle", None, start, settled);
-        }
+        rec.span("settle", None, start, settled);
         Ok(settled)
     }
 
@@ -444,9 +442,9 @@ impl Emulation {
     /// * **Cloud** — deep-copied behind a *fresh* `Arc<Mutex<_>>`: CPU
     ///   server positions and the provisioning RNG resume from the fork
     ///   point, but child work accounting can never reach the parent.
-    /// * **Telemetry** — the recorder is deep-copied
-    ///   ([`crystalnet_telemetry::Recorder::snapshot`]), so a committed
-    ///   fork's report reads "baseline + fork activity".
+    /// * **Telemetry** — the recorder is cloned, history included (an
+    ///   off recorder's clone is off), so a committed fork's report reads
+    ///   "baseline + fork activity".
     /// * **Immutable spine** — `prep` and `topo` are shared by `Arc`.
     pub(crate) fn fork_emulation(&self) -> Emulation {
         let t_fork = self.options.profiling.then(Instant::now);
@@ -462,7 +460,7 @@ impl Emulation {
             .downcast_ref::<VmWorkModel>()
             .expect("mockup sims drive a VmWorkModel")
             .on_cloud(cloud.clone());
-        let recorder = self.sim.engine.world.recorder.snapshot();
+        let recorder = self.sim.engine.world.recorder.clone();
         let mut child = Emulation {
             topo: Arc::clone(&self.topo),
             sim: self.sim.fork_with(Box::new(work), recorder),

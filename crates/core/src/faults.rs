@@ -284,7 +284,11 @@ impl Emulation {
                     }
                 }
                 FaultKind::SpeakerCrash { device } => {
-                    if self.prep.speaker_scripts(device).is_none() {
+                    // A planned speaker a committed change removed is no
+                    // longer emulated.
+                    if self.prep.speaker_scripts(device).is_none()
+                        || !self.sandboxes.contains_key(&device)
+                    {
                         return Err(self.unknown_device(device));
                     }
                 }

@@ -15,7 +15,7 @@ use crystalnet_routing::{DeviceOs, MgmtCommand, MgmtResponse};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use crystalnet_telemetry::{
     trace_chrome_json, trace_jsonl, CowStats, DeviceMem, DeviceMemTotals, FieldValue, InternerMem,
-    MemRecorder, MemorySection, QueueMem, Recorder, RunReport, SpanRecord, TraceRecord,
+    MemorySection, QueueMem, RunReport, SpanRecord, TraceRecord, TraceSink,
 };
 use crystalnet_vnet::CloudParams;
 use std::collections::BTreeSet;
@@ -90,10 +90,11 @@ impl Emulation {
     /// ```
     #[must_use]
     pub fn pull_report(&self) -> RunReport {
-        let Some(mem) = MemRecorder::from_recorder(&*self.sim.engine.world.recorder) else {
+        let rec = &*self.sim.engine.world.recorder;
+        if !rec.enabled() {
             return RunReport::disabled();
-        };
-        let mut report = mem
+        }
+        let mut report = rec
             .report()
             .with_meta("seed", FieldValue::U64(self.options.seed))
             .with_meta("devices", FieldValue::U64(self.sandboxes.len() as u64))
@@ -104,7 +105,7 @@ impl Emulation {
             .with_meta("route_ready", FieldValue::Dur(self.metrics.route_ready));
         // Per-device convergence spans, derived from the last
         // route-activity gauge: boot start → final route installation.
-        if let Some(per_dev) = mem.device_gauge("routing.convergence_ns") {
+        if let Some(per_dev) = rec.device_gauge("routing.convergence_ns") {
             let start = self.metrics.ready_at - self.metrics.route_ready;
             for (&dev, &end_ns) in per_dev {
                 report.spans.push(SpanRecord {
@@ -138,7 +139,7 @@ impl Emulation {
         report
             .diagnostics
             .insert("routing.intern_misses".to_string(), misses);
-        if mem.profiling_enabled() {
+        if rec.profiling_enabled() {
             report.memory = Some(self.memory_section(None));
         }
         report
@@ -438,11 +439,10 @@ impl Emulation {
     /// fixed seed.
     #[must_use]
     pub fn pull_trace(&self) -> Vec<TraceRecord> {
-        let mut recs: Vec<TraceRecord> =
-            MemRecorder::from_recorder(&*self.sim.engine.world.recorder)
-                .and_then(MemRecorder::trace_sink)
-                .map(crystalnet_telemetry::TraceSink::records)
-                .unwrap_or_default();
+        let mut recs: Vec<TraceRecord> = (self.sim.engine.world.recorder)
+            .trace_sink()
+            .map(TraceSink::records)
+            .unwrap_or_default();
         for sig in self.traces.signatures() {
             for ev in self.traces.events(sig) {
                 // Synthetic event id in a key range no scheduled event

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crystalnet_sim::{SimDuration, SimTime};
     pub use crystalnet_telemetry::{
         trace_chrome_json, trace_jsonl, EventRecord, FieldValue, HistogramSummary, MemRecorder,
-        NoopRecorder, Recorder, RunReport, SpanRecord, TraceRecord, TraceSink,
+        RunReport, SpanRecord, TraceRecord, TraceSink,
     };
     // The prepare artifact rides an `Arc` so forked emulations are
     // `Send` (PR 7 moved the spine off `Rc`); re-exported because every

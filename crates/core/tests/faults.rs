@@ -271,6 +271,42 @@ fn speaker_crash_restarts_with_fresh_epoch_and_resyncs() {
 }
 
 #[test]
+fn speaker_crash_aimed_at_a_removed_speaker_is_a_typed_error() {
+    let (dc, mut emu) = s_dc(9, FaultPlan::default());
+    let speaker = emu.prep.speaker_plan.scripts[0].0;
+    let mut fork = emu.fork();
+    fork.apply(&ChangeSet::new().device_remove(speaker))
+        .expect("the speaker is removed");
+    fork.commit(&mut emu);
+
+    let journal = emu.journal.events.clone();
+    let handles: Vec<_> = dc
+        .topo
+        .devices()
+        .map(|(id, _)| emu.sim.os_handle(id).cloned())
+        .collect();
+    let plan = FaultPlan::default().then(
+        SimDuration::from_secs(10),
+        FaultKind::SpeakerCrash { device: speaker },
+    );
+    assert!(matches!(
+        emu.run_fault_plan(&plan),
+        Err(EmulationError::UnknownDevice(_))
+    ));
+
+    // Rejected before injection: nothing journaled, no OS touched.
+    assert_eq!(emu.journal.events, journal);
+    for ((id, d), before) in dc.topo.devices().zip(&handles) {
+        let same = match (before, emu.sim.os_handle(id)) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(same, "the rejected plan touched {}", d.name);
+    }
+}
+
+#[test]
 fn post_recovery_fibs_are_bit_identical_to_a_fault_free_run() {
     // The acceptance guarantee: inject a VM failure + recovery, settle,
     // and every FIB in the network equals the FIB of an emulation that

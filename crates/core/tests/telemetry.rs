@@ -125,3 +125,23 @@ fn disabled_recorder_yields_empty_report_and_identical_fibs() {
     assert_eq!(on.metrics.route_ops, off.metrics.route_ops);
     assert_eq!(on.metrics.ready_at, off.metrics.ready_at);
 }
+
+#[test]
+fn telemetry_off_fork_stays_off_and_converges_like_an_on_twin() {
+    let (dc, on) = s_dc(42, true);
+    let (_, off) = s_dc(42, false);
+    let lid = dc.topo.links().next().map(|(lid, _)| lid).expect("a link");
+    let step = ChangeSet::new().link_down(lid);
+
+    let mut off_fork = off.fork();
+    let off_delta = off_fork.apply(&step).expect("link-down applies");
+    let mut on_fork = on.fork();
+    let on_delta = on_fork.apply(&step).expect("link-down applies");
+
+    let report = off_fork.pull_report();
+    assert!(!report.enabled);
+    assert!(report.is_empty());
+    assert!(on_fork.pull_report().enabled);
+    assert!(off_delta.total_fib_changes() > 0);
+    assert_eq!(off_delta.fib_changes, on_delta.fib_changes);
+}

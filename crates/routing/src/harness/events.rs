@@ -8,7 +8,7 @@ use crate::os::{MgmtCommand, OsActions, OsEvent, TimerKind};
 use crate::plane::{plane_tick, walk_hop, walk_report, Plane, Walk};
 use crystalnet_net::{DeviceId, LinkId};
 use crystalnet_sim::{EventFire, EventId};
-use crystalnet_telemetry::{FieldValue, Recorder, TraceRecord};
+use crystalnet_telemetry::{FieldValue, MemRecorder, TraceRecord};
 
 /// A typed harness event: no per-event heap allocation or dynamic
 /// dispatch, and a content-derived tie-break key.
@@ -210,7 +210,7 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 // Re-check link state at delivery time.
                 if e.world.link_is_up(link) {
                     if e.world.recorder.enabled() {
-                        record_frame(&mut *e.world.recorder, &frame, false);
+                        record_frame(&mut e.world.recorder, &frame, false);
                     }
                     if e.world.recorder.trace_enabled() {
                         trace_here(
@@ -347,7 +347,7 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
         // Counted here, after the link-up check: frames *actually sent*
         // are a world fact the parallel replay reproduces exactly.
         if e.world.recorder.enabled() {
-            record_frame(&mut *e.world.recorder, &frame, true);
+            record_frame(&mut e.world.recorder, &frame, true);
         }
         if e.world.recorder.trace_enabled() {
             trace_here(
@@ -392,7 +392,7 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
 /// TX names (counted after the link-up check in [`dispatch`]) versus the
 /// RX names (counted at delivery); both sets are world facts that the
 /// parallel replay reproduces bit-identically.
-fn record_frame(rec: &mut dyn Recorder, frame: &Frame, sent: bool) {
+fn record_frame(rec: &mut MemRecorder, frame: &Frame, sent: bool) {
     let (frames, opens, updates, keepalives, notifications) = if sent {
         (
             "routing.frames_sent",

@@ -28,7 +28,7 @@ use crystalnet_dataplane::{Fib, ForwardDecision, Ipv4Packet};
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId, Topology};
 use crystalnet_sim::{Engine, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
-use crystalnet_telemetry::{NoopRecorder, Recorder};
+use crystalnet_telemetry::MemRecorder;
 use events::dispatch;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -177,7 +177,7 @@ impl ControlPlaneSim {
                 shard_route: None,
                 planes: Planes::default(),
                 fwd_disabled: BTreeSet::new(),
-                recorder: Box::new(NoopRecorder),
+                recorder: Box::new(MemRecorder::disabled()),
             }),
         }
     }
@@ -200,11 +200,11 @@ impl ControlPlaneSim {
     /// The caller supplies `work` and `recorder` because both typically
     /// need their own treatment on fork: the work model must stop
     /// sharing mutable CPU accounting with the parent, and the recorder
-    /// is deep-copied via [`Recorder::snapshot`]. Parallel-shard wiring
+    /// is a clone of the parent's, history included. Parallel-shard wiring
     /// (`shard_route`) is never inherited — a fork starts in serial
     /// mode, mid-parallel-run forks are not supported.
     #[must_use]
-    pub fn fork_with(&self, work: Box<dyn WorkModel>, recorder: Box<dyn Recorder>) -> Self {
+    pub fn fork_with(&self, work: Box<dyn WorkModel>, recorder: Box<MemRecorder>) -> Self {
         let w = &self.engine.world;
         debug_assert!(
             w.shard_route.is_none(),

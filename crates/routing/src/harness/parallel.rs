@@ -43,7 +43,8 @@ impl ControlPlaneSim {
     /// A profiling recorder gets the workers' summed busy and idle wall
     /// time under [`keys::PARALLEL_COMPUTE`] and [`keys::PARALLEL_IDLE`];
     /// its counters merge back from per-shard forks
-    /// ([`Recorder::fork`](crystalnet_telemetry::Recorder::fork)).
+    /// ([`MemRecorder::fork`](crystalnet_telemetry::MemRecorder::fork),
+    /// [`MemRecorder::absorb`](crystalnet_telemetry::MemRecorder::absorb)).
     ///
     /// # Panics
     ///
@@ -133,7 +134,7 @@ impl ControlPlaneSim {
                     }),
                     planes: Planes::default(),
                     fwd_disabled: world.fwd_disabled.clone(),
-                    recorder: world.recorder.fork(),
+                    recorder: Box::new(world.recorder.fork()),
                 })
             })
             .collect();
@@ -175,7 +176,7 @@ impl ControlPlaneSim {
             let mut sw = eng.world;
             let world = &mut self.engine.world;
             // Shard metrics merge order-independently.
-            world.recorder.absorb(sw.recorder);
+            world.recorder.absorb(*sw.recorder);
             for &dev in &partition.shards[s] {
                 let i = dev.index();
                 world.oses[i] = sw.oses[i].take();

@@ -11,7 +11,7 @@ use crystalnet_dataplane::{verdict, FibEntry, ForwardDecision, Ipv4Packet, NextH
 use crystalnet_net::{DeviceId, Ipv4Prefix, LinkId};
 use crystalnet_sim::parallel::ParallelWorld;
 use crystalnet_sim::{Engine, SimTime};
-use crystalnet_telemetry::Recorder;
+use crystalnet_telemetry::MemRecorder;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -105,12 +105,13 @@ pub struct ControlPlaneWorld {
     /// control plane keeps running (gray-failure injection). Only plane
     /// walks consult this — sessions stay up, FIBs stay "correct".
     pub(crate) fwd_disabled: BTreeSet<DeviceId>,
-    /// Observability sink. Defaults to the zero-cost
-    /// [`NoopRecorder`](crystalnet_telemetry::NoopRecorder);
-    /// orchestration layers install a `MemRecorder` to collect a run
+    /// Observability sink: off ([`MemRecorder::disabled`]) until an
+    /// orchestration layer installs one that is on to collect a run
     /// report. Shards fork it and the join merges them back, so canonical
-    /// counters are identical whichever shard recorded them.
-    pub recorder: Box<dyn Recorder>,
+    /// counters are identical whichever shard recorded them. Boxed only
+    /// because the benchmark package assigns a `Box::new(MemRecorder::…)`
+    /// to it.
+    pub recorder: Box<MemRecorder>,
 }
 
 impl ControlPlaneWorld {

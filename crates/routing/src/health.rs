@@ -37,7 +37,7 @@ use crate::plane::WalkCore;
 use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
-use crystalnet_telemetry::Recorder;
+use crystalnet_telemetry::MemRecorder;
 use std::collections::VecDeque;
 use std::ops::Deref;
 
@@ -447,24 +447,20 @@ impl HealthState {
     }
 
     /// Counts one launched probe.
-    pub(crate) fn count_sent(&mut self, rec: &mut dyn Recorder) {
+    pub(crate) fn count_sent(&mut self, rec: &mut MemRecorder) {
         self.probes_sent += 1;
-        if rec.enabled() {
-            rec.counter_add("health.probes_sent", 1);
-        }
+        rec.counter_add("health.probes_sent", 1);
     }
 
     /// Counts one probe's fate.
-    pub(crate) fn count_report(&mut self, delivered: bool, rec: &mut dyn Recorder) {
+    pub(crate) fn count_report(&mut self, delivered: bool, rec: &mut MemRecorder) {
         let (total, counter) = if delivered {
             (&mut self.probes_delivered, "health.probes_delivered")
         } else {
             (&mut self.probes_lost, "health.probes_lost")
         };
         *total += 1;
-        if rec.enabled() {
-            rec.counter_add(counter, 1);
-        }
+        rec.counter_add(counter, 1);
     }
 }
 

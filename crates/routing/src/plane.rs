@@ -495,13 +495,11 @@ pub(crate) fn walk_report(
 /// Lands one watchdog firing: onto the plane's incident timeline, its
 /// `*.incidents` counter, and the trace sink.
 fn record_incident(e: &mut ControlPlaneEngine, plane: Plane, inc: Incident) {
-    if e.world.recorder.enabled() {
-        let counter = match plane {
-            Plane::Probe => "health.incidents",
-            Plane::Flow => "traffic.incidents",
-        };
-        e.world.recorder.counter_add(counter, 1);
-    }
+    let counter = match plane {
+        Plane::Probe => "health.incidents",
+        Plane::Flow => "traffic.incidents",
+    };
+    e.world.recorder.counter_add(counter, 1);
     if e.world.recorder.trace_enabled() {
         trace_incident(e, &inc);
     }

@@ -44,7 +44,7 @@ use crystalnet_dataplane::FibEntry;
 use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
-use crystalnet_telemetry::Recorder;
+use crystalnet_telemetry::MemRecorder;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
@@ -388,7 +388,7 @@ impl TrafficState {
     }
 
     /// Counts one launched flow.
-    pub(crate) fn count_sent(&mut self, bytes: u64, rec: &mut dyn Recorder) {
+    pub(crate) fn count_sent(&mut self, bytes: u64, rec: &mut MemRecorder) {
         self.flows_sent += 1;
         self.bytes_offered += bytes;
         if rec.enabled() {
@@ -399,7 +399,7 @@ impl TrafficState {
 
     /// Counts one flow's fate: flow and byte totals, and the
     /// rerouted-during-transient counter.
-    pub(crate) fn count_report(&mut self, delivered: bool, walk: &Walk, rec: &mut dyn Recorder) {
+    pub(crate) fn count_report(&mut self, delivered: bool, walk: &Walk, rec: &mut MemRecorder) {
         let (flows, bytes, counters) = if delivered {
             let counters = ["traffic.flows_delivered", "traffic.bytes_delivered"];
             (

@@ -3,15 +3,18 @@
 //! CrystalNet's value proposition is *visibility*: operators must be able to
 //! ask "what did the engine and each BGP speaker actually do during this
 //! run?" without perturbing the run itself. This crate provides the three
-//! pieces the Emulation API builds `pull_report()` on:
+//! pieces the Emulation API builds `pull_report()` and `pull_trace()` on:
 //!
-//! 1. a [`Recorder`] trait instrumented code emits through — spans and
-//!    events stamped with [`SimTime`], plus named counters, gauges, and
-//!    histograms. The default [`NoopRecorder`] makes every emission a
-//!    no-op behind a single `enabled()` branch, so hot paths pay nothing
-//!    when observability is off;
-//! 2. an in-memory [`MemRecorder`] that stores everything in `BTreeMap`s
-//!    so export order never depends on insertion order;
+//! 1. [`MemRecorder`], the one recorder: instrumented code emits through
+//!    it — spans and events stamped with [`SimTime`], named counters,
+//!    gauges and histograms, wall-clock profile keys, causal trace
+//!    records — and readers read it directly. It is either on or off. An
+//!    off recorder ([`MemRecorder::disabled`]) stores nothing, and its
+//!    `enabled()` is the one branch a hot path takes before preparing
+//!    emission arguments; an on one keeps everything in `BTreeMap`s so
+//!    export order never depends on insertion order;
+//! 2. a bounded [`TraceSink`] of [`TraceRecord`]s with JSONL and Chrome
+//!    trace-event exporters;
 //! 3. a [`RunReport`] exporter: canonical JSON plus a human-readable table.
 //!
 //! # Determinism contract
@@ -34,7 +37,7 @@
 use crystalnet_sim::metrics::percentile_f64;
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use serde::{Serialize, Value};
-use std::any::Any;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 
 pub mod profile;
@@ -421,12 +424,6 @@ impl TraceSink {
         }
     }
 
-    /// The configured bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of records currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -479,136 +476,26 @@ impl TraceSink {
         out.sort_by_key(TraceRecord::rank);
         out
     }
-
-    /// JSONL export of the retained records.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        trace_jsonl(&self.records())
-    }
-
-    /// Chrome trace-event JSON export of the retained records.
-    #[must_use]
-    pub fn to_chrome_json(&self) -> String {
-        trace_chrome_json(&self.records())
-    }
 }
 
-/// The sink instrumented code emits through.
+/// The recorder: instrumented code emits through it and readers read it.
 ///
-/// Every method has a no-op default body, so [`NoopRecorder`] is an empty
-/// impl and hot paths can guard bulk work with a single
-/// `if recorder.enabled()` branch. Emissions (`counter_add`, `gauge_max`,
-/// the per-device variants, `histogram_record`) must describe the
-/// emulated world; wall-clock time goes through `profile_add` and never
-/// reaches the canonical report.
-pub trait Recorder: Send {
-    /// Whether emissions are stored. Callers may skip preparing emission
-    /// arguments when this is `false`.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `v` to the named canonical counter.
-    fn counter_add(&mut self, _name: &'static str, _v: u64) {}
-
-    /// Raises the named canonical gauge to at least `v`.
-    fn gauge_max(&mut self, _name: &'static str, _v: u64) {}
-
-    /// Adds `v` to a per-device canonical counter.
-    fn device_counter_add(&mut self, _name: &'static str, _device: u32, _v: u64) {}
-
-    /// Raises a per-device canonical gauge to at least `v`.
-    fn device_gauge_max(&mut self, _name: &'static str, _device: u32, _v: u64) {}
-
-    /// Records one sample into the named histogram.
-    fn histogram_record(&mut self, _name: &'static str, _v: f64) {}
-
-    /// Whether wall-clock profiling is on. Instrumentation sites gate
-    /// every `Instant::now()` pair behind this so a profiling-off run
-    /// pays nothing but the branch.
-    fn profiling_enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `wall_ns` of wall-clock time under a [`profile::keys`] key.
-    /// Only meaningful when [`Recorder::profiling_enabled`] is true.
-    fn profile_add(&mut self, _key: &'static str, _wall_ns: u64) {}
-
-    /// Records a completed span. Only call from serial orchestrator code.
-    fn span(&mut self, _name: &'static str, _device: Option<u32>, _start: SimTime, _end: SimTime) {}
-
-    /// Records a typed event. Only call from serial orchestrator code.
-    fn event(
-        &mut self,
-        _at: SimTime,
-        _name: &'static str,
-        _fields: Vec<(&'static str, FieldValue)>,
-    ) {
-    }
-
-    /// Whether causal trace records are stored. Like [`Recorder::enabled`]
-    /// this gates argument preparation: emitting a trace record means
-    /// formatting fields, so hot paths must check first.
-    fn trace_enabled(&self) -> bool {
-        false
-    }
-
-    /// Appends one causal trace record to the bounded sink.
-    fn trace(&mut self, _rec: TraceRecord) {}
-
-    /// Creates an empty recorder of the same kind for a shard of
-    /// `routing`'s sharded settle: counters, gauges, histograms and
-    /// profile keys, never a trace sink (that settle runs without one).
-    fn fork(&self) -> Box<dyn Recorder>;
-
-    /// Deep-copies this recorder, history included — the telemetry fork
-    /// point of an emulation fork. Unlike [`Recorder::fork`] (which
-    /// starts a shard's recorder *empty* so the join can `absorb` it
-    /// additively), a snapshot carries everything recorded so far: a
-    /// forked emulation's report reads as "baseline plus the fork's own
-    /// activity", byte-identical to a run that had performed the fork's
-    /// steps directly.
-    fn snapshot(&self) -> Box<dyn Recorder>;
-
-    /// Merges a forked recorder back: counters add, gauges max, histograms
-    /// append, profile keys add — all order-independent, so the merged
-    /// counters equal a serial run's.
-    fn absorb(&mut self, _child: Box<dyn Recorder>) {}
-
-    /// Downcast support for readers ([`MemRecorder::from_recorder`]).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Downcast support for [`Recorder::absorb`].
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// The zero-cost default: every emission is a no-op and `enabled()` is
-/// `false`, so instrumented hot paths skip argument preparation entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn fork(&self) -> Box<dyn Recorder> {
-        Box::new(NoopRecorder)
-    }
-
-    fn snapshot(&self) -> Box<dyn Recorder> {
-        Box::new(NoopRecorder)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// In-memory recorder. All keyed storage is `BTreeMap`-backed so export
-/// order is a function of the keys alone, never of insertion order.
+/// A recorder is on or off. An on recorder stores everything, in
+/// `BTreeMap`s so export order is a function of the keys alone, never of
+/// insertion order. An off recorder ([`MemRecorder::disabled`]) stores
+/// nothing: every emitting method returns at its first branch, and
+/// [`enabled`](Self::enabled), [`trace_enabled`](Self::trace_enabled) and
+/// [`profiling_enabled`](Self::profiling_enabled) all report `false`, so
+/// hot paths can skip preparing emission arguments behind one of them.
+///
+/// Emissions (`counter_add`, `gauge_max`, the per-device variants,
+/// `histogram_record`) must describe the emulated world; wall-clock time
+/// goes through `profile_add` and never reaches the canonical report.
 #[derive(Debug, Clone, Default)]
 pub struct MemRecorder {
+    /// Off: nothing is stored. Only [`MemRecorder::disabled`] sets it, and
+    /// it builds no trace sink, so an off recorder never traces.
+    disabled: bool,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     dev_counters: BTreeMap<&'static str, BTreeMap<u32, u64>>,
@@ -622,13 +509,23 @@ pub struct MemRecorder {
 }
 
 impl MemRecorder {
-    /// An empty enabled recorder, with causal tracing off.
+    /// An empty recorder that is on, with causal tracing off.
     #[must_use]
     pub fn new() -> Self {
         MemRecorder::default()
     }
 
-    /// An empty enabled recorder with a bounded causal-trace sink.
+    /// The recorder that is off: it stores nothing and reports nothing
+    /// enabled. Clones and shard forks of it are off too.
+    #[must_use]
+    pub fn disabled() -> Self {
+        MemRecorder {
+            disabled: true,
+            ..MemRecorder::default()
+        }
+    }
+
+    /// An empty recorder that is on, with a bounded causal-trace sink.
     /// `capacity == 0` leaves tracing off.
     #[must_use]
     pub fn with_trace_capacity(capacity: usize) -> Self {
@@ -638,12 +535,46 @@ impl MemRecorder {
         }
     }
 
-    /// Turns wall-clock profiling on (builder-style). Profiled runs emit
-    /// a [`Profile`] section in the full export.
+    /// Turns wall-clock profiling on (builder-style) for a recorder that
+    /// is on. Profiled runs emit a [`Profile`] section in the full export.
     #[must_use]
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
         self
+    }
+
+    /// `Some` of the recorder when it is on, `None` when it is off. Takes
+    /// the recorder or the box `ControlPlaneWorld::recorder` holds it in.
+    #[must_use]
+    pub fn from_recorder<R: Borrow<MemRecorder> + ?Sized>(r: &R) -> Option<&MemRecorder> {
+        let r = r.borrow();
+        r.enabled().then_some(r)
+    }
+
+    /// Whether emissions are stored. Callers may skip preparing emission
+    /// arguments when this is `false`.
+    #[inline]
+    #[must_use]
+    pub fn enabled(&self) -> bool {
+        !self.disabled
+    }
+
+    /// Whether causal trace records are stored. Like [`Self::enabled`]
+    /// this gates argument preparation: emitting a trace record means
+    /// formatting fields, so hot paths must check first.
+    #[inline]
+    #[must_use]
+    pub fn trace_enabled(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Whether wall-clock profiling is on. Instrumentation sites gate
+    /// every `Instant::now()` pair behind this so a profiling-off run
+    /// pays nothing but the branch.
+    #[inline]
+    #[must_use]
+    pub fn profiling_enabled(&self) -> bool {
+        self.profiling && !self.disabled
     }
 
     /// The causal-trace sink, if tracing is on.
@@ -652,111 +583,28 @@ impl MemRecorder {
         self.trace.as_ref()
     }
 
-    /// Downcasts a `dyn Recorder` to `MemRecorder` for reading; `None` for
-    /// the no-op (or any foreign) recorder.
-    #[must_use]
-    pub fn from_recorder(r: &dyn Recorder) -> Option<&MemRecorder> {
-        r.as_any().downcast_ref::<MemRecorder>()
-    }
-
-    /// Current value of a canonical counter (0 if never written).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a canonical gauge.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Per-device values of a canonical counter, keyed by device id.
-    #[must_use]
-    pub fn device_counter(&self, name: &str) -> Option<&BTreeMap<u32, u64>> {
-        self.dev_counters.get(name)
-    }
-
-    /// Per-device values of a canonical gauge, keyed by device id.
-    #[must_use]
-    pub fn device_gauge(&self, name: &str) -> Option<&BTreeMap<u32, u64>> {
-        self.dev_gauges.get(name)
-    }
-
-    /// All spans in emission order.
-    #[must_use]
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
-    }
-
-    /// All events in emission order.
-    #[must_use]
-    pub fn events(&self) -> &[EventRecord] {
-        &self.events
-    }
-
-    /// Builds the report skeleton from everything recorded so far. The
-    /// caller (the Emulation API) adds metadata and the journal section.
-    #[must_use]
-    pub fn report(&self) -> RunReport {
-        let mut per_device = BTreeMap::new();
-        for (name, devs) in &self.dev_counters {
-            per_device.insert((*name).to_string(), devs.clone());
+    /// Adds `v` to the named canonical counter.
+    pub fn counter_add(&mut self, name: &'static str, v: u64) {
+        if self.disabled {
+            return;
         }
-        for (name, devs) in &self.dev_gauges {
-            per_device.insert((*name).to_string(), devs.clone());
-        }
-        let mut histograms = BTreeMap::new();
-        for (name, samples) in &self.histograms {
-            if let Some(summary) = HistogramSummary::from_samples(samples) {
-                histograms.insert((*name).to_string(), summary);
-            }
-        }
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        for (name, v) in &self.counters {
-            counters.insert((*name).to_string(), *v);
-        }
-        for (name, v) in &self.gauges {
-            counters.insert((*name).to_string(), *v);
-        }
-        if let Some(sink) = &self.trace {
-            // Emit/retain/drop counts are world facts (each record is
-            // emitted exactly once), so they belong in the canonical
-            // section.
-            counters.insert("telemetry.trace_emitted".to_string(), sink.emitted());
-            counters.insert("telemetry.trace_retained".to_string(), sink.len() as u64);
-            counters.insert("telemetry.trace_dropped".to_string(), sink.dropped());
-        }
-        RunReport {
-            enabled: true,
-            spans: self.spans.clone(),
-            counters,
-            per_device,
-            histograms,
-            events: self.events.clone(),
-            profile: self
-                .profiling
-                .then(|| Profile::from_recorded(&self.profile)),
-            ..RunReport::default()
-        }
-    }
-}
-
-impl Recorder for MemRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter_add(&mut self, name: &'static str, v: u64) {
         *self.counters.entry(name).or_insert(0) += v;
     }
 
-    fn gauge_max(&mut self, name: &'static str, v: u64) {
+    /// Raises the named canonical gauge to at least `v`.
+    pub fn gauge_max(&mut self, name: &'static str, v: u64) {
+        if self.disabled {
+            return;
+        }
         let g = self.gauges.entry(name).or_insert(0);
         *g = (*g).max(v);
     }
 
-    fn device_counter_add(&mut self, name: &'static str, device: u32, v: u64) {
+    /// Adds `v` to a per-device canonical counter.
+    pub fn device_counter_add(&mut self, name: &'static str, device: u32, v: u64) {
+        if self.disabled {
+            return;
+        }
         *self
             .dev_counters
             .entry(name)
@@ -765,7 +613,11 @@ impl Recorder for MemRecorder {
             .or_insert(0) += v;
     }
 
-    fn device_gauge_max(&mut self, name: &'static str, device: u32, v: u64) {
+    /// Raises a per-device canonical gauge to at least `v`.
+    pub fn device_gauge_max(&mut self, name: &'static str, device: u32, v: u64) {
+        if self.disabled {
+            return;
+        }
         let g = self
             .dev_gauges
             .entry(name)
@@ -775,21 +627,30 @@ impl Recorder for MemRecorder {
         *g = (*g).max(v);
     }
 
-    fn histogram_record(&mut self, name: &'static str, v: f64) {
+    /// Records one sample into the named histogram.
+    pub fn histogram_record(&mut self, name: &'static str, v: f64) {
+        if self.disabled {
+            return;
+        }
         self.histograms.entry(name).or_default().push(v);
     }
 
-    fn profiling_enabled(&self) -> bool {
-        self.profiling
-    }
-
-    fn profile_add(&mut self, key: &'static str, wall_ns: u64) {
+    /// Adds `wall_ns` of wall-clock time under a [`profile::keys`] key.
+    /// Only meaningful when [`Self::profiling_enabled`] is true.
+    pub fn profile_add(&mut self, key: &'static str, wall_ns: u64) {
+        if self.disabled {
+            return;
+        }
         let e = self.profile.entry(key).or_insert((0, 0));
         e.0 += wall_ns;
         e.1 += 1;
     }
 
-    fn span(&mut self, name: &'static str, device: Option<u32>, start: SimTime, end: SimTime) {
+    /// Records a completed span. Only call from serial orchestrator code.
+    pub fn span(&mut self, name: &'static str, device: Option<u32>, start: SimTime, end: SimTime) {
+        if self.disabled {
+            return;
+        }
         self.spans.push(SpanRecord {
             name: name.to_string(),
             device,
@@ -798,36 +659,45 @@ impl Recorder for MemRecorder {
         });
     }
 
-    fn event(&mut self, at: SimTime, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
+    /// Records a typed event. Only call from serial orchestrator code.
+    pub fn event(
+        &mut self,
+        at: SimTime,
+        name: &'static str,
+        fields: Vec<(&'static str, FieldValue)>,
+    ) {
+        if self.disabled {
+            return;
+        }
         self.events.push(EventRecord::new(at, name, fields));
     }
 
-    fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    fn trace(&mut self, rec: TraceRecord) {
+    /// Appends one causal trace record to the bounded sink, if tracing
+    /// is on.
+    pub fn trace(&mut self, rec: TraceRecord) {
         if let Some(sink) = &mut self.trace {
             sink.push(rec);
         }
     }
 
-    fn fork(&self) -> Box<dyn Recorder> {
-        Box::new(MemRecorder {
+    /// An empty recorder for a shard of `routing`'s sharded settle, on or
+    /// off like this one: counters, gauges, histograms and profile keys,
+    /// never a trace sink (that settle runs without one). Goes with the
+    /// sharded executor.
+    #[must_use]
+    pub fn fork(&self) -> MemRecorder {
+        MemRecorder {
+            disabled: self.disabled,
             profiling: self.profiling,
             ..MemRecorder::default()
-        })
+        }
     }
 
-    fn snapshot(&self) -> Box<dyn Recorder> {
-        Box::new(self.clone())
-    }
-
-    fn absorb(&mut self, child: Box<dyn Recorder>) {
-        let child = child
-            .into_any()
-            .downcast::<MemRecorder>()
-            .expect("absorb requires a recorder forked from MemRecorder");
+    /// Merges a shard's [`Self::fork`] back: counters add, gauges max,
+    /// histograms append, profile keys add — all order-independent, so
+    /// the merged counters equal a serial run's. Goes with the sharded
+    /// executor.
+    pub fn absorb(&mut self, child: MemRecorder) {
         for (name, v) in child.counters {
             *self.counters.entry(name).or_insert(0) += v;
         }
@@ -860,12 +730,69 @@ impl Recorder for MemRecorder {
         self.events.extend(child.events);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    /// Current value of a canonical counter (0 if never written).
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    /// Current value of a canonical gauge.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.gauges.get(name).copied()
+    }
+
+    /// Per-device values of a canonical gauge, keyed by device id.
+    #[must_use]
+    pub fn device_gauge(&self, name: &str) -> Option<&BTreeMap<u32, u64>> {
+        self.dev_gauges.get(name)
+    }
+
+    /// Builds the report skeleton from everything recorded so far. The
+    /// caller (the Emulation API) adds metadata and the journal section.
+    /// An off recorder's report is [`RunReport::disabled`].
+    #[must_use]
+    pub fn report(&self) -> RunReport {
+        let mut per_device = BTreeMap::new();
+        for (name, devs) in &self.dev_counters {
+            per_device.insert((*name).to_string(), devs.clone());
+        }
+        for (name, devs) in &self.dev_gauges {
+            per_device.insert((*name).to_string(), devs.clone());
+        }
+        let mut histograms = BTreeMap::new();
+        for (name, samples) in &self.histograms {
+            if let Some(summary) = HistogramSummary::from_samples(samples) {
+                histograms.insert((*name).to_string(), summary);
+            }
+        }
+        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+        for (name, v) in &self.counters {
+            counters.insert((*name).to_string(), *v);
+        }
+        for (name, v) in &self.gauges {
+            counters.insert((*name).to_string(), *v);
+        }
+        if let Some(sink) = &self.trace {
+            // Emit/retain/drop counts are world facts (each record is
+            // emitted exactly once), so they belong in the canonical
+            // section.
+            counters.insert("telemetry.trace_emitted".to_string(), sink.emitted());
+            counters.insert("telemetry.trace_retained".to_string(), sink.len() as u64);
+            counters.insert("telemetry.trace_dropped".to_string(), sink.dropped());
+        }
+        RunReport {
+            enabled: self.enabled(),
+            spans: self.spans.clone(),
+            counters,
+            per_device,
+            histograms,
+            events: self.events.clone(),
+            profile: self
+                .profiling_enabled()
+                .then(|| Profile::from_recorded(&self.profile)),
+            ..RunReport::default()
+        }
     }
 }
 
@@ -1140,15 +1067,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_recorder_is_disabled_and_silent() {
-        let mut r = NoopRecorder;
-        assert!(!r.enabled());
-        r.counter_add("x", 5);
+    fn off_recorder_is_disabled_and_silent() {
+        let mut r = MemRecorder::disabled().with_profiling();
+        assert!(!r.enabled() && !r.trace_enabled() && !r.profiling_enabled());
+        r.counter_add("c", 5);
+        r.gauge_max("g", 7);
+        r.device_counter_add("dc", 1, 3);
+        r.device_gauge_max("dg", 2, 4);
+        r.histogram_record("h", 1.0);
+        r.profile_add(profile::keys::MOCKUP, 10);
         r.span("mockup", None, SimTime(0), SimTime(10));
-        let forked = r.fork();
-        assert!(!forked.enabled());
-        r.absorb(forked);
+        r.event(SimTime(5), "e", vec![("n", FieldValue::U64(1))]);
+        r.trace(rec(5, 1, "t"));
+        assert_eq!((r.counter("c"), r.gauge("g")), (0, None));
+        assert!(r.device_gauge("dg").is_none() && r.trace_sink().is_none());
+        assert_eq!(r.report(), RunReport::disabled());
         assert!(MemRecorder::from_recorder(&r).is_none());
+        // A clone (an emulation fork's recorder) and a shard fork are off.
+        for copy in [r.clone(), r.fork()] {
+            assert!(!copy.enabled() && !copy.profiling_enabled());
+            assert!(MemRecorder::from_recorder(&copy).is_none());
+        }
+        let forked = r.fork();
+        r.absorb(forked);
+        assert_eq!(r.report(), RunReport::disabled());
     }
 
     #[test]
@@ -1165,8 +1107,11 @@ mod tests {
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.gauge("g"), Some(7));
-        assert_eq!(r.device_counter("dc").unwrap()[&1], 11);
         assert_eq!(r.device_gauge("dg").unwrap()[&2], 5);
+        let per_device = r.report().per_device;
+        assert_eq!(per_device["dc"][&1], 11);
+        assert_eq!(per_device["dg"][&2], 5);
+        assert!(MemRecorder::from_recorder(&r).is_some());
     }
 
     #[test]
@@ -1186,7 +1131,7 @@ mod tests {
             }
             let mut shards: Vec<Option<MemRecorder>> = shards.into_iter().map(Some).collect();
             for i in order {
-                root.absorb(Box::new(shards[i].take().unwrap()));
+                root.absorb(shards[i].take().unwrap());
             }
             root.report()
         };
@@ -1345,13 +1290,13 @@ mod tests {
             Some(7),
             vec![("prefix", FieldValue::Str("10.0.0.0/24".to_string()))],
         ));
-        let jsonl = sink.to_jsonl();
+        let jsonl = trace_jsonl(&sink.records());
         for line in jsonl.lines() {
             let _: Value = serde_json::from_str(line).expect("each JSONL line parses");
         }
         assert!(jsonl.contains("\"cause\""));
         assert!(!jsonl.contains("\"sub\""), "sub ordinal must not export");
-        let chrome = sink.to_chrome_json();
+        let chrome = trace_chrome_json(&sink.records());
         let parsed = serde_json::from_str(&chrome).expect("chrome trace parses");
         let Value::Object(obj) = parsed else {
             panic!("chrome trace must be an object")

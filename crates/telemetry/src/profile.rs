@@ -255,8 +255,6 @@ pub struct MemorySection {
     pub fork_cow: Option<CowStats>,
 }
 
-pub use crate::testutil::json_key_structure;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,23 +311,5 @@ mod tests {
             copied_bytes: 25,
         };
         assert!((c.sharing_ratio() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn key_structure_collapses_arrays_and_scalars() {
-        let v = Value::Object(vec![
-            ("a".to_string(), Value::Uint(1)),
-            (
-                "b".to_string(),
-                Value::Array(vec![Value::Uint(1), Value::Uint(2)]),
-            ),
-        ]);
-        let w = Value::Object(vec![
-            ("a".to_string(), Value::Str("different".to_string())),
-            ("b".to_string(), Value::Array(vec![])),
-        ]);
-        assert_eq!(json_key_structure(&v), json_key_structure(&w));
-        let x = Value::Object(vec![("a".to_string(), Value::Uint(1))]);
-        assert_ne!(json_key_structure(&v), json_key_structure(&x));
     }
 }

@@ -72,7 +72,7 @@ mod tests {
             ("y".to_string(), Value::Array(vec![Value::Uint(2)])),
         ]);
         let b = Value::Object(vec![
-            ("x".to_string(), Value::Uint(9)),
+            ("x".to_string(), Value::Str("different".to_string())),
             ("y".to_string(), Value::Array(vec![])),
         ]);
         assert_eq!(json_key_structure(&a), json_key_structure(&b));
