@@ -34,20 +34,23 @@
 //!   canonical export and only appear in [`RunReport::to_json_full`],
 //!   beside the wall-clock [`Profile`].
 
-use crystalnet_sim::metrics::percentile_f64;
-use crystalnet_sim::{EventId, SimDuration, SimTime};
+use crystalnet_sim::{SimDuration, SimTime};
 use serde::{Serialize, Value};
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, VecDeque};
 
 pub mod profile;
+mod recorder;
+mod report;
 pub mod testutil;
+mod trace;
 
 pub use profile::{
     CowStats, DeviceMem, DeviceMemTotals, InternerMem, MemorySection, Profile, ProfileEntry,
     QueueMem,
 };
+pub use recorder::MemRecorder;
+pub use report::{HistogramSummary, RunReport};
 pub use testutil::{assert_same_key_structure, json_deep_structure, json_key_structure};
+pub use trace::{trace_chrome_json, trace_jsonl, TraceRecord, TraceSink};
 
 /// A typed field value attached to an event or report metadata.
 ///
@@ -187,884 +190,10 @@ impl Serialize for EventRecord {
     }
 }
 
-/// Order-independent summary of a histogram's samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (linear interpolation).
-    pub p50: f64,
-    /// 99th percentile (linear interpolation).
-    pub p99: f64,
-}
-
-impl HistogramSummary {
-    /// Summarizes `samples`; sorts internally so the result is independent
-    /// of recording/merge order. Returns `None` if empty.
-    #[must_use]
-    pub fn from_samples(samples: &[f64]) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("histogram samples must not be NaN"));
-        let sum: f64 = sorted.iter().sum();
-        Some(HistogramSummary {
-            count: sorted.len(),
-            min: sorted[0],
-            max: *sorted.last().expect("non-empty"),
-            mean: sum / sorted.len() as f64,
-            p50: percentile_f64(&sorted, 50.0).expect("non-empty"),
-            p99: percentile_f64(&sorted, 99.0).expect("non-empty"),
-        })
-    }
-}
-
-impl Serialize for HistogramSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("count".to_string(), Value::Uint(self.count as u64)),
-            ("min".to_string(), Value::Float(self.min)),
-            ("max".to_string(), Value::Float(self.max)),
-            ("mean".to_string(), Value::Float(self.mean)),
-            ("p50".to_string(), Value::Float(self.p50)),
-            ("p99".to_string(), Value::Float(self.p99)),
-        ])
-    }
-}
-
-/// One causal trace record: something the emulated world did, stamped
-/// with the stable id of the event that did it and a link to the event
-/// that caused that one.
-///
-/// Records are device-scoped world facts (a frame delivered, a FIB entry
-/// installed, a link transition observed by an endpoint).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Virtual time of the record.
-    pub at: SimTime,
-    /// Stable id of the event this record was emitted under.
-    pub id: EventId,
-    /// Ordinal among records emitted under the same `(event id, device)`
-    /// pair. Assigned by the sink at push time (one device's records for
-    /// one event are pushed consecutively); used only as a sort tiebreak
-    /// and never exported.
-    pub sub: u32,
-    /// Id of the causal parent event, if known.
-    pub cause: Option<EventId>,
-    /// Record kind (`bgp_rx`, `fib_install`, `link_state`, ...).
-    pub name: &'static str,
-    /// Device scope, if the record belongs to one device.
-    pub device: Option<u32>,
-    /// Typed payload, in emission order.
-    pub fields: Vec<(&'static str, FieldValue)>,
-}
-
-impl TraceRecord {
-    /// Builds a record; `sub` starts at 0 and is reassigned by the sink.
-    #[must_use]
-    pub fn new(
-        at: SimTime,
-        id: EventId,
-        cause: Option<EventId>,
-        name: &'static str,
-        device: Option<u32>,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) -> Self {
-        TraceRecord {
-            at,
-            id,
-            sub: 0,
-            cause,
-            name,
-            device,
-            fields,
-        }
-    }
-
-    /// The deterministic global sort rank: `(time, event key, device,
-    /// ordinal)`. Device-less records sort before device-scoped ones
-    /// within the same event.
-    #[must_use]
-    pub fn rank(&self) -> (u64, u64, u64, u32) {
-        (
-            self.id.time_ns,
-            self.id.key,
-            self.device.map_or(0, |d| u64::from(d) + 1),
-            self.sub,
-        )
-    }
-
-    fn jsonl_value(&self) -> Value {
-        let mut obj = vec![
-            ("at_ns".to_string(), Value::Uint(self.at.as_nanos())),
-            ("id".to_string(), event_id_value(self.id)),
-            (
-                "cause".to_string(),
-                match self.cause {
-                    Some(c) => event_id_value(c),
-                    None => Value::Null,
-                },
-            ),
-            ("name".to_string(), Value::Str(self.name.to_string())),
-        ];
-        if let Some(dev) = self.device {
-            obj.push(("device".to_string(), Value::Uint(u64::from(dev))));
-        }
-        obj.push((
-            "fields".to_string(),
-            Value::Object(
-                self.fields
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), v.to_value()))
-                    .collect(),
-            ),
-        ));
-        Value::Object(obj)
-    }
-
-    fn chrome_value(&self) -> Value {
-        // Chrome trace-event format: an instant event ("ph": "i") with
-        // thread scope. `ts` is in microseconds; the exact nanosecond
-        // timestamp and the causal ids ride in `args` so nothing is lost
-        // to the unit conversion.
-        let mut args = vec![
-            ("time_ns".to_string(), Value::Uint(self.at.as_nanos())),
-            ("id_key".to_string(), Value::Uint(self.id.key)),
-        ];
-        if let Some(c) = self.cause {
-            args.push(("cause_time_ns".to_string(), Value::Uint(c.time_ns)));
-            args.push(("cause_key".to_string(), Value::Uint(c.key)));
-        }
-        for (k, v) in &self.fields {
-            args.push(((*k).to_string(), v.to_value()));
-        }
-        Value::Object(vec![
-            ("name".to_string(), Value::Str(self.name.to_string())),
-            ("ph".to_string(), Value::Str("i".to_string())),
-            ("s".to_string(), Value::Str("t".to_string())),
-            ("pid".to_string(), Value::Uint(1)),
-            (
-                "tid".to_string(),
-                Value::Uint(self.device.map_or(0, u64::from)),
-            ),
-            ("ts".to_string(), Value::Uint(self.at.as_nanos() / 1_000)),
-            ("args".to_string(), Value::Object(args)),
-        ])
-    }
-}
-
-fn event_id_value(id: EventId) -> Value {
-    Value::Object(vec![
-        ("time_ns".to_string(), Value::Uint(id.time_ns)),
-        ("key".to_string(), Value::Uint(id.key)),
-    ])
-}
-
-/// Renders records as stream-friendly JSONL: one object per line, in
-/// rank order if the caller sorted them (the sink does).
-#[must_use]
-pub fn trace_jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&serde_json::to_string(&r.jsonl_value()).expect("trace serialization"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders records as Chrome trace-event JSON (the `traceEvents` object
-/// form), loadable in Perfetto / `chrome://tracing`.
-#[must_use]
-pub fn trace_chrome_json(records: &[TraceRecord]) -> String {
-    let value = Value::Object(vec![
-        (
-            "traceEvents".to_string(),
-            Value::Array(records.iter().map(TraceRecord::chrome_value).collect()),
-        ),
-        ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-    ]);
-    let mut s = serde_json::to_string_pretty(&value).expect("trace serialization");
-    s.push('\n');
-    s
-}
-
-/// A bounded ring buffer of [`TraceRecord`]s.
-///
-/// Keeps the **newest** `capacity` records; older records are dropped and
-/// counted (`emitted − retained`). Exports sort the retained records by
-/// [`TraceRecord::rank`].
-#[derive(Debug, Clone)]
-pub struct TraceSink {
-    capacity: usize,
-    records: VecDeque<TraceRecord>,
-    emitted: u64,
-    last_id: EventId,
-    last_dev: Option<u32>,
-    last_sub: u32,
-}
-
-impl TraceSink {
-    /// An empty sink bounded to `capacity` records.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        TraceSink {
-            capacity,
-            records: VecDeque::new(),
-            emitted: 0,
-            last_id: EventId::ZERO,
-            last_dev: None,
-            last_sub: 0,
-        }
-    }
-
-    /// Number of records currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total records ever pushed (including dropped ones).
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Records dropped to stay within the bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.emitted - self.records.len() as u64
-    }
-
-    /// Appends a record, assigning its `sub` ordinal and evicting the
-    /// oldest record if the sink is full.
-    pub fn push(&mut self, mut rec: TraceRecord) {
-        if rec.id == self.last_id && rec.device == self.last_dev {
-            self.last_sub += 1;
-        } else {
-            self.last_id = rec.id;
-            self.last_dev = rec.device;
-            self.last_sub = 0;
-        }
-        rec.sub = self.last_sub;
-        self.emitted += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Retained records in [`TraceRecord::rank`] order.
-    #[must_use]
-    pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out: Vec<TraceRecord> = self.records.iter().cloned().collect();
-        out.sort_by_key(TraceRecord::rank);
-        out
-    }
-}
-
-/// The recorder: instrumented code emits through it and readers read it.
-///
-/// A recorder is on or off. An on recorder stores everything, in
-/// `BTreeMap`s so export order is a function of the keys alone, never of
-/// insertion order. An off recorder ([`MemRecorder::disabled`]) stores
-/// nothing: every emitting method returns at its first branch, and
-/// [`enabled`](Self::enabled), [`trace_enabled`](Self::trace_enabled) and
-/// [`profiling_enabled`](Self::profiling_enabled) all report `false`, so
-/// hot paths can skip preparing emission arguments behind one of them.
-///
-/// Emissions (`counter_add`, `gauge_max`, the per-device variants,
-/// `histogram_record`) must describe the emulated world; wall-clock time
-/// goes through `profile_add` and never reaches the canonical report.
-#[derive(Debug, Clone, Default)]
-pub struct MemRecorder {
-    /// Off: nothing is stored. Only [`MemRecorder::disabled`] sets it, and
-    /// it builds no trace sink, so an off recorder never traces.
-    disabled: bool,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    dev_counters: BTreeMap<&'static str, BTreeMap<u32, u64>>,
-    dev_gauges: BTreeMap<&'static str, BTreeMap<u32, u64>>,
-    histograms: BTreeMap<&'static str, Vec<f64>>,
-    spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
-    trace: Option<TraceSink>,
-    profiling: bool,
-    profile: BTreeMap<&'static str, (u64, u64)>,
-}
-
-impl MemRecorder {
-    /// An empty recorder that is on, with causal tracing off.
-    #[must_use]
-    pub fn new() -> Self {
-        MemRecorder::default()
-    }
-
-    /// The recorder that is off: it stores nothing and reports nothing
-    /// enabled. Clones and shard forks of it are off too.
-    #[must_use]
-    pub fn disabled() -> Self {
-        MemRecorder {
-            disabled: true,
-            ..MemRecorder::default()
-        }
-    }
-
-    /// An empty recorder that is on, with a bounded causal-trace sink.
-    /// `capacity == 0` leaves tracing off.
-    #[must_use]
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        MemRecorder {
-            trace: (capacity > 0).then(|| TraceSink::new(capacity)),
-            ..MemRecorder::default()
-        }
-    }
-
-    /// Turns wall-clock profiling on (builder-style) for a recorder that
-    /// is on. Profiled runs emit a [`Profile`] section in the full export.
-    #[must_use]
-    pub fn with_profiling(mut self) -> Self {
-        self.profiling = true;
-        self
-    }
-
-    /// `Some` of the recorder when it is on, `None` when it is off. Takes
-    /// the recorder or the box `ControlPlaneWorld::recorder` holds it in.
-    #[must_use]
-    pub fn from_recorder<R: Borrow<MemRecorder> + ?Sized>(r: &R) -> Option<&MemRecorder> {
-        let r = r.borrow();
-        r.enabled().then_some(r)
-    }
-
-    /// Whether emissions are stored. Callers may skip preparing emission
-    /// arguments when this is `false`.
-    #[inline]
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        !self.disabled
-    }
-
-    /// Whether causal trace records are stored. Like [`Self::enabled`]
-    /// this gates argument preparation: emitting a trace record means
-    /// formatting fields, so hot paths must check first.
-    #[inline]
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Whether wall-clock profiling is on. Instrumentation sites gate
-    /// every `Instant::now()` pair behind this so a profiling-off run
-    /// pays nothing but the branch.
-    #[inline]
-    #[must_use]
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiling && !self.disabled
-    }
-
-    /// The causal-trace sink, if tracing is on.
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
-    }
-
-    /// Adds `v` to the named canonical counter.
-    pub fn counter_add(&mut self, name: &'static str, v: u64) {
-        if self.disabled {
-            return;
-        }
-        *self.counters.entry(name).or_insert(0) += v;
-    }
-
-    /// Raises the named canonical gauge to at least `v`.
-    pub fn gauge_max(&mut self, name: &'static str, v: u64) {
-        if self.disabled {
-            return;
-        }
-        let g = self.gauges.entry(name).or_insert(0);
-        *g = (*g).max(v);
-    }
-
-    /// Adds `v` to a per-device canonical counter.
-    pub fn device_counter_add(&mut self, name: &'static str, device: u32, v: u64) {
-        if self.disabled {
-            return;
-        }
-        *self
-            .dev_counters
-            .entry(name)
-            .or_default()
-            .entry(device)
-            .or_insert(0) += v;
-    }
-
-    /// Raises a per-device canonical gauge to at least `v`.
-    pub fn device_gauge_max(&mut self, name: &'static str, device: u32, v: u64) {
-        if self.disabled {
-            return;
-        }
-        let g = self
-            .dev_gauges
-            .entry(name)
-            .or_default()
-            .entry(device)
-            .or_insert(0);
-        *g = (*g).max(v);
-    }
-
-    /// Records one sample into the named histogram.
-    pub fn histogram_record(&mut self, name: &'static str, v: f64) {
-        if self.disabled {
-            return;
-        }
-        self.histograms.entry(name).or_default().push(v);
-    }
-
-    /// Adds `wall_ns` of wall-clock time under a [`profile::keys`] key.
-    /// Only meaningful when [`Self::profiling_enabled`] is true.
-    pub fn profile_add(&mut self, key: &'static str, wall_ns: u64) {
-        if self.disabled {
-            return;
-        }
-        let e = self.profile.entry(key).or_insert((0, 0));
-        e.0 += wall_ns;
-        e.1 += 1;
-    }
-
-    /// Records a completed span. Only call from serial orchestrator code.
-    pub fn span(&mut self, name: &'static str, device: Option<u32>, start: SimTime, end: SimTime) {
-        if self.disabled {
-            return;
-        }
-        self.spans.push(SpanRecord {
-            name: name.to_string(),
-            device,
-            start,
-            end,
-        });
-    }
-
-    /// Records a typed event. Only call from serial orchestrator code.
-    pub fn event(
-        &mut self,
-        at: SimTime,
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) {
-        if self.disabled {
-            return;
-        }
-        self.events.push(EventRecord::new(at, name, fields));
-    }
-
-    /// Appends one causal trace record to the bounded sink, if tracing
-    /// is on.
-    pub fn trace(&mut self, rec: TraceRecord) {
-        if let Some(sink) = &mut self.trace {
-            sink.push(rec);
-        }
-    }
-
-    /// An empty recorder for a shard of `routing`'s sharded settle, on or
-    /// off like this one: counters, gauges, histograms and profile keys,
-    /// never a trace sink (that settle runs without one). Goes with the
-    /// sharded executor.
-    #[must_use]
-    pub fn fork(&self) -> MemRecorder {
-        MemRecorder {
-            disabled: self.disabled,
-            profiling: self.profiling,
-            ..MemRecorder::default()
-        }
-    }
-
-    /// Merges a shard's [`Self::fork`] back: counters add, gauges max,
-    /// histograms append, profile keys add — all order-independent, so
-    /// the merged counters equal a serial run's. Goes with the sharded
-    /// executor.
-    pub fn absorb(&mut self, child: MemRecorder) {
-        for (name, v) in child.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in child.gauges {
-            let g = self.gauges.entry(name).or_insert(0);
-            *g = (*g).max(v);
-        }
-        for (name, devs) in child.dev_counters {
-            let mine = self.dev_counters.entry(name).or_default();
-            for (dev, v) in devs {
-                *mine.entry(dev).or_insert(0) += v;
-            }
-        }
-        for (name, devs) in child.dev_gauges {
-            let mine = self.dev_gauges.entry(name).or_default();
-            for (dev, v) in devs {
-                let g = mine.entry(dev).or_insert(0);
-                *g = (*g).max(v);
-            }
-        }
-        for (name, samples) in child.histograms {
-            self.histograms.entry(name).or_default().extend(samples);
-        }
-        for (key, (wall, count)) in child.profile {
-            let e = self.profile.entry(key).or_insert((0, 0));
-            e.0 += wall;
-            e.1 += count;
-        }
-        self.spans.extend(child.spans);
-        self.events.extend(child.events);
-    }
-
-    /// Current value of a canonical counter (0 if never written).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a canonical gauge.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Per-device values of a canonical gauge, keyed by device id.
-    #[must_use]
-    pub fn device_gauge(&self, name: &str) -> Option<&BTreeMap<u32, u64>> {
-        self.dev_gauges.get(name)
-    }
-
-    /// Builds the report skeleton from everything recorded so far. The
-    /// caller (the Emulation API) adds metadata and the journal section.
-    /// An off recorder's report is [`RunReport::disabled`].
-    #[must_use]
-    pub fn report(&self) -> RunReport {
-        let mut per_device = BTreeMap::new();
-        for (name, devs) in &self.dev_counters {
-            per_device.insert((*name).to_string(), devs.clone());
-        }
-        for (name, devs) in &self.dev_gauges {
-            per_device.insert((*name).to_string(), devs.clone());
-        }
-        let mut histograms = BTreeMap::new();
-        for (name, samples) in &self.histograms {
-            if let Some(summary) = HistogramSummary::from_samples(samples) {
-                histograms.insert((*name).to_string(), summary);
-            }
-        }
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        for (name, v) in &self.counters {
-            counters.insert((*name).to_string(), *v);
-        }
-        for (name, v) in &self.gauges {
-            counters.insert((*name).to_string(), *v);
-        }
-        if let Some(sink) = &self.trace {
-            // Emit/retain/drop counts are world facts (each record is
-            // emitted exactly once), so they belong in the canonical
-            // section.
-            counters.insert("telemetry.trace_emitted".to_string(), sink.emitted());
-            counters.insert("telemetry.trace_retained".to_string(), sink.len() as u64);
-            counters.insert("telemetry.trace_dropped".to_string(), sink.dropped());
-        }
-        RunReport {
-            enabled: self.enabled(),
-            spans: self.spans.clone(),
-            counters,
-            per_device,
-            histograms,
-            events: self.events.clone(),
-            profile: self
-                .profiling_enabled()
-                .then(|| Profile::from_recorded(&self.profile)),
-            ..RunReport::default()
-        }
-    }
-}
-
-/// The exportable snapshot of everything observed during a run.
-///
-/// Returned by the Emulation API's `pull_report()`. The canonical export
-/// ([`RunReport::to_json`]) is bit-identical across repetitions for the
-/// same seed; [`RunReport::to_json_full`] appends the
-/// execution-dependent sections on top.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunReport {
-    /// Whether telemetry was enabled for this run. Disabled runs export an
-    /// empty (but schema-complete) report.
-    pub enabled: bool,
-    /// Run metadata (seed, device/VM counts, convergence parameters), in
-    /// insertion order. Must not contain execution-dependent values such
-    /// as worker counts or wall-clock times.
-    pub meta: Vec<(String, FieldValue)>,
-    /// Completed spans in emission order.
-    pub spans: Vec<SpanRecord>,
-    /// Canonical counters and gauges, merged and key-sorted.
-    pub counters: BTreeMap<String, u64>,
-    /// Per-device canonical metrics, keyed by metric name then device id.
-    pub per_device: BTreeMap<String, BTreeMap<u32, u64>>,
-    /// Histogram summaries, key-sorted.
-    pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Typed events in emission order.
-    pub events: Vec<EventRecord>,
-    /// The recovery journal rendered as typed events, time-sorted.
-    pub journal: Vec<EventRecord>,
-    /// Execution-dependent metrics — excluded from the canonical export.
-    pub diagnostics: BTreeMap<String, u64>,
-    /// Wall-clock profile; `Some` when the run had profiling enabled.
-    /// Exported only by [`RunReport::to_json_full`].
-    pub profile: Option<Profile>,
-    /// Memory accounting; `Some` when profiling was enabled. Exported
-    /// only by [`RunReport::to_json_full`].
-    pub memory: Option<MemorySection>,
-}
-
-impl RunReport {
-    /// The empty report a telemetry-disabled run returns.
-    #[must_use]
-    pub fn disabled() -> Self {
-        RunReport::default()
-    }
-
-    /// Whether anything was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.per_device.is_empty()
-            && self.histograms.is_empty()
-            && self.events.is_empty()
-            && self.journal.is_empty()
-    }
-
-    /// Appends one metadata entry (builder-style).
-    #[must_use]
-    pub fn with_meta(mut self, key: &str, value: FieldValue) -> Self {
-        self.meta.push((key.to_string(), value));
-        self
-    }
-
-    fn canonical_value(&self) -> Value {
-        Value::Object(vec![
-            ("enabled".to_string(), Value::Bool(self.enabled)),
-            (
-                "meta".to_string(),
-                Value::Object(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_value()))
-                        .collect(),
-                ),
-            ),
-            (
-                "spans".to_string(),
-                Value::Array(self.spans.iter().map(Serialize::to_value).collect()),
-            ),
-            (
-                "counters".to_string(),
-                Value::Object(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Uint(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "per_device".to_string(),
-                Value::Object(
-                    self.per_device
-                        .iter()
-                        .map(|(k, devs)| {
-                            (
-                                k.clone(),
-                                Value::Object(
-                                    devs.iter()
-                                        .map(|(dev, v)| (dev.to_string(), Value::Uint(*v)))
-                                        .collect(),
-                                ),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms".to_string(),
-                Value::Object(
-                    self.histograms
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_value()))
-                        .collect(),
-                ),
-            ),
-            (
-                "events".to_string(),
-                Value::Array(self.events.iter().map(Serialize::to_value).collect()),
-            ),
-            (
-                "journal".to_string(),
-                Value::Array(self.journal.iter().map(Serialize::to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Canonical JSON export: bit-identical across reps for the same
-    /// seed. Ends with a newline (artifact-friendly).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(&self.canonical_value())
-            .expect("report serialization is infallible");
-        s.push('\n');
-        s
-    }
-
-    /// Full JSON export: the canonical sections plus the
-    /// execution-dependent `diagnostics` section and — when profiling was
-    /// on — the `profile` and `memory` sections. Not stable run to run —
-    /// for humans and perf investigations, never for diffing.
-    #[must_use]
-    pub fn to_json_full(&self) -> String {
-        let Value::Object(mut obj) = self.canonical_value() else {
-            unreachable!("canonical report is always an object");
-        };
-        obj.push(("diagnostics".to_string(), self.diagnostics.to_value()));
-        if let Some(profile) = &self.profile {
-            obj.push(("profile".to_string(), profile.to_value()));
-        }
-        if let Some(memory) = &self.memory {
-            obj.push(("memory".to_string(), memory.to_value()));
-        }
-        let mut s = serde_json::to_string_pretty(&Value::Object(obj))
-            .expect("report serialization is infallible");
-        s.push('\n');
-        s
-    }
-
-    /// Human-readable table summary for terminals.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if !self.enabled {
-            out.push_str("run report: telemetry disabled\n");
-            return out;
-        }
-        out.push_str("run report\n");
-        if !self.meta.is_empty() {
-            let line = self
-                .meta
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join("  ");
-            let _ = writeln!(out, "  {line}");
-        }
-        if !self.spans.is_empty() {
-            out.push_str("  spans:\n");
-            for s in &self.spans {
-                let scope = match s.device {
-                    Some(dev) => format!("{}[{dev}]", s.name),
-                    None => s.name.clone(),
-                };
-                let _ = writeln!(
-                    out,
-                    "    {scope:<24} {start} .. {end}  ({dur})",
-                    start = s.start,
-                    end = s.end,
-                    dur = s.duration()
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("  counters:\n");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "    {name:<40} {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("  histograms:\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "    {name:<40} n={} p50={:.0} p99={:.0} max={:.0}",
-                    h.count, h.p50, h.p99, h.max
-                );
-            }
-        }
-        let _ = writeln!(out, "  journal: {} event(s)", self.journal.len());
-        if !self.diagnostics.is_empty() {
-            out.push_str("  diagnostics (execution-dependent, non-canonical):\n");
-            for (name, v) in &self.diagnostics {
-                let _ = writeln!(out, "    {name:<40} {v}");
-            }
-        }
-        if let Some(profile) = &self.profile {
-            out.push_str("  profile (wall-clock, non-canonical):\n");
-            for (name, e) in &profile.entries {
-                if e.count > 0 {
-                    let _ = writeln!(
-                        out,
-                        "    {name:<40} {:>10.3}ms self {:>10.3}ms  n={}",
-                        e.wall_ns as f64 / 1e6,
-                        e.self_ns as f64 / 1e6,
-                        e.count
-                    );
-                }
-            }
-        }
-        if let Some(memory) = &self.memory {
-            let d = &memory.devices;
-            let _ = writeln!(
-                out,
-                "  memory: {} device(s), rib {:.1} KiB ({} entries), \
-                 fib {:.1} KiB ({} prefixes), interner {:.1} KiB, \
-                 queue residue {:.1} KiB ({} events)",
-                d.devices,
-                d.rib_bytes as f64 / 1024.0,
-                d.rib_entries,
-                d.fib_bytes as f64 / 1024.0,
-                d.fib_prefixes,
-                memory.interner.table_bytes as f64 / 1024.0,
-                memory.event_queue.residue_bytes as f64 / 1024.0,
-                memory.event_queue.pending_events,
-            );
-            if let Some(cow) = &memory.fork_cow {
-                let _ = writeln!(
-                    out,
-                    "  fork_cow: shared {:.1} KiB / copied {:.1} KiB \
-                     ({:.0}% shared)",
-                    cow.shared_bytes as f64 / 1024.0,
-                    cow.copied_bytes as f64 / 1024.0,
-                    cow.sharing_ratio() * 100.0,
-                );
-            }
-        }
-        out
-    }
-}
-
-impl Serialize for RunReport {
-    fn to_value(&self) -> Value {
-        self.canonical_value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crystalnet_sim::EventId;
 
     #[test]
     fn off_recorder_is_disabled_and_silent() {
