@@ -439,7 +439,11 @@ impl Emulation {
     /// fixed seed.
     #[must_use]
     pub fn pull_trace(&self) -> Vec<TraceRecord> {
-        let mut recs: Vec<TraceRecord> = (self.sim.engine.world.recorder)
+        let mut recs: Vec<TraceRecord> = self
+            .sim
+            .engine
+            .world
+            .recorder
             .trace_sink()
             .map(TraceSink::records)
             .unwrap_or_default();
