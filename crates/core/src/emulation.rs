@@ -28,7 +28,7 @@ use crate::prepare::PrepareOutput;
 pub use crate::work::VmWorkModel;
 use crystalnet_config::DeviceConfig;
 use crystalnet_dataplane::TraceStore;
-use crystalnet_net::{DeviceId, Ipv4Addr, Topology};
+use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Topology};
 use crystalnet_routing::{BgpRouterOs, ControlPlaneSim};
 use crystalnet_sim::{SimDuration, SimRng, SimTime};
 use crystalnet_telemetry::profile::keys as profile_keys;
@@ -113,6 +113,9 @@ pub struct Emulation {
     /// set or a tool run (`measure_step` is the only writer).
     pub(crate) change_log: Vec<(SimTime, String)>,
     pub(crate) next_signature: u16,
+    /// Loopback → device over `topo` (`inspect::loopback_index`), built
+    /// at mockup and shared with every fork.
+    pub(crate) loopbacks: Arc<IdMap<Ipv4Addr, DeviceId>>,
 }
 
 /// Builds and converges an emulation from a prepare artifact.
@@ -175,6 +178,7 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
         emulated_now: prep.emulated.clone(),
         change_log: Vec::new(),
         next_signature: 1,
+        loopbacks: Arc::new(crate::inspect::loopback_index(&topo)),
         prep: Arc::clone(&prep),
     };
 
@@ -485,6 +489,7 @@ impl Emulation {
             emulated_now: self.emulated_now.clone(),
             change_log: self.change_log.clone(),
             next_signature: self.next_signature,
+            loopbacks: Arc::clone(&self.loopbacks),
         };
         if let Some(t0) = t_fork {
             child

@@ -10,7 +10,7 @@ use crate::metrics::JournalEvent;
 use bytes::Bytes;
 use crystalnet_config::DeviceConfig;
 use crystalnet_dataplane::{FibEntry, ForwardDecision, Ipv4Packet, NextHop, Signature, TraceEvent};
-use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, Topology};
 use crystalnet_routing::{DeviceOs, MgmtCommand, MgmtResponse};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use crystalnet_telemetry::{
@@ -61,6 +61,17 @@ pub(crate) fn add_device_mem(
         rib_bytes,
         fib_bytes,
     }
+}
+
+/// Loopback → device over `topo`, built once per emulation for
+/// [`Emulation::explain_route`]'s hostname lookups. When two devices share
+/// a loopback the lower id wins, as a scan in id order would find it.
+pub(crate) fn loopback_index(topo: &Topology) -> IdMap<Ipv4Addr, DeviceId> {
+    let mut index = IdMap::default();
+    for (id, dev) in topo.devices() {
+        index.entry(dev.loopback).or_insert(id);
+    }
+    index
 }
 
 impl Emulation {
@@ -351,7 +362,7 @@ impl Emulation {
             let prov = hop
                 .os
                 .zip(hop.matched)
-                .and_then(|(os, prefix)| Some(os.route_detail(prefix)?.prov.digest()));
+                .and_then(|(os, prefix)| os.prov_digest(prefix));
             self.traces.capture(
                 &pkt,
                 TraceEvent {
@@ -424,10 +435,8 @@ impl Emulation {
 
     /// Resolves a router loopback back to its production hostname.
     fn hostname_of_loopback(&self, loopback: Ipv4Addr) -> Option<String> {
-        (0..self.topo.device_count() as u32)
-            .map(DeviceId)
-            .find(|&d| self.topo.device(d).loopback == loopback)
-            .map(|d| self.topo.device(d).name.clone())
+        let dev = *self.loopbacks.get(&loopback)?;
+        Some(self.topo.device(dev).name.clone())
     }
 
     /// `PullTrace`: the merged deterministic causal trace — control-plane
@@ -559,4 +568,35 @@ pub struct DeviceState {
     pub fib_prefixes: usize,
     /// FIB entries counting ECMP members (Table 3's unit).
     pub fib_route_entries: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crystalnet_net::fixtures::fig7;
+
+    #[test]
+    fn a_shared_loopback_resolves_to_the_first_device() {
+        let mut topo = fig7().topo;
+        let (first, second, third) = (DeviceId(1), DeviceId(2), DeviceId(4));
+        let shared = topo.device(first).loopback;
+        let orphaned = topo.device(third).loopback;
+        topo.device_mut(third).loopback = shared;
+        // Lower ids win whatever order the collisions were made in.
+        let lb2 = topo.device(second).loopback;
+        topo.device_mut(DeviceId(0)).loopback = lb2;
+
+        let index = loopback_index(&topo);
+        assert_eq!(index.get(&shared), Some(&first));
+        assert_eq!(index.get(&lb2), Some(&DeviceId(0)));
+        assert_eq!(index.get(&orphaned), None);
+        for (id, dev) in topo.devices() {
+            let scan = topo.devices().find(|(_, d)| d.loopback == dev.loopback);
+            assert_eq!(
+                index.get(&dev.loopback),
+                scan.map(|(d, _)| d).as_ref(),
+                "{id}"
+            );
+        }
+    }
 }

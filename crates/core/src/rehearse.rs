@@ -600,7 +600,6 @@ pub(crate) fn diff_devices(
     before: &OsHandles,
     now: &ControlPlaneSim,
 ) -> BTreeMap<DeviceId, Vec<FibChange>> {
-    let digest = |os: &dyn DeviceOs, prefix| os.route_detail(prefix).map(|rd| rd.prov.digest());
     let mut out = BTreeMap::new();
     for (&dev, old) in before {
         let new = now.os_handle(dev);
@@ -614,13 +613,13 @@ pub(crate) fn diff_devices(
                     prefix,
                     kind: FibChangeKind::Removed,
                     next_hops: Vec::new(),
-                    prov_digest: digest(&**old, prefix),
+                    prov_digest: old.prov_digest(prefix),
                 }),
                 Some(new_entry) if new_entry != entry => changes.push(FibChange {
                     prefix,
                     kind: FibChangeKind::Modified,
                     next_hops: new_entry.next_hops.clone(),
-                    prov_digest: new.and_then(|os| digest(&**os, prefix)),
+                    prov_digest: new.and_then(|os| os.prov_digest(prefix)),
                 }),
                 Some(_) => {}
             }
@@ -632,7 +631,7 @@ pub(crate) fn diff_devices(
                         prefix,
                         kind: FibChangeKind::Added,
                         next_hops: entry.next_hops.clone(),
-                        prov_digest: digest(&**os, prefix),
+                        prov_digest: os.prov_digest(prefix),
                     });
                 }
             }

@@ -37,6 +37,11 @@ pub struct TraceEvent {
     pub prov: Option<u64>,
 }
 
+/// The order a signature's captures are read in: hop, then capture time.
+fn order(e: &TraceEvent) -> (u32, u64) {
+    (e.hop, e.at_nanos)
+}
+
 /// The per-signature trace store each PhyNet container contributes to.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TraceStore {
@@ -86,20 +91,31 @@ impl TraceStore {
     }
 
     /// The device-by-device path a signature's packet took, ordered by hop
-    /// then capture time.
+    /// then capture time (a stable order: equal keys keep capture order).
+    /// Captures recorded in walk order, as `InjectPackets` records them,
+    /// are read in place; only out-of-order captures (merged from several
+    /// devices) are sorted.
     #[must_use]
     pub fn path(&self, sig: Signature) -> Vec<DeviceId> {
-        let mut events: Vec<&TraceEvent> = self.events(sig).iter().collect();
-        events.sort_by_key(|e| (e.hop, e.at_nanos));
-        events.iter().map(|e| e.device).collect()
+        let events = self.events(sig);
+        if events.windows(2).all(|w| order(&w[0]) <= order(&w[1])) {
+            return events.iter().map(|e| e.device).collect();
+        }
+        let mut sorted: Vec<&TraceEvent> = events.iter().collect();
+        sorted.sort_by_key(|e| order(e));
+        sorted.iter().map(|e| e.device).collect()
     }
 
-    /// The terminal fate of a signature's packet, if captured.
+    /// The terminal fate of a signature's packet, if captured: the
+    /// decision of the last capture in [`Self::path`]'s order.
     #[must_use]
     pub fn outcome(&self, sig: Signature) -> Option<ForwardDecision> {
-        let mut events: Vec<&TraceEvent> = self.events(sig).iter().collect();
-        events.sort_by_key(|e| (e.hop, e.at_nanos));
-        events.last().map(|e| e.decision)
+        // `max_by_key` returns the last of equal maxima, the one a stable
+        // sort puts last.
+        self.events(sig)
+            .iter()
+            .max_by_key(|e| order(e))
+            .map(|e| e.decision)
     }
 
     /// Per-device capture counters for a signature (traffic distribution —

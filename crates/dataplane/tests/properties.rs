@@ -1,5 +1,6 @@
 //! Property tests: the FIB agrees with a naive oracle; packet encodings
-//! round-trip for arbitrary contents.
+//! round-trip for arbitrary contents; a trace's path and fate equal a
+//! stable sort of its captures.
 
 use bytes::Bytes;
 use crystalnet_dataplane::{
@@ -9,12 +10,16 @@ use crystalnet_dataplane::{
     EthernetFrame,
     Fib,
     FibEntry,
+    ForwardDecision,
     Ipv4Packet,
     NextHop,
+    Signature,
+    TraceEvent,
+    TraceStore,
     UdpDatagram,
     VxlanPacket, //
 };
-use crystalnet_net::{Ipv4Addr, Ipv4Prefix, MacAddr};
+use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, MacAddr};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
@@ -162,5 +167,53 @@ proptest! {
 
         let udp = UdpDatagram { src_port: 1, dst_port: 4789, payload: vx.encode() };
         prop_assert_eq!(&UdpDatagram::decode(udp.encode()).unwrap(), &udp);
+    }
+
+    /// `PullPackets`' path and fate equal a stable sort of the captures
+    /// by (hop, time), whether they arrive in order (read in place) or
+    /// shuffled, ties included.
+    #[test]
+    fn trace_path_and_outcome_equal_a_stable_sort(
+        captures in prop::collection::vec((0u32..4, 0u64..4, 0u32..1000, 0u8..3), 0..12),
+        in_order in any::<bool>(),
+    ) {
+        let mut events: Vec<TraceEvent> = captures
+            .into_iter()
+            .map(|(hop, at_nanos, device, fate)| TraceEvent {
+                at_nanos,
+                device: DeviceId(device),
+                ingress: None,
+                decision: [
+                    ForwardDecision::Deliver,
+                    ForwardDecision::DropNoRoute,
+                    ForwardDecision::DropAcl,
+                ][usize::from(fate)],
+                hop,
+                prov: None,
+            })
+            .collect();
+        if in_order {
+            events.sort_by_key(|e| (e.hop, e.at_nanos));
+        }
+        let sig = Signature(5);
+        let pkt = Ipv4Packet {
+            src: Ipv4Addr(1),
+            dst: Ipv4Addr(2),
+            protocol: 17,
+            ttl: 64,
+            identification: sig.0,
+            payload: Bytes::new(),
+        };
+        let mut store = TraceStore::new();
+        for e in &events {
+            store.capture(&pkt, e.clone());
+        }
+        let mut reference: Vec<&TraceEvent> = events.iter().collect();
+        reference.sort_by_key(|e| (e.hop, e.at_nanos));
+        prop_assert_eq!(
+            store.path(sig),
+            reference.iter().map(|e| e.device).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(store.outcome(sig), reference.last().map(|e| e.decision));
     }
 }

@@ -1316,6 +1316,10 @@ impl DeviceOs for BgpRouterOs {
         })
     }
 
+    fn prov_digest(&self, prefix: Ipv4Prefix) -> Option<u64> {
+        self.loc_rib.get(&prefix).map(|e| e.prov.digest())
+    }
+
     fn routes_with_detail(&self) -> Vec<(Ipv4Prefix, RouteDetail)> {
         let mut rows: Vec<(Ipv4Prefix, RouteDetail)> = self
             .loc_rib

@@ -143,9 +143,11 @@ impl ControlPlaneWorld {
         self.oses[dev.index()].as_mut().map(unshared)
     }
 
-    /// The OS on `dev`, when the device booted and is still up.
+    /// The OS on `dev`, when the device booted and is still up. An id
+    /// outside the topology has none.
     pub(crate) fn live_os(&self, dev: DeviceId) -> Option<&dyn DeviceOs> {
-        self.oses[dev.index()]
+        self.oses
+            .get(dev.index())?
             .as_deref()
             .filter(|os| self.booted[dev.index()] && !os.is_down())
     }

@@ -209,6 +209,15 @@ pub trait DeviceOs: Send + Sync {
         None
     }
 
+    /// The [`Provenance::digest`](crate::provenance::Provenance::digest)
+    /// of one installed prefix's chain: what a packet hop, a FIB diff
+    /// entry or a blackhole witness carries. Default: through
+    /// [`DeviceOs::route_detail`]; an OS that keeps the chain in its RIB
+    /// reads it in place instead.
+    fn prov_digest(&self, prefix: Ipv4Prefix) -> Option<u64> {
+        self.route_detail(prefix).map(|d| d.prov.digest())
+    }
+
     /// [`DeviceOs::route_detail`] for every installed prefix, sorted by
     /// prefix. Default: empty.
     fn routes_with_detail(&self) -> Vec<(Ipv4Prefix, RouteDetail)> {

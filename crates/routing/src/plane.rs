@@ -344,7 +344,7 @@ fn resolve(world: &ControlPlaneWorld, plane: Plane, walk: &Walk) -> Resolved {
                 device: dev,
                 hop: walk.hop,
                 prefix: Some(prefix),
-                prov_digest: os.route_detail(prefix).map(|d| d.prov.digest()),
+                prov_digest: os.prov_digest(prefix),
             }))
         }
         (Plane::Probe, HopStep::End(ProbeOutcome::TtlExpired), ..) => {

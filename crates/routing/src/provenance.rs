@@ -18,6 +18,7 @@ use crate::intern::Interner;
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::EventId;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What kind of origination started a route's causal chain.
@@ -62,7 +63,7 @@ pub struct ProvHop {
 /// the origination, and the last hop is the neighbor that announced the
 /// route to the holder. A directly learned route has a single hop; a
 /// locally originated route has none.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Provenance {
     /// How the chain started.
     pub origin_kind: OriginKind,
@@ -74,6 +75,50 @@ pub struct Provenance {
     pub origin_event: EventId,
     /// Propagation chain, origin-first.
     pub hops: Vec<ProvHop>,
+    /// [`Provenance::digest`], filled on first read. Not part of the
+    /// value: equality, hashing and serde ignore it.
+    #[serde(skip)]
+    digest: DigestCell,
+}
+
+/// A lazily filled `u64` cache that every comparison treats as equal and
+/// hashing skips, so it never changes which chains intern together. 0
+/// means "not computed yet" (a chain whose digest really is 0 is simply
+/// recomputed). Eight bytes, not a `OnceLock<u64>`'s sixteen: the
+/// interned `Arc` then stays in the allocator size class the chain
+/// already used.
+#[derive(Default)]
+struct DigestCell(AtomicU64);
+
+impl Clone for DigestCell {
+    /// A clone starts empty: a cloned chain may be edited before it is
+    /// read, and a copied digest would then be stale.
+    fn clone(&self) -> Self {
+        DigestCell::default()
+    }
+}
+
+impl PartialEq for DigestCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DigestCell {}
+
+impl std::hash::Hash for DigestCell {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+}
+
+impl std::fmt::Debug for Provenance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Provenance")
+            .field("origin_kind", &self.origin_kind)
+            .field("origin_router", &self.origin_router)
+            .field("origin_event", &self.origin_event)
+            .field("hops", &self.hops)
+            .finish()
+    }
 }
 
 static INTERNER: Interner<Provenance> = Interner::new();
@@ -87,6 +132,7 @@ impl Provenance {
             origin_router: router,
             origin_event: event,
             hops: Vec::new(),
+            digest: DigestCell::default(),
         }
         .intern()
     }
@@ -104,6 +150,7 @@ impl Provenance {
             origin_router: self.origin_router,
             origin_event: self.origin_event,
             hops,
+            digest: DigestCell::default(),
         }
         .intern()
     }
@@ -137,11 +184,32 @@ impl Provenance {
     }
 
     /// A deterministic content digest (FNV-1a over the chain), used to
-    /// reference this provenance compactly from packet-hop trace records.
-    /// Deterministic because every component — kinds, router ids, event
-    /// ids — is itself deterministic for a fixed seed.
+    /// reference this provenance compactly from packet-hop trace records,
+    /// explanations, FIB diffs and blackhole witnesses. Deterministic
+    /// because every component — kinds, router ids, event ids — is itself
+    /// deterministic for a fixed seed.
+    ///
+    /// Computed on the first call and cached in the chain, so every later
+    /// read of the same interned `Arc` is one load. Interning never
+    /// computes it: the interner's hit path stays digest-free. Two threads
+    /// racing on the first call both store the same value. The cache
+    /// assumes the chain is not edited after it was digested, which holds
+    /// for every interned chain (an `Arc` is immutable); a clone starts
+    /// with an empty cache.
     #[must_use]
     pub fn digest(&self) -> u64 {
+        match self.digest.0.load(Ordering::Relaxed) {
+            0 => {
+                let d = self.fnv();
+                self.digest.0.store(d, Ordering::Relaxed);
+                d
+            }
+            d => d,
+        }
+    }
+
+    /// [`Provenance::digest`] from scratch.
+    fn fnv(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -294,6 +362,72 @@ mod tests {
         assert_eq!(a.digest(), a.digest());
         let a2 = Provenance::originated(OriginKind::Speaker, Ipv4Addr(800_001), ev(5, 7));
         assert_eq!(a.digest(), a2.digest());
+    }
+
+    fn cached(p: &Provenance) -> u64 {
+        p.digest.0.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn interning_never_digests_and_the_first_read_fills_the_cache() {
+        let a = Provenance::originated(OriginKind::Network, Ipv4Addr(700_001), ev(3, 4));
+        let b = a.extended(Ipv4Addr(700_002), ev(5, 6));
+        let c = (*b).clone().intern();
+        assert!(Arc::ptr_eq(&b, &c));
+        assert_eq!((cached(&a), cached(&b)), (0, 0));
+        assert_eq!(b.digest(), b.fnv());
+        assert_eq!(cached(&b), b.fnv());
+        // A hit hands back the digested handle, cache intact.
+        let d = a.extended(Ipv4Addr(700_002), ev(5, 6));
+        assert!(Arc::ptr_eq(&b, &d) && cached(&d) == b.fnv());
+        assert_eq!(cached(&a), 0);
+    }
+
+    #[test]
+    fn the_cache_is_not_part_of_the_value() {
+        use std::hash::{BuildHasher, RandomState};
+        let base = Provenance::originated(OriginKind::Speaker, Ipv4Addr(700_101), ev(1, 2))
+            .extended(Ipv4Addr(700_102), ev(3, 4));
+        let (digested, fresh) = ((*base).clone(), (*base).clone());
+        assert_eq!(
+            (cached(&digested), cached(&fresh)),
+            (0, 0),
+            "clones start empty"
+        );
+        let _ = digested.digest();
+        assert_ne!(cached(&digested), 0);
+        assert_eq!(digested, fresh);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&digested), hasher.hash_one(&fresh));
+        assert_eq!(format!("{digested:?}"), format!("{fresh:?}"));
+        assert!(Arc::ptr_eq(&digested.intern(), &fresh.intern()));
+
+        // Serde skips it: nothing extra on the wire, empty on the way back.
+        let v = serde::Serialize::to_value(&*base);
+        assert_eq!(serde::__object(&v).map(<[_]>::len), Ok(4));
+        let back: Provenance = serde::Deserialize::from_value(&v).expect("round trip");
+        assert_eq!(cached(&back), 0);
+        assert_eq!(back.digest(), base.fnv());
+    }
+
+    #[test]
+    fn racing_first_reads_agree() {
+        let p = Provenance::originated(OriginKind::Aggregate, Ipv4Addr(700_201), ev(7, 8))
+            .extended(Ipv4Addr(700_202), ev(9, 10));
+        let reads: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2).map(|_| s.spawn(|| p.digest())).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("digest thread"))
+                .collect()
+        });
+        assert_eq!(reads, vec![p.fnv(); 2]);
+        assert_eq!(cached(&p), p.fnv());
+    }
+
+    #[test]
+    fn the_cache_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<DigestCell>(), 8);
     }
 
     #[test]

@@ -98,6 +98,13 @@ impl Error {
 pub trait Serialize {
     /// The [`Value`] representation of `self`.
     fn to_value(&self) -> Value;
+
+    /// `self` when it already is a [`Value`], so a writer can read the
+    /// tree in place instead of copying it through
+    /// [`Serialize::to_value`]. Default: `None`.
+    fn as_value(&self) -> Option<&Value> {
+        None
+    }
 }
 
 /// Rebuilds a value from the [`Value`] data model.
@@ -348,6 +355,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -504,6 +515,10 @@ set_impl!(BTreeSet, Ord);
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Option<&Value> {
+        Some(self)
     }
 }
 impl Deserialize for Value {

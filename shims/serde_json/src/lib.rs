@@ -2,6 +2,7 @@
 //! descent parser over the `serde` shim's [`Value`] model.
 
 pub use serde::Value;
+use std::fmt::Write as _;
 
 /// JSON serialization/deserialization error.
 #[derive(Debug, Clone)]
@@ -31,17 +32,23 @@ impl From<serde::Error> for Error {
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes `value` to a compact JSON string.
-pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
+    Ok(write(value, None))
 }
 
 /// Serializes `value` to a pretty-printed JSON string (two-space indent).
-pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String> {
+pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
+    Ok(write(value, Some(2)))
+}
+
+/// Writes `value`, reading a [`Value`] in place rather than copying it.
+fn write<T: serde::Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    match value.as_value() {
+        Some(v) => write_value(v, &mut out, indent, 0),
+        None => write_value(&value.to_value(), &mut out, indent, 0),
+    }
+    out
 }
 
 /// Parses a value of type `T` from a JSON string.
@@ -58,14 +65,18 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Uint(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::Uint(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
-                let s = f.to_string();
-                out.push_str(&s);
+                let start = out.len();
+                let _ = write!(out, "{f}");
                 // Keep a float marker so the value parses back as a float.
-                if !s.contains(['.', 'e', 'E']) {
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -114,29 +125,41 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+    const SPACES: &str = "                                ";
     if let Some(width) = indent {
         out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
+        let mut left = width * depth;
+        while left > 0 {
+            let n = left.min(SPACES.len());
+            out.push_str(&SPACES[..n]);
+            left -= n;
         }
     }
 }
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are whole UTF-8 sequences and can be pushed as they stand.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -400,6 +423,64 @@ mod tests {
         let s = to_string_pretty(&v).unwrap();
         assert!(s.contains('\n'));
         assert_eq!(from_str::<Vec<(u32, String)>>(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_escape_char_by_char() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let control: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "a\"b\\c\nd\re\tf",
+            control.as_str(),
+            "ünïcødé → \u{7f} 😀 \"q\" ü\\",
+        ] {
+            assert_eq!(to_string(s).unwrap(), reference(s), "{s:?}");
+            assert_eq!(from_str::<String>(&to_string(s).unwrap()).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn a_value_writes_in_place_as_its_copy_would() {
+        struct Copied(Value);
+        impl serde::Serialize for Copied {
+            fn to_value(&self) -> Value {
+                self.0.clone()
+            }
+        }
+        let mut v = Value::Uint(7);
+        for depth in 0..24 {
+            v = Value::Object(vec![
+                (format!("k{depth}"), v),
+                ("n".to_string(), Value::Int(-depth)),
+                ("f".to_string(), Value::Float(depth as f64 / 4.0)),
+            ]);
+        }
+        let pretty = to_string_pretty(&v).unwrap();
+        assert_eq!(pretty, to_string_pretty(&Copied(v.clone())).unwrap());
+        assert_eq!(
+            to_string(&v).unwrap(),
+            to_string(&Copied(v.clone())).unwrap()
+        );
+        assert!(pretty.contains(&format!("\n{}\"k0\": 7", " ".repeat(2 * 24))));
+        assert!(pretty.contains("\"f\": 1.0"));
     }
 
     #[test]
