@@ -13,10 +13,14 @@
 //! messages; the exporter skips peers whose AS already appears in the
 //! path (sender-side loop check), which is what makes Clos fabrics with
 //! shared layer ASes converge in O(links) messages instead of O(links^2).
-//! A changed prefix's export is built and interned once per event
-//! (`export_base`) and only filtered per peer (`export_to`), so a decision
-//! costs one allocation however many sessions it fans out to; the
-//! per-prefix tables are [`PrefixMap`]s.
+//! A changed prefix's exported attributes are built once per event
+//! (`export_attrs`) and only filtered per peer (`export_to`); the rewrite
+//! itself is memoised per learned attribute set, so a re-export of a set
+//! this router has announced before costs no interner call. The
+//! provenance hop (`export_chain`) is built only when some peer's
+//! Adj-RIB-Out actually changes — most decisions in a Clos fabric grow an
+//! ECMP set and send nothing. The per-prefix tables are [`PrefixMap`]s,
+//! and the decision process reuses its candidate and dirty-prefix buffers.
 
 use crate::attrs::{Origin, PathAttrs};
 use crate::msg::{BgpMsg, Frame};
@@ -27,12 +31,21 @@ use crate::provenance::{
 use crate::vendor::{AggregateMode, FibOverflow, VendorProfile};
 use crystalnet_config::{Action, AggregateConfig, DeviceConfig, RouteMap, RouteMatch, RouteSet};
 use crystalnet_dataplane::{Fib, FibEntry, NextHop};
-use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix, PrefixMap};
+use crystalnet_net::{Asn, IdMap, Ipv4Addr, Ipv4Prefix, PrefixMap};
 use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+
+/// The decision process's preference key; see [`BgpRouterOs::candidate_key`].
+type CandidateKey = (u32, Reverse<usize>, Reverse<Origin>, Reverse<u32>);
+
+/// Re-announced attributes by learned attribute set: keyed by the learned
+/// `Arc`'s address, holding that `Arc` (so the address cannot be freed and
+/// reused while the entry lives) and its `announced_by(asn, loopback)`
+/// rewrite, interned.
+type Reannounced = IdMap<usize, (Arc<PathAttrs>, Arc<PathAttrs>)>;
 
 /// Attr equality with the interner's pointer fast path: interned handles
 /// are `ptr_eq` iff structurally equal, so the deep comparison only runs
@@ -135,7 +148,15 @@ pub struct BgpRouterOs {
     /// The ASIC view for images with an external forwarding emulator
     /// (CTNR-B + BMv2, §6.2); `None` for single-FIB vendors.
     asic_fib: Option<Fib>,
-    dirty: BTreeSet<Ipv4Prefix>,
+    /// Prefixes to re-decide, in arrival order with repeats; the decision
+    /// pass sorts and dedups them, then reuses the buffer.
+    dirty: Vec<Ipv4Prefix>,
+    /// The export rewrite memo ([`Reannounced`]). Depends on `asn`, so
+    /// `apply_config_internal` clears it; `loopback` never changes.
+    reannounced: Reannounced,
+    /// `decide_prefix`'s candidate list `(key, peer address, peer index)`,
+    /// kept so a decision allocates no list of its own.
+    cands: Vec<(CandidateKey, Ipv4Addr, usize)>,
     mrai_armed: bool,
     change_tick: u64,
     flaps: u32,
@@ -175,7 +196,9 @@ impl BgpRouterOs {
             loc_rib: PrefixMap::default(),
             fib: Fib::new(config.fib_capacity),
             asic_fib: has_asic.then(|| Fib::new(config.fib_capacity)),
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
+            reannounced: Reannounced::default(),
+            cands: Vec::new(),
             mrai_armed: false,
             change_tick: 0,
             flaps: 0,
@@ -257,6 +280,7 @@ impl BgpRouterOs {
 
     fn apply_config_internal(&mut self) {
         self.hostname = self.config.hostname.clone();
+        self.reannounced.clear();
         self.iface_addr.clear();
         self.local_addrs.clear();
         self.local_addrs.push(self.loopback);
@@ -355,9 +379,8 @@ impl BgpRouterOs {
         peer.advertised.clear();
         if was_established {
             self.flaps += 1;
-            let flushed: Vec<Ipv4Prefix> = peer.adj_in.drain().map(|(p, _)| p).collect();
-            actions.route_ops += flushed.len();
-            self.dirty.extend(flushed);
+            actions.route_ops += peer.adj_in.len();
+            self.dirty.extend(peer.adj_in.drain().map(|(p, _)| p));
             if let Some(limit) = self.profile.quirks.crash_after_flaps {
                 if self.flaps >= limit {
                     // Case-2 bug: the OS crashes after repeated flaps.
@@ -373,13 +396,17 @@ impl BgpRouterOs {
             return;
         }
         self.peers[idx].state = SessionState::Established;
-        // Full-table advertisement toward the new peer.
+        // Full-table advertisement toward the new peer: every export is
+        // sent, so each gets its chain.
+        let mut memo = std::mem::take(&mut self.reannounced);
         for (&prefix, entry) in &self.loc_rib {
-            if let Some(exported) = self.export_to(idx, prefix, entry, &mut None) {
-                self.peers[idx].pending.insert(prefix, Some(exported));
+            if let Some(attrs) = self.export_to(idx, prefix, entry, &mut memo, &mut None) {
+                let prov = self.export_chain(entry);
+                self.peers[idx].pending.insert(prefix, Some((attrs, prov)));
                 actions.route_ops += 1;
             }
         }
+        self.reannounced = memo;
         self.arm_mrai(actions);
     }
 
@@ -480,14 +507,18 @@ impl BgpRouterOs {
         None
     }
 
-    /// The peer-independent half of an export: what `prefix` looks like
-    /// once this router re-announces it — the rewritten attributes plus
-    /// the causal chain, extended by this router's hop for learned routes
-    /// (self-originated routes keep their origin-only chain, matching the
-    /// speaker convention). `None` when nobody may hear of the route. The
-    /// hop carries the *current* event, so the result is good for the
-    /// event being handled and must not be kept beyond it.
-    fn export_base(&self, prefix: Ipv4Prefix, entry: &LocEntry) -> Option<RibAttrs> {
+    /// The peer-independent attributes of an export: what `prefix` looks
+    /// like once this router re-announces it, or `None` when nobody may
+    /// hear of the route. The rewrite depends only on the learned set (and
+    /// on `asn`/`loopback`), so it is read from `memo` — the router's
+    /// [`Reannounced`] table, lent out by the caller — and interned only
+    /// the first time this router re-announces that set.
+    fn export_attrs(
+        &self,
+        prefix: Ipv4Prefix,
+        entry: &LocEntry,
+        memo: &mut Reannounced,
+    ) -> Option<Arc<PathAttrs>> {
         // Firmware bug: stop announcing locally originated networks.
         if self.profile.quirks.stop_announcing_networks && entry.source == RouteSource::Local {
             return None;
@@ -496,27 +527,42 @@ impl BgpRouterOs {
         if self.suppressed_by_aggregate(prefix, entry.source) {
             return None;
         }
-        let prov = match entry.source {
+        let (_, announced) = memo
+            .entry(Arc::as_ptr(&entry.attrs) as usize)
+            .or_insert_with(|| {
+                let announced = entry.attrs.announced_by(self.asn, self.loopback);
+                (Arc::clone(&entry.attrs), announced.intern())
+            });
+        Some(Arc::clone(announced))
+    }
+
+    /// The causal chain an export carries: extended by this router's hop
+    /// for learned routes (self-originated routes keep their origin-only
+    /// chain, matching the speaker convention). The hop carries the
+    /// *current* event, so the chain is good for the event being handled
+    /// and must not be kept beyond it — and is built only for an export
+    /// that is actually queued toward some peer.
+    fn export_chain(&self, entry: &LocEntry) -> Arc<Provenance> {
+        match entry.source {
             RouteSource::Peer(_) => entry.prov.extended(self.router_id, self.cur_event),
             RouteSource::Local | RouteSource::Aggregate => entry.prov.clone(),
-        };
-        let announced = entry.attrs.announced_by(self.asn, self.loopback);
-        Some((announced.intern(), prov))
+        }
     }
 
     /// The per-peer half: whether peer `idx` is sent `prefix` at all, and
-    /// with which attributes. `base` caches [`Self::export_base`] across
+    /// with which attributes. `base` caches [`Self::export_attrs`] across
     /// the peers of one fan-out; it is filled by the first peer that gets
     /// past the two checks that need no export, so a route that goes to
-    /// nobody (a ToR's view of its pod's other leaves) allocates nothing,
-    /// and every peer without an outbound map shares the one interned pair.
+    /// nobody (a ToR's view of its pod's other leaves) costs nothing, and
+    /// every peer without an outbound map shares the one interned set.
     fn export_to(
         &self,
         idx: usize,
         prefix: Ipv4Prefix,
         entry: &LocEntry,
-        base: &mut Option<Option<RibAttrs>>,
-    ) -> Option<RibAttrs> {
+        memo: &mut Reannounced,
+        base: &mut Option<Option<Arc<PathAttrs>>>,
+    ) -> Option<Arc<PathAttrs>> {
         let peer = &self.peers[idx];
         // Split horizon: never export back to the (best) source peer.
         if entry.source == RouteSource::Peer(idx) {
@@ -528,15 +574,15 @@ impl BgpRouterOs {
             return None;
         }
         let base = base
-            .get_or_insert_with(|| self.export_base(prefix, entry))
+            .get_or_insert_with(|| self.export_attrs(prefix, entry, memo))
             .as_ref()?;
         let Some(name) = &peer.route_map_out else {
-            return Some(base.clone());
+            return Some(Arc::clone(base));
         };
         let map = self.config.route_maps.get(name)?;
-        match self.apply_route_map(map, prefix, &base.0)? {
-            Cow::Borrowed(_) => Some(base.clone()),
-            Cow::Owned(modified) => Some((modified.intern(), base.1.clone())),
+        match self.apply_route_map(map, prefix, base)? {
+            Cow::Borrowed(_) => Some(Arc::clone(base)),
+            Cow::Owned(modified) => Some(modified.intern()),
         }
     }
 
@@ -558,7 +604,7 @@ impl BgpRouterOs {
 
     /// Total preference order, higher wins: local-pref, then shorter AS
     /// path, then origin, then lower MED, then lower peer address.
-    fn candidate_key(attrs: &PathAttrs) -> (u32, Reverse<usize>, Reverse<Origin>, Reverse<u32>) {
+    fn candidate_key(attrs: &PathAttrs) -> CandidateKey {
         (
             attrs.local_pref,
             Reverse(attrs.as_path.len()),
@@ -567,19 +613,27 @@ impl BgpRouterOs {
         )
     }
 
+    /// Re-decides every dirty prefix in ascending prefix order (deciding
+    /// adds nothing to `dirty`, so the buffer goes back empty).
     fn run_decision(&mut self, actions: &mut OsActions) {
         if self.dirty.is_empty() {
             return;
         }
-        for prefix in std::mem::take(&mut self.dirty) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &prefix in &dirty {
             self.decide_prefix(prefix, actions);
         }
+        dirty.clear();
+        self.dirty = dirty;
         self.refresh_aggregates(actions);
         self.arm_mrai(actions);
     }
 
     fn decide_prefix(&mut self, prefix: Ipv4Prefix, actions: &mut OsActions) {
         actions.route_ops += 1;
+        let max_paths = self.max_paths();
         // Local origination always wins (administrative weight).
         let new_entry: Option<LocEntry> = if self.networks.contains(&prefix) {
             Some(LocEntry {
@@ -594,25 +648,28 @@ impl BgpRouterOs {
                 reason: DecisionReason::LocalOrigination,
             })
         } else {
-            // One walk over the sessions gathers the candidates; best
-            // first, ties in peer-address order (stably, so configuration
-            // order among equal addresses).
-            let mut cands: Vec<_> = self
-                .peers
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.state == SessionState::Established)
-                .filter_map(|(i, p)| {
-                    let (attrs, prov) = p.adj_in.get(&prefix)?;
-                    Some((Self::candidate_key(attrs), p.addr, i, attrs, prov))
-                })
-                .collect();
-            cands.sort_by_key(|&(key, addr, ..)| (Reverse(key), addr));
-            cands.first().map(|&(key, _, bidx, battrs, bprov)| {
-                let equal_count = cands.iter().take_while(|&&(k, ..)| k == key).count();
-                let ecmp: Vec<usize> = cands[..equal_count.min(self.max_paths())]
+            // One walk over the sessions gathers the candidates into the
+            // reused buffer; best first, ties in peer-address order, then
+            // in configuration order (the index as last key keeps the
+            // unstable sort's order fixed).
+            let cands = &mut self.cands;
+            cands.clear();
+            cands.extend(
+                self.peers
                     .iter()
-                    .map(|&(_, _, i, ..)| i)
+                    .enumerate()
+                    .filter(|(_, p)| p.state == SessionState::Established)
+                    .filter_map(|(i, p)| {
+                        let (attrs, _) = p.adj_in.get(&prefix)?;
+                        Some((Self::candidate_key(attrs), p.addr, i))
+                    }),
+            );
+            cands.sort_unstable_by_key(|&(key, addr, i)| (Reverse(key), addr, i));
+            cands.first().map(|&(key, _, bidx)| {
+                let equal_count = cands.iter().take_while(|&&(k, ..)| k == key).count();
+                let ecmp: Vec<usize> = cands[..equal_count.min(max_paths)]
+                    .iter()
+                    .map(|&(_, _, i)| i)
                     .collect();
                 // The runner-up key — the best among the losing candidates
                 // — names the decision step that eliminated them.
@@ -633,12 +690,13 @@ impl BgpRouterOs {
                     None if equal_count > ecmp.len() => DecisionReason::LowerPeerAddr,
                     None => DecisionReason::OnlyCandidate,
                 };
+                let (attrs, prov) = &self.peers[bidx].adj_in[&prefix];
                 LocEntry {
-                    attrs: battrs.clone(),
+                    attrs: attrs.clone(),
                     source: RouteSource::Peer(bidx),
                     ecmp,
                     changed_tick: self.change_tick,
-                    prov: bprov.clone(),
+                    prov: prov.clone(),
                     reason,
                 }
             })
@@ -722,15 +780,14 @@ impl BgpRouterOs {
     /// one). Returns false when the hardware table overflowed.
     fn install_fib(&mut self, prefix: Ipv4Prefix, entry: &LocEntry) -> bool {
         let fe = self.fib_entry_for(entry);
-        let outcome = self.fib.install(prefix, fe.clone());
         if let Some(asic) = &mut self.asic_fib {
             // Case-2 bug: the ASIC sync layer skips default-route updates.
             let skip = self.profile.quirks.skip_default_route_fib && prefix.is_default();
             if !skip {
-                asic.install(prefix, fe);
+                asic.install(prefix, fe.clone());
             }
         }
-        outcome == crystalnet_dataplane::InstallOutcome::Installed
+        self.fib.install(prefix, fe) == crystalnet_dataplane::InstallOutcome::Installed
     }
 
     fn remove_fib(&mut self, prefix: Ipv4Prefix) {
@@ -747,27 +804,38 @@ impl BgpRouterOs {
     /// for `prefix` — a withdrawal where it holds nothing or the peer may
     /// not hear of it.
     fn enqueue_export(&mut self, prefix: Ipv4Prefix, actions: &mut OsActions) {
+        let mut memo = std::mem::take(&mut self.reannounced);
         let entry = self.loc_rib.get(&prefix);
         let mut base = None;
+        // Built at the first peer whose Adj-RIB-Out changes, then shared.
+        let mut chain = None;
         for idx in 0..self.peers.len() {
             if self.peers[idx].state != SessionState::Established {
                 continue;
             }
-            let exported = entry.and_then(|e| self.export_to(idx, prefix, e, &mut base));
-            let peer = &mut self.peers[idx];
-            let current = peer.effective_advertised(prefix);
-            match (&exported, current) {
+            let exported = entry.and_then(|e| {
+                let attrs = self.export_to(idx, prefix, e, &mut memo, &mut base)?;
+                Some((e, attrs))
+            });
+            let unchanged = match (&exported, self.peers[idx].effective_advertised(prefix)) {
                 // Same attrs toward this peer ⇒ nothing to send; the
                 // provenance is not compared because an attr-identical
                 // re-export carries no new routing information.
-                (Some(e), Some(c)) if same_attrs(&e.0, &c.0) => {}
-                (None, None) => {}
-                _ => {
-                    actions.route_ops += 1;
-                    peer.pending.insert(prefix, exported);
-                }
+                (Some((_, attrs)), Some(current)) => same_attrs(attrs, &current.0),
+                (None, None) => true,
+                _ => false,
+            };
+            if unchanged {
+                continue;
             }
+            let change = exported.map(|(e, attrs)| {
+                let prov = chain.get_or_insert_with(|| self.export_chain(e));
+                (attrs, Arc::clone(prov))
+            });
+            actions.route_ops += 1;
+            self.peers[idx].pending.insert(prefix, change);
         }
+        self.reannounced = memo;
     }
 
     fn refresh_aggregates(&mut self, actions: &mut OsActions) {
@@ -916,7 +984,7 @@ impl BgpRouterOs {
                     if attrs.contains_as(self.asn) {
                         // A previously accepted route may need removal.
                         if self.peers[idx].adj_in.remove(&prefix).is_some() {
-                            self.dirty.insert(prefix);
+                            self.dirty.push(prefix);
                         }
                         continue;
                     }
@@ -947,19 +1015,19 @@ impl BgpRouterOs {
                                 .is_some_and(|cur| same_attrs(&cur.0, &a));
                             if !known {
                                 self.peers[idx].adj_in.insert(prefix, (a, prov));
-                                self.dirty.insert(prefix);
+                                self.dirty.push(prefix);
                             }
                         }
                         None => {
                             if self.peers[idx].adj_in.remove(&prefix).is_some() {
-                                self.dirty.insert(prefix);
+                                self.dirty.push(prefix);
                             }
                         }
                     }
                 }
                 for prefix in withdrawn {
                     if self.peers[idx].adj_in.remove(&prefix).is_some() {
-                        self.dirty.insert(prefix);
+                        self.dirty.push(prefix);
                     }
                 }
             }
@@ -1044,7 +1112,7 @@ impl BgpRouterOs {
                     bgp.networks.push(prefix);
                 }
                 self.networks.insert(prefix);
-                self.dirty.insert(prefix);
+                self.dirty.push(prefix);
                 actions.response = Some(MgmtResponse::Ok);
             }
             MgmtCommand::RemoveNetwork(prefix) => {
@@ -1052,7 +1120,7 @@ impl BgpRouterOs {
                     bgp.networks.retain(|p| *p != prefix);
                 }
                 self.networks.remove(&prefix);
-                self.dirty.insert(prefix);
+                self.dirty.push(prefix);
                 actions.response = Some(MgmtResponse::Ok);
             }
             MgmtCommand::ApplyAclIn {
@@ -1060,10 +1128,12 @@ impl BgpRouterOs {
                 acl_name,
                 acl,
             } => {
-                self.config.acls.insert(acl_name.clone(), acl);
+                // A rejected command must leave the ACL bodies alone: the
+                // name may already filter another interface.
                 match self.config.interfaces.iter_mut().find(|i| i.name == iface) {
                     Some(i) => {
-                        i.acl_in = Some(acl_name);
+                        i.acl_in = Some(acl_name.clone());
+                        self.config.acls.insert(acl_name, acl);
                         actions.response = Some(MgmtResponse::Ok);
                     }
                     None => {

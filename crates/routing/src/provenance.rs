@@ -138,8 +138,8 @@ impl Provenance {
     }
 
     /// Interns a copy of `self` extended by one propagation hop. The BGP
-    /// exporter calls this once per exported prefix and event; the peers
-    /// of the fan-out share the returned `Arc`.
+    /// exporter calls this once per prefix and event that some peer is
+    /// actually sent; the peers of the fan-out share the returned `Arc`.
     #[must_use]
     pub fn extended(&self, router_id: Ipv4Addr, event: EventId) -> Arc<Provenance> {
         let mut hops = Vec::with_capacity(self.hops.len() + 1);

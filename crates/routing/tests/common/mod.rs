@@ -82,8 +82,9 @@ pub fn config(peers: &[PeerSpec], max_paths: u32) -> DeviceConfig {
     }
 }
 
-/// Stamps the next event's id and delivers `event`.
-pub fn handle(os: &mut BgpRouterOs, id: EventId, event: OsEvent) -> OsActions {
+/// Stamps the next event's id and delivers `event` (to the router or to
+/// a `clone_boxed` copy of it).
+pub fn handle(os: &mut dyn DeviceOs, id: EventId, event: OsEvent) -> OsActions {
     os.begin_event(id);
     os.handle(SimTime::ZERO, event)
 }
@@ -118,7 +119,7 @@ pub fn established(profile: VendorProfile, cfg: DeviceConfig, peers: &[PeerSpec]
 }
 
 /// Delivers one BGP message from peer `i`.
-pub fn deliver(os: &mut BgpRouterOs, id: EventId, i: usize, msg: BgpMsg) -> OsActions {
+pub fn deliver(os: &mut dyn DeviceOs, id: EventId, i: usize, msg: BgpMsg) -> OsActions {
     let frame = Frame::Bgp(msg);
     handle(
         os,
@@ -133,7 +134,7 @@ pub fn deliver(os: &mut BgpRouterOs, id: EventId, i: usize, msg: BgpMsg) -> OsAc
 /// Fires the MRAI timer and returns, per peer index, the UPDATE it was
 /// sent as `(announced, withdrawn)`.
 pub fn flush(
-    os: &mut BgpRouterOs,
+    os: &mut dyn DeviceOs,
     id: EventId,
 ) -> BTreeMap<usize, (Vec<Announced>, Vec<Ipv4Prefix>)> {
     handle(os, id, OsEvent::Timer(TimerKind::Mrai))

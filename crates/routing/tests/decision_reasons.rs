@@ -31,8 +31,25 @@ const fn cand(peer: usize) -> Cand {
     }
 }
 
+/// Forty candidates on 48 sessions, every sixth peer silent: more than
+/// the standard library's small-sort cut-off of 20, all attribute-equal.
+const WIDE: [Cand; 40] = {
+    let mut cands = [cand(0); 40];
+    let (mut i, mut peer) = (0, 0);
+    while i < cands.len() {
+        if peer % 6 != 5 {
+            cands[i] = cand(peer);
+            i += 1;
+        }
+        peer += 1;
+    }
+    cands
+};
+
 struct Case {
     name: &'static str,
+    /// Configured (and established) sessions, peers `0..sessions`.
+    sessions: usize,
     max_paths: u32,
     cands: &'static [Cand],
     best: usize,
@@ -43,6 +60,7 @@ struct Case {
 const CASES: &[Case] = &[
     Case {
         name: "a lone candidate",
+        sessions: 4,
         max_paths: 4,
         cands: &[cand(2)],
         best: 2,
@@ -51,6 +69,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "local-pref beats a shorter path",
+        sessions: 4,
         max_paths: 4,
         cands: &[
             Cand {
@@ -68,6 +87,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "a shorter path beats a lower origin code",
+        sessions: 4,
         max_paths: 4,
         cands: &[
             Cand {
@@ -83,6 +103,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "a lower origin code beats a lower MED",
+        sessions: 4,
         max_paths: 4,
         cands: &[
             Cand {
@@ -97,6 +118,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "a lower MED, all else equal",
+        sessions: 4,
         max_paths: 4,
         cands: &[Cand { med: 10, ..cand(0) }, Cand { med: 5, ..cand(1) }],
         best: 1,
@@ -105,6 +127,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "the reason is the step that beat the *best* loser",
+        sessions: 4,
         max_paths: 4,
         cands: &[
             Cand {
@@ -120,6 +143,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "ECMP below the limit with a loser keeps the loser's reason",
+        sessions: 4,
         max_paths: 4,
         cands: &[
             cand(0),
@@ -135,6 +159,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "ECMP exactly at the limit is no contest",
+        sessions: 4,
         max_paths: 2,
         cands: &[cand(1), cand(2)],
         best: 2,
@@ -143,6 +168,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "more equal candidates than max_paths: the peer address decides",
+        sessions: 4,
         max_paths: 2,
         cands: &[cand(0), cand(1), cand(2), cand(3)],
         best: 3,
@@ -151,10 +177,25 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "max_paths 1 among equals",
+        sessions: 4,
         max_paths: 1,
         cands: &[cand(0), cand(1)],
         best: 1,
         ecmp: &[1],
+        reason: DecisionReason::LowerPeerAddr,
+    },
+    Case {
+        name: "forty-way tie over 48 sessions: the 32 lowest addresses",
+        sessions: 48,
+        max_paths: 32,
+        cands: &WIDE,
+        best: 46,
+        // Addresses fall as the index rises: the eight highest-addressed
+        // candidates (0–4, 6–8) fall off the limit.
+        ecmp: &[
+            9, 10, 12, 13, 14, 15, 16, 18, 19, 20, 21, 22, 24, 25, 26, 27, 28, 30, 31, 32, 33, 34,
+            36, 37, 38, 39, 40, 42, 43, 44, 45, 46,
+        ],
         reason: DecisionReason::LowerPeerAddr,
     },
 ];
@@ -162,8 +203,8 @@ const CASES: &[Case] = &[
 #[test]
 fn every_decision_arm_picks_the_documented_winner() {
     let prefix: Ipv4Prefix = "10.9.0.0/24".parse().unwrap();
-    let peers: Vec<PeerSpec> = (0..4).map(PeerSpec::plain).collect();
     for case in CASES {
+        let peers: Vec<PeerSpec> = (0..case.sessions).map(PeerSpec::plain).collect();
         let mut os = established(
             VendorProfile::ctnr_a(),
             config(&peers, case.max_paths),

@@ -7,6 +7,10 @@
 //! session, an UPDATE's fan-out, a late session, an outbound-policy soft
 //! refresh — and requires each peer's Adj-RIB-Out, as the flushed UPDATEs
 //! build it, to equal what the reference computes peer by peer.
+//!
+//! The rest counts what the fan-out no longer builds: a provenance hop
+//! only for a route that is sent, and the re-announced attributes from a
+//! per-router memo that must follow the local AS and travel with a copy.
 
 mod common;
 
@@ -487,4 +491,151 @@ fn one_update_interns_once_per_prefix_not_once_per_peer() {
         "{calls} attr-intern calls for {PREFIXES} prefixes toward {} peers",
         PEERS - 1
     );
+}
+
+/// `10.30.n.0/24`.
+fn nth_prefix(n: u32) -> Ipv4Prefix {
+    Ipv4Prefix::new(crystalnet_net::Ipv4Addr::new(10, 30, n as u8, 0), 24)
+}
+
+/// One UPDATE announcing `prefixes` with the same learned set and chain.
+fn update(prefixes: &[Ipv4Prefix], attrs: &Arc<PathAttrs>, prov: &Arc<Provenance>) -> BgpMsg {
+    BgpMsg::Update {
+        announced: prefixes
+            .iter()
+            .map(|&p| (p, Arc::clone(attrs), Arc::clone(prov)))
+            .collect(),
+        withdrawn: vec![],
+    }
+}
+
+/// The learned set peer `i` announces: its own AS first, as an eBGP
+/// speaker sends it.
+fn learned_from(peers: &[PeerSpec], i: usize) -> Arc<PathAttrs> {
+    PathAttrs {
+        as_path: vec![peers[i].remote_as, Asn(64700)],
+        ..PathAttrs::originated(peer_addr(i))
+    }
+    .intern()
+}
+
+/// ECMP growth, the common decision in a Clos fabric: a second spine of
+/// the same layer AS announces an attr-identical path. The Loc-RIB entry
+/// changes (its ECMP set grows), so each prefix is re-exported — yet no
+/// peer's Adj-RIB-Out moves. Nothing may be queued, no provenance hop
+/// built for the routes nobody is sent, and no attribute set interned: the
+/// re-announced set comes from the router's memo.
+#[test]
+fn ecmp_growth_queues_nothing_and_interns_nothing() {
+    const PREFIXES: u32 = 50;
+    let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
+    // Peers 0 and 1 are spines of one layer AS; the rest are plain.
+    let peers: Vec<PeerSpec> = (0..6)
+        .map(|i| PeerSpec::plain(if i < 2 { 0 } else { i }))
+        .collect();
+    let mut os = established(VendorProfile::ctnr_a(), config(&peers, 4), &peers);
+    let prefixes: Vec<Ipv4Prefix> = (0..PREFIXES).map(nth_prefix).collect();
+    // Peer 1 has the lower address, so its path is best and stays best.
+    let learned = learned_from(&peers, 1);
+    let origin = Provenance::originated(OriginKind::Speaker, peer_addr(1), ev(0));
+    deliver(&mut os, ev(1), 1, update(&prefixes, &learned, &origin));
+    let first = flush(&mut os, ev(2));
+    assert_eq!(
+        first.keys().copied().collect::<Vec<_>>(),
+        vec![2, 3, 4, 5],
+        "every peer outside the spine layer hears of it"
+    );
+
+    let chains = Provenance::interned_count();
+    let stats = intern_stats();
+    let actions = deliver(&mut os, ev(3), 0, update(&prefixes, &learned, &origin));
+    assert_eq!(
+        Provenance::interned_count(),
+        chains,
+        "a provenance hop was built for routes nobody is sent"
+    );
+    assert_eq!(intern_stats(), stats, "an attribute set was interned");
+    assert!(actions.timers.is_empty(), "something was queued");
+    assert!(flush(&mut os, ev(4)).is_empty(), "something was sent");
+    // The decision did run: both spines now carry every prefix.
+    for &prefix in &prefixes {
+        let installed = os.fib().get(prefix).expect("installed");
+        assert_eq!(installed.next_hops.len(), 2, "{prefix}: ECMP set");
+    }
+}
+
+/// The memoised rewrite depends on the local AS, and a config replace is
+/// how the AS changes. A router that has re-announced a learned set and
+/// its own network, given a new AS, re-announces both — the same interned
+/// sets, so the same memo keys — with the new AS first.
+#[test]
+fn a_replaced_local_as_reaches_every_later_export() {
+    const NEW_AS: Asn = Asn(65001);
+    let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
+    let peers: Vec<PeerSpec> = (0..3).map(PeerSpec::plain).collect();
+    let mut cfg = config(&peers, 4);
+    let bgp = cfg.bgp.as_mut().expect("bgp configured");
+    bgp.networks.push("10.9.2.0/24".parse().unwrap());
+    let mut os = established(VendorProfile::ctnr_a(), cfg.clone(), &peers);
+    let learned = learned_from(&peers, 0);
+    let origin = Provenance::originated(OriginKind::Speaker, peer_addr(0), ev(0));
+    let routes = [nth_prefix(0)];
+    let first_as = |sent: &BTreeMap<usize, (Vec<common::Announced>, Vec<Ipv4Prefix>)>| {
+        let firsts: Vec<Asn> = sent
+            .values()
+            .flat_map(|(announced, _)| announced)
+            .map(|(_, attrs, _)| attrs.as_path[0])
+            .collect();
+        // The network toward all three peers, the learned route toward
+        // the two that did not announce it.
+        assert_eq!(firsts.len(), 5, "announcements flushed");
+        firsts
+    };
+
+    deliver(&mut os, ev(1), 0, update(&routes, &learned, &origin));
+    assert!(first_as(&flush(&mut os, ev(2)))
+        .iter()
+        .all(|&asn| asn == LOCAL_AS));
+
+    cfg.bgp.as_mut().expect("bgp configured").asn = NEW_AS;
+    let replace = MgmtCommand::ReplaceConfig(Box::new(cfg));
+    handle(&mut os, ev(3), OsEvent::Mgmt(replace));
+    for (i, p) in peers.iter().enumerate() {
+        open(&mut os, ev(4), i, p.remote_as);
+    }
+    deliver(&mut os, ev(5), 0, update(&routes, &learned, &origin));
+    let firsts = first_as(&flush(&mut os, ev(6)));
+    assert!(
+        firsts.iter().all(|&asn| asn == NEW_AS),
+        "re-announced with a stale AS: {firsts:?}"
+    );
+}
+
+/// A fork copies the router with its memo. A warm copy and a router that
+/// never exported, given the same UPDATE, send the same messages — down
+/// to the interned `Arc`s.
+#[test]
+fn a_warm_copy_and_a_cold_router_send_the_same_update() {
+    let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
+    let peers: Vec<PeerSpec> = (0..4).map(PeerSpec::plain).collect();
+    let learned = learned_from(&peers, 0);
+    let origin = Provenance::originated(OriginKind::Speaker, peer_addr(0), ev(0));
+    let (first, later) = ([nth_prefix(0)], [nth_prefix(1)]);
+    let mut warm = established(VendorProfile::ctnr_a(), config(&peers, 4), &peers);
+    deliver(&mut warm, ev(1), 0, update(&first, &learned, &origin));
+    flush(&mut warm, ev(2));
+
+    let mut copy = warm.clone_boxed();
+    let mut cold = established(VendorProfile::ctnr_a(), config(&peers, 4), &peers);
+    deliver(&mut *copy, ev(3), 0, update(&later, &learned, &origin));
+    deliver(&mut cold, ev(3), 0, update(&later, &learned, &origin));
+    let from_copy = flush(&mut *copy, ev(4));
+    let from_cold = flush(&mut cold, ev(4));
+    assert_eq!(from_copy.len(), 3, "everyone but the announcer");
+    assert_eq!(from_copy, from_cold);
+    for (a, b) in from_copy.values().zip(from_cold.values()) {
+        for ((_, a_attrs, a_prov), (_, b_attrs, b_prov)) in a.0.iter().zip(&b.0) {
+            assert!(Arc::ptr_eq(a_attrs, b_attrs) && Arc::ptr_eq(a_prov, b_prov));
+        }
+    }
 }
