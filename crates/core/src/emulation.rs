@@ -18,7 +18,7 @@
 //! `Clear`/`Destroy`) in `lifecycle.rs`, the read side (`PullStates`,
 //! `PullConfig`, `InjectPackets`/`PullPackets`, reports, traces) in
 //! `inspect.rs`; options and the typed error in `options.rs`, the VM
-//! work model in `work.rs`.
+//! work model, which owns the cloud fleet, in `work.rs`.
 
 pub use crate::inspect::DeviceState;
 use crate::metrics::{JournalKind, MockupMetrics, RecoveryJournal};
@@ -38,7 +38,7 @@ use crystalnet_vnet::{
     VirtualLink, VmId, VniAllocator,
 };
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One device's sandbox wiring on its VM.
@@ -52,15 +52,16 @@ pub struct Sandbox {
     pub device: ContainerId,
 }
 
-/// A running emulation.
+/// A running emulation. A clone is an independent fork of it
+/// ([`Emulation::fork`](crate::session) wraps one in a session).
+#[derive(Clone)]
 pub struct Emulation {
     /// The production topology being emulated (the prepare artifact's
     /// copy, shared).
     pub topo: Arc<Topology>,
-    /// The control-plane simulation (devices, links, virtual time).
+    /// The control-plane simulation (devices, links, virtual time, and
+    /// the cloud fleet inside its work model: [`Emulation::cloud`]).
     pub sim: ControlPlaneSim,
-    /// The cloud fleet.
-    pub cloud: Arc<Mutex<Cloud>>,
     /// Provisioned VM handles, indexed like the plan.
     pub vm_ids: Vec<VmId>,
     /// Per-VM container engines.
@@ -139,10 +140,9 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
         cloud.mark_running(id, SimTime::ZERO);
         vm_ids.push(id);
     }
-    let cloud = Arc::new(Mutex::new(cloud));
 
     let jitter_seed = SimRng::for_component(options.seed, "work").below(u64::MAX);
-    let work = VmWorkModel::new(cloud.clone(), jitter_seed);
+    let work = VmWorkModel::new(cloud, jitter_seed);
     let mut sim = ControlPlaneSim::new(&topo, Box::new(work));
     if options.telemetry || options.profiling {
         let mut rec = MemRecorder::with_trace_capacity(options.trace_capacity);
@@ -158,7 +158,6 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
     let mut emu = Emulation {
         topo: Arc::clone(&topo),
         sim,
-        cloud: Arc::clone(&cloud),
         engines: vec![ContainerEngine::new(); vm_ids.len()],
         vm_down: vec![false; vm_ids.len()],
         vm_ids,
@@ -185,29 +184,22 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
     // ------------------------------------------------------------------
     // Phase 1: PhyNet containers, interfaces, links, management overlay.
     // ------------------------------------------------------------------
-    let network_ready_at = {
-        let mut cloud = cloud.lock().expect("cloud lock poisoned");
-        for (vm_idx, planned) in plan.vms.iter().enumerate() {
-            emu.mgmt.attach_vm(emu.vm_ids[vm_idx]);
-            for &dev in planned.devices.iter().chain(&planned.speakers) {
-                emu.place(&mut cloud, dev, vm_idx, SimTime::ZERO);
-            }
+    for (vm_idx, planned) in plan.vms.iter().enumerate() {
+        emu.mgmt.attach_vm(emu.vm_ids[vm_idx]);
+        for &dev in planned.devices.iter().chain(&planned.speakers) {
+            emu.place(dev, vm_idx, SimTime::ZERO);
         }
-        // Virtual links between placed sandboxes (VXLAN for inter-VM
-        // spans); a link with an end outside the emulation is skipped.
-        for (lid, _) in topo.links() {
-            if let Some(vl) = emu.wire(&mut cloud, lid, SimTime::ZERO) {
-                emu.vlinks.push(vl);
-            }
+    }
+    // Virtual links between placed sandboxes (VXLAN for inter-VM spans);
+    // a link with an end outside the emulation is skipped.
+    for (lid, _) in topo.links() {
+        if let Some(vl) = emu.wire(lid, SimTime::ZERO) {
+            emu.vlinks.push(vl);
         }
-        emu.vm_ids
-            .iter()
-            .map(|&id| cloud.vm(id).cpu.drained_at())
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            // Orchestrator-side batching / verification overhead.
-            + SimDuration::from_secs(5)
-    };
+    }
+    let network_ready_at = emu.fleet_drained_at(SimTime::ZERO)
+        // Orchestrator-side batching / verification overhead.
+        + SimDuration::from_secs(5);
 
     // ------------------------------------------------------------------
     // Phase 2: boot firmware, converge routes.
@@ -430,67 +422,38 @@ impl Emulation {
         Ok(())
     }
 
+    /// The cloud fleet. It lives in the work model that charges it, so a
+    /// fork's fleet is a copy: work the child queues never reaches the
+    /// parent.
+    #[must_use]
+    pub fn cloud(&self) -> &Cloud {
+        &VmWorkModel::of_ref(&self.sim).cloud
+    }
+
+    /// Mutable access to the cloud fleet.
+    pub(crate) fn cloud_mut(&mut self) -> &mut Cloud {
+        &mut VmWorkModel::of(&mut self.sim).cloud
+    }
+
+    /// When the last of the fleet's CPU queues drains, or `floor` if that
+    /// is later.
+    pub(crate) fn fleet_drained_at(&self, floor: SimTime) -> SimTime {
+        let cloud = self.cloud();
+        self.vm_ids
+            .iter()
+            .map(|&id| cloud.vm(id).cpu.drained_at())
+            .fold(floor, SimTime::max)
+    }
+
     /// Forks the running emulation: the substrate behind
-    /// [`Emulation::fork`](crate::session).
-    ///
-    /// Ownership rules, layer by layer:
-    ///
-    /// * **Control plane** — every device OS is *shared* with the child
-    ///   behind its `Arc` and copied
-    ///   ([`crystalnet_routing::DeviceOs::clone_boxed`]) by whichever
-    ///   side first writes to it, so a fork costs what it later touches.
-    ///   The engine's clock, scheduling sequence, and pending-event
-    ///   residue are replicated exactly, which is what keeps a fork's
-    ///   subsequent convergence bit-identical to the same steps applied
-    ///   in place.
-    /// * **Cloud** — deep-copied behind a *fresh* `Arc<Mutex<_>>`: CPU
-    ///   server positions and the provisioning RNG resume from the fork
-    ///   point, but child work accounting can never reach the parent.
-    /// * **Telemetry** — the recorder is cloned, history included (an
-    ///   off recorder's clone is off), so a committed fork's report reads
-    ///   "baseline + fork activity".
-    /// * **Immutable spine** — `prep` and `topo` are shared by `Arc`.
+    /// [`Emulation::fork`](crate::session). The fork is a clone, so every
+    /// field is copied or shared by its own `Clone`: device OSes behind
+    /// their `Arc` until either side writes to one, the engine's position
+    /// exactly, the cloud fleet with the work model, the recorder with its
+    /// history, and `prep` and `topo` by `Arc`.
     pub(crate) fn fork_emulation(&self) -> Emulation {
         let t_fork = self.options.profiling.then(Instant::now);
-        let cloud = Arc::new(Mutex::new(
-            self.cloud.lock().expect("cloud lock poisoned").clone(),
-        ));
-        let work = self
-            .sim
-            .engine
-            .world
-            .work_ref()
-            .as_any()
-            .downcast_ref::<VmWorkModel>()
-            .expect("mockup sims drive a VmWorkModel")
-            .on_cloud(cloud.clone());
-        let recorder = self.sim.engine.world.recorder.clone();
-        let mut child = Emulation {
-            topo: Arc::clone(&self.topo),
-            sim: self.sim.fork_with(Box::new(work), recorder),
-            cloud,
-            vm_ids: self.vm_ids.clone(),
-            engines: self.engines.clone(),
-            sandboxes: self.sandboxes.clone(),
-            vlinks: self.vlinks.clone(),
-            mgmt: self.mgmt.clone(),
-            metrics: self.metrics,
-            traces: self.traces.clone(),
-            prep: Arc::clone(&self.prep),
-            journal: self.journal.clone(),
-            vm_down: self.vm_down.clone(),
-            recovering_until: self.recovering_until.clone(),
-            speaker_epochs: self.speaker_epochs.clone(),
-            vnis: self.vnis.clone(),
-            options: self.options.clone(),
-            config_overrides: self.config_overrides.clone(),
-            speaker_overrides: self.speaker_overrides.clone(),
-            classification: self.classification.clone(),
-            emulated_now: self.emulated_now.clone(),
-            change_log: self.change_log.clone(),
-            next_signature: self.next_signature,
-            loopbacks: Arc::clone(&self.loopbacks),
-        };
+        let mut child = self.clone();
         if let Some(t0) = t_fork {
             child
                 .sim

@@ -470,18 +470,10 @@ impl Emulation {
             .sum();
 
         // Candidate spares: running VMs with room, ranked by adjacency.
-        let mut cand_idx = Vec::new();
-        {
-            let cloud = self.cloud.lock().expect("cloud lock poisoned");
-            for idx in 0..self.vm_ids.len() {
-                if idx == dead_vm || self.vm_down[idx] {
-                    continue;
-                }
-                if cloud.vm(self.vm_ids[idx]).ram_free_mb() >= needed {
-                    cand_idx.push(idx);
-                }
-            }
-        }
+        let cand_idx: Vec<usize> = (0..self.vm_ids.len())
+            .filter(|&idx| idx != dead_vm && !self.vm_down[idx])
+            .filter(|&idx| self.cloud().vm(self.vm_ids[idx]).ram_free_mb() >= needed)
+            .collect();
         let cand_devs: Vec<Vec<DeviceId>> =
             cand_idx.iter().map(|&idx| self.devices_on(idx)).collect();
         let cand_refs: Vec<&[DeviceId]> = cand_devs.iter().map(Vec::as_slice).collect();
@@ -490,12 +482,9 @@ impl Emulation {
             Some(i) => (cand_idx[i], when),
             None => {
                 // No running VM has room: provision a fresh spare.
-                let (id, ready) = {
-                    let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
-                    let (id, ready) = cloud.provision(VmSku::standard_4c8g(), when);
-                    cloud.mark_running(id, ready);
-                    (id, ready)
-                };
+                let cloud = self.cloud_mut();
+                let (id, ready) = cloud.provision(VmSku::standard_4c8g(), when);
+                cloud.mark_running(id, ready);
                 self.vm_ids.push(id);
                 self.engines.push(ContainerEngine::new());
                 self.vm_down.push(false);
@@ -509,16 +498,14 @@ impl Emulation {
         // victims' links: endpoints moved VMs, so spans (and VXLAN
         // tunnels) must be re-derived.
         let topo = Arc::clone(&self.topo);
-        let cloud = Arc::clone(&self.cloud);
-        let mut cloud = cloud.lock().expect("cloud lock poisoned");
         for &dev in victims {
-            self.place(&mut cloud, dev, spare, setup_from);
+            self.place(dev, spare, setup_from);
         }
         for (lid, l) in topo.links() {
             if !victims.contains(&l.a.device) && !victims.contains(&l.b.device) {
                 continue;
             }
-            let Some(vl) = self.wire(&mut cloud, lid, setup_from) else {
+            let Some(vl) = self.wire(lid, setup_from) else {
                 continue; // one end outside the emulation
             };
             match self.vlinks.iter_mut().find(|v| v.link == lid) {
@@ -526,7 +513,6 @@ impl Emulation {
                 None => self.vlinks.push(vl),
             }
         }
-        drop(cloud);
 
         let restored_at = setup_from + self.vm_recovery_cost(victims);
         self.recover(fault_at, restored_at, spare, victims);

@@ -257,12 +257,14 @@ impl Emulation {
         crate::health::incidents_jsonl(&self.incidents())
     }
 
-    /// `List`: all emulated devices with hostnames and liveness.
+    /// `List`: all emulated devices with hostnames and liveness, in id
+    /// order.
     #[must_use]
     pub fn list(&self) -> Vec<(DeviceId, String, bool)> {
-        self.sandboxes
-            .keys()
-            .map(|&d| (d, self.topo.device(d).name.clone(), self.sim.is_up(d)))
+        let mut devs: Vec<DeviceId> = self.sandboxes.keys().copied().collect();
+        devs.sort_unstable();
+        devs.into_iter()
+            .map(|d| (d, self.topo.device(d).name.clone(), self.sim.is_up(d)))
             .collect()
     }
 
@@ -536,9 +538,9 @@ impl Emulation {
     /// (Figure 9's series).
     #[must_use]
     pub fn cpu_p95_series(&self) -> Vec<f64> {
-        let cloud = self.cloud.lock().expect("cloud lock poisoned");
         let until = self.now();
-        let series: Vec<Vec<f64>> = cloud
+        let series: Vec<Vec<f64>> = self
+            .cloud()
             .vms()
             .iter()
             .map(|vm| vm.cpu.utilization_series(until))

@@ -23,15 +23,14 @@ use crystalnet_config::DeviceConfig;
 use crystalnet_net::{DeviceId, LinkId};
 use crystalnet_routing::{BgpRouterOs, ControlPlaneSim, MgmtCommand};
 use crystalnet_sim::{SimDuration, SimTime};
-use crystalnet_vnet::{Cloud, ContainerKind, LinkSpan, VirtualLink};
+use crystalnet_vnet::{ContainerKind, LinkSpan, VirtualLink};
 
 impl Emulation {
-    /// Places `dev` on VM `vm_idx`, its set-up CPU queued on `cloud`
-    /// (the caller holds the fleet lock across a batch) from `at`. A
+    /// Places `dev` on VM `vm_idx`, its set-up CPU queued from `at`. A
     /// device placed before moves: its sandbox record is replaced, its
     /// management edge re-homed onto the new VM's bridge and its future
     /// work queued on the new VM.
-    pub(crate) fn place(&mut self, cloud: &mut Cloud, dev: DeviceId, vm_idx: usize, at: SimTime) {
+    pub(crate) fn place(&mut self, dev: DeviceId, vm_idx: usize, at: SimTime) {
         let device = self.topo.device(dev);
         let kind = self.prep.container_kind(dev);
         let engine = &mut self.engines[vm_idx];
@@ -41,13 +40,15 @@ impl Emulation {
         engine.start(phynet);
         engine.start(sandbox);
         let vm_id = self.vm_ids[vm_idx];
-        let vm = cloud.vm_mut(vm_id);
+        let work = VmWorkModel::of(&mut self.sim);
+        let vm = work.cloud.vm_mut(vm_id);
         // PhyNet start + per-interface veth/bridge setup.
         vm.cpu.submit(at, ContainerKind::PhyNet.start_cpu());
         for _ in 0..device.ifaces.len() {
             vm.cpu.submit(at, self.options.bridge.setup_cpu());
         }
         vm.ram_used_mb += kind.ram_mb() + ContainerKind::PhyNet.ram_mb();
+        work.home_device(dev, vm_id);
         if !self.mgmt.move_device(&device.name, vm_id) {
             self.mgmt
                 .register_device(vm_id, &device.name, device.mgmt_addr)
@@ -61,7 +62,6 @@ impl Emulation {
                 device: sandbox,
             },
         );
-        VmWorkModel::of(&mut self.sim).home_device(dev, vm_id);
     }
 
     /// Provisions production link `lid` between its two placed ends
@@ -69,26 +69,20 @@ impl Emulation {
     /// its span; `None` when an end is outside the emulation. Recording
     /// the link in `vlinks` is the caller's: `mockup()` appends, a
     /// re-placement replaces.
-    pub(crate) fn wire(
-        &mut self,
-        cloud: &mut Cloud,
-        lid: LinkId,
-        at: SimTime,
-    ) -> Option<VirtualLink> {
+    pub(crate) fn wire(&mut self, lid: LinkId, at: SimTime) -> Option<VirtualLink> {
         let link = self.topo.link(lid);
         let vm_a = self.vm_ids[self.sandboxes.get(&link.a.device)?.vm];
         let vm_b = self.vm_ids[self.sandboxes.get(&link.b.device)?.vm];
         let vl = VirtualLink::provision(lid, vm_a, vm_b, false, &mut self.vnis);
+        let work = VmWorkModel::of(&mut self.sim);
         // Tunnel setup costs CPU on both hosting VMs.
         if vl.span != LinkSpan::IntraVm {
             for vm in [vm_a, vm_b] {
-                cloud
-                    .vm_mut(vm)
-                    .cpu
-                    .submit(at, self.options.bridge.setup_cpu());
+                let setup = self.options.bridge.setup_cpu();
+                work.cloud.vm_mut(vm).cpu.submit(at, setup);
             }
         }
-        VmWorkModel::of(&mut self.sim).set_link_span(lid, vl.span);
+        work.set_link_span(lid, vl.span);
         Some(vl)
     }
 
@@ -186,10 +180,8 @@ impl Emulation {
     /// and its devices are isolated. Returns the victims.
     pub(crate) fn crash_vm_devices(&mut self, vm_idx: usize, at: SimTime) -> Vec<DeviceId> {
         self.vm_down[vm_idx] = true;
-        self.cloud
-            .lock()
-            .expect("cloud lock poisoned")
-            .fail_vm(self.vm_ids[vm_idx]);
+        let vm_id = self.vm_ids[vm_idx];
+        self.cloud_mut().fail_vm(vm_id);
         let victims = self.devices_on(vm_idx);
         for &dev in &victims {
             self.isolate(dev, at);
@@ -286,13 +278,10 @@ impl Emulation {
         victims: &[DeviceId],
     ) -> SimDuration {
         let vm_id = self.vm_ids[vm];
-        let reboot_done = {
-            let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
-            let done = cloud.reboot(vm_id, when);
-            cloud.mark_running(vm_id, done);
-            cloud.reset_cpu(vm_id, done);
-            done
-        };
+        let cloud = self.cloud_mut();
+        let reboot_done = cloud.reboot(vm_id, when);
+        cloud.mark_running(vm_id, reboot_done);
+        cloud.reset_cpu(vm_id, reboot_done);
         let recovery = self.vm_recovery_cost(victims);
         self.vm_down[vm] = false;
         self.recover(fault_at, reboot_done + recovery, vm, victims);
@@ -346,7 +335,7 @@ impl Emulation {
     /// `Clear`: resets all VMs to a clean state; returns the latency.
     pub fn clear(&mut self) -> SimDuration {
         let now = self.now();
-        let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
+        let cloud = &mut VmWorkModel::of(&mut self.sim).cloud;
         for (vm_idx, planned) in self.prep.vm_plan.vms.iter().enumerate() {
             let vm = cloud.vm_mut(self.vm_ids[vm_idx]);
             for &dev in planned.devices.iter().chain(&planned.speakers) {
@@ -356,23 +345,16 @@ impl Emulation {
             }
             vm.ram_used_mb = 0;
         }
-        let done = self
-            .vm_ids
-            .iter()
-            .map(|&id| cloud.vm(id).cpu.drained_at())
-            .max()
-            .unwrap_or(now);
         for engine in &mut self.engines {
             engine.clear();
         }
-        done.since(now)
+        self.fleet_drained_at(now).since(now)
     }
 
     /// `Destroy`: releases the VM fleet; returns total dollars burned.
-    pub fn destroy(self) -> f64 {
-        let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
-        let cost = cloud.cost_usd(self.now());
-        cloud.destroy_all();
+    pub fn destroy(mut self) -> f64 {
+        let cost = self.cloud().cost_usd(self.now());
+        self.cloud_mut().destroy_all();
         cost
     }
 }

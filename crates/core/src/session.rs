@@ -16,9 +16,10 @@
 //! ```
 //!
 //! A fork is **independent**: whatever either side does next, the other
-//! never sees it. The small mutable layers (event-queue residue, cloud
-//! CPU accounting, telemetry, wiring) are copied at the fork. The large
-//! one is not: every device OS stays *one instance*, held by parent and
+//! never sees it. It is a `Clone` of the [`Emulation`], so the small
+//! mutable layers (event-queue residue, the cloud fleet inside the work
+//! model, telemetry, wiring) are copied at the fork. The large one is
+//! not: every device OS stays *one instance*, held by parent and
 //! child behind an `Arc`, until one side is about to write to it — then
 //! that side, and only that side, copies it first. The `Arc<PrepareOutput>`
 //! spine, the topology and the hash-consed

@@ -6,16 +6,17 @@ use crystalnet_routing::ControlPlaneSim;
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_vnet::{Cloud, LinkSpan, VmId};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// The work model coupling device activity to VM CPU contention.
 ///
 /// Every route operation, firmware boot and frame encap queues on the
 /// hosting VM's 4 cores — so denser packing (fewer VMs) slows convergence
-/// and raises utilization, reproducing the Figure 8/9 relationships.
+/// and raises utilization, reproducing the Figure 8/9 relationships. The
+/// model owns the cloud fleet it charges, so cloning it (as every fork
+/// does) copies the fleet with it.
 #[derive(Clone)]
 pub struct VmWorkModel {
-    cloud: Arc<Mutex<Cloud>>,
+    pub(crate) cloud: Cloud,
     device_vm: HashMap<DeviceId, VmId>,
     /// Per-device (boot CPU, firmware boot latency, CPU per route op).
     device_cost: HashMap<DeviceId, (SimDuration, SimDuration, SimDuration)>,
@@ -39,7 +40,7 @@ impl VmWorkModel {
     /// A model with no device placed yet: [`Self::home_device`],
     /// [`Self::set_device_cost`] and [`Self::set_link_span`] fill it in
     /// as `mockup()` places, boots and wires.
-    pub(crate) fn new(cloud: Arc<Mutex<Cloud>>, jitter_seed: u64) -> Self {
+    pub(crate) fn new(cloud: Cloud, jitter_seed: u64) -> Self {
         VmWorkModel {
             cloud,
             device_vm: HashMap::new(),
@@ -61,12 +62,14 @@ impl VmWorkModel {
             .expect("mockup sims drive a VmWorkModel")
     }
 
-    /// This model charging `cloud` instead (a fork's private fleet copy).
-    pub(crate) fn on_cloud(&self, cloud: Arc<Mutex<Cloud>>) -> VmWorkModel {
-        VmWorkModel {
-            cloud,
-            ..self.clone()
-        }
+    /// [`Self::of`] for reading.
+    pub(crate) fn of_ref(sim: &ControlPlaneSim) -> &VmWorkModel {
+        sim.engine
+            .world
+            .work_ref()
+            .as_any()
+            .downcast_ref()
+            .expect("mockup sims drive a VmWorkModel")
     }
 
     /// ±25 % boot-latency jitter, deterministic per (device, boot ordinal).
@@ -117,11 +120,11 @@ impl WorkModel for VmWorkModel {
             WorkKind::Boot => self.boot_jitter(dev, boot_latency),
             WorkKind::RouteOps(_) => SimDuration::ZERO,
         };
-        let mut cloud = self.cloud.lock().expect("cloud lock poisoned");
         let start = now.max(self.device_busy.get(&dev).copied().unwrap_or(SimTime::ZERO));
+        let cpu = &mut self.cloud.vm_mut(vm).cpu;
         let end = match kind {
-            WorkKind::Boot => cloud.vm_mut(vm).cpu.submit(start, boot_cpu) + jitter,
-            WorkKind::RouteOps(n) => cloud.vm_mut(vm).cpu.submit(start, per_op * (n as u64)),
+            WorkKind::Boot => cpu.submit(start, boot_cpu) + jitter,
+            WorkKind::RouteOps(n) => cpu.submit(start, per_op * (n as u64)),
         };
         self.device_busy.insert(dev, end);
         end
@@ -140,6 +143,10 @@ impl WorkModel for VmWorkModel {
         let _ = now;
         let jitter = u64::from(link.0).wrapping_mul(0x9e37_79b9) % 2_000;
         span.latency() + SimDuration::from_nanos(jitter)
+    }
+
+    fn clone_boxed(&self) -> Box<dyn WorkModel> {
+        Box::new(self.clone())
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

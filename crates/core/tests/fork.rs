@@ -424,3 +424,40 @@ fn fork_of_a_fork_keeps_every_generation_isolated() {
     assert_eq!(fib_map(&emu), fib_map(grandchild.emulation()));
     assert!(!grandchild.diff_against_parent().is_empty() || !child_fibs.is_empty());
 }
+
+/// What a fork must keep to itself of the cloud fleet: VM count, dollars
+/// burned so far, hourly burn rate and Figure 9's CPU series.
+fn fleet(emu: &Emulation) -> (usize, f64, f64, Vec<f64>) {
+    let cloud = emu.cloud();
+    (
+        cloud.vm_count(),
+        cloud.cost_usd(emu.now()),
+        cloud.hourly_rate_usd(),
+        emu.cpu_p95_series(),
+    )
+}
+
+#[test]
+fn a_forks_fleet_never_reaches_its_parent() {
+    let mut emu = fig7_emu(37);
+    let before = fleet(&emu);
+
+    // Every reboot of VM 0 fails, so its devices are quarantined on a
+    // spare the fork provisions.
+    let mut fork = emu.fork();
+    let plan = FaultPlan::default().then(
+        SimDuration::from_secs(10),
+        FaultKind::VmSlowRestart {
+            vm: 0,
+            failed_attempts: 4,
+        },
+    );
+    fork.inject_faults(&plan)
+        .expect("the quarantine re-converges");
+    let child = fleet(fork.emulation());
+    assert_eq!(child.0, before.0 + 1, "the quarantine provisioned a spare");
+    assert_eq!(fleet(&emu), before, "the fork's fleet reached its parent");
+
+    fork.commit(&mut emu);
+    assert_eq!(fleet(&emu), child);
+}

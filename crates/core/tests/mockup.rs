@@ -73,6 +73,12 @@ fn mockup_produces_full_reachability_and_working_apis() {
         dc.internal_device_count() + dc.externals.len()
     );
     assert!(listed.iter().all(|(_, _, up)| *up));
+    // ...in id order, so a same-seed run lists them identically.
+    assert!(
+        listed.windows(2).all(|w| w[0].0 < w[1].0),
+        "List in id order"
+    );
+    assert_eq!(s_dc_emulation(2, Some(5)).1.list(), listed);
 
     // PullStates: ToRs carry full tables.
     let tor = dc.pods[0].tors[0];

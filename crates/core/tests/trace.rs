@@ -8,7 +8,7 @@
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
 use crystalnet_net::fixtures::fig7;
-use crystalnet_net::DeviceId;
+use crystalnet_net::{ClosParams, DeviceId};
 use crystalnet_routing::harness::build_full_bgp_sim;
 use crystalnet_routing::{OriginKind, UniformWorkModel};
 use std::collections::BTreeSet;
@@ -82,6 +82,29 @@ fn trace_export_is_byte_identical_across_worker_counts_and_reps() {
     ] {
         assert!(a.contains(kind), "trace is missing {kind:?} records");
     }
+}
+
+#[test]
+fn a_speaker_boundary_traces_byte_identically_across_reps() {
+    // Around pod 2's ToRs the speakers standing in for the rest of the
+    // fabric each hold several sessions; each boot must open them in the
+    // same order, or the Opens' event ids differ from run to run.
+    let dc = ClosParams::s_dc().build();
+    let run = || {
+        let prep = prepare(
+            &dc.topo,
+            &dc.pods[2].tors,
+            BoundaryMode::SafeDcBoundary,
+            SpeakerSource::OriginatedOnly,
+            &PlanOptions::default(),
+        );
+        assert_eq!(prep.speakers().len(), 22);
+        let emu = mockup(Arc::new(prep), MockupOptions::builder().seed(4).build());
+        emu.trace_jsonl()
+    };
+    let first = run();
+    assert!(first.contains("boot_done"));
+    assert!(first == run(), "same seed, different trace");
 }
 
 #[test]

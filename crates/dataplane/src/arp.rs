@@ -1,14 +1,12 @@
 //! ARP: address resolution on the emulated Ethernet links.
 //!
-//! Two of the paper's firmware bugs live at this layer: "ARP refreshing
-//! failed when peering configuration was changed" (§2) and CTNR-B "failing
-//! to forward ARP packets to CPU due to incorrect trap implementation"
-//! (§7 Case 2). The table therefore models entry expiry and an explicit
-//! refresh path that buggy firmware can skip.
+//! CTNR-B's "failing to forward ARP packets to CPU due to incorrect trap
+//! implementation" (§7 Case 2) lives at this layer: the firmware drops
+//! inbound ARP messages. The §2 "ARP refreshing failed" bug is not
+//! modelled.
 
 use crystalnet_net::{Ipv4Addr, MacAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// An ARP message (request or reply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,133 +19,4 @@ pub struct ArpMessage {
     pub sender_mac: MacAddr,
     /// Target protocol address.
     pub target_ip: Ipv4Addr,
-}
-
-/// One resolved neighbor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct ArpEntry {
-    mac: MacAddr,
-    learned_at_nanos: u64,
-}
-
-/// A per-device ARP table with entry aging.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ArpTable {
-    entries: HashMap<Ipv4Addr, ArpEntry>,
-    /// Entry lifetime in nanoseconds.
-    ttl_nanos: u64,
-}
-
-impl ArpTable {
-    /// A table whose entries expire after `ttl_nanos`.
-    #[must_use]
-    pub fn new(ttl_nanos: u64) -> Self {
-        ArpTable {
-            entries: HashMap::new(),
-            ttl_nanos,
-        }
-    }
-
-    /// Learns (or refreshes) a neighbor.
-    pub fn learn(&mut self, ip: Ipv4Addr, mac: MacAddr, now_nanos: u64) {
-        self.entries.insert(
-            ip,
-            ArpEntry {
-                mac,
-                learned_at_nanos: now_nanos,
-            },
-        );
-    }
-
-    /// Resolves a neighbor if present and fresh.
-    #[must_use]
-    pub fn resolve(&self, ip: Ipv4Addr, now_nanos: u64) -> Option<MacAddr> {
-        self.entries.get(&ip).and_then(|e| {
-            if now_nanos.saturating_sub(e.learned_at_nanos) <= self.ttl_nanos {
-                Some(e.mac)
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Whether an entry exists but has gone stale (needs refresh).
-    #[must_use]
-    pub fn is_stale(&self, ip: Ipv4Addr, now_nanos: u64) -> bool {
-        self.entries
-            .get(&ip)
-            .is_some_and(|e| now_nanos.saturating_sub(e.learned_at_nanos) > self.ttl_nanos)
-    }
-
-    /// Drops a neighbor (peering removed).
-    pub fn flush(&mut self, ip: Ipv4Addr) {
-        self.entries.remove(&ip);
-    }
-
-    /// Drops everything.
-    pub fn flush_all(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Live entry count at `now_nanos`.
-    #[must_use]
-    pub fn live_count(&self, now_nanos: u64) -> usize {
-        self.entries
-            .values()
-            .filter(|e| now_nanos.saturating_sub(e.learned_at_nanos) <= self.ttl_nanos)
-            .count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ip(n: u32) -> Ipv4Addr {
-        Ipv4Addr(n)
-    }
-    fn mac(n: u32) -> MacAddr {
-        MacAddr::from_id(n)
-    }
-
-    #[test]
-    fn learn_and_resolve() {
-        let mut t = ArpTable::new(1000);
-        t.learn(ip(1), mac(1), 0);
-        assert_eq!(t.resolve(ip(1), 500), Some(mac(1)));
-        assert_eq!(t.resolve(ip(2), 500), None);
-    }
-
-    #[test]
-    fn entries_expire() {
-        let mut t = ArpTable::new(1000);
-        t.learn(ip(1), mac(1), 0);
-        assert_eq!(t.resolve(ip(1), 1001), None);
-        assert!(t.is_stale(ip(1), 1001));
-        assert!(!t.is_stale(ip(1), 1000));
-        assert!(!t.is_stale(ip(2), 1001)); // absent, not stale
-    }
-
-    #[test]
-    fn refresh_restores_liveness() {
-        let mut t = ArpTable::new(1000);
-        t.learn(ip(1), mac(1), 0);
-        // A correct firmware refreshes; the entry stays resolvable.
-        t.learn(ip(1), mac(1), 900);
-        assert_eq!(t.resolve(ip(1), 1800), Some(mac(1)));
-        // A firmware with the §2 ARP-refresh bug simply never calls
-        // `learn` again — the entry goes stale and traffic blackholes.
-    }
-
-    #[test]
-    fn flush_removes_entries() {
-        let mut t = ArpTable::new(1000);
-        t.learn(ip(1), mac(1), 0);
-        t.learn(ip(2), mac(2), 0);
-        t.flush(ip(1));
-        assert_eq!(t.resolve(ip(1), 1), None);
-        assert_eq!(t.live_count(1), 1);
-        t.flush_all();
-        assert_eq!(t.live_count(1), 0);
-    }
 }

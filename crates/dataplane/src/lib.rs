@@ -7,7 +7,7 @@
 //! emulation and production (§9). This crate provides that substrate:
 //! wire-encoded Ethernet/IPv4/UDP/VXLAN, a capacity-bounded
 //! longest-prefix-match FIB with ECMP, per-device forwarding decisions,
-//! ARP with aging, telemetry capture with path reconstruction, and the
+//! ARP messages, telemetry capture with path reconstruction, and the
 //! ECMP/aggregation-aware FIB comparator.
 
 #![warn(missing_docs)]
@@ -19,7 +19,7 @@ pub mod forward;
 pub mod packet;
 pub mod telemetry;
 
-pub use arp::{ArpMessage, ArpTable};
+pub use arp::ArpMessage;
 pub use compare::{compare_fibs, fibs_equal, CompareOptions, FibDifference};
 pub use fib::{ecmp_select, Fib, FibEntry, InstallOutcome, NextHop};
 pub use forward::{decide, verdict, ForwardDecision};

@@ -14,7 +14,7 @@
 //! unchanged case.
 
 use crate::intern::Interner;
-use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{Asn, Ipv4Addr};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -144,26 +144,6 @@ impl PathAttrs {
     /// to keep the table proportional to live routes.
     pub fn intern_sweep() {
         INTERNER.sweep();
-    }
-}
-
-/// A route: prefix plus shared attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Route {
-    /// The destination prefix.
-    pub prefix: Ipv4Prefix,
-    /// Shared path attributes.
-    pub attrs: Arc<PathAttrs>,
-}
-
-impl Route {
-    /// Builds a route.
-    #[must_use]
-    pub fn new(prefix: Ipv4Prefix, attrs: PathAttrs) -> Self {
-        Route {
-            prefix,
-            attrs: attrs.intern(),
-        }
     }
 }
 

@@ -59,13 +59,21 @@ pub trait WorkModel: Send {
     /// from an event-per-hop run's, and the sharded settle probes it for
     /// its lookahead.
     fn link_delay(&mut self, link: LinkId, now: SimTime) -> SimDuration;
+    /// A deep copy of this model: what cloning the world (a fork) does
+    /// with it.
+    fn clone_boxed(&self) -> Box<dyn WorkModel>;
     /// Downcasting hook so orchestration layers can reach their concrete
     /// model (e.g. to install per-device cost tables after construction).
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
-    /// Shared-reference downcasting hook; lets a fork read the live
-    /// model (to deep-copy it) without exclusive access to the world.
+    /// Shared-reference downcasting hook, for reading the concrete model.
     fn as_any(&self) -> &dyn std::any::Any;
+}
+
+impl Clone for Box<dyn WorkModel> {
+    fn clone(&self) -> Self {
+        self.clone_boxed()
+    }
 }
 
 /// Fixed-cost work model for protocol-level tests.
@@ -101,6 +109,10 @@ impl WorkModel for UniformWorkModel {
         self.latency
     }
 
+    fn clone_boxed(&self) -> Box<dyn WorkModel> {
+        Box::new(self.clone())
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
@@ -129,6 +141,16 @@ pub struct PacketHop<'w> {
 }
 
 /// The control-plane simulation: an [`Engine`] over [`ControlPlaneWorld`].
+///
+/// A clone is a fork: *positionally exact*, because queued events keep
+/// their `(time, key, seq)` ranks and per-device key counters resume where
+/// the original's stand, so identical inputs produce bit-identical
+/// behaviour on both. Each device's OS stays one instance behind an `Arc`
+/// until either side is about to write to it, and only that side copies
+/// it then ([`DeviceOs::clone_boxed`]); a clone therefore costs what it
+/// later touches, and `Arc::ptr_eq` on two sims' slots proves a device
+/// untouched since. The work model and the recorder are deep-copied.
+#[derive(Clone)]
 pub struct ControlPlaneSim {
     /// The event engine (exposed for orchestration layers).
     pub engine: ControlPlaneEngine,
@@ -179,58 +201,6 @@ impl ControlPlaneSim {
                 fwd_disabled: BTreeSet::new(),
                 recorder: Box::new(MemRecorder::disabled()),
             }),
-        }
-    }
-
-    /// Forks the whole simulation — the wiring, the key counters, and the
-    /// engine's clock/queue/sequence position are copied; the OS
-    /// instances are *shared* — over a caller-supplied work model and
-    /// recorder.
-    ///
-    /// This is the control-plane half of an emulation fork. The copy is
-    /// *positionally exact*: queued events keep their `(time, key, seq)`
-    /// ranks and per-device key counters resume where the parent's
-    /// stand, so identical inputs produce bit-identical behavior on
-    /// parent and child. Each device's OS stays one instance behind an
-    /// `Arc` until either side is about to write to it, and only that
-    /// side copies it then ([`DeviceOs::clone_boxed`]); a fork therefore
-    /// costs what it later touches, and `Arc::ptr_eq` on two sims' slots
-    /// proves a device untouched since the fork.
-    ///
-    /// The caller supplies `work` and `recorder` because both typically
-    /// need their own treatment on fork: the work model must stop
-    /// sharing mutable CPU accounting with the parent, and the recorder
-    /// is a clone of the parent's, history included. Parallel-shard wiring
-    /// (`shard_route`) is never inherited — a fork starts in serial
-    /// mode, mid-parallel-run forks are not supported.
-    #[must_use]
-    pub fn fork_with(&self, work: Box<dyn WorkModel>, recorder: Box<MemRecorder>) -> Self {
-        let w = &self.engine.world;
-        debug_assert!(
-            w.shard_route.is_none(),
-            "fork_with on a shard of a parallel run"
-        );
-        let world = ControlPlaneWorld {
-            oses: w.oses.clone(),
-            booted: w.booted.clone(),
-            adjacency: w.adjacency.clone(),
-            link_up: w.link_up.clone(),
-            work,
-            last_route_activity: w.last_route_activity,
-            route_ops_total: w.route_ops_total,
-            route_ops_by_dev: w.route_ops_by_dev.clone(),
-            crashes: w.crashes.clone(),
-            mgmt_responses: w.mgmt_responses.clone(),
-            causal_pending: w.causal_pending,
-            dev_key_seq: w.dev_key_seq.clone(),
-            control_key_seq: w.control_key_seq,
-            shard_route: None,
-            planes: w.planes.clone(),
-            fwd_disabled: w.fwd_disabled.clone(),
-            recorder,
-        };
-        ControlPlaneSim {
-            engine: self.engine.replicate_with(world),
         }
     }
 

@@ -61,6 +61,7 @@ pub(crate) struct ResolvedHop<'w> {
 /// Parallel-mode wiring: which shard owns each device, which shard this
 /// world is, and the outbox of cross-shard events (drained at window
 /// barriers). `None` in serial mode.
+#[derive(Clone)]
 pub(crate) struct ShardRoute {
     pub(crate) self_shard: usize,
     pub(crate) shard_of: Vec<usize>,
@@ -68,6 +69,7 @@ pub(crate) struct ShardRoute {
 }
 
 /// The simulated world: OS instances plus wiring.
+#[derive(Clone)]
 pub struct ControlPlaneWorld {
     /// One slot per device. A fork clones the handles, not the OSes: a
     /// slot stays shared with every fork taken since its last write, and
@@ -120,7 +122,7 @@ impl ControlPlaneWorld {
         &mut *self.work
     }
 
-    /// Shared access to the work model (fork hook).
+    /// Shared access to the work model.
     pub fn work_ref(&self) -> &dyn WorkModel {
         &*self.work
     }

@@ -26,7 +26,7 @@ pub mod speaker;
 pub mod traffic;
 pub mod vendor;
 
-pub use attrs::{intern_stats, Origin, PathAttrs, Route};
+pub use attrs::{intern_stats, Origin, PathAttrs};
 pub use bgp::{BgpRouterOs, SessionState, LOCAL_IFACE};
 pub use harness::{ControlPlaneSim, ControlPlaneWorld, UniformWorkModel, WorkKind, WorkModel};
 pub use health::{

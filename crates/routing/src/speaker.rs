@@ -15,7 +15,7 @@ use crate::provenance::{OriginKind, Provenance};
 use crystalnet_dataplane::Fib;
 use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::{EventId, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The announcement program for one speaker session.
@@ -32,10 +32,10 @@ pub struct SpeakerOs {
     asn: Asn,
     router_id: Ipv4Addr,
     /// Per-interface scripts (one boundary device per interface).
-    scripts: HashMap<u32, SpeakerScript>,
+    scripts: BTreeMap<u32, SpeakerScript>,
     /// Sessions currently up, keyed by interface, holding the peer's
     /// session token.
-    established: HashMap<u32, Option<u64>>,
+    established: BTreeMap<u32, Option<u64>>,
     /// Everything received from boundary devices, dumped for analysis
     /// ("dump the received announcements for potential analysis", §6.2).
     received: Vec<(u32, Ipv4Prefix, Option<Arc<PathAttrs>>)>,
@@ -59,8 +59,8 @@ impl SpeakerOs {
             hostname,
             asn,
             router_id,
-            scripts: HashMap::new(),
-            established: HashMap::new(),
+            scripts: BTreeMap::new(),
+            established: BTreeMap::new(),
             received: Vec::new(),
             fib: Fib::default(),
             down: false,
@@ -308,6 +308,27 @@ mod tests {
             .collect();
         assert_eq!(a.out.len(), 3);
         assert!(kinds[2], "script announced last");
+    }
+
+    #[test]
+    fn boot_and_summary_follow_interface_order_in_every_speaker() {
+        // Each Open takes the next event key in send order, so an order
+        // that differs between two fresh speakers changes the trace.
+        for _ in 0..32 {
+            let mut s = SpeakerOs::new("sp0".into(), Asn(64600), Ipv4Addr(1));
+            for iface in [5, 0, 3, 1, 4, 2] {
+                s.set_script(iface, script("0.0.0.0/0"));
+            }
+            let boot = s.handle(SimTime::ZERO, OsEvent::Boot);
+            let opens: Vec<u32> = boot.out.iter().map(|(iface, _)| *iface).collect();
+            assert_eq!(opens, [0, 1, 2, 3, 4, 5]);
+            let summary = s.handle(SimTime::ZERO, OsEvent::Mgmt(MgmtCommand::ShowBgpSummary));
+            let Some(MgmtResponse::BgpSummary(rows)) = summary.response else {
+                panic!("a speaker answers ShowBgpSummary");
+            };
+            let listed: Vec<u32> = rows.iter().map(|(peer, _, _)| peer.0).collect();
+            assert_eq!(listed, [0, 1, 2, 3, 4, 5]);
+        }
     }
 
     #[test]

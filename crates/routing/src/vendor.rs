@@ -44,9 +44,6 @@ pub struct Quirks {
     /// "New router firmware erroneously stopped announcing certain IP
     /// prefixes": locally originated networks are never advertised.
     pub stop_announcing_networks: bool,
-    /// "ARP refreshing failed when peering configuration was changed":
-    /// after a config change the firmware stops refreshing ARP entries.
-    pub arp_refresh_bug: bool,
     /// The firmware parses v1 ACL configuration with v2 field order
     /// (source/destination swapped) — the undocumented format change.
     pub acl_v2_misread: bool,

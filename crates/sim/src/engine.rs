@@ -597,6 +597,13 @@ impl<W, E> Engine<W, E> {
     }
 }
 
+/// A clone is [`Engine::replicate_with`] over a clone of the world.
+impl<W: Clone, E: Clone> Clone for Engine<W, E> {
+    fn clone(&self) -> Self {
+        self.replicate_with(self.world.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

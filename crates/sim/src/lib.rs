@@ -12,7 +12,7 @@
 //! * [`SimRng`] — seeded, per-component random streams,
 //! * [`HeartbeatSchedule`] / [`Backoff`] — health-monitor timing
 //!   primitives (fault detection and bounded retry),
-//! * [`metrics`] — percentile and time-series aggregation (Figure 8/9).
+//! * [`metrics`] — percentile aggregation (Figure 8/9).
 //!
 //! Everything is deterministic given a seed: the engine orders events by
 //! `(time, sequence)`, and all randomness is derived from [`SimRng`].
@@ -28,7 +28,7 @@ pub mod time;
 pub use cpu::{CpuServer, UtilizationTracker};
 pub use engine::{Engine, EngineCheckpoint, EventFire, EventId};
 pub use heartbeat::{Backoff, HeartbeatSchedule};
-pub use metrics::{LatencySummary, Series};
+pub use metrics::LatencySummary;
 pub use parallel::{
     run_shards_until_quiet_matrix, LookaheadMatrix, ParallelOutcome, ParallelWorld,
 };

@@ -1,10 +1,10 @@
-//! Measurement helpers: percentiles, time series, and latency summaries.
+//! Measurement helpers: percentiles and latency summaries.
 //!
 //! The paper reports 10th/50th/90th-percentile latencies across ten runs
 //! (Figure 8) and 95th-percentile CPU curves across VMs (Figure 9); this
 //! module implements those aggregations.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Returns the `p`-th percentile (0..=100) of `samples` by linear
@@ -62,56 +62,6 @@ impl LatencySummary {
 impl std::fmt::Display for LatencySummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "p10={} p50={} p90={}", self.p10, self.p50, self.p90)
-    }
-}
-
-/// An append-only time series of `(time, value)` points.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Series {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl Series {
-    /// An empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Series::default()
-    }
-
-    /// Appends a point; time must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the last recorded point.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        if let Some((last, _)) = self.points.last() {
-            assert!(t >= *last, "series time must be non-decreasing");
-        }
-        self.points.push((t, value));
-    }
-
-    /// All points in order.
-    #[must_use]
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// The latest value, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|(_, v)| *v)
-    }
-
-    /// Number of points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 }
 
@@ -187,24 +137,6 @@ mod tests {
         assert!(s.p10 <= s.p50 && s.p50 <= s.p90);
         assert_eq!(s.p50, SimDuration::from_millis(5500));
         assert!(LatencySummary::from_samples(&[]).is_none());
-    }
-
-    #[test]
-    fn series_enforces_order() {
-        let mut s = Series::new();
-        s.push(SimTime(1), 1.0);
-        s.push(SimTime(1), 2.0);
-        s.push(SimTime(5), 3.0);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.last(), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn series_rejects_backwards_time() {
-        let mut s = Series::new();
-        s.push(SimTime(5), 1.0);
-        s.push(SimTime(1), 2.0);
     }
 
     #[test]

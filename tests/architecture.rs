@@ -170,10 +170,10 @@ fn vendor_grouping_is_enforced_on_the_running_fleet() {
 #[test]
 fn emulation_cost_tracks_fleet_and_time() {
     let (_, emu) = emu();
-    let rate = emu.cloud.lock().unwrap().hourly_rate_usd();
+    let rate = emu.cloud().hourly_rate_usd();
     let plan_rate = emu.prep.vm_plan.hourly_cost_usd();
     assert!((rate - plan_rate).abs() < 1e-9);
-    let cost = emu.cloud.lock().unwrap().cost_usd(emu.now());
+    let cost = emu.cloud().cost_usd(emu.now());
     assert!(cost > 0.0);
     assert!(cost < rate, "an emulation converges in under an hour");
 }
