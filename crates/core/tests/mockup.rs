@@ -142,6 +142,57 @@ fn disconnect_and_connect_propagate() {
     assert_eq!(emu.pull_states(spine).unwrap().fib_prefixes, before);
 }
 
+/// `ShowBgpSummary` on `name`: (peer, established, prefixes received).
+fn bgp_summary(emu: &mut Emulation, name: &str) -> Vec<(crystalnet_net::Ipv4Addr, bool, usize)> {
+    match emu.login_and_run(name, MgmtCommand::ShowBgpSummary) {
+        Ok(MgmtResponse::BgpSummary(rows)) => rows,
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// `no neighbor … shutdown` on a neighbour that is not shut down changes
+/// nothing, as on real firmware: the session stays established, keeps
+/// its routes and still hears the leaf's later UPDATEs.
+#[test]
+fn neighbor_enable_on_an_enabled_session_keeps_it_established() {
+    let (dc, mut emu) = s_dc_emulation(1, Some(5));
+    let tor = dc.pods[0].tors[0];
+    let name = dc.topo.device(tor).name.clone();
+    let before = bgp_summary(&mut emu, &name);
+    let (leaf, established, _) = before[0];
+    assert!(established);
+
+    let resp = emu.login_and_run(&name, MgmtCommand::NeighborEnable(leaf));
+    assert_eq!(resp, Ok(MgmtResponse::Ok));
+    emu.advance(SimDuration::from_secs(300));
+    assert_eq!(
+        bgp_summary(&mut emu, &name),
+        before,
+        "the leaf's session must stay established with its routes"
+    );
+}
+
+/// `Connect` on a link that is already up is a no-op: neither end
+/// restarts its session or re-sends its table.
+#[test]
+fn connect_on_an_up_link_costs_no_route_op() {
+    let (dc, mut emu) = s_dc_emulation(1, Some(5));
+    let tor = dc.pods[0].tors[0];
+    let name = dc.topo.device(tor).name.clone();
+    let before = bgp_summary(&mut emu, &name);
+    let ops = emu.sim.engine.world.route_ops_total;
+
+    let (lid, _, _) = dc.topo.neighbors(tor).next().unwrap();
+    emu.connect(lid);
+    emu.settle().expect("quiet");
+    assert_eq!(
+        emu.sim.engine.world.route_ops_total - ops,
+        0,
+        "a LinkUp on an up link restarted a session"
+    );
+    assert_eq!(bgp_summary(&mut emu, &name), before);
+}
+
 #[test]
 fn reload_two_layer_beats_strawman() {
     let (dc, mut emu) = s_dc_emulation(4, Some(5));

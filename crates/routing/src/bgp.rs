@@ -18,9 +18,16 @@
 //! itself is memoised per learned attribute set, so a re-export of a set
 //! this router has announced before costs no interner call. The
 //! provenance hop (`export_chain`) is built only when some peer's
-//! Adj-RIB-Out actually changes — most decisions in a Clos fabric grow an
-//! ECMP set and send nothing. The per-prefix tables are [`PrefixMap`]s,
-//! and the decision process reuses its candidate and dirty-prefix buffers.
+//! Adj-RIB-Out actually changes. Most decisions in a Clos fabric only
+//! resize an ECMP set, keeping the best path's attributes and source, and
+//! those skip the fan-out altogether: every established peer's Adj-RIB-Out
+//! (flushed plus pending) equals what the Loc-RIB exports, because a
+//! session leaves Established only through `session_down` (which empties
+//! both) and enters it only through `establish` (which queues the full
+//! table). `LinkUp` on an up link and `NeighborEnable` on an enabled
+//! neighbour are no-ops for that reason. The per-prefix tables are
+//! [`PrefixMap`]s, and the decision process reuses its candidate and
+//! dirty-prefix buffers.
 
 use crate::attrs::{Origin, PathAttrs};
 use crate::msg::{BgpMsg, Frame};
@@ -703,12 +710,17 @@ impl BgpRouterOs {
         };
 
         let old = self.loc_rib.get(&prefix);
-        let unchanged = match (&old, &new_entry) {
+        // What a peer is sent depends only on the attributes and the
+        // source, never on the ECMP set: with both kept, every peer's
+        // Adj-RIB-Out already equals the export (the invariant the
+        // session machine keeps), so the fan-out would queue nothing.
+        let (unchanged, same_export) = match (&old, &new_entry) {
             (Some(o), Some(n)) => {
-                same_attrs(&o.attrs, &n.attrs) && o.ecmp == n.ecmp && o.source == n.source
+                let same_export = same_attrs(&o.attrs, &n.attrs) && o.source == n.source;
+                (same_export && o.ecmp == n.ecmp, same_export)
             }
-            (None, None) => true,
-            _ => false,
+            (None, None) => (true, false),
+            _ => (false, false),
         };
         if unchanged {
             return;
@@ -724,6 +736,9 @@ impl BgpRouterOs {
                 if keep_in_rib {
                     self.journal(prefix, MutationKind::Install, Some(&entry));
                     self.loc_rib.insert(prefix, entry);
+                    if same_export {
+                        return;
+                    }
                 } else {
                     // RejectRoute overflow: drop entirely and withdraw.
                     self.journal(prefix, MutationKind::Remove, None);
@@ -1094,6 +1109,11 @@ impl BgpRouterOs {
             }
             MgmtCommand::NeighborEnable(addr) => {
                 match self.peers.iter().position(|p| p.addr == addr) {
+                    // `no neighbor … shutdown` acts only on a neighbour that
+                    // is shut down; an enabled one keeps its session.
+                    Some(idx) if !self.peers[idx].shutdown => {
+                        actions.response = Some(MgmtResponse::Ok);
+                    }
                     Some(idx) => {
                         self.peers[idx].shutdown = false;
                         if self.peers[idx].link_up {
@@ -1248,7 +1268,13 @@ impl BgpRouterOs {
         let networks: Vec<Ipv4Prefix> = self.networks.iter().copied().collect();
         self.dirty.extend(networks);
         self.run_decision(&mut actions);
-        // Open sessions on all up links.
+        // Open sessions on all up links. Boot reaches a fresh image only (a
+        // restart replaces it, a config replace rebuilds the sessions), so
+        // no session leaves Established here.
+        debug_assert!(self
+            .peers
+            .iter()
+            .all(|p| p.state != SessionState::Established));
         for idx in 0..self.peers.len() {
             if self.peers[idx].link_up && !self.peers[idx].shutdown {
                 self.peers[idx].state = SessionState::OpenSent;
@@ -1274,7 +1300,10 @@ impl DeviceOs for BgpRouterOs {
                 return self.boot_control_plane();
             }
             OsEvent::LinkUp(iface) => {
-                if let Some(&idx) = self.peer_by_iface.get(&iface) {
+                // A LinkUp on a link that is already up changes nothing:
+                // its session, established or not, keeps its state.
+                let was_down = |&&idx: &&usize| !self.peers[idx].link_up;
+                if let Some(&idx) = self.peer_by_iface.get(&iface).filter(was_down) {
                     self.peers[idx].link_up = true;
                     if !self.peers[idx].shutdown {
                         self.peers[idx].state = SessionState::OpenSent;

@@ -63,7 +63,8 @@ pub enum MgmtCommand {
     ShowRoutes,
     /// Administratively shut one BGP session.
     NeighborShutdown(Ipv4Addr),
-    /// Re-enable one BGP session.
+    /// Re-enable one shut-down BGP session (`no neighbor … shutdown`). A
+    /// no-op on an enabled neighbour: its session keeps its state.
     NeighborEnable(Ipv4Addr),
     /// Add a `network` statement (origination).
     AddNetwork(Ipv4Prefix),

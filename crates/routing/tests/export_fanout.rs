@@ -11,6 +11,10 @@
 //! The rest counts what the fan-out no longer builds: a provenance hop
 //! only for a route that is sent, and the re-announced attributes from a
 //! per-router memo that must follow the local AS and travel with a copy.
+//! A decision that keeps the best path's attributes and source runs no
+//! fan-out at all; that is exact only while every established peer's
+//! Adj-RIB-Out equals what the Loc-RIB exports, and a second property
+//! walks the session machine at random to check that it always does.
 
 mod common;
 
@@ -24,8 +28,8 @@ use crystalnet_config::{
 use crystalnet_net::{Asn, Ipv4Prefix};
 use crystalnet_routing::attrs::{intern_stats, PathAttrs};
 use crystalnet_routing::{
-    BgpMsg, BgpRouterOs, DecisionReason, DeviceOs, MgmtCommand, OriginKind, OsEvent, Provenance,
-    Quirks, VendorProfile,
+    BgpMsg, BgpRouterOs, DecisionReason, DeviceOs, FibOverflow, MgmtCommand, OriginKind, OsEvent,
+    Provenance, Quirks, VendorProfile,
 };
 use crystalnet_sim::EventId;
 use proptest::prelude::*;
@@ -521,10 +525,10 @@ fn learned_from(peers: &[PeerSpec], i: usize) -> Arc<PathAttrs> {
 
 /// ECMP growth, the common decision in a Clos fabric: a second spine of
 /// the same layer AS announces an attr-identical path. The Loc-RIB entry
-/// changes (its ECMP set grows), so each prefix is re-exported — yet no
-/// peer's Adj-RIB-Out moves. Nothing may be queued, no provenance hop
-/// built for the routes nobody is sent, and no attribute set interned: the
-/// re-announced set comes from the router's memo.
+/// changes (its ECMP set grows) but keeps its attributes and source, so
+/// the decision skips the fan-out: no peer's Adj-RIB-Out can move.
+/// Nothing may be queued, no provenance hop built for the routes nobody
+/// is sent, and no attribute set interned.
 #[test]
 fn ecmp_growth_queues_nothing_and_interns_nothing() {
     const PREFIXES: u32 = 50;
@@ -636,6 +640,364 @@ fn a_warm_copy_and_a_cold_router_send_the_same_update() {
     for (a, b) in from_copy.values().zip(from_cold.values()) {
         for ((_, a_attrs, a_prov), (_, b_attrs, b_prov)) in a.0.iter().zip(&b.0) {
             assert!(Arc::ptr_eq(a_attrs, b_attrs) && Arc::ptr_eq(a_prov, b_prov));
+        }
+    }
+}
+
+/// Peer `i`'s origination: the chain its announcements carry.
+fn speaker_origin(i: usize) -> Arc<Provenance> {
+    Provenance::originated(OriginKind::Speaker, peer_addr(i), ev(0))
+}
+
+/// Where only split horizon guards the skip: two peers in different ASes
+/// announce one interned set that carries neither AS, and the
+/// lower-address peer comes second. The attributes stay and the best path
+/// moves to it, so it must be sent a withdraw, the old best the route,
+/// and nobody else anything.
+#[test]
+fn a_best_path_moving_under_one_set_swaps_the_split_horizon() {
+    let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
+    let peers: Vec<PeerSpec> = (0..3).map(PeerSpec::plain).collect();
+    let mut os = established(VendorProfile::ctnr_a(), config(&peers, 4), &peers);
+    let set = PathAttrs {
+        as_path: vec![Asn(64800), Asn(64700)],
+        ..PathAttrs::originated(peer_addr(0))
+    }
+    .intern();
+    let routes = [nth_prefix(0)];
+
+    deliver(&mut os, ev(1), 0, update(&routes, &set, &speaker_origin(0)));
+    let first = flush(&mut os, ev(2));
+    assert_eq!(first.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
+
+    // Peer 1 has the lower address: same set, so ECMP {1, 0}, best 1.
+    deliver(&mut os, ev(3), 1, update(&routes, &set, &speaker_origin(1)));
+    let moved = flush(&mut os, ev(4));
+    assert_eq!(
+        moved.keys().copied().collect::<Vec<_>>(),
+        vec![0, 1],
+        "only the old and the new best path's peers hear of it"
+    );
+    let (to_old, withdrawn) = &moved[&0];
+    assert!(
+        to_old.len() == 1 && withdrawn.is_empty(),
+        "the old best is sent the route"
+    );
+    let (announced, to_new) = &moved[&1];
+    assert!(
+        announced.is_empty() && to_new[..] == routes,
+        "the new best is sent a withdraw"
+    );
+    let installed = os.fib().get(routes[0]).expect("installed");
+    assert_eq!(installed.next_hops.len(), 2, "ECMP set");
+}
+
+/// One of two same-AS ECMP peers withdraws. Whether the best path stays
+/// (its sibling left) or moves (the best left, and the sibling's set
+/// re-announces alike), no peer's Adj-RIB-Out changes: nothing may be
+/// sent.
+#[test]
+fn a_same_as_ecmp_peer_withdrawing_sends_nothing() {
+    let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
+    // Peers 0 and 1 are spines of one layer AS; peer 1 is the best path.
+    let peers: Vec<PeerSpec> = (0..5)
+        .map(|i| PeerSpec::plain(if i < 2 { 0 } else { i }))
+        .collect();
+    let prefixes: Vec<Ipv4Prefix> = (0..8).map(nth_prefix).collect();
+    for leaving in [0, 1] {
+        let mut os = established(VendorProfile::ctnr_a(), config(&peers, 4), &peers);
+        for i in [0, 1] {
+            let attrs = learned_from(&peers, i);
+            deliver(
+                &mut os,
+                ev(1),
+                i,
+                update(&prefixes, &attrs, &speaker_origin(i)),
+            );
+        }
+        let first = flush(&mut os, ev(2));
+        assert_eq!(first.keys().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
+
+        let gone = BgpMsg::Update {
+            announced: vec![],
+            withdrawn: prefixes.clone(),
+        };
+        deliver(&mut os, ev(3), leaving, gone);
+        let sent = flush(&mut os, ev(4));
+        assert!(
+            sent.is_empty(),
+            "peer {leaving} withdrew and {sent:?} was sent"
+        );
+        for &prefix in &prefixes {
+            let installed = os.fib().get(prefix).expect("installed");
+            assert_eq!(installed.next_hops.len(), 1, "{prefix}: ECMP set");
+        }
+    }
+}
+
+/// The prefixes a walk announces (a step's mask picks among them); the
+/// last is also the router's own `network` when the walk has one.
+const WALK_PREFIXES: [&str; 3] = ["10.30.0.0/24", "172.16.0.0/24", "10.9.2.0/24"];
+
+/// The remote ASes a walk's peers draw from. Peers may share one, as the
+/// spines of one layer do; the last is the router's own.
+const WALK_ASES: [Asn; 4] = [Asn(65100), Asn(65101), Asn(65102), LOCAL_AS];
+
+/// The learned sets a walk's peers announce, interned. Sets 0, 1 and 5
+/// are re-announced alike (they differ only in next hop and MED); 4 is the
+/// shortest; 2 and 3 carry walk ASes, so the sender-side loop check fires;
+/// 6 carries the router's own AS and is dropped on receipt.
+fn walk_pool() -> Vec<Arc<PathAttrs>> {
+    let set = |as_path: &[u32], next_hop: usize, med: u32, communities: Vec<u32>| {
+        PathAttrs {
+            as_path: as_path.iter().map(|&a| Asn(a)).collect(),
+            med,
+            communities,
+            ..PathAttrs::originated(peer_addr(next_hop))
+        }
+        .intern()
+    };
+    vec![
+        set(&[64800, 64700], 0, 0, vec![]),
+        set(&[64800, 64700], 1, 0, vec![]),
+        set(&[65100, 64700], 0, 0, vec![]),
+        set(&[65101, 64700, 64701], 1, 0, vec![]),
+        set(&[64800], 2, 0, vec![7]),
+        set(&[64800, 64700], 2, 10, vec![]),
+        set(&[LOCAL_AS.0, 64700], 0, 0, vec![]),
+    ]
+}
+
+/// One step of a walk; peer indexes are taken modulo the peer count.
+#[derive(Debug, Clone)]
+enum Step {
+    /// The peer announces the prefixes of `mask` with pool set `set`.
+    Announce {
+        peer: usize,
+        mask: u8,
+        set: usize,
+    },
+    /// The peer withdraws the prefixes of `mask`.
+    Withdraw {
+        peer: usize,
+        mask: u8,
+    },
+    LinkDown(usize),
+    LinkUp(usize),
+    NeighborShutdown(usize),
+    NeighborEnable(usize),
+    /// The peer's Open under its current token: the answer to ours.
+    Open(usize),
+    /// The peer restarts: a new token, then its Open.
+    Restart(usize),
+    /// New outbound maps, one `MAPS` index per peer.
+    Policy(Vec<usize>),
+    /// The MRAI timer fires.
+    Flush,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (
+        0u8..16,
+        0usize..8,
+        1u8..8,
+        0usize..7,
+        prop::collection::vec(0usize..MAPS.len(), 8..9),
+    )
+        .prop_map(|(kind, peer, mask, set, maps)| match kind {
+            0..=4 => Step::Announce { peer, mask, set },
+            5 | 6 => Step::Withdraw { peer, mask },
+            7 => Step::LinkDown(peer),
+            8 => Step::LinkUp(peer),
+            9 => Step::NeighborShutdown(peer),
+            10 => Step::NeighborEnable(peer),
+            11 | 12 => Step::Open(peer),
+            13 => Step::Restart(peer),
+            14 => Step::Policy(maps),
+            _ => Step::Flush,
+        })
+}
+
+/// One drawn walk: a router and the steps it is driven through.
+#[derive(Debug, Clone)]
+struct Walk {
+    /// Per peer, its index into `WALK_ASES`.
+    ases: Vec<usize>,
+    max_paths: u32,
+    local_network: bool,
+    /// FIB capacity, unlimited at 0; `reject` picks the overflow policy.
+    capacity: usize,
+    reject: bool,
+    stop_announcing_networks: bool,
+    steps: Vec<Step>,
+}
+
+fn walk() -> impl Strategy<Value = Walk> {
+    (
+        prop::collection::vec(0usize..WALK_ASES.len(), 3..7),
+        1u32..4,
+        any::<bool>(),
+        0usize..4,
+        any::<bool>(),
+        any::<bool>(),
+        prop::collection::vec(step(), 1..40),
+    )
+        .prop_map(
+            |(ases, max_paths, local_network, capacity, reject, stop, steps)| Walk {
+                ases,
+                max_paths,
+                local_network,
+                capacity,
+                reject,
+                stop_announcing_networks: stop,
+                steps,
+            },
+        )
+}
+
+/// The walk's configuration with outbound map `MAPS[maps[i]]` on peer `i`.
+fn walk_config(w: &Walk, maps: &[usize]) -> DeviceConfig {
+    let peers: Vec<PeerSpec> = w
+        .ases
+        .iter()
+        .zip(maps)
+        .map(|(&a, &m)| PeerSpec {
+            remote_as: WALK_ASES[a],
+            route_map_out: MAPS[m].map(str::to_string),
+        })
+        .collect();
+    let mut cfg = config(&peers, w.max_paths);
+    cfg.route_maps = route_maps();
+    cfg.fib_capacity = (w.capacity > 0).then_some(w.capacity);
+    if w.local_network {
+        let bgp = cfg.bgp.as_mut().expect("bgp configured");
+        bgp.networks.push(WALK_PREFIXES[2].parse().unwrap());
+    }
+    cfg
+}
+
+/// Whether every established peer's Adj-RIB-Out, flushed plus pending,
+/// equals what the Loc-RIB exports under `cfg`. Read off a copy of the
+/// router: after a flush, a soft refresh under the unchanged config
+/// re-exports every Loc-RIB route and must send no UPDATE; then a route
+/// refresh from every peer replays its Adj-RIB-Out, which may hold no
+/// prefix the Loc-RIB lacks (the soft refresh re-exports only those it
+/// holds).
+fn adj_ribs_out_match(
+    os: &BgpRouterOs,
+    cfg: &DeviceConfig,
+    k: usize,
+    at: EventId,
+) -> Result<(), String> {
+    let mut copy = os.clone();
+    flush(&mut copy, at);
+    let unchanged = MgmtCommand::UpdatePolicy(Box::new(cfg.clone()));
+    handle(&mut copy, at, OsEvent::Mgmt(unchanged));
+    let stale = flush(&mut copy, at);
+    if !stale.is_empty() {
+        return Err(format!("the soft refresh sent {stale:?}"));
+    }
+    for i in 0..k {
+        deliver(&mut copy, at, i, BgpMsg::RouteRefresh);
+    }
+    let installed: Vec<Ipv4Prefix> = copy.loc_rib().into_iter().map(|(p, ..)| p).collect();
+    for (i, (announced, withdrawn)) in flush(&mut copy, at) {
+        let held: Vec<Ipv4Prefix> = announced.iter().map(|(p, ..)| *p).collect();
+        if !withdrawn.is_empty() || held.iter().any(|p| !installed.contains(p)) {
+            return Err(format!(
+                "peer {i} holds {held:?}; the Loc-RIB {installed:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The invariant that makes skipping an ECMP-only decision's fan-out
+    /// exact, checked after every step of a random walk through the
+    /// session machine: UPDATEs and withdrawals that grow, shrink and move
+    /// ECMP sets; duplicate link events; shutting and re-enabling
+    /// neighbours, enabled ones included; peer restarts; outbound-policy
+    /// changes; MRAI flushes, so changes also wait in the pending batch.
+    #[test]
+    fn every_adj_rib_out_tracks_the_loc_rib_through_the_session_machine(w in walk()) {
+        let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
+        let k = w.ases.len();
+        let mut cfg = walk_config(&w, &vec![0; k]);
+        let profile = VendorProfile {
+            fib_overflow: if w.reject { FibOverflow::RejectRoute } else { FibOverflow::SilentDrop },
+            quirks: Quirks {
+                stop_announcing_networks: w.stop_announcing_networks,
+                ..Quirks::none()
+            },
+            ..VendorProfile::ctnr_a()
+        };
+        let mut os = boot(profile, cfg.clone());
+        let pool = walk_pool();
+        let remote_as = |i: usize| WALK_ASES[w.ases[i]];
+        let prefixes = |mask: u8| -> Vec<Ipv4Prefix> {
+            (0..WALK_PREFIXES.len())
+                .filter(|b| mask & (1 << b) != 0)
+                .map(|b| WALK_PREFIXES[b].parse().unwrap())
+                .collect()
+        };
+        // `open` presents token `1 + i`; a restart moves it on.
+        let mut tokens: Vec<u64> = (1..=k as u64).collect();
+        for i in 0..k {
+            open(&mut os, ev(1), i, remote_as(i));
+        }
+        for (n, step) in w.steps.iter().enumerate() {
+            let at = ev(2 + n as u64);
+            match step.clone() {
+                Step::Announce { peer, mask, set } => {
+                    let i = peer % k;
+                    deliver(&mut os, at, i, update(&prefixes(mask), &pool[set], &speaker_origin(i)));
+                }
+                Step::Withdraw { peer, mask } => {
+                    let withdrawn = prefixes(mask);
+                    deliver(&mut os, at, peer % k, BgpMsg::Update { announced: vec![], withdrawn });
+                }
+                Step::LinkDown(peer) => {
+                    handle(&mut os, at, OsEvent::LinkDown((peer % k) as u32));
+                }
+                Step::LinkUp(peer) => {
+                    handle(&mut os, at, OsEvent::LinkUp((peer % k) as u32));
+                }
+                Step::NeighborShutdown(peer) => {
+                    let cmd = MgmtCommand::NeighborShutdown(peer_addr(peer % k));
+                    handle(&mut os, at, OsEvent::Mgmt(cmd));
+                }
+                Step::NeighborEnable(peer) => {
+                    let cmd = MgmtCommand::NeighborEnable(peer_addr(peer % k));
+                    handle(&mut os, at, OsEvent::Mgmt(cmd));
+                }
+                Step::Open(peer) | Step::Restart(peer) => {
+                    let i = peer % k;
+                    if matches!(step, Step::Restart(_)) {
+                        tokens[i] += 1_000;
+                    }
+                    let msg = BgpMsg::Open {
+                        asn: remote_as(i),
+                        router_id: peer_addr(i),
+                        hold_secs: 180,
+                        session_token: tokens[i],
+                    };
+                    deliver(&mut os, at, i, msg);
+                }
+                Step::Policy(maps) => {
+                    cfg = walk_config(&w, &maps[..k]);
+                    let cmd = MgmtCommand::UpdatePolicy(Box::new(cfg.clone()));
+                    handle(&mut os, at, OsEvent::Mgmt(cmd));
+                }
+                Step::Flush => {
+                    flush(&mut os, at);
+                }
+            }
+            if let Err(e) = adj_ribs_out_match(&os, &cfg, k, at) {
+                return Err(TestCaseError::fail(format!("after step {n} ({step:?}): {e}")));
+            }
         }
     }
 }
