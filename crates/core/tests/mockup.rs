@@ -193,6 +193,37 @@ fn connect_on_an_up_link_costs_no_route_op() {
     assert_eq!(bgp_summary(&mut emu, &name), before);
 }
 
+/// Both ends of a cut link reload while it is down: each config replace
+/// sends its Open onto the dead link, and the later `Connect` must still
+/// re-open the session on both ends.
+#[test]
+fn a_link_reconnected_after_both_ends_reload_re_establishes() {
+    let (dc, mut emu) = s_dc_emulation(1, Some(5));
+    let tor = dc.pods[0].tors[0];
+    let name = dc.topo.device(tor).name.clone();
+    let before = bgp_summary(&mut emu, &name);
+    let (lid, _, remote) = dc.topo.neighbors(tor).next().unwrap();
+    let config_of = |emu: &Emulation, dev| {
+        let (_, cfg) = emu.prep.configs.iter().find(|(d, _)| *d == dev).unwrap();
+        cfg.clone()
+    };
+
+    emu.disconnect(lid);
+    emu.settle().expect("re-converges");
+    for dev in [tor, remote.device] {
+        let cfg = config_of(&emu, dev);
+        emu.reload(dev, cfg, false);
+    }
+    emu.settle().expect("re-converges");
+    emu.connect(lid);
+    emu.settle().expect("re-converges");
+    assert_eq!(
+        bgp_summary(&mut emu, &name),
+        before,
+        "every session must be established again with its routes"
+    );
+}
+
 #[test]
 fn reload_two_layer_beats_strawman() {
     let (dc, mut emu) = s_dc_emulation(4, Some(5));

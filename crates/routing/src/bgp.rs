@@ -24,8 +24,9 @@
 //! (flushed plus pending) equals what the Loc-RIB exports, because a
 //! session leaves Established only through `session_down` (which empties
 //! both) and enters it only through `establish` (which queues the full
-//! table). `LinkUp` on an up link and `NeighborEnable` on an enabled
-//! neighbour are no-ops for that reason. The per-prefix tables are
+//! table). That is why `LinkUp` and `NeighborEnable` leave an
+//! established session alone, and a `Boot` that reaches a live image
+//! ends its sessions through `session_down`. The per-prefix tables are
 //! [`PrefixMap`]s, and the decision process reuses its candidate and
 //! dirty-prefix buffers.
 
@@ -1109,9 +1110,13 @@ impl BgpRouterOs {
             }
             MgmtCommand::NeighborEnable(addr) => {
                 match self.peers.iter().position(|p| p.addr == addr) {
-                    // `no neighbor … shutdown` acts only on a neighbour that
-                    // is shut down; an enabled one keeps its session.
-                    Some(idx) if !self.peers[idx].shutdown => {
+                    // An enabled, established session is left alone, as on
+                    // real firmware; any other neighbour re-opens, which
+                    // also restarts a session stuck short of Established.
+                    Some(idx)
+                        if !self.peers[idx].shutdown
+                            && self.peers[idx].state == SessionState::Established =>
+                    {
                         actions.response = Some(MgmtResponse::Ok);
                     }
                     Some(idx) => {
@@ -1264,17 +1269,19 @@ impl BgpRouterOs {
         // globally distinct, bumped per boot so restarts are detectable.
         self.session_token =
             (u64::from(self.router_id.0) << 20) | ((self.session_token & 0xfffff) + 1);
+        // A Boot that reaches a live image (a power-off, then a boot) ends
+        // its sessions through `session_down` like every other exit from
+        // Established. A fresh image has none.
+        for idx in 0..self.peers.len() {
+            if self.peers[idx].state == SessionState::Established {
+                self.session_down(idx, &mut actions);
+            }
+        }
         // Originate configured networks.
         let networks: Vec<Ipv4Prefix> = self.networks.iter().copied().collect();
         self.dirty.extend(networks);
         self.run_decision(&mut actions);
-        // Open sessions on all up links. Boot reaches a fresh image only (a
-        // restart replaces it, a config replace rebuilds the sessions), so
-        // no session leaves Established here.
-        debug_assert!(self
-            .peers
-            .iter()
-            .all(|p| p.state != SessionState::Established));
+        // Open sessions on all up links.
         for idx in 0..self.peers.len() {
             if self.peers[idx].link_up && !self.peers[idx].shutdown {
                 self.peers[idx].state = SessionState::OpenSent;
@@ -1300,12 +1307,14 @@ impl DeviceOs for BgpRouterOs {
                 return self.boot_control_plane();
             }
             OsEvent::LinkUp(iface) => {
-                // A LinkUp on a link that is already up changes nothing:
-                // its session, established or not, keeps its state.
-                let was_down = |&&idx: &&usize| !self.peers[idx].link_up;
-                if let Some(&idx) = self.peer_by_iface.get(&iface).filter(was_down) {
+                if let Some(&idx) = self.peer_by_iface.get(&iface) {
                     self.peers[idx].link_up = true;
-                    if !self.peers[idx].shutdown {
+                    // An established session ignores a duplicate LinkUp.
+                    // Any other one re-opens, which also repairs a link
+                    // whose LinkDown this image never saw.
+                    if !self.peers[idx].shutdown
+                        && self.peers[idx].state != SessionState::Established
+                    {
                         self.peers[idx].state = SessionState::OpenSent;
                         self.send_open(&mut actions.out, &self.peers[idx]);
                     }

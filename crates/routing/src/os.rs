@@ -63,8 +63,8 @@ pub enum MgmtCommand {
     ShowRoutes,
     /// Administratively shut one BGP session.
     NeighborShutdown(Ipv4Addr),
-    /// Re-enable one shut-down BGP session (`no neighbor … shutdown`). A
-    /// no-op on an enabled neighbour: its session keeps its state.
+    /// Re-enable one BGP session (`no neighbor … shutdown`). A no-op on
+    /// an enabled, established neighbour; any other neighbour re-opens.
     NeighborEnable(Ipv4Addr),
     /// Add a `network` statement (origination).
     AddNetwork(Ipv4Prefix),

@@ -792,13 +792,15 @@ enum Step {
     Restart(usize),
     /// New outbound maps, one `MAPS` index per peer.
     Policy(Vec<usize>),
+    /// The router's live image boots again (a power-off, then a boot).
+    Boot,
     /// The MRAI timer fires.
     Flush,
 }
 
 fn step() -> impl Strategy<Value = Step> {
     (
-        0u8..16,
+        0u8..17,
         0usize..8,
         1u8..8,
         0usize..7,
@@ -814,6 +816,7 @@ fn step() -> impl Strategy<Value = Step> {
             11 | 12 => Step::Open(peer),
             13 => Step::Restart(peer),
             14 => Step::Policy(maps),
+            15 => Step::Boot,
             _ => Step::Flush,
         })
 }
@@ -920,7 +923,8 @@ proptest! {
     /// session machine: UPDATEs and withdrawals that grow, shrink and move
     /// ECMP sets; duplicate link events; shutting and re-enabling
     /// neighbours, enabled ones included; peer restarts; outbound-policy
-    /// changes; MRAI flushes, so changes also wait in the pending batch.
+    /// changes; a boot of the live image; MRAI flushes, so changes also
+    /// wait in the pending batch.
     #[test]
     fn every_adj_rib_out_tracks_the_loc_rib_through_the_session_machine(w in walk()) {
         let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
@@ -990,6 +994,9 @@ proptest! {
                     cfg = walk_config(&w, &maps[..k]);
                     let cmd = MgmtCommand::UpdatePolicy(Box::new(cfg.clone()));
                     handle(&mut os, at, OsEvent::Mgmt(cmd));
+                }
+                Step::Boot => {
+                    handle(&mut os, at, OsEvent::Boot);
                 }
                 Step::Flush => {
                     flush(&mut os, at);
