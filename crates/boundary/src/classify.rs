@@ -8,42 +8,44 @@
 //! (irrelevant to the emulation).
 
 use crystalnet_net::{DeviceId, EmulationClass, Topology};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The classification of every device for one emulation.
 #[derive(Debug, Clone)]
 pub struct Classification {
-    classes: HashMap<DeviceId, EmulationClass>,
+    /// Indexed by [`DeviceId`].
+    classes: Vec<EmulationClass>,
 }
 
 impl Classification {
     /// Classifies all devices of `topo` given the emulated set.
     #[must_use]
     pub fn new(topo: &Topology, emulated: &BTreeSet<DeviceId>) -> Self {
-        let mut classes = HashMap::new();
-        for (id, _) in topo.devices() {
-            classes.insert(id, Self::classify_one(topo, emulated, id));
-        }
+        let classes = topo
+            .devices()
+            .map(|(id, _)| Self::classify_one(topo, emulated, id))
+            .collect();
         Classification { classes }
     }
 
     /// The class of one device.
     #[must_use]
     pub fn class(&self, id: DeviceId) -> EmulationClass {
-        self.classes[&id]
+        self.classes[id.index()]
+    }
+
+    /// The devices whose class passes `keep`, in id order.
+    fn ids_where(&self, keep: impl Fn(EmulationClass) -> bool) -> Vec<DeviceId> {
+        (0..self.classes.len() as u32)
+            .map(DeviceId)
+            .filter(|&id| keep(self.class(id)))
+            .collect()
     }
 
     /// All devices of a class, sorted.
     #[must_use]
     pub fn of(&self, class: EmulationClass) -> Vec<DeviceId> {
-        let mut v: Vec<DeviceId> = self
-            .classes
-            .iter()
-            .filter(|(_, c)| **c == class)
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
+        self.ids_where(|c| c == class)
     }
 
     /// Boundary devices.
@@ -61,10 +63,7 @@ impl Classification {
     /// Devices to actually run (internal + boundary).
     #[must_use]
     pub fn emulated(&self) -> Vec<DeviceId> {
-        let mut v = self.of(EmulationClass::Internal);
-        v.extend(self.of(EmulationClass::Boundary));
-        v.sort_unstable();
-        v
+        self.ids_where(|c| matches!(c, EmulationClass::Internal | EmulationClass::Boundary))
     }
 
     /// Incrementally re-classifies after `removed` left the emulated set
@@ -83,8 +82,7 @@ impl Classification {
         let mut affected: Vec<DeviceId> = vec![removed];
         affected.extend(topo.neighbor_devices(removed));
         for id in affected {
-            self.classes
-                .insert(id, Self::classify_one(topo, emulated, id));
+            self.classes[id.index()] = Self::classify_one(topo, emulated, id);
         }
     }
 
@@ -99,10 +97,9 @@ impl Classification {
         emulated: &BTreeSet<DeviceId>,
         region: impl IntoIterator<Item = &'a DeviceId>,
     ) -> Option<DeviceId> {
-        region
-            .into_iter()
-            .copied()
-            .find(|&id| self.classes.get(&id) != Some(&Self::classify_one(topo, emulated, id)))
+        region.into_iter().copied().find(|&id| {
+            self.classes.get(id.index()) != Some(&Self::classify_one(topo, emulated, id))
+        })
     }
 
     fn classify_one(

@@ -9,7 +9,7 @@
 
 use crate::classify::Classification;
 use crystalnet_net::{Asn, DeviceId, EmulationClass, Ipv4Addr, Topology};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Why a proposition's condition fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub fn check_prop_5_2(topo: &Topology, class: &Classification) -> Result<(), Pro
     if ases.len() > 1 {
         return Err(PropViolation::BoundaryAsesDiffer(ases));
     }
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     for d in class.speakers() {
         let asn = topo.device(d).asn;
         if !seen.insert(asn) {
@@ -67,27 +67,25 @@ pub fn check_prop_5_2(topo: &Topology, class: &Classification) -> Result<(), Pro
 pub fn check_prop_5_3(topo: &Topology, class: &Classification) -> Result<(), PropViolation> {
     let boundary = class.boundary();
     // Group boundary devices by AS.
-    let mut by_as: HashMap<Asn, Vec<DeviceId>> = HashMap::new();
+    let mut by_as: BTreeMap<Asn, Vec<DeviceId>> = BTreeMap::new();
     for &d in &boundary {
         by_as.entry(topo.device(d).asn).or_default().push(d);
     }
     if by_as.len() <= 1 {
         return Ok(());
     }
-    let emulated: HashSet<DeviceId> = class.emulated().into_iter().collect();
+    let emulated: BTreeSet<DeviceId> = class.emulated().into_iter().collect();
 
     // BFS from each boundary device through non-emulated devices only;
     // reaching a boundary device of a *different* AS violates 5.3.
-    let mut sorted_as: Vec<Asn> = by_as.keys().copied().collect();
-    sorted_as.sort_unstable();
-    for &from_as in &sorted_as {
+    for (&from_as, from_devs) in &by_as {
         // Seed with the *external* neighbors of this AS's boundary
         // devices — reachability must go via the external network, not
         // over internal emulated links.
-        let mut visited: HashSet<DeviceId> = HashSet::new();
-        let mut prev: HashMap<DeviceId, DeviceId> = HashMap::new();
+        let mut visited: BTreeSet<DeviceId> = BTreeSet::new();
+        let mut prev: BTreeMap<DeviceId, DeviceId> = BTreeMap::new();
         let mut queue = VecDeque::new();
-        for &b in &by_as[&from_as] {
+        for &b in from_devs {
             for n in topo.neighbor_devices(b) {
                 if !emulated.contains(&n) && visited.insert(n) {
                     queue.push_back(n);
@@ -146,7 +144,7 @@ pub fn check_prop_5_4(
     class: &Classification,
     inputs: &OspfBoundaryInputs,
 ) -> Result<(), PropViolation> {
-    let emulated: HashSet<DeviceId> = class.emulated().into_iter().collect();
+    let emulated: BTreeSet<DeviceId> = class.emulated().into_iter().collect();
     for &(rid, dev) in &inputs.dr_bdr {
         if !emulated.contains(&dev) {
             return Err(PropViolation::DrNotEmulated(rid));

@@ -37,7 +37,7 @@ use crystalnet_vnet::{
     Cloud, CloudParams, ContainerEngine, ContainerId, ContainerKind, ManagementOverlay,
     VirtualLink, VmId, VniAllocator,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,7 +67,7 @@ pub struct Emulation {
     /// Per-VM container engines.
     pub engines: Vec<ContainerEngine>,
     /// Per-device sandbox wiring.
-    pub sandboxes: HashMap<DeviceId, Sandbox>,
+    pub sandboxes: BTreeMap<DeviceId, Sandbox>,
     /// Provisioned virtual links.
     pub vlinks: Vec<VirtualLink>,
     /// The management overlay (jumpbox, DNS).
@@ -87,10 +87,10 @@ pub struct Emulation {
     pub(crate) vm_down: Vec<bool>,
     /// Devices mid-recovery: control/monitor calls answer
     /// [`EmulationError::DeviceRecovering`] until this instant passes.
-    pub(crate) recovering_until: HashMap<DeviceId, SimTime>,
+    pub(crate) recovering_until: BTreeMap<DeviceId, SimTime>,
     /// Speaker incarnation epochs; bumped on every speaker restart so the
     /// fresh session token forces peers to flush and resync.
-    pub(crate) speaker_epochs: HashMap<DeviceId, u64>,
+    pub(crate) speaker_epochs: BTreeMap<DeviceId, u64>,
     /// VNI allocator, retained so quarantine re-placement can provision
     /// replacement VXLAN tunnels without clashing with bring-up VNIs.
     pub(crate) vnis: VniAllocator,
@@ -99,10 +99,10 @@ pub struct Emulation {
     /// [`Emulation::reload`] or `apply_change`); consulted before
     /// `prep.configs` so `pull_config` and fault recovery always see the
     /// *effective* config, not the original snapshot.
-    pub(crate) config_overrides: HashMap<DeviceId, DeviceConfig>,
+    pub(crate) config_overrides: BTreeMap<DeviceId, DeviceConfig>,
     /// Speaker scripts swapped in by `apply_change`; fault recovery
     /// rebuilds a swapped speaker from these, not the prepared plan.
-    pub(crate) speaker_overrides: HashMap<DeviceId, Vec<(u32, crystalnet_routing::SpeakerScript)>>,
+    pub(crate) speaker_overrides: BTreeMap<DeviceId, Vec<(u32, crystalnet_routing::SpeakerScript)>>,
     /// Memoized boundary classification, patched incrementally on device
     /// removal instead of re-running Algorithm 1.
     pub(crate) classification: crystalnet_boundary::Classification,
@@ -142,7 +142,7 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
     }
 
     let jitter_seed = SimRng::for_component(options.seed, "work").below(u64::MAX);
-    let work = VmWorkModel::new(cloud, jitter_seed);
+    let work = VmWorkModel::new(cloud, jitter_seed, &topo);
     let mut sim = ControlPlaneSim::new(&topo, Box::new(work));
     if options.telemetry || options.profiling {
         let mut rec = MemRecorder::with_trace_capacity(options.trace_capacity);
@@ -161,18 +161,18 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
         engines: vec![ContainerEngine::new(); vm_ids.len()],
         vm_down: vec![false; vm_ids.len()],
         vm_ids,
-        sandboxes: HashMap::new(),
+        sandboxes: BTreeMap::new(),
         vlinks: Vec::new(),
         mgmt: ManagementOverlay::new(),
         metrics: MockupMetrics::default(),
         traces: TraceStore::new(),
         journal: RecoveryJournal::default(),
-        recovering_until: HashMap::new(),
-        speaker_epochs: HashMap::new(),
+        recovering_until: BTreeMap::new(),
+        speaker_epochs: BTreeMap::new(),
         vnis: VniAllocator::new(),
         options,
-        config_overrides: HashMap::new(),
-        speaker_overrides: HashMap::new(),
+        config_overrides: BTreeMap::new(),
+        speaker_overrides: BTreeMap::new(),
         classification: prep.classification(),
         emulated_now: prep.emulated.clone(),
         change_log: Vec::new(),

@@ -261,10 +261,9 @@ impl Emulation {
     /// order.
     #[must_use]
     pub fn list(&self) -> Vec<(DeviceId, String, bool)> {
-        let mut devs: Vec<DeviceId> = self.sandboxes.keys().copied().collect();
-        devs.sort_unstable();
-        devs.into_iter()
-            .map(|d| (d, self.topo.device(d).name.clone(), self.sim.is_up(d)))
+        self.sandboxes
+            .keys()
+            .map(|&d| (d, self.topo.device(d).name.clone(), self.sim.is_up(d)))
             .collect()
     }
 
@@ -521,9 +520,7 @@ impl Emulation {
             .into_iter()
             .map(|d| self.topo.device(d).loopback)
             .collect();
-        let mut devs: Vec<DeviceId> = self.sandboxes.keys().copied().collect();
-        devs.sort_unstable_by_key(|d| d.0);
-        for dev in devs {
+        for &dev in self.sandboxes.keys() {
             let Some(os) = self.sim.os(dev) else { continue };
             let rows = os.routes_with_detail();
             crystalnet_boundary::audit_provenance(

@@ -163,17 +163,13 @@ impl Emulation {
         downtime
     }
 
-    /// The devices sandboxed on VM `vm_idx`, in id order (event
-    /// scheduling must not depend on hash-map iteration order).
+    /// The devices sandboxed on VM `vm_idx`, in id order.
     pub(crate) fn devices_on(&self, vm_idx: usize) -> Vec<DeviceId> {
-        let mut devs: Vec<DeviceId> = self
-            .sandboxes
+        self.sandboxes
             .iter()
             .filter(|(_, sb)| sb.vm == vm_idx)
             .map(|(&d, _)| d)
-            .collect();
-        devs.sort_unstable_by_key(|d| d.0);
-        devs
+            .collect()
     }
 
     /// Kills every sandbox on VM `vm_idx` at `at`: the VM is marked dead

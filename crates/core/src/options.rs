@@ -7,7 +7,7 @@ use crystalnet_net::{DeviceId, Ipv4Prefix, Topology};
 use crystalnet_routing::{ProbeConfig, TrafficConfig, VendorProfile};
 use crystalnet_sim::SimDuration;
 use crystalnet_vnet::BridgeImpl;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A typed failure from the [`Emulation`](crate::Emulation)
 /// control/monitor surface.
@@ -99,7 +99,7 @@ pub struct MockupOptions {
     /// Convergence deadline.
     pub deadline: SimDuration,
     /// Per-device firmware profile overrides (dev builds, buggy images).
-    pub profile_overrides: HashMap<DeviceId, VendorProfile>,
+    pub profile_overrides: BTreeMap<DeviceId, VendorProfile>,
     /// Accepted for compatibility; every value runs serially.
     pub workers: usize,
     /// Faults to inject once the mockup is route-ready (offsets are
@@ -148,7 +148,7 @@ impl Default for MockupOptions {
             bridge: BridgeImpl::LinuxBridge,
             quiet: SimDuration::from_secs(45),
             deadline: SimDuration::from_mins(180),
-            profile_overrides: HashMap::new(),
+            profile_overrides: BTreeMap::new(),
             workers: 1,
             fault_plan: FaultPlan::default(),
             health: HealthPolicy::default(),

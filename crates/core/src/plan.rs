@@ -13,7 +13,7 @@
 use crystalnet_net::{DeviceId, Topology, Vendor};
 use crystalnet_vnet::{ContainerKind, VmSku};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Knobs for the planner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,7 +63,7 @@ pub struct VmPlan {
     /// Planned VMs.
     pub vms: Vec<PlannedVm>,
     /// Device → VM index (covers devices and speakers).
-    pub placement: HashMap<DeviceId, usize>,
+    pub placement: BTreeMap<DeviceId, usize>,
 }
 
 impl VmPlan {
@@ -249,7 +249,7 @@ mod tests {
         let (dc, devices, speakers) = s_dc_ids();
         let plan = plan_vms(&dc.topo, &devices, &speakers, &PlanOptions::default());
         for vm in &plan.vms {
-            let vendors: std::collections::HashSet<Vendor> = vm
+            let vendors: std::collections::BTreeSet<Vendor> = vm
                 .devices
                 .iter()
                 .map(|&d| dc.topo.device(d).vendor)

@@ -123,7 +123,7 @@ impl Emulation {
             rib_entries,
             pending_events: self.sim.engine.events_pending(),
             events_executed: self.sim.engine.events_executed(),
-            speaker_epochs: self.speaker_epochs.iter().map(|(&d, &e)| (d, e)).collect(),
+            speaker_epochs: self.speaker_epochs.clone(),
             seed: self.options.seed,
             oses,
         }

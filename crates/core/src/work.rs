@@ -1,11 +1,10 @@
 //! The work model coupling device activity to VM CPU contention.
 
-use crystalnet_net::{DeviceId, LinkId};
+use crystalnet_net::{DeviceId, LinkId, Topology};
 use crystalnet_routing::harness::{WorkKind, WorkModel};
 use crystalnet_routing::ControlPlaneSim;
 use crystalnet_sim::{SimDuration, SimTime};
 use crystalnet_vnet::{Cloud, LinkSpan, VmId};
-use std::collections::HashMap;
 
 /// The work model coupling device activity to VM CPU contention.
 ///
@@ -17,38 +16,45 @@ use std::collections::HashMap;
 #[derive(Clone)]
 pub struct VmWorkModel {
     pub(crate) cloud: Cloud,
-    device_vm: HashMap<DeviceId, VmId>,
-    /// Per-device (boot CPU, firmware boot latency, CPU per route op).
-    device_cost: HashMap<DeviceId, (SimDuration, SimDuration, SimDuration)>,
-    /// Route processing inside one firmware image is single-threaded —
-    /// a device's work serializes behind itself before competing for the
-    /// VM's cores. This is what makes route-ready scale with fabric
-    /// fan-in (the paper's L-DC bottleneck: "the major bottleneck is the
-    /// convergence speed of routing algorithms", §8.2).
-    device_busy: HashMap<DeviceId, SimTime>,
-    link_span: HashMap<LinkId, LinkSpan>,
+    /// Indexed by [`DeviceId`].
+    devices: Vec<DeviceWork>,
+    /// Indexed by [`LinkId`].
+    link_span: Vec<LinkSpan>,
     /// Seed for boot-latency jitter. Jitter is derived from
     /// `(seed, device, boot ordinal)` rather than drawn from a shared
     /// sequential stream, so event interleaving cannot change any
     /// device's boot time.
     jitter_seed: u64,
-    /// Per-device boot ordinal; a reboot draws fresh jitter.
-    boot_seq: HashMap<DeviceId, u64>,
+}
+
+/// One device's slot in [`VmWorkModel`].
+#[derive(Clone, Copy, Default)]
+struct DeviceWork {
+    /// The hosting VM; `None` until the device is placed.
+    vm: Option<VmId>,
+    /// (boot CPU, firmware boot latency, CPU per route op).
+    cost: (SimDuration, SimDuration, SimDuration),
+    /// Route processing inside one firmware image is single-threaded —
+    /// a device's work serializes behind itself before competing for the
+    /// VM's cores. This is what makes route-ready scale with fabric
+    /// fan-in (the paper's L-DC bottleneck: "the major bottleneck is the
+    /// convergence speed of routing algorithms", §8.2).
+    busy: SimTime,
+    /// Boot ordinal; a reboot draws fresh jitter.
+    boot_seq: u64,
 }
 
 impl VmWorkModel {
-    /// A model with no device placed yet: [`Self::home_device`],
-    /// [`Self::set_device_cost`] and [`Self::set_link_span`] fill it in
-    /// as `mockup()` places, boots and wires.
-    pub(crate) fn new(cloud: Cloud, jitter_seed: u64) -> Self {
+    /// A model sized for `topo` with no device placed yet:
+    /// [`Self::home_device`], [`Self::set_device_cost`] and
+    /// [`Self::set_link_span`] fill it in as `mockup()` places, boots and
+    /// wires.
+    pub(crate) fn new(cloud: Cloud, jitter_seed: u64, topo: &Topology) -> Self {
         VmWorkModel {
             cloud,
-            device_vm: HashMap::new(),
-            device_cost: HashMap::new(),
-            device_busy: HashMap::new(),
-            link_span: HashMap::new(),
+            devices: vec![DeviceWork::default(); topo.device_count()],
+            link_span: vec![LinkSpan::IntraVm; topo.link_count()],
             jitter_seed,
-            boot_seq: HashMap::new(),
         }
     }
 
@@ -74,7 +80,7 @@ impl VmWorkModel {
 
     /// ±25 % boot-latency jitter, deterministic per (device, boot ordinal).
     fn boot_jitter(&mut self, dev: DeviceId, base: SimDuration) -> SimDuration {
-        let seq = self.boot_seq.entry(dev).or_insert(0);
+        let seq = &mut self.devices[dev.index()].boot_seq;
         *seq += 1;
         // splitmix64 finalizer over the (seed, device, ordinal) triple.
         let mut z = self
@@ -91,7 +97,7 @@ impl VmWorkModel {
     /// Homes a device on a VM (placement, or quarantine re-placement):
     /// its future boot/route work queues on that VM's CPU server.
     pub(crate) fn home_device(&mut self, dev: DeviceId, vm: VmId) {
-        self.device_vm.insert(dev, vm);
+        self.devices[dev.index()].vm = Some(vm);
     }
 
     /// Sets a device's (boot CPU, firmware boot latency, CPU per route op).
@@ -100,42 +106,39 @@ impl VmWorkModel {
         dev: DeviceId,
         cost: (SimDuration, SimDuration, SimDuration),
     ) {
-        self.device_cost.insert(dev, cost);
+        self.devices[dev.index()].cost = cost;
     }
 
     /// Sets a link's span: which VMs host its endpoints decides between
     /// intra-VM veth and inter-VM VXLAN, and re-placement changes it.
     pub(crate) fn set_link_span(&mut self, link: LinkId, span: LinkSpan) {
-        self.link_span.insert(link, span);
+        self.link_span[link.index()] = span;
     }
 }
 
 impl WorkModel for VmWorkModel {
     fn completion(&mut self, dev: DeviceId, kind: WorkKind, now: SimTime) -> SimTime {
-        let Some(&vm) = self.device_vm.get(&dev) else {
+        let DeviceWork { vm, cost, busy, .. } = self.devices[dev.index()];
+        let Some(vm) = vm else {
             return now;
         };
-        let (boot_cpu, boot_latency, per_op) = self.device_cost[&dev];
+        let (boot_cpu, boot_latency, per_op) = cost;
         let jitter = match kind {
             WorkKind::Boot => self.boot_jitter(dev, boot_latency),
             WorkKind::RouteOps(_) => SimDuration::ZERO,
         };
-        let start = now.max(self.device_busy.get(&dev).copied().unwrap_or(SimTime::ZERO));
+        let start = now.max(busy);
         let cpu = &mut self.cloud.vm_mut(vm).cpu;
         let end = match kind {
             WorkKind::Boot => cpu.submit(start, boot_cpu) + jitter,
             WorkKind::RouteOps(n) => cpu.submit(start, per_op * (n as u64)),
         };
-        self.device_busy.insert(dev, end);
+        self.devices[dev.index()].busy = end;
         end
     }
 
     fn link_delay(&mut self, link: LinkId, now: SimTime) -> SimDuration {
-        let span = self
-            .link_span
-            .get(&link)
-            .copied()
-            .unwrap_or(LinkSpan::IntraVm);
+        let span = self.link_span[link.index()];
         // A per-link-constant jitter de-phases the thousands of identical
         // links without breaking a link's FIFO ordering (reordering a
         // link would let an Update overtake its session's Open, which no

@@ -196,3 +196,52 @@ fn lifecycle_exports_match_the_recorded_digests_serial_and_sharded() {
         );
     }
 }
+
+/// The boundary scenario: Algorithm 1's safe boundary around one pod's
+/// ToRs, with speaker agents standing in for the devices just outside
+/// it. Digested: the causal trace, the run report and the `List` dump.
+/// The pins hold in every process, so they also fix speaker boot order
+/// and `list()` order: an order drawn from per-process hash keys would
+/// move the trace's event ids or the dump.
+fn boundary_exports() -> Vec<(&'static str, String)> {
+    let clos = ClosParams::s_dc().build();
+    let prep = prepare(
+        &clos.topo,
+        &clos.pods[2].tors,
+        BoundaryMode::SafeDcBoundary,
+        SpeakerSource::OriginatedOnly,
+        &PlanOptions::default(),
+    );
+    assert!(!prep.speakers().is_empty(), "the boundary has speakers");
+    let emu = mockup(
+        Arc::new(prep),
+        MockupOptions::builder()
+            .seed(2017)
+            .trace_capacity(1 << 20)
+            .build(),
+    );
+    vec![
+        ("trace_jsonl", emu.trace_jsonl()),
+        ("pull_report", emu.pull_report().to_json()),
+        ("list", format!("{:?}", emu.list())),
+    ]
+}
+
+#[test]
+fn boundary_exports_match_the_recorded_digests() {
+    const GOLDEN: [(&str, u64); 3] = [
+        ("trace_jsonl", 0x12c9_4e81_4ee9_1229),
+        ("pull_report", 0x3721_7799_cd60_b302),
+        ("list", 0xfa2c_9464_b1a8_c529),
+    ];
+    let got = boundary_exports();
+    for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
+        assert_eq!(*name, golden_name);
+        assert_eq!(
+            digest(export),
+            golden,
+            "{name} moved ({} bytes)",
+            export.len()
+        );
+    }
+}

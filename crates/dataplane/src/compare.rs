@@ -11,7 +11,7 @@
 use crate::fib::Fib;
 use crystalnet_net::Ipv4Prefix;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One difference between two FIBs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,7 +39,7 @@ pub enum FibDifference {
 pub struct CompareOptions {
     /// Prefixes whose next hops may legitimately differ (aggregates under
     /// ECMP, §9). They must still be present and reachable on both sides.
-    pub nondeterministic: HashSet<Ipv4Prefix>,
+    pub nondeterministic: BTreeSet<Ipv4Prefix>,
 }
 
 impl CompareOptions {

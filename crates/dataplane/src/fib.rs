@@ -7,9 +7,8 @@
 //! full". [`Fib`] therefore models a bounded table with an explicit,
 //! observable overflow outcome that vendor profiles interpret differently.
 
-use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{IdMap, Ipv4Addr, Ipv4Prefix};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A resolved next hop: egress interface plus the peer's address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -59,7 +58,7 @@ pub enum InstallOutcome {
 /// existing prefix update in place and never count against capacity twice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fib {
-    by_len: Vec<HashMap<u32, FibEntry>>,
+    by_len: Vec<IdMap<u32, FibEntry>>,
     len_present: u64,
     count: usize,
     capacity: Option<usize>,
@@ -77,7 +76,7 @@ impl Fib {
     #[must_use]
     pub fn new(capacity: Option<usize>) -> Self {
         Fib {
-            by_len: (0..=32).map(|_| HashMap::new()).collect(),
+            by_len: (0..=32).map(|_| IdMap::default()).collect(),
             len_present: 0,
             count: 0,
             capacity,
@@ -341,7 +340,7 @@ mod tests {
         // Deterministic per flow.
         assert_eq!(pick(7), pick(7));
         // Spreads across members over many flows.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for flow in 0..64 {
             seen.insert(pick(flow));
         }

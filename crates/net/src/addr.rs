@@ -262,18 +262,23 @@ impl FromStr for Ipv4Prefix {
     }
 }
 
-/// A `HashMap` keyed by [`Ipv4Prefix`] with [`PrefixHasher`] instead of
-/// SipHash — for the routing tables, whose keys come from inside the
-/// emulation and whose hashing sits on the hot path. Iteration order is
-/// as arbitrary as any `HashMap`'s: emitters must sort.
+/// An [`IdMap`] keyed by [`Ipv4Prefix`]: the routing tables, whose keys
+/// come from inside the emulation and whose hashing sits on the hot path.
 pub type PrefixMap<V> = IdMap<Ipv4Prefix, V>;
 
 /// A `HashMap` with [`PrefixHasher`] for any key made of a few 32-bit
 /// ids and prefixes (`DeviceId`, `(DeviceId, LinkId)`,
-/// `(DeviceId, Ipv4Prefix)`, …) — the packet-walk planes' per-hop state.
-/// Same contract as [`PrefixMap`]: readers that iterate must sort.
+/// `(DeviceId, Ipv4Prefix)`, …): hot-path state that is looked up, not
+/// listed. The hasher has no per-process key, so the iteration order is
+/// the same in every run; it is still no order a reader should show,
+/// so a reader that lists one sorts, and state that is mostly listed is
+/// a `BTreeMap` instead. This file is the only place in the emulator
+/// that names std's hashed containers.
 pub type IdMap<K, V> =
     std::collections::HashMap<K, V, core::hash::BuildHasherDefault<PrefixHasher>>;
+
+/// The set form of [`IdMap`], with the same contract.
+pub type IdSet<T> = std::collections::HashSet<T, core::hash::BuildHasherDefault<PrefixHasher>>;
 
 /// Deterministic multiply-rotate hasher for a few small integers: the two
 /// of an [`Ipv4Prefix`] (`write_u32` network, `write_u8` length), or the

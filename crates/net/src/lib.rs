@@ -17,7 +17,7 @@ pub mod topology;
 pub mod types;
 
 pub use addr::{
-    AddrParseError, IdMap, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr, PrefixHasher, PrefixMap,
+    AddrParseError, IdMap, IdSet, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr, PrefixHasher, PrefixMap,
 };
 pub use clos::{ClosParams, ClosTopology, LayerCounts, Pod};
 pub use partition::{

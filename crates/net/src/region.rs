@@ -164,7 +164,7 @@ pub struct RegionDc {
 /// Copies a built Clos DC into `topo`, remapping ids, re-ASN'ing borders to
 /// the per-DC border AS, and re-wiring internal links.
 fn graft(topo: &mut Topology, dc: &ClosTopology, dc_idx: u32, p2p: &mut P2pAllocator) -> RegionDc {
-    let mut map = std::collections::HashMap::new();
+    let mut map: Vec<Option<DeviceId>> = vec![None; dc.topo.device_count()];
     let mut out = RegionDc {
         borders: vec![],
         spines: vec![],
@@ -216,7 +216,7 @@ fn graft(topo: &mut Topology, dc: &ClosTopology, dc_idx: u32, p2p: &mut P2pAlloc
             }
         }
         let new_id = topo.add_device(cloned).expect("grafted names unique");
-        map.insert(old_id, new_id);
+        map[old_id.index()] = Some(new_id);
         match dev.role {
             Role::Border => out.borders.push(new_id),
             Role::Spine => out.spines.push(new_id),
@@ -226,7 +226,7 @@ fn graft(topo: &mut Topology, dc: &ClosTopology, dc_idx: u32, p2p: &mut P2pAlloc
         }
     }
     for (_, link) in dc.topo.links() {
-        let (Some(&a), Some(&b)) = (map.get(&link.a.device), map.get(&link.b.device)) else {
+        let (Some(a), Some(b)) = (map[link.a.device.index()], map[link.b.device.index()]) else {
             continue; // external-peer link, dropped
         };
         topo.connect_p2p(a, b, p2p).expect("fresh ifaces");

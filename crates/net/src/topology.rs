@@ -9,7 +9,7 @@
 use crate::addr::{Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr};
 use crate::types::{Asn, DeviceId, Endpoint, LinkId, Role, Vendor};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A network interface on a device.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ pub struct Topology {
     devices: Vec<Device>,
     links: Vec<Link>,
     #[serde(skip)]
-    name_index: HashMap<String, DeviceId>,
+    name_index: BTreeMap<String, DeviceId>,
 }
 
 impl Topology {
@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn p2p_allocator_hands_out_distinct_pairs() {
         let mut p2p = P2pAllocator::new("100.64.0.0/28".parse().unwrap());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..8 {
             let (a, b) = p2p.next_pair();
             assert!(seen.insert(a.addr));

@@ -43,7 +43,7 @@ use crystalnet_net::{Asn, IdMap, Ipv4Addr, Ipv4Prefix, PrefixMap};
 use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The decision process's preference key; see [`BgpRouterOs::candidate_key`].
@@ -147,9 +147,9 @@ pub struct BgpRouterOs {
     router_id: Ipv4Addr,
     loopback: Ipv4Addr,
     local_addrs: Vec<Ipv4Addr>,
-    iface_addr: HashMap<u32, Ipv4Addr>,
     peers: Vec<Peer>,
-    peer_by_iface: HashMap<u32, usize>,
+    /// The session on each interface, indexed by interface.
+    peer_by_iface: Vec<Option<usize>>,
     networks: BTreeSet<Ipv4Prefix>,
     loc_rib: PrefixMap<LocEntry>,
     fib: Fib,
@@ -197,9 +197,8 @@ impl BgpRouterOs {
             router_id: Ipv4Addr::UNSPECIFIED,
             loopback,
             local_addrs: vec![],
-            iface_addr: HashMap::new(),
             peers: vec![],
-            peer_by_iface: HashMap::new(),
+            peer_by_iface: Vec::new(),
             networks: BTreeSet::new(),
             loc_rib: PrefixMap::default(),
             fib: Fib::new(config.fib_capacity),
@@ -289,12 +288,10 @@ impl BgpRouterOs {
     fn apply_config_internal(&mut self) {
         self.hostname = self.config.hostname.clone();
         self.reannounced.clear();
-        self.iface_addr.clear();
         self.local_addrs.clear();
         self.local_addrs.push(self.loopback);
-        for (idx, iface) in self.config.interfaces.iter().enumerate() {
+        for iface in &self.config.interfaces {
             if let Some(cidr) = iface.addr {
-                self.iface_addr.insert(idx as u32, cidr.addr);
                 self.local_addrs.push(cidr.addr);
             }
         }
@@ -337,12 +334,15 @@ impl BgpRouterOs {
                 })
             })
             .collect();
-        self.peer_by_iface = self
-            .peers
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.iface, i))
-            .collect();
+        self.peer_by_iface = vec![None; self.config.interfaces.len()];
+        for (i, p) in self.peers.iter().enumerate() {
+            self.peer_by_iface[p.iface as usize] = Some(i);
+        }
+    }
+
+    /// The session configured on `iface`, if any.
+    fn peer_on(&self, iface: u32) -> Option<usize> {
+        self.peer_by_iface.get(iface as usize).copied().flatten()
     }
 
     fn iface_for_peer(&self, peer: Ipv4Addr) -> Option<u32> {
@@ -937,7 +937,7 @@ impl BgpRouterOs {
     // ------------------------------------------------------------------
 
     fn on_bgp(&mut self, iface: u32, msg: BgpMsg, actions: &mut OsActions) {
-        let Some(&idx) = self.peer_by_iface.get(&iface) else {
+        let Some(idx) = self.peer_on(iface) else {
             return; // no session configured on this interface
         };
         if self.peers[idx].shutdown || !self.peers[idx].link_up {
@@ -1307,7 +1307,7 @@ impl DeviceOs for BgpRouterOs {
                 return self.boot_control_plane();
             }
             OsEvent::LinkUp(iface) => {
-                if let Some(&idx) = self.peer_by_iface.get(&iface) {
+                if let Some(idx) = self.peer_on(iface) {
                     self.peers[idx].link_up = true;
                     // An established session ignores a duplicate LinkUp.
                     // Any other one re-opens, which also repairs a link
@@ -1321,7 +1321,7 @@ impl DeviceOs for BgpRouterOs {
                 }
             }
             OsEvent::LinkDown(iface) => {
-                if let Some(&idx) = self.peer_by_iface.get(&iface) {
+                if let Some(idx) = self.peer_on(iface) {
                     self.peers[idx].link_up = false;
                     self.session_down(idx, &mut actions);
                 }
@@ -1389,7 +1389,7 @@ impl DeviceOs for BgpRouterOs {
     }
 
     fn adj_rib_in(&self, iface: u32) -> Vec<(Ipv4Prefix, Arc<PathAttrs>)> {
-        let Some(&idx) = self.peer_by_iface.get(&iface) else {
+        let Some(idx) = self.peer_on(iface) else {
             return Vec::new();
         };
         let mut rows: Vec<(Ipv4Prefix, Arc<PathAttrs>)> = self.peers[idx]

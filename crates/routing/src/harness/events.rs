@@ -166,7 +166,7 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 ib,
             } => {
                 e.world.causal_pending -= 1;
-                e.world.link_up.insert(lid, up);
+                e.world.link_up[lid.index()] = up;
                 let (ev_a, ev_b) = if up {
                     (OsEvent::LinkUp(ia), OsEvent::LinkUp(ib))
                 } else {
@@ -302,7 +302,7 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
             .work
             .completion(dev, WorkKind::RouteOps(actions.route_ops), now);
         e.world.route_ops_total += actions.route_ops as u64;
-        *e.world.route_ops_by_dev.entry(dev).or_insert(0) += actions.route_ops as u64;
+        e.world.route_ops_by_dev[dev.index()] += actions.route_ops as u64;
         e.world.last_route_activity = e.world.last_route_activity.max(t);
         if let Some(h) = e.world.planes.health.as_mut() {
             *h.ops_since_tick.entry(dev).or_insert(0) += actions.route_ops as u64;

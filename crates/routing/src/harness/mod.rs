@@ -30,7 +30,7 @@ use crystalnet_sim::{Engine, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
 use crystalnet_telemetry::MemRecorder;
 use events::dispatch;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -167,9 +167,7 @@ impl ControlPlaneSim {
                 (0..dev.ifaces.len()).map(|_| None).collect()
             })
             .collect();
-        let mut link_up = HashMap::new();
         for (lid, link) in topo.links() {
-            link_up.insert(lid, true);
             adjacency[link.a.device.index()][link.a.iface as usize] = Some(Adjacency {
                 remote_dev: link.b.device,
                 remote_iface: link.b.iface,
@@ -186,11 +184,11 @@ impl ControlPlaneSim {
                 oses: (0..n).map(|_| None).collect(),
                 booted: vec![false; n],
                 adjacency,
-                link_up,
+                link_up: vec![true; topo.link_count()],
                 work,
                 last_route_activity: SimTime::ZERO,
                 route_ops_total: 0,
-                route_ops_by_dev: HashMap::new(),
+                route_ops_by_dev: vec![0; n],
                 crashes: Vec::new(),
                 mgmt_responses: Vec::new(),
                 causal_pending: 0,

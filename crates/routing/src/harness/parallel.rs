@@ -9,7 +9,6 @@ use crystalnet_net::{DeviceId, Partition};
 use crystalnet_sim::parallel::{run_shards_until_quiet_matrix, LookaheadMatrix};
 use crystalnet_sim::{Engine, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
-use std::collections::HashMap;
 
 impl ControlPlaneSim {
     /// [`Self::run_until_quiet`] on worker threads, for a bare
@@ -121,7 +120,7 @@ impl ControlPlaneSim {
                     work,
                     last_route_activity: world.last_route_activity,
                     route_ops_total: 0,
-                    route_ops_by_dev: HashMap::new(),
+                    route_ops_by_dev: vec![0; n],
                     crashes: Vec::new(),
                     mgmt_responses: Vec::new(),
                     causal_pending: 0,
@@ -182,9 +181,7 @@ impl ControlPlaneSim {
                 world.oses[i] = sw.oses[i].take();
                 world.booted[i] = sw.booted[i];
                 world.dev_key_seq[i] = sw.dev_key_seq[i];
-                if let Some(ops) = sw.route_ops_by_dev.get(&dev) {
-                    *world.route_ops_by_dev.entry(dev).or_insert(0) += ops;
-                }
+                world.route_ops_by_dev[i] += sw.route_ops_by_dev[i];
             }
             world.route_ops_total += sw.route_ops_total;
             world.last_route_activity = world.last_route_activity.max(sw.last_route_activity);

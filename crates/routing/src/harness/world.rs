@@ -12,7 +12,7 @@ use crystalnet_net::{DeviceId, Ipv4Prefix, LinkId};
 use crystalnet_sim::parallel::ParallelWorld;
 use crystalnet_sim::{Engine, SimTime};
 use crystalnet_telemetry::MemRecorder;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 #[derive(Clone, Copy)]
@@ -78,14 +78,16 @@ pub struct ControlPlaneWorld {
     pub(crate) booted: Vec<bool>,
     /// adjacency[device][iface] (None when unwired).
     pub(crate) adjacency: Vec<Vec<Option<Adjacency>>>,
-    pub(crate) link_up: HashMap<LinkId, bool>,
+    /// Per-link state, indexed by [`LinkId`].
+    pub(crate) link_up: Vec<bool>,
     pub(crate) work: Box<dyn WorkModel>,
     /// Completion time of the last event that changed routes.
     pub last_route_activity: SimTime,
     /// Total route operations performed across all devices.
     pub route_ops_total: u64,
-    /// Per-device route-operation counters (diagnostics).
-    pub route_ops_by_dev: HashMap<DeviceId, u64>,
+    /// Per-device route-operation counters (diagnostics), indexed by
+    /// [`DeviceId`].
+    pub route_ops_by_dev: Vec<u64>,
     /// Devices that crashed while handling events (health-monitor feed).
     pub crashes: Vec<(SimTime, DeviceId)>,
     /// Responses to asynchronously delivered management commands.
@@ -156,7 +158,7 @@ impl ControlPlaneWorld {
 
     /// Whether `link` is up right now.
     pub(crate) fn link_is_up(&self, link: LinkId) -> bool {
-        self.link_up.get(&link).copied().unwrap_or(false)
+        self.link_up.get(link.index()).copied().unwrap_or(false)
     }
 
     /// Where a packet `dev` forwards out `iface` ends up.

@@ -4,7 +4,7 @@
 //! [`PathAttrs::intern`]: crate::attrs::PathAttrs::intern
 //! [`Provenance::intern`]: crate::provenance::Provenance::intern
 
-use std::collections::HashSet;
+use crystalnet_net::IdSet;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -16,16 +16,16 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// two interned handles are [`Arc::ptr_eq`] **iff** their contents are
 /// `==`. Interning order never affects which value a handle dereferences
 /// to, so sharing the table across threads cannot perturb determinism.
-pub(crate) struct Interner<T>(OnceLock<Mutex<HashSet<Arc<T>>>>);
+pub(crate) struct Interner<T>(OnceLock<Mutex<IdSet<Arc<T>>>>);
 
 impl<T: Eq + Hash> Interner<T> {
     pub(crate) const fn new() -> Self {
         Interner(OnceLock::new())
     }
 
-    fn table(&self) -> MutexGuard<'_, HashSet<Arc<T>>> {
+    fn table(&self) -> MutexGuard<'_, IdSet<Arc<T>>> {
         self.0
-            .get_or_init(|| Mutex::new(HashSet::new()))
+            .get_or_init(|| Mutex::new(IdSet::default()))
             .lock()
             .expect("interner poisoned")
     }

@@ -14,7 +14,7 @@ use crystalnet_dataplane::{Fib, FibEntry, NextHop};
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// A router LSA: the originator's view of its adjacencies and prefixes.
@@ -56,15 +56,15 @@ pub struct OspfRouterOs {
     priority: u8,
     /// Interfaces that run OSPF.
     ifaces: Vec<u32>,
-    link_up: HashMap<u32, bool>,
-    neighbors: HashMap<u32, NeighborState>,
-    lsdb: HashMap<Ipv4Addr, Arc<RouterLsa>>,
+    link_up: BTreeMap<u32, bool>,
+    neighbors: BTreeMap<u32, NeighborState>,
+    lsdb: BTreeMap<Ipv4Addr, Arc<RouterLsa>>,
     my_seq: u32,
     prefixes: Vec<(Ipv4Prefix, u32)>,
     fib: Fib,
     /// Per installed prefix: the LSA origin router and the event of the
     /// SPF run that installed it (feeds [`DeviceOs::route_detail`]).
-    route_meta: HashMap<Ipv4Prefix, (Ipv4Addr, EventId)>,
+    route_meta: BTreeMap<Ipv4Prefix, (Ipv4Addr, EventId)>,
     hello_interval: SimDuration,
     hello_armed: bool,
     down: bool,
@@ -88,12 +88,12 @@ impl OspfRouterOs {
             priority,
             link_up: ifaces.iter().map(|&i| (i, true)).collect(),
             ifaces,
-            neighbors: HashMap::new(),
-            lsdb: HashMap::new(),
+            neighbors: BTreeMap::new(),
+            lsdb: BTreeMap::new(),
             my_seq: 0,
             prefixes: prefixes.into_iter().map(|p| (p, 0)).collect(),
             fib: Fib::default(),
-            route_meta: HashMap::new(),
+            route_meta: BTreeMap::new(),
             hello_interval: SimDuration::from_secs(1),
             hello_armed: false,
             down: false,
@@ -207,7 +207,7 @@ impl OspfRouterOs {
         };
 
         // Dijkstra from self over router nodes.
-        let mut dist: HashMap<Ipv4Addr, (u32, Option<Ipv4Addr>)> = HashMap::new();
+        let mut dist: BTreeMap<Ipv4Addr, (u32, Option<Ipv4Addr>)> = BTreeMap::new();
         dist.insert(self.router_id, (0, None));
         let mut heap: BinaryHeap<std::cmp::Reverse<(u32, Ipv4Addr, Option<Ipv4Addr>)>> =
             BinaryHeap::new();
@@ -413,13 +413,10 @@ impl DeviceOs for OspfRouterOs {
     }
 
     fn routes_with_detail(&self) -> Vec<(Ipv4Prefix, RouteDetail)> {
-        let mut rows: Vec<(Ipv4Prefix, RouteDetail)> = self
-            .route_meta
+        self.route_meta
             .iter()
             .map(|(p, (origin, event))| (*p, ospf_detail(*origin, *event)))
-            .collect();
-        rows.sort_by_key(|(p, _)| *p);
-        rows
+            .collect()
     }
 }
 

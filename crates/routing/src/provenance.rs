@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn the_cache_is_not_part_of_the_value() {
-        use std::hash::{BuildHasher, RandomState};
+        use std::hash::{BuildHasher, BuildHasherDefault};
         let base = Provenance::originated(OriginKind::Speaker, Ipv4Addr(700_101), ev(1, 2))
             .extended(Ipv4Addr(700_102), ev(3, 4));
         let (digested, fresh) = ((*base).clone(), (*base).clone());
@@ -397,7 +397,7 @@ mod tests {
         let _ = digested.digest();
         assert_ne!(cached(&digested), 0);
         assert_eq!(digested, fresh);
-        let hasher = RandomState::new();
+        let hasher = BuildHasherDefault::<crystalnet_net::PrefixHasher>::default();
         assert_eq!(hasher.hash_one(&digested), hasher.hash_one(&fresh));
         assert_eq!(format!("{digested:?}"), format!("{fresh:?}"));
         assert!(Arc::ptr_eq(&digested.intern(), &fresh.intern()));

@@ -13,7 +13,7 @@ use crystalnet_dataplane::{EthernetFrame, Ipv4Packet, UdpDatagram, VxlanPacket, 
 use crystalnet_net::{Ipv4Addr, LinkId};
 use crystalnet_sim::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which bridge implementation wires the link (§6.2's design choice:
 /// "Linux bridge or OVS?" — CrystalNet prefers the former because it only
@@ -75,7 +75,7 @@ impl LinkSpan {
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct VniAllocator {
     next: u32,
-    used_per_vm: HashMap<VmId, HashSet<u32>>,
+    used_per_vm: BTreeMap<VmId, BTreeSet<u32>>,
 }
 
 impl VniAllocator {
@@ -118,7 +118,7 @@ impl VniAllocator {
     /// VNIs in use on one VM.
     #[must_use]
     pub fn in_use(&self, vm: VmId) -> usize {
-        self.used_per_vm.get(&vm).map_or(0, HashSet::len)
+        self.used_per_vm.get(&vm).map_or(0, BTreeSet::len)
     }
 }
 
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn vni_uniqueness_per_vm() {
         let mut a = VniAllocator::new();
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..100 {
             let vni = a.allocate(VmId(0), VmId(1 + i % 3));
             assert!(seen.insert(vni), "vni {vni} reused on vm0");

@@ -10,10 +10,10 @@
 use crate::cloud::VmId;
 use crystalnet_net::Ipv4Addr;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A node in the management overlay graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MgmtNode {
     /// The central Linux jumpbox.
     LinuxJumpbox,
@@ -31,9 +31,9 @@ pub struct ManagementOverlay {
     /// Undirected edges (kept as ordered pairs).
     edges: Vec<(MgmtNode, MgmtNode)>,
     /// DNS: device name → management IP.
-    dns: HashMap<String, Ipv4Addr>,
+    dns: BTreeMap<String, Ipv4Addr>,
     /// Reverse: management IP → device name.
-    rdns: HashMap<Ipv4Addr, String>,
+    rdns: BTreeMap<Ipv4Addr, String>,
 }
 
 /// Errors while building the overlay.
@@ -154,7 +154,7 @@ impl ManagementOverlay {
         }
         // Union-find over nodes; a cycle appears iff an edge joins two
         // already-connected nodes.
-        let mut ids: HashMap<&MgmtNode, usize> = HashMap::new();
+        let mut ids: BTreeMap<&MgmtNode, usize> = BTreeMap::new();
         for (a, b) in &self.edges {
             let n = ids.len();
             ids.entry(a).or_insert(n);
@@ -178,8 +178,7 @@ impl ManagementOverlay {
         }
         // Acyclic with edges = nodes - 1 components merging: connected iff
         // one root.
-        let roots: std::collections::HashSet<usize> =
-            (0..parent.len()).map(|i| find(&mut parent, i)).collect();
+        let roots: BTreeSet<usize> = (0..parent.len()).map(|i| find(&mut parent, i)).collect();
         roots.len() == 1
     }
 
@@ -189,15 +188,15 @@ impl ManagementOverlay {
     pub fn hops_to(&self, name: &str) -> Option<usize> {
         // BFS from the jumpbox.
         let target = MgmtNode::Device(name.to_string());
-        let mut adj: HashMap<&MgmtNode, Vec<&MgmtNode>> = HashMap::new();
+        let mut adj: BTreeMap<&MgmtNode, Vec<&MgmtNode>> = BTreeMap::new();
         for (a, b) in &self.edges {
             adj.entry(a).or_default().push(b);
             adj.entry(b).or_default().push(a);
         }
         let start = MgmtNode::LinuxJumpbox;
-        let mut dist: HashMap<&MgmtNode, usize> = HashMap::new();
+        let mut dist: BTreeMap<&MgmtNode, usize> = BTreeMap::new();
         dist.insert(&start, 0);
-        let mut queue = std::collections::VecDeque::from([&start]);
+        let mut queue = VecDeque::from([&start]);
         while let Some(node) = queue.pop_front() {
             let d = dist[node];
             if *node == target {

@@ -11,7 +11,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -471,8 +471,10 @@ impl<T: Deserialize> Deserialize for Rc<T> {
 }
 
 macro_rules! map_impl {
-    ($name:ident, $($bound:tt)+) => {
-        impl<K: Serialize + $($bound)+, V: Serialize> Serialize for $name<K, V> {
+    ($name:ident $(<$s:ident>)?, $($bound:tt)+) => {
+        impl<K: Serialize + $($bound)+, V: Serialize $(, $s: BuildHasher)?> Serialize
+            for $name<K, V $(, $s)?>
+        {
             fn to_value(&self) -> Value {
                 let mut entries: Vec<(String, Value)> = self
                     .iter()
@@ -482,7 +484,9 @@ macro_rules! map_impl {
                 Value::Object(entries)
             }
         }
-        impl<K: Deserialize + $($bound)+, V: Deserialize> Deserialize for $name<K, V> {
+        impl<K: Deserialize + $($bound)+, V: Deserialize $(, $s: BuildHasher + Default)?>
+            Deserialize for $name<K, V $(, $s)?>
+        {
             fn from_value(v: &Value) -> Result<Self, Error> {
                 __object(v)?
                     .iter()
@@ -492,24 +496,26 @@ macro_rules! map_impl {
         }
     };
 }
-map_impl!(HashMap, Eq + Hash);
+map_impl!(HashMap<S>, Eq + Hash);
 map_impl!(BTreeMap, Ord);
 
 macro_rules! set_impl {
-    ($name:ident, $($bound:tt)+) => {
-        impl<T: Serialize + $($bound)+> Serialize for $name<T> {
+    ($name:ident $(<$s:ident>)?, $($bound:tt)+) => {
+        impl<T: Serialize + $($bound)+ $(, $s: BuildHasher)?> Serialize for $name<T $(, $s)?> {
             fn to_value(&self) -> Value {
                 Value::Array(self.iter().map(Serialize::to_value).collect())
             }
         }
-        impl<T: Deserialize + $($bound)+> Deserialize for $name<T> {
+        impl<T: Deserialize + $($bound)+ $(, $s: BuildHasher + Default)?> Deserialize
+            for $name<T $(, $s)?>
+        {
             fn from_value(v: &Value) -> Result<Self, Error> {
                 __array(v)?.iter().map(T::from_value).collect()
             }
         }
     };
 }
-set_impl!(HashSet, Eq + Hash);
+set_impl!(HashSet<S>, Eq + Hash);
 set_impl!(BTreeSet, Ord);
 
 impl Serialize for Value {

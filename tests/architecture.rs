@@ -1,7 +1,9 @@
 //! Architecture-level invariants from the paper's Figures 2, 4, 5 and 6:
 //! the two-layer PhyNet design, per-link VXLAN isolation, and the
 //! loop-free tree-shaped management overlay — on a fresh mockup and on
-//! the same mockup after a VM's sandboxes were re-placed on a spare.
+//! the same mockup after a VM's sandboxes were re-placed on a spare —
+//! plus one source-level invariant: no emulator state iterates in an
+//! order drawn from per-process hash keys.
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
@@ -176,4 +178,49 @@ fn emulation_cost_tracks_fleet_and_time() {
     let cost = emu.cloud().cost_usd(emu.now());
     assert!(cost > 0.0);
     assert!(cost < rate, "an emulation converges in under an hour");
+}
+
+#[test]
+fn no_container_in_the_emulator_draws_per_process_hash_keys() {
+    // Which order a map iterates in is a property of its type: a `Vec`
+    // indexed by a dense id, a `BTreeMap`/`BTreeSet`, or the fixed-hasher
+    // `IdMap`/`IdSet` aliases in `crates/net/src/addr.rs`, the one file
+    // that may name std's hashed containers.
+    const BANNED: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let aliases = root.join("crates/net/src/addr.rs");
+    let mut stack: Vec<std::path::PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("the workspace has crates/")
+        .map(|e| e.expect("readable entry").path().join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    let mut hits = Vec::new();
+    while let Some(path) = stack.pop() {
+        if path.is_dir() {
+            stack.extend(
+                std::fs::read_dir(&path)
+                    .expect("readable dir")
+                    .map(|e| e.expect("readable entry").path()),
+            );
+            continue;
+        }
+        if path.extension() != Some("rs".as_ref()) || path == aliases {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        for (n, line) in text.lines().enumerate() {
+            let mut tokens = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            if tokens.any(|t| BANNED.contains(&t)) {
+                let file = path.strip_prefix(root).unwrap_or(&path);
+                hits.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    hits.sort();
+    assert!(
+        hits.is_empty(),
+        "{} lines name a randomly keyed container:\n{}",
+        hits.len(),
+        hits.join("\n")
+    );
 }
