@@ -66,42 +66,6 @@ impl Classification {
         self.ids_where(|c| matches!(c, EmulationClass::Internal | EmulationClass::Boundary))
     }
 
-    /// Incrementally re-classifies after `removed` left the emulated set
-    /// (a device decommission), touching only the removed device and its
-    /// topological neighborhood — boundary-safety *memoization*: the rest
-    /// of the cached classification stays valid because a device's class
-    /// depends only on itself and its direct neighbors.
-    ///
-    /// `emulated` must already reflect the removal.
-    pub fn remove_device(
-        &mut self,
-        topo: &Topology,
-        emulated: &BTreeSet<DeviceId>,
-        removed: DeviceId,
-    ) {
-        let mut affected: Vec<DeviceId> = vec![removed];
-        affected.extend(topo.neighbor_devices(removed));
-        for id in affected {
-            self.classes[id.index()] = Self::classify_one(topo, emulated, id);
-        }
-    }
-
-    /// Checks that the memoized classes for `region` still match a fresh
-    /// classification — the cheap audit `apply_change` runs instead of
-    /// re-running Algorithm 1 over the whole topology. Returns the first
-    /// mismatching device, or `None` when the memo is consistent.
-    #[must_use]
-    pub fn validate_region<'a>(
-        &self,
-        topo: &Topology,
-        emulated: &BTreeSet<DeviceId>,
-        region: impl IntoIterator<Item = &'a DeviceId>,
-    ) -> Option<DeviceId> {
-        region.into_iter().copied().find(|&id| {
-            self.classes.get(id.index()) != Some(&Self::classify_one(topo, emulated, id))
-        })
-    }
-
     fn classify_one(
         topo: &Topology,
         emulated: &BTreeSet<DeviceId>,
@@ -166,36 +130,6 @@ mod tests {
         for &t in &f.tors[..4] {
             assert_eq!(c.class(t), EmulationClass::Internal);
         }
-    }
-
-    #[test]
-    fn incremental_removal_matches_fresh_classification() {
-        let f = fig7();
-        let mut emulated: BTreeSet<DeviceId> = f
-            .spines
-            .iter()
-            .chain(&f.leaves[..4])
-            .chain(&f.tors[..4])
-            .copied()
-            .collect();
-        let mut c = Classification::new(&f.topo, &emulated);
-        assert!(c
-            .validate_region(&f.topo, &emulated, emulated.iter())
-            .is_none());
-        // Decommission T1: its leaves' classes may change; the memoized
-        // patch must agree with a from-scratch classification.
-        let removed = f.tors[0];
-        emulated.remove(&removed);
-        c.remove_device(&f.topo, &emulated, removed);
-        let fresh = Classification::new(&f.topo, &emulated);
-        for (id, _) in f.topo.devices() {
-            assert_eq!(c.class(id), fresh.class(id), "device {id:?}");
-        }
-        // A deliberately stale memo is caught by the audit.
-        let stale = Classification::new(&f.topo, &f.topo.devices().map(|(id, _)| id).collect());
-        assert!(stale
-            .validate_region(&f.topo, &emulated, [removed].iter())
-            .is_some());
     }
 
     #[test]

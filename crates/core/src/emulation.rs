@@ -103,9 +103,6 @@ pub struct Emulation {
     /// Speaker scripts swapped in by `apply_change`; fault recovery
     /// rebuilds a swapped speaker from these, not the prepared plan.
     pub(crate) speaker_overrides: BTreeMap<DeviceId, Vec<(u32, crystalnet_routing::SpeakerScript)>>,
-    /// Memoized boundary classification, patched incrementally on device
-    /// removal instead of re-running Algorithm 1.
-    pub(crate) classification: crystalnet_boundary::Classification,
     /// The *current* emulated set — `prep.emulated` minus devices removed
     /// by `apply_change`.
     pub(crate) emulated_now: BTreeSet<DeviceId>,
@@ -173,7 +170,6 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
         options,
         config_overrides: BTreeMap::new(),
         speaker_overrides: BTreeMap::new(),
-        classification: prep.classification(),
         emulated_now: prep.emulated.clone(),
         change_log: Vec::new(),
         next_signature: 1,
@@ -341,30 +337,14 @@ impl Emulation {
         Ok(())
     }
 
-    /// Appends to the recovery journal, mirroring each entry into the
-    /// telemetry recorder — fault counters, the recovery-latency
-    /// histogram, and a `recovery` span per completion. Every fault and
-    /// recovery step emits through here so the journal's typed query API
-    /// and the run report can never drift apart.
+    /// Appends to the recovery journal, and records a `recovery` span per
+    /// completion. Every fault and recovery step lands here; the run
+    /// report reads its fault counters and recovery-latency histogram
+    /// from the journal itself.
     pub(crate) fn journal_event(&mut self, at: SimTime, kind: JournalKind) {
-        let rec = &mut *self.sim.engine.world.recorder;
-        if rec.enabled() {
-            match &kind {
-                JournalKind::FaultInjected { .. } => rec.counter_add("core.faults_injected", 1),
-                JournalKind::HeartbeatMissed { .. } => rec.counter_add("core.heartbeat_misses", 1),
-                JournalKind::VmDeclaredDead { .. } => rec.counter_add("core.vms_declared_dead", 1),
-                JournalKind::RebootAttempt { .. } => rec.counter_add("core.reboot_attempts", 1),
-                JournalKind::VmQuarantined { .. } => rec.counter_add("core.vms_quarantined", 1),
-                JournalKind::SpeakerRestarted { .. } => {
-                    rec.counter_add("core.speakers_restarted", 1);
-                }
-                JournalKind::LinkFlap { .. } => rec.counter_add("core.link_flaps", 1),
-                JournalKind::RecoveryComplete { latency, .. } => {
-                    rec.counter_add("core.recoveries", 1);
-                    rec.histogram_record("core.recovery_latency_ns", latency.as_nanos() as f64);
-                    rec.span("recovery", None, at - *latency, at);
-                }
-            }
+        if let JournalKind::RecoveryComplete { latency, .. } = &kind {
+            let rec = &mut *self.sim.engine.world.recorder;
+            rec.span("recovery", None, at - *latency, at);
         }
         self.journal.record(at, kind);
     }

@@ -114,17 +114,21 @@ impl HealthReport {
         }
     }
 
-    /// Renders the runtime state; `resolve` maps device ids to
-    /// hostnames.
+    /// Renders the runtime state, counting the probe mesh's firings on
+    /// the `incidents` timeline; `resolve` maps device ids to hostnames.
     #[must_use]
-    pub fn from_state(state: &HealthState, resolve: impl Fn(DeviceId) -> String) -> Self {
+    pub fn from_state(
+        state: &HealthState,
+        incidents: &[Incident],
+        resolve: impl Fn(DeviceId) -> String,
+    ) -> Self {
         HealthReport {
             enabled: true,
             period: state.cfg.period,
             probes_sent: state.probes_sent,
             probes_delivered: state.probes_delivered,
             probes_lost: state.probes_lost,
-            incident_count: state.incidents.len() as u64,
+            incident_count: incidents.iter().filter(|i| !i.kind.is_traffic()).count() as u64,
             pairs: PairGauges::from_pairs(&state.pairs, resolve),
         }
     }

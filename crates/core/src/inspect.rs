@@ -14,8 +14,9 @@ use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, Topology};
 use crystalnet_routing::{DeviceOs, MgmtCommand, MgmtResponse};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use crystalnet_telemetry::{
-    trace_chrome_json, trace_jsonl, CowStats, DeviceMem, DeviceMemTotals, FieldValue, InternerMem,
-    MemorySection, QueueMem, RunReport, SpanRecord, TraceRecord, TraceSink,
+    trace_chrome_json, trace_jsonl, CowStats, DeviceMem, DeviceMemTotals, FieldValue,
+    HistogramSummary, InternerMem, MemorySection, QueueMem, RunReport, SpanRecord, TraceRecord,
+    TraceSink,
 };
 use crystalnet_vnet::CloudParams;
 use std::collections::BTreeSet;
@@ -105,7 +106,8 @@ impl Emulation {
         if !rec.enabled() {
             return RunReport::disabled();
         }
-        let mut report = rec
+        let mut report = self
+            .sim
             .report()
             .with_meta("seed", FieldValue::U64(self.options.seed))
             .with_meta("devices", FieldValue::U64(self.sandboxes.len() as u64))
@@ -126,6 +128,19 @@ impl Emulation {
                     end: SimTime(end_ns),
                 });
             }
+        }
+        // The journal's series, read from the journal: a counter per
+        // kind of entry and the recovery-latency histogram.
+        for e in &self.journal.events {
+            let name = e.kind.counter().to_string();
+            *report.counters.entry(name).or_default() += 1;
+        }
+        let latencies: Vec<f64> = (self.journal.recoveries().iter())
+            .map(|&(_, latency, _)| latency.as_nanos() as f64)
+            .collect();
+        if let Some(summary) = HistogramSummary::from_samples(&latencies) {
+            let name = "core.recovery_latency_ns".to_string();
+            report.histograms.insert(name, summary);
         }
         report.journal = self
             .journal
@@ -205,7 +220,9 @@ impl Emulation {
     pub fn pull_health(&self) -> crate::health::HealthReport {
         match self.sim.health() {
             Some(state) => {
-                crate::health::HealthReport::from_state(state, |d| self.topo.device(d).name.clone())
+                crate::health::HealthReport::from_state(state, self.sim.incidents(), |d| {
+                    self.topo.device(d).name.clone()
+                })
             }
             None => crate::health::HealthReport::disabled(),
         }
@@ -219,9 +236,11 @@ impl Emulation {
     #[must_use]
     pub fn pull_traffic(&self) -> crate::traffic::TrafficReport {
         match self.sim.traffic() {
-            Some(state) => crate::traffic::TrafficReport::from_state(state, |d| {
-                self.topo.device(d).name.clone()
-            }),
+            Some(state) => {
+                crate::traffic::TrafficReport::from_state(state, self.sim.incidents(), |d| {
+                    self.topo.device(d).name.clone()
+                })
+            }
             None => crate::traffic::TrafficReport::disabled(),
         }
     }
@@ -235,17 +254,7 @@ impl Emulation {
     /// [`crate::health::CORRELATION_WINDOW`].
     #[must_use]
     pub fn incidents(&self) -> Vec<crate::health::CorrelatedIncident> {
-        // Each plane keeps its log in timeline order, so the shared
-        // timeline is a two-way merge by reference.
-        let health = self.sim.health().map_or(&[][..], |h| &h.incidents);
-        let traffic = self.sim.traffic().map_or(&[][..], |t| &t.incidents);
-        let (mut health, mut traffic) = (health.iter().peekable(), traffic.iter().peekable());
-        let merged = std::iter::from_fn(|| match (health.peek(), traffic.peek()) {
-            (Some(h), Some(t)) if t.sort_key() < h.sort_key() => traffic.next(),
-            (Some(_), _) => health.next(),
-            (None, _) => traffic.next(),
-        });
-        crate::health::correlate(merged, &self.journal, &self.change_log, |d| {
+        crate::health::correlate(self.sim.incidents(), &self.journal, &self.change_log, |d| {
             self.topo.device(d).name.clone()
         })
     }

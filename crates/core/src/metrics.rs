@@ -102,6 +102,23 @@ pub enum JournalKind {
     },
 }
 
+impl JournalKind {
+    /// The run report's counter of this kind of entry.
+    #[must_use]
+    pub fn counter(&self) -> &'static str {
+        match self {
+            JournalKind::FaultInjected { .. } => "core.faults_injected",
+            JournalKind::HeartbeatMissed { .. } => "core.heartbeat_misses",
+            JournalKind::VmDeclaredDead { .. } => "core.vms_declared_dead",
+            JournalKind::RebootAttempt { .. } => "core.reboot_attempts",
+            JournalKind::VmQuarantined { .. } => "core.vms_quarantined",
+            JournalKind::SpeakerRestarted { .. } => "core.speakers_restarted",
+            JournalKind::LinkFlap { .. } => "core.link_flaps",
+            JournalKind::RecoveryComplete { .. } => "core.recoveries",
+        }
+    }
+}
+
 /// A timestamped [`JournalKind`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalEvent {

@@ -85,12 +85,6 @@ impl PrepareOutput {
             sandbox_kind(self.topo.device(dev).vendor)
         }
     }
-
-    /// The boundary classification (recomputed on demand).
-    #[must_use]
-    pub fn classification(&self) -> Classification {
-        Classification::new(&self.topo, &self.emulated)
-    }
 }
 
 /// Runs `Prepare`: boundary selection, config generation, speaker

@@ -48,6 +48,7 @@
 //! equivalent to replaying history.
 
 use crate::emulation::{Emulation, EmulationError};
+use crystalnet_boundary::Classification;
 use crystalnet_config::{
     classify_diff, classify_ripple, config_diff, Change, ChangeImpact, ChangeSet, DeviceConfig,
 };
@@ -249,15 +250,16 @@ struct PlaneTotals {
 
 impl Emulation {
     fn plane_totals(&self) -> PlaneTotals {
-        let mut t = PlaneTotals::default();
+        let mut t = PlaneTotals {
+            incidents: self.sim.incidents().len() as u64,
+            ..PlaneTotals::default()
+        };
         if let Some(h) = self.sim.health() {
             (t.probes_sent, t.probes_lost) = (h.probes_sent, h.probes_lost);
-            t.incidents += h.incidents.len() as u64;
         }
         if let Some(f) = self.sim.traffic() {
             (t.flows_sent, t.flows_lost, t.flows_rerouted) =
                 (f.flows_sent, f.flows_lost, f.flows_rerouted);
-            t.incidents += f.incidents.len() as u64;
         }
         t
     }
@@ -302,17 +304,6 @@ impl Emulation {
         // ---- Diff the full scope's FIBs (authoritative). ----
         let fib_changes = diff_devices(&before, &self.sim);
         let (virtual_cost, events_executed) = self.sim.engine.cost_since(&mark);
-
-        // The boundary memo must still agree with a fresh classification
-        // everywhere the change reached (cheap audit instead of
-        // re-running Algorithm 1 over the whole topology).
-        debug_assert!(
-            self.classification
-                .validate_region(&self.topo, &self.emulated_now, step.dirty.iter())
-                .is_none(),
-            "incremental boundary memo diverged from fresh classification"
-        );
-
         let totals_after = self.plane_totals();
         let delta = ConvergenceDelta {
             applied: step.applied,
@@ -494,8 +485,10 @@ impl Emulation {
         }
 
         // ---- Dirty set: scoped adjacency walk, speakers as barriers. ----
+        // Classified afresh: one pass over the topology per change set.
         let scope: BTreeSet<DeviceId> = self.sandboxes.keys().copied().collect();
-        let barriers: BTreeSet<DeviceId> = self.classification.speakers().into_iter().collect();
+        let class = Classification::new(&self.topo, &self.emulated_now);
+        let barriers: BTreeSet<DeviceId> = class.speakers().into_iter().collect();
         let dirty = dirty_region_scoped(&self.topo, &scope, &seeds, &barriers);
 
         // ---- Inject. ----
@@ -547,8 +540,8 @@ impl Emulation {
     }
 
     /// Decommissions one device mid-run: it is isolated, its pending
-    /// events are discarded, its sandbox stops, and the boundary memo is
-    /// patched in place.
+    /// events are discarded, its sandbox stops, and it leaves the
+    /// emulated set.
     fn remove_device(&mut self, dev: DeviceId, at: SimTime) {
         self.isolate(dev, at);
         self.sim.remove_device(dev);
@@ -557,8 +550,6 @@ impl Emulation {
             self.engines[sb.vm].stop(sb.phynet);
         }
         self.emulated_now.remove(&dev);
-        self.classification
-            .remove_device(&self.topo, &self.emulated_now, dev);
         self.config_overrides.remove(&dev);
         self.recovering_until.remove(&dev);
         let rec = &mut *self.sim.engine.world.recorder;

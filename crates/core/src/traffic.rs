@@ -7,12 +7,13 @@
 //! runtime accumulated: offered vs delivered load, which links ran hot
 //! (and how hot, against the configured capacity per period), and which
 //! source/destination pairs breached their flow SLO. Congestion
-//! *incidents* are not here — they merge into the shared timeline
-//! returned by `Emulation::incidents()` so operators read one ordered
-//! story, not two.
+//! *incidents* are not here — they land on the one timeline
+//! `Emulation::incidents()` returns, beside the probe mesh's, so
+//! operators read one ordered story, not two.
 
 use crate::health::PairGauges;
 use crystalnet_net::{DeviceId, LinkId};
+use crystalnet_routing::health::Incident;
 use crystalnet_routing::traffic::TrafficState;
 use crystalnet_sim::SimDuration;
 use serde::{Serialize, Value};
@@ -95,10 +96,14 @@ impl TrafficReport {
         }
     }
 
-    /// Renders the runtime state; `resolve` maps device ids to
-    /// hostnames.
+    /// Renders the runtime state, counting the traffic plane's firings on
+    /// the `incidents` timeline; `resolve` maps device ids to hostnames.
     #[must_use]
-    pub fn from_state(state: &TrafficState, resolve: impl Fn(DeviceId) -> String) -> Self {
+    pub fn from_state(
+        state: &TrafficState,
+        incidents: &[Incident],
+        resolve: impl Fn(DeviceId) -> String,
+    ) -> Self {
         let capacity_bytes = state.cfg.capacity_bytes_per_period();
         let mut link_bytes: Vec<_> = state.link_bytes.iter().collect();
         link_bytes.sort_unstable_by_key(|&(k, _)| k);
@@ -130,7 +135,7 @@ impl TrafficReport {
             bytes_offered: state.bytes_offered,
             bytes_delivered: state.bytes_delivered,
             bytes_lost: state.bytes_lost,
-            incident_count: state.incidents.len() as u64,
+            incident_count: incidents.iter().filter(|i| i.kind.is_traffic()).count() as u64,
             links,
             pairs: PairGauges::from_pairs(&state.pairs, resolve),
         }

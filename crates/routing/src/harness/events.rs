@@ -307,12 +307,9 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
         if let Some(h) = e.world.planes.health.as_mut() {
             *h.ops_since_tick.entry(dev).or_insert(0) += actions.route_ops as u64;
         }
-        if e.world.recorder.enabled() {
-            let rec = &mut *e.world.recorder;
-            rec.device_counter_add("routing.route_churn", dev.0, actions.route_ops as u64);
-            rec.device_gauge_max("routing.convergence_ns", dev.0, t.as_nanos());
-            rec.gauge_max("routing.last_route_activity_ns", t.as_nanos());
-        }
+        e.world
+            .recorder
+            .device_gauge_max("routing.convergence_ns", dev.0, t.as_nanos());
         t
     } else {
         now

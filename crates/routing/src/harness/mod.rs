@@ -20,7 +20,7 @@ use world::Adjacency;
 pub(crate) use world::HopStep;
 pub use world::{ControlPlaneEngine, ControlPlaneWorld};
 
-use crate::health::{HealthState, ProbeConfig, ProbeOutcome};
+use crate::health::{HealthState, Incident, ProbeConfig, ProbeOutcome};
 use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsEvent};
 use crate::plane::{tick_event, Plane, Planes};
 use crate::traffic::{TrafficConfig, TrafficState};
@@ -28,9 +28,9 @@ use crystalnet_dataplane::{Fib, ForwardDecision, Ipv4Packet};
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId, Topology};
 use crystalnet_sim::{Engine, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
-use crystalnet_telemetry::MemRecorder;
+use crystalnet_telemetry::{MemRecorder, RunReport};
 use events::dispatch;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -557,6 +557,70 @@ impl ControlPlaneSim {
     #[must_use]
     pub fn traffic(&self) -> Option<&TrafficState> {
         self.engine.world.planes.traffic.as_ref()
+    }
+
+    /// The incident timeline both planes land on, in
+    /// [`Incident::sort_key`] order; empty while both planes are off.
+    #[must_use]
+    pub fn incidents(&self) -> &[Incident] {
+        &self.engine.world.planes.incidents
+    }
+
+    /// The recorder's report plus the series this world keeps itself,
+    /// which the recorder therefore does not count: the plane totals,
+    /// each plane's incident count, route churn per device and the last
+    /// route activity. Each appears once it has counted something, as a
+    /// counter would; a `traffic.bytes_*` series goes with its flow
+    /// count. An off recorder's report is [`RunReport::disabled`].
+    #[must_use]
+    pub fn report(&self) -> RunReport {
+        let world = &self.engine.world;
+        let mut report = world.recorder.report();
+        if !world.recorder.enabled() {
+            return report;
+        }
+        let incidents = self.incidents();
+        let from_flows = incidents.iter().filter(|i| i.kind.is_traffic()).count() as u64;
+        let from_probes = incidents.len() as u64 - from_flows;
+        let (at, ops) = (world.last_route_activity.as_nanos(), world.route_ops_total);
+        // `(series, value, count)`: present once `count` is non-zero.
+        let mut series = vec![("routing.last_route_activity_ns", at, ops)];
+        if let Some(h) = self.health() {
+            let (sent, delivered, lost) = (h.probes_sent, h.probes_delivered, h.probes_lost);
+            series.extend([
+                ("health.probes_sent", sent, sent),
+                ("health.probes_delivered", delivered, delivered),
+                ("health.probes_lost", lost, lost),
+                ("health.incidents", from_probes, from_probes),
+            ]);
+        }
+        if let Some(t) = self.traffic() {
+            let (sent, delivered, lost) = (t.flows_sent, t.flows_delivered, t.flows_lost);
+            series.extend([
+                ("traffic.flows_sent", sent, sent),
+                ("traffic.bytes_offered", t.bytes_offered, sent),
+                ("traffic.flows_delivered", delivered, delivered),
+                ("traffic.bytes_delivered", t.bytes_delivered, delivered),
+                ("traffic.flows_lost", lost, lost),
+                ("traffic.bytes_lost", t.bytes_lost, lost),
+                ("traffic.flows_rerouted", t.flows_rerouted, t.flows_rerouted),
+                ("traffic.incidents", from_flows, from_flows),
+            ]);
+        }
+        for (name, value, count) in series {
+            if count > 0 {
+                report.counters.insert(name.to_string(), value);
+            }
+        }
+        let churn: BTreeMap<u32, u64> = (world.route_ops_by_dev.iter().enumerate())
+            .filter(|&(_, &n)| n > 0)
+            .map(|(dev, &n)| (dev as u32, n))
+            .collect();
+        if !churn.is_empty() {
+            let name = "routing.route_churn".to_string();
+            report.per_device.insert(name, churn);
+        }
+        report
     }
 
     /// Silently kills (or restores) `dev`'s dataplane forwarding while

@@ -81,12 +81,13 @@ pub struct ControlPlaneWorld {
     /// Per-link state, indexed by [`LinkId`].
     pub(crate) link_up: Vec<bool>,
     pub(crate) work: Box<dyn WorkModel>,
-    /// Completion time of the last event that changed routes.
+    /// Completion time of the last event that changed routes: the
+    /// report's `routing.last_route_activity_ns`.
     pub last_route_activity: SimTime,
     /// Total route operations performed across all devices.
     pub route_ops_total: u64,
-    /// Per-device route-operation counters (diagnostics), indexed by
-    /// [`DeviceId`].
+    /// Per-device route-operation counters, indexed by [`DeviceId`]: the
+    /// report's `routing.route_churn`.
     pub route_ops_by_dev: Vec<u64>,
     /// Devices that crashed while handling events (health-monitor feed).
     pub crashes: Vec<(SimTime, DeviceId)>,

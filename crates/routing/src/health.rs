@@ -37,7 +37,6 @@ use crate::plane::WalkCore;
 use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
-use crystalnet_telemetry::MemRecorder;
 use std::collections::VecDeque;
 use std::ops::Deref;
 
@@ -284,6 +283,19 @@ impl IncidentKind {
         }
     }
 
+    /// Whether the traffic plane raises this kind (its congestion
+    /// watchdogs); the probe mesh raises every other kind. A plane's
+    /// incidents are therefore a filter of the one timeline.
+    #[must_use]
+    pub fn is_traffic(&self) -> bool {
+        matches!(
+            self,
+            IncidentKind::LinkOversubscribed { .. }
+                | IncidentKind::EcmpPolarisation { .. }
+                | IncidentKind::FlowSloBreach { .. }
+        )
+    }
+
     /// Rank for the deterministic incident sort (ties broken by kind).
     fn rank(&self) -> u8 {
         match self {
@@ -347,9 +359,9 @@ impl Incident {
 
 /// Live probe-mesh state inside a
 /// [`ControlPlaneWorld`](crate::harness::ControlPlaneWorld): the shared walk state
-/// (population, pair gauges, incident log — reached through `Deref`),
-/// the probe totals, and the churn-watchdog accounting. Cloned wholesale
-/// on fork.
+/// (population, pair gauges — reached through `Deref`), the probe
+/// totals, and the churn-watchdog accounting. Its incidents land on the
+/// world's one timeline. Cloned wholesale on fork.
 #[derive(Debug, Clone, Default)]
 pub struct HealthState {
     /// The active configuration (seed already resolved).
@@ -447,20 +459,17 @@ impl HealthState {
     }
 
     /// Counts one launched probe.
-    pub(crate) fn count_sent(&mut self, rec: &mut MemRecorder) {
+    pub(crate) fn count_sent(&mut self) {
         self.probes_sent += 1;
-        rec.counter_add("health.probes_sent", 1);
     }
 
     /// Counts one probe's fate.
-    pub(crate) fn count_report(&mut self, delivered: bool, rec: &mut MemRecorder) {
-        let (total, counter) = if delivered {
-            (&mut self.probes_delivered, "health.probes_delivered")
+    pub(crate) fn count_report(&mut self, delivered: bool) {
+        if delivered {
+            self.probes_delivered += 1;
         } else {
-            (&mut self.probes_lost, "health.probes_lost")
-        };
-        *total += 1;
-        rec.counter_add(counter, 1);
+            self.probes_lost += 1;
+        }
     }
 }
 

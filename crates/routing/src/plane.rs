@@ -63,7 +63,7 @@ use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{EventId, SimDuration};
 use crystalnet_telemetry::FieldValue;
 
-/// Which packet-walk plane an event, gauge or incident belongs to.
+/// Which packet-walk plane an event or gauge belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Plane {
     /// The health plane's probe mesh.
@@ -100,8 +100,8 @@ pub(crate) struct Walk {
 }
 
 /// The state both planes keep the same way: who can be sampled, the
-/// per-pair gauges, the incident log, and the walk parameters. The
-/// plane states ([`HealthState`], [`TrafficState`]) deref to it.
+/// per-pair gauges, and the walk parameters. The plane states
+/// ([`HealthState`], [`TrafficState`]) deref to it.
 #[derive(Debug, Clone, Default)]
 pub struct WalkCore {
     /// Walk endpoints: every device with an OS at enable time, with its
@@ -110,9 +110,6 @@ pub struct WalkCore {
     /// Per-pair gauges with their rolling SLO windows, keyed
     /// `(src, dst)`; hashed, so readers sort.
     pub pairs: IdMap<(DeviceId, DeviceId), PairStats>,
-    /// The plane's incident timeline, kept in [`Incident::sort_key`]
-    /// order.
-    pub incidents: Vec<Incident>,
     /// Per-round sampling seed base, derived once from the plane
     /// config's seed at enable time.
     pub derived_seed: u64,
@@ -185,23 +182,19 @@ impl WalkCore {
             })
             .collect()
     }
-
-    /// Lands `inc` at its place in the timeline. Firing order is almost
-    /// timeline order; the exception is a tick-time watchdog verdict,
-    /// which fires before — but sorts after — the same instant's walks.
-    fn push_incident(&mut self, inc: Incident) {
-        let key = inc.sort_key();
-        let at = self.incidents.partition_point(|i| i.sort_key() <= key);
-        self.incidents.insert(at, inc);
-    }
 }
 
-/// The two planes of one world; `None` keeps every code path of that
-/// plane dormant at zero cost.
+/// The two planes of one world — `None` keeps every code path of that
+/// plane dormant at zero cost — and the one incident timeline both land
+/// on.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Planes {
     pub(crate) health: Option<HealthState>,
     pub(crate) traffic: Option<TrafficState>,
+    /// Every firing of either plane, kept in [`Incident::sort_key`]
+    /// order. Each kind belongs to one plane and its rank is part of the
+    /// key, so firings of the two planes never tie.
+    pub(crate) incidents: Vec<Incident>,
 }
 
 impl Planes {
@@ -210,6 +203,15 @@ impl Planes {
             Plane::Probe => self.health.as_mut().map(|h| &mut h.core),
             Plane::Flow => self.traffic.as_mut().map(|t| &mut t.core),
         }
+    }
+
+    /// Lands `inc` at its place in the timeline. Firing order is almost
+    /// timeline order; the exception is a tick-time watchdog verdict,
+    /// which fires before — but sorts after — the same instant's walks.
+    fn push_incident(&mut self, inc: Incident) {
+        let key = inc.sort_key();
+        let at = self.incidents.partition_point(|i| i.sort_key() <= key);
+        self.incidents.insert(at, inc);
     }
 }
 
@@ -272,7 +274,7 @@ pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
         _ => return,
     };
     for inc in fired {
-        record_incident(e, plane, inc);
+        record_incident(e, inc);
     }
 
     let period = e
@@ -287,10 +289,10 @@ pub(crate) fn plane_tick(e: &mut ControlPlaneEngine, plane: Plane, round: u64) {
         if e.world.oses[walk.src.index()].is_none() {
             continue;
         }
-        let (planes, rec) = (&mut e.world.planes, &mut *e.world.recorder);
+        let planes = &mut e.world.planes;
         match (plane, &mut planes.health, &mut planes.traffic) {
-            (Plane::Probe, Some(h), _) => h.count_sent(rec),
-            (Plane::Flow, _, Some(t)) => t.count_sent(walk.bytes, rec),
+            (Plane::Probe, Some(h), _) => h.count_sent(),
+            (Plane::Flow, _, Some(t)) => t.count_sent(walk.bytes),
             _ => unreachable!("checked above"),
         }
         e.schedule_event_at(
@@ -397,7 +399,7 @@ pub(crate) fn walk_hop(e: &mut ControlPlaneEngine, plane: Plane, mut walk: Walk)
             HopStep::End(outcome) => {
                 if let Some(kind) = hop.witness {
                     let inc = Incident::new(at, walk.src, walk.dst, walk.seq, kind);
-                    record_incident(e, plane, inc);
+                    record_incident(e, inc);
                 }
                 // The report returns to the source after the forward
                 // path's accumulated latency.
@@ -463,10 +465,10 @@ pub(crate) fn walk_report(
     let breach = stats
         .record(delivered, walk.path_ns, window, core.slo_loss_pct)
         .then(|| stats.window_lost());
-    let (planes, rec) = (&mut e.world.planes, &mut *e.world.recorder);
+    let planes = &mut e.world.planes;
     match (plane, &mut planes.health, &mut planes.traffic) {
-        (Plane::Probe, Some(h), _) => h.count_report(delivered, rec),
-        (Plane::Flow, _, Some(t)) => t.count_report(delivered, &walk, rec),
+        (Plane::Probe, Some(h), _) => h.count_report(delivered),
+        (Plane::Flow, _, Some(t)) => t.count_report(delivered, &walk),
         _ => unreachable!("checked above"),
     }
     if let Some(window_lost) = breach {
@@ -488,26 +490,17 @@ pub(crate) fn walk_report(
             ),
         };
         let inc = Incident::new(e.now(), walk.src, walk.dst, seq, kind);
-        record_incident(e, plane, inc);
+        record_incident(e, inc);
     }
 }
 
-/// Lands one watchdog firing: onto the plane's incident timeline, its
-/// `*.incidents` counter, and the trace sink.
-fn record_incident(e: &mut ControlPlaneEngine, plane: Plane, inc: Incident) {
-    let counter = match plane {
-        Plane::Probe => "health.incidents",
-        Plane::Flow => "traffic.incidents",
-    };
-    e.world.recorder.counter_add(counter, 1);
+/// Lands one watchdog firing: onto the incident timeline and the trace
+/// sink.
+fn record_incident(e: &mut ControlPlaneEngine, inc: Incident) {
     if e.world.recorder.trace_enabled() {
         trace_incident(e, &inc);
     }
-    e.world
-        .planes
-        .core_mut(plane)
-        .expect("incidents only fire with their plane enabled")
-        .push_incident(inc);
+    e.world.planes.push_incident(inc);
 }
 
 /// Emits the trace record for one watchdog firing — this is what carries

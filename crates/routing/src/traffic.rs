@@ -44,7 +44,6 @@ use crystalnet_dataplane::FibEntry;
 use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, LinkId};
 use crystalnet_sim::rng::SimRng;
 use crystalnet_sim::{SimDuration, SimTime};
-use crystalnet_telemetry::MemRecorder;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
@@ -168,9 +167,10 @@ pub fn entry_sig(entry: &FibEntry) -> u64 {
 
 /// Live traffic-plane state inside a `ControlPlaneWorld`
 /// (`crate::harness::ControlPlaneWorld`): the shared walk state
-/// (population, per-pair flow gauges, congestion incident log — reached
-/// through `Deref`), utilisation gauges, flow totals, and the per-tick
-/// residues the watchdogs evaluate. Cloned wholesale on fork. Every map a
+/// (population, per-pair flow gauges — reached through `Deref`),
+/// utilisation gauges, flow totals, and the per-tick residues the
+/// watchdogs evaluate; its incidents land on the world's one timeline.
+/// Cloned wholesale on fork. Every map a
 /// hop charges is an [`IdMap`]: whoever iterates one sorts it first.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficState {
@@ -388,39 +388,22 @@ impl TrafficState {
     }
 
     /// Counts one launched flow.
-    pub(crate) fn count_sent(&mut self, bytes: u64, rec: &mut MemRecorder) {
+    pub(crate) fn count_sent(&mut self, bytes: u64) {
         self.flows_sent += 1;
         self.bytes_offered += bytes;
-        if rec.enabled() {
-            rec.counter_add("traffic.flows_sent", 1);
-            rec.counter_add("traffic.bytes_offered", bytes);
-        }
     }
 
     /// Counts one flow's fate: flow and byte totals, and the
     /// rerouted-during-transient counter.
-    pub(crate) fn count_report(&mut self, delivered: bool, walk: &Walk, rec: &mut MemRecorder) {
-        let (flows, bytes, counters) = if delivered {
-            let counters = ["traffic.flows_delivered", "traffic.bytes_delivered"];
-            (
-                &mut self.flows_delivered,
-                &mut self.bytes_delivered,
-                counters,
-            )
+    pub(crate) fn count_report(&mut self, delivered: bool, walk: &Walk) {
+        let (flows, bytes) = if delivered {
+            (&mut self.flows_delivered, &mut self.bytes_delivered)
         } else {
-            let counters = ["traffic.flows_lost", "traffic.bytes_lost"];
-            (&mut self.flows_lost, &mut self.bytes_lost, counters)
+            (&mut self.flows_lost, &mut self.bytes_lost)
         };
         *flows += 1;
         *bytes += walk.bytes;
         self.flows_rerouted += u64::from(walk.rerouted);
-        if rec.enabled() {
-            rec.counter_add(counters[0], 1);
-            rec.counter_add(counters[1], walk.bytes);
-            if walk.rerouted {
-                rec.counter_add("traffic.flows_rerouted", 1);
-            }
-        }
     }
 }
 
