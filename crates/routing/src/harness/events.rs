@@ -1,5 +1,5 @@
 //! The harness's typed events: what can be scheduled, which shard owns
-//! it, whether it counts against quiescence, and what firing it does.
+//! it, which lane it waits in, and what firing it does.
 
 use super::{ControlPlaneEngine, ControlPlaneWorld, WorkKind};
 use crate::health::ProbeOutcome;
@@ -7,7 +7,7 @@ use crate::msg::{BgpMsg, Frame};
 use crate::os::{MgmtCommand, OsActions, OsEvent, TimerKind};
 use crate::plane::{plane_tick, walk_hop, walk_report, Plane, Walk};
 use crystalnet_net::{DeviceId, LinkId};
-use crystalnet_sim::{EventFire, EventId};
+use crystalnet_sim::{EventFire, EventId, Lane};
 use crystalnet_telemetry::{FieldValue, MemRecorder, TraceRecord};
 
 /// A typed harness event: no per-event heap allocation or dynamic
@@ -24,6 +24,11 @@ use crystalnet_telemetry::{FieldValue, MemRecorder, TraceRecord};
 /// The causal parent travels *inside* the event (not in engine
 /// bookkeeping): the parallel executor drains, ships, and re-schedules
 /// events across shard queues, and the cause link must survive that trip.
+///
+/// Each event's kind also fixes the engine lane it waits in
+/// ([`EventFire::lane`]); the work lane's length is what
+/// [`ControlPlaneSim::run_until_quiet`](super::ControlPlaneSim::run_until_quiet)
+/// reads to tell whether routes can still change.
 #[derive(Debug, Clone)]
 pub struct HarnessEvent {
     pub(crate) key: u64,
@@ -93,22 +98,6 @@ impl HarnessEvent {
             | HarnessEventKind::WalkReport { .. } => None,
         }
     }
-
-    /// Whether this event counts against `causal_pending` while queued.
-    /// Everything but pure timers and the packet-walk planes does:
-    /// boots, link changes, management injections, and frame deliveries
-    /// can all trigger route activity. Plane events are observers by
-    /// construction — keeping them non-causal is what makes probing (or
-    /// loading) a network not change when it is declared converged.
-    pub(crate) fn is_causal(&self) -> bool {
-        !matches!(
-            self.kind,
-            HarnessEventKind::Timer(..)
-                | HarnessEventKind::PlaneTick { .. }
-                | HarnessEventKind::WalkHop { .. }
-                | HarnessEventKind::WalkReport { .. }
-        )
-    }
 }
 
 impl EventFire<ControlPlaneWorld> for HarnessEvent {
@@ -120,13 +109,24 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
         self.cause
     }
 
-    /// A walk's hops and report: the plane events `walk_hop` may run
-    /// inline (`crate::plane`, **Inline hops**).
-    fn is_walk(&self) -> bool {
-        matches!(
-            self.kind,
-            HarnessEventKind::WalkHop { .. } | HarnessEventKind::WalkReport { .. }
-        )
+    /// Boots, link changes, management injections and frame deliveries
+    /// can all trigger route activity, so they are [`Lane::Work`]: the
+    /// events `run_until_quiet` waits for. OS timers and plane ticks are
+    /// [`Lane::Timer`]. A walk's hops and report are [`Lane::Walk`], the
+    /// plane events `walk_hop` may run inline (`crate::plane`, **Inline
+    /// hops**). Plane events are observers by construction; keeping them
+    /// out of the work lane is what makes probing (or loading) a network
+    /// not change when it is declared converged.
+    fn lane(&self) -> Lane {
+        match self.kind {
+            HarnessEventKind::Timer(..) | HarnessEventKind::PlaneTick { .. } => Lane::Timer,
+            HarnessEventKind::WalkHop { .. } | HarnessEventKind::WalkReport { .. } => Lane::Walk,
+            HarnessEventKind::BootStart(_)
+            | HarnessEventKind::BootDone(_)
+            | HarnessEventKind::LinkState { .. }
+            | HarnessEventKind::Mgmt(..)
+            | HarnessEventKind::Deliver { .. } => Lane::Work,
+        }
     }
 
     fn fire(self, e: &mut ControlPlaneEngine) {
@@ -145,7 +145,6 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 );
             }
             HarnessEventKind::BootDone(dev) => {
-                e.world.causal_pending -= 1;
                 e.world.booted[dev.index()] = true;
                 if e.world.recorder.enabled() {
                     let now = e.now().as_nanos();
@@ -165,7 +164,6 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 b,
                 ib,
             } => {
-                e.world.causal_pending -= 1;
                 e.world.link_up[lid.index()] = up;
                 let (ev_a, ev_b) = if up {
                     (OsEvent::LinkUp(ia), OsEvent::LinkUp(ib))
@@ -191,7 +189,6 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 dispatch(e, b, ev_b);
             }
             HarnessEventKind::Mgmt(dev, cmd) => {
-                e.world.causal_pending -= 1;
                 if e.world.recorder.trace_enabled() {
                     trace_here(e, "mgmt", Some(dev), vec![]);
                 }
@@ -206,7 +203,6 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
                 frame,
                 link,
             } => {
-                e.world.causal_pending -= 1;
                 // Re-check link state at delivery time.
                 if e.world.link_is_up(link) {
                     if e.world.recorder.enabled() {
@@ -374,13 +370,10 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
         if let Some(route) = &mut e.world.shard_route {
             let dest = route.shard_of[rdev.index()];
             if dest != route.self_shard {
-                // The receiving shard accounts for the causal unit when
-                // it enqueues the envelope at the next window barrier.
                 route.outbox.push((dest, arrive, ev));
                 continue;
             }
         }
-        e.world.causal_pending += 1;
         e.schedule_event_at(arrive, ev);
     }
 }

@@ -26,7 +26,7 @@ use crate::plane::{tick_event, Plane, Planes};
 use crate::traffic::{TrafficConfig, TrafficState};
 use crystalnet_dataplane::{Fib, ForwardDecision, Ipv4Packet};
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, LinkId, Topology};
-use crystalnet_sim::{Engine, SimDuration, SimTime};
+use crystalnet_sim::{Engine, Lane, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
 use crystalnet_telemetry::{MemRecorder, RunReport};
 use events::dispatch;
@@ -191,7 +191,6 @@ impl ControlPlaneSim {
                 route_ops_by_dev: vec![0; n],
                 crashes: Vec::new(),
                 mgmt_responses: Vec::new(),
-                causal_pending: 0,
                 dev_key_seq: vec![0; n],
                 control_key_seq: 0,
                 shard_route: None,
@@ -211,7 +210,6 @@ impl ControlPlaneSim {
     /// Schedules `dev` to boot at `at` (firmware boot latency is added by
     /// the work model).
     pub fn boot_device(&mut self, dev: DeviceId, at: SimTime) {
-        self.engine.world.causal_pending += 1;
         let key = self.engine.world.control_key();
         self.engine.schedule_event_at(
             at,
@@ -257,7 +255,6 @@ impl ControlPlaneSim {
         up: bool,
     ) {
         let (a, ia, b, ib, lid) = topo_link;
-        self.engine.world.causal_pending += 1;
         let key = self.engine.world.control_key();
         self.engine.schedule_event_at(
             at,
@@ -292,7 +289,6 @@ impl ControlPlaneSim {
     /// Delivers a management command at `at`; the response lands in
     /// [`ControlPlaneWorld::mgmt_responses`].
     pub fn mgmt(&mut self, dev: DeviceId, cmd: MgmtCommand, at: SimTime) {
-        self.engine.world.causal_pending += 1;
         let key = self.engine.world.control_key();
         self.engine.schedule_event_at(
             at,
@@ -334,10 +330,15 @@ impl ControlPlaneSim {
     /// Returns the route-ready instant (the completion time of the last
     /// route-changing work) on convergence; `None` on deadline overrun.
     ///
+    /// Whether anything can still change routes is read off the queue:
+    /// the harness's [`Lane::Work`] events are exactly those that can
+    /// (boots, link changes, management commands, frame deliveries), so
+    /// the loop is idle when that lane is empty.
+    ///
     /// Each step's horizon is the instant past which the loop could
-    /// stop: `last + quiet` (capped at `deadline`) while nothing causal
-    /// is pending, `deadline` otherwise. The clock ends where it would
-    /// had every walk hop run as an event of its own.
+    /// stop: `last + quiet` (capped at `deadline`) while idle, `deadline`
+    /// otherwise. The clock ends where it would had every walk hop run as
+    /// an event of its own.
     pub fn run_until_quiet(&mut self, quiet: SimDuration, deadline: SimTime) -> Option<SimTime> {
         let profiled = self
             .engine
@@ -350,12 +351,13 @@ impl ControlPlaneSim {
                 break None;
             }
             let last = self.engine.world.last_route_activity;
-            let idle = self.engine.world.causal_pending == 0;
+            let idle = self.engine.pending_in(Lane::Work) == 0;
             match self.engine.next_event_time() {
                 // Nothing left to happen: converged.
                 None => break Some(last),
-                // Only pure timers remain and the next one lies beyond
-                // the quiet horizon: every causal chain has played out.
+                // Only timers and walks remain and the next event lies
+                // beyond the quiet horizon: every causal chain has played
+                // out.
                 Some(t) if idle && t > last + quiet => break Some(last),
                 Some(_) => {
                     let horizon = if idle {
@@ -422,10 +424,9 @@ impl ControlPlaneSim {
 
     /// Decommissions `dev` permanently: drops its OS instance and removes
     /// every queued event addressed to it (in-flight frames, timers,
-    /// pending management commands), fixing up the causal-quiescence
-    /// accounting so convergence detection stays exact. In-flight packet
-    /// walks are kept: one that reaches `dev` ends there `DeviceDown`, and
-    /// a report bound for `dev` still lands on its gauges. The caller is
+    /// pending management commands). In-flight packet walks are kept:
+    /// one that reaches `dev` ends there `DeviceDown`, and a report bound
+    /// for `dev` still lands on its gauges. The caller is
     /// responsible for taking the device's links down first so neighbors
     /// observe the loss; after removal the device can not be re-booted
     /// (unlike [`Self::power_off`], which keeps the OS around).
@@ -436,11 +437,7 @@ impl ControlPlaneSim {
         // from `(time, key)`, both unchanged by the round trip.
         let drained = self.engine.drain_pending();
         for (at, ev) in drained {
-            if ev.target_device() == Some(dev) {
-                if ev.is_causal() {
-                    self.engine.world.causal_pending -= 1;
-                }
-            } else {
+            if ev.target_device() != Some(dev) {
                 self.engine.schedule_event_at(at, ev);
             }
         }

@@ -123,7 +123,6 @@ impl ControlPlaneSim {
                     route_ops_by_dev: vec![0; n],
                     crashes: Vec::new(),
                     mgmt_responses: Vec::new(),
-                    causal_pending: 0,
                     dev_key_seq: world.dev_key_seq.clone(),
                     control_key_seq: world.control_key_seq,
                     shard_route: Some(ShardRoute {
@@ -150,13 +149,10 @@ impl ControlPlaneSim {
         for (t, ev) in pending {
             match ev.target_device() {
                 Some(dev) => {
-                    let eng = &mut engines[partition.shard_of[dev.index()]];
-                    eng.world.causal_pending += u64::from(ev.is_causal());
-                    eng.schedule_event_at(t, ev);
+                    engines[partition.shard_of[dev.index()]].schedule_event_at(t, ev);
                 }
                 None => {
                     for eng in &mut engines {
-                        eng.world.causal_pending += u64::from(ev.is_causal());
                         eng.schedule_event_at(t, ev.clone());
                     }
                 }
@@ -203,15 +199,12 @@ impl ControlPlaneSim {
         self.engine.world.mgmt_responses.extend(responses);
 
         // Fast-forward the serial clock, then restore surviving events
-        // (far-future timers and the like) and their causal accounting.
+        // (far-future timers and the like).
         self.engine.advance_clock_to(outcome.clock);
         remaining.sort_by_key(|(t, ev)| (*t, ev.key));
-        let mut causal = 0u64;
         for (t, ev) in remaining {
-            causal += u64::from(ev.is_causal());
             self.engine.schedule_event_at(t, ev);
         }
-        self.engine.world.causal_pending = causal;
         let rec = &mut *self.engine.world.recorder;
         if rec.profiling_enabled() {
             rec.profile_add(keys::PARALLEL_COMPUTE, outcome.busy_ns.iter().sum());

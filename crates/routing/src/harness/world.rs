@@ -93,10 +93,6 @@ pub struct ControlPlaneWorld {
     pub crashes: Vec<(SimTime, DeviceId)>,
     /// Responses to asynchronously delivered management commands.
     pub mgmt_responses: Vec<(DeviceId, MgmtResponse)>,
-    /// Scheduled events that can still cause route activity (frames in
-    /// flight, pending boots, link changes). Pure timers are excluded.
-    /// `run_until_quiet` only declares convergence when this hits zero.
-    pub(crate) causal_pending: u64,
     /// Per-device key counters (see [`HarnessEvent`]).
     pub(crate) dev_key_seq: Vec<u32>,
     /// Key counter for control-plane-script events.
@@ -252,18 +248,6 @@ impl ParallelWorld for ControlPlaneWorld {
             .as_mut()
             .map(|r| std::mem::take(&mut r.outbox))
             .unwrap_or_default()
-    }
-
-    fn accept_remote(&mut self, ev: &HarnessEvent) {
-        self.causal_pending += u64::from(ev.is_causal());
-    }
-
-    fn is_causal(ev: &HarnessEvent) -> bool {
-        ev.is_causal()
-    }
-
-    fn causal_pending(&self) -> u64 {
-        self.causal_pending
     }
 
     fn last_activity(&self) -> SimTime {

@@ -74,12 +74,6 @@ impl UtilizationTracker {
             })
             .collect()
     }
-
-    /// The bucket width.
-    #[must_use]
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
-    }
 }
 
 /// An M-core FIFO CPU server in virtual time.
@@ -89,7 +83,6 @@ pub struct CpuServer {
     free_at: Vec<SimTime>,
     tracker: UtilizationTracker,
     total_busy: SimDuration,
-    jobs: u64,
 }
 
 impl CpuServer {
@@ -104,7 +97,6 @@ impl CpuServer {
             free_at: vec![SimTime::ZERO; cores as usize],
             tracker: UtilizationTracker::new(bucket, cores),
             total_busy: SimDuration::ZERO,
-            jobs: 0,
         }
     }
 
@@ -131,14 +123,7 @@ impl CpuServer {
         self.free_at[core] = end;
         self.tracker.record(start, end);
         self.total_busy += work;
-        self.jobs += 1;
         end
-    }
-
-    /// The earliest time any core is free (i.e. when new work could start).
-    #[must_use]
-    pub fn earliest_free(&self) -> SimTime {
-        self.free_at.iter().copied().min().unwrap_or(SimTime::ZERO)
     }
 
     /// The time the server finishes everything accepted so far.
@@ -153,22 +138,10 @@ impl CpuServer {
         self.total_busy
     }
 
-    /// Total work items served.
-    #[must_use]
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs
-    }
-
     /// Per-bucket utilization up to `until`.
     #[must_use]
     pub fn utilization_series(&self, until: SimTime) -> Vec<f64> {
         self.tracker.utilization_series(until)
-    }
-
-    /// The utilization bucket width.
-    #[must_use]
-    pub fn bucket_width(&self) -> SimDuration {
-        self.tracker.bucket_width()
     }
 
     /// Resets all cores to idle and clears accounting (VM reboot).
@@ -235,9 +208,7 @@ mod tests {
             cpu.submit(at(0), secs(1));
         }
         assert_eq!(cpu.total_busy(), secs(10));
-        assert_eq!(cpu.jobs_served(), 10);
         assert_eq!(cpu.drained_at(), at(3)); // ceil(10 / 4) jobs deep
-        assert_eq!(cpu.earliest_free(), at(2));
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!
 //! # Queue
 //!
-//! The queue is a bucketed *calendar queue*: near-future events land in a
-//! ring of fixed-width time buckets (unsorted `Vec`s, heapified only when
-//! their bucket becomes current), far-future events overflow into a binary
-//! heap. Scheduling into the ring is an O(1) `Vec::push` instead of an
-//! O(log n) heap sift, which matters because the control-plane harness
-//! schedules one delivery per BGP frame.
+//! Each pending event is kept once, in the binary heap of the [`Lane`] it
+//! declares ([`EventFire::lane`]). Every heap is ordered by
+//! `(time, key, seq)` and the engine fires the least of the three heads,
+//! so the lanes split the queue without changing the order it fires in.
+//! What a run loop needs to know about the pending events is read off
+//! those heaps rather than kept beside them: whether any work is left
+//! ([`Engine::pending_in`] of [`Lane::Work`]), and which event that is
+//! not a walk comes next ([`Engine::next_non_walk_rank`]).
 //!
 //! # Determinism
 //!
@@ -26,18 +28,15 @@
 //!
 //! # Inline window
 //!
-//! Beside the queue the engine keeps a min-heap of the `(time, key, seq)`
-//! ranks of its pending *non-walk* events ([`EventFire::is_walk`]):
-//! pushed by every schedule, popped by every step, cleared by
-//! [`Engine::drain_pending`] and cloned by [`Engine::replicate_with`].
-//! Its head is the next event that can change what a walk sees. A
-//! walk handler may run a follow-up inline, without a queue round trip,
-//! when [`Engine::can_run_inline`] says the follow-up sorts before that
-//! head and lies within the running loop's *horizon* — the instant past
+//! The lesser of the [`Lane::Work`] and [`Lane::Timer`] heads is the next
+//! event that can change what a walk sees. A walk handler may run a
+//! follow-up inline, without a queue round trip, when
+//! [`Engine::can_run_inline`] says the follow-up sorts before that head
+//! and lies within the running loop's *horizon* — the instant past
 //! which the loop would stop — so the run fires nothing it would not
 //! have fired, in an order no non-walk event can tell apart. Outside a
-//! run loop ([`Engine::step`] on its own, [`Engine::run`],
-//! [`Engine::run_while`]) there is no horizon and nothing runs inline.
+//! run loop ([`Engine::step`] on its own, [`Engine::run`]) there is no
+//! horizon and nothing runs inline.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -82,6 +81,26 @@ pub struct EngineCheckpoint {
     pub events_executed: u64,
 }
 
+/// The heap a pending event waits in, declared by [`EventFire::lane`].
+/// A lane changes where an event waits, never when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// Work a run loop waits for: an event that can still change what the
+    /// world settles to.
+    Work,
+    /// A timer: it fires in order, but no run loop waits for it.
+    Timer,
+    /// A walk event: its handler may run the follow-ups it would schedule
+    /// inline instead, within the bounds [`Engine::can_run_inline`] sets.
+    /// Only the other lanes bound that window, so a walk event must
+    /// neither change what another walk event's handler sees in an
+    /// order-sensitive way nor be one that anything else waits on.
+    Walk,
+}
+
+/// Every lane, in index order.
+const LANES: [Lane; 3] = [Lane::Work, Lane::Timer, Lane::Walk];
+
 /// A schedulable event: fired once at its due time.
 pub trait EventFire<W>: Sized {
     /// Consumes the event, mutating the engine/world.
@@ -107,14 +126,10 @@ pub trait EventFire<W>: Sized {
         None
     }
 
-    /// Whether this is a *walk* event: one whose handler may run the
-    /// follow-ups it would schedule inline instead, within the bounds
-    /// [`Engine::can_run_inline`] sets. Only non-walk events bound that
-    /// window, so a walk event must neither change what another walk
-    /// event's handler sees in an order-sensitive way nor be one that
-    /// anything else waits on.
-    fn is_walk(&self) -> bool {
-        false
+    /// The lane this event waits in while pending (module docs:
+    /// **Queue**).
+    fn lane(&self) -> Lane {
+        Lane::Work
     }
 }
 
@@ -149,139 +164,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Width of one calendar bucket. 64 µs spans a handful of link latencies,
-/// so the bulk of in-flight control-plane frames land in the ring.
-const BUCKET_WIDTH_NANOS: u64 = 64_000;
-/// Ring length (buckets). Horizon = width × len ≈ 65 ms; protocol timers
-/// (boot, MRAI, hold) overflow to the heap, which is fine — they are rare
-/// relative to frame deliveries.
-const RING_LEN: usize = 1024;
-
-/// Calendar queue: current-bucket heap + future ring + far-future heap.
-#[derive(Clone)]
-struct CalendarQueue<E> {
-    /// Events in buckets `<= cur_bucket`, fully ordered.
-    current: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Unsorted buckets for `(cur_bucket, cur_bucket + RING_LEN]`, indexed
-    /// by absolute bucket number mod `RING_LEN`.
-    ring: Vec<Vec<Scheduled<E>>>,
-    /// Number of events stored in the ring.
-    ring_count: usize,
-    /// Events in buckets beyond the ring horizon.
-    overflow: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Absolute index of the bucket currently feeding `current`.
-    cur_bucket: u64,
-}
-
-#[inline]
-fn bucket_of(time: SimTime) -> u64 {
-    time.as_nanos() / BUCKET_WIDTH_NANOS
-}
-
-impl<E> CalendarQueue<E> {
-    fn new() -> Self {
-        CalendarQueue {
-            current: BinaryHeap::new(),
-            ring: (0..RING_LEN).map(|_| Vec::new()).collect(),
-            ring_count: 0,
-            overflow: BinaryHeap::new(),
-            cur_bucket: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.current.len() + self.ring_count + self.overflow.len()
-    }
-
-    fn push(&mut self, s: Scheduled<E>) {
-        let b = bucket_of(s.time);
-        if b <= self.cur_bucket {
-            self.current.push(Reverse(s));
-        } else if b <= self.cur_bucket + RING_LEN as u64 {
-            self.ring[(b % RING_LEN as u64) as usize].push(s);
-            self.ring_count += 1;
-        } else {
-            self.overflow.push(Reverse(s));
-        }
-    }
-
-    /// Moves the contents of bucket `b` (ring slot and due overflow
-    /// entries) into `current` and makes it the current bucket.
-    fn advance_to(&mut self, b: u64) {
-        debug_assert!(b > self.cur_bucket);
-        self.cur_bucket = b;
-        let slot = &mut self.ring[(b % RING_LEN as u64) as usize];
-        self.ring_count -= slot.len();
-        for s in slot.drain(..) {
-            debug_assert_eq!(bucket_of(s.time), b);
-            self.current.push(Reverse(s));
-        }
-        while let Some(Reverse(head)) = self.overflow.peek() {
-            if bucket_of(head.time) > b {
-                break;
-            }
-            let Reverse(s) = self.overflow.pop().expect("peeked entry exists");
-            self.current.push(Reverse(s));
-        }
-    }
-
-    /// Absolute bucket of the earliest pending event outside `current`.
-    fn next_bucket(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        if self.ring_count > 0 {
-            for delta in 1..=RING_LEN as u64 {
-                let b = self.cur_bucket + delta;
-                if !self.ring[(b % RING_LEN as u64) as usize].is_empty() {
-                    best = Some(b);
-                    break;
-                }
-            }
-        }
-        if let Some(Reverse(head)) = self.overflow.peek() {
-            let ob = bucket_of(head.time);
-            best = Some(best.map_or(ob, |rb| rb.min(ob)));
-        }
-        best
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.current.is_empty() {
-            let b = self.next_bucket()?;
-            self.advance_to(b);
-        }
-        self.current.pop().map(|Reverse(s)| s)
-    }
-
-    /// Time of the earliest pending event without popping it.
-    fn peek_time(&self) -> Option<SimTime> {
-        self.peek_rank().map(|(t, _)| t)
-    }
-
-    /// `(time, key)` of the earliest pending event (lexicographic min)
-    /// without popping it.
-    fn peek_rank(&self) -> Option<(SimTime, u64)> {
-        if let Some(Reverse(head)) = self.current.peek() {
-            // Ring/overflow events live in later buckets, hence later
-            // times; the heap head minimizes (time, key, seq).
-            return Some((head.time, head.key));
-        }
-        let b = self.next_bucket()?;
-        let slot = &self.ring[(b % RING_LEN as u64) as usize];
-        let mut best: Option<(SimTime, u64)> = slot
-            .iter()
-            .filter(|s| bucket_of(s.time) == b)
-            .map(|s| (s.time, s.key))
-            .min();
-        if let Some(Reverse(head)) = self.overflow.peek() {
-            if bucket_of(head.time) <= b {
-                let rank = (head.time, head.key);
-                best = Some(best.map_or(rank, |r| r.min(rank)));
-            }
-        }
-        best
-    }
-}
-
 /// A deterministic discrete-event simulation engine over a world `W`.
 ///
 /// # Examples
@@ -312,10 +194,8 @@ pub struct Engine<W, E> {
     /// [`Engine::step`] for the duration of the fire so handlers can stamp
     /// follow-up events with a causal parent.
     firing: Option<(EventId, Option<EventId>)>,
-    queue: CalendarQueue<E>,
-    /// `(time, key, seq)` ranks of the pending non-walk events (module
-    /// docs: **Inline window**).
-    non_walk: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// The pending events, one heap per [`Lane`], indexed by the lane.
+    lanes: [BinaryHeap<Reverse<Scheduled<E>>>; LANES.len()],
     /// The running loop's horizon; `None` outside a run loop.
     horizon: Option<SimTime>,
     /// The latest instant a follow-up ran inline at.
@@ -333,8 +213,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
             executed: 0,
             high_water: 0,
             firing: None,
-            queue: CalendarQueue::new(),
-            non_walk: BinaryHeap::new(),
+            lanes: Default::default(),
             horizon: None,
             inline_clock: SimTime::ZERO,
             world,
@@ -356,7 +235,13 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// Number of events still pending.
     #[must_use]
     pub fn events_pending(&self) -> usize {
-        self.queue.len()
+        self.lanes.iter().map(BinaryHeap::len).sum()
+    }
+
+    /// Number of events pending in `lane`.
+    #[must_use]
+    pub fn pending_in(&self, lane: Lane) -> usize {
+        self.lanes[lane as usize].len()
     }
 
     /// High-water mark of the pending-event queue depth. Execution-shape
@@ -396,18 +281,13 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         let time = at.max(self.clock);
         let seq = self.seq;
         self.seq += 1;
-        let key = event.key();
-        if !event.is_walk() {
-            self.non_walk.push(Reverse((time, key, seq)));
-        }
-        self.queue.push(Scheduled {
+        self.lanes[event.lane() as usize].push(Reverse(Scheduled {
             time,
-            key,
+            key: event.key(),
             seq,
             event,
-        });
-        // CalendarQueue::len is O(1), so high-water tracking is free.
-        self.high_water = self.high_water.max(self.queue.len());
+        }));
+        self.high_water = self.high_water.max(self.events_pending());
     }
 
     /// Schedules a typed event after `delay` from the current time.
@@ -417,26 +297,40 @@ impl<W, E: EventFire<W>> Engine<W, E> {
 
     /// Runs a single event if one is pending. Returns whether an event ran.
     pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some(s) => {
-                debug_assert!(s.time >= self.clock, "event queue went backwards");
-                if !s.event.is_walk() {
-                    let head = self.non_walk.pop();
-                    debug_assert_eq!(head, Some(Reverse(s.rank())), "non-walk heap out of step");
-                }
-                self.clock = s.time;
-                self.executed += 1;
-                let id = EventId {
-                    time_ns: s.time.as_nanos(),
-                    key: s.key,
-                };
-                self.firing = Some((id, s.event.cause()));
-                s.event.fire(self);
-                self.firing = None;
-                true
-            }
-            None => false,
-        }
+        let Some(lane) = self.first_in(&LANES) else {
+            return false;
+        };
+        let Reverse(s) = self.lanes[lane as usize].pop().expect("a head was peeked");
+        debug_assert!(s.time >= self.clock, "event queue went backwards");
+        self.clock = s.time;
+        self.executed += 1;
+        let id = EventId {
+            time_ns: s.time.as_nanos(),
+            key: s.key,
+        };
+        self.firing = Some((id, s.event.cause()));
+        s.event.fire(self);
+        self.firing = None;
+        true
+    }
+
+    /// The one of `lanes` whose head fires first, if any is non-empty.
+    fn first_in(&self, lanes: &[Lane]) -> Option<Lane> {
+        lanes
+            .iter()
+            .filter_map(|&lane| {
+                self.lanes[lane as usize]
+                    .peek()
+                    .map(|Reverse(s)| (s.rank(), lane))
+            })
+            .min_by_key(|&(rank, _)| rank)
+            .map(|(_, lane)| lane)
+    }
+
+    /// `(time, key)` of the event that fires first among `lanes`.
+    fn rank_in(&self, lanes: &[Lane]) -> Option<(SimTime, u64)> {
+        let Reverse(s) = self.lanes[self.first_in(lanes)? as usize].peek()?;
+        Some((s.time, s.key))
     }
 
     /// The stable id of the event currently firing, if `step` is on the
@@ -461,7 +355,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// `deadline` (even if idle earlier), leaving later events queued.
     /// `deadline` is the horizon of every step it takes.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.next_event_time() {
             if t > deadline {
                 break;
             }
@@ -509,26 +403,13 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// `(time, key)` of the next pending non-walk event, if any.
     #[must_use]
     pub fn next_non_walk_rank(&self) -> Option<(SimTime, u64)> {
-        self.non_walk.peek().map(|Reverse((t, k, _))| (*t, *k))
-    }
-
-    /// Runs until `predicate` returns true (checked after every event) or
-    /// the queue drains. Returns whether the predicate was satisfied.
-    pub fn run_while(&mut self, mut predicate: impl FnMut(&Engine<W, E>) -> bool) -> bool {
-        loop {
-            if predicate(self) {
-                return true;
-            }
-            if !self.step() {
-                return false;
-            }
-        }
+        self.rank_in(&[Lane::Work, Lane::Timer])
     }
 
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.next_event_rank().map(|(t, _)| t)
     }
 
     /// `(time, key)` of the next pending event, if any. The parallel
@@ -536,7 +417,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// it has to single-step across shards.
     #[must_use]
     pub fn next_event_rank(&self) -> Option<(SimTime, u64)> {
-        self.queue.peek_rank()
+        self.rank_in(&LANES)
     }
 
     /// Removes and returns every pending event in `(time, key, seq)`
@@ -545,12 +426,14 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// The parallel executor uses this to fork a serial engine's queue
     /// across shards and to collect survivors when joining back.
     pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some(s) = self.queue.pop() {
-            out.push((s.time, s.event));
-        }
-        self.non_walk.clear();
-        out
+        let mut all: Vec<Scheduled<E>> = self
+            .lanes
+            .iter_mut()
+            .flat_map(BinaryHeap::drain)
+            .map(|Reverse(s)| s)
+            .collect();
+        all.sort_unstable();
+        all.into_iter().map(|s| (s.time, s.event)).collect()
     }
 
     /// Advances the clock to `t` (no-op if already later) without running
@@ -558,7 +441,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// assert this.
     pub fn advance_clock_to(&mut self, t: SimTime) {
         debug_assert!(
-            self.queue.peek_time().is_none_or(|n| n >= t),
+            self.next_event_time().is_none_or(|n| n >= t),
             "advance_clock_to would skip pending events"
         );
         self.clock = self.clock.max(t);
@@ -588,8 +471,7 @@ impl<W, E> Engine<W, E> {
             executed: self.executed,
             high_water: self.high_water,
             firing: None,
-            queue: self.queue.clone(),
-            non_walk: self.non_walk.clone(),
+            lanes: self.lanes.clone(),
             horizon: None,
             inline_clock: self.inline_clock,
             world,
@@ -694,18 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn run_while_reports_predicate_outcome() {
-        let mut e = engine();
-        for _ in 0..10 {
-            e.schedule_event_after(SimDuration::from_secs(1), Op::Push(1));
-        }
-        assert!(e.run_while(|e| e.world.len() >= 4));
-        assert_eq!(e.world.len(), 4);
-        assert!(!e.run_while(|e| e.world.len() >= 100));
-        assert_eq!(e.world.len(), 10);
-    }
-
-    #[test]
     fn empty_engine_is_idle() {
         let mut e = engine();
         assert!(!e.step());
@@ -792,14 +662,14 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_handles_ring_wrap_and_overflow() {
-        // Spread events far past the ring horizon (64 µs × 1024 ≈ 65 ms)
-        // and interleave near/far scheduling from inside handlers.
+    fn events_from_microseconds_to_seconds_out_fire_in_time_order() {
+        // Spread events from now to seconds out, the nearer ones
+        // scheduled latest first.
         let mut e = engine();
         for i in (0..200u64).rev() {
             e.schedule_event_at(SimTime::ZERO + SimDuration::from_micros(i * 997), Op::Now);
         }
-        // Far-future overflow events (seconds out).
+        // Seconds out.
         for i in 0..20u64 {
             e.schedule_event_at(SimTime::ZERO + SimDuration::from_secs(i + 1), Op::Now);
         }
@@ -810,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn next_event_time_sees_ring_and_overflow() {
+    fn next_event_time_follows_an_earlier_schedule() {
         let mut e = engine();
         e.schedule_event_at(SimTime::ZERO + SimDuration::from_secs(30), Op::Now);
         assert_eq!(
@@ -826,13 +696,12 @@ mod tests {
         assert_eq!(e.next_event_time(), None);
     }
 
-    /// A walk or non-walk event; firing one asks whether a follow-up due
-    /// at `ask` may run inline, records the answer, and runs it when it
-    /// may.
+    /// An event in any lane; firing one asks whether a follow-up due at
+    /// `ask` may run inline, records the answer, and runs it when it may.
     #[derive(Clone)]
     struct Inline {
         key: u64,
-        walk: bool,
+        lane: Lane,
         ask: Option<(u64, u64)>,
     }
     impl EventFire<Vec<bool>> for Inline {
@@ -848,20 +717,22 @@ mod tests {
         fn key(&self) -> u64 {
             self.key
         }
-        fn is_walk(&self) -> bool {
-            self.walk
+        fn lane(&self) -> Lane {
+            self.lane
         }
     }
 
     fn inline(key: u64, walk: bool, ask: Option<(u64, u64)>) -> Inline {
-        Inline { key, walk, ask }
+        let lane = if walk { Lane::Walk } else { Lane::Work };
+        Inline { key, lane, ask }
     }
 
     /// The next non-walk event's `(time, key)`, by scanning a replica's
     /// whole queue.
     fn scan_non_walk(e: &Engine<Vec<bool>, Inline>) -> Option<(SimTime, u64)> {
         let mut all = e.replicate_with(Vec::new()).drain_pending().into_iter();
-        all.find(|(_, ev)| !ev.walk).map(|(t, ev)| (t, ev.key))
+        all.find(|(_, ev)| ev.lane != Lane::Walk)
+            .map(|(t, ev)| (t, ev.key))
     }
 
     #[test]

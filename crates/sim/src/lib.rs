@@ -15,7 +15,7 @@
 //! * [`metrics`] — percentile aggregation (Figure 8/9).
 //!
 //! Everything is deterministic given a seed: the engine orders events by
-//! `(time, sequence)`, and all randomness is derived from [`SimRng`].
+//! `(time, key, sequence)`, and all randomness is derived from [`SimRng`].
 
 pub mod cpu;
 pub mod engine;
@@ -26,7 +26,7 @@ pub mod rng;
 pub mod time;
 
 pub use cpu::{CpuServer, UtilizationTracker};
-pub use engine::{Engine, EngineCheckpoint, EventFire, EventId};
+pub use engine::{Engine, EngineCheckpoint, EventFire, EventId, Lane};
 pub use heartbeat::{Backoff, HeartbeatSchedule};
 pub use metrics::LatencySummary;
 pub use parallel::{

@@ -85,7 +85,7 @@
 //! reply with a status (queue head, quiescence counters, busy and idle
 //! wall-time) plus their outbox of cross-shard envelopes.
 
-use crate::engine::{Engine, EventFire};
+use crate::engine::{Engine, EventFire, Lane};
 use crate::time::{SimDuration, SimTime};
 use crossbeam::channel::{self, Sender};
 use std::time::Instant;
@@ -206,17 +206,6 @@ pub trait ParallelWorld: Send + Sized {
     /// `(destination shard, due time, event)`.
     fn take_outbox(&mut self) -> Vec<(usize, SimTime, Self::Ev)>;
 
-    /// Accounting hook invoked for each incoming envelope just before it
-    /// is enqueued locally (e.g. bump a causal-pending counter).
-    fn accept_remote(&mut self, ev: &Self::Ev);
-
-    /// Whether `ev` can still trigger activity (counts against global
-    /// quiescence). Pure self-rearming timers return `false`.
-    fn is_causal(ev: &Self::Ev) -> bool;
-
-    /// Number of locally queued events that can still trigger activity.
-    fn causal_pending(&self) -> u64;
-
     /// Completion time of the last activity on this shard.
     fn last_activity(&self) -> SimTime;
 }
@@ -280,7 +269,7 @@ fn status_of<W: ParallelWorld>(
     Status {
         shard,
         next: eng.next_event_rank(),
-        causal: eng.world.causal_pending(),
+        causal: eng.pending_in(Lane::Work) as u64,
         last: eng.world.last_activity(),
         clock: eng.now(),
         idle_ns,
@@ -306,7 +295,6 @@ fn enqueue<W: ParallelWorld>(eng: &mut Engine<W, W::Ev>, inbox: Vec<(SimTime, W:
             t >= eng.now(),
             "late envelope: lookahead matrix was dishonest"
         );
-        eng.world.accept_remote(&ev);
         eng.schedule_event_at(t, ev);
     }
 }
@@ -379,8 +367,8 @@ impl<W: ParallelWorld> Coord<W> {
     }
 }
 
-/// Runs sharded engines until global quiescence: no causal events remain
-/// and the next pending event (anywhere) lies more than `quiet` past the
+/// Runs sharded engines until global quiescence: no [`Lane::Work`] event
+/// remains, queued or in flight, and the next pending event (anywhere) lies more than `quiet` past the
 /// last activity. Returns `converged_at = None` if quiescence is not
 /// reached by `deadline`.
 ///
@@ -492,7 +480,7 @@ pub fn run_shards_until_quiet_matrix<W: ParallelWorld>(
                     next = Some(next.map_or(rank, |n| n.min(rank)));
                 }
                 for (_, ev) in &co.inflight[i] {
-                    causal += u64::from(W::is_causal(ev));
+                    causal += u64::from(ev.lane() == Lane::Work);
                 }
                 *lb_slot = lb;
                 causal += st.causal;
@@ -659,7 +647,6 @@ mod tests {
         hops_seen: Vec<u64>,
         fire_times: Vec<SimTime>,
         outbox: Vec<(usize, SimTime, Ping)>,
-        causal: u64,
         last: SimTime,
     }
 
@@ -675,7 +662,6 @@ mod tests {
             self.key
         }
         fn fire(self, e: &mut Engine<Relay, Ping>) {
-            e.world.causal -= 1;
             e.world.last = e.now();
             e.world.hops_seen.push(self.hops_left);
             e.world.fire_times.push(e.now());
@@ -695,15 +681,6 @@ mod tests {
         fn take_outbox(&mut self) -> Vec<(usize, SimTime, Ping)> {
             std::mem::take(&mut self.outbox)
         }
-        fn accept_remote(&mut self, _ev: &Ping) {
-            self.causal += 1;
-        }
-        fn is_causal(_ev: &Ping) -> bool {
-            true
-        }
-        fn causal_pending(&self) -> u64 {
-            self.causal
-        }
         fn last_activity(&self) -> SimTime {
             self.last
         }
@@ -715,7 +692,6 @@ mod tests {
             hops_seen: Vec::new(),
             fire_times: Vec::new(),
             outbox: Vec::new(),
-            causal: 0,
             last: SimTime::ZERO,
         })
     }
@@ -724,7 +700,6 @@ mod tests {
     fn ping_pong_converges_at_last_hop() {
         let mut a = relay(0);
         let b = relay(1);
-        a.world.causal += 1;
         a.schedule_event_at(
             SimTime::ZERO + HOP,
             Ping {
@@ -748,7 +723,7 @@ mod tests {
         assert!(out.shards[1].world.hops_seen.iter().all(|h| h % 2 == 1));
         for s in &out.shards {
             assert!(s.world.hops_seen.windows(2).all(|w| w[0] > w[1]));
-            assert_eq!(s.world.causal_pending(), 0);
+            assert_eq!(s.pending_in(Lane::Work), 0);
         }
         // Worker wall-clock accounting covers every shard.
         assert_eq!(out.busy_ns.len(), 2);
@@ -759,7 +734,6 @@ mod tests {
     fn deadline_overrun_reports_none() {
         let mut a = relay(0);
         let b = relay(1);
-        a.world.causal += 1;
         a.schedule_event_at(
             SimTime::ZERO + HOP,
             Ping {
@@ -790,7 +764,6 @@ mod tests {
         // between every two events, exactly like the serial loop.
         let mut a = relay(0);
         let b = relay(1);
-        a.world.causal += 2;
         a.schedule_event_at(
             SimTime::ZERO + HOP,
             Ping {
@@ -823,7 +796,6 @@ mod tests {
     fn single_shard_runs_serially() {
         let mut a = relay(0);
         a.world.id = 1; // route "cross-shard" pings back to itself
-        a.world.causal += 1;
         a.schedule_event_at(
             SimTime::ZERO + HOP,
             Ping {
@@ -862,7 +834,6 @@ mod tests {
         // the reply fires at exactly 30 µs, before the 35 µs event.
         let mut a = relay(0);
         let b = relay(1);
-        a.world.causal += 2;
         a.schedule_event_at(
             SimTime::ZERO + HOP,
             Ping {

@@ -119,14 +119,6 @@ impl SimRng {
             Some(&items[idx])
         }
     }
-
-    /// Fisher–Yates shuffles `items` in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,17 +167,6 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-5.0));
         assert!(r.chance(5.0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::from_seed(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "seed 9 should permute");
     }
 
     #[test]

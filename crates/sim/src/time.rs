@@ -90,16 +90,6 @@ impl SimDuration {
         SimDuration(n * 60_000_000_000)
     }
 
-    /// A duration from fractional seconds, saturating at zero for negatives.
-    #[must_use]
-    pub fn from_secs_f64(secs: f64) -> SimDuration {
-        if secs <= 0.0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration((secs * 1e9) as u64)
-        }
-    }
-
     /// Whole nanoseconds in this duration.
     #[must_use]
     pub fn as_nanos(self) -> u64 {
@@ -247,7 +237,6 @@ mod tests {
         assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
         assert_eq!(d * 3, SimDuration::from_secs(30));
         assert_eq!(d / 2, SimDuration::from_secs(5));
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

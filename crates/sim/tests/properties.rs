@@ -1,7 +1,8 @@
 //! Property-based tests for the simulation engine's core invariants.
 
-use crystalnet_sim::{CpuServer, Engine, EventFire, SimDuration, SimRng, SimTime};
+use crystalnet_sim::{CpuServer, Engine, EventFire, Lane, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 
 /// Records the time it fires at.
 struct Stamp;
@@ -28,68 +29,159 @@ impl EventFire<(SimRng, Vec<u64>)> for Tick {
     }
 }
 
-/// A walk or non-walk event over a unit world; firing one may schedule a
-/// follow-up of the other sort, so handlers schedule too.
+/// An event in any lane over a world that logs the ids it fires; firing
+/// one may schedule a follow-up in the next lane, so handlers schedule
+/// too.
 #[derive(Clone)]
 struct Mix {
+    id: u64,
     key: u64,
-    walk: bool,
+    lane: Lane,
     child: Option<u64>,
 }
 
-impl EventFire<()> for Mix {
-    fn fire(self, e: &mut Engine<(), Mix>) {
-        if let Some(delay) = self.child {
+impl Mix {
+    /// The follow-up firing this event schedules: its delay in
+    /// nanoseconds and the event. Parent ids stay below `1 << 32`, so a
+    /// child's id is unique too.
+    fn follow_up(&self) -> Option<(u64, Mix)> {
+        let lane = match self.lane {
+            Lane::Work => Lane::Timer,
+            Lane::Timer => Lane::Walk,
+            Lane::Walk => Lane::Work,
+        };
+        self.child.map(|delay| {
             let child = Mix {
+                id: self.id | 1 << 32,
                 key: self.key ^ 1,
-                walk: !self.walk,
+                lane,
                 child: None,
             };
+            (delay, child)
+        })
+    }
+}
+
+impl EventFire<Vec<u64>> for Mix {
+    fn fire(self, e: &mut Engine<Vec<u64>, Mix>) {
+        e.world.push(self.id);
+        if let Some((delay, child)) = self.follow_up() {
             e.schedule_event_after(SimDuration::from_nanos(delay), child);
         }
     }
     fn key(&self) -> u64 {
         self.key
     }
-    fn is_walk(&self) -> bool {
-        self.walk
+    fn lane(&self) -> Lane {
+        self.lane
     }
 }
 
-/// The next non-walk event's `(time, key)`, by brute force: drain a
-/// replica's whole queue in order and take the first non-walk event.
-fn scan_non_walk(e: &Engine<(), Mix>) -> Option<(SimTime, u64)> {
-    let mut all = e.replicate_with(()).drain_pending().into_iter();
-    all.find(|(_, ev)| !ev.walk).map(|(t, ev)| (t, ev.key))
+/// The reference queue: a list scanned for the least `(time, key,
+/// schedule order)`, driven op by op beside the engine.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    order: u64,
+    pending: Vec<(u64, u64, u64, Mix)>,
+    fired: Vec<u64>,
+}
+
+impl Model {
+    fn schedule(&mut self, at: u64, ev: Mix) {
+        self.pending
+            .push((at.max(self.now), ev.key, self.order, ev));
+        self.order += 1;
+    }
+
+    fn step(&mut self) {
+        let least = (0..self.pending.len()).min_by_key(|&i| {
+            let (t, key, order, _) = &self.pending[i];
+            (*t, *key, *order)
+        });
+        let Some(i) = least else {
+            return;
+        };
+        let (t, _, _, ev) = self.pending.swap_remove(i);
+        self.now = t;
+        self.fired.push(ev.id);
+        if let Some((delay, child)) = ev.follow_up() {
+            self.schedule(t + delay, child);
+        }
+    }
+
+    /// Drain-and-requeue without the events keyed `key`.
+    fn requeue_without(&mut self, key: u64) {
+        let mut all = std::mem::take(&mut self.pending);
+        all.sort_by_key(|(t, k, order, _)| (*t, *k, *order));
+        for (t, k, _, ev) in all {
+            if k != key {
+                self.schedule(t, ev);
+            }
+        }
+    }
+}
+
+/// A replica's whole queue, drained in fire order.
+fn scan(e: &Engine<Vec<u64>, Mix>) -> Vec<(SimTime, Mix)> {
+    e.replicate_with(Vec::new()).drain_pending()
+}
+
+/// The next non-walk event's `(time, key)`, by brute force: the first
+/// non-walk event of the scan.
+fn scan_non_walk(e: &Engine<Vec<u64>, Mix>) -> Option<(SimTime, u64)> {
+    scan(e)
+        .into_iter()
+        .find(|(_, ev)| ev.lane != Lane::Walk)
+        .map(|(t, ev)| (t, ev.key))
+}
+
+/// Checks the engine against the scan and the reference model.
+fn check(e: &Engine<Vec<u64>, Mix>, model: &Model) -> TestCaseResult {
+    prop_assert_eq!(e.next_non_walk_rank(), scan_non_walk(e));
+    let all = scan(e);
+    for lane in [Lane::Work, Lane::Timer, Lane::Walk] {
+        let n = all.iter().filter(|(_, ev)| ev.lane == lane).count();
+        prop_assert_eq!(e.pending_in(lane), n);
+    }
+    prop_assert_eq!(&e.world, &model.fired);
+    prop_assert_eq!(e.events_pending(), model.pending.len());
+    Ok(())
 }
 
 proptest! {
     /// The engine's next non-walk rank — the bound on running walk steps
-    /// inline — equals a scan of the pending events after every schedule,
-    /// step (plain or under a horizon), drain-and-requeue (dropping one
-    /// key, as a device removal does) and replica.
+    /// inline — and its per-lane counts equal a scan of the pending
+    /// events, and the ids it fires equal a reference model's, after
+    /// every schedule, step (plain or under a horizon), drain-and-requeue
+    /// (dropping one key, as a device removal does) and replica. Delays
+    /// run from nanoseconds to over an hour.
     #[test]
     fn next_non_walk_rank_matches_a_scan_of_the_queue(
         ops in prop::collection::vec(
-            (0u8..7, 0u64..200_000, 0u64..16, any::<bool>(), any::<bool>()),
+            (0u8..7, (0u64..1_024, 0u32..33), 0u64..16, 0u8..3, any::<bool>()),
             1..200,
         ),
     ) {
-        let mut e: Engine<(), Mix> = Engine::new(());
-        for (op, delay, key, walk, spawn) in ops {
+        let mut e: Engine<Vec<u64>, Mix> = Engine::new(Vec::new());
+        let mut model = Model::default();
+        for (n, (op, (base, shift), key, lane, spawn)) in ops.into_iter().enumerate() {
+            let delay = base << shift;
             match op {
-                // Near (ring) and far (overflow heap) schedules.
                 0..=2 => {
-                    let delay = if op == 2 { delay * 1_000 } else { delay };
-                    let ev = Mix { key, walk, child: spawn.then_some(delay / 2) };
+                    let lane = [Lane::Work, Lane::Timer, Lane::Walk][usize::from(lane)];
+                    let ev = Mix { id: n as u64, key, lane, child: spawn.then_some(delay / 2) };
+                    model.schedule(model.now + delay, ev.clone());
                     e.schedule_event_after(SimDuration::from_nanos(delay), ev);
                 }
                 3 => {
                     e.step();
+                    model.step();
                 }
                 4 => {
                     let horizon = e.now() + SimDuration::from_nanos(delay);
                     e.step_within(horizon);
+                    model.step();
                 }
                 5 => {
                     for (t, ev) in e.drain_pending() {
@@ -97,14 +189,17 @@ proptest! {
                             e.schedule_event_at(t, ev);
                         }
                     }
+                    model.requeue_without(key);
                 }
-                _ => e = e.replicate_with(()),
+                _ => e = e.replicate_with(e.world.clone()),
             }
-            prop_assert_eq!(e.next_non_walk_rank(), scan_non_walk(&e));
+            check(&e, &model)?;
         }
         while e.step() {
-            prop_assert_eq!(e.next_non_walk_rank(), scan_non_walk(&e));
+            model.step();
+            check(&e, &model)?;
         }
+        prop_assert!(model.pending.is_empty());
         prop_assert_eq!(e.next_non_walk_rank(), None);
     }
 
