@@ -25,6 +25,7 @@ use crate::metrics::{JournalKind, MockupMetrics, RecoveryJournal};
 pub use crate::options::{EmulationError, MockupOptions, MockupOptionsBuilder};
 use crate::plan::sandbox_kind;
 use crate::prepare::PrepareOutput;
+use crate::rehearse::StepTotals;
 pub use crate::work::VmWorkModel;
 use crystalnet_config::DeviceConfig;
 use crystalnet_dataplane::TraceStore;
@@ -110,6 +111,9 @@ pub struct Emulation {
     /// correlation: `(applied_at, summary)` per measured step — a change
     /// set or a tool run (`measure_step` is the only writer).
     pub(crate) change_log: Vec<(SimTime, String)>,
+    /// What the measured steps added up to, once one was measured
+    /// (`measure_step` is the only writer).
+    pub(crate) step_totals: Option<StepTotals>,
     pub(crate) next_signature: u16,
     /// Loopback → device over `topo` (`inspect::loopback_index`), built
     /// at mockup and shared with every fork.
@@ -172,6 +176,7 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
         speaker_overrides: BTreeMap::new(),
         emulated_now: prep.emulated.clone(),
         change_log: Vec::new(),
+        step_totals: None,
         next_signature: 1,
         loopbacks: Arc::new(crate::inspect::loopback_index(&topo)),
         prep: Arc::clone(&prep),
@@ -258,21 +263,24 @@ pub fn mockup(prep: Arc<PrepareOutput>, options: MockupOptions) -> Emulation {
         .sim
         .run_until_quiet(emu.options.quiet, network_ready_at + emu.options.deadline)
         .expect("emulation failed to converge before the deadline");
-    let rec = &mut *emu.sim.engine.world.recorder;
+    let world = &mut emu.sim.engine.world;
+    let route_ops = world.route_ops_total;
+    emu.metrics = MockupMetrics::from_phases(network_ready_at, route_ready_at, route_ops);
+    let boot_end = if world.boots > 0 {
+        world.last_boot_done
+    } else {
+        network_ready_at
+    };
+    let rec = &mut *world.recorder;
     if let Some(t0) = t_converge {
         rec.profile_add(
             profile_keys::MOCKUP_CONVERGE,
             t0.elapsed().as_nanos() as u64,
         );
     }
-    let route_ops = emu.sim.engine.world.route_ops_total;
-    emu.metrics = MockupMetrics::from_phases(network_ready_at, route_ready_at, route_ops);
 
     // Phase spans + orchestrator events.
     if rec.enabled() {
-        let boot_end = rec
-            .gauge("routing.last_boot_done_ns")
-            .map_or(network_ready_at, SimTime);
         rec.span("mockup", None, SimTime::ZERO, route_ready_at);
         rec.span("boot", None, network_ready_at, boot_end);
         rec.event(

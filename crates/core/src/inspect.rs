@@ -116,17 +116,31 @@ impl Emulation {
             .with_meta("deadline", FieldValue::Dur(self.options.deadline))
             .with_meta("network_ready", FieldValue::Dur(self.metrics.network_ready))
             .with_meta("route_ready", FieldValue::Dur(self.metrics.route_ready));
-        // Per-device convergence spans, derived from the last
-        // route-activity gauge: boot start → final route installation.
-        if let Some(per_dev) = rec.device_gauge("routing.convergence_ns") {
-            let start = self.metrics.ready_at - self.metrics.route_ready;
-            for (&dev, &end_ns) in per_dev {
+        // Per-device convergence spans, boot start → final route
+        // installation, for every device that changed a route.
+        let world = &self.sim.engine.world;
+        let start = self.metrics.ready_at - self.metrics.route_ready;
+        for (dev, &end) in world.last_route_op_by_dev.iter().enumerate() {
+            if world.route_ops_by_dev[dev] > 0 {
                 report.spans.push(SpanRecord {
                     name: "convergence".to_string(),
-                    device: Some(dev),
+                    device: Some(dev as u32),
                     start,
-                    end: SimTime(end_ns),
+                    end,
                 });
+            }
+        }
+        if let Some(t) = self.step_totals {
+            for (name, value) in [
+                ("core.apply_change.steps", t.steps),
+                ("core.apply_change.dirty_devices", t.dirty_devices),
+                ("core.apply_change.fib_changes", t.fib_changes),
+                (
+                    "core.apply_change.fib_changes_outside_dirty",
+                    t.fib_changes_outside_dirty,
+                ),
+            ] {
+                report.counters.insert(name.to_string(), value);
             }
         }
         // The journal's series, read from the journal: a counter per

@@ -236,6 +236,17 @@ pub(crate) struct Injected {
     pub(crate) did_work: bool,
 }
 
+/// What every measured step so far adds up to: the report's
+/// `core.apply_change.*` series. A tool run counts as a step that
+/// applied nothing, predicted nothing and so missed nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepTotals {
+    pub(crate) steps: u64,
+    pub(crate) dirty_devices: u64,
+    pub(crate) fib_changes: u64,
+    pub(crate) fib_changes_outside_dirty: u64,
+}
+
 /// The packet-walk planes' running totals at one instant (zeros for a
 /// plane that is off); a step's impact is the difference of two.
 #[derive(Default)]
@@ -269,9 +280,9 @@ impl Emulation {
     /// diffed and journalled. Checkpoint the engine, the plane totals
     /// and every OS handle; let `inject` mutate the emulation;
     /// re-converge; diff FIBs by handle identity and plane totals by
-    /// subtraction; write the change-log entry, the `apply_change` span
-    /// and the `core.apply_change.*` counters. An `inject` error returns
-    /// before anything is settled or logged.
+    /// subtraction; write the change-log entry, the step totals and the
+    /// `apply_change` span. An `inject` error returns before anything is
+    /// settled or logged.
     pub(crate) fn measure_step(
         &mut self,
         inject: impl FnOnce(&mut Self) -> Result<Injected, EmulationError>,
@@ -327,6 +338,13 @@ impl Emulation {
         }
 
         let total = delta.total_fib_changes() as u64;
+        let t = self.step_totals.get_or_insert_with(StepTotals::default);
+        t.steps += delta.applied.len() as u64;
+        t.dirty_devices += delta.dirty.len() as u64;
+        t.fib_changes += total;
+        // Prediction misses: devices whose FIB moved outside the
+        // predicted dirty set. Zero when the scope bound is honest.
+        t.fib_changes_outside_dirty += delta.outside_dirty().len() as u64;
         let rec = &mut *self.sim.engine.world.recorder;
         if rec.profiling_enabled() {
             rec.profile_add(
@@ -336,15 +354,6 @@ impl Emulation {
         }
         if rec.enabled() {
             rec.span("apply_change", None, start, settled_at);
-            rec.counter_add("core.apply_change.steps", delta.applied.len() as u64);
-            rec.counter_add("core.apply_change.dirty_devices", delta.dirty.len() as u64);
-            rec.counter_add("core.apply_change.fib_changes", total);
-            // Prediction misses: devices whose FIB moved outside the
-            // predicted dirty set. Zero when the scope bound is honest.
-            rec.counter_add(
-                "core.apply_change.fib_changes_outside_dirty",
-                delta.outside_dirty().len() as u64,
-            );
             rec.event(
                 settled_at,
                 "apply_change",

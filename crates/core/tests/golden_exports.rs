@@ -245,3 +245,105 @@ fn boundary_exports_match_the_recorded_digests() {
         );
     }
 }
+
+/// The series the run report reads from the world and the emulation
+/// rather than from the recorder: boots, frames and BGP messages by
+/// kind, per-device convergence, and the measured-step totals.
+const STATE_SERIES: [&str; 20] = [
+    "routing.devices_booted",
+    "routing.last_boot_done_ns",
+    "routing.frames_sent",
+    "routing.frames_delivered",
+    "routing.bgp_opens_sent",
+    "routing.bgp_opens_received",
+    "routing.bgp_updates_sent",
+    "routing.bgp_updates_received",
+    "routing.bgp_prefixes_announced",
+    "routing.bgp_prefixes_withdrawn",
+    "routing.bgp_keepalives_sent",
+    "routing.bgp_keepalives_received",
+    "routing.bgp_notifications_sent",
+    "routing.bgp_notifications_received",
+    "routing.bgp_refreshes_sent",
+    "routing.bgp_refreshes_received",
+    "core.apply_change.steps",
+    "core.apply_change.dirty_devices",
+    "core.apply_change.fib_changes",
+    "core.apply_change.fib_changes_outside_dirty",
+];
+
+/// The rehearsal scenario: a fork soft-refreshes a ToR's config (a new
+/// `network` statement, which `classify_diff` calls `SoftRefresh`, so
+/// the ToR sends route refreshes), then a tool step shuts one of its
+/// BGP sessions through `login_and_run` (a NOTIFICATION), and the fork
+/// commits. Digested: the run report and the causal trace.
+fn rehearsal_exports() -> Vec<(&'static str, String)> {
+    let clos = ClosParams::s_dc().build();
+    let prep = prepare(
+        &clos.topo,
+        &[],
+        BoundaryMode::WholeNetwork,
+        SpeakerSource::OriginatedOnly,
+        &PlanOptions::default(),
+    );
+    let mut emu = mockup(
+        Arc::new(prep),
+        MockupOptions::builder()
+            .seed(2017)
+            .trace_capacity(1 << 20)
+            .build(),
+    );
+    let tor = clos.pods[0].tors[0];
+    let base = (emu.prep.configs.iter())
+        .find(|(d, _)| *d == tor)
+        .map(|(_, c)| c.clone())
+        .expect("the ToR has a prepared config");
+    let mut edited = base.clone();
+    let bgp = edited.bgp.as_mut().expect("the ToR runs BGP");
+    bgp.networks.push("10.77.0.0/24".parse().unwrap());
+    let peer = bgp.neighbors[0].addr;
+    let diff = crystalnet_config::config_diff(&base, &edited);
+    assert_eq!(classify_diff(&diff), ChangeImpact::SoftRefresh);
+
+    let mut fork = emu.fork();
+    let delta = fork
+        .apply(&ChangeSet::new().config_update(tor, edited))
+        .expect("the soft refresh applies");
+    assert_eq!(delta.applied[0].impact, Some(ChangeImpact::SoftRefresh));
+    let host = clos.topo.device(tor).name.clone();
+    fork.run_tools("shut one session", move |emu| {
+        let answer = emu.login_and_run(&host, MgmtCommand::NeighborShutdown(peer))?;
+        assert_eq!(answer, MgmtResponse::Ok, "the ToR shuts the session");
+        Ok(())
+    })
+    .expect("the tool step settles");
+    fork.commit(&mut emu);
+
+    let report = emu.pull_report();
+    for name in STATE_SERIES {
+        assert!(report.counters.contains_key(name), "{name} is missing");
+    }
+    assert!(report.per_device.contains_key("routing.convergence_ns"));
+    vec![
+        ("pull_report", report.to_json()),
+        ("trace_jsonl", emu.trace_jsonl()),
+    ]
+}
+
+#[test]
+fn rehearsal_exports_match_the_recorded_digests() {
+    const GOLDEN: [(&str, u64); 2] = [
+        ("pull_report", 0x3618_b94f_3a99_867f),
+        ("trace_jsonl", 0x9f41_69a3_0f2d_fdb3),
+    ];
+    let got = rehearsal_exports();
+    for ((name, export), (golden_name, golden)) in got.iter().zip(GOLDEN) {
+        assert_eq!(*name, golden_name);
+        assert_eq!(
+            digest(export),
+            golden,
+            "{name} moved ({} bytes)",
+            export.len()
+        );
+    }
+}

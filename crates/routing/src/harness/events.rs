@@ -8,7 +8,7 @@ use crate::os::{MgmtCommand, OsActions, OsEvent, TimerKind};
 use crate::plane::{plane_tick, walk_hop, walk_report, Plane, Walk};
 use crystalnet_net::{DeviceId, LinkId};
 use crystalnet_sim::{EventFire, EventId, Lane};
-use crystalnet_telemetry::{FieldValue, MemRecorder, TraceRecord};
+use crystalnet_telemetry::{FieldValue, TraceRecord};
 
 /// A typed harness event: no per-event heap allocation or dynamic
 /// dispatch, and a content-derived tie-break key.
@@ -146,11 +146,8 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
             }
             HarnessEventKind::BootDone(dev) => {
                 e.world.booted[dev.index()] = true;
-                if e.world.recorder.enabled() {
-                    let now = e.now().as_nanos();
-                    e.world.recorder.counter_add("routing.devices_booted", 1);
-                    e.world.recorder.gauge_max("routing.last_boot_done_ns", now);
-                }
+                e.world.boots += 1;
+                e.world.last_boot_done = e.world.last_boot_done.max(e.now());
                 if e.world.recorder.trace_enabled() {
                     trace_here(e, "boot_done", Some(dev), vec![]);
                 }
@@ -205,9 +202,7 @@ impl EventFire<ControlPlaneWorld> for HarnessEvent {
             } => {
                 // Re-check link state at delivery time.
                 if e.world.link_is_up(link) {
-                    if e.world.recorder.enabled() {
-                        record_frame(&mut e.world.recorder, &frame, false);
-                    }
+                    e.world.frames.count(&frame, false);
                     if e.world.recorder.trace_enabled() {
                         trace_here(
                             e,
@@ -300,12 +295,11 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
         e.world.route_ops_total += actions.route_ops as u64;
         e.world.route_ops_by_dev[dev.index()] += actions.route_ops as u64;
         e.world.last_route_activity = e.world.last_route_activity.max(t);
+        let last = &mut e.world.last_route_op_by_dev[dev.index()];
+        *last = (*last).max(t);
         if let Some(h) = e.world.planes.health.as_mut() {
             *h.ops_since_tick.entry(dev).or_insert(0) += actions.route_ops as u64;
         }
-        e.world
-            .recorder
-            .device_gauge_max("routing.convergence_ns", dev.0, t.as_nanos());
         t
     } else {
         now
@@ -339,9 +333,7 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
         let arrive = done + e.world.work.link_delay(link, done);
         // Counted here, after the link-up check: frames *actually sent*
         // are a world fact the parallel replay reproduces exactly.
-        if e.world.recorder.enabled() {
-            record_frame(&mut e.world.recorder, &frame, true);
-        }
+        e.world.frames.count(&frame, true);
         if e.world.recorder.trace_enabled() {
             trace_here(
                 e,
@@ -378,52 +370,72 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
     }
 }
 
-/// Classifies a frame into the canonical counter set. `sent` selects the
-/// TX names (counted after the link-up check in [`dispatch`]) versus the
-/// RX names (counted at delivery); both sets are world facts that the
-/// parallel replay reproduces bit-identically.
-fn record_frame(rec: &mut MemRecorder, frame: &Frame, sent: bool) {
-    let (frames, opens, updates, keepalives, notifications) = if sent {
-        (
-            "routing.frames_sent",
-            "routing.bgp_opens_sent",
-            "routing.bgp_updates_sent",
-            "routing.bgp_keepalives_sent",
-            "routing.bgp_notifications_sent",
-        )
-    } else {
-        (
-            "routing.frames_delivered",
-            "routing.bgp_opens_received",
-            "routing.bgp_updates_received",
-            "routing.bgp_keepalives_received",
-            "routing.bgp_notifications_received",
-        )
-    };
-    rec.counter_add(frames, 1);
-    if let Frame::Bgp(msg) = frame {
+/// Frames and BGP messages one direction carried, by kind.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FrameCounts {
+    pub(crate) frames: u64,
+    pub(crate) opens: u64,
+    pub(crate) updates: u64,
+    pub(crate) keepalives: u64,
+    pub(crate) notifications: u64,
+    pub(crate) refreshes: u64,
+}
+
+/// The world's frame tallies: what was sent (counted after the link-up
+/// check in [`dispatch`]), what was delivered (counted on an up link,
+/// before dispatch), and the prefixes sent UPDATEs carried. Both
+/// directions are world facts that the parallel replay reproduces
+/// bit-identically.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FrameTallies {
+    pub(crate) sent: FrameCounts,
+    pub(crate) delivered: FrameCounts,
+    pub(crate) prefixes_announced: u64,
+    pub(crate) prefixes_withdrawn: u64,
+}
+
+impl FrameTallies {
+    /// Counts one frame, sent or delivered.
+    fn count(&mut self, frame: &Frame, sent: bool) {
+        let dir = if sent {
+            &mut self.sent
+        } else {
+            &mut self.delivered
+        };
+        dir.frames += 1;
+        let Frame::Bgp(msg) = frame else { return };
         match msg {
-            BgpMsg::Open { .. } => rec.counter_add(opens, 1),
+            BgpMsg::Open { .. } => dir.opens += 1,
             BgpMsg::Update {
                 announced,
                 withdrawn,
             } => {
-                rec.counter_add(updates, 1);
+                dir.updates += 1;
                 if sent {
-                    rec.counter_add("routing.bgp_prefixes_announced", announced.len() as u64);
-                    rec.counter_add("routing.bgp_prefixes_withdrawn", withdrawn.len() as u64);
+                    self.prefixes_announced += announced.len() as u64;
+                    self.prefixes_withdrawn += withdrawn.len() as u64;
                 }
             }
-            BgpMsg::Keepalive => rec.counter_add(keepalives, 1),
-            BgpMsg::Notification { .. } => rec.counter_add(notifications, 1),
-            BgpMsg::RouteRefresh => rec.counter_add(
-                if sent {
-                    "routing.bgp_refreshes_sent"
-                } else {
-                    "routing.bgp_refreshes_received"
-                },
-                1,
-            ),
+            BgpMsg::Keepalive => dir.keepalives += 1,
+            BgpMsg::Notification { .. } => dir.notifications += 1,
+            BgpMsg::RouteRefresh => dir.refreshes += 1,
         }
+    }
+
+    /// Adds a shard's tallies (the sharded settle's join).
+    pub(crate) fn merge(&mut self, shard: &FrameTallies) {
+        for (mine, theirs) in [
+            (&mut self.sent, &shard.sent),
+            (&mut self.delivered, &shard.delivered),
+        ] {
+            mine.frames += theirs.frames;
+            mine.opens += theirs.opens;
+            mine.updates += theirs.updates;
+            mine.keepalives += theirs.keepalives;
+            mine.notifications += theirs.notifications;
+            mine.refreshes += theirs.refreshes;
+        }
+        self.prefixes_announced += shard.prefixes_announced;
+        self.prefixes_withdrawn += shard.prefixes_withdrawn;
     }
 }

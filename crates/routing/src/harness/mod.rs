@@ -14,6 +14,7 @@ mod events;
 mod parallel;
 mod world;
 
+use events::FrameTallies;
 pub use events::HarnessEvent;
 pub(crate) use events::{trace_here, HarnessEventKind};
 use world::Adjacency;
@@ -189,6 +190,10 @@ impl ControlPlaneSim {
                 last_route_activity: SimTime::ZERO,
                 route_ops_total: 0,
                 route_ops_by_dev: vec![0; n],
+                last_route_op_by_dev: vec![SimTime::ZERO; n],
+                boots: 0,
+                last_boot_done: SimTime::ZERO,
+                frames: FrameTallies::default(),
                 crashes: Vec::new(),
                 mgmt_responses: Vec::new(),
                 dev_key_seq: vec![0; n],
@@ -563,12 +568,15 @@ impl ControlPlaneSim {
         &self.engine.world.planes.incidents
     }
 
-    /// The recorder's report plus the series this world keeps itself,
-    /// which the recorder therefore does not count: the plane totals,
-    /// each plane's incident count, route churn per device and the last
-    /// route activity. Each appears once it has counted something, as a
-    /// counter would; a `traffic.bytes_*` series goes with its flow
-    /// count. An off recorder's report is [`RunReport::disabled`].
+    /// The recorder's report plus every series this world keeps: boots,
+    /// frames and BGP messages by kind, the last route activity, the
+    /// plane totals and each plane's incident count, and per device the
+    /// route churn and the instant of the latest route change. Each
+    /// appears once it has counted something, as a counter would; a
+    /// `traffic.bytes_*` series goes with its flow count, both
+    /// `routing.bgp_prefixes_*` series with the UPDATEs sent, and a
+    /// device's convergence instant with its churn. An off recorder's
+    /// report is [`RunReport::disabled`].
     #[must_use]
     pub fn report(&self) -> RunReport {
         let world = &self.engine.world;
@@ -580,28 +588,50 @@ impl ControlPlaneSim {
         let from_flows = incidents.iter().filter(|i| i.kind.is_traffic()).count() as u64;
         let from_probes = incidents.len() as u64 - from_flows;
         let (at, ops) = (world.last_route_activity.as_nanos(), world.route_ops_total);
+        let (boots, booted_at) = (world.boots, world.last_boot_done.as_nanos());
+        let f = &world.frames;
+        let (tx, rx) = (f.sent, f.delivered);
+        let (announced, withdrawn) = (f.prefixes_announced, f.prefixes_withdrawn);
         // `(series, value, count)`: present once `count` is non-zero.
-        let mut series = vec![("routing.last_route_activity_ns", at, ops)];
+        let counted = |name, n| (name, n, n);
+        let mut series = vec![
+            ("routing.last_route_activity_ns", at, ops),
+            counted("routing.devices_booted", boots),
+            ("routing.last_boot_done_ns", booted_at, boots),
+            counted("routing.frames_sent", tx.frames),
+            counted("routing.bgp_opens_sent", tx.opens),
+            counted("routing.bgp_updates_sent", tx.updates),
+            ("routing.bgp_prefixes_announced", announced, tx.updates),
+            ("routing.bgp_prefixes_withdrawn", withdrawn, tx.updates),
+            counted("routing.bgp_keepalives_sent", tx.keepalives),
+            counted("routing.bgp_notifications_sent", tx.notifications),
+            counted("routing.bgp_refreshes_sent", tx.refreshes),
+            counted("routing.frames_delivered", rx.frames),
+            counted("routing.bgp_opens_received", rx.opens),
+            counted("routing.bgp_updates_received", rx.updates),
+            counted("routing.bgp_keepalives_received", rx.keepalives),
+            counted("routing.bgp_notifications_received", rx.notifications),
+            counted("routing.bgp_refreshes_received", rx.refreshes),
+        ];
         if let Some(h) = self.health() {
-            let (sent, delivered, lost) = (h.probes_sent, h.probes_delivered, h.probes_lost);
             series.extend([
-                ("health.probes_sent", sent, sent),
-                ("health.probes_delivered", delivered, delivered),
-                ("health.probes_lost", lost, lost),
-                ("health.incidents", from_probes, from_probes),
+                counted("health.probes_sent", h.probes_sent),
+                counted("health.probes_delivered", h.probes_delivered),
+                counted("health.probes_lost", h.probes_lost),
+                counted("health.incidents", from_probes),
             ]);
         }
         if let Some(t) = self.traffic() {
             let (sent, delivered, lost) = (t.flows_sent, t.flows_delivered, t.flows_lost);
             series.extend([
-                ("traffic.flows_sent", sent, sent),
+                counted("traffic.flows_sent", sent),
                 ("traffic.bytes_offered", t.bytes_offered, sent),
-                ("traffic.flows_delivered", delivered, delivered),
+                counted("traffic.flows_delivered", delivered),
                 ("traffic.bytes_delivered", t.bytes_delivered, delivered),
-                ("traffic.flows_lost", lost, lost),
+                counted("traffic.flows_lost", lost),
                 ("traffic.bytes_lost", t.bytes_lost, lost),
-                ("traffic.flows_rerouted", t.flows_rerouted, t.flows_rerouted),
-                ("traffic.incidents", from_flows, from_flows),
+                counted("traffic.flows_rerouted", t.flows_rerouted),
+                counted("traffic.incidents", from_flows),
             ]);
         }
         for (name, value, count) in series {
@@ -609,13 +639,16 @@ impl ControlPlaneSim {
                 report.counters.insert(name.to_string(), value);
             }
         }
-        let churn: BTreeMap<u32, u64> = (world.route_ops_by_dev.iter().enumerate())
-            .filter(|&(_, &n)| n > 0)
-            .map(|(dev, &n)| (dev as u32, n))
-            .collect();
+        let by_dev = &world.route_ops_by_dev;
+        let changed = || (0..by_dev.len()).filter(|&dev| by_dev[dev] > 0);
+        let churn: BTreeMap<u32, u64> = changed().map(|dev| (dev as u32, by_dev[dev])).collect();
         if !churn.is_empty() {
-            let name = "routing.route_churn".to_string();
-            report.per_device.insert(name, churn);
+            let done = changed()
+                .map(|dev| (dev as u32, world.last_route_op_by_dev[dev].as_nanos()))
+                .collect();
+            let per_device = &mut report.per_device;
+            per_device.insert("routing.route_churn".to_string(), churn);
+            per_device.insert("routing.convergence_ns".to_string(), done);
         }
         report
     }

@@ -1,6 +1,7 @@
 //! The sharded executor's harness side: fork the world into per-shard
 //! replicas, run them under the lookahead matrix, join them back.
 
+use super::events::FrameTallies;
 use super::world::ShardRoute;
 use super::{ControlPlaneEngine, ControlPlaneSim, ControlPlaneWorld, HarnessEvent, WorkModel};
 use crate::os::MgmtResponse;
@@ -9,6 +10,7 @@ use crystalnet_net::{DeviceId, Partition};
 use crystalnet_sim::parallel::{run_shards_until_quiet_matrix, LookaheadMatrix};
 use crystalnet_sim::{Engine, SimDuration, SimTime};
 use crystalnet_telemetry::profile::keys;
+use crystalnet_telemetry::MemRecorder;
 
 impl ControlPlaneSim {
     /// [`Self::run_until_quiet`] on worker threads, for a bare
@@ -39,11 +41,11 @@ impl ControlPlaneSim {
     /// must be time-invariant lower bounds and identical across the
     /// serial and shard models.
     ///
-    /// A profiling recorder gets the workers' summed busy and idle wall
-    /// time under [`keys::PARALLEL_COMPUTE`] and [`keys::PARALLEL_IDLE`];
-    /// its counters merge back from per-shard forks
-    /// ([`MemRecorder::fork`](crystalnet_telemetry::MemRecorder::fork),
-    /// [`MemRecorder::absorb`](crystalnet_telemetry::MemRecorder::absorb)).
+    /// Shards record nothing: each holds an off recorder, and the join
+    /// merges the world's own tallies (boots, frames, route churn and
+    /// per-device convergence) back into this world. A profiling recorder
+    /// gets the workers' summed busy and idle wall time under
+    /// [`keys::PARALLEL_COMPUTE`] and [`keys::PARALLEL_IDLE`].
     ///
     /// # Panics
     ///
@@ -121,6 +123,10 @@ impl ControlPlaneSim {
                     last_route_activity: world.last_route_activity,
                     route_ops_total: 0,
                     route_ops_by_dev: vec![0; n],
+                    last_route_op_by_dev: world.last_route_op_by_dev.clone(),
+                    boots: 0,
+                    last_boot_done: world.last_boot_done,
+                    frames: FrameTallies::default(),
                     crashes: Vec::new(),
                     mgmt_responses: Vec::new(),
                     dev_key_seq: world.dev_key_seq.clone(),
@@ -132,7 +138,7 @@ impl ControlPlaneSim {
                     }),
                     planes: Planes::default(),
                     fwd_disabled: world.fwd_disabled.clone(),
-                    recorder: Box::new(world.recorder.fork()),
+                    recorder: Box::new(MemRecorder::disabled()),
                 })
             })
             .collect();
@@ -170,17 +176,21 @@ impl ControlPlaneSim {
             let drained = eng.drain_pending();
             let mut sw = eng.world;
             let world = &mut self.engine.world;
-            // Shard metrics merge order-independently.
-            world.recorder.absorb(*sw.recorder);
+            // Counts sum and instants take the max, order-independently;
+            // per-device state comes from the device's owning shard.
             for &dev in &partition.shards[s] {
                 let i = dev.index();
                 world.oses[i] = sw.oses[i].take();
                 world.booted[i] = sw.booted[i];
                 world.dev_key_seq[i] = sw.dev_key_seq[i];
                 world.route_ops_by_dev[i] += sw.route_ops_by_dev[i];
+                world.last_route_op_by_dev[i] = sw.last_route_op_by_dev[i];
             }
             world.route_ops_total += sw.route_ops_total;
             world.last_route_activity = world.last_route_activity.max(sw.last_route_activity);
+            world.boots += sw.boots;
+            world.last_boot_done = world.last_boot_done.max(sw.last_boot_done);
+            world.frames.merge(&sw.frames);
             // Every shard replayed the same link-state history.
             world.link_up = sw.link_up;
             crashes.extend(sw.crashes);

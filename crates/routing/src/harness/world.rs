@@ -2,6 +2,7 @@
 //! wiring between them, and the bookkeeping convergence detection and
 //! the parallel executor read.
 
+use super::events::FrameTallies;
 use super::{HarnessEvent, WorkModel};
 use crate::bgp::LOCAL_IFACE;
 use crate::health::ProbeOutcome;
@@ -89,6 +90,18 @@ pub struct ControlPlaneWorld {
     /// Per-device route-operation counters, indexed by [`DeviceId`]: the
     /// report's `routing.route_churn`.
     pub route_ops_by_dev: Vec<u64>,
+    /// Per-device completion time of the latest route-changing work,
+    /// indexed by [`DeviceId`]: the report's `routing.convergence_ns`
+    /// for every device whose `route_ops_by_dev` is non-zero.
+    pub last_route_op_by_dev: Vec<SimTime>,
+    /// Boots completed: the report's `routing.devices_booted`.
+    pub boots: u64,
+    /// When the latest boot completed: the report's
+    /// `routing.last_boot_done_ns`, once `boots` is non-zero.
+    pub last_boot_done: SimTime,
+    /// Frames and BGP messages sent and delivered, by kind: the report's
+    /// `routing.frames_*` and `routing.bgp_*` series.
+    pub(crate) frames: FrameTallies,
     /// Devices that crashed while handling events (health-monitor feed).
     pub crashes: Vec<(SimTime, DeviceId)>,
     /// Responses to asynchronously delivered management commands.
@@ -106,12 +119,13 @@ pub struct ControlPlaneWorld {
     /// control plane keeps running (gray-failure injection). Only plane
     /// walks consult this — sessions stay up, FIBs stay "correct".
     pub(crate) fwd_disabled: BTreeSet<DeviceId>,
-    /// Observability sink: off ([`MemRecorder::disabled`]) until an
-    /// orchestration layer installs one that is on to collect a run
-    /// report. Shards fork it and the join merges them back, so canonical
-    /// counters are identical whichever shard recorded them. Boxed only
-    /// because the benchmark package assigns a `Box::new(MemRecorder::…)`
-    /// to it.
+    /// Observability sink for spans, events, the causal trace and the
+    /// profile: off ([`MemRecorder::disabled`]) until an orchestration
+    /// layer installs one that is on to collect a run report. It counts
+    /// nothing: [`ControlPlaneSim::report`](super::ControlPlaneSim::report)
+    /// reads every series from this world's own state. A shard of the
+    /// sharded settle holds an off one. Boxed only because
+    /// the benchmark package assigns a `Box::new(MemRecorder::…)` to it.
     pub recorder: Box<MemRecorder>,
 }
 

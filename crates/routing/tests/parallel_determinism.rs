@@ -185,6 +185,30 @@ fn s_dc_clos_matches_serial_and_continues_serially() {
     assert_identical(&serial, &par, &dc.topo, "s-dc/continuation");
 }
 
+/// With telemetry on, the sharded settle's run report equals the serial
+/// run's: every series counted inside a shard reaches the report after
+/// the join, as if one world had counted it.
+#[test]
+fn fig7_flap_and_mgmt_report_matches_serial_with_telemetry_on() {
+    let f = fig7();
+    let ep = ControlPlaneSim::link_endpoints(&f.topo, LinkId(0));
+    let probe = f.tors[0];
+    let (serial, par) = differential(&f.topo, 4, "fig7-report/4", move |sim| {
+        sim.engine.world.recorder = Box::new(MemRecorder::new());
+        sim.boot_all(SimTime::ZERO);
+        sim.link_down(ep, SimTime::ZERO + SimDuration::from_millis(1500));
+        sim.link_up(ep, SimTime::ZERO + SimDuration::from_secs(3));
+        sim.mgmt(
+            probe,
+            MgmtCommand::ShowBgpSummary,
+            SimTime::ZERO + SimDuration::from_secs(2),
+        );
+    });
+    let json = serial.report().to_json();
+    assert!(json.contains("routing.bgp_updates_sent"), "{json}");
+    assert_eq!(json, par.report().to_json());
+}
+
 /// The benchmark's `sim.parallel.*` probe in miniature: a bare two-shard
 /// settle of a two-spine-group fabric under a profiling recorder must
 /// reach the serial run's FIBs and report worker compute time.

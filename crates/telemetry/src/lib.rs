@@ -6,13 +6,13 @@
 //! pieces the Emulation API builds `pull_report()` and `pull_trace()` on:
 //!
 //! 1. [`MemRecorder`], the one recorder: instrumented code emits through
-//!    it — spans and events stamped with [`SimTime`], named counters,
-//!    gauges and histograms, wall-clock profile keys, causal trace
-//!    records — and readers read it directly. It is either on or off. An
-//!    off recorder ([`MemRecorder::disabled`]) stores nothing, and its
-//!    `enabled()` is the one branch a hot path takes before preparing
-//!    emission arguments; an on one keeps everything in `BTreeMap`s so
-//!    export order never depends on insertion order;
+//!    it — spans and events stamped with [`SimTime`], wall-clock profile
+//!    keys, causal trace records — and readers read it directly. It is
+//!    either on or off. An off recorder ([`MemRecorder::disabled`])
+//!    stores nothing, and its `enabled()` is the one branch a hot path
+//!    takes before preparing emission arguments. Counters, gauges and
+//!    histograms are not the recorder's: the report builders read them
+//!    from the state that holds them;
 //! 2. a bounded [`TraceSink`] of [`TraceRecord`]s with JSONL and Chrome
 //!    trace-event exporters;
 //! 3. a [`RunReport`] exporter: canonical JSON plus a human-readable table.
@@ -26,8 +26,8 @@
 //!
 //! - *canonical* metrics record facts about the emulated world (frames
 //!   sent, BGP updates received, faults injected, per-device route churn)
-//!   and live in `BTreeMap`s, so their export order depends on the keys
-//!   alone; histograms are sorted before summarizing;
+//!   and are exported from `BTreeMap`s, so their export order depends on
+//!   the keys alone; histograms are sorted before summarizing;
 //! - *diagnostic* metrics record facts about the execution itself
 //!   (events executed, queue high-water, interner hit rate). The report's
 //!   caller fills [`RunReport::diagnostics`]; they are excluded from the
@@ -199,76 +199,17 @@ mod tests {
     fn off_recorder_is_disabled_and_silent() {
         let mut r = MemRecorder::disabled().with_profiling();
         assert!(!r.enabled() && !r.trace_enabled() && !r.profiling_enabled());
-        r.counter_add("c", 5);
-        r.gauge_max("g", 7);
-        r.device_counter_add("dc", 1, 3);
-        r.device_gauge_max("dg", 2, 4);
-        r.histogram_record("h", 1.0);
         r.profile_add(profile::keys::MOCKUP, 10);
         r.span("mockup", None, SimTime(0), SimTime(10));
         r.event(SimTime(5), "e", vec![("n", FieldValue::U64(1))]);
         r.trace(rec(5, 1, "t"));
-        assert_eq!((r.counter("c"), r.gauge("g")), (0, None));
-        assert!(r.device_gauge("dg").is_none() && r.trace_sink().is_none());
+        assert!(r.trace_sink().is_none());
         assert_eq!(r.report(), RunReport::disabled());
         assert!(MemRecorder::from_recorder(&r).is_none());
-        // A clone (an emulation fork's recorder) and a shard fork are off.
-        for copy in [r.clone(), r.fork()] {
-            assert!(!copy.enabled() && !copy.profiling_enabled());
-            assert!(MemRecorder::from_recorder(&copy).is_none());
-        }
-        let forked = r.fork();
-        r.absorb(forked);
-        assert_eq!(r.report(), RunReport::disabled());
-    }
-
-    #[test]
-    fn mem_recorder_accumulates() {
-        let mut r = MemRecorder::new();
-        assert!(r.enabled());
-        r.counter_add("a", 2);
-        r.counter_add("a", 3);
-        r.gauge_max("g", 7);
-        r.gauge_max("g", 4);
-        r.device_counter_add("dc", 1, 10);
-        r.device_counter_add("dc", 1, 1);
-        r.device_gauge_max("dg", 2, 5);
-        assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("g"), Some(7));
-        assert_eq!(r.device_gauge("dg").unwrap()[&2], 5);
-        let per_device = r.report().per_device;
-        assert_eq!(per_device["dc"][&1], 11);
-        assert_eq!(per_device["dg"][&2], 5);
-        assert!(MemRecorder::from_recorder(&r).is_some());
-    }
-
-    #[test]
-    fn absorb_merges_order_independently() {
-        // Two shard recorders merged in either order give the same report.
-        let build = |order: [usize; 2]| {
-            let mut root = MemRecorder::new();
-            root.counter_add("frames", 1);
-            let mut shards: Vec<MemRecorder> = Vec::new();
-            for base in [10u64, 20u64] {
-                let mut s = MemRecorder::new();
-                s.counter_add("frames", base);
-                s.gauge_max("high", base * 2);
-                s.device_counter_add("churn", base as u32, base);
-                s.histogram_record("lat", base as f64);
-                shards.push(s);
-            }
-            let mut shards: Vec<Option<MemRecorder>> = shards.into_iter().map(Some).collect();
-            for i in order {
-                root.absorb(shards[i].take().unwrap());
-            }
-            root.report()
-        };
-        let a = build([0, 1]);
-        let b = build([1, 0]);
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.counters["frames"], 31);
-        assert_eq!(a.counters["high"], 40);
+        // A clone (an emulation fork's recorder) is off.
+        let copy = r.clone();
+        assert!(!copy.enabled() && !copy.profiling_enabled());
+        assert!(MemRecorder::from_recorder(&copy).is_none());
     }
 
     #[test]
@@ -300,9 +241,8 @@ mod tests {
 
     #[test]
     fn diagnostics_excluded_from_canonical_json() {
-        let mut r = MemRecorder::new();
-        r.counter_add("visible", 1);
-        let mut report = r.report();
+        let mut report = MemRecorder::new().report();
+        report.counters.insert("visible".to_string(), 1);
         report
             .diagnostics
             .insert("sim.engine.events_executed".to_string(), 9);
@@ -317,9 +257,9 @@ mod tests {
     fn profile_and_scaling_excluded_from_canonical_json() {
         let mut r = MemRecorder::new().with_profiling();
         assert!(r.profiling_enabled());
-        r.counter_add("visible", 1);
         r.profile_add(profile::keys::MOCKUP, 1234);
-        let report = r.report();
+        let mut report = r.report();
+        report.counters.insert("visible".to_string(), 1);
         assert!(!report.to_json().contains("profile"));
         let full = report.to_json_full();
         assert!(full.contains("\"profile\""));
@@ -334,27 +274,12 @@ mod tests {
 
     #[test]
     fn profiling_off_recorder_reports_no_profile_sections() {
-        let mut r = MemRecorder::new();
+        let r = MemRecorder::new();
         assert!(!r.profiling_enabled());
-        r.counter_add("visible", 1);
-        let report = r.report();
+        let mut report = r.report();
+        report.counters.insert("visible".to_string(), 1);
         assert!(report.profile.is_none() && report.memory.is_none());
         assert!(!report.to_json_full().contains("\"profile\""));
-    }
-
-    #[test]
-    fn shard_fork_inherits_profiling_and_absorb_merges_profile() {
-        let mut root = MemRecorder::with_trace_capacity(8).with_profiling();
-        let mut shard = root.fork();
-        assert!(shard.profiling_enabled());
-        assert!(!shard.trace_enabled(), "a shard never carries a trace sink");
-        shard.profile_add(profile::keys::PARALLEL_COMPUTE, 40);
-        root.profile_add(profile::keys::PARALLEL_COMPUTE, 2);
-        root.absorb(shard);
-        let report = root.report();
-        let p = report.profile.as_ref().unwrap();
-        assert_eq!(p.entries["sim.parallel.compute"].wall_ns, 42);
-        assert_eq!(p.entries["sim.parallel.compute"].count, 2);
     }
 
     #[test]
@@ -436,9 +361,10 @@ mod tests {
     #[test]
     fn summary_mentions_core_sections() {
         let mut r = MemRecorder::new();
-        r.counter_add("routing.bgp_updates_sent", 12);
         r.span("mockup", None, SimTime(0), SimTime(1_000_000_000));
-        let report = r.report().with_meta("seed", FieldValue::U64(42));
+        let mut report = r.report().with_meta("seed", FieldValue::U64(42));
+        let name = "routing.bgp_updates_sent".to_string();
+        report.counters.insert(name, 12);
         let s = report.summary();
         assert!(s.contains("seed=42"));
         assert!(s.contains("routing.bgp_updates_sent"));
@@ -448,9 +374,9 @@ mod tests {
 
     #[test]
     fn summary_surfaces_memory_and_fork_cow() {
-        let mut r = MemRecorder::new();
-        r.counter_add("routing.bgp_updates_sent", 12);
-        let mut report = r.report();
+        let mut report = MemRecorder::new().report();
+        let name = "routing.bgp_updates_sent".to_string();
+        report.counters.insert(name, 12);
         report.memory = Some(MemorySection {
             devices: DeviceMemTotals {
                 devices: 3,
