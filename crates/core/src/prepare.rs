@@ -145,10 +145,11 @@ fn originated_speakers(topo: &Topology, class: &Classification) -> SpeakerPlan {
             .map(|&p| {
                 (
                     p,
-                    Arc::new(PathAttrs {
+                    PathAttrs {
                         as_path: vec![dev.asn],
                         ..PathAttrs::originated(dev.loopback)
-                    }),
+                    }
+                    .intern(),
                 )
             })
             .collect();

@@ -22,8 +22,10 @@
 //! not: every device OS stays *one instance*, held by parent and
 //! child behind an `Arc`, until one side is about to write to it — then
 //! that side, and only that side, copies it first. The `Arc<PrepareOutput>`
-//! spine, the topology and the hash-consed
-//! `Arc<PathAttrs>`/`Arc<Provenance>` route entries are shared for good.
+//! spine and the topology are shared for good, and so are the hash-consed
+//! attribute sets and causal chains the route entries point at: they live
+//! as long as the process behind `Copy` handles, so the copy of a device's
+//! Adj-RIBs is a byte copy that touches no reference count.
 //! So a fork costs a few milliseconds whatever the fabric's size, a
 //! rehearsal's time and memory follow the devices the change *touches*
 //! (one for an ACL edit, ~70 of 504 for a leaf uplink drain on M-DC,

@@ -1,27 +1,23 @@
 //! BGP path attributes and route representation.
 //!
-//! Attributes are shared via [`std::sync::Arc`] so that a route announced
-//! to hundreds of devices costs one allocation — at L-DC scale the
-//! emulation holds O(20M) routing-table entries (Table 3) and this sharing
-//! is what keeps that affordable.
-//!
-//! On top of per-route sharing, [`PathAttrs::intern`] hash-conses attribute
-//! sets fleet-wide: structurally identical `PathAttrs` resolve to the *same*
-//! `Arc`, across devices and worker threads. In a Clos fabric most routes to
-//! a prefix carry one of a handful of attribute shapes, so interning
-//! collapses O(devices × prefixes) allocations to O(distinct shapes) — and
-//! it makes RIB diffing a pointer comparison (`Arc::ptr_eq`) in the common
-//! unchanged case.
+//! [`PathAttrs::intern`] hash-conses attribute sets fleet-wide:
+//! structurally identical `PathAttrs` resolve to the *same* [`Interned`]
+//! handle, across devices and worker threads. In a Clos fabric most routes
+//! to a prefix carry one of a handful of attribute shapes, so interning
+//! collapses O(devices × prefixes) allocations to O(distinct shapes) — at
+//! L-DC scale the emulation holds O(20M) routing-table entries (Table 3).
+//! A handle is a `Copy` reference, so an Adj-RIB entry is plain data:
+//! copying those tables copies bytes, and comparing two sets is one
+//! address comparison.
 
-use crate::intern::Interner;
+use crate::intern::{Interned, Interner};
 use crystalnet_net::{Asn, Ipv4Addr};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Lookups served from the table without allocating.
 static INTERN_HITS: AtomicU64 = AtomicU64::new(0);
-/// Lookups that allocated a new canonical `Arc`.
+/// Lookups that interned a new canonical set.
 static INTERN_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide interner statistics as `(hits, misses)` since process
@@ -116,34 +112,35 @@ impl PathAttrs {
 static INTERNER: Interner<PathAttrs> = Interner::new();
 
 impl PathAttrs {
-    /// Hash-conses `self`: returns the canonical shared `Arc` for this
+    /// Hash-conses `self`: returns the canonical handle for this
     /// attribute set, allocating only if no structurally equal set has been
     /// interned before.
     ///
     /// The guarantee callers rely on (and the differential tests assert):
-    /// two interned handles are [`Arc::ptr_eq`] **iff** their contents are
-    /// `==`. The table is process-wide and `Mutex`-guarded, so threads
-    /// share it safely; interning order never affects which value a
-    /// handle dereferences to, so it cannot perturb determinism.
+    /// two interned handles are `==` **iff** their contents are. The table
+    /// is process-wide and `Mutex`-guarded, so threads share it safely;
+    /// interning order never affects which value a handle dereferences to,
+    /// so it cannot perturb determinism.
     #[must_use]
-    pub fn intern(self) -> Arc<PathAttrs> {
-        let (arc, hit) = INTERNER.intern(self);
+    pub fn intern(self) -> Interned<PathAttrs> {
+        let (handle, hit) = INTERNER.intern(self);
         let counter = if hit { &INTERN_HITS } else { &INTERN_MISSES };
         counter.fetch_add(1, Ordering::Relaxed);
-        arc
+        handle
     }
 
-    /// Number of distinct attribute sets currently interned.
+    /// Number of distinct attribute sets interned since process start.
+    /// The table keeps every set it interns, so this follows the distinct
+    /// sets a process has seen, not the routes alive now.
     #[must_use]
     pub fn interned_count() -> usize {
         INTERNER.len()
     }
+}
 
-    /// Drops interned sets no longer referenced outside the table.
-    /// Long-lived processes running many emulations call this between runs
-    /// to keep the table proportional to live routes.
-    pub fn intern_sweep() {
-        INTERNER.sweep();
+impl Deserialize for Interned<PathAttrs> {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        PathAttrs::from_value(v).map(PathAttrs::intern)
     }
 }
 
@@ -200,28 +197,9 @@ mod tests {
         let ia = a.intern();
         let ib = b.intern();
         let ic = c.intern();
-        assert!(Arc::ptr_eq(&ia, &ib));
-        assert!(!Arc::ptr_eq(&ia, &ic));
+        assert!(ia == ib && ia.as_ptr() == ib.as_ptr());
+        assert!(ia != ic);
         assert_ne!(*ia, *ic);
-    }
-
-    #[test]
-    fn intern_sweep_drops_dead_entries() {
-        let unique = PathAttrs {
-            communities: vec![0xdead_beef],
-            ..PathAttrs::originated(Ipv4Addr(0xfeed))
-        };
-        let handle = unique.clone().intern();
-        PathAttrs::intern_sweep();
-        assert!(Arc::ptr_eq(&handle, &unique.clone().intern()));
-        drop(handle);
-        PathAttrs::intern_sweep();
-        // Re-interning after the sweep allocates a fresh canonical Arc;
-        // the table no longer pins the dead one. (Pointer identity with
-        // the old Arc is unobservable — it was freed — so just check the
-        // round trip still works.)
-        let again = unique.intern();
-        assert_eq!(again.communities, vec![0xdead_beef]);
     }
 
     #[test]

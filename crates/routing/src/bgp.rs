@@ -8,9 +8,10 @@
 //! install with hardware capacity limits (§2's blackhole incident), and
 //! the injectable firmware bugs of [`crate::vendor::Quirks`].
 //!
-//! Design notes for scale (Table 3's O(20M) routes): path attributes are
-//! `Arc`-shared; updates are batched per MRAI interval into single
-//! messages; the exporter skips peers whose AS already appears in the
+//! Design notes for scale (Table 3's O(20M) routes): path attributes and
+//! provenance are interned `Copy` handles, so the Adj-RIB tables are plain
+//! data that copies as bytes; updates are batched per MRAI interval into
+//! single messages; the exporter skips peers whose AS already appears in the
 //! path (sender-side loop check), which is what makes Clos fabrics with
 //! shared layer ASes converge in O(links) messages instead of O(links^2).
 //! A changed prefix's exported attributes are built once per event
@@ -31,6 +32,7 @@
 //! dirty-prefix buffers.
 
 use crate::attrs::{Origin, PathAttrs};
+use crate::intern::Interned;
 use crate::msg::{BgpMsg, Frame};
 use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
 use crate::provenance::{
@@ -44,24 +46,15 @@ use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The decision process's preference key; see [`BgpRouterOs::candidate_key`].
 type CandidateKey = (u32, Reverse<usize>, Reverse<Origin>, Reverse<u32>);
 
 /// Re-announced attributes by learned attribute set: keyed by the learned
-/// `Arc`'s address, holding that `Arc` (so the address cannot be freed and
-/// reused while the entry lives) and its `announced_by(asn, loopback)`
-/// rewrite, interned.
-type Reannounced = IdMap<usize, (Arc<PathAttrs>, Arc<PathAttrs>)>;
-
-/// Attr equality with the interner's pointer fast path: interned handles
-/// are `ptr_eq` iff structurally equal, so the deep comparison only runs
-/// for attrs that bypassed [`PathAttrs::intern`] (hand-built test fixtures).
-#[inline]
-fn same_attrs(a: &Arc<PathAttrs>, b: &Arc<PathAttrs>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
-}
+/// set's address (an interned value is never freed, so its address is
+/// never reused) and holding its `announced_by(asn, loopback)` rewrite,
+/// interned.
+type Reannounced = IdMap<usize, Interned<PathAttrs>>;
 
 /// Sentinel interface index meaning "locally attached / deliver here".
 pub const LOCAL_IFACE: u32 = u32::MAX;
@@ -91,23 +84,32 @@ enum RouteSource {
 #[derive(Debug, Clone)]
 struct LocEntry {
     /// Attributes as learned/originated (pre-export).
-    attrs: Arc<PathAttrs>,
+    attrs: Interned<PathAttrs>,
     source: RouteSource,
     /// ECMP peer indexes (empty for local/aggregate).
     ecmp: Vec<usize>,
     /// Monotonic change tick (drives timing-dependent aggregate
     /// contributor selection, the §9 non-determinism).
     changed_tick: u64,
-    /// Causal chain of the winning path (interned; cloned from the
+    /// Causal chain of the winning path (interned; copied from the
     /// Adj-RIB-In entry for learned routes, so no per-decision work).
-    prov: Arc<Provenance>,
+    prov: Interned<Provenance>,
     /// Why the winning path won.
     reason: DecisionReason,
 }
 
 /// An Adj-RIB entry: attributes plus the causal chain that announced them
-/// (both interned, so cloning the pair is two refcount bumps).
-type RibAttrs = (Arc<PathAttrs>, Arc<Provenance>);
+/// (both interned, so the pair is sixteen bytes of plain data).
+type RibAttrs = (Interned<PathAttrs>, Interned<Provenance>);
+
+// Every Adj-RIB-In, Adj-RIB-Out and MRAI table is copied whole when a
+// fork writes to a device; a counted field here would make that copy
+// visit every entry again.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<RibAttrs>();
+    assert_copy::<Option<RibAttrs>>();
+};
 
 #[derive(Debug, Clone)]
 struct Peer {
@@ -154,7 +156,9 @@ pub struct BgpRouterOs {
     loc_rib: PrefixMap<LocEntry>,
     fib: Fib,
     /// The ASIC view for images with an external forwarding emulator
-    /// (CTNR-B + BMv2, §6.2); `None` for single-FIB vendors.
+    /// (CTNR-B + BMv2, §6.2) whose sync layer can diverge from the kernel
+    /// table (the Case-2 `skip_default_route_fib` build); `None` wherever
+    /// it would only repeat the kernel FIB.
     asic_fib: Option<Fib>,
     /// Prefixes to re-decide, in arrival order with repeats; the decision
     /// pass sorts and dedups them, then reuses the buffer.
@@ -189,7 +193,8 @@ impl BgpRouterOs {
     /// router id unset.
     #[must_use]
     pub fn new(profile: VendorProfile, config: DeviceConfig, loopback: Ipv4Addr) -> Self {
-        let has_asic = profile.vendor == crystalnet_net::Vendor::CtnrB;
+        let has_asic = profile.vendor == crystalnet_net::Vendor::CtnrB
+            && profile.quirks.skip_default_route_fib;
         let mut os = BgpRouterOs {
             profile,
             hostname: config.hostname.clone(),
@@ -251,11 +256,11 @@ impl BgpRouterOs {
 
     /// The Loc-RIB as `(prefix, attrs, ecmp-width)` rows.
     #[must_use]
-    pub fn loc_rib(&self) -> Vec<(Ipv4Prefix, Arc<PathAttrs>, usize)> {
+    pub fn loc_rib(&self) -> Vec<(Ipv4Prefix, Interned<PathAttrs>, usize)> {
         let mut rows: Vec<_> = self
             .loc_rib
             .iter()
-            .map(|(p, e)| (*p, e.attrs.clone(), e.ecmp.len()))
+            .map(|(p, e)| (*p, e.attrs, e.ecmp.len()))
             .collect();
         rows.sort_by_key(|(p, _, _)| *p);
         rows
@@ -429,17 +434,18 @@ impl BgpRouterOs {
     fn flush_mrai(&mut self, actions: &mut OsActions) {
         self.mrai_armed = false;
         for peer in &mut self.peers {
-            if peer.state != SessionState::Established || peer.pending.is_empty() {
-                peer.pending.clear();
+            // Taking the batch frees its table: an emptied one would keep
+            // its capacity, and every later OS copy would copy that too.
+            let pending = std::mem::take(&mut peer.pending);
+            if peer.state != SessionState::Established || pending.is_empty() {
                 continue;
             }
             let mut announced = Vec::new();
             let mut withdrawn = Vec::new();
-            for (prefix, change) in peer.pending.drain() {
+            for (prefix, change) in pending {
                 match change {
                     Some((attrs, prov)) => {
-                        peer.advertised
-                            .insert(prefix, (attrs.clone(), prov.clone()));
+                        peer.advertised.insert(prefix, (attrs, prov));
                         announced.push((prefix, attrs, prov));
                     }
                     None => {
@@ -470,7 +476,7 @@ impl BgpRouterOs {
 
     /// Returns `Cow::Borrowed` when the matching entry permits without
     /// modifying anything — the common "filter only" policy — so callers
-    /// can keep the original allocation (and its interned `Arc`).
+    /// can keep the original interned handle.
     fn apply_route_map<'a>(
         &self,
         map: &RouteMap,
@@ -526,7 +532,7 @@ impl BgpRouterOs {
         prefix: Ipv4Prefix,
         entry: &LocEntry,
         memo: &mut Reannounced,
-    ) -> Option<Arc<PathAttrs>> {
+    ) -> Option<Interned<PathAttrs>> {
         // Firmware bug: stop announcing locally originated networks.
         if self.profile.quirks.stop_announcing_networks && entry.source == RouteSource::Local {
             return None;
@@ -535,13 +541,10 @@ impl BgpRouterOs {
         if self.suppressed_by_aggregate(prefix, entry.source) {
             return None;
         }
-        let (_, announced) = memo
-            .entry(Arc::as_ptr(&entry.attrs) as usize)
-            .or_insert_with(|| {
-                let announced = entry.attrs.announced_by(self.asn, self.loopback);
-                (Arc::clone(&entry.attrs), announced.intern())
-            });
-        Some(Arc::clone(announced))
+        let announced = memo
+            .entry(entry.attrs.as_ptr() as usize)
+            .or_insert_with(|| entry.attrs.announced_by(self.asn, self.loopback).intern());
+        Some(*announced)
     }
 
     /// The causal chain an export carries: extended by this router's hop
@@ -550,10 +553,10 @@ impl BgpRouterOs {
     /// *current* event, so the chain is good for the event being handled
     /// and must not be kept beyond it — and is built only for an export
     /// that is actually queued toward some peer.
-    fn export_chain(&self, entry: &LocEntry) -> Arc<Provenance> {
+    fn export_chain(&self, entry: &LocEntry) -> Interned<Provenance> {
         match entry.source {
             RouteSource::Peer(_) => entry.prov.extended(self.router_id, self.cur_event),
-            RouteSource::Local | RouteSource::Aggregate => entry.prov.clone(),
+            RouteSource::Local | RouteSource::Aggregate => entry.prov,
         }
     }
 
@@ -569,8 +572,8 @@ impl BgpRouterOs {
         prefix: Ipv4Prefix,
         entry: &LocEntry,
         memo: &mut Reannounced,
-        base: &mut Option<Option<Arc<PathAttrs>>>,
-    ) -> Option<Arc<PathAttrs>> {
+        base: &mut Option<Option<Interned<PathAttrs>>>,
+    ) -> Option<Interned<PathAttrs>> {
         let peer = &self.peers[idx];
         // Split horizon: never export back to the (best) source peer.
         if entry.source == RouteSource::Peer(idx) {
@@ -581,15 +584,13 @@ impl BgpRouterOs {
         if peer.remote_as == self.asn || entry.attrs.contains_as(peer.remote_as) {
             return None;
         }
-        let base = base
-            .get_or_insert_with(|| self.export_attrs(prefix, entry, memo))
-            .as_ref()?;
+        let base = (*base.get_or_insert_with(|| self.export_attrs(prefix, entry, memo)))?;
         let Some(name) = &peer.route_map_out else {
-            return Some(Arc::clone(base));
+            return Some(base);
         };
         let map = self.config.route_maps.get(name)?;
-        match self.apply_route_map(map, prefix, base)? {
-            Cow::Borrowed(_) => Some(Arc::clone(base)),
+        match self.apply_route_map(map, prefix, &base)? {
+            Cow::Borrowed(_) => Some(base),
             Cow::Owned(modified) => Some(modified.intern()),
         }
     }
@@ -698,13 +699,13 @@ impl BgpRouterOs {
                     None if equal_count > ecmp.len() => DecisionReason::LowerPeerAddr,
                     None => DecisionReason::OnlyCandidate,
                 };
-                let (attrs, prov) = &self.peers[bidx].adj_in[&prefix];
+                let (attrs, prov) = self.peers[bidx].adj_in[&prefix];
                 LocEntry {
-                    attrs: attrs.clone(),
+                    attrs,
                     source: RouteSource::Peer(bidx),
                     ecmp,
                     changed_tick: self.change_tick,
-                    prov: prov.clone(),
+                    prov,
                     reason,
                 }
             })
@@ -717,7 +718,7 @@ impl BgpRouterOs {
         // session machine keeps), so the fan-out would queue nothing.
         let (unchanged, same_export) = match (&old, &new_entry) {
             (Some(o), Some(n)) => {
-                let same_export = same_attrs(&o.attrs, &n.attrs) && o.source == n.source;
+                let same_export = o.attrs == n.attrs && o.source == n.source;
                 (same_export && o.ecmp == n.ecmp, same_export)
             }
             (None, None) => (true, false),
@@ -765,7 +766,7 @@ impl BgpRouterOs {
         self.mutations.push(RouteMutation {
             prefix,
             kind,
-            prov: entry.map(|e| e.prov.clone()),
+            prov: entry.map(|e| e.prov),
             reason: entry.map(|e| e.reason),
         });
     }
@@ -837,17 +838,15 @@ impl BgpRouterOs {
                 // Same attrs toward this peer ⇒ nothing to send; the
                 // provenance is not compared because an attr-identical
                 // re-export carries no new routing information.
-                (Some((_, attrs)), Some(current)) => same_attrs(attrs, &current.0),
+                (Some((_, attrs)), Some(current)) => *attrs == current.0,
                 (None, None) => true,
                 _ => false,
             };
             if unchanged {
                 continue;
             }
-            let change = exported.map(|(e, attrs)| {
-                let prov = chain.get_or_insert_with(|| self.export_chain(e));
-                (attrs, Arc::clone(prov))
-            });
+            let change = exported
+                .map(|(e, attrs)| (attrs, *chain.get_or_insert_with(|| self.export_chain(e))));
             actions.route_ops += 1;
             self.peers[idx].pending.insert(prefix, change);
         }
@@ -870,7 +869,7 @@ impl BgpRouterOs {
                 // Timing-dependent selection: the most recently changed
                 // contributor wins — the §9 non-determinism source.
                 .max_by_key(|(p, e)| (e.changed_tick, **p))
-                .map(|(p, e)| (*p, e.attrs.clone()));
+                .map(|(p, e)| (*p, e.attrs));
 
             match contributor {
                 Some((_, contrib_attrs)) => {
@@ -894,7 +893,7 @@ impl BgpRouterOs {
                     let changed = self
                         .loc_rib
                         .get(&agg.prefix)
-                        .is_none_or(|e| !same_attrs(&e.attrs, &attrs));
+                        .is_none_or(|e| e.attrs != attrs);
                     if changed {
                         self.change_tick += 1;
                         let entry = LocEntry {
@@ -1010,8 +1009,8 @@ impl BgpRouterOs {
                                 self.apply_route_map(map, prefix, &attrs)
                                     .map(|out| match out {
                                         // Permitted unmodified: keep the
-                                        // sender's (interned) Arc as-is.
-                                        Cow::Borrowed(_) => Arc::clone(&attrs),
+                                        // sender's interned handle.
+                                        Cow::Borrowed(_) => attrs,
                                         Cow::Owned(modified) => modified.intern(),
                                     })
                             }
@@ -1028,7 +1027,7 @@ impl BgpRouterOs {
                             let known = self.peers[idx]
                                 .adj_in
                                 .get(&prefix)
-                                .is_some_and(|cur| same_attrs(&cur.0, &a));
+                                .is_some_and(|cur| cur.0 == a);
                             if !known {
                                 self.peers[idx].adj_in.insert(prefix, (a, prov));
                                 self.dirty.push(prefix);
@@ -1060,11 +1059,8 @@ impl BgpRouterOs {
                     return;
                 }
                 let peer = &mut self.peers[idx];
-                let replay: Vec<(Ipv4Prefix, RibAttrs)> = peer
-                    .advertised
-                    .iter()
-                    .map(|(p, r)| (*p, r.clone()))
-                    .collect();
+                let replay: Vec<(Ipv4Prefix, RibAttrs)> =
+                    peer.advertised.iter().map(|(p, r)| (*p, *r)).collect();
                 actions.route_ops += replay.len();
                 for (prefix, rib) in replay {
                     peer.pending.entry(prefix).or_insert(Some(rib));
@@ -1388,14 +1384,14 @@ impl DeviceOs for BgpRouterOs {
         }
     }
 
-    fn adj_rib_in(&self, iface: u32) -> Vec<(Ipv4Prefix, Arc<PathAttrs>)> {
+    fn adj_rib_in(&self, iface: u32) -> Vec<(Ipv4Prefix, Interned<PathAttrs>)> {
         let Some(idx) = self.peer_on(iface) else {
             return Vec::new();
         };
-        let mut rows: Vec<(Ipv4Prefix, Arc<PathAttrs>)> = self.peers[idx]
+        let mut rows: Vec<(Ipv4Prefix, Interned<PathAttrs>)> = self.peers[idx]
             .adj_in
             .iter()
-            .map(|(p, (a, _))| (*p, a.clone()))
+            .map(|(p, (a, _))| (*p, *a))
             .collect();
         rows.sort_by_key(|(p, _)| *p);
         rows
@@ -1418,8 +1414,8 @@ impl DeviceOs for BgpRouterOs {
 
     fn route_detail(&self, prefix: Ipv4Prefix) -> Option<RouteDetail> {
         self.loc_rib.get(&prefix).map(|e| RouteDetail {
-            attrs: e.attrs.clone(),
-            prov: e.prov.clone(),
+            attrs: e.attrs,
+            prov: e.prov,
             reason: e.reason,
         })
     }
@@ -1436,8 +1432,8 @@ impl DeviceOs for BgpRouterOs {
                 (
                     *p,
                     RouteDetail {
-                        attrs: e.attrs.clone(),
-                        prov: e.prov.clone(),
+                        attrs: e.attrs,
+                        prov: e.prov,
                         reason: e.reason,
                     },
                 )

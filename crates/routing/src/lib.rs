@@ -16,7 +16,7 @@ pub mod attrs;
 pub mod bgp;
 pub mod harness;
 pub mod health;
-mod intern;
+pub mod intern;
 pub mod msg;
 pub mod os;
 pub mod ospf;
@@ -32,6 +32,7 @@ pub use harness::{ControlPlaneSim, ControlPlaneWorld, UniformWorkModel, WorkKind
 pub use health::{
     GrayFailureWitness, HealthState, Incident, IncidentKind, PairStats, ProbeConfig, ProbeOutcome,
 };
+pub use intern::Interned;
 pub use msg::{BgpMsg, Frame, OspfMsg};
 pub use os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
 pub use ospf::{elect_dr_bdr, OspfRouterOs, RouterLsa};

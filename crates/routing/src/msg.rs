@@ -3,11 +3,12 @@
 //! The emulation's virtual links carry two traffic classes: control
 //! messages (BGP/OSPF sessions between device firmwares) and data packets
 //! (operator-injected probes, ARP). Control messages travel as structured
-//! values shared via `Arc` — one allocation per announcement batch no
-//! matter how many links it crosses — while data packets use the real wire
-//! encodings from `crystalnet-dataplane`.
+//! values whose route attributes are interned handles — a copied address
+//! per prefix, no matter how many links it crosses — while data packets
+//! use the real wire encodings from `crystalnet-dataplane`.
 
 use crate::attrs::PathAttrs;
+use crate::intern::Interned;
 use crate::provenance::Provenance;
 use crystalnet_dataplane::{ArpMessage, Ipv4Packet};
 use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
@@ -39,8 +40,8 @@ pub enum BgpMsg {
     Update {
         /// Newly announced prefixes with their attributes and the causal
         /// chain that produced them (both interned, so the fan-out cost
-        /// per link is two `Arc` clones per prefix).
-        announced: Vec<(Ipv4Prefix, Arc<PathAttrs>, Arc<Provenance>)>,
+        /// per link is two copied handles per prefix).
+        announced: Vec<(Ipv4Prefix, Interned<PathAttrs>, Interned<Provenance>)>,
         /// Withdrawn prefixes.
         withdrawn: Vec<Ipv4Prefix>,
     },
@@ -127,7 +128,7 @@ impl Frame {
 mod tests {
     use super::*;
 
-    fn test_prov() -> Arc<Provenance> {
+    fn test_prov() -> Interned<Provenance> {
         Provenance::originated(
             crate::provenance::OriginKind::Network,
             Ipv4Addr(1),
@@ -137,11 +138,11 @@ mod tests {
 
     #[test]
     fn update_route_ops() {
-        let attrs = Arc::new(PathAttrs::originated(Ipv4Addr(1)));
+        let attrs = PathAttrs::originated(Ipv4Addr(1)).intern();
         let prov = test_prov();
         let m = BgpMsg::Update {
             announced: vec![
-                ("10.0.0.0/24".parse().unwrap(), attrs.clone(), prov.clone()),
+                ("10.0.0.0/24".parse().unwrap(), attrs, prov),
                 ("10.0.1.0/24".parse().unwrap(), attrs, prov),
             ],
             withdrawn: vec!["10.0.2.0/24".parse().unwrap()],
@@ -164,16 +165,46 @@ mod tests {
 
     #[test]
     fn shared_attrs_are_cheap_to_fan_out() {
-        let attrs = Arc::new(PathAttrs::originated(Ipv4Addr(1)));
+        let attrs = PathAttrs::originated(Ipv4Addr(1)).intern();
         let prov = test_prov();
         let updates: Vec<BgpMsg> = (0..100)
             .map(|_| BgpMsg::Update {
-                announced: vec![("10.0.0.0/24".parse().unwrap(), attrs.clone(), prov.clone())],
+                announced: vec![("10.0.0.0/24".parse().unwrap(), attrs, prov)],
                 withdrawn: vec![],
             })
             .collect();
-        assert_eq!(Arc::strong_count(&attrs), 101);
-        drop(updates);
-        assert_eq!(Arc::strong_count(&attrs), 1);
+        // Every copy is the one interned set and the one chain: the
+        // fan-out duplicated addresses, not values.
+        for update in &updates {
+            let (_, a, p) = announced_of(update)[0];
+            assert!(a.as_ptr() == attrs.as_ptr() && p.as_ptr() == prov.as_ptr());
+        }
+    }
+
+    fn announced_of(m: &BgpMsg) -> &[(Ipv4Prefix, Interned<PathAttrs>, Interned<Provenance>)] {
+        match m {
+            BgpMsg::Update { announced, .. } => announced,
+            _ => &[],
+        }
+    }
+
+    #[test]
+    fn decoded_updates_carry_the_interned_handles() {
+        let attrs = PathAttrs {
+            as_path: vec![Asn(65_001), Asn(65_002)],
+            communities: vec![0x5ede_0001],
+            ..PathAttrs::originated(Ipv4Addr(7))
+        }
+        .intern();
+        let prov =
+            test_prov().extended(Ipv4Addr(2), crystalnet_sim::EventId { time_ns: 3, key: 4 });
+        let sent = BgpMsg::Update {
+            announced: vec![("10.0.0.0/24".parse().unwrap(), attrs, prov)],
+            withdrawn: vec!["10.0.1.0/24".parse().unwrap()],
+        };
+        let back: BgpMsg = Deserialize::from_value(&sent.to_value()).expect("round trip");
+        assert_eq!(back, sent);
+        let (_, a, p) = announced_of(&back)[0];
+        assert!(a.as_ptr() == attrs.as_ptr() && p.as_ptr() == prov.as_ptr());
     }
 }

@@ -9,6 +9,7 @@
 //! [`crate::speaker::SpeakerOs`] — without knowing which firmware they are,
 //! exactly as the paper's unified PhyNet container layer does (§4.1).
 
+use crate::intern::Interned;
 use crate::msg::Frame;
 use crate::provenance::{RouteDetail, RouteMutation};
 use crystalnet_config::{Acl, DeviceConfig};
@@ -176,7 +177,7 @@ pub trait DeviceOs: Send + Sync {
     /// Snapshot of the routes received from the peer on `iface` (the
     /// Adj-RIB-In). `Prepare` records these as the "routes from boundary"
     /// that speaker scripts replay (§3.2, §5.1). Default: none.
-    fn adj_rib_in(&self, iface: u32) -> Vec<(Ipv4Prefix, std::sync::Arc<crate::attrs::PathAttrs>)> {
+    fn adj_rib_in(&self, iface: u32) -> Vec<(Ipv4Prefix, Interned<crate::attrs::PathAttrs>)> {
         let _ = iface;
         Vec::new()
     }
@@ -227,11 +228,10 @@ pub trait DeviceOs: Send + Sync {
 
     /// Deep-copies this OS instance, boxed — how the harness unshares
     /// an OS an emulation and its forks still hold together, right
-    /// before the first write to it. RIB/FIB attribute and provenance
-    /// entries are interned `Arc`s, so the copy shares unchanged route
-    /// state structurally (two refcount bumps per entry) instead of
-    /// duplicating it; everything mutable (session state, timers, FIB
-    /// indexes) is owned by the copy.
+    /// before the first write to it. RIB attribute and provenance
+    /// entries are interned `Copy` handles, so the copy shares the route
+    /// values and duplicates only the addresses, as bytes; everything
+    /// mutable (session state, timers, FIB indexes) is owned by the copy.
     fn clone_boxed(&self) -> Box<dyn DeviceOs>;
 }
 

@@ -12,14 +12,18 @@
 //! [`PathAttrs`](crate::attrs::PathAttrs): in a Clos fabric thousands of
 //! routes share a handful of propagation shapes, so interning keeps the
 //! hot path clone-free — adj-RIB-in entries, Loc-RIB entries and exported
-//! updates all hold the same `Arc`.
+//! updates all hold the same `Copy` [`Interned`] handle.
+//!
+//! The table keeps every chain it interns. A chain names the events that
+//! carried it, so a long-lived process's table grows with the distinct
+//! chains its runs produce: a rerun whose events fire at the same
+//! instants adds nothing, a run that moves them adds its own.
 
-use crate::intern::Interner;
+use crate::intern::{Interned, Interner};
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::EventId;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What kind of origination started a route's causal chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -85,8 +89,8 @@ pub struct Provenance {
 /// hashing skips, so it never changes which chains intern together. 0
 /// means "not computed yet" (a chain whose digest really is 0 is simply
 /// recomputed). Eight bytes, not a `OnceLock<u64>`'s sixteen: the
-/// interned `Arc` then stays in the allocator size class the chain
-/// already used.
+/// interned chain then stays in the allocator size class it already
+/// used.
 #[derive(Default)]
 struct DigestCell(AtomicU64);
 
@@ -126,7 +130,7 @@ static INTERNER: Interner<Provenance> = Interner::new();
 impl Provenance {
     /// Interns a freshly originated chain (no hops yet).
     #[must_use]
-    pub fn originated(kind: OriginKind, router: Ipv4Addr, event: EventId) -> Arc<Provenance> {
+    pub fn originated(kind: OriginKind, router: Ipv4Addr, event: EventId) -> Interned<Provenance> {
         Provenance {
             origin_kind: kind,
             origin_router: router,
@@ -139,9 +143,9 @@ impl Provenance {
 
     /// Interns a copy of `self` extended by one propagation hop. The BGP
     /// exporter calls this once per prefix and event that some peer is
-    /// actually sent; the peers of the fan-out share the returned `Arc`.
+    /// actually sent; the peers of the fan-out share the returned handle.
     #[must_use]
-    pub fn extended(&self, router_id: Ipv4Addr, event: EventId) -> Arc<Provenance> {
+    pub fn extended(&self, router_id: Ipv4Addr, event: EventId) -> Interned<Provenance> {
         let mut hops = Vec::with_capacity(self.hops.len() + 1);
         hops.extend_from_slice(&self.hops);
         hops.push(ProvHop { router_id, event });
@@ -155,22 +159,17 @@ impl Provenance {
         .intern()
     }
 
-    /// Hash-conses `self`: two interned handles are `Arc::ptr_eq` iff
-    /// their contents are `==`.
+    /// Hash-conses `self`: two interned handles are `==` iff their
+    /// contents are.
     #[must_use]
-    pub fn intern(self) -> Arc<Provenance> {
+    pub fn intern(self) -> Interned<Provenance> {
         INTERNER.intern(self).0
     }
 
-    /// Number of distinct chains currently interned.
+    /// Number of distinct chains interned since process start.
     #[must_use]
     pub fn interned_count() -> usize {
         INTERNER.len()
-    }
-
-    /// Drops interned chains no longer referenced outside the table.
-    pub fn intern_sweep() {
-        INTERNER.sweep();
     }
 
     /// The device chain implied by the provenance: origin router first,
@@ -190,12 +189,12 @@ impl Provenance {
     /// deterministic for a fixed seed.
     ///
     /// Computed on the first call and cached in the chain, so every later
-    /// read of the same interned `Arc` is one load. Interning never
+    /// read of the same interned chain is one load. Interning never
     /// computes it: the interner's hit path stays digest-free. Two threads
     /// racing on the first call both store the same value. The cache
     /// assumes the chain is not edited after it was digested, which holds
-    /// for every interned chain (an `Arc` is immutable); a clone starts
-    /// with an empty cache.
+    /// for every interned chain (a handle gives no mutable access); a
+    /// clone starts with an empty cache.
     #[must_use]
     pub fn digest(&self) -> u64 {
         match self.digest.0.load(Ordering::Relaxed) {
@@ -234,6 +233,12 @@ impl Provenance {
             eat(hop.event.key);
         }
         h
+    }
+}
+
+impl Deserialize for Interned<Provenance> {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Provenance::from_value(v).map(Provenance::intern)
     }
 }
 
@@ -306,7 +311,7 @@ pub struct RouteMutation {
     /// Install or remove.
     pub kind: MutationKind,
     /// Provenance of the winning path (`None` for removals).
-    pub prov: Option<Arc<Provenance>>,
+    pub prov: Option<Interned<Provenance>>,
     /// Decision reason for the winning path (`None` for removals).
     pub reason: Option<DecisionReason>,
 }
@@ -315,9 +320,9 @@ pub struct RouteMutation {
 #[derive(Debug, Clone)]
 pub struct RouteDetail {
     /// The winning path's attributes.
-    pub attrs: Arc<crate::attrs::PathAttrs>,
+    pub attrs: Interned<crate::attrs::PathAttrs>,
     /// The winning path's causal chain.
-    pub prov: Arc<Provenance>,
+    pub prov: Interned<Provenance>,
     /// Why it won.
     pub reason: DecisionReason,
 }
@@ -334,11 +339,11 @@ mod tests {
     fn interning_shares_equal_chains() {
         let a = Provenance::originated(OriginKind::Speaker, Ipv4Addr(900_001), ev(5, 7));
         let b = Provenance::originated(OriginKind::Speaker, Ipv4Addr(900_001), ev(5, 7));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(a == b && a.as_ptr() == b.as_ptr());
         let c = a.extended(Ipv4Addr(900_002), ev(9, 11));
         let d = a.extended(Ipv4Addr(900_002), ev(9, 11));
-        assert!(Arc::ptr_eq(&c, &d));
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(c == d && c.as_ptr() == d.as_ptr());
+        assert!(a != c);
         assert_eq!(c.hops.len(), 1);
         assert_eq!(c.origin_router, Ipv4Addr(900_001));
     }
@@ -373,13 +378,13 @@ mod tests {
         let a = Provenance::originated(OriginKind::Network, Ipv4Addr(700_001), ev(3, 4));
         let b = a.extended(Ipv4Addr(700_002), ev(5, 6));
         let c = (*b).clone().intern();
-        assert!(Arc::ptr_eq(&b, &c));
+        assert_eq!(b, c);
         assert_eq!((cached(&a), cached(&b)), (0, 0));
         assert_eq!(b.digest(), b.fnv());
         assert_eq!(cached(&b), b.fnv());
         // A hit hands back the digested handle, cache intact.
         let d = a.extended(Ipv4Addr(700_002), ev(5, 6));
-        assert!(Arc::ptr_eq(&b, &d) && cached(&d) == b.fnv());
+        assert!(b == d && cached(&d) == b.fnv());
         assert_eq!(cached(&a), 0);
     }
 
@@ -400,7 +405,7 @@ mod tests {
         let hasher = BuildHasherDefault::<crystalnet_net::PrefixHasher>::default();
         assert_eq!(hasher.hash_one(&digested), hasher.hash_one(&fresh));
         assert_eq!(format!("{digested:?}"), format!("{fresh:?}"));
-        assert!(Arc::ptr_eq(&digested.intern(), &fresh.intern()));
+        assert_eq!(digested.intern(), fresh.intern());
 
         // Serde skips it: nothing extra on the wire, empty on the way back.
         let v = serde::Serialize::to_value(&*base);

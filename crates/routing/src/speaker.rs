@@ -9,6 +9,7 @@
 //! likewise "does not reflect announcements to other peers", §6.2.)
 
 use crate::attrs::PathAttrs;
+use crate::intern::Interned;
 use crate::msg::{BgpMsg, Frame};
 use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent};
 use crate::provenance::{OriginKind, Provenance};
@@ -16,13 +17,12 @@ use crystalnet_dataplane::Fib;
 use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::{EventId, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The announcement program for one speaker session.
 #[derive(Debug, Clone, Default)]
 pub struct SpeakerScript {
     /// Routes to announce once the session is up.
-    pub routes: Vec<(Ipv4Prefix, Arc<PathAttrs>)>,
+    pub routes: Vec<(Ipv4Prefix, Interned<PathAttrs>)>,
 }
 
 /// A static BGP speaker standing in for one external device.
@@ -38,7 +38,7 @@ pub struct SpeakerOs {
     established: BTreeMap<u32, Option<u64>>,
     /// Everything received from boundary devices, dumped for analysis
     /// ("dump the received announcements for potential analysis", §6.2).
-    received: Vec<(u32, Ipv4Prefix, Option<Arc<PathAttrs>>)>,
+    received: Vec<(u32, Ipv4Prefix, Option<Interned<PathAttrs>>)>,
     fib: Fib,
     down: bool,
     /// Incarnation counter mixed into the session token. A speaker agent
@@ -105,7 +105,7 @@ impl SpeakerOs {
     /// Everything received (announcements as `Some`, withdrawals as
     /// `None`), in arrival order.
     #[must_use]
-    pub fn received(&self) -> &[(u32, Ipv4Prefix, Option<Arc<PathAttrs>>)] {
+    pub fn received(&self) -> &[(u32, Ipv4Prefix, Option<Interned<PathAttrs>>)] {
         &self.received
     }
 
@@ -120,17 +120,13 @@ impl SpeakerOs {
             if !script.routes.is_empty() {
                 actions.route_ops += script.routes.len();
                 // Every scripted route starts a Speaker-kind causal chain
-                // here: one interner hit per event, free clones after.
+                // here: one interner hit per event, free copies after.
                 let prov =
                     Provenance::originated(OriginKind::Speaker, self.router_id, self.cur_event);
                 actions.out.push((
                     iface,
                     Frame::Bgp(BgpMsg::Update {
-                        announced: script
-                            .routes
-                            .iter()
-                            .map(|(p, a)| (*p, a.clone(), prov.clone()))
-                            .collect(),
+                        announced: script.routes.iter().map(|&(p, a)| (p, a, prov)).collect(),
                         withdrawn: vec![],
                     }),
                 ));
@@ -271,10 +267,11 @@ mod tests {
         SpeakerScript {
             routes: vec![(
                 prefix.parse().unwrap(),
-                Arc::new(PathAttrs {
+                PathAttrs {
                     as_path: vec![Asn(64600)],
                     ..PathAttrs::originated(Ipv4Addr(1))
-                }),
+                }
+                .intern(),
             )],
         }
     }
@@ -344,7 +341,7 @@ mod tests {
             },
         );
         // An update arrives from the boundary: recorded, nothing sent.
-        let attrs = Arc::new(PathAttrs::originated(Ipv4Addr(7)));
+        let attrs = PathAttrs::originated(Ipv4Addr(7)).intern();
         let prov = Provenance::originated(
             OriginKind::Network,
             Ipv4Addr(7),

@@ -8,11 +8,11 @@ use crystalnet_config::{BgpConfig, DeviceConfig, InterfaceConfig, NeighborConfig
 use crystalnet_net::{Asn, Ipv4Addr, Ipv4Cidr, Ipv4Prefix};
 use crystalnet_routing::attrs::PathAttrs;
 use crystalnet_routing::{
-    BgpMsg, BgpRouterOs, DeviceOs, Frame, OsActions, OsEvent, Provenance, TimerKind, VendorProfile,
+    BgpMsg, BgpRouterOs, DeviceOs, Frame, Interned, OsActions, OsEvent, Provenance, TimerKind,
+    VendorProfile,
 };
 use crystalnet_sim::{EventId, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The router under test.
 pub const LOCAL_AS: Asn = Asn(65000);
@@ -20,7 +20,7 @@ pub const LOCAL_AS: Asn = Asn(65000);
 pub const LOOPBACK: Ipv4Addr = Ipv4Addr::new(10, 255, 0, 1);
 
 /// One announced route as it travels in an UPDATE.
-pub type Announced = (Ipv4Prefix, Arc<PathAttrs>, Arc<Provenance>);
+pub type Announced = (Ipv4Prefix, Interned<PathAttrs>, Interned<Provenance>);
 
 /// A configured neighbour; peer `i` sits on interface `i`.
 #[derive(Debug, Clone)]

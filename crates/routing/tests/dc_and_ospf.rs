@@ -7,7 +7,6 @@ use crystalnet_routing::{
     ControlPlaneSim, OspfRouterOs, PathAttrs, SpeakerOs, SpeakerScript, UniformWorkModel,
 };
 use crystalnet_sim::{SimDuration, SimTime};
-use std::sync::Arc;
 
 fn work() -> Box<UniformWorkModel> {
     Box::new(UniformWorkModel {
@@ -118,17 +117,19 @@ fn speaker_feeds_boundary_device_and_stays_static() {
             routes: vec![
                 (
                     p("0.0.0.0/0"),
-                    Arc::new(PathAttrs {
+                    PathAttrs {
                         as_path: vec![crystalnet_net::Asn(64600)],
                         ..PathAttrs::originated("172.31.0.2".parse().unwrap())
-                    }),
+                    }
+                    .intern(),
                 ),
                 (
                     p("40.0.1.0/24"),
-                    Arc::new(PathAttrs {
+                    PathAttrs {
                         as_path: vec![crystalnet_net::Asn(64600), crystalnet_net::Asn(64601)],
                         ..PathAttrs::originated("172.31.0.2".parse().unwrap())
-                    }),
+                    }
+                    .intern(),
                 ),
             ],
         },

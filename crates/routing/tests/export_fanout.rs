@@ -28,22 +28,22 @@ use crystalnet_config::{
 use crystalnet_net::{Asn, Ipv4Prefix};
 use crystalnet_routing::attrs::{intern_stats, PathAttrs};
 use crystalnet_routing::{
-    BgpMsg, BgpRouterOs, DecisionReason, DeviceOs, FibOverflow, MgmtCommand, OriginKind, OsEvent,
-    Provenance, Quirks, VendorProfile,
+    BgpMsg, BgpRouterOs, DecisionReason, DeviceOs, FibOverflow, Interned, MgmtCommand, OriginKind,
+    OsEvent, Provenance, Quirks, VendorProfile,
 };
 use crystalnet_sim::EventId;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The interner's counters are process-wide and the harness runs a
 /// binary's tests on parallel threads: both tests hold this while they
 /// drive a router, so the counting one sees only its own interning.
 static ROUTER_AT_WORK: Mutex<()> = Mutex::new(());
 
-type RibAttrs = (Arc<PathAttrs>, Arc<Provenance>);
+type RibAttrs = (Interned<PathAttrs>, Interned<Provenance>);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
@@ -109,9 +109,9 @@ impl Reference<'_> {
         &self,
         idx: usize,
         prefix: Ipv4Prefix,
-        attrs: &Arc<PathAttrs>,
+        attrs: &Interned<PathAttrs>,
         source: Source,
-        prov: &Arc<Provenance>,
+        prov: &Interned<Provenance>,
     ) -> Option<RibAttrs> {
         let bgp = self.cfg.bgp.as_ref().expect("bgp configured");
         let peer = &bgp.neighbors[idx];
@@ -145,7 +145,7 @@ impl Reference<'_> {
         };
         let out_prov = match source {
             Source::Peer(_) => prov.extended(LOOPBACK, self.event),
-            Source::Local | Source::Aggregate => Arc::clone(prov),
+            Source::Local | Source::Aggregate => *prov,
         };
         Some((exported.intern(), out_prov))
     }
@@ -355,15 +355,10 @@ impl Bench {
             prop_assert_eq!(sent, expected, "{}: Adj-RIB-Out toward peer {}", stage, i);
             for (prefix, (attrs, prov)) in sent {
                 let (want_attrs, want_prov) = &expected[prefix];
-                // Interned on both sides, so equal means *the same* Arc —
+                // Interned on both sides, so equal means *the same* handle —
                 // also across the peers that share one reference value.
-                prop_assert!(
-                    Arc::ptr_eq(attrs, want_attrs),
-                    "{}: {} attrs",
-                    stage,
-                    prefix
-                );
-                prop_assert!(Arc::ptr_eq(prov, want_prov), "{}: {} prov", stage, prefix);
+                prop_assert!(attrs == want_attrs, "{}: {} attrs", stage, prefix);
+                prop_assert!(prov == want_prov, "{}: {} prov", stage, prefix);
             }
         }
         Ok(())
@@ -422,7 +417,7 @@ proptest! {
         .intern();
         let origin = Provenance::originated(OriginKind::Speaker, peer_addr(sc.src), ev(0));
         let announced = ["10.9.1.0/24", "172.16.0.0/24"]
-            .map(|p| (p.parse().unwrap(), Arc::clone(&learned), Arc::clone(&origin)))
+            .map(|p| (p.parse().unwrap(), learned, origin))
             .to_vec();
         deliver(&mut bench.os, ev(2), sc.src, BgpMsg::Update { announced, withdrawn: vec![] });
         bench.settle(&cfg, ev(2), sc.src, &early);
@@ -464,7 +459,7 @@ fn one_update_interns_once_per_prefix_not_once_per_peer() {
                 ..PathAttrs::originated(peer_addr(0))
             };
             let prefix = Ipv4Prefix::new(crystalnet_net::Ipv4Addr::new(10, 20, n as u8, 0), 24);
-            (prefix, attrs.intern(), Arc::clone(&origin))
+            (prefix, attrs.intern(), origin)
         })
         .collect();
 
@@ -503,19 +498,20 @@ fn nth_prefix(n: u32) -> Ipv4Prefix {
 }
 
 /// One UPDATE announcing `prefixes` with the same learned set and chain.
-fn update(prefixes: &[Ipv4Prefix], attrs: &Arc<PathAttrs>, prov: &Arc<Provenance>) -> BgpMsg {
+fn update(
+    prefixes: &[Ipv4Prefix],
+    attrs: &Interned<PathAttrs>,
+    prov: &Interned<Provenance>,
+) -> BgpMsg {
     BgpMsg::Update {
-        announced: prefixes
-            .iter()
-            .map(|&p| (p, Arc::clone(attrs), Arc::clone(prov)))
-            .collect(),
+        announced: prefixes.iter().map(|&p| (p, *attrs, *prov)).collect(),
         withdrawn: vec![],
     }
 }
 
 /// The learned set peer `i` announces: its own AS first, as an eBGP
 /// speaker sends it.
-fn learned_from(peers: &[PeerSpec], i: usize) -> Arc<PathAttrs> {
+fn learned_from(peers: &[PeerSpec], i: usize) -> Interned<PathAttrs> {
     PathAttrs {
         as_path: vec![peers[i].remote_as, Asn(64700)],
         ..PathAttrs::originated(peer_addr(i))
@@ -617,7 +613,7 @@ fn a_replaced_local_as_reaches_every_later_export() {
 
 /// A fork copies the router with its memo. A warm copy and a router that
 /// never exported, given the same UPDATE, send the same messages — down
-/// to the interned `Arc`s.
+/// to the interned handles.
 #[test]
 fn a_warm_copy_and_a_cold_router_send_the_same_update() {
     let _alone = ROUTER_AT_WORK.lock().unwrap_or_else(|e| e.into_inner());
@@ -639,13 +635,13 @@ fn a_warm_copy_and_a_cold_router_send_the_same_update() {
     assert_eq!(from_copy, from_cold);
     for (a, b) in from_copy.values().zip(from_cold.values()) {
         for ((_, a_attrs, a_prov), (_, b_attrs, b_prov)) in a.0.iter().zip(&b.0) {
-            assert!(Arc::ptr_eq(a_attrs, b_attrs) && Arc::ptr_eq(a_prov, b_prov));
+            assert!(a_attrs == b_attrs && a_prov == b_prov);
         }
     }
 }
 
 /// Peer `i`'s origination: the chain its announcements carry.
-fn speaker_origin(i: usize) -> Arc<Provenance> {
+fn speaker_origin(i: usize) -> Interned<Provenance> {
     Provenance::originated(OriginKind::Speaker, peer_addr(i), ev(0))
 }
 
@@ -747,7 +743,7 @@ const WALK_ASES: [Asn; 4] = [Asn(65100), Asn(65101), Asn(65102), LOCAL_AS];
 /// are re-announced alike (they differ only in next hop and MED); 4 is the
 /// shortest; 2 and 3 carry walk ASes, so the sender-side loop check fires;
 /// 6 carries the router's own AS and is dropped on receipt.
-fn walk_pool() -> Vec<Arc<PathAttrs>> {
+fn walk_pool() -> Vec<Interned<PathAttrs>> {
     let set = |as_path: &[u32], next_hop: usize, med: u32, communities: Vec<u32>| {
         PathAttrs {
             as_path: as_path.iter().map(|&a| Asn(a)).collect(),

@@ -1,13 +1,12 @@
 //! Property tests for the `PathAttrs` hash-consing interner.
 //!
-//! The contract the RIB diff fast path and the parallel executor rely on:
-//! interned handles are pointer-equal **iff** they are structurally equal,
-//! and interning is idempotent.
+//! The contract every handle comparison and the parallel executor rely
+//! on: interned handles are `==` (one address) **iff** their values are
+//! structurally equal, and interning is idempotent.
 
 use crystalnet_net::{Asn, Ipv4Addr};
 use crystalnet_routing::attrs::{Origin, PathAttrs};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Small value domains so random pairs collide often — the property is
 /// only interesting when both the equal and unequal cases are exercised.
@@ -48,7 +47,8 @@ proptest! {
     ) {
         let ia = a.clone().intern();
         let ib = b.clone().intern();
-        prop_assert_eq!(Arc::ptr_eq(&ia, &ib), a == b);
+        prop_assert_eq!(ia == ib, a == b);
+        prop_assert_eq!(ia.as_ptr() == ib.as_ptr(), a == b);
         prop_assert_eq!(*ia == *ib, a == b);
     }
 
@@ -56,17 +56,17 @@ proptest! {
     fn interning_is_idempotent(a in attrs_strategy()) {
         let first = a.clone().intern();
         let again = (*first).clone().intern();
-        prop_assert!(Arc::ptr_eq(&first, &again));
+        prop_assert_eq!(first, again);
         prop_assert_eq!(*first, a);
     }
 
     #[test]
     fn derived_attrs_intern_consistently(a in attrs_strategy()) {
         // announced_by is deterministic, so deriving twice and interning
-        // must converge on one canonical Arc.
+        // must converge on one canonical handle.
         let x = a.announced_by(Asn(64999), Ipv4Addr(9)).intern();
         let y = a.announced_by(Asn(64999), Ipv4Addr(9)).intern();
-        prop_assert!(Arc::ptr_eq(&x, &y));
+        prop_assert_eq!(x, y);
         prop_assert_eq!(x.as_path.first(), Some(&Asn(64999)));
     }
 }
