@@ -9,7 +9,7 @@ use crate::explain::RouteExplanation;
 use crate::metrics::JournalEvent;
 use bytes::Bytes;
 use crystalnet_config::DeviceConfig;
-use crystalnet_dataplane::{FibEntry, ForwardDecision, Ipv4Packet, NextHop, Signature, TraceEvent};
+use crystalnet_dataplane::{ForwardDecision, Ipv4Packet, Signature, TraceEvent};
 use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, Topology};
 use crystalnet_routing::{DeviceOs, MgmtCommand, MgmtResponse};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
@@ -32,15 +32,15 @@ fn decision_label(d: ForwardDecision) -> &'static str {
     }
 }
 
-/// Adds one device's RIB/FIB footprint to `totals` and returns it:
-/// entry counts × struct-size estimates, the unit of the memory section
-/// and of a fork's sharing statistics alike.
+/// Adds one device's RIB/FIB footprint to `totals` and returns it, the
+/// unit of the memory section and of a fork's sharing statistics alike:
+/// the FIB's own bytes ([`Fib::mem_bytes`](crystalnet_dataplane::Fib::mem_bytes))
+/// and a per-entry RIB estimate.
 pub(crate) fn add_device_mem(
     totals: &mut DeviceMemTotals,
     dev: DeviceId,
     os: &dyn DeviceOs,
 ) -> DeviceMem {
-    use std::mem::size_of;
     // A RIB entry holds a prefix plus an interned-attrs handle and
     // per-peer bookkeeping: a flat per-entry estimate.
     const RIB_ENTRY_BYTES: u64 = 48;
@@ -48,8 +48,7 @@ pub(crate) fn add_device_mem(
     let fib = os.fib();
     let prefixes = fib.len() as u64;
     let routes = fib.route_entry_count() as u64;
-    let fib_bytes = prefixes * size_of::<(Ipv4Prefix, FibEntry)>() as u64
-        + routes * size_of::<NextHop>() as u64;
+    let fib_bytes = fib.mem_bytes();
     let rib_bytes = rib_entries * RIB_ENTRY_BYTES;
     totals.devices += 1;
     totals.rib_entries += rib_entries;
@@ -187,9 +186,10 @@ impl Emulation {
 
     /// Builds the memory-accounting section of a profiled report.
     ///
-    /// Byte figures are entry counts multiplied by struct-size
-    /// estimates, not allocator measurements — deterministic for a seed
-    /// on a given platform, which is what a regression baseline needs.
+    /// Byte figures are table capacities and entry counts multiplied by
+    /// struct sizes (the RIB's by a flat per-entry estimate), not
+    /// allocator measurements — deterministic for a seed on a given
+    /// platform, which is what a regression baseline needs.
     pub(crate) fn memory_section(&self, fork_cow: Option<CowStats>) -> MemorySection {
         // An interned attrs record amortizes an AS path and a hash-table
         // slot; a queued event is its envelope. Flat per-entry estimates.

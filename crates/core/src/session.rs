@@ -292,9 +292,9 @@ impl EmulationFork {
     /// base (the same OS instance) versus those of the devices it has
     /// copied since. All shared right after [`Emulation::fork`]; the
     /// copied side grows as steps touch devices. The split is by
-    /// identity; the bytes are the memory section's entry counts ×
-    /// struct-size estimates. Computed on demand, so an unused fork
-    /// costs nothing extra.
+    /// identity; the bytes are the memory section's per-device figures
+    /// (each FIB's own bytes, a per-entry RIB estimate). Computed on
+    /// demand, so an unused fork costs nothing extra.
     #[must_use]
     pub fn cow_stats(&self) -> CowStats {
         let (mut shared, mut copied) = (DeviceMemTotals::default(), DeviceMemTotals::default());

@@ -7,7 +7,7 @@
 //! full". [`Fib`] therefore models a bounded table with an explicit,
 //! observable overflow outcome that vendor profiles interpret differently.
 
-use crystalnet_net::{IdMap, Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{IdMap, Ipv4Addr, Ipv4Prefix, SetTable};
 use serde::{Deserialize, Serialize};
 
 /// A resolved next hop: egress interface plus the peer's address.
@@ -56,9 +56,15 @@ pub enum InstallOutcome {
 ///
 /// Lookup walks per-length maps from /32 down to /0; inserts of an
 /// existing prefix update in place and never count against capacity twice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The maps hold `u32` ids into a per-table [`SetTable`] of next-hop
+/// groups, so an entry is plain data and copying a FIB copies its maps as
+/// bytes plus one entry per distinct ECMP set. `==` compares what the
+/// tables forward (prefix → next hops), their capacity and their dropped
+/// count — never group ids, which depend on install order.
+#[derive(Debug, Clone)]
 pub struct Fib {
-    by_len: Vec<IdMap<u32, FibEntry>>,
+    by_len: Vec<IdMap<u32, u32>>,
+    groups: SetTable<FibEntry>,
     len_present: u64,
     count: usize,
     capacity: Option<usize>,
@@ -71,12 +77,28 @@ impl Default for Fib {
     }
 }
 
+impl PartialEq for Fib {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.capacity == other.capacity
+            && self.dropped == other.dropped
+            && self.by_len.iter().zip(&other.by_len).all(|(a, b)| {
+                a.len() == b.len()
+                    && a.iter().all(|(k, &g)| {
+                        b.get(k)
+                            .is_some_and(|&h| self.groups.get(g) == other.groups.get(h))
+                    })
+            })
+    }
+}
+
 impl Fib {
     /// An empty FIB with the given hardware capacity.
     #[must_use]
     pub fn new(capacity: Option<usize>) -> Self {
         Fib {
             by_len: (0..=32).map(|_| IdMap::default()).collect(),
+            groups: SetTable::default(),
             len_present: 0,
             count: 0,
             capacity,
@@ -100,19 +122,45 @@ impl Fib {
     /// (the unit of Table 3's "#Routes" column).
     #[must_use]
     pub fn route_entry_count(&self) -> usize {
-        self.by_len
+        self.iter().map(|(_, e)| e.next_hops.len().max(1)).sum()
+    }
+
+    /// Distinct next-hop sets stored: at most the distinct sets installed
+    /// since the last [`Fib::clear`].
+    #[must_use]
+    pub fn group_count(&self) -> usize {
+        self.groups.values().len()
+    }
+
+    /// Bytes the table holds: each per-length map's capacity × its
+    /// `(prefix, group id)` slot, plus the group table — every distinct
+    /// next-hop set once. Prefixes that share a set add index bytes only.
+    #[must_use]
+    pub fn mem_bytes(&self) -> u64 {
+        self.index_bytes() + self.group_bytes()
+    }
+
+    fn index_bytes(&self) -> u64 {
+        let slots: usize = self.by_len.iter().map(IdMap::capacity).sum();
+        (size_of_val(self.by_len.as_slice()) + slots * size_of::<(u32, u32)>()) as u64
+    }
+
+    /// The group table by length, not capacity: what a copy holds.
+    fn group_bytes(&self) -> u64 {
+        let groups = self.groups.values();
+        let hops: usize = groups
             .iter()
-            .flat_map(|m| m.values())
-            .map(|e| e.next_hops.len().max(1))
-            .sum()
+            .map(|e| size_of_val(e.next_hops.as_slice()))
+            .sum();
+        (size_of_val(groups) + hops) as u64
     }
 
     /// Installs (or replaces) an entry.
     pub fn install(&mut self, prefix: Ipv4Prefix, entry: FibEntry) -> InstallOutcome {
         let map = &mut self.by_len[prefix.len() as usize];
         let key = prefix.network().0;
-        if let std::collections::hash_map::Entry::Occupied(mut e) = map.entry(key) {
-            e.insert(entry);
+        if let Some(group) = map.get_mut(&key) {
+            *group = self.groups.intern(&entry);
             return InstallOutcome::Installed;
         }
         if let Some(cap) = self.capacity {
@@ -121,17 +169,17 @@ impl Fib {
                 return InstallOutcome::DroppedFull;
             }
         }
-        map.insert(key, entry);
+        map.insert(key, self.groups.intern(&entry));
         self.len_present |= 1u64 << prefix.len();
         self.count += 1;
         InstallOutcome::Installed
     }
 
-    /// Removes a prefix; returns the old entry if present.
-    pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<FibEntry> {
+    /// Removes a prefix; returns whether it was installed.
+    pub fn remove(&mut self, prefix: Ipv4Prefix) -> bool {
         let map = &mut self.by_len[prefix.len() as usize];
-        let removed = map.remove(&prefix.network().0);
-        if removed.is_some() {
+        let removed = map.remove(&prefix.network().0).is_some();
+        if removed {
             self.count -= 1;
             if map.is_empty() {
                 self.len_present &= !(1u64 << prefix.len());
@@ -143,7 +191,9 @@ impl Fib {
     /// The entry for an exact prefix.
     #[must_use]
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&FibEntry> {
-        self.by_len[prefix.len() as usize].get(&prefix.network().0)
+        self.by_len[prefix.len() as usize]
+            .get(&prefix.network().0)
+            .map(|&g| self.groups.get(g))
     }
 
     /// Longest-prefix-match lookup.
@@ -154,8 +204,8 @@ impl Fib {
                 continue;
             }
             let key = addr.0 & Ipv4Prefix::mask(len);
-            if let Some(e) = self.by_len[len as usize].get(&key) {
-                return Some((Ipv4Prefix::new(Ipv4Addr(key), len), e));
+            if let Some(&g) = self.by_len[len as usize].get(&key) {
+                return Some((Ipv4Prefix::new(Ipv4Addr(key), len), self.groups.get(g)));
             }
         }
         None
@@ -163,9 +213,9 @@ impl Fib {
 
     /// Iterates all `(prefix, entry)` pairs (unordered).
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &FibEntry)> {
-        self.by_len.iter().enumerate().flat_map(|(len, map)| {
+        self.by_len.iter().enumerate().flat_map(move |(len, map)| {
             map.iter()
-                .map(move |(k, e)| (Ipv4Prefix::new(Ipv4Addr(*k), len as u8), e))
+                .map(move |(k, &g)| (Ipv4Prefix::new(Ipv4Addr(*k), len as u8), self.groups.get(g)))
         })
     }
 
@@ -181,11 +231,12 @@ impl Fib {
         self.capacity
     }
 
-    /// Removes everything.
+    /// Removes everything, the group table included.
     pub fn clear(&mut self) {
         for m in &mut self.by_len {
             m.clear();
         }
+        self.groups.clear();
         self.len_present = 0;
         self.count = 0;
     }
@@ -304,13 +355,33 @@ mod tests {
         let mut fib = Fib::default();
         fib.install(p("10.0.0.0/8"), FibEntry::new(vec![hop(1)]));
         fib.install(p("20.0.0.0/8"), FibEntry::new(vec![hop(2)]));
-        assert!(fib.remove(p("10.0.0.0/8")).is_some());
-        assert!(fib.remove(p("10.0.0.0/8")).is_none());
+        assert!(fib.remove(p("10.0.0.0/8")));
+        assert!(!fib.remove(p("10.0.0.0/8")));
         assert_eq!(fib.len(), 1);
         assert!(fib.lookup(a("10.1.1.1")).is_none());
         fib.clear();
         assert!(fib.is_empty());
         assert!(fib.lookup(a("20.1.1.1")).is_none());
+    }
+
+    #[test]
+    fn prefixes_sharing_a_set_add_index_bytes_only() {
+        let mut fib = Fib::default();
+        let shared = FibEntry::new(vec![hop(1), hop(2)]);
+        fib.install(p("10.0.0.0/24"), shared.clone());
+        let groups = fib.group_bytes();
+        for b in p("10.1.0.0/16").subnets(24) {
+            fib.install(b, shared.clone());
+        }
+        assert_eq!(fib.len(), 257);
+        assert_eq!(fib.group_bytes(), groups, "one set, stored once");
+        assert_eq!(fib.mem_bytes(), fib.index_bytes() + groups);
+        // A second set is the one thing that adds group bytes.
+        fib.install(p("10.2.0.0/24"), FibEntry::new(vec![hop(3)]));
+        let one_hop = size_of::<FibEntry>() + size_of::<NextHop>();
+        assert_eq!(fib.group_bytes(), groups + one_hop as u64);
+        // A copy holds the same bytes.
+        assert_eq!(fib.clone().mem_bytes(), fib.mem_bytes());
     }
 
     #[test]

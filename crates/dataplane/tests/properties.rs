@@ -1,4 +1,5 @@
-//! Property tests: the FIB agrees with a naive oracle; packet encodings
+//! Property tests: the FIB agrees with a naive oracle and with a map
+//! model under random install / remove / clear sequences; packet encodings
 //! round-trip for arbitrary contents; a trace's path and fate equal a
 //! stable sort of its captures.
 
@@ -11,6 +12,7 @@ use crystalnet_dataplane::{
     Fib,
     FibEntry,
     ForwardDecision,
+    InstallOutcome,
     Ipv4Packet,
     NextHop,
     Signature,
@@ -21,6 +23,7 @@ use crystalnet_dataplane::{
 };
 use crystalnet_net::{DeviceId, Ipv4Addr, Ipv4Prefix, MacAddr};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Ipv4Prefix::new(Ipv4Addr(a), l))
@@ -28,6 +31,48 @@ fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
 
 fn arb_entry() -> impl Strategy<Value = FibEntry> {
     prop::collection::vec((0u32..8, any::<u32>()), 0..4).prop_map(|hops| {
+        FibEntry::new(
+            hops.into_iter()
+                .map(|(iface, via)| NextHop {
+                    iface,
+                    via: Ipv4Addr(via),
+                })
+                .collect(),
+        )
+    })
+}
+
+/// The model test's prefixes: nested, so lookups fall through lengths,
+/// and few, so installs replace and removes hit.
+const MODEL_PREFIXES: [&str; 10] = [
+    "0.0.0.0/0",
+    "10.0.0.0/8",
+    "10.1.0.0/16",
+    "10.1.2.0/24",
+    "10.1.2.128/25",
+    "10.1.2.3/32",
+    "10.1.3.0/24",
+    "10.2.0.0/16",
+    "20.0.0.0/8",
+    "20.0.0.0/9",
+];
+
+/// Addresses inside, between and outside [`MODEL_PREFIXES`].
+const MODEL_PROBES: [&str; 9] = [
+    "10.1.2.3",
+    "10.1.2.200",
+    "10.1.2.7",
+    "10.1.3.7",
+    "10.2.9.9",
+    "10.9.9.9",
+    "20.200.1.1",
+    "20.1.1.1",
+    "99.9.9.9",
+];
+
+/// Entries drawn from a few hops, so sets repeat across prefixes.
+fn small_entry() -> impl Strategy<Value = FibEntry> {
+    prop::collection::vec((0u32..3, 0u32..2), 0..3).prop_map(|hops| {
         FibEntry::new(
             hops.into_iter()
                 .map(|(iface, via)| NextHop {
@@ -92,6 +137,74 @@ proptest! {
         prop_assert!(fib.len() <= cap);
         prop_assert_eq!(fib.len(), unique.len().min(cap));
         prop_assert_eq!(fib.dropped_installs(), dropped);
+    }
+
+    /// Random install / replace / remove / clear sequences, with and
+    /// without a capacity, against a sorted-map model: after every step
+    /// the reads agree with the model, and the group table holds no more
+    /// sets than were installed since the last clear. At the end, a FIB
+    /// built to the same content through another history is `==` exactly
+    /// when it dropped as many installs.
+    #[test]
+    fn fib_agrees_with_a_map_model(
+        cap in prop::option::of(1usize..8),
+        ops in prop::collection::vec((0u8..10, 0usize..MODEL_PREFIXES.len(), small_entry()), 0..48),
+    ) {
+        let mut fib = Fib::new(cap);
+        let mut model: BTreeMap<Ipv4Prefix, FibEntry> = BTreeMap::new();
+        let mut dropped = 0u64;
+        let mut sets_since_clear: BTreeSet<Vec<NextHop>> = BTreeSet::new();
+        let pool: Vec<Ipv4Prefix> = MODEL_PREFIXES.iter().map(|s| s.parse().unwrap()).collect();
+        for (kind, at, entry) in ops {
+            let prefix = pool[at];
+            match kind {
+                0..=5 => {
+                    let full = cap.is_some_and(|c| model.len() >= c);
+                    let out = fib.install(prefix, entry.clone());
+                    if model.contains_key(&prefix) || !full {
+                        prop_assert_eq!(out, InstallOutcome::Installed);
+                        sets_since_clear.insert(entry.next_hops.clone());
+                        model.insert(prefix, entry);
+                    } else {
+                        prop_assert_eq!(out, InstallOutcome::DroppedFull);
+                        dropped += 1;
+                    }
+                }
+                6..=8 => prop_assert_eq!(fib.remove(prefix), model.remove(&prefix).is_some()),
+                _ => {
+                    fib.clear();
+                    model.clear();
+                    sets_since_clear.clear();
+                }
+            }
+            for p in &pool {
+                prop_assert_eq!(fib.get(*p), model.get(p));
+            }
+            for probe in MODEL_PROBES {
+                let addr: Ipv4Addr = probe.parse().unwrap();
+                let want = model.iter().filter(|(p, _)| p.contains(addr)).max_by_key(|(p, _)| p.len());
+                prop_assert_eq!(fib.lookup(addr), want.map(|(p, e)| (*p, e)));
+            }
+            let mut rows: Vec<(Ipv4Prefix, &FibEntry)> = fib.iter().collect();
+            rows.sort_by_key(|(p, _)| *p);
+            prop_assert_eq!(rows, model.iter().map(|(p, e)| (*p, e)).collect::<Vec<_>>());
+            prop_assert_eq!(fib.len(), model.len());
+            prop_assert_eq!(
+                fib.route_entry_count(),
+                model.values().map(|e| e.next_hops.len().max(1)).sum::<usize>()
+            );
+            prop_assert_eq!(fib.dropped_installs(), dropped);
+            prop_assert!(fib.group_count() <= sets_since_clear.len());
+        }
+        // Another history to the same content: a set no entry keeps, then
+        // the entries in reverse order, so every group id differs.
+        let mut twin = Fib::new(cap);
+        twin.install(pool[0], FibEntry::new(vec![NextHop { iface: 99, via: Ipv4Addr(99) }]));
+        twin.remove(pool[0]);
+        for (p, e) in model.iter().rev() {
+            twin.install(*p, e.clone());
+        }
+        prop_assert_eq!(fib == twin, dropped == 0);
     }
 
     /// ECMP selection always returns a member of the set.

@@ -309,6 +309,65 @@ impl core::hash::Hasher for PrefixHasher {
     }
 }
 
+/// An append-only table of distinct values, each named by its `u32`
+/// position: the ECMP sets a device's routing tables point at instead of
+/// owning one copy per entry, so those tables are plain data. A value is
+/// stored at its first [`SetTable::intern`] and keeps its id until
+/// [`SetTable::clear`]; an entry that stops using it leaves it in place.
+/// The table therefore holds the distinct values interned since the last
+/// clear — a device's ECMP sets, tens in a Clos fabric — which is why a
+/// lookup is a scan.
+#[derive(Debug, Clone)]
+pub struct SetTable<V> {
+    values: Vec<V>,
+}
+
+impl<V> Default for SetTable<V> {
+    fn default() -> Self {
+        SetTable { values: Vec::new() }
+    }
+}
+
+impl<V> SetTable<V> {
+    /// The id of the value equal to `key`, stored first if the table
+    /// lacks it. Allocates only when it stores.
+    pub fn intern<Q>(&mut self, key: &Q) -> u32
+    where
+        Q: ?Sized + PartialEq + ToOwned<Owned = V>,
+        V: core::borrow::Borrow<Q>,
+    {
+        let id = match self.values.iter().position(|v| v.borrow() == key) {
+            Some(i) => i,
+            None => {
+                self.values.push(key.to_owned());
+                self.values.len() - 1
+            }
+        };
+        u32::try_from(id).expect("fewer than 2^32 distinct values")
+    }
+
+    /// The value `id` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from no `intern` since the last clear.
+    #[must_use]
+    pub fn get(&self, id: u32) -> &V {
+        &self.values[id as usize]
+    }
+
+    /// Every stored value, in id order.
+    #[must_use]
+    pub fn values(&self) -> &[V] {
+        &self.values
+    }
+
+    /// Forgets every value; ids start again from 0.
+    pub fn clear(&mut self) {
+        self.values.clear();
+    }
+}
+
 /// An interface address: a host address *plus* its subnet length, without
 /// canonicalization (unlike [`Ipv4Prefix`], the host bits are preserved).
 ///
@@ -549,6 +608,20 @@ mod tests {
                 buckets.len()
             );
         }
+    }
+
+    #[test]
+    fn set_table_stores_each_value_once() {
+        let mut t: SetTable<Vec<u32>> = SetTable::default();
+        let a = t.intern([1u32, 2].as_slice());
+        let b = t.intern([2u32].as_slice());
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(t.intern([1u32, 2].as_slice()), a);
+        assert_eq!(t.get(b), &vec![2]);
+        assert_eq!(t.values().len(), 2);
+        t.clear();
+        assert!(t.values().is_empty());
+        assert_eq!(t.intern([2u32].as_slice()), 0);
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod types;
 
 pub use addr::{
     AddrParseError, IdMap, IdSet, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr, PrefixHasher, PrefixMap,
+    SetTable,
 };
 pub use clos::{ClosParams, ClosTopology, LayerCounts, Pod};
 pub use partition::{

@@ -9,8 +9,10 @@
 //! the injectable firmware bugs of [`crate::vendor::Quirks`].
 //!
 //! Design notes for scale (Table 3's O(20M) routes): path attributes and
-//! provenance are interned `Copy` handles, so the Adj-RIB tables are plain
-//! data that copies as bytes; updates are batched per MRAI interval into
+//! provenance are interned `Copy` handles, and each router interns its
+//! ECMP peer-index sets in a [`SetTable`] (as the FIB does its next-hop
+//! groups), so the Loc-RIB, Adj-RIB and FIB tables are plain data that
+//! copies as bytes; updates are batched per MRAI interval into
 //! single messages; the exporter skips peers whose AS already appears in the
 //! path (sender-side loop check), which is what makes Clos fabrics with
 //! shared layer ASes converge in O(links) messages instead of O(links^2).
@@ -41,7 +43,7 @@ use crate::provenance::{
 use crate::vendor::{AggregateMode, FibOverflow, VendorProfile};
 use crystalnet_config::{Action, AggregateConfig, DeviceConfig, RouteMap, RouteMatch, RouteSet};
 use crystalnet_dataplane::{Fib, FibEntry, NextHop};
-use crystalnet_net::{Asn, IdMap, Ipv4Addr, Ipv4Prefix, PrefixMap};
+use crystalnet_net::{Asn, IdMap, Ipv4Addr, Ipv4Prefix, PrefixMap, SetTable};
 use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -81,13 +83,14 @@ enum RouteSource {
     Peer(usize),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LocEntry {
     /// Attributes as learned/originated (pre-export).
     attrs: Interned<PathAttrs>,
     source: RouteSource,
-    /// ECMP peer indexes (empty for local/aggregate).
-    ecmp: Vec<usize>,
+    /// The ECMP peer indexes, as an id into the router's `ecmp_sets`
+    /// (the empty set for local/aggregate).
+    ecmp: u32,
     /// Monotonic change tick (drives timing-dependent aggregate
     /// contributor selection, the §9 non-determinism).
     changed_tick: u64,
@@ -102,13 +105,14 @@ struct LocEntry {
 /// (both interned, so the pair is sixteen bytes of plain data).
 type RibAttrs = (Interned<PathAttrs>, Interned<Provenance>);
 
-// Every Adj-RIB-In, Adj-RIB-Out and MRAI table is copied whole when a
-// fork writes to a device; a counted field here would make that copy
-// visit every entry again.
+// Every Loc-RIB, Adj-RIB-In, Adj-RIB-Out and MRAI table is copied whole
+// when a fork writes to a device; a counted or owning field here would
+// make that copy visit every entry again.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<RibAttrs>();
     assert_copy::<Option<RibAttrs>>();
+    assert_copy::<LocEntry>();
 };
 
 #[derive(Debug, Clone)]
@@ -154,6 +158,9 @@ pub struct BgpRouterOs {
     peer_by_iface: Vec<Option<usize>>,
     networks: BTreeSet<Ipv4Prefix>,
     loc_rib: PrefixMap<LocEntry>,
+    /// The distinct ECMP peer-index sets the Loc-RIB names, appended as
+    /// decisions meet them and cleared with the Loc-RIB.
+    ecmp_sets: SetTable<Vec<usize>>,
     fib: Fib,
     /// The ASIC view for images with an external forwarding emulator
     /// (CTNR-B + BMv2, §6.2) whose sync layer can diverge from the kernel
@@ -166,9 +173,11 @@ pub struct BgpRouterOs {
     /// The export rewrite memo ([`Reannounced`]). Depends on `asn`, so
     /// `apply_config_internal` clears it; `loopback` never changes.
     reannounced: Reannounced,
-    /// `decide_prefix`'s candidate list `(key, peer address, peer index)`,
-    /// kept so a decision allocates no list of its own.
+    /// `decide_prefix`'s candidate list `(key, peer address, peer index)`
+    /// and the winners' indexes, kept so a decision whose ECMP set is
+    /// already in `ecmp_sets` allocates nothing.
     cands: Vec<(CandidateKey, Ipv4Addr, usize)>,
+    ecmp_buf: Vec<usize>,
     mrai_armed: bool,
     change_tick: u64,
     flaps: u32,
@@ -206,11 +215,13 @@ impl BgpRouterOs {
             peer_by_iface: Vec::new(),
             networks: BTreeSet::new(),
             loc_rib: PrefixMap::default(),
+            ecmp_sets: SetTable::default(),
             fib: Fib::new(config.fib_capacity),
             asic_fib: has_asic.then(|| Fib::new(config.fib_capacity)),
             dirty: Vec::new(),
             reannounced: Reannounced::default(),
             cands: Vec::new(),
+            ecmp_buf: Vec::new(),
             mrai_armed: false,
             change_tick: 0,
             flaps: 0,
@@ -260,7 +271,7 @@ impl BgpRouterOs {
         let mut rows: Vec<_> = self
             .loc_rib
             .iter()
-            .map(|(p, e)| (*p, e.attrs, e.ecmp.len()))
+            .map(|(p, e)| (*p, e.attrs, self.ecmp_sets.get(e.ecmp).len()))
             .collect();
         rows.sort_by_key(|(p, _, _)| *p);
         rows
@@ -648,7 +659,7 @@ impl BgpRouterOs {
             Some(LocEntry {
                 attrs: PathAttrs::originated(self.loopback).intern(),
                 source: RouteSource::Local,
-                ecmp: vec![],
+                ecmp: self.ecmp_sets.intern::<[usize]>(&[]),
                 changed_tick: self.change_tick,
                 // Stamped with the current event on first origination; the
                 // unchanged-check below keeps that first entry alive, so
@@ -676,10 +687,10 @@ impl BgpRouterOs {
             cands.sort_unstable_by_key(|&(key, addr, i)| (Reverse(key), addr, i));
             cands.first().map(|&(key, _, bidx)| {
                 let equal_count = cands.iter().take_while(|&&(k, ..)| k == key).count();
-                let ecmp: Vec<usize> = cands[..equal_count.min(max_paths)]
-                    .iter()
-                    .map(|&(_, _, i)| i)
-                    .collect();
+                let width = equal_count.min(max_paths);
+                self.ecmp_buf.clear();
+                self.ecmp_buf
+                    .extend(cands[..width].iter().map(|&(_, _, i)| i));
                 // The runner-up key — the best among the losing candidates
                 // — names the decision step that eliminated them.
                 let reason = match cands.get(equal_count).map(|&(k, ..)| k) {
@@ -696,14 +707,14 @@ impl BgpRouterOs {
                     }
                     // All candidates tied through the attributes: if any
                     // fell off the multipath limit, peer address decided.
-                    None if equal_count > ecmp.len() => DecisionReason::LowerPeerAddr,
+                    None if equal_count > width => DecisionReason::LowerPeerAddr,
                     None => DecisionReason::OnlyCandidate,
                 };
                 let (attrs, prov) = self.peers[bidx].adj_in[&prefix];
                 LocEntry {
                     attrs,
                     source: RouteSource::Peer(bidx),
-                    ecmp,
+                    ecmp: self.ecmp_sets.intern(self.ecmp_buf.as_slice()),
                     changed_tick: self.change_tick,
                     prov,
                     reason,
@@ -716,7 +727,7 @@ impl BgpRouterOs {
         // source, never on the ECMP set: with both kept, every peer's
         // Adj-RIB-Out already equals the export (the invariant the
         // session machine keeps), so the fan-out would queue nothing.
-        let (unchanged, same_export) = match (&old, &new_entry) {
+        let (unchanged, same_export) = match (old, &new_entry) {
             (Some(o), Some(n)) => {
                 let same_export = o.attrs == n.attrs && o.source == n.source;
                 (same_export && o.ecmp == n.ecmp, same_export)
@@ -781,8 +792,8 @@ impl BgpRouterOs {
             // (the more-specific contributors do the real work locally).
             RouteSource::Aggregate => FibEntry::default(),
             RouteSource::Peer(_) => FibEntry::new(
-                entry
-                    .ecmp
+                self.ecmp_sets
+                    .get(entry.ecmp)
                     .iter()
                     .map(|&i| NextHop {
                         iface: self.peers[i].iface,
@@ -899,7 +910,7 @@ impl BgpRouterOs {
                         let entry = LocEntry {
                             attrs,
                             source: RouteSource::Aggregate,
-                            ecmp: vec![],
+                            ecmp: self.ecmp_sets.intern::<[usize]>(&[]),
                             changed_tick: self.change_tick,
                             prov: Provenance::originated(
                                 OriginKind::Aggregate,
@@ -1249,6 +1260,7 @@ impl BgpRouterOs {
 
     fn reset_control_plane(&mut self) {
         self.loc_rib.clear();
+        self.ecmp_sets.clear();
         self.fib.clear();
         if let Some(asic) = &mut self.asic_fib {
             asic.clear();

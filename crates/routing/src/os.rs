@@ -228,10 +228,12 @@ pub trait DeviceOs: Send + Sync {
 
     /// Deep-copies this OS instance, boxed — how the harness unshares
     /// an OS an emulation and its forks still hold together, right
-    /// before the first write to it. RIB attribute and provenance
-    /// entries are interned `Copy` handles, so the copy shares the route
-    /// values and duplicates only the addresses, as bytes; everything
-    /// mutable (session state, timers, FIB indexes) is owned by the copy.
+    /// before the first write to it. Every RIB and FIB entry is plain
+    /// data (interned attribute and provenance handles, `u32` ids of
+    /// per-device ECMP sets), so the copy shares the route values and
+    /// duplicates each table as bytes, allocating per table and per
+    /// distinct ECMP set, never per route; everything mutable (session
+    /// state, timers, FIB indexes) is owned by the copy.
     fn clone_boxed(&self) -> Box<dyn DeviceOs>;
 }
 
