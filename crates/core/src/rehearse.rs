@@ -34,8 +34,10 @@
 //! The diff (`diff_devices`) costs what the step touched: it holds the
 //! pre-step OS handles, skips every device whose handle is still the
 //! same `Arc` afterwards (nothing wrote to it — identity, never the
-//! predicted dirty set, decides), and for the rest walks the old and new
-//! FIB side by side, digesting provenance only for entries that differ.
+//! predicted dirty set, decides), and for the rest reads only the
+//! prefixes the copy wrote since it shared its source's frozen FIB
+//! tables (`Fib::diff_prefixes`), digesting provenance only for entries
+//! that differ.
 //!
 //! Steps 3 and 4 are the *measure bracket* (`measure_step`), shared with
 //! [`EmulationFork::run_tools`](crate::EmulationFork::run_tools): a
@@ -592,10 +594,14 @@ pub(crate) type OsHandles = BTreeMap<DeviceId, Arc<dyn DeviceOs>>;
 /// device `now` no longer has reports every entry removed.
 ///
 /// A device whose handle is still the same `Arc` was not written to and
-/// is skipped without looking at its tables; the others are compared
-/// entry by entry in place, and provenance is digested only for the
-/// entries that differ (the old route's for removes, the new one's
-/// otherwise).
+/// is skipped without looking at its tables. For the rest, only the
+/// prefixes the two FIBs may differ on are read ([`Fib::diff_prefixes`]):
+/// where the new FIB is a copy of the old one, the prefixes the copy
+/// wrote, and otherwise every prefix of both. Provenance is digested only
+/// for the entries that differ (the old route's for removes, the new
+/// one's otherwise).
+///
+/// [`Fib::diff_prefixes`]: crystalnet_dataplane::Fib::diff_prefixes
 pub(crate) fn diff_devices(
     before: &OsHandles,
     now: &ControlPlaneSim,
@@ -606,37 +612,36 @@ pub(crate) fn diff_devices(
         if new.is_some_and(|new| Arc::ptr_eq(old, new)) {
             continue;
         }
+        let mut prefixes: Vec<Ipv4Prefix> = match new {
+            Some(new) => old.fib().diff_prefixes(new.fib()).collect(),
+            None => old.fib().iter().map(|(prefix, _)| prefix).collect(),
+        };
+        prefixes.sort_unstable();
+        prefixes.dedup();
         let mut changes = Vec::new();
-        for (prefix, entry) in old.fib().iter() {
-            match new.and_then(|os| os.fib().get(prefix)) {
-                None => changes.push(FibChange {
-                    prefix,
-                    kind: FibChangeKind::Removed,
-                    next_hops: Vec::new(),
-                    prov_digest: old.prov_digest(prefix),
-                }),
-                Some(new_entry) if new_entry != entry => changes.push(FibChange {
-                    prefix,
-                    kind: FibChangeKind::Modified,
-                    next_hops: new_entry.next_hops.clone(),
-                    prov_digest: new.and_then(|os| os.prov_digest(prefix)),
-                }),
-                Some(_) => {}
-            }
+        for prefix in prefixes {
+            let new_entry = new.and_then(|os| os.fib().get(prefix));
+            let (kind, next_hops, prov_digest) = match (old.fib().get(prefix), new_entry) {
+                (Some(_), None) => (FibChangeKind::Removed, Vec::new(), old.prov_digest(prefix)),
+                (None, Some(entry)) => (
+                    FibChangeKind::Added,
+                    entry.next_hops.clone(),
+                    new.and_then(|os| os.prov_digest(prefix)),
+                ),
+                (Some(was), Some(entry)) if was != entry => (
+                    FibChangeKind::Modified,
+                    entry.next_hops.clone(),
+                    new.and_then(|os| os.prov_digest(prefix)),
+                ),
+                _ => continue,
+            };
+            changes.push(FibChange {
+                prefix,
+                kind,
+                next_hops,
+                prov_digest,
+            });
         }
-        if let Some(os) = new {
-            for (prefix, entry) in os.fib().iter() {
-                if old.fib().get(prefix).is_none() {
-                    changes.push(FibChange {
-                        prefix,
-                        kind: FibChangeKind::Added,
-                        next_hops: entry.next_hops.clone(),
-                        prov_digest: os.prov_digest(prefix),
-                    });
-                }
-            }
-        }
-        changes.sort_by_key(|c| c.prefix);
         if !changes.is_empty() {
             out.insert(dev, changes);
         }

@@ -24,8 +24,9 @@
 //! that side, and only that side, copies it first. The `Arc<PrepareOutput>`
 //! spine and the topology are shared for good, and so are the hash-consed
 //! attribute sets and causal chains the route entries point at: they live
-//! as long as the process behind `Copy` handles, so the copy of a device's
-//! Adj-RIBs is a byte copy that touches no reference count.
+//! as long as the process behind `Copy` handles. Even a copied device owns
+//! only what it writes: its route tables read through tables the parent
+//! froze at their first copy, and hold only the copy's own writes.
 //! So a fork costs a few milliseconds whatever the fabric's size, a
 //! rehearsal's time and memory follow the devices the change *touches*
 //! (one for an ACL edit, ~70 of 504 for a leaf uplink drain on M-DC,
@@ -35,10 +36,11 @@
 //! Sharing is also what makes the diff cheap. The session keeps the
 //! fork-point OS handles as its base; a device whose handle is still
 //! the same `Arc` has provably not been written to, so
-//! [`EmulationFork::diff_against_parent`] skips it and compares tables
-//! only where something happened. The base keeps the fork-point
-//! instances alive, so the parent may move on (commit a sibling,
-//! `disconnect`, `settle`) without disturbing a live fork or its diff.
+//! [`EmulationFork::diff_against_parent`] skips it, and for a copied
+//! device reads only the FIB prefixes the copy wrote. The base keeps the
+//! fork-point instances alive, so the parent may move on (commit a
+//! sibling, `disconnect`, `settle`) without disturbing a live fork or its
+//! diff.
 //!
 //! A fork is **exact**: the engine's clock, scheduling sequence, and
 //! every queued event's `(time, key, seq)` rank are replicated, so a

@@ -461,3 +461,32 @@ fn a_forks_fleet_never_reaches_its_parent() {
     fork.commit(&mut emu);
     assert_eq!(fleet(&emu), child);
 }
+
+#[test]
+fn a_device_copy_reads_as_its_source_until_it_writes() {
+    // The figures the memory section and a fork's `CowStats` are made of
+    // (RIB size, FIB prefixes, routes and bytes) must not tell a copy
+    // with no writes from its source, and neither may the FIB diff.
+    let dc = crystalnet_net::ClosParams::s_dc().build();
+    let prep = prepare(
+        &dc.topo,
+        &[],
+        BoundaryMode::WholeNetwork,
+        SpeakerSource::OriginatedOnly,
+        &PlanOptions::default(),
+    );
+    let emu = mockup(Arc::new(prep), MockupOptions::builder().seed(42).build());
+    for &dev in emu.sandboxes.keys() {
+        let Some(os) = emu.sim.os(dev) else { continue };
+        // The second copy reads through the base the first one froze.
+        for _ in 0..2 {
+            let copy = os.clone_boxed();
+            let (a, b) = (os.fib(), copy.fib());
+            assert_eq!(copy.rib_size(), os.rib_size(), "{dev:?}");
+            assert_eq!(b.mem_bytes(), a.mem_bytes(), "{dev:?}");
+            assert_eq!(b.route_entry_count(), a.route_entry_count(), "{dev:?}");
+            assert_eq!((b.len(), b), (a.len(), a), "{dev:?}");
+            assert_eq!(b.diff_prefixes(a).count(), 0, "{dev:?}");
+        }
+    }
+}

@@ -7,8 +7,9 @@
 //! full". [`Fib`] therefore models a bounded table with an explicit,
 //! observable overflow outcome that vendor profiles interpret differently.
 
-use crystalnet_net::{IdMap, Ipv4Addr, Ipv4Prefix, SetTable};
+use crystalnet_net::{CowMap, Ipv4Addr, Ipv4Prefix, SetTable};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU32;
 
 /// A resolved next hop: egress interface plus the peer's address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -52,20 +53,35 @@ pub enum InstallOutcome {
     DroppedFull,
 }
 
+/// A group id as the per-length maps store it: one more than its
+/// position in the group table, so a map slot stays eight bytes with room
+/// for a copy's tombstone.
+type Slot = NonZeroU32;
+
+fn slot(group: u32) -> Slot {
+    Slot::MIN.saturating_add(group)
+}
+
+fn group_of(slot: Slot) -> u32 {
+    slot.get() - 1
+}
+
 /// A longest-prefix-match table with an optional hardware capacity.
 ///
-/// Lookup walks per-length maps from /32 down to /0; inserts of an
-/// existing prefix update in place and never count against capacity twice.
-/// The maps hold `u32` ids into a per-table [`SetTable`] of next-hop
-/// groups, so an entry is plain data and copying a FIB copies its maps as
-/// bytes plus one entry per distinct ECMP set. `==` compares what the
-/// tables forward (prefix → next hops), their capacity and their dropped
-/// count — never group ids, which depend on install order.
+/// Lookup walks one map per installed prefix length, longest first;
+/// inserts of an existing prefix update in place and never count against
+/// capacity twice. The maps hold `u32` ids into a per-table [`SetTable`]
+/// of next-hop groups, so an entry is plain data, and they are
+/// [`CowMap`]s: a copy of a FIB shares each map's frozen base and the
+/// group table, and owns only the prefixes it writes. `==` compares what
+/// the tables forward (prefix → next hops), their capacity and their
+/// dropped count — never group ids, which depend on install order.
 #[derive(Debug, Clone)]
 pub struct Fib {
-    by_len: Vec<IdMap<u32, u32>>,
+    /// `(prefix length, network → group slot)` for every length that has
+    /// an entry, longest first: the order a lookup probes them in.
+    by_len: Vec<(u8, CowMap<u32, Slot>)>,
     groups: SetTable<FibEntry>,
-    len_present: u64,
     count: usize,
     capacity: Option<usize>,
     dropped: u64,
@@ -78,16 +94,19 @@ impl Default for Fib {
 }
 
 impl PartialEq for Fib {
+    /// Equal counts, and every entry of `self` forwarding as `other`'s
+    /// entry for the same prefix does.
     fn eq(&self, other: &Self) -> bool {
         self.count == other.count
             && self.capacity == other.capacity
             && self.dropped == other.dropped
-            && self.by_len.iter().zip(&other.by_len).all(|(a, b)| {
-                a.len() == b.len()
-                    && a.iter().all(|(k, &g)| {
-                        b.get(k)
-                            .is_some_and(|&h| self.groups.get(g) == other.groups.get(h))
+            && self.by_len.iter().all(|(len, a)| {
+                let b = other.map(*len);
+                a.iter().all(|(k, &g)| {
+                    b.and_then(|b| b.get(k)).is_some_and(|&h| {
+                        self.groups.get(group_of(g)) == other.groups.get(group_of(h))
                     })
+                })
             })
     }
 }
@@ -97,13 +116,17 @@ impl Fib {
     #[must_use]
     pub fn new(capacity: Option<usize>) -> Self {
         Fib {
-            by_len: (0..=32).map(|_| IdMap::default()).collect(),
+            by_len: Vec::new(),
             groups: SetTable::default(),
-            len_present: 0,
             count: 0,
             capacity,
             dropped: 0,
         }
+    }
+
+    /// The map of prefix length `len`, if any prefix has it.
+    fn map(&self, len: u8) -> Option<&CowMap<u32, Slot>> {
+        self.by_len.iter().find(|(l, _)| *l == len).map(|(_, m)| m)
     }
 
     /// Number of installed prefixes.
@@ -132,17 +155,19 @@ impl Fib {
         self.groups.values().len()
     }
 
-    /// Bytes the table holds: each per-length map's capacity × its
-    /// `(prefix, group id)` slot, plus the group table — every distinct
-    /// next-hop set once. Prefixes that share a set add index bytes only.
+    /// Bytes the table holds: each per-length map's slots (a copy's
+    /// base counted as its own, so a copy with no writes reads as its
+    /// source) × its `(network, group)` slot, plus the group table —
+    /// every distinct next-hop set once. Prefixes that share a set add
+    /// index bytes only.
     #[must_use]
     pub fn mem_bytes(&self) -> u64 {
         self.index_bytes() + self.group_bytes()
     }
 
     fn index_bytes(&self) -> u64 {
-        let slots: usize = self.by_len.iter().map(IdMap::capacity).sum();
-        (size_of_val(self.by_len.as_slice()) + slots * size_of::<(u32, u32)>()) as u64
+        let slots: usize = self.by_len.iter().map(|(_, m)| m.capacity()).sum();
+        (size_of_val(self.by_len.as_slice()) + slots * size_of::<(u32, Option<Slot>)>()) as u64
     }
 
     /// The group table by length, not capacity: what a copy holds.
@@ -155,13 +180,39 @@ impl Fib {
         (size_of_val(groups) + hops) as u64
     }
 
+    /// The id of `entry`'s next-hop set in this table's group table,
+    /// stored first if new: what [`Fib::install_group`] installs. An id
+    /// names the same set until [`Fib::clear`].
+    pub fn group(&mut self, entry: &FibEntry) -> u32 {
+        self.groups.intern(entry)
+    }
+
     /// Installs (or replaces) an entry.
     pub fn install(&mut self, prefix: Ipv4Prefix, entry: FibEntry) -> InstallOutcome {
-        let map = &mut self.by_len[prefix.len() as usize];
-        let key = prefix.network().0;
-        if let Some(group) = map.get_mut(&key) {
-            *group = self.groups.intern(&entry);
-            return InstallOutcome::Installed;
+        self.install_with(prefix, |groups| groups.intern(&entry))
+    }
+
+    /// Installs (or replaces) `prefix` → the next-hop set `group` names
+    /// ([`Fib::group`]): one map write.
+    pub fn install_group(&mut self, prefix: Ipv4Prefix, group: u32) -> InstallOutcome {
+        self.install_with(prefix, |_| group)
+    }
+
+    /// The one install path: `group` names the entry's set, and is asked
+    /// only when the install goes in, so a dropped install stores no set.
+    fn install_with(
+        &mut self,
+        prefix: Ipv4Prefix,
+        group: impl FnOnce(&mut SetTable<FibEntry>) -> u32,
+    ) -> InstallOutcome {
+        let (len, key) = (prefix.len(), prefix.network().0);
+        let at = self.by_len.partition_point(|(l, _)| *l > len);
+        let has_len = self.by_len.get(at).is_some_and(|(l, _)| *l == len);
+        if has_len {
+            if let Some(installed) = self.by_len[at].1.get_mut(&key) {
+                *installed = slot(group(&mut self.groups));
+                return InstallOutcome::Installed;
+            }
         }
         if let Some(cap) = self.capacity {
             if self.count >= cap {
@@ -169,20 +220,25 @@ impl Fib {
                 return InstallOutcome::DroppedFull;
             }
         }
-        map.insert(key, self.groups.intern(&entry));
-        self.len_present |= 1u64 << prefix.len();
+        if !has_len {
+            self.by_len.insert(at, (len, CowMap::default()));
+        }
+        self.by_len[at].1.insert(key, slot(group(&mut self.groups)));
         self.count += 1;
         InstallOutcome::Installed
     }
 
     /// Removes a prefix; returns whether it was installed.
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> bool {
-        let map = &mut self.by_len[prefix.len() as usize];
+        let Some(at) = self.by_len.iter().position(|(l, _)| *l == prefix.len()) else {
+            return false;
+        };
+        let map = &mut self.by_len[at].1;
         let removed = map.remove(&prefix.network().0).is_some();
         if removed {
             self.count -= 1;
             if map.is_empty() {
-                self.len_present &= !(1u64 << prefix.len());
+                self.by_len.remove(at);
             }
         }
         removed
@@ -191,32 +247,56 @@ impl Fib {
     /// The entry for an exact prefix.
     #[must_use]
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&FibEntry> {
-        self.by_len[prefix.len() as usize]
+        self.map(prefix.len())?
             .get(&prefix.network().0)
-            .map(|&g| self.groups.get(g))
+            .map(|&g| self.groups.get(group_of(g)))
     }
 
     /// Longest-prefix-match lookup.
     #[must_use]
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<(Ipv4Prefix, &FibEntry)> {
-        for len in (0..=32u8).rev() {
-            if self.len_present & (1u64 << len) == 0 {
-                continue;
-            }
+        self.by_len.iter().find_map(|&(len, ref map)| {
             let key = addr.0 & Ipv4Prefix::mask(len);
-            if let Some(&g) = self.by_len[len as usize].get(&key) {
-                return Some((Ipv4Prefix::new(Ipv4Addr(key), len), self.groups.get(g)));
-            }
-        }
-        None
+            let entry = self.groups.get(group_of(*map.get(&key)?));
+            Some((Ipv4Prefix::new(Ipv4Addr(key), len), entry))
+        })
     }
 
     /// Iterates all `(prefix, entry)` pairs (unordered).
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &FibEntry)> {
-        self.by_len.iter().enumerate().flat_map(move |(len, map)| {
-            map.iter()
-                .map(move |(k, &g)| (Ipv4Prefix::new(Ipv4Addr(*k), len as u8), self.groups.get(g)))
+        self.by_len.iter().flat_map(move |(len, map)| {
+            map.iter().map(move |(k, &g)| {
+                let prefix = Ipv4Prefix::new(Ipv4Addr(*k), *len);
+                (prefix, self.groups.get(group_of(g)))
+            })
         })
+    }
+
+    /// The prefixes whose entries may differ between `self` and `other`
+    /// (unordered, possibly repeated): per prefix length, the writes
+    /// either side made since a frozen base both read
+    /// ([`CowMap::diff_keys`]), or every prefix of both where they read
+    /// none. A copy of a FIB and its unwritten source therefore differ
+    /// only where the copy wrote.
+    pub fn diff_prefixes<'a>(&'a self, other: &'a Fib) -> impl Iterator<Item = Ipv4Prefix> + 'a {
+        let prefixes = |len: u8| move |k: &u32| Ipv4Prefix::new(Ipv4Addr(*k), len);
+        let mine = self.by_len.iter().flat_map(move |(len, a)| {
+            let (shared, alone) = match other.map(*len) {
+                Some(b) => (Some(a.diff_keys(b)), None),
+                None => (None, Some(a.keys())),
+            };
+            let keys = shared
+                .into_iter()
+                .flatten()
+                .chain(alone.into_iter().flatten());
+            keys.map(prefixes(*len))
+        });
+        let theirs = other
+            .by_len
+            .iter()
+            .filter(|(len, _)| self.map(*len).is_none())
+            .flat_map(move |(len, b)| b.keys().map(prefixes(*len)));
+        mine.chain(theirs)
     }
 
     /// Installs dropped due to a full table so far.
@@ -233,11 +313,8 @@ impl Fib {
 
     /// Removes everything, the group table included.
     pub fn clear(&mut self) {
-        for m in &mut self.by_len {
-            m.clear();
-        }
+        self.by_len.clear();
         self.groups.clear();
-        self.len_present = 0;
         self.count = 0;
     }
 }

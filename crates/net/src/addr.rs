@@ -316,19 +316,22 @@ impl core::hash::Hasher for PrefixHasher {
 /// [`SetTable::clear`]; an entry that stops using it leaves it in place.
 /// The table therefore holds the distinct values interned since the last
 /// clear — a device's ECMP sets, tens in a Clos fabric — which is why a
-/// lookup is a scan.
+/// lookup is a scan. A copy shares the values until either side stores a
+/// new one.
 #[derive(Debug, Clone)]
 pub struct SetTable<V> {
-    values: Vec<V>,
+    values: std::sync::Arc<Vec<V>>,
 }
 
 impl<V> Default for SetTable<V> {
     fn default() -> Self {
-        SetTable { values: Vec::new() }
+        SetTable {
+            values: std::sync::Arc::default(),
+        }
     }
 }
 
-impl<V> SetTable<V> {
+impl<V: Clone> SetTable<V> {
     /// The id of the value equal to `key`, stored first if the table
     /// lacks it. Allocates only when it stores.
     pub fn intern<Q>(&mut self, key: &Q) -> u32
@@ -339,8 +342,9 @@ impl<V> SetTable<V> {
         let id = match self.values.iter().position(|v| v.borrow() == key) {
             Some(i) => i,
             None => {
-                self.values.push(key.to_owned());
-                self.values.len() - 1
+                let values = std::sync::Arc::make_mut(&mut self.values);
+                values.push(key.to_owned());
+                values.len() - 1
             }
         };
         u32::try_from(id).expect("fewer than 2^32 distinct values")
@@ -364,7 +368,10 @@ impl<V> SetTable<V> {
 
     /// Forgets every value; ids start again from 0.
     pub fn clear(&mut self) {
-        self.values.clear();
+        match std::sync::Arc::get_mut(&mut self.values) {
+            Some(values) => values.clear(),
+            None => *self = SetTable::default(),
+        }
     }
 }
 

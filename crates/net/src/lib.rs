@@ -10,6 +10,7 @@
 
 pub mod addr;
 pub mod clos;
+pub mod cow;
 pub mod fixtures;
 pub mod partition;
 pub mod region;
@@ -21,6 +22,7 @@ pub use addr::{
     SetTable,
 };
 pub use clos::{ClosParams, ClosTopology, LayerCounts, Pod};
+pub use cow::CowMap;
 pub use partition::{
     best_spare, dirty_region, dirty_region_scoped, partition, partition_grouped,
     placement_affinity, Partition, RippleScope,

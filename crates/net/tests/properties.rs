@@ -1,7 +1,30 @@
 //! Property-based tests for addressing and topology invariants.
 
-use crystalnet_net::{ClosParams, Ipv4Addr, Ipv4Prefix, Role};
+use crystalnet_net::{ClosParams, CowMap, Ipv4Addr, Ipv4Prefix, Role};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::BTreeMap;
+
+/// Keys the copy-on-write property draws from: wider than the source's
+/// first fill, so writes both shadow base keys and add new ones.
+const COW_KEYS: u32 = 80;
+
+/// Checks one live table against its model: every key's value, the
+/// length, emptiness and the sorted iteration.
+fn agrees(map: &CowMap<u32, u32>, model: &BTreeMap<u32, u32>) -> Result<(), TestCaseError> {
+    for k in 0..COW_KEYS {
+        prop_assert_eq!(map.get(&k), model.get(&k), "key {}", k);
+    }
+    prop_assert_eq!(map.len(), model.len());
+    prop_assert_eq!(map.is_empty(), model.is_empty());
+    let mut rows: Vec<(u32, u32)> = map.iter().map(|(k, v)| (*k, *v)).collect();
+    rows.sort_unstable();
+    prop_assert_eq!(
+        rows,
+        model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+    );
+    Ok(())
+}
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Ipv4Prefix::new(Ipv4Addr(a), l))
@@ -112,6 +135,82 @@ proptest! {
                     .unwrap();
                 prop_assert!(my.same_subnet(peer));
                 prop_assert_ne!(my.addr, peer.addr);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `CowMap` against a `BTreeMap` model: random insert, in-place
+    /// write, remove, clear and drain steps on a set of live tables, with
+    /// copies taken (and dropped) at random points. After every step every
+    /// live table reads as its own model — so no write shows in any other
+    /// copy or in the source — and `diff_keys` names every key on which
+    /// two tables differ.
+    #[test]
+    fn cow_map_agrees_with_a_model_across_copies(
+        fill in 0u32..64,
+        ops in prop::collection::vec((0u8..12, 0usize..8, 0u32..COW_KEYS, any::<u32>()), 1..160),
+    ) {
+        let mut source = CowMap::default();
+        let mut model = BTreeMap::new();
+        for k in 0..fill {
+            source.insert(k, k);
+            model.insert(k, k);
+        }
+        let mut live: Vec<(CowMap<u32, u32>, BTreeMap<u32, u32>)> = vec![(source, model)];
+        for (op, at, key, value) in ops {
+            let (at, room) = (at % live.len(), live.len() < 8);
+            let (map, model) = &mut live[at];
+            match op {
+                0..=2 => {
+                    map.insert(key, value);
+                    model.insert(key, value);
+                }
+                3 => {
+                    if let Some(v) = map.get_mut(&key) {
+                        *v = value;
+                    }
+                    if let Some(v) = model.get_mut(&key) {
+                        *v = value;
+                    }
+                }
+                4..=6 => prop_assert_eq!(map.remove(&key), model.remove(&key)),
+                7 => {
+                    map.clear();
+                    model.clear();
+                }
+                8 => {
+                    let mut drained: Vec<(u32, u32)> = map.drain().collect();
+                    drained.sort_unstable();
+                    let want: Vec<(u32, u32)> = std::mem::take(model).into_iter().collect();
+                    prop_assert_eq!(drained, want);
+                }
+                9 | 10 if room => {
+                    let copy = (map.clone(), model.clone());
+                    live.push(copy);
+                }
+                9 | 10 => {}
+                _ => {
+                    if live.len() > 1 {
+                        live.swap_remove(at);
+                    }
+                }
+            }
+            for (map, model) in &live {
+                agrees(map, model)?;
+            }
+            for (a, ma) in &live {
+                for (b, mb) in &live {
+                    let named: std::collections::BTreeSet<u32> = a.diff_keys(b).copied().collect();
+                    for k in 0..COW_KEYS {
+                        if ma.get(&k) != mb.get(&k) {
+                            prop_assert!(named.contains(&k), "diff_keys misses key {}", k);
+                        }
+                    }
+                }
             }
         }
     }

@@ -11,10 +11,12 @@
 //! Design notes for scale (Table 3's O(20M) routes): path attributes and
 //! provenance are interned `Copy` handles, and each router interns its
 //! ECMP peer-index sets in a [`SetTable`] (as the FIB does its next-hop
-//! groups), so the Loc-RIB, Adj-RIB and FIB tables are plain data that
-//! copies as bytes; updates are batched per MRAI interval into
-//! single messages; the exporter skips peers whose AS already appears in the
-//! path (sender-side loop check), which is what makes Clos fabrics with
+//! groups), so the Loc-RIB, Adj-RIB and FIB tables are plain data; they
+//! are [`CowMap`]s, so a copy of the router shares them and owns only the
+//! entries it writes. A peer-learned FIB install is one map write of the
+//! ECMP set's memoised FIB group id. Updates are batched per MRAI interval
+//! into single messages; the exporter skips peers whose AS already appears
+//! in the path (sender-side loop check), which is what makes Clos fabrics with
 //! shared layer ASes converge in O(links) messages instead of O(links^2).
 //! A changed prefix's exported attributes are built once per event
 //! (`export_attrs`) and only filtered per peer (`export_to`); the rewrite
@@ -29,9 +31,8 @@
 //! both) and enters it only through `establish` (which queues the full
 //! table). That is why `LinkUp` and `NeighborEnable` leave an
 //! established session alone, and a `Boot` that reaches a live image
-//! ends its sessions through `session_down`. The per-prefix tables are
-//! [`PrefixMap`]s, and the decision process reuses its candidate and
-//! dirty-prefix buffers.
+//! ends its sessions through `session_down`. The decision process reuses
+//! its candidate and dirty-prefix buffers.
 
 use crate::attrs::{Origin, PathAttrs};
 use crate::intern::Interned;
@@ -43,11 +44,12 @@ use crate::provenance::{
 use crate::vendor::{AggregateMode, FibOverflow, VendorProfile};
 use crystalnet_config::{Action, AggregateConfig, DeviceConfig, RouteMap, RouteMatch, RouteSet};
 use crystalnet_dataplane::{Fib, FibEntry, NextHop};
-use crystalnet_net::{Asn, IdMap, Ipv4Addr, Ipv4Prefix, PrefixMap, SetTable};
+use crystalnet_net::{Asn, CowMap, Ipv4Addr, Ipv4Prefix, PrefixMap, SetTable};
 use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The decision process's preference key; see [`BgpRouterOs::candidate_key`].
 type CandidateKey = (u32, Reverse<usize>, Reverse<Origin>, Reverse<u32>);
@@ -55,11 +57,15 @@ type CandidateKey = (u32, Reverse<usize>, Reverse<Origin>, Reverse<u32>);
 /// Re-announced attributes by learned attribute set: keyed by the learned
 /// set's address (an interned value is never freed, so its address is
 /// never reused) and holding its `announced_by(asn, loopback)` rewrite,
-/// interned.
-type Reannounced = IdMap<usize, Interned<PathAttrs>>;
+/// interned. Copy-on-write like the route tables: a copy of the router
+/// owns only the rewrites it adds.
+type Reannounced = CowMap<usize, Interned<PathAttrs>>;
 
 /// Sentinel interface index meaning "locally attached / deliver here".
 pub const LOCAL_IFACE: u32 = u32::MAX;
+
+/// A `fib_groups` slot whose FIB has not met the set.
+const NO_GROUP: u32 = u32::MAX;
 
 /// BGP session state (simplified FSM: Idle → OpenSent → Established).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +111,9 @@ struct LocEntry {
 /// (both interned, so the pair is sixteen bytes of plain data).
 type RibAttrs = (Interned<PathAttrs>, Interned<Provenance>);
 
-// Every Loc-RIB, Adj-RIB-In, Adj-RIB-Out and MRAI table is copied whole
-// when a fork writes to a device; a counted or owning field here would
-// make that copy visit every entry again.
+// A device copy freezes each Loc-RIB and Adj-RIB table with one clone of
+// its map, and copies the MRAI table whole; a counted or owning field
+// here would make that clone visit every entry again.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<RibAttrs>();
@@ -127,9 +133,9 @@ struct Peer {
     link_up: bool,
     /// Session token of the peer's current incarnation.
     remote_token: Option<u64>,
-    adj_in: PrefixMap<RibAttrs>,
+    adj_in: CowMap<Ipv4Prefix, RibAttrs>,
     /// Last flushed Adj-RIB-Out.
-    advertised: PrefixMap<RibAttrs>,
+    advertised: CowMap<Ipv4Prefix, RibAttrs>,
     /// Pending (MRAI-batched) changes; `None` = withdraw.
     pending: PrefixMap<Option<RibAttrs>>,
 }
@@ -146,8 +152,10 @@ impl Peer {
 /// A BGP router OS instance (one emulated firmware image).
 #[derive(Clone)]
 pub struct BgpRouterOs {
-    profile: VendorProfile,
-    config: DeviceConfig,
+    /// Shared with every copy; the management edits that change it copy
+    /// it first (`Arc::make_mut`).
+    profile: Arc<VendorProfile>,
+    config: Arc<DeviceConfig>,
     hostname: String,
     asn: Asn,
     router_id: Ipv4Addr,
@@ -157,10 +165,15 @@ pub struct BgpRouterOs {
     /// The session on each interface, indexed by interface.
     peer_by_iface: Vec<Option<usize>>,
     networks: BTreeSet<Ipv4Prefix>,
-    loc_rib: PrefixMap<LocEntry>,
+    loc_rib: CowMap<Ipv4Prefix, LocEntry>,
     /// The distinct ECMP peer-index sets the Loc-RIB names, appended as
     /// decisions meet them and cleared with the Loc-RIB.
     ecmp_sets: SetTable<Vec<usize>>,
+    /// The kernel and ASIC FIB group ids of each `ecmp_sets` id
+    /// ([`NO_GROUP`] where that FIB has not met the set), so a
+    /// peer-learned install is one map write per FIB. Cleared with
+    /// `ecmp_sets`, the FIBs or the peer list.
+    fib_groups: Vec<(u32, u32)>,
     fib: Fib,
     /// The ASIC view for images with an external forwarding emulator
     /// (CTNR-B + BMv2, §6.2) whose sync layer can diverge from the kernel
@@ -205,7 +218,7 @@ impl BgpRouterOs {
         let has_asic = profile.vendor == crystalnet_net::Vendor::CtnrB
             && profile.quirks.skip_default_route_fib;
         let mut os = BgpRouterOs {
-            profile,
+            profile: Arc::new(profile),
             hostname: config.hostname.clone(),
             asn: Asn(0),
             router_id: Ipv4Addr::UNSPECIFIED,
@@ -214,8 +227,9 @@ impl BgpRouterOs {
             peers: vec![],
             peer_by_iface: Vec::new(),
             networks: BTreeSet::new(),
-            loc_rib: PrefixMap::default(),
+            loc_rib: CowMap::default(),
             ecmp_sets: SetTable::default(),
+            fib_groups: Vec::new(),
             fib: Fib::new(config.fib_capacity),
             asic_fib: has_asic.then(|| Fib::new(config.fib_capacity)),
             dirty: Vec::new(),
@@ -231,7 +245,7 @@ impl BgpRouterOs {
             cur_event: EventId::ZERO,
             tracing: false,
             mutations: Vec::new(),
-            config,
+            config: Arc::new(config),
         };
         os.apply_config_internal();
         os
@@ -304,6 +318,8 @@ impl BgpRouterOs {
     fn apply_config_internal(&mut self) {
         self.hostname = self.config.hostname.clone();
         self.reannounced.clear();
+        // A rebuilt peer list gives the same peer index other hops.
+        self.fib_groups.clear();
         self.local_addrs.clear();
         self.local_addrs.push(self.loopback);
         for iface in &self.config.interfaces {
@@ -344,8 +360,8 @@ impl BgpRouterOs {
                     state: SessionState::Idle,
                     link_up: !iface_down,
                     remote_token: None,
-                    adj_in: PrefixMap::default(),
-                    advertised: PrefixMap::default(),
+                    adj_in: CowMap::default(),
+                    advertised: CowMap::default(),
                     pending: PrefixMap::default(),
                 })
             })
@@ -403,8 +419,9 @@ impl BgpRouterOs {
         peer.advertised.clear();
         if was_established {
             self.flaps += 1;
-            actions.route_ops += peer.adj_in.len();
-            self.dirty.extend(peer.adj_in.drain().map(|(p, _)| p));
+            let routes = peer.adj_in.drain();
+            actions.route_ops += routes.len();
+            self.dirty.extend(routes.map(|(p, _)| p));
             if let Some(limit) = self.profile.quirks.crash_after_flaps {
                 if self.flaps >= limit {
                     // Case-2 bug: the OS crashes after repeated flaps.
@@ -423,7 +440,7 @@ impl BgpRouterOs {
         // Full-table advertisement toward the new peer: every export is
         // sent, so each gets its chain.
         let mut memo = std::mem::take(&mut self.reannounced);
-        for (&prefix, entry) in &self.loc_rib {
+        for (&prefix, entry) in self.loc_rib.iter() {
             if let Some(attrs) = self.export_to(idx, prefix, entry, &mut memo, &mut None) {
                 let prov = self.export_chain(entry);
                 self.peers[idx].pending.insert(prefix, Some((attrs, prov)));
@@ -552,10 +569,13 @@ impl BgpRouterOs {
         if self.suppressed_by_aggregate(prefix, entry.source) {
             return None;
         }
-        let announced = memo
-            .entry(entry.attrs.as_ptr() as usize)
-            .or_insert_with(|| entry.attrs.announced_by(self.asn, self.loopback).intern());
-        Some(*announced)
+        let learned = entry.attrs.as_ptr() as usize;
+        if let Some(&announced) = memo.get(&learned) {
+            return Some(announced);
+        }
+        let announced = entry.attrs.announced_by(self.asn, self.loopback).intern();
+        memo.insert(learned, announced);
+        Some(announced)
     }
 
     /// The causal chain an export carries: extended by this router's hop
@@ -710,7 +730,10 @@ impl BgpRouterOs {
                     None if equal_count > width => DecisionReason::LowerPeerAddr,
                     None => DecisionReason::OnlyCandidate,
                 };
-                let (attrs, prov) = self.peers[bidx].adj_in[&prefix];
+                let (attrs, prov) = *self.peers[bidx]
+                    .adj_in
+                    .get(&prefix)
+                    .expect("the best candidate's route");
                 LocEntry {
                     attrs,
                     source: RouteSource::Peer(bidx),
@@ -805,17 +828,42 @@ impl BgpRouterOs {
     }
 
     /// Installs into the kernel FIB (and the ASIC FIB where the image has
-    /// one). Returns false when the hardware table overflowed.
+    /// one). Returns false when the hardware table overflowed. A
+    /// peer-learned route installs its ECMP set's group ids from
+    /// `fib_groups`; the next-hop list is built only the first time a set
+    /// reaches a FIB.
     fn install_fib(&mut self, prefix: Ipv4Prefix, entry: &LocEntry) -> bool {
-        let fe = self.fib_entry_for(entry);
-        if let Some(asic) = &mut self.asic_fib {
-            // Case-2 bug: the ASIC sync layer skips default-route updates.
-            let skip = self.profile.quirks.skip_default_route_fib && prefix.is_default();
-            if !skip {
+        // Case-2 bug: the ASIC sync layer skips default-route updates.
+        let skip_asic = self.profile.quirks.skip_default_route_fib && prefix.is_default();
+        let RouteSource::Peer(_) = entry.source else {
+            let fe = self.fib_entry_for(entry);
+            if let Some(asic) = self.asic_fib.as_mut().filter(|_| !skip_asic) {
                 asic.install(prefix, fe.clone());
             }
+            return self.fib.install(prefix, fe) == crystalnet_dataplane::InstallOutcome::Installed;
+        };
+        let set = entry.ecmp as usize;
+        if self.fib_groups.len() <= set {
+            self.fib_groups.resize(set + 1, (NO_GROUP, NO_GROUP));
         }
-        self.fib.install(prefix, fe) == crystalnet_dataplane::InstallOutcome::Installed
+        let (mut kernel, mut asic) = self.fib_groups[set];
+        let to_asic = self.asic_fib.is_some() && !skip_asic;
+        if kernel == NO_GROUP || (to_asic && asic == NO_GROUP) {
+            let fe = self.fib_entry_for(entry);
+            if kernel == NO_GROUP {
+                kernel = self.fib.group(&fe);
+            }
+            if let Some(asic_fib) = self.asic_fib.as_mut().filter(|_| to_asic) {
+                if asic == NO_GROUP {
+                    asic = asic_fib.group(&fe);
+                }
+            }
+            self.fib_groups[set] = (kernel, asic);
+        }
+        if let Some(asic_fib) = self.asic_fib.as_mut().filter(|_| to_asic) {
+            asic_fib.install_group(prefix, asic);
+        }
+        self.fib.install_group(prefix, kernel) == crystalnet_dataplane::InstallOutcome::Installed
     }
 
     fn remove_fib(&mut self, prefix: Ipv4Prefix) {
@@ -1140,7 +1188,7 @@ impl BgpRouterOs {
                 }
             }
             MgmtCommand::AddNetwork(prefix) => {
-                if let Some(bgp) = &mut self.config.bgp {
+                if let Some(bgp) = &mut Arc::make_mut(&mut self.config).bgp {
                     bgp.networks.push(prefix);
                 }
                 self.networks.insert(prefix);
@@ -1148,7 +1196,7 @@ impl BgpRouterOs {
                 actions.response = Some(MgmtResponse::Ok);
             }
             MgmtCommand::RemoveNetwork(prefix) => {
-                if let Some(bgp) = &mut self.config.bgp {
+                if let Some(bgp) = &mut Arc::make_mut(&mut self.config).bgp {
                     bgp.networks.retain(|p| *p != prefix);
                 }
                 self.networks.remove(&prefix);
@@ -1162,10 +1210,11 @@ impl BgpRouterOs {
             } => {
                 // A rejected command must leave the ACL bodies alone: the
                 // name may already filter another interface.
-                match self.config.interfaces.iter_mut().find(|i| i.name == iface) {
-                    Some(i) => {
-                        i.acl_in = Some(acl_name.clone());
-                        self.config.acls.insert(acl_name, acl);
+                match self.config.interfaces.iter().position(|i| i.name == iface) {
+                    Some(at) => {
+                        let config = Arc::make_mut(&mut self.config);
+                        config.interfaces[at].acl_in = Some(acl_name.clone());
+                        config.acls.insert(acl_name, acl);
                         actions.response = Some(MgmtResponse::Ok);
                     }
                     None => {
@@ -1175,7 +1224,7 @@ impl BgpRouterOs {
                 }
             }
             MgmtCommand::ReplaceConfig(cfg) => {
-                self.config = *cfg;
+                self.config = Arc::new(*cfg);
                 self.reset_control_plane();
                 // A config replace behaves like a control-plane restart:
                 // sessions re-open immediately.
@@ -1210,7 +1259,7 @@ impl BgpRouterOs {
     /// process alone would not re-export routes whose best path is
     /// unchanged.
     fn soft_refresh(&mut self, cfg: DeviceConfig, actions: &mut OsActions) {
-        self.config = cfg;
+        self.config = Arc::new(cfg);
         self.hostname = self.config.hostname.clone();
         if let Some(bgp) = &self.config.bgp {
             let new_networks: BTreeSet<Ipv4Prefix> = bgp.networks.iter().copied().collect();
@@ -1260,6 +1309,7 @@ impl BgpRouterOs {
 
     fn reset_control_plane(&mut self) {
         self.loc_rib.clear();
+        // `apply_config_internal` below clears `fib_groups`.
         self.ecmp_sets.clear();
         self.fib.clear();
         if let Some(asic) = &mut self.asic_fib {

@@ -226,14 +226,17 @@ pub trait DeviceOs: Send + Sync {
         Vec::new()
     }
 
-    /// Deep-copies this OS instance, boxed — how the harness unshares
-    /// an OS an emulation and its forks still hold together, right
-    /// before the first write to it. Every RIB and FIB entry is plain
-    /// data (interned attribute and provenance handles, `u32` ids of
-    /// per-device ECMP sets), so the copy shares the route values and
-    /// duplicates each table as bytes, allocating per table and per
-    /// distinct ECMP set, never per route; everything mutable (session
-    /// state, timers, FIB indexes) is owned by the copy.
+    /// Copies this OS instance, boxed — how the harness unshares an OS
+    /// an emulation and its forks still hold together, right before the
+    /// first write to it. The copy owns only what it writes: its route
+    /// tables (Loc-RIB, Adj-RIBs, FIB maps) are
+    /// [`CowMap`](crystalnet_net::CowMap)s over the source's tables,
+    /// frozen once at the source's first copy (one clone of each
+    /// non-empty table, kept in the source until its next write) and
+    /// shared by every later copy; the configuration, vendor profile and
+    /// ECMP set tables are shared until either side changes them. What
+    /// the copy does own outright is per-table and per-session state
+    /// (session state, timers, table headers), never per route.
     fn clone_boxed(&self) -> Box<dyn DeviceOs>;
 }
 
