@@ -2,10 +2,10 @@
 //! the 10th/50th/90th percentile over repeated runs, across datacenter
 //! scales and VM fleet sizes.
 
-use crate::config::{reps, DcConfig};
-use crystalnet::{mockup, prepare, BoundaryMode, Emulation, MockupOptions, SpeakerSource};
+use crate::config::{figure8_configs, prepare_whole, DcConfig, Scale};
+use crate::{claim, Claim, PaperResult};
+use crystalnet::{mockup, Emulation, MockupOptions};
 use crystalnet_sim::{LatencySummary, SimDuration};
-use std::sync::Arc;
 
 /// Latency samples of one configuration across repetitions.
 pub struct Fig8Row {
@@ -21,23 +21,13 @@ pub struct Fig8Row {
     pub clear: LatencySummary,
     /// Devices emulated.
     pub devices: usize,
-    /// Route operations of the median run.
-    pub route_ops: u64,
 }
 
 /// Runs one configuration once; returns the emulation for reuse.
 #[must_use]
 pub fn run_once(cfg: &DcConfig, seed: u64) -> Emulation {
-    let dc = cfg.params.build();
-    let prep = prepare(
-        &dc.topo,
-        &[],
-        BoundaryMode::WholeNetwork,
-        SpeakerSource::OriginatedOnly,
-        &cfg.plan_options(),
-    );
     mockup(
-        Arc::new(prep),
+        prepare_whole(&cfg.params.build().topo, &cfg.plan_options()),
         MockupOptions::builder()
             .seed(seed)
             .quiet(SimDuration::from_secs(45))
@@ -45,96 +35,93 @@ pub fn run_once(cfg: &DcConfig, seed: u64) -> Emulation {
     )
 }
 
-/// Runs `reps()` seeds of one configuration and summarizes.
-#[must_use]
-pub fn run_config(cfg: &DcConfig) -> Fig8Row {
-    let mut network = Vec::new();
-    let mut route = Vec::new();
-    let mut mockup_l = Vec::new();
-    let mut clear_l = Vec::new();
+/// Runs `reps` seeds of one configuration and summarizes.
+fn run_config(cfg: &DcConfig, reps: u64) -> Fig8Row {
+    let mut samples: [Vec<SimDuration>; 4] = Default::default();
     let mut devices = 0;
-    let mut ops = Vec::new();
-    for seed in 0..reps() {
+    for seed in 0..reps {
         let mut emu = run_once(cfg, seed);
-        network.push(emu.metrics.network_ready);
-        route.push(emu.metrics.route_ready);
-        mockup_l.push(emu.metrics.mockup);
-        ops.push(emu.metrics.route_ops);
+        let m = &emu.metrics;
+        let run = [m.network_ready, m.route_ready, m.mockup];
         devices = emu.prep.emulated.len();
-        clear_l.push(emu.clear());
+        for (s, d) in samples.iter_mut().zip(run.into_iter().chain([emu.clear()])) {
+            s.push(d);
+        }
     }
-    ops.sort_unstable();
+    let summary = |s: Vec<_>| LatencySummary::from_samples(&s).expect("reps >= 1");
+    let [network_ready, route_ready, mockup, clear] = samples.map(summary);
     Fig8Row {
-        label: cfg.label.clone(),
-        network_ready: LatencySummary::from_samples(&network).expect("reps >= 1"),
-        route_ready: LatencySummary::from_samples(&route).expect("reps >= 1"),
-        mockup: LatencySummary::from_samples(&mockup_l).expect("reps >= 1"),
-        clear: LatencySummary::from_samples(&clear_l).expect("reps >= 1"),
+        label: cfg.label(),
+        network_ready,
+        route_ready,
+        mockup,
+        clear,
         devices,
-        route_ops: ops[ops.len() / 2],
     }
 }
 
-/// Prints the Figure 8 table for the given configurations.
-pub fn print_table(rows: &[Fig8Row]) {
-    println!(
-        "\n=== Figure 8: start/stop latencies (p10/p50/p90 over {} runs) ===",
-        reps()
+/// Figure 8: start/stop latencies across scales and fleets, and the
+/// paper's claims checked against the rows.
+pub fn fig8(scale: &Scale) -> PaperResult {
+    let reps = scale.reps;
+    let rows: Vec<_> = figure8_configs(scale)
+        .iter()
+        .map(|cfg| {
+            eprintln!("fig8: running {} ({reps} reps)...", cfg.label());
+            run_config(cfg, reps)
+        })
+        .collect();
+    let mut text = String::new();
+    out!(
+        text,
+        "\n=== Figure 8: start/stop latencies (p10/p50/p90 over {reps} runs) ==="
     );
-    println!(
-        "{:<12} {:>8} | {:>26} | {:>26} | {:>26} | {:>26}",
-        "DC/#VMs", "devices", "network-ready", "route-ready", "mockup", "clear"
-    );
-    for r in rows {
-        println!(
-            "{:<12} {:>8} | {:>26} | {:>26} | {:>26} | {:>26}",
-            r.label,
-            r.devices,
-            fmt3(&r.network_ready),
-            fmt3(&r.route_ready),
-            fmt3(&r.mockup),
-            fmt3(&r.clear),
+    out!(text, "DC/#VMs       devices |              network-ready |                route-ready |                     mockup |                      clear");
+    for r in &rows {
+        let [n, rr, m, c] = [&r.network_ready, &r.route_ready, &r.mockup, &r.clear]
+            .map(|s| format!("{} / {} / {}", s.p10, s.p50, s.p90));
+        let (label, devices) = (&r.label, r.devices);
+        out!(
+            text,
+            "{label:<12} {devices:>8} | {n:>26} | {rr:>26} | {m:>26} | {c:>26}"
         );
     }
+    PaperResult::new(text, "Figure 8", claims(&rows))
 }
 
-fn fmt3(s: &LatencySummary) -> String {
-    format!("{} / {} / {}", s.p10, s.p50, s.p90)
-}
-
-/// Checks the paper's headline claims against the measured rows; returns
-/// human-readable verdicts (for EXPERIMENTS.md).
+/// The paper's Figure 8 claims, checked against the rows: per row, then
+/// per pair of one DC at two fleet sizes.
 #[must_use]
-pub fn verdicts(rows: &[Fig8Row]) -> Vec<(String, bool)> {
+pub fn claims(rows: &[Fig8Row]) -> Vec<Claim> {
+    let mins = SimDuration::from_mins;
     let mut out = Vec::new();
     for r in rows {
-        out.push((
-            format!("{}: median mockup < 32 min", r.label),
-            r.mockup.p50 < SimDuration::from_mins(32),
-        ));
-        out.push((
-            format!("{}: p90 mockup < 50 min", r.label),
-            r.mockup.p90 < SimDuration::from_mins(50),
-        ));
-        out.push((
-            format!("{}: network-ready < 2 min (<5% of mockup)", r.label),
-            r.network_ready.p90 < SimDuration::from_mins(2),
-        ));
-        out.push((
-            format!("{}: clear < 2 min", r.label),
-            r.clear.p90 < SimDuration::from_mins(2),
-        ));
+        let (l, net, mockup) = (&r.label, r.network_ready.p90, r.mockup.p50);
+        out.extend([
+            claim("median mockup < 32 min", l, mockup < mins(32)),
+            claim("p90 mockup < 50 min", l, r.mockup.p90 < mins(50)),
+            claim(
+                "network-ready < 2 min (<5% of mockup)",
+                l,
+                net < mins(2).min(mockup / 20),
+            ),
+            claim("clear < 2 min", l, r.clear.p90 < mins(2)),
+            claim(
+                "route-ready p50 ≥ 90% of mockup p50 (route-ready dominates)",
+                l,
+                r.route_ready.p50 >= mockup.mul_f64(0.9),
+            ),
+        ]);
     }
-    // More VMs ⇒ faster, steadier mockup within each DC pair.
     for pair in rows.chunks(2) {
         if let [small, big] = pair {
-            out.push((
-                format!(
-                    "{} → {}: more VMs do not slow mockup",
-                    small.label, big.label
-                ),
-                big.mockup.p50 <= small.mockup.p50,
-            ));
+            let pair = format!("{} → {}", small.label, big.label);
+            let (small, big) = (small.mockup.p50, big.mockup.p50);
+            out.push(claim("more VMs do not slow mockup", &pair, big <= small));
+            if pair.starts_with("L-DC") {
+                let paper = "twice the VMs leave mockup above half (routing-bound)";
+                out.push(claim(paper, pair, big > small / 2));
+            }
         }
     }
     out

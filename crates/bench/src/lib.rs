@@ -1,5 +1,6 @@
 //! Regenerates every table and figure in the CrystalNet paper's
-//! evaluation (plus the DESIGN.md ablations) through one binary:
+//! evaluation (plus the DESIGN.md ablations) through one binary, and
+//! checks the paper's claims against what it measured:
 //!
 //! ```text
 //! cargo run --release -p crystalnet-bench --bin paper -- <name>
@@ -9,9 +10,16 @@
 //! order. Everything printed is a deterministic virtual-time result;
 //! performance numbers are not produced here — the instrument for those
 //! is the standalone `benchmark/` package (contract in `BENCHMARK.json`).
-//!
-//! Scaling: `CRYSTALNET_FULL=1` for full L-DC, `CRYSTALNET_REPS=n` to
-//! change Figure 8's repetition count (default 10, as in the paper).
+//! The binary exits 1 when any [`Claim`] fails. It reads the run's size
+//! from the environment once, into a [`config::Scale`].
+
+/// `writeln!` into a `String`, which cannot fail.
+macro_rules! out {
+    ($text:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        writeln!($text, $($arg)*).expect("writing to a String cannot fail")
+    }};
+}
 
 pub mod boundaries;
 pub mod config;
@@ -21,63 +29,62 @@ pub mod incidents;
 pub mod ops;
 pub mod tables;
 
-/// The `paper` binary's dispatch table: one subcommand per table or
-/// figure, in the order `all` runs them. The docs test reads the names
-/// from here, so a documented command cannot outlive its subcommand.
-pub const SUBCOMMANDS: [(&str, fn()); 8] = [
-    ("table1", || {
-        incidents::print_table1(42);
-    }),
-    ("fig1", || {
-        incidents::print_fig1(&incidents::run_fig1(7, 200));
-    }),
-    ("fig7", || boundaries::print_fig7(&boundaries::run_fig7())),
-    ("table3", || tables::print_table3(&tables::table3())),
-    ("table4", || tables::print_table4(&tables::table4())),
-    ("fig8", fig8),
-    ("fig9", fig9),
-    ("sec83", sec83),
-];
+use config::Scale;
 
-/// Figure 8: start/stop latencies across scales and fleets, then the
-/// paper's claims checked against the rows.
-fn fig8() {
-    let rows: Vec<_> = config::figure8_configs()
-        .iter()
-        .map(|cfg| {
-            eprintln!("fig8: running {} ({} reps)...", cfg.label, config::reps());
-            fig8::run_config(cfg)
-        })
-        .collect();
-    fig8::print_table(&rows);
-    println!("\nFigure 8 claim checks:");
-    for (claim, ok) in fig8::verdicts(&rows) {
-        println!("  [{}] {claim}", if ok { "ok" } else { "FAIL" });
+/// One claim of the paper, checked against this run.
+pub struct Claim {
+    /// What the paper claims, as the bound the check applies.
+    pub paper: &'static str,
+    /// What this run measured: the value, or the row a per-row check read.
+    pub measured: String,
+    /// Whether the measurement bears the claim out.
+    pub holds: bool,
+}
+
+/// A [`Claim`] from its three parts.
+pub fn claim(paper: &'static str, measured: impl Into<String>, holds: bool) -> Claim {
+    let measured = measured.into();
+    Claim {
+        paper,
+        measured,
+        holds,
     }
 }
 
-/// Figure 9: p95 VM CPU utilization during Mockup.
-fn fig9() {
-    let series: Vec<_> = config::figure8_configs()
-        .iter()
-        .map(|cfg| {
-            eprintln!("fig9: running {}...", cfg.label);
-            fig9::run_config(cfg, 1)
-        })
-        .collect();
-    fig9::print_series(&series);
+/// What one subcommand prints, and the claims it checked.
+pub struct PaperResult {
+    /// The rendered tables, ending with the claim block.
+    pub text: String,
+    /// The checked claims, in the order the claim block lists them.
+    pub claims: Vec<Claim>,
 }
 
-/// §8.3 reload and recovery, plus the DESIGN.md ablations (bridge
-/// implementation, vendor grouping).
-fn sec83() {
-    ops::print_reload(&ops::reload_comparison(3));
-    ops::print_recovery(&ops::recovery_by_density(4));
-    ops::print_fault_recovery(&ops::recovery_by_fault_kind(7));
-    let cfgs = config::figure8_configs();
-    ops::print_ablation(
-        "Linux bridge vs OVS (S-DC/5)",
-        &ops::bridge_ablation(&cfgs[0], 5),
-    );
-    ops::print_ablation("vendor grouping on/off (S-DC)", &ops::grouping_ablation(6));
+impl PaperResult {
+    /// Appends `claims` to `text` as one `<title> claim checks:` block.
+    #[must_use]
+    pub fn new(mut text: String, title: &str, claims: Vec<Claim>) -> Self {
+        out!(text, "\n{title} claim checks:");
+        for c in &claims {
+            let mark = if c.holds { "ok" } else { "FAIL" };
+            out!(text, "  [{mark}] {}: {}", c.measured, c.paper);
+        }
+        Self { text, claims }
+    }
 }
+
+/// One subcommand: runs at a scale, returns what to print.
+pub type Subcommand = fn(&Scale) -> PaperResult;
+
+/// The `paper` binary's dispatch table: one subcommand per table or
+/// figure, in the order `all` runs them. The docs test reads the names
+/// from here, so a documented command cannot outlive its subcommand.
+pub const SUBCOMMANDS: [(&str, Subcommand); 8] = [
+    ("table1", |_| incidents::table1(42)),
+    ("fig1", |_| incidents::fig1(7, 200)),
+    ("fig7", |_| boundaries::fig7()),
+    ("table3", tables::table3),
+    ("table4", |_| tables::table4()),
+    ("fig8", fig8::fig8),
+    ("fig9", fig9::fig9),
+    ("sec83", ops::sec83),
+];

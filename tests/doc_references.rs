@@ -6,6 +6,10 @@
 //! generated file under `target/`, never a tracked file at the repo
 //! root, and no `<x>_output.txt` "recorded run" is cited at all.
 //!
+//! Nor a number the code does not produce: every `measured` value of the
+//! `table1`, `fig1`, `fig7` and `table4` claims appears in the
+//! EXPERIMENTS.md section that names the subcommand.
+//!
 //! Nor an item that does not exist: every `crystalnet::<Name>` and
 //! `core::<module>::<Name>` cited in backticks in EXPERIMENTS.md, in
 //! DESIGN.md's parallel-runtime, observability and fork sections (§3.5,
@@ -117,6 +121,37 @@ fn docs_name_only_bench_targets_that_exist() {
         seen > 0,
         "the scan found no reference at all — it is broken"
     );
+}
+
+#[test]
+fn experiments_quotes_what_the_claims_measure() {
+    let doc = read("EXPERIMENTS.md");
+    let scale = crystalnet_bench::config::Scale::parse(None, None).expect("defaults parse");
+    for name in ["table1", "fig1", "fig7", "table4"] {
+        // The section runs from the heading above its command to the next.
+        let at = doc
+            .find(&format!("--bin paper -- {name}`"))
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `paper -- {name}` section"));
+        let start = doc[..at]
+            .rfind("\n## ")
+            .expect("a heading above the command");
+        let end = doc[at..].find("\n## ").map_or(doc.len(), |len| at + len);
+        // Markdown wraps lines anywhere, so compare with spaces collapsed.
+        let words = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
+        let section = words(&doc[start..end]);
+        let (_, run) = crystalnet_bench::SUBCOMMANDS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("a subcommand");
+        for claim in run(&scale).claims {
+            assert!(
+                section.contains(&words(&claim.measured)),
+                "EXPERIMENTS.md's `{name}` section does not quote `{}` ({})",
+                claim.measured,
+                claim.paper
+            );
+        }
+    }
 }
 
 /// The `a::b(::c)*` paths written inside backtick spans of `text`, split
