@@ -11,7 +11,7 @@ use bytes::Bytes;
 use crystalnet_config::DeviceConfig;
 use crystalnet_dataplane::{ForwardDecision, Ipv4Packet, Signature, TraceEvent};
 use crystalnet_net::{DeviceId, IdMap, Ipv4Addr, Ipv4Prefix, Topology};
-use crystalnet_routing::{DeviceOs, MgmtCommand, MgmtResponse};
+use crystalnet_routing::{DeviceOs, MgmtCommand, MgmtResponse, PathAttrs, Provenance};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use crystalnet_telemetry::{
     trace_chrome_json, trace_jsonl, CowStats, DeviceMem, DeviceMemTotals, FieldValue,
@@ -32,30 +32,28 @@ fn decision_label(d: ForwardDecision) -> &'static str {
     }
 }
 
-/// Adds one device's RIB/FIB footprint to `totals` and returns it, the
-/// unit of the memory section and of a fork's sharing statistics alike:
-/// the FIB's own bytes ([`Fib::mem_bytes`](crystalnet_dataplane::Fib::mem_bytes))
-/// and a per-entry RIB estimate.
+/// Adds one device's bytes ([`DeviceOs::mem`]) to `totals` and returns
+/// its row, the unit of the memory section.
 pub(crate) fn add_device_mem(
     totals: &mut DeviceMemTotals,
     dev: DeviceId,
     os: &dyn DeviceOs,
 ) -> DeviceMem {
-    // A RIB entry holds a prefix plus an interned-attrs handle and
-    // per-peer bookkeeping: a flat per-entry estimate.
-    const RIB_ENTRY_BYTES: u64 = 48;
-    let rib_entries = os.rib_size() as u64;
+    let mem = os.mem();
     let fib = os.fib();
-    let prefixes = fib.len() as u64;
-    let routes = fib.route_entry_count() as u64;
-    let fib_bytes = fib.mem_bytes();
-    let rib_bytes = rib_entries * RIB_ENTRY_BYTES;
+    let (rib_bytes, fib_bytes) = (mem.rib().total(), mem.fib.total());
     totals.devices += 1;
-    totals.rib_entries += rib_entries;
+    totals.rib_entries += os.rib_size() as u64;
     totals.rib_bytes += rib_bytes;
-    totals.fib_prefixes += prefixes;
-    totals.fib_route_entries += routes;
+    totals.loc_rib_bytes += mem.loc_rib.total();
+    totals.adj_rib_in_bytes += mem.adj_rib_in.total();
+    totals.adj_rib_out_bytes += mem.adj_rib_out.total();
+    totals.mrai_bytes += mem.mrai;
+    totals.fib_prefixes += fib.len() as u64;
+    totals.fib_route_entries += fib.route_entry_count() as u64;
     totals.fib_bytes += fib_bytes;
+    totals.config_bytes += mem.config;
+    totals.session_bytes += mem.sessions;
     DeviceMem {
         device: dev.0,
         rib_bytes,
@@ -184,16 +182,15 @@ impl Emulation {
         report
     }
 
-    /// Builds the memory-accounting section of a profiled report.
+    /// Builds the memory-accounting section of a profiled report: every
+    /// device's tables ([`DeviceOs::mem`]) and both interners.
     ///
     /// Byte figures are table capacities and entry counts multiplied by
-    /// struct sizes (the RIB's by a flat per-entry estimate), not
-    /// allocator measurements — deterministic for a seed on a given
-    /// platform, which is what a regression baseline needs.
+    /// slot and struct sizes, not allocator measurements — deterministic
+    /// for a seed on a given platform, which is what a regression
+    /// baseline needs.
     pub(crate) fn memory_section(&self, fork_cow: Option<CowStats>) -> MemorySection {
-        // An interned attrs record amortizes an AS path and a hash-table
-        // slot; a queued event is its envelope. Flat per-entry estimates.
-        const ATTRS_BYTES: u64 = 96;
+        // A queued event is its envelope: a flat per-event estimate.
         const QUEUE_EVENT_BYTES: u64 = 128;
 
         let mut totals = DeviceMemTotals::default();
@@ -206,16 +203,19 @@ impl Emulation {
         per_dev.truncate(8);
 
         let (hits, _misses) = crystalnet_routing::intern_stats();
-        let entries = crystalnet_routing::PathAttrs::interned_count() as u64;
+        let entries = PathAttrs::interned_count() as u64;
+        let table_bytes = PathAttrs::interned_bytes();
         let pending = self.sim.engine.events_pending() as u64;
         MemorySection {
             devices: totals,
             top_devices: per_dev,
             interner: InternerMem {
                 entries,
-                table_bytes: entries * ATTRS_BYTES,
+                table_bytes,
+                provenance_entries: Provenance::interned_count() as u64,
+                provenance_bytes: Provenance::interned_bytes(),
                 hits,
-                hit_bytes_saved: hits * ATTRS_BYTES,
+                hit_bytes_saved: hits * table_bytes / entries.max(1),
             },
             event_queue: QueueMem {
                 pending_events: pending,

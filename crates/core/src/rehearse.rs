@@ -35,9 +35,9 @@
 //! pre-step OS handles, skips every device whose handle is still the
 //! same `Arc` afterwards (nothing wrote to it — identity, never the
 //! predicted dirty set, decides), and for the rest reads only the
-//! prefixes the copy wrote since it shared its source's frozen FIB
-//! tables (`Fib::diff_prefixes`), digesting provenance only for entries
-//! that differ.
+//! prefixes either side wrote over the FIB tables they share
+//! (`Fib::diff_prefixes`), digesting provenance only for entries that
+//! differ.
 //!
 //! Steps 3 and 4 are the *measure bracket* (`measure_step`), shared with
 //! [`EmulationFork::run_tools`](crate::EmulationFork::run_tools): a

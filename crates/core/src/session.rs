@@ -54,12 +54,11 @@
 
 use crate::emulation::{Emulation, EmulationError};
 use crate::faults::{FaultPlan, FaultReport};
-use crate::inspect::add_device_mem;
 use crate::rehearse::{diff_devices, ConvergenceDelta, FibChange, Injected, OsHandles};
 use crystalnet_config::ChangeSet;
 use crystalnet_net::DeviceId;
 use crystalnet_sim::SimTime;
-use crystalnet_telemetry::{CowStats, DeviceMemTotals};
+use crystalnet_telemetry::CowStats;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -289,29 +288,30 @@ impl EmulationFork {
         &mut self.child
     }
 
-    /// The fork's copy-on-write sharing as it stands now: estimated
-    /// RIB + FIB bytes of the devices the child still shares with its
-    /// base (the same OS instance) versus those of the devices it has
-    /// copied since. All shared right after [`Emulation::fork`]; the
-    /// copied side grows as steps touch devices. The split is by
-    /// identity; the bytes are the memory section's per-device figures
-    /// (each FIB's own bytes, a per-entry RIB estimate). Computed on
-    /// demand, so an unused fork costs nothing extra.
+    /// The fork's copy-on-write sharing as it stands now, in route-table
+    /// bytes ([`OsMem::tables`](crystalnet_routing::OsMem::tables)): the
+    /// devices the child still shares with its base (the same OS
+    /// instance) versus those it has copied since, and of the copies, the
+    /// table bases they still read together with the base's tables. All
+    /// shared right after [`Emulation::fork`]; the copied side grows as
+    /// steps touch devices. Computed on demand, so an unused fork costs
+    /// nothing extra.
     #[must_use]
     pub fn cow_stats(&self) -> CowStats {
-        let (mut shared, mut copied) = (DeviceMemTotals::default(), DeviceMemTotals::default());
+        let mut stats = CowStats::default();
         for &dev in self.child.sandboxes.keys() {
             let Some(os) = self.child.sim.os_handle(dev) else {
                 continue;
             };
-            let is_shared = self.base.oses.get(&dev).is_some_and(|b| Arc::ptr_eq(b, os));
-            let side = if is_shared { &mut shared } else { &mut copied };
-            add_device_mem(side, dev, &**os);
+            let tables = os.mem().tables();
+            if self.base.oses.get(&dev).is_some_and(|b| Arc::ptr_eq(b, os)) {
+                stats.shared_bytes += tables.total();
+            } else {
+                stats.copied_bytes += tables.total();
+                stats.copied_base_bytes += tables.shared;
+            }
         }
-        CowStats {
-            shared_bytes: shared.rib_bytes + shared.fib_bytes,
-            copied_bytes: copied.rib_bytes + copied.fib_bytes,
-        }
+        stats
     }
 
     /// [`Emulation::pull_report`] on the forked child, with the memory

@@ -78,7 +78,7 @@ fn copying_a_converged_device_allocates_per_table_not_per_route() {
             "{dev:?}: {prefixes} prefixes cannot tell routes from tables"
         );
         let before = ALLOCS.load(Ordering::Relaxed);
-        let copy = os.clone_boxed();
+        let copy = os.clone_shared();
         let allocs = (ALLOCS.load(Ordering::Relaxed) - before) as usize;
         drop(copy);
         assert!(

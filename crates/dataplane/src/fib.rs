@@ -7,7 +7,7 @@
 //! full". [`Fib`] therefore models a bounded table with an explicit,
 //! observable overflow outcome that vendor profiles interpret differently.
 
-use crystalnet_net::{CowMap, Ipv4Addr, Ipv4Prefix, SetTable};
+use crystalnet_net::{CowBytes, CowMap, Ipv4Addr, Ipv4Prefix, SetTable};
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroU32;
 
@@ -72,10 +72,11 @@ fn group_of(slot: Slot) -> u32 {
 /// inserts of an existing prefix update in place and never count against
 /// capacity twice. The maps hold `u32` ids into a per-table [`SetTable`]
 /// of next-hop groups, so an entry is plain data, and they are
-/// [`CowMap`]s: a copy of a FIB shares each map's frozen base and the
-/// group table, and owns only the prefixes it writes. `==` compares what
-/// the tables forward (prefix → next hops), their capacity and their
-/// dropped count — never group ids, which depend on install order.
+/// [`CowMap`]s: a copy of a FIB reads each map's base, the source's own
+/// storage, and shares the group table; it owns only the prefixes it
+/// writes. `==` compares what the tables forward (prefix → next hops),
+/// their capacity and their dropped count — never group ids, which
+/// depend on install order.
 #[derive(Debug, Clone)]
 pub struct Fib {
     /// `(prefix length, network → group slot)` for every length that has
@@ -155,19 +156,25 @@ impl Fib {
         self.groups.values().len()
     }
 
-    /// Bytes the table holds: each per-length map's slots (a copy's
-    /// base counted as its own, so a copy with no writes reads as its
-    /// source) × its `(network, group)` slot, plus the group table —
-    /// every distinct next-hop set once. Prefixes that share a set add
-    /// index bytes only.
+    /// Bytes the table holds ([`Fib::mem`], both halves).
     #[must_use]
     pub fn mem_bytes(&self) -> u64 {
-        self.index_bytes() + self.group_bytes()
+        self.mem().total()
     }
 
-    fn index_bytes(&self) -> u64 {
-        let slots: usize = self.by_len.iter().map(|(_, m)| m.capacity()).sum();
-        (size_of_val(self.by_len.as_slice()) + slots * size_of::<(u32, Option<Slot>)>()) as u64
+    /// Bytes the table holds, split as [`CowMap::bytes`] splits them:
+    /// each per-length map's heap bytes (a copy with no writes reads as
+    /// its source), plus, as this table's own, the per-length headers
+    /// and the group table — every distinct next-hop set once. Prefixes
+    /// that share a set add index bytes only.
+    #[must_use]
+    pub fn mem(&self) -> CowBytes {
+        let maps: CowBytes = self.by_len.iter().map(|(_, m)| m.bytes()).sum();
+        let headers = size_of_val(self.by_len.as_slice()) as u64;
+        maps + CowBytes {
+            own: headers + self.group_bytes(),
+            shared: 0,
+        }
     }
 
     /// The group table by length, not capacity: what a copy holds.
@@ -274,10 +281,9 @@ impl Fib {
 
     /// The prefixes whose entries may differ between `self` and `other`
     /// (unordered, possibly repeated): per prefix length, the writes
-    /// either side made since a frozen base both read
-    /// ([`CowMap::diff_keys`]), or every prefix of both where they read
-    /// none. A copy of a FIB and its unwritten source therefore differ
-    /// only where the copy wrote.
+    /// either side holds over a base both read ([`CowMap::diff_keys`]),
+    /// or every prefix of both where they read none. A FIB and its copy
+    /// therefore differ only where either side wrote since the copy.
     pub fn diff_prefixes<'a>(&'a self, other: &'a Fib) -> impl Iterator<Item = Ipv4Prefix> + 'a {
         let prefixes = |len: u8| move |k: &u32| Ipv4Prefix::new(Ipv4Addr(*k), len);
         let mine = self.by_len.iter().flat_map(move |(len, a)| {
@@ -452,7 +458,9 @@ mod tests {
         }
         assert_eq!(fib.len(), 257);
         assert_eq!(fib.group_bytes(), groups, "one set, stored once");
-        assert_eq!(fib.mem_bytes(), fib.index_bytes() + groups);
+        let maps: u64 = fib.by_len.iter().map(|(_, m)| m.bytes().total()).sum();
+        let headers = size_of_val(fib.by_len.as_slice()) as u64;
+        assert_eq!(fib.mem_bytes(), maps + headers + groups);
         // A second set is the one thing that adds group bytes.
         fib.install(p("10.2.0.0/24"), FibEntry::new(vec![hop(3)]));
         let one_hop = size_of::<FibEntry>() + size_of::<NextHop>();

@@ -277,6 +277,23 @@ pub type PrefixMap<V> = IdMap<Ipv4Prefix, V>;
 pub type IdMap<K, V> =
     std::collections::HashMap<K, V, core::hash::BuildHasherDefault<PrefixHasher>>;
 
+/// Heap bytes a hash table ([`IdMap`], [`IdSet`]) of `capacity` slots of
+/// `T` holds: its buckets (one more than the capacity below eight slots,
+/// an eighth more from there) of one `T` and one control byte each, plus
+/// a trailing group of control bytes. 0 for a table that never allocated.
+#[must_use]
+pub fn table_bytes<T>(capacity: usize) -> u64 {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
+    };
+    (buckets * (size_of::<T>() + 1) + 16) as u64
+}
+
 /// The set form of [`IdMap`], with the same contract.
 pub type IdSet<T> = std::collections::HashSet<T, core::hash::BuildHasherDefault<PrefixHasher>>;
 

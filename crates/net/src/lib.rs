@@ -18,11 +18,11 @@ pub mod topology;
 pub mod types;
 
 pub use addr::{
-    AddrParseError, IdMap, IdSet, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr, PrefixHasher, PrefixMap,
-    SetTable,
+    table_bytes, AddrParseError, IdMap, IdSet, Ipv4Addr, Ipv4Cidr, Ipv4Prefix, MacAddr,
+    PrefixHasher, PrefixMap, SetTable,
 };
 pub use clos::{ClosParams, ClosTopology, LayerCounts, Pod};
-pub use cow::CowMap;
+pub use cow::{CowBytes, CowMap};
 pub use partition::{
     best_spare, dirty_region, dirty_region_scoped, partition, partition_grouped,
     placement_affinity, Partition, RippleScope,

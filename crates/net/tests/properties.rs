@@ -9,6 +9,9 @@ use std::collections::BTreeMap;
 /// first fill, so writes both shadow base keys and add new ones.
 const COW_KEYS: u32 = 80;
 
+/// A live table and the model it must read as.
+type Modelled = (CowMap<u32, u32>, BTreeMap<u32, u32>);
+
 /// Checks one live table against its model: every key's value, the
 /// length, emptiness and the sorted iteration.
 fn agrees(map: &CowMap<u32, u32>, model: &BTreeMap<u32, u32>) -> Result<(), TestCaseError> {
@@ -148,7 +151,8 @@ proptest! {
     /// copies taken (and dropped) at random points. After every step every
     /// live table reads as its own model — so no write shows in any other
     /// copy or in the source — and `diff_keys` names every key on which
-    /// two tables differ.
+    /// two tables differ. Then the first live table writes while a copy
+    /// of it lives, and again after every copy drops.
     #[test]
     fn cow_map_agrees_with_a_model_across_copies(
         fill in 0u32..64,
@@ -160,7 +164,7 @@ proptest! {
             source.insert(k, k);
             model.insert(k, k);
         }
-        let mut live: Vec<(CowMap<u32, u32>, BTreeMap<u32, u32>)> = vec![(source, model)];
+        let mut live: Vec<Modelled> = vec![(source, model)];
         for (op, at, key, value) in ops {
             let (at, room) = (at % live.len(), live.len() < 8);
             let (map, model) = &mut live[at];
@@ -199,19 +203,49 @@ proptest! {
                     }
                 }
             }
-            for (map, model) in &live {
-                agrees(map, model)?;
+            all_agree(&live)?;
+        }
+        // The first table writes two keys while a copy of it lives, which
+        // a base of sixteen or more entries keeps as its own writes, then
+        // writes them again once every copy is gone, which folds the first
+        // writes into a base nothing else reads.
+        let copy = (live[0].0.clone(), live[0].1.clone());
+        live.push(copy);
+        let keys = [fill % 7, 40 + fill % 11];
+        for alone in [false, true] {
+            if alone {
+                live.truncate(1);
             }
-            for (a, ma) in &live {
-                for (b, mb) in &live {
-                    let named: std::collections::BTreeSet<u32> = a.diff_keys(b).copied().collect();
-                    for k in 0..COW_KEYS {
-                        if ma.get(&k) != mb.get(&k) {
-                            prop_assert!(named.contains(&k), "diff_keys misses key {}", k);
-                        }
-                    }
+            let (map, model) = &mut live[0];
+            for (i, &k) in keys.iter().enumerate() {
+                if alone && i == 0 {
+                    prop_assert_eq!(map.remove(&k), model.remove(&k));
+                } else {
+                    let v = k + if alone { 200 } else { 100 };
+                    map.insert(k, v);
+                    model.insert(k, v);
+                }
+            }
+            all_agree(&live)?;
+        }
+    }
+}
+
+/// Every live table reads as its own model, and `diff_keys` names every
+/// key on which two of them differ.
+fn all_agree(live: &[Modelled]) -> Result<(), TestCaseError> {
+    for (map, model) in live {
+        agrees(map, model)?;
+    }
+    for (a, ma) in live {
+        for (b, mb) in live {
+            let named: std::collections::BTreeSet<u32> = a.diff_keys(b).copied().collect();
+            for k in 0..COW_KEYS {
+                if ma.get(&k) != mb.get(&k) {
+                    prop_assert!(named.contains(&k), "diff_keys misses key {}", k);
                 }
             }
         }
     }
+    Ok(())
 }

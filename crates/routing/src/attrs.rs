@@ -10,7 +10,7 @@
 //! copying those tables copies bytes, and comparing two sets is one
 //! address comparison.
 
-use crate::intern::{Interned, Interner};
+use crate::intern::{HeapBytes, Interned, Interner};
 use crystalnet_net::{Asn, Ipv4Addr};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,6 +135,19 @@ impl PathAttrs {
     #[must_use]
     pub fn interned_count() -> usize {
         INTERNER.len()
+    }
+
+    /// Bytes the interned attribute sets hold (each set and its AS path
+    /// and communities, plus the intern table), since process start.
+    #[must_use]
+    pub fn interned_bytes() -> u64 {
+        INTERNER.bytes()
+    }
+}
+
+impl HeapBytes for PathAttrs {
+    fn heap_bytes(&self) -> usize {
+        self.as_path.capacity() * size_of::<Asn>() + self.communities.capacity() * size_of::<u32>()
     }
 }
 

@@ -12,12 +12,13 @@
 //! provenance are interned `Copy` handles, and each router interns its
 //! ECMP peer-index sets in a [`SetTable`] (as the FIB does its next-hop
 //! groups), so the Loc-RIB, Adj-RIB and FIB tables are plain data; they
-//! are [`CowMap`]s, so a copy of the router shares them and owns only the
-//! entries it writes. A peer-learned FIB install is one map write of the
-//! ECMP set's memoised FIB group id. Updates are batched per MRAI interval
-//! into single messages; the exporter skips peers whose AS already appears
-//! in the path (sender-side loop check), which is what makes Clos fabrics with
-//! shared layer ASes converge in O(links) messages instead of O(links^2).
+//! are [`CowMap`]s, so a copy of the router reads the source's own tables
+//! and owns only the entries it writes. A peer-learned FIB install is one
+//! map write of the ECMP set's memoised FIB group id. Updates are batched
+//! per MRAI interval into single messages; the exporter skips peers whose
+//! AS already appears in the path (sender-side loop check), which is what
+//! makes Clos fabrics with shared layer ASes converge in O(links) messages
+//! instead of O(links^2).
 //! A changed prefix's exported attributes are built once per event
 //! (`export_attrs`) and only filtered per peer (`export_to`); the rewrite
 //! itself is memoised per learned attribute set, so a re-export of a set
@@ -37,18 +38,20 @@
 use crate::attrs::{Origin, PathAttrs};
 use crate::intern::Interned;
 use crate::msg::{BgpMsg, Frame};
-use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
+use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, OsMem, TimerKind};
 use crate::provenance::{
     DecisionReason, MutationKind, OriginKind, Provenance, RouteDetail, RouteMutation,
 };
 use crate::vendor::{AggregateMode, FibOverflow, VendorProfile};
 use crystalnet_config::{Action, AggregateConfig, DeviceConfig, RouteMap, RouteMatch, RouteSet};
 use crystalnet_dataplane::{Fib, FibEntry, NextHop};
-use crystalnet_net::{Asn, CowMap, Ipv4Addr, Ipv4Prefix, PrefixMap, SetTable};
+use crystalnet_net::{
+    table_bytes, Asn, CowBytes, CowMap, Ipv4Addr, Ipv4Prefix, PrefixMap, SetTable,
+};
 use crystalnet_sim::{EventId, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The decision process's preference key; see [`BgpRouterOs::candidate_key`].
@@ -111,9 +114,9 @@ struct LocEntry {
 /// (both interned, so the pair is sixteen bytes of plain data).
 type RibAttrs = (Interned<PathAttrs>, Interned<Provenance>);
 
-// A device copy freezes each Loc-RIB and Adj-RIB table with one clone of
-// its map, and copies the MRAI table whole; a counted or owning field
-// here would make that clone visit every entry again.
+// A table written over a shared base folds by cloning that base's map,
+// and a device copy copies the MRAI table whole; a counted or owning
+// field here would make those clones visit every entry again.
 const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<RibAttrs>();
@@ -147,6 +150,28 @@ impl Peer {
             None => self.advertised.get(&prefix),
         }
     }
+}
+
+/// A configuration's bytes: the struct and the entries of its lists and
+/// named maps (names and other strings aside).
+fn config_bytes(config: &DeviceConfig) -> u64 {
+    fn named<V>(maps: &BTreeMap<String, V>, entries: fn(&V) -> usize) -> usize {
+        maps.values()
+            .map(|v| size_of::<(String, V)>() + entries(v))
+            .sum()
+    }
+    let bgp = config.bgp.as_ref().map_or(0, |b| {
+        size_of_val(b.networks.as_slice())
+            + size_of_val(b.aggregates.as_slice())
+            + size_of_val(b.neighbors.as_slice())
+    });
+    let bytes = size_of::<DeviceConfig>()
+        + size_of_val(config.interfaces.as_slice())
+        + bgp
+        + named(&config.prefix_lists, |l| size_of_val(l.entries.as_slice()))
+        + named(&config.route_maps, |m| size_of_val(m.entries.as_slice()))
+        + named(&config.acls, |a| size_of_val(a.entries.as_slice()));
+    bytes as u64
 }
 
 /// A BGP router OS instance (one emulated firmware image).
@@ -1351,6 +1376,10 @@ impl BgpRouterOs {
 }
 
 impl DeviceOs for BgpRouterOs {
+    fn clone_shared(&self) -> Arc<dyn DeviceOs> {
+        Arc::new(self.clone())
+    }
+
     fn clone_boxed(&self) -> Box<dyn DeviceOs> {
         Box::new(self.clone())
     }
@@ -1425,6 +1454,47 @@ impl DeviceOs for BgpRouterOs {
 
     fn rib_size(&self) -> usize {
         self.loc_rib.len()
+    }
+
+    fn mem(&self) -> OsMem {
+        let sets = self.ecmp_sets.values();
+        let ecmp = size_of_val(sets)
+            + sets
+                .iter()
+                .map(|s| size_of_val(s.as_slice()))
+                .sum::<usize>()
+            + size_of_val(self.fib_groups.as_slice());
+        let sessions = size_of::<Self>()
+            + size_of_val(self.peers.as_slice())
+            + size_of_val(self.peer_by_iface.as_slice())
+            + size_of_val(self.local_addrs.as_slice())
+            + self.networks.len() * size_of::<Ipv4Prefix>()
+            + self.dirty.capacity() * size_of::<Ipv4Prefix>()
+            + self.cands.capacity() * size_of::<(CandidateKey, Ipv4Addr, usize)>()
+            + self.ecmp_buf.capacity() * size_of::<usize>()
+            + self.mutations.capacity() * size_of::<RouteMutation>();
+        OsMem {
+            loc_rib: self.loc_rib.bytes()
+                + CowBytes {
+                    own: ecmp as u64,
+                    shared: 0,
+                },
+            adj_rib_in: self.peers.iter().map(|p| p.adj_in.bytes()).sum(),
+            adj_rib_out: self
+                .peers
+                .iter()
+                .map(|p| p.advertised.bytes())
+                .sum::<CowBytes>()
+                + self.reannounced.bytes(),
+            mrai: self
+                .peers
+                .iter()
+                .map(|p| table_bytes::<(Ipv4Prefix, Option<RibAttrs>)>(p.pending.capacity()))
+                .sum(),
+            fib: self.fib.mem() + self.asic_fib.as_ref().map(Fib::mem).unwrap_or_default(),
+            config: config_bytes(&self.config) + size_of::<VendorProfile>() as u64,
+            sessions: sessions as u64,
+        }
     }
 
     fn is_down(&self) -> bool {

@@ -249,7 +249,7 @@ impl ControlPlaneWorld {
 /// other side; an unshared one pays a reference-count check.
 pub(crate) fn unshared(slot: &mut Arc<dyn DeviceOs>) -> &mut dyn DeviceOs {
     if Arc::get_mut(slot).is_none() {
-        *slot = Arc::from(slot.clone_boxed());
+        *slot = slot.clone_shared();
     }
     Arc::get_mut(slot).expect("a handle just checked or just made has one owner")
 }

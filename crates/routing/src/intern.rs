@@ -5,7 +5,7 @@
 //! [`PathAttrs::intern`]: crate::attrs::PathAttrs::intern
 //! [`Provenance::intern`]: crate::provenance::Provenance::intern
 
-use crystalnet_net::IdSet;
+use crystalnet_net::{table_bytes, IdSet};
 use serde::{Serialize, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -76,22 +76,40 @@ impl<T: Serialize> Serialize for Interned<T> {
     }
 }
 
+/// What a value holds on the heap besides its own struct: what the
+/// interner charges for it beyond the box it leaks.
+pub(crate) trait HeapBytes {
+    /// Heap bytes of the value's fields, by capacity.
+    fn heap_bytes(&self) -> usize;
+}
+
 /// A `Mutex`-guarded set of canonical values, meant to live in a
 /// `static`. `&T` hashes/compares through to the `T` (and
 /// `&T: Borrow<T>`), so lookups by value need no key wrapper.
 ///
 /// Interning order never affects which value a handle dereferences to, so
 /// sharing the table across threads cannot perturb determinism.
-pub(crate) struct Interner<T: 'static>(OnceLock<Mutex<IdSet<&'static T>>>);
+pub(crate) struct Interner<T: 'static>(OnceLock<Mutex<Table<T>>>);
 
-impl<T: Eq + Hash> Interner<T> {
+/// The canonical values and the bytes their leaked boxes hold.
+struct Table<T: 'static> {
+    set: IdSet<&'static T>,
+    leaked: usize,
+}
+
+impl<T: Eq + Hash + HeapBytes> Interner<T> {
     pub(crate) const fn new() -> Self {
         Interner(OnceLock::new())
     }
 
-    fn table(&self) -> MutexGuard<'_, IdSet<&'static T>> {
+    fn table(&self) -> MutexGuard<'_, Table<T>> {
         self.0
-            .get_or_init(|| Mutex::new(IdSet::default()))
+            .get_or_init(|| {
+                Mutex::new(Table {
+                    set: IdSet::default(),
+                    leaked: 0,
+                })
+            })
             .lock()
             .expect("interner poisoned")
     }
@@ -100,16 +118,24 @@ impl<T: Eq + Hash> Interner<T> {
     /// is interned yet; the flag says whether the table already held it.
     pub(crate) fn intern(&self, value: T) -> (Interned<T>, bool) {
         let mut table = self.table();
-        if let Some(&existing) = table.get(&value) {
+        if let Some(&existing) = table.set.get(&value) {
             return (Interned(existing), true);
         }
+        table.leaked += size_of::<T>() + value.heap_bytes();
         let leaked: &'static T = Box::leak(Box::new(value));
-        table.insert(leaked);
+        table.set.insert(leaked);
         (Interned(leaked), false)
     }
 
     /// Number of distinct values interned since process start.
     pub(crate) fn len(&self) -> usize {
-        self.table().len()
+        self.table().set.len()
+    }
+
+    /// Bytes the interned values hold (each box and its fields' heap) plus
+    /// the set's own table.
+    pub(crate) fn bytes(&self) -> u64 {
+        let table = self.table();
+        table.leaked as u64 + table_bytes::<&T>(table.set.capacity())
     }
 }

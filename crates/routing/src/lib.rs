@@ -34,7 +34,7 @@ pub use health::{
 };
 pub use intern::Interned;
 pub use msg::{BgpMsg, Frame, OspfMsg};
-pub use os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, TimerKind};
+pub use os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, OsMem, TimerKind};
 pub use ospf::{elect_dr_bdr, OspfRouterOs, RouterLsa};
 pub use provenance::{
     DecisionReason, MutationKind, OriginKind, ProvHop, Provenance, RouteDetail, RouteMutation,

@@ -14,9 +14,10 @@ use crate::msg::Frame;
 use crate::provenance::{RouteDetail, RouteMutation};
 use crystalnet_config::{Acl, DeviceConfig};
 use crystalnet_dataplane::Fib;
-use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{CowBytes, Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::{EventId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Timers a device OS can arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,6 +136,57 @@ impl OsActions {
     }
 }
 
+/// The bytes a device OS holds, by table ([`DeviceOs::mem`]): what the
+/// run report's memory section sums and a fork's sharing statistics
+/// split. Each figure is capacities × slot sizes
+/// ([`table_bytes`](crystalnet_net::table_bytes) for a hash table), not
+/// an allocator measurement, so it repeats for a seed on a platform. The
+/// route tables split their bytes into what this OS holds alone and the
+/// bases it reads together with its copies ([`CowBytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OsMem {
+    /// The Loc-RIB, with the ECMP sets it names.
+    pub loc_rib: CowBytes,
+    /// Every session's Adj-RIB-In.
+    pub adj_rib_in: CowBytes,
+    /// Every session's Adj-RIB-Out, with the export rewrite memo.
+    pub adj_rib_out: CowBytes,
+    /// The MRAI batches not yet sent.
+    pub mrai: u64,
+    /// The FIB, and the ASIC view's where the image keeps one.
+    pub fib: CowBytes,
+    /// The running configuration and the vendor profile.
+    pub config: u64,
+    /// Session state and the rest of the OS: the OS struct, per-session
+    /// headers and scratch buffers.
+    pub sessions: u64,
+}
+
+impl OsMem {
+    /// The RIB tables: the Loc-RIB, both Adj-RIBs and the MRAI batches.
+    #[must_use]
+    pub fn rib(&self) -> CowBytes {
+        let mrai = CowBytes {
+            own: self.mrai,
+            shared: 0,
+        };
+        self.loc_rib + self.adj_rib_in + self.adj_rib_out + mrai
+    }
+
+    /// The route tables, RIB and FIB: what a fork's sharing statistics
+    /// count.
+    #[must_use]
+    pub fn tables(&self) -> CowBytes {
+        self.rib() + self.fib
+    }
+
+    /// Every field.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.tables().total() + self.config + self.sessions
+    }
+}
+
 /// A bootable firmware image instance.
 ///
 /// `Send` so the parallel executor can move a device's OS (with its shard)
@@ -226,17 +278,29 @@ pub trait DeviceOs: Send + Sync {
         Vec::new()
     }
 
-    /// Copies this OS instance, boxed — how the harness unshares an OS
-    /// an emulation and its forks still hold together, right before the
-    /// first write to it. The copy owns only what it writes: its route
-    /// tables (Loc-RIB, Adj-RIBs, FIB maps) are
-    /// [`CowMap`](crystalnet_net::CowMap)s over the source's tables,
-    /// frozen once at the source's first copy (one clone of each
-    /// non-empty table, kept in the source until its next write) and
-    /// shared by every later copy; the configuration, vendor profile and
+    /// The bytes this OS holds, by table. Default: the FIB and the OS
+    /// struct.
+    fn mem(&self) -> OsMem {
+        OsMem {
+            fib: self.fib().mem(),
+            sessions: size_of_val(self) as u64,
+            ..OsMem::default()
+        }
+    }
+
+    /// Copies this OS instance into a new `Arc`: how the harness unshares
+    /// an OS an emulation and its forks still hold together, right before
+    /// the first write to it, in one allocation. The copy owns only what
+    /// it writes: its route tables (Loc-RIB, Adj-RIBs, FIB maps) are
+    /// [`CowMap`](crystalnet_net::CowMap)s that read the source's own
+    /// tables as their base, and the configuration, vendor profile and
     /// ECMP set tables are shared until either side changes them. What
     /// the copy does own outright is per-table and per-session state
     /// (session state, timers, table headers), never per route.
+    fn clone_shared(&self) -> Arc<dyn DeviceOs>;
+
+    /// [`DeviceOs::clone_shared`], boxed: a copy to drive by hand, which
+    /// no emulation holds.
     fn clone_boxed(&self) -> Box<dyn DeviceOs>;
 }
 

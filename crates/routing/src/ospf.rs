@@ -322,6 +322,10 @@ impl OspfRouterOs {
 }
 
 impl DeviceOs for OspfRouterOs {
+    fn clone_shared(&self) -> Arc<dyn DeviceOs> {
+        Arc::new(self.clone())
+    }
+
     fn clone_boxed(&self) -> Box<dyn DeviceOs> {
         Box::new(self.clone())
     }

@@ -19,7 +19,7 @@
 //! chains its runs produce: a rerun whose events fire at the same
 //! instants adds nothing, a run that moves them adds its own.
 
-use crate::intern::{Interned, Interner};
+use crate::intern::{HeapBytes, Interned, Interner};
 use crystalnet_net::{Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::EventId;
 use serde::{Deserialize, Serialize};
@@ -59,6 +59,12 @@ pub struct ProvHop {
     pub router_id: Ipv4Addr,
     /// Stable id of the event whose firing sent the announcement.
     pub event: EventId,
+}
+
+impl HeapBytes for Provenance {
+    fn heap_bytes(&self) -> usize {
+        self.hops.capacity() * size_of::<ProvHop>()
+    }
 }
 
 /// The interned causal record attached to a route.
@@ -170,6 +176,13 @@ impl Provenance {
     #[must_use]
     pub fn interned_count() -> usize {
         INTERNER.len()
+    }
+
+    /// Bytes the interned chains hold (each chain and its hops, plus the
+    /// intern table), since process start.
+    #[must_use]
+    pub fn interned_bytes() -> u64 {
+        INTERNER.bytes()
     }
 
     /// The device chain implied by the provenance: origin router first,

@@ -11,12 +11,13 @@
 use crate::attrs::PathAttrs;
 use crate::intern::Interned;
 use crate::msg::{BgpMsg, Frame};
-use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent};
+use crate::os::{DeviceOs, MgmtCommand, MgmtResponse, OsActions, OsEvent, OsMem};
 use crate::provenance::{OriginKind, Provenance};
 use crystalnet_dataplane::Fib;
-use crystalnet_net::{Asn, Ipv4Addr, Ipv4Prefix};
+use crystalnet_net::{Asn, CowBytes, Ipv4Addr, Ipv4Prefix};
 use crystalnet_sim::{EventId, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The announcement program for one speaker session.
 #[derive(Debug, Clone, Default)]
@@ -136,6 +137,10 @@ impl SpeakerOs {
 }
 
 impl DeviceOs for SpeakerOs {
+    fn clone_shared(&self) -> Arc<dyn DeviceOs> {
+        Arc::new(self.clone())
+    }
+
     fn clone_boxed(&self) -> Box<dyn DeviceOs> {
         Box::new(self.clone())
     }
@@ -243,6 +248,19 @@ impl DeviceOs for SpeakerOs {
 
     fn rib_size(&self) -> usize {
         0
+    }
+
+    fn mem(&self) -> OsMem {
+        let received = size_of_val(self.received.as_slice()) as u64;
+        OsMem {
+            adj_rib_in: CowBytes {
+                own: received,
+                shared: 0,
+            },
+            fib: self.fib.mem(),
+            sessions: size_of::<Self>() as u64,
+            ..OsMem::default()
+        }
     }
 
     fn is_down(&self) -> bool {

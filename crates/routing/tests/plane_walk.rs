@@ -22,6 +22,7 @@ use crystalnet_routing::{
 };
 use crystalnet_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A device frozen at its converged state.
 #[derive(Clone)]
@@ -55,6 +56,10 @@ impl DeviceOs for Frozen {
     fn filter_permits(&self, _ingress: Option<u32>, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         self.deny != Some((src, dst))
     }
+    fn clone_shared(&self) -> Arc<dyn DeviceOs> {
+        Arc::new(self.clone())
+    }
+
     fn clone_boxed(&self) -> Box<dyn DeviceOs> {
         Box::new(self.clone())
     }

@@ -385,6 +385,7 @@ mod tests {
                 fib_prefixes: 10,
                 fib_route_entries: 12,
                 fib_bytes: 1024,
+                ..DeviceMemTotals::default()
             },
             top_devices: Vec::new(),
             interner: InternerMem {
@@ -392,6 +393,7 @@ mod tests {
                 table_bytes: 512,
                 hits: 9,
                 hit_bytes_saved: 99,
+                ..InternerMem::default()
             },
             event_queue: QueueMem {
                 pending_events: 7,
@@ -400,6 +402,7 @@ mod tests {
             fork_cow: Some(CowStats {
                 shared_bytes: 3072,
                 copied_bytes: 1024,
+                ..CowStats::default()
             }),
         });
         // Snapshot of the two lines the memory section renders to: the

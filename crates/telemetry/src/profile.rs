@@ -146,44 +146,62 @@ impl Serialize for Profile {
     }
 }
 
-/// Byte totals across every emulated device's routing tables.
+/// Byte totals across every emulated device, by table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeviceMemTotals {
     /// Devices accounted.
     pub devices: u64,
-    /// Total RIB entries across devices.
+    /// Total Loc-RIB entries across devices.
     pub rib_entries: u64,
-    /// Estimated RIB bytes across devices.
+    /// RIB bytes across devices: the next four fields together.
     pub rib_bytes: u64,
+    /// Loc-RIB bytes, with the ECMP sets it names.
+    pub loc_rib_bytes: u64,
+    /// Adj-RIB-In bytes.
+    pub adj_rib_in_bytes: u64,
+    /// Adj-RIB-Out bytes, with the export rewrite memo.
+    pub adj_rib_out_bytes: u64,
+    /// Bytes of MRAI batches not yet sent.
+    pub mrai_bytes: u64,
     /// Total FIB prefixes across devices.
     pub fib_prefixes: u64,
     /// Total FIB route entries (prefixes × ECMP fanout) across devices.
     pub fib_route_entries: u64,
-    /// Estimated FIB bytes across devices.
+    /// FIB bytes across devices.
     pub fib_bytes: u64,
+    /// Running configuration and vendor profile bytes.
+    pub config_bytes: u64,
+    /// Session state and the rest of each OS: its struct, per-session
+    /// headers and scratch buffers.
+    pub session_bytes: u64,
 }
 
-/// One device's memory estimate (only the heaviest devices are exported).
+/// One device's bytes (only the heaviest devices are exported).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeviceMem {
     /// Device id.
     pub device: u32,
-    /// Estimated RIB bytes.
+    /// RIB bytes: Loc-RIB, Adj-RIBs and MRAI batches.
     pub rib_bytes: u64,
-    /// Estimated FIB bytes.
+    /// FIB bytes.
     pub fib_bytes: u64,
 }
 
-/// The process-wide `PathAttrs` interner's footprint and payoff.
+/// The process-wide interners' footprint and payoff: the attribute sets
+/// and provenance chains every route handle points at.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct InternerMem {
-    /// Live interned entries.
+    /// Interned attribute sets.
     pub entries: u64,
-    /// Estimated bytes held by the intern table.
+    /// Bytes the attribute sets hold, with their intern table.
     pub table_bytes: u64,
-    /// Intern hits so far (process-wide).
+    /// Interned provenance chains.
+    pub provenance_entries: u64,
+    /// Bytes the provenance chains hold, with their intern table.
+    pub provenance_bytes: u64,
+    /// Attribute-set intern hits so far (process-wide).
     pub hits: u64,
-    /// Estimated bytes the hits avoided allocating.
+    /// Bytes the hits avoided allocating, at the mean bytes per set.
     pub hit_bytes_saved: u64,
 }
 
@@ -197,15 +215,20 @@ pub struct QueueMem {
 }
 
 /// Copy-on-write sharing breakdown for one emulation fork: what the child
-/// still shares with its fork point versus what it has copied since.
+/// still shares with its fork point versus what it has copied since, in
+/// route-table (RIB + FIB) bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
-    /// Estimated RIB + FIB bytes of the devices whose OS instance is
-    /// still the one the fork point holds.
+    /// Bytes of the devices whose OS instance is still the one the fork
+    /// point holds.
     pub shared_bytes: u64,
-    /// Estimated RIB + FIB bytes of the devices the child copied (or
-    /// replaced) because a step wrote to them.
+    /// Bytes of the devices the child copied (or replaced) because a
+    /// step wrote to them.
     pub copied_bytes: u64,
+    /// Of `copied_bytes`, the bytes of bases the copies' tables still
+    /// read together with another table: what copying a device did not
+    /// copy.
+    pub copied_base_bytes: u64,
 }
 
 impl CowStats {
@@ -228,6 +251,10 @@ impl Serialize for CowStats {
             ("shared_bytes".to_string(), Value::Uint(self.shared_bytes)),
             ("copied_bytes".to_string(), Value::Uint(self.copied_bytes)),
             (
+                "copied_base_bytes".to_string(),
+                Value::Uint(self.copied_base_bytes),
+            ),
+            (
                 "sharing_ratio".to_string(),
                 Value::Float(self.sharing_ratio()),
             ),
@@ -238,9 +265,10 @@ impl Serialize for CowStats {
 /// The memory-accounting section: per-device table bytes, interner
 /// footprint, event-queue residue, and (for forks) COW sharing.
 ///
-/// All byte figures are *estimates* — entry counts multiplied by struct
-/// sizes — not allocator measurements: they are deterministic for a seed
-/// on a given platform, which is what a regression baseline needs.
+/// All byte figures are computed from table capacities and entry counts
+/// multiplied by slot and struct sizes, not allocator measurements: they
+/// are deterministic for a seed on a given platform, which is what a
+/// regression baseline needs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MemorySection {
     /// Totals across devices.
@@ -309,6 +337,7 @@ mod tests {
         let c = CowStats {
             shared_bytes: 75,
             copied_bytes: 25,
+            ..CowStats::default()
         };
         assert!((c.sharing_ratio() - 0.75).abs() < 1e-12);
     }

@@ -299,9 +299,23 @@ impl RunReport {
                 d.rib_entries,
                 d.fib_bytes as f64 / 1024.0,
                 d.fib_prefixes,
-                memory.interner.table_bytes as f64 / 1024.0,
+                (memory.interner.table_bytes + memory.interner.provenance_bytes) as f64 / 1024.0,
                 memory.event_queue.residue_bytes as f64 / 1024.0,
                 memory.event_queue.pending_events,
+            );
+            let _ = writeln!(
+                out,
+                "  memory by table: loc-rib {:.1} KiB, adj-rib-in {:.1} KiB, \
+                 adj-rib-out {:.1} KiB, mrai {:.1} KiB, config {:.1} KiB, \
+                 sessions {:.1} KiB, attrs {:.1} KiB, provenance {:.1} KiB",
+                d.loc_rib_bytes as f64 / 1024.0,
+                d.adj_rib_in_bytes as f64 / 1024.0,
+                d.adj_rib_out_bytes as f64 / 1024.0,
+                d.mrai_bytes as f64 / 1024.0,
+                d.config_bytes as f64 / 1024.0,
+                d.session_bytes as f64 / 1024.0,
+                memory.interner.table_bytes as f64 / 1024.0,
+                memory.interner.provenance_bytes as f64 / 1024.0,
             );
             if let Some(cow) = &memory.fork_cow {
                 let _ = writeln!(
