@@ -10,7 +10,7 @@
 //! retries, and — when retries are exhausted — graceful degradation:
 //! the dead VM's sandboxes are quarantined onto a spare VM (picked by
 //! topology-adjacency affinity, or freshly provisioned) and replayed
-//! through boot + config load while untouched shards keep converging.
+//! through boot + config load while untouched devices keep converging.
 //!
 //! Every step emits a structured [`JournalKind`] entry, so tests and
 //! benches can assert recovery latency and that post-recovery FIBs are
@@ -456,7 +456,7 @@ impl Emulation {
     /// re-placed links as possible become intra-VM), or a freshly
     /// provisioned VM when no candidate fits. Containers are re-created,
     /// links re-provisioned (spans re-derived), and the devices replay
-    /// boot + config load while untouched shards keep converging.
+    /// boot + config load while untouched devices keep converging.
     fn quarantine_to_spare(
         &mut self,
         fault_at: SimTime,

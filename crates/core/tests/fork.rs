@@ -173,7 +173,7 @@ fn n_dropped_forks_leave_the_baseline_byte_identical() {
 }
 
 #[test]
-fn committed_fork_matches_cold_boot_across_workers() {
+fn committed_fork_matches_cold_boot() {
     let f = fig7();
     let t1 = f.tors[0];
 
@@ -218,7 +218,7 @@ fn committed_fork_matches_cold_boot_across_workers() {
 }
 
 #[test]
-fn committed_link_down_matches_full_resettle_across_workers() {
+fn committed_link_down_matches_full_resettle() {
     let f = fig7();
     let lid = f
         .topo

@@ -67,7 +67,7 @@ fn exports() -> Vec<(&'static str, String)> {
 }
 
 #[test]
-fn sdc_exports_match_the_recorded_digests_serial_and_sharded() {
+fn sdc_exports_match_the_recorded_digests() {
     const GOLDEN: [(&str, u64); 5] = [
         ("incidents_jsonl", 0x4e48_8af8_4d8d_d7dc),
         ("pull_health", 0x0ed7_a524_8710_a664),
@@ -177,7 +177,7 @@ fn lifecycle_exports() -> Vec<(&'static str, String)> {
 }
 
 #[test]
-fn lifecycle_exports_match_the_recorded_digests_serial_and_sharded() {
+fn lifecycle_exports_match_the_recorded_digests() {
     const GOLDEN: [(&str, u64); 5] = [
         ("journal", 0x6d8d_d3e4_1139_802f),
         ("pull_report", 0x1a75_6518_d32c_4432),

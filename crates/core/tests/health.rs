@@ -151,7 +151,7 @@ fn silent_blackhole_yields_a_witness_the_fib_differential_misses() {
 }
 
 #[test]
-fn health_exports_are_byte_identical_across_workers_and_profiling() {
+fn health_exports_are_byte_identical_with_and_without_profiling() {
     let f = fig7();
     let mk_plan = || {
         FaultPlan::default().then(

@@ -165,7 +165,7 @@ fn noop_and_empty_changesets_touch_nothing() {
 }
 
 #[test]
-fn policy_edit_matches_cold_boot_across_workers() {
+fn policy_edit_matches_cold_boot() {
     let f = fig7();
     let spine = f.spines[0];
 
@@ -245,7 +245,7 @@ fn policy_edit_matches_cold_boot_across_workers() {
 }
 
 #[test]
-fn link_down_matches_full_resettle_across_workers() {
+fn link_down_matches_full_resettle() {
     let f = fig7();
     // The S1-L1 link.
     let lid = f
@@ -280,7 +280,7 @@ fn link_down_matches_full_resettle_across_workers() {
 }
 
 #[test]
-fn speaker_route_swap_matches_cold_boot_across_workers() {
+fn speaker_route_swap_matches_cold_boot() {
     let f = fig7();
     let speaker = f.leaves[4]; // l5
     let swapped: crystalnet_net::Ipv4Prefix = "10.99.0.0/24".parse().unwrap();

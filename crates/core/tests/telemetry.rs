@@ -35,7 +35,7 @@ fn s_dc(seed: u64, telemetry: bool) -> (ClosTopology, Emulation) {
 }
 
 #[test]
-fn report_is_byte_identical_across_worker_counts() {
+fn report_has_no_execution_shape_keys() {
     let (_, emu) = s_dc(7, true);
     let a = emu.pull_report().to_json();
     assert!(!a.is_empty());

@@ -51,7 +51,7 @@ fn flap(emu: &mut Emulation) {
 }
 
 #[test]
-fn trace_export_is_byte_identical_across_worker_counts_and_reps() {
+fn trace_export_is_byte_identical_across_reps() {
     let mut first = fig7_emu(7, 65_536);
     let mut again = fig7_emu(7, 65_536);
     for emu in [&mut first, &mut again] {

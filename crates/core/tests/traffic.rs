@@ -74,7 +74,7 @@ fn assert_fibs_equal(a: &Emulation, b: &Emulation, what: &str) {
 }
 
 #[test]
-fn traffic_exports_are_byte_identical_across_workers_and_profiling() {
+fn traffic_exports_are_byte_identical_with_and_without_profiling() {
     let f = fig7();
     let mk_plan = || {
         FaultPlan::default().then(

@@ -108,8 +108,13 @@ impl<K: Clone + Eq + Hash, V: Clone> CowMap<K, V> {
         self.sole()?.get_mut(key)
     }
 
-    /// Sets `key` to `value`.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// Sets `key` to `value`. A table whose base is shared writes
+    /// nothing when `key` already holds `value`, so a rewrite of what it
+    /// has (a route refresh replaying every prefix) keeps it shared.
+    pub fn insert(&mut self, key: K, value: V)
+    where
+        V: PartialEq,
+    {
         let base = self.base.get_or_insert_with(Arc::default);
         match Arc::get_mut(base) {
             Some(base) => {
@@ -117,6 +122,9 @@ impl<K: Clone + Eq + Hash, V: Clone> CowMap<K, V> {
                 base.insert(key, value);
             }
             None => {
+                if self.get(&key) == Some(&value) {
+                    return;
+                }
                 self.own.insert(key, Some(value));
                 self.fold_if_heavy();
             }
@@ -359,6 +367,18 @@ mod tests {
         assert!(!Arc::ptr_eq(base(&copy), base(&src)));
         assert_eq!((copy.len(), src.len()), (74, 64));
         assert_eq!(copy.diff_keys(&src).count(), 74 + 64, "no shared base");
+    }
+
+    #[test]
+    fn rewriting_a_copys_own_values_keeps_it_shared() {
+        let src = filled(64);
+        let mut copy = src.clone();
+        for k in 0..64 {
+            copy.insert(k, k * 10);
+        }
+        assert!(Arc::ptr_eq(base(&copy), base(&src)), "one shared base");
+        assert!(copy.own.is_empty() && src.own.is_empty());
+        assert_eq!(copy.diff_keys(&src).count(), 0);
     }
 
     #[test]

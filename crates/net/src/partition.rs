@@ -1,18 +1,16 @@
-//! Deterministic k-way topology partitioning for the parallel convergence
-//! runtime.
+//! Deterministic topology placement helpers: which spare VM a displaced
+//! group of devices should move to ([`placement_affinity`],
+//! [`best_spare`]), how far a change ripples ([`dirty_region`],
+//! [`dirty_region_scoped`]), and a k-way partitioner ([`partition`],
+//! [`partition_grouped`]): balanced shards, few cut links, and "groups"
+//! (devices hosted on one VM) kept in one shard.
 //!
-//! The conservative parallel executor steps each shard's devices on its own
-//! worker thread and only synchronizes at virtual-time window barriers, so
-//! the cost of parallelism is proportional to the number of *cut links*
-//! (frames crossing shards pay a channel hop, and the window length is
-//! bounded by the minimum cut-link latency). This module computes the
-//! device → shard assignment: balanced shards, few cut links, and — for the
-//! orchestrator — "groups" (devices hosted on one VM, which share a CPU
-//! server) that must land in the same shard.
+//! The partitioner's one caller is the benchmark's `net.partition_ms`
+//! probe; the sharded executor it served is gone, and it goes with that
+//! probe.
 //!
 //! Everything here is deterministic: iteration is over index order, never
-//! hash order, so the same topology always yields the same partition — a
-//! precondition for the executor's bit-identical-replay contract.
+//! hash order, so the same topology always yields the same answer.
 
 use crate::topology::Topology;
 use crate::types::{DeviceId, LinkId};
@@ -46,40 +44,6 @@ impl Partition {
     pub fn is_cut(&self, link: LinkId) -> bool {
         self.cut_links.binary_search(&link).is_ok()
     }
-
-    /// The k×k per-shard-pair lookahead matrix, row-major: entry
-    /// `[i * k + j]` is the minimum `link_delay_ns` over cut links with
-    /// one endpoint in shard `i` and the other in shard `j`, or
-    /// `u64::MAX` when no link crosses that pair (no direct influence
-    /// path). The diagonal is `0`. Links are undirected, so the matrix
-    /// is symmetric; the parallel executor closes it over transitive
-    /// paths itself.
-    ///
-    /// This replaces the old global min-cut scalar: shard pairs that do
-    /// not share an edge no longer bound each other's windows at all,
-    /// so unrelated pods of a Clos fabric stop serializing each other.
-    #[must_use]
-    pub fn lookahead_matrix_nanos(
-        &self,
-        topo: &Topology,
-        link_delay_ns: impl Fn(LinkId) -> u64,
-    ) -> Vec<u64> {
-        let k = self.shard_count();
-        let mut m = vec![u64::MAX; k * k];
-        for i in 0..k {
-            m[i * k + i] = 0;
-        }
-        for &lid in &self.cut_links {
-            let link = topo.link(lid);
-            let (a, b) = (self.shard(link.a.device), self.shard(link.b.device));
-            let d = link_delay_ns(lid);
-            let e = &mut m[a * k + b];
-            *e = (*e).min(d);
-            let e = &mut m[b * k + a];
-            *e = (*e).min(d);
-        }
-        m
-    }
 }
 
 /// Partitions `topo` into `shards` balanced shards minimizing cut links.
@@ -93,9 +57,8 @@ pub fn partition(topo: &Topology, shards: usize) -> Partition {
 }
 
 /// Partitions `topo` with a co-residency constraint: devices sharing a
-/// `group_of` value are assigned to the same shard (the orchestrator passes
-/// the hosting VM index, so a VM's CPU server is only ever touched by one
-/// worker thread).
+/// `group_of` value are assigned to the same shard (e.g. the hosting VM
+/// index, to keep a VM's devices together).
 ///
 /// Algorithm: collapse groups into weighted super-nodes, grow shards by
 /// breadth-first expansion from deterministic seeds (keeping shards
@@ -599,36 +562,6 @@ mod tests {
         assert!(p.cut_links.is_empty());
         assert_eq!(p.shards[0].len(), 5);
         assert!(!p.is_cut(LinkId(0)));
-    }
-
-    #[test]
-    fn lookahead_matrix_reflects_cut_structure() {
-        // Line 0-1-2-3-4-5-6-7 in two shards: exactly one cut link.
-        let topo = line_topo(8);
-        let p = partition(&topo, 2);
-        assert_eq!(p.cut_links.len(), 1);
-        let m = p.lookahead_matrix_nanos(&topo, |l| 1_000 + u64::from(l.0));
-        let cut = p.cut_links[0];
-        assert_eq!(m.len(), 4);
-        assert_eq!(m[0], 0);
-        assert_eq!(m[3], 0);
-        assert_eq!(m[1], 1_000 + u64::from(cut.0));
-        assert_eq!(m[1], m[2], "undirected links give a symmetric matrix");
-
-        // Three shards on a line: the end shards share no edge, so their
-        // pair entry is the no-path sentinel — they must not bound each
-        // other's windows directly.
-        let topo = line_topo(9);
-        let p = partition(&topo, 3);
-        let k = p.shard_count();
-        assert_eq!(k, 3);
-        let m = p.lookahead_matrix_nanos(&topo, |_| 5_000);
-        let (s0, s2) = (p.shard(DeviceId(0)), p.shard(DeviceId(8)));
-        assert_eq!(m[s0 * k + s2], u64::MAX);
-        assert_eq!(m[s2 * k + s0], u64::MAX);
-        let s1 = p.shard(DeviceId(4));
-        assert_eq!(m[s0 * k + s1], 5_000);
-        assert_eq!(m[s1 * k + s2], 5_000);
     }
 
     /// Two pods (tor+leaf each, pod-labeled) over two pod-less spines,

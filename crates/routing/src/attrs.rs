@@ -22,10 +22,10 @@ static INTERN_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide interner statistics as `(hits, misses)` since process
 /// start. The table outlives individual emulations (and is shared by
-/// parallel workers), so treat these as execution diagnostics rather than
-/// canonical per-run facts. The BGP exporter memoises its re-announced
-/// sets per device, so it interns once per learned set a device
-/// re-announces, not per prefix, event or receiving peer: a hit means
+/// every thread that runs one), so treat these as execution diagnostics
+/// rather than canonical per-run facts. The BGP exporter memoises its
+/// re-announced sets per device, so it interns once per learned set a
+/// device re-announces, not per prefix, event or receiving peer: a hit means
 /// another device (or another learned set) built the same set, and the
 /// hit share measures fleet-wide sharing, not fan-out width.
 #[must_use]

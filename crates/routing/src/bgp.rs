@@ -92,7 +92,7 @@ enum RouteSource {
     Peer(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LocEntry {
     /// Attributes as learned/originated (pre-export).
     attrs: Interned<PathAttrs>,

@@ -1,5 +1,5 @@
-//! The harness's typed events: what can be scheduled, which shard owns
-//! it, which lane it waits in, and what firing it does.
+//! The harness's typed events: what can be scheduled, which device it is
+//! addressed to, which lane it waits in, and what firing it does.
 
 use super::{ControlPlaneEngine, ControlPlaneWorld, WorkKind};
 use crate::health::ProbeOutcome;
@@ -18,12 +18,13 @@ use crystalnet_telemetry::{FieldValue, TraceRecord};
 /// *emitting* device) and a plain counter for control-plane-script events
 /// (boots, link flaps, management injections). Every key is globally
 /// unique, so `(time, key)` totally orders harness events regardless of
-/// the order they were pushed into any queue — the property the parallel
-/// executor's cross-shard merge relies on for bit-identical replay.
+/// the order they were pushed into a queue: a queue that
+/// [`ControlPlaneSim::remove_device`](super::ControlPlaneSim::remove_device)
+/// drains and requeues fires in the order it would have, under the same
+/// event ids.
 ///
 /// The causal parent travels *inside* the event (not in engine
-/// bookkeeping): the parallel executor drains, ships, and re-schedules
-/// events across shard queues, and the cause link must survive that trip.
+/// bookkeeping), so the cause link survives a drain and requeue.
 ///
 /// Each event's kind also fixes the engine lane it waits in
 /// ([`EventFire::lane`]); the work lane's length is what
@@ -79,12 +80,12 @@ pub(crate) enum HarnessEventKind {
 
 impl HarnessEvent {
     /// The device this event is addressed to — the one whose removal
-    /// drops it, and whose shard runs it in a sharded settle; `None` for
-    /// link state and plane events. Link state belongs to no one device
-    /// (every shard replays a link-state change); a walk belongs to its
-    /// plane, and outlives any device on its path: a hop that reaches a
-    /// removed device ends there `DeviceDown`, and a report to a removed
-    /// source still lands, so every walk is counted delivered or lost.
+    /// drops it; `None` for link state and plane events. Link state
+    /// belongs to no one device (it notifies both endpoints); a walk
+    /// belongs to its plane, and outlives any device on its path: a hop
+    /// that reaches a removed device ends there `DeviceDown`, and a
+    /// report to a removed source still lands, so every walk is counted
+    /// delivered or lost.
     pub(crate) fn target_device(&self) -> Option<DeviceId> {
         match &self.kind {
             HarnessEventKind::BootStart(d)
@@ -331,8 +332,7 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
             continue;
         }
         let arrive = done + e.world.work.link_delay(link, done);
-        // Counted here, after the link-up check: frames *actually sent*
-        // are a world fact the parallel replay reproduces exactly.
+        // Counted here, after the link-up check: frames *actually sent*.
         e.world.frames.count(&frame, true);
         if e.world.recorder.trace_enabled() {
             trace_here(
@@ -345,28 +345,23 @@ pub(crate) fn dispatch(e: &mut ControlPlaneEngine, dev: DeviceId, event: OsEvent
                 ],
             );
         }
-        // Keyed by the *sender*: the key travels with the frame, so a
-        // cross-shard delivery merges into the receiver's queue at exactly
-        // the position the serial engine would have given it.
+        // Keyed by the *sender*, whose counter alone orders its frames:
+        // the receiver's queue position does not depend on when anything
+        // else was scheduled.
         let key = e.world.device_key(dev);
-        let ev = HarnessEvent {
-            key,
-            cause,
-            kind: HarnessEventKind::Deliver {
-                dev: rdev,
-                iface: riface,
-                frame,
-                link,
+        e.schedule_event_at(
+            arrive,
+            HarnessEvent {
+                key,
+                cause,
+                kind: HarnessEventKind::Deliver {
+                    dev: rdev,
+                    iface: riface,
+                    frame,
+                    link,
+                },
             },
-        };
-        if let Some(route) = &mut e.world.shard_route {
-            let dest = route.shard_of[rdev.index()];
-            if dest != route.self_shard {
-                route.outbox.push((dest, arrive, ev));
-                continue;
-            }
-        }
-        e.schedule_event_at(arrive, ev);
+        );
     }
 }
 
@@ -383,9 +378,7 @@ pub(crate) struct FrameCounts {
 
 /// The world's frame tallies: what was sent (counted after the link-up
 /// check in [`dispatch`]), what was delivered (counted on an up link,
-/// before dispatch), and the prefixes sent UPDATEs carried. Both
-/// directions are world facts that the parallel replay reproduces
-/// bit-identically.
+/// before dispatch), and the prefixes sent UPDATEs carried.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FrameTallies {
     pub(crate) sent: FrameCounts,
@@ -420,22 +413,5 @@ impl FrameTallies {
             BgpMsg::Notification { .. } => dir.notifications += 1,
             BgpMsg::RouteRefresh => dir.refreshes += 1,
         }
-    }
-
-    /// Adds a shard's tallies (the sharded settle's join).
-    pub(crate) fn merge(&mut self, shard: &FrameTallies) {
-        for (mine, theirs) in [
-            (&mut self.sent, &shard.sent),
-            (&mut self.delivered, &shard.delivered),
-        ] {
-            mine.frames += theirs.frames;
-            mine.opens += theirs.opens;
-            mine.updates += theirs.updates;
-            mine.keepalives += theirs.keepalives;
-            mine.notifications += theirs.notifications;
-            mine.refreshes += theirs.refreshes;
-        }
-        self.prefixes_announced += shard.prefixes_announced;
-        self.prefixes_withdrawn += shard.prefixes_withdrawn;
     }
 }

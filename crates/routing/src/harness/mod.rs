@@ -57,8 +57,7 @@ pub trait WorkModel: Send {
     /// Must be a pure function of `(link, now)`, as both models in this
     /// workspace are: the packet-walk planes ask it for a hop they run
     /// inline at that hop's own virtual time, in an order that differs
-    /// from an event-per-hop run's, and the sharded settle probes it for
-    /// its lookahead.
+    /// from an event-per-hop run's.
     fn link_delay(&mut self, link: LinkId, now: SimTime) -> SimDuration;
     /// A deep copy of this model: what cloning the world (a fork) does
     /// with it.
@@ -198,7 +197,6 @@ impl ControlPlaneSim {
                 mgmt_responses: Vec::new(),
                 dev_key_seq: vec![0; n],
                 control_key_seq: 0,
-                shard_route: None,
                 planes: Planes::default(),
                 fwd_disabled: BTreeSet::new(),
                 recorder: Box::new(MemRecorder::disabled()),

@@ -1,6 +1,5 @@
 //! The simulated world the harness engine runs over: OS instances, the
-//! wiring between them, and the bookkeeping convergence detection and
-//! the parallel executor read.
+//! wiring between them, and the bookkeeping convergence detection reads.
 
 use super::events::FrameTallies;
 use super::{HarnessEvent, WorkModel};
@@ -10,7 +9,6 @@ use crate::os::{DeviceOs, MgmtResponse};
 use crate::plane::Planes;
 use crystalnet_dataplane::{verdict, FibEntry, ForwardDecision, Ipv4Packet, NextHop};
 use crystalnet_net::{DeviceId, Ipv4Prefix, LinkId};
-use crystalnet_sim::parallel::ParallelWorld;
 use crystalnet_sim::{Engine, SimTime};
 use crystalnet_telemetry::MemRecorder;
 use std::collections::BTreeSet;
@@ -59,16 +57,6 @@ pub(crate) struct ResolvedHop<'w> {
     pub(crate) decided: bool,
 }
 
-/// Parallel-mode wiring: which shard owns each device, which shard this
-/// world is, and the outbox of cross-shard events (drained at window
-/// barriers). `None` in serial mode.
-#[derive(Clone)]
-pub(crate) struct ShardRoute {
-    pub(crate) self_shard: usize,
-    pub(crate) shard_of: Vec<usize>,
-    pub(crate) outbox: Vec<(usize, SimTime, HarnessEvent)>,
-}
-
 /// The simulated world: OS instances plus wiring.
 #[derive(Clone)]
 pub struct ControlPlaneWorld {
@@ -110,8 +98,6 @@ pub struct ControlPlaneWorld {
     pub(crate) dev_key_seq: Vec<u32>,
     /// Key counter for control-plane-script events.
     pub(crate) control_key_seq: u32,
-    /// Set while this world is a shard of a parallel run.
-    pub(crate) shard_route: Option<ShardRoute>,
     /// The packet-walk planes (probe mesh, flow load); a plane that is
     /// off keeps every one of its code paths dormant at zero cost.
     pub(crate) planes: Planes,
@@ -123,8 +109,7 @@ pub struct ControlPlaneWorld {
     /// profile: off ([`MemRecorder::disabled`]) until an orchestration
     /// layer installs one that is on to collect a run report. It counts
     /// nothing: [`ControlPlaneSim::report`](super::ControlPlaneSim::report)
-    /// reads every series from this world's own state. A shard of the
-    /// sharded settle holds an off one. Boxed only because
+    /// reads every series from this world's own state. Boxed only because
     /// the benchmark package assigns a `Box::new(MemRecorder::…)` to it.
     pub recorder: Box<MemRecorder>,
 }
@@ -252,21 +237,6 @@ pub(crate) fn unshared(slot: &mut Arc<dyn DeviceOs>) -> &mut dyn DeviceOs {
         *slot = slot.clone_shared();
     }
     Arc::get_mut(slot).expect("a handle just checked or just made has one owner")
-}
-
-impl ParallelWorld for ControlPlaneWorld {
-    type Ev = HarnessEvent;
-
-    fn take_outbox(&mut self) -> Vec<(usize, SimTime, HarnessEvent)> {
-        self.shard_route
-            .as_mut()
-            .map(|r| std::mem::take(&mut r.outbox))
-            .unwrap_or_default()
-    }
-
-    fn last_activity(&self) -> SimTime {
-        self.last_route_activity
-    }
 }
 
 /// The engine type the harness runs on: typed events over the world.

@@ -189,11 +189,10 @@ impl OsMem {
 
 /// A bootable firmware image instance.
 ///
-/// `Send` so the parallel executor can move a device's OS (with its shard)
-/// onto a worker thread, `Sync` so an emulation and its forks can share
-/// one instance behind an `Arc` until either side writes to it;
-/// implementations hold only owned state and `Arc`-shared immutable
-/// data, no interior mutability.
+/// `Send + Sync` so an emulation and its forks can share one instance
+/// behind an `Arc` until either side writes to it, even when a caller
+/// runs a fork on a thread of its own; implementations hold only owned
+/// state and `Arc`-shared immutable data, no interior mutability.
 pub trait DeviceOs: Send + Sync {
     /// Handles one event, returning the side effects.
     fn handle(&mut self, now: SimTime, event: OsEvent) -> OsActions;

@@ -23,8 +23,8 @@
 //! event's own [`EventFire::key`], then scheduling order. With the default
 //! constant key, ties order purely by scheduling sequence. An event type
 //! can supply a *content-derived* key (e.g. source device and per-source
-//! counter), making tie order independent of scheduling interleave; this is
-//! what lets the parallel executor replay the serial order bit-for-bit.
+//! counter), making tie order independent of scheduling interleave: a
+//! queue drained and re-scheduled fires in the same order.
 //!
 //! # Inline window
 //!
@@ -49,10 +49,10 @@ use std::collections::BinaryHeap;
 /// unique among events due at the same instant — which the routing
 /// harness guarantees by deriving keys from the scheduling device and a
 /// per-device counter. Crucially the id does *not* involve the engine's
-/// scheduling sequence number, which differs between serial and sharded
-/// execution; the same run therefore produces the same ids whatever
-/// `workers` drove it, and a trace record can point at its causal parent
-/// across shard boundaries.
+/// scheduling sequence number, which a drain-and-requeue renumbers; the
+/// same run therefore produces the same ids however its queue was moved
+/// about, and a trace record can point at its causal parent across such
+/// a move.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -118,10 +118,9 @@ pub trait EventFire<W>: Sized {
     /// The id of the event that scheduled this one, if known.
     ///
     /// Causal links must travel *inside* the event (not in engine
-    /// bookkeeping): the parallel executor drains queues, ships events
-    /// across shards in envelopes, and re-schedules survivors, losing any
-    /// engine-side metadata along the way. Events that carry their cause
-    /// as a field survive all of that unchanged.
+    /// bookkeeping): a drain-and-requeue ([`Engine::drain_pending`])
+    /// loses any engine-side metadata along the way. Events that carry
+    /// their cause as a field survive it unchanged.
     fn cause(&self) -> Option<EventId> {
         None
     }
@@ -245,7 +244,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     }
 
     /// High-water mark of the pending-event queue depth. Execution-shape
-    /// diagnostic: differs between serial and sharded runs.
+    /// diagnostic, not a canonical fact of the run.
     #[must_use]
     pub fn queue_high_water(&self) -> usize {
         self.high_water
@@ -409,22 +408,14 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.next_event_rank().map(|(t, _)| t)
-    }
-
-    /// `(time, key)` of the next pending event, if any. The parallel
-    /// coordinator uses the key to locate the globally minimal event when
-    /// it has to single-step across shards.
-    #[must_use]
-    pub fn next_event_rank(&self) -> Option<(SimTime, u64)> {
-        self.rank_in(&LANES)
+        self.rank_in(&LANES).map(|(t, _)| t)
     }
 
     /// Removes and returns every pending event in `(time, key, seq)`
-    /// order, without firing them. The clock is unchanged.
-    ///
-    /// The parallel executor uses this to fork a serial engine's queue
-    /// across shards and to collect survivors when joining back.
+    /// order, without firing them. The clock is unchanged. Re-scheduling
+    /// them keeps their ids and their order, since both come from
+    /// `(time, key)`: the routing harness drains and requeues to drop a
+    /// removed device's events.
     pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
         let mut all: Vec<Scheduled<E>> = self
             .lanes
@@ -439,7 +430,7 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// Advances the clock to `t` (no-op if already later) without running
     /// anything. Callers must not skip past pending events; debug builds
     /// assert this.
-    pub fn advance_clock_to(&mut self, t: SimTime) {
+    fn advance_clock_to(&mut self, t: SimTime) {
         debug_assert!(
             self.next_event_time().is_none_or(|n| n >= t),
             "advance_clock_to would skip pending events"

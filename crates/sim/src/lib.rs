@@ -21,7 +21,6 @@ pub mod cpu;
 pub mod engine;
 pub mod heartbeat;
 pub mod metrics;
-pub mod parallel;
 pub mod rng;
 pub mod time;
 
@@ -29,8 +28,5 @@ pub use cpu::{CpuServer, UtilizationTracker};
 pub use engine::{Engine, EngineCheckpoint, EventFire, EventId, Lane};
 pub use heartbeat::{Backoff, HeartbeatSchedule};
 pub use metrics::LatencySummary;
-pub use parallel::{
-    run_shards_until_quiet_matrix, LookaheadMatrix, ParallelOutcome, ParallelWorld,
-};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

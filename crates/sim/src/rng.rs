@@ -7,8 +7,8 @@
 //!
 //! The generator is a self-contained xoshiro256++ seeded through
 //! SplitMix64, so streams are identical on every platform and toolchain —
-//! a prerequisite for the parallel executor's bit-identical-replay
-//! contract (no external RNG crate whose algorithm could shift under us).
+//! a prerequisite for golden export digests that hold on every host (no
+//! external RNG crate whose algorithm could shift under us).
 
 use crate::time::SimDuration;
 

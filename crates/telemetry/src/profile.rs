@@ -37,11 +37,12 @@ pub mod keys {
     pub const APPLY: &str = "core.apply";
     /// Engine event loop (`run_until_quiet`).
     pub const ENGINE_RUN: &str = "sim.engine.run";
-    /// Worker compute time of a sharded settle, summed across shards
-    /// (`routing`'s `run_until_quiet_parallel` only).
+    /// Worker compute time of the sharded settle, which is gone: nothing
+    /// records under this key. Kept, with [`PARALLEL_IDLE`], only for the
+    /// benchmark's `sim.parallel.*` probe, which reads both.
     pub const PARALLEL_COMPUTE: &str = "sim.parallel.compute";
-    /// Worker idle time of a sharded settle, blocked on the grant
-    /// channel, summed across shards.
+    /// Worker idle time of the sharded settle; never recorded (see
+    /// [`PARALLEL_COMPUTE`]).
     pub const PARALLEL_IDLE: &str = "sim.parallel.idle";
 
     /// Every profile key, in report order. The profile section always

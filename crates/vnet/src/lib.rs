@@ -1,7 +1,6 @@
 //! Virtual network substrate for the CrystalNet reproduction: the
 //! simulated public cloud, container sandboxes with the PhyNet layer,
-//! veth/bridge/VXLAN virtual links, NAT traversal, and the management
-//! overlay.
+//! veth/bridge/VXLAN virtual links, and the management overlay.
 //!
 //! This crate is the "physical mockup" half of the paper (§4): everything
 //! below the device firmware. It deliberately knows nothing about routing
@@ -13,10 +12,8 @@ pub mod cloud;
 pub mod container;
 pub mod links;
 pub mod mgmt;
-pub mod nat;
 
 pub use cloud::{Cloud, CloudParams, Vm, VmId, VmSku, VmState};
 pub use container::{Container, ContainerEngine, ContainerId, ContainerKind, ContainerState};
 pub use links::{BridgeImpl, LinkSpan, VirtualLink, VniAllocator};
 pub use mgmt::{ManagementOverlay, MgmtError, MgmtNode};
-pub use nat::{punch, NatEndpoint, NatKind, PunchOutcome};

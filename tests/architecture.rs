@@ -2,8 +2,9 @@
 //! the two-layer PhyNet design, per-link VXLAN isolation, and the
 //! loop-free tree-shaped management overlay — on a fresh mockup and on
 //! the same mockup after a VM's sandboxes were re-placed on a spare —
-//! plus one source-level invariant: no emulator state iterates in an
-//! order drawn from per-process hash keys.
+//! plus two source-level invariants: no emulator state iterates in an
+//! order drawn from per-process hash keys, and the emulator starts no
+//! thread.
 
 use crystalnet::prelude::*;
 use crystalnet::PlanOptions;
@@ -180,21 +181,16 @@ fn emulation_cost_tracks_fleet_and_time() {
     assert!(cost < rate, "an emulation converges in under an hour");
 }
 
-#[test]
-fn no_container_in_the_emulator_draws_per_process_hash_keys() {
-    // Which order a map iterates in is a property of its type: a `Vec`
-    // indexed by a dense id, a `BTreeMap`/`BTreeSet`, or the fixed-hasher
-    // `IdMap`/`IdSet` aliases in `crates/net/src/addr.rs`, the one file
-    // that may name std's hashed containers.
-    const BANNED: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
+/// Every `.rs` file under `crates/*/src`, as (path from the repo root,
+/// source).
+fn emulator_sources() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let aliases = root.join("crates/net/src/addr.rs");
     let mut stack: Vec<std::path::PathBuf> = std::fs::read_dir(root.join("crates"))
         .expect("the workspace has crates/")
         .map(|e| e.expect("readable entry").path().join("src"))
         .filter(|p| p.is_dir())
         .collect();
-    let mut hits = Vec::new();
+    let mut out = Vec::new();
     while let Some(path) = stack.pop() {
         if path.is_dir() {
             stack.extend(
@@ -202,17 +198,31 @@ fn no_container_in_the_emulator_draws_per_process_hash_keys() {
                     .expect("readable dir")
                     .map(|e| e.expect("readable entry").path()),
             );
+        } else if path.extension() == Some("rs".as_ref()) {
+            let file = path.strip_prefix(root).unwrap_or(&path);
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            out.push((file.display().to_string(), text));
+        }
+    }
+    out
+}
+
+#[test]
+fn no_container_in_the_emulator_draws_per_process_hash_keys() {
+    // Which order a map iterates in is a property of its type: a `Vec`
+    // indexed by a dense id, a `BTreeMap`/`BTreeSet`, or the fixed-hasher
+    // `IdMap`/`IdSet` aliases in `crates/net/src/addr.rs`, the one file
+    // that may name std's hashed containers.
+    const BANNED: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
+    let mut hits = Vec::new();
+    for (file, text) in emulator_sources() {
+        if file == "crates/net/src/addr.rs" {
             continue;
         }
-        if path.extension() != Some("rs".as_ref()) || path == aliases {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("readable source");
         for (n, line) in text.lines().enumerate() {
             let mut tokens = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
             if tokens.any(|t| BANNED.contains(&t)) {
-                let file = path.strip_prefix(root).unwrap_or(&path);
-                hits.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+                hits.push(format!("{file}:{}: {}", n + 1, line.trim()));
             }
         }
     }
@@ -220,6 +230,36 @@ fn no_container_in_the_emulator_draws_per_process_hash_keys() {
     assert!(
         hits.is_empty(),
         "{} lines name a randomly keyed container:\n{}",
+        hits.len(),
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn the_emulator_starts_no_thread() {
+    // One thread owns every device, route and queue of an emulation; a
+    // caller may run a fork on a thread of its own, but the emulator
+    // starts none. Test modules (each file's tail from its first
+    // `#[cfg(test)]`) may.
+    const BANNED: [&str; 4] = [
+        "thread::spawn",
+        "thread::scope",
+        "thread::Builder",
+        "crossbeam",
+    ];
+    let mut hits = Vec::new();
+    for (file, text) in emulator_sources() {
+        let lines = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (n, line) in lines.enumerate() {
+            if BANNED.iter().any(|b| line.contains(b)) {
+                hits.push(format!("{file}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    hits.sort();
+    assert!(
+        hits.is_empty(),
+        "{} lines start a thread in the emulator:\n{}",
         hits.len(),
         hits.join("\n")
     );
